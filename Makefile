@@ -3,9 +3,9 @@ GO ?= go
 # BENCH_OUT is where `make bench` writes its JSON snapshot; each PR bumps the
 # default instead of editing the recipe. Override per run:
 #   make bench BENCH_OUT=/tmp/bench.json
-BENCH_OUT ?= BENCH_PR10.json
+BENCH_OUT ?= BENCH_PR13.json
 # BENCH_BASELINE is the committed baseline `make bench-regress` gates against.
-BENCH_BASELINE ?= BENCH_PR10.json
+BENCH_BASELINE ?= BENCH_PR13.json
 # GATE_BENCH selects the hot-path benchmarks the regression gate watches;
 # MAX_REGRESS is the time/op growth (percent) that fails it, and
 # MAX_ALLOC_REGRESS the allocs/op growth (only checked for benchmarks whose
@@ -17,7 +17,7 @@ MAX_ALLOC_REGRESS ?= 20
 # BENCH_NEW is the fresh run bench-compare gates against the baseline.
 BENCH_NEW ?= /tmp/bench_pr.json
 
-.PHONY: ci fmt-check vet lint build test-short-race test cover bench bench-gate bench-compare bench-regress bench-parallel bench-rss fuzz-smoke serve
+.PHONY: ci fmt-check vet lint build test-short-race test cover bench bench-gate bench-compare bench-regress bench-parallel bench-rss bench-e2e fuzz-smoke serve
 
 # ci is the gate every change must pass: formatting, vet, build, the fast
 # suite under the race detector (the strip-parallel sweep and the mutable
@@ -103,6 +103,14 @@ bench-parallel:
 # machine-sensitive to hard-gate).
 bench-rss:
 	./scripts/measure_rss.sh
+
+# bench-e2e runs one workload of the end-to-end benchmark (e2ebench/, its own
+# module; see e2ebench/README.md for the workloads and the metrics it prints):
+#   make bench-e2e WORKLOAD=explore SEED=7
+WORKLOAD ?= explore
+SEED ?= 1
+bench-e2e:
+	bash e2ebench/run.sh --workload $(WORKLOAD) --seed $(SEED)
 
 # fuzz-smoke replays the committed corpora and fuzzes the three differential
 # harnesses — Region Coloring vs the grid baseline, slab point-location vs

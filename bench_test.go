@@ -487,38 +487,43 @@ var benchHeatSink float64
 
 // BenchmarkTileServe measures the tile path of the HTTP layer: warm requests
 // (cache hits, the steady state a CDN origin sees) and cold requests (data
-// tiles at the center of the pyramid, each rendered once). The linf variant
+// tiles at the center of the pyramid, each rendered). The linf variant
 // rasterizes from the slab point-location index and linf-enclosure is the
 // same map forced onto the per-pixel enclosure path — the pair demonstrates
 // the rasterization win. The l2 variant's dense arc arrangement exceeds the
 // slab cell cap, so it tracks the enclosure fallback the tile path always
-// used for such maps.
+// used for such maps; l2-slab is heatmapd's default map, whose L2 slab index
+// does build, so it tracks the arc path of the raster kernel.
 func BenchmarkTileServe(b *testing.B) {
 	for _, cfg := range []struct {
-		name   string
-		metric geom.Metric
-		noSlab bool
+		name  string
+		build func(*testing.B) *heatmap.Map
 	}{
-		{"linf", geom.LInf, false},
-		{"linf-enclosure", geom.LInf, true},
-		{"l2", geom.L2, false},
+		{"linf", func(b *testing.B) *heatmap.Map { return benchMapCfg(b, 5000, 250, geom.LInf, false) }},
+		{"linf-enclosure", func(b *testing.B) *heatmap.Map { return benchMapCfg(b, 5000, 250, geom.LInf, true) }},
+		{"l2", func(b *testing.B) *heatmap.Map { return benchMapCfg(b, 5000, 250, geom.L2, false) }},
+		{"l2-slab", heatmapdDefaultMap},
 	} {
-		m := benchMapCfg(b, 5000, 250, cfg.metric, cfg.noSlab)
-		s, err := server.New(server.Config{Map: m, TileSize: 128, TileCacheSize: 1 << 14})
-		if err != nil {
-			b.Fatal(err)
+		m := cfg.build(b)
+		newServer := func(b *testing.B) *server.Server {
+			s, err := server.New(server.Config{Map: m, TileSize: 128, TileCacheSize: 1 << 14})
+			if err != nil {
+				b.Fatal(err)
+			}
+			return s
 		}
-		get := func(path string) int {
+		get := func(s *server.Server, path string) int {
 			req := httptest.NewRequest(http.MethodGet, path, nil)
 			rec := httptest.NewRecorder()
 			s.ServeHTTP(rec, req)
 			return rec.Code
 		}
+		s := newServer(b)
 		warm := make([]string, 0, 16)
 		for x := 0; x < 4; x++ {
 			for y := 0; y < 4; y++ {
 				path := fmt.Sprintf("/tiles/2/%d/%d.png", x, y)
-				if code := get(path); code != http.StatusOK {
+				if code := get(s, path); code != http.StatusOK {
 					b.Fatalf("GET %s = %d", path, code)
 				}
 				warm = append(warm, path)
@@ -527,7 +532,7 @@ func BenchmarkTileServe(b *testing.B) {
 		b.Run(cfg.name+"/warm", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if code := get(warm[i%len(warm)]); code != http.StatusOK {
+				if code := get(s, warm[i%len(warm)]); code != http.StatusOK {
 					b.Fatal("warm tile failed")
 				}
 			}
@@ -536,16 +541,41 @@ func BenchmarkTileServe(b *testing.B) {
 			b.ReportAllocs()
 			// Walk the central 32x32 block of the zoom-6 pyramid: tiles that
 			// actually cover data, so the benchmark times rasterization
-			// rather than the PNG encoding of empty corner tiles.
+			// rather than the PNG encoding of empty corner tiles. Each pass
+			// over the block starts on a fresh server, built untimed, so no
+			// request — in any invocation or -count repeat — is a cache hit.
 			const z, span, off = 6, 32, 16
+			var cold *server.Server
 			for i := 0; i < b.N; i++ {
-				path := fmt.Sprintf("/tiles/%d/%d/%d.png", z, off+i%span, off+(i/span)%span)
-				if code := get(path); code != http.StatusOK {
+				k := i % (span * span)
+				if k == 0 {
+					b.StopTimer()
+					cold = newServer(b)
+					b.StartTimer()
+				}
+				path := fmt.Sprintf("/tiles/%d/%d/%d.png", z, off+k%span, off+k/span)
+				if code := get(cold, path); code != http.StatusOK {
 					b.Fatal("cold tile failed")
 				}
 			}
 		})
 	}
+}
+
+// heatmapdDefaultMap builds the map cmd/heatmapd serves by default: NYC,
+// 2000 clients and 600 facilities under L2, sampled as with -seed 1.
+func heatmapdDefaultMap(b *testing.B) *heatmap.Map {
+	b.Helper()
+	pool, err := dataset.ByName("NYC", (2000+600)*2, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	clients, facilities := pool.SampleClientsFacilities(2000, 600, 2)
+	m, err := heatmap.Build(heatmap.Config{Clients: clients, Facilities: facilities, Metric: geom.L2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return m
 }
 
 // BenchmarkOptimal measures the optimal-location query behind GET /optimal:

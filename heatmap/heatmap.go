@@ -691,8 +691,9 @@ func (m *Map) Renderer() (*render.Renderer, error) {
 		m.renderer, m.rendererErr = render.NewRenderer(m.circles, m.index, m.measure)
 		if m.rendererErr == nil {
 			// Tiles are the hottest read path; rasterizing from the slab
-			// index walks each pixel row through the slabs monotonically
-			// instead of running one enclosure query per pixel. The guard
+			// index resolves each pixel column's slab once and reads
+			// precomputed face heats instead of running one enclosure query
+			// per pixel. The guard
 			// matters: passing a nil *pointloc.Index through the interface
 			// parameter would read as non-nil inside UsePointLoc.
 			if ix := m.pointLoc(); ix != nil {

@@ -8,32 +8,28 @@ import (
 
 	"rnnheatmap/internal/geom"
 	"rnnheatmap/internal/influence"
+	"rnnheatmap/internal/nncircle"
 	"rnnheatmap/internal/oset"
 	"rnnheatmap/internal/snapshot"
 )
 
 // Mapped answers point-location queries straight off a format-v2 snapshot
 // view: the slab boundaries, edge lists and gap pool ids are the mmap'd file
-// bytes, so a cold map serves its first query with no decode step. The query
-// logic deliberately mirrors Index (query.go) operation for operation — same
-// sweep transform, same epsilon bands, same exact fallback evaluated in
-// ascending client order — so answers are byte-identical to the heap index
-// and the enclosure oracle; the differential tests in mapped_test.go enforce
-// that.
+// bytes, so a cold map serves its first query with no decode step. It shares
+// Index's sweep transform, epsilon bands, slab location (axis), exact
+// fallback and raster kernel (grid.go), and mirrors its gap lookup operation
+// for operation, so answers are byte-identical to the heap index and the
+// enclosure oracle; the differential tests in mapped_test.go enforce that.
 //
 // RNN sets are the one thing not stored ready-to-return (the file holds i32
 // member lists); a query that needs one materializes a caller-owned copy of
 // just that record — a cold replica answering a single point query never
-// decodes the rest of the pool. Heat-only paths (HeatBatch, tile rendering)
-// touch only the heat section and allocate nothing per hit.
+// decodes the rest of the pool. Tile rendering (HeatGrid) touches only the
+// heat section and allocates nothing per hit.
 type Mapped struct {
-	metric  geom.Metric
-	measure influence.Measure
-	view    *snapshot.View
-	slab    *snapshot.SlabView
-
-	emptyHeat float64
-	emptyRNN  []int
+	axis
+	view *snapshot.View
+	slab *snapshot.SlabView
 }
 
 // NewMapped builds a mapped locator over v, which must carry a slab index
@@ -47,13 +43,17 @@ func NewMapped(v *snapshot.View, measure influence.Measure) (*Mapped, error) {
 	if measure == nil {
 		measure = influence.Size()
 	}
+	s := v.Slab()
 	return &Mapped{
-		metric:    v.Meta().Metric,
-		measure:   measure,
-		view:      v,
-		slab:      v.Slab(),
-		emptyHeat: measure.Influence(oset.New()),
-		emptyRNN:  []int{},
+		axis: axis{
+			metric:  v.Meta().Metric,
+			measure: measure,
+			empty:   &label{Heat: measure.Influence(oset.New()), RNN: []int{}},
+			xs:      s.Xs,
+			zeroXs:  s.ZeroXs,
+		},
+		view: v,
+		slab: s,
 	}, nil
 }
 
@@ -67,21 +67,6 @@ func (m *Mapped) NumSlabs() int { return len(m.slab.Xs) }
 // counts: one per slab plus two per edge.
 func (m *Mapped) Cells() int { return len(m.slab.Xs) + 2*len(m.slab.Edges) }
 
-func (m *Mapped) eps(v float64) float64 {
-	rel := epsRelRect
-	if m.metric == geom.L2 {
-		rel = epsRelL2
-	}
-	return rel * (1 + math.Abs(v))
-}
-
-func (m *Mapped) toSweep(p geom.Point) geom.Point {
-	if m.metric == geom.L1 {
-		return geom.RotateL1ToLInf(p)
-	}
-	return p
-}
-
 // Query returns the heat and RNN set of the face containing p; see
 // Index.Query for the contract. The returned slice is a caller-owned copy
 // of the mapped record.
@@ -89,14 +74,14 @@ func (m *Mapped) Query(p geom.Point) (float64, []int) {
 	q := m.toSweep(p)
 	i, direct := m.locateSlab(q.X)
 	if !direct {
-		return m.exact(p, q.X)
+		return exact(m, p, q.X)
 	}
 	if i < 0 {
-		return m.emptyHeat, m.emptyRNN
+		return m.empty.Heat, m.empty.RNN
 	}
 	gid, ok := m.lookup(i, q)
 	if !ok {
-		return m.exact(p, q.X)
+		return exact(m, p, q.X)
 	}
 	return m.view.PoolHeat(gid), m.poolRNN(gid)
 }
@@ -114,8 +99,7 @@ func (m *Mapped) poolRNN(id uint32) []int {
 
 // rnnRef carries a query hit's RNN set without materializing it: exactly
 // one of members (raw mapped i32 list, pool hits) and exact (heap ints,
-// exact-path and empty-face hits) is non-nil. Callbacks that ignore the set
-// (HeatBatch) never touch either.
+// exact-path and empty-face hits) is non-nil.
 type rnnRef struct {
 	members []int32
 	exact   []int
@@ -143,11 +127,12 @@ func (m *Mapped) QueryBatch(ps []geom.Point) ([]float64, [][]int) {
 	return heats, rnns
 }
 
-// HeatBatch fills out[k] with the heat at ps[k]. This is the tile
-// rasterization hot path and touches only the mapped arrays and the pool
-// heat section — no RNN materialization, no decode.
-func (m *Mapped) HeatBatch(ps []geom.Point, out []float64) {
-	m.queryMany(ps, func(k int, heat float64, _ rnnRef) { out[k] = heat })
+// HeatGrid fills out with the heat Query returns at each pixel center of
+// bounds; see Index.HeatGrid. This is the tile rasterization hot path and
+// touches only the mapped arrays and the pool heat section — no RNN
+// materialization, no decode.
+func (m *Mapped) HeatGrid(bounds geom.Rect, width, height int, out []float64) {
+	heatGrid(m, bounds, width, height, out)
 }
 
 // queryMany is the batch driver; it mirrors Index.queryMany exactly (NaN
@@ -157,7 +142,7 @@ func (m *Mapped) queryMany(ps []geom.Point, emit func(k int, heat float64, rnn r
 	for k, p := range ps {
 		q := m.toSweep(p)
 		if math.IsNaN(q.X) {
-			emit(k, m.emptyHeat, rnnRef{exact: m.emptyRNN})
+			emit(k, m.empty.Heat, rnnRef{exact: m.empty.RNN})
 			continue
 		}
 		keys = append(keys, batchKey{x: q.X, y: q.Y, k: int32(k)})
@@ -179,59 +164,21 @@ func (m *Mapped) queryMany(ps []geom.Point, emit func(k int, heat float64, rnn r
 		i = gallopGE(m.slab.Xs, i, q.X)
 		si, direct := m.slabAt(q.X, i)
 		if !direct {
-			h, rnn := m.exact(ps[k], q.X)
+			h, rnn := exact(m, ps[k], q.X)
 			emit(k, h, rnnRef{exact: rnn})
 			continue
 		}
 		if si < 0 {
-			emit(k, m.emptyHeat, rnnRef{exact: m.emptyRNN})
+			emit(k, m.empty.Heat, rnnRef{exact: m.empty.RNN})
 			continue
 		}
 		if gid, ok := m.lookup(si, q); ok {
 			emit(k, m.view.PoolHeat(gid), rnnRef{members: m.view.PoolMembers(gid)})
 		} else {
-			h, rnn := m.exact(ps[k], q.X)
+			h, rnn := exact(m, ps[k], q.X)
 			emit(k, h, rnnRef{exact: rnn})
 		}
 	}
-}
-
-func (m *Mapped) locateSlab(x float64) (i int, direct bool) {
-	return m.slabAt(x, sort.SearchFloat64s(m.slab.Xs, x))
-}
-
-// slabAt mirrors Index.slabAt over the mapped boundary array.
-func (m *Mapped) slabAt(x float64, pos int) (i int, direct bool) {
-	xs := m.slab.Xs
-	ex := m.eps(x)
-	if m.nearZeroX(x, ex) {
-		return 0, false
-	}
-	if len(xs) == 0 {
-		return -1, true
-	}
-	if pos < len(xs) && xs[pos]-x <= ex {
-		return 0, false
-	}
-	if pos > 0 && x-xs[pos-1] <= ex {
-		return 0, false
-	}
-	if pos == 0 || pos == len(xs) {
-		return -1, true
-	}
-	return pos - 1, true
-}
-
-func (m *Mapped) nearZeroX(x float64, ex float64) bool {
-	zeroXs := m.slab.ZeroXs
-	if len(zeroXs) == 0 {
-		return false
-	}
-	j := sort.SearchFloat64s(zeroXs, x)
-	if j < len(zeroXs) && zeroXs[j]-x <= ex {
-		return true
-	}
-	return j > 0 && x-zeroXs[j-1] <= ex
 }
 
 // lookup resolves the gap containing q inside slab si, returning its pool id
@@ -245,23 +192,23 @@ func (m *Mapped) lookup(si int, q geom.Point) (uint32, bool) {
 	gapBase := lo + si
 	ey := m.eps(q.Y)
 	if m.metric != geom.L2 {
-		j := sort.SearchFloat64s(edges, q.Y)
-		if j < len(edges) && edges[j]-q.Y <= ey {
-			return 0, false
+		if j, ok := gapIn(edges, q.Y, ey); ok {
+			return s.Gaps[gapBase+j], true
 		}
-		if j > 0 && q.Y-edges[j-1] <= ey {
-			return 0, false
-		}
-		return s.Gaps[gapBase+j], true
+		return 0, false
 	}
 	arcs := s.Arcs[lo:hi]
 	j := sort.Search(len(arcs), func(k int) bool {
 		return m.arcYAt(arcs[k], q.X) >= q.Y
 	})
-	if j < len(arcs) && m.arcYAt(arcs[j], q.X)-q.Y <= ey {
-		return 0, false
+	below, above := math.NaN(), math.NaN()
+	if j > 0 {
+		below = m.arcYAt(arcs[j-1], q.X)
 	}
-	if j > 0 && q.Y-m.arcYAt(arcs[j-1], q.X) <= ey {
+	if j < len(arcs) {
+		above = m.arcYAt(arcs[j], q.X)
+	}
+	if nearEdge(below, above, q.Y, ey) {
 		return 0, false
 	}
 	return s.Gaps[gapBase+j], true
@@ -282,44 +229,29 @@ func (m *Mapped) arcYAt(a uint32, x float64) float64 {
 	return cy - h
 }
 
-// exact mirrors Index.exact: gather candidate circles from the slabs within
-// eps of sweep x plus nearby zero-radius circles, test closed containment in
-// the original space, and fold the matches into the measure in ascending
-// client order so the result is bit-identical to the enclosure path.
-func (m *Mapped) exact(p geom.Point, sx float64) (float64, []int) {
-	s := m.slab
-	ex := m.eps(sx)
-	lo, hi := sx-ex, sx+ex
-	var cand []int32
-	i := sort.SearchFloat64s(s.Xs, lo)
-	if i > 0 {
-		i-- // the slab opening before lo may span into the window
+// The slabTable accessors (see grid.go) over the mapped sections: slab si's
+// edges and arcs start at EdgeOff[si], its gaps at EdgeOff[si]+si.
+
+func (m *Mapped) edges(si int) []float64 {
+	return m.slab.Edges[m.slab.EdgeOff[si]:m.slab.EdgeOff[si+1]]
+}
+
+func (m *Mapped) arcHeights(si int, x float64, dst []float64) {
+	for k, a := range m.slab.Arcs[m.slab.EdgeOff[si]:m.slab.EdgeOff[si+1]] {
+		dst[k] = m.arcYAt(a, x)
 	}
-	for ; i < len(s.Xs) && s.Xs[i] <= hi; i++ {
-		cand = append(cand, s.Actives[s.ActOff[i]:s.ActOff[i+1]]...)
-	}
-	sort.Slice(cand, func(a, b int) bool { return cand[a] < cand[b] })
-	matched := []int{}
-	var prev int32 = -1
-	for _, ci := range cand {
-		if ci == prev {
-			continue
-		}
-		prev = ci
-		nc := m.view.CircleAt(int(ci))
-		if nc.Circle.Contains(p) {
-			matched = append(matched, nc.Client)
-		}
-	}
-	if len(s.ZeroXs) > 0 {
-		j := sort.SearchFloat64s(s.ZeroXs, lo)
-		for ; j < len(s.ZeroXs) && s.ZeroXs[j] <= hi; j++ {
-			nc := m.view.CircleAt(int(s.ZeroIdx[j]))
-			if nc.Circle.Contains(p) {
-				matched = append(matched, nc.Client)
-			}
-		}
-	}
-	sort.Ints(matched)
-	return m.measure.Influence(oset.FromSorted(matched)), matched
+}
+
+func (m *Mapped) gapHeat(si, j int) float64 {
+	return m.view.PoolHeat(m.slab.Gaps[int(m.slab.EdgeOff[si])+si+j])
+}
+
+func (m *Mapped) actives(si int) []int32 {
+	return m.slab.Actives[m.slab.ActOff[si]:m.slab.ActOff[si+1]]
+}
+
+func (m *Mapped) circle(ci int32) nncircle.NNCircle { return m.view.CircleAt(int(ci)) }
+
+func (m *Mapped) zeroCircle(j int) nncircle.NNCircle {
+	return m.view.CircleAt(int(m.slab.ZeroIdx[j]))
 }

@@ -69,7 +69,7 @@ func (ix *Index) Patch(newCircles []nncircle.NNCircle, spans [][2]float64, maxFr
 	if ix.metric == geom.L2 || len(ix.slabs) == 0 {
 		return nil, ErrPatchDeclined
 	}
-	next := &Index{measure: ix.measure, pool: ix.pool, empty: ix.empty}
+	next := &Index{axis: axis{measure: ix.measure, empty: ix.empty}, pool: ix.pool}
 	usable, origIdx, err := next.initCircles(newCircles)
 	if err != nil {
 		return nil, err

@@ -106,11 +106,29 @@ type slab struct {
 	gaps []*label
 }
 
+// axis is the state Index and Mapped share: the metric and measure, the
+// empty face, and the sweep-space abscissae a query resolves its slab from.
+// Both embed it, so slab location, the epsilon bands and the exact path are
+// written once.
+type axis struct {
+	metric  geom.Metric // the original metric of the circles
+	measure influence.Measure
+	empty   *label
+
+	// xs holds the slab left edges (the sweep event abscissae) ascending;
+	// slab i spans [xs[i], xs[i+1]] (the final slab is zero-width).
+	xs []float64
+	// zeroXs holds the sweep-space center x of every zero-radius circle
+	// (clients co-located with their facility), ascending. They contribute
+	// no slabs — only a point query exactly at the center can hit one — so
+	// queries near a zero x take the exact path.
+	zeroXs []float64
+}
+
 // Index is a built slab point-location structure. It is immutable and safe
 // for concurrent use.
 type Index struct {
-	metric  geom.Metric // the original metric of the circles
-	measure influence.Measure
+	axis
 
 	// all holds the input circles (original space) and sweepAll the same
 	// circles in the sweep coordinate system (identical except for L1,
@@ -122,23 +140,17 @@ type Index struct {
 	all      []nncircle.NNCircle
 	sweepAll []nncircle.NNCircle
 
-	// zeros holds the zero-radius circles (clients co-located with their
-	// facility) in the original space, sorted by sweep-space center x
-	// (zeroXs). They contribute no slabs — only a point query exactly at the
-	// center can hit one — so queries near a zero x take the exact path.
-	zeros  []nncircle.NNCircle
-	zeroXs []float64
+	// zeros holds the zero-radius circles in the original space, in axis
+	// zeroXs order.
+	zeros []nncircle.NNCircle
 
-	// xs holds the slab left edges (the sweep event abscissae) ascending;
-	// slabs[i] spans [xs[i], xs[i+1]] (the final slab is zero-width).
-	xs    []float64
+	// slabs[i] is the slab opening at xs[i].
 	slabs []slab
 
 	// pool is the interned-label pool the gap labels point into. Patch
 	// reuses it so spliced generations keep sharing one label corpus.
 	pool *core.LabelInterner
 
-	empty *label
 	cells int
 }
 
@@ -174,17 +186,17 @@ const (
 
 // eps returns the epsilon around coordinate v within which a query is routed
 // to the exact evaluation path.
-func (ix *Index) eps(v float64) float64 {
+func (a *axis) eps(v float64) float64 {
 	rel := epsRelRect
-	if ix.metric == geom.L2 {
+	if a.metric == geom.L2 {
 		rel = epsRelL2
 	}
 	return rel * (1 + math.Abs(v))
 }
 
 // toSweep maps an original-space point into the sweep coordinate system.
-func (ix *Index) toSweep(p geom.Point) geom.Point {
-	if ix.metric == geom.L1 {
+func (a *axis) toSweep(p geom.Point) geom.Point {
+	if a.metric == geom.L1 {
 		return geom.RotateL1ToLInf(p)
 	}
 	return p
@@ -205,7 +217,7 @@ func Build(circles []nncircle.NNCircle, measure influence.Measure, opts Options)
 	if pool == nil || pool.Measure() != measure {
 		pool = core.NewLabelInterner(measure)
 	}
-	ix := &Index{measure: measure, pool: pool, empty: pool.Empty()}
+	ix := &Index{axis: axis{measure: measure, empty: pool.Empty()}, pool: pool}
 	usable, origIdx, err := ix.initCircles(circles)
 	if err != nil {
 		return nil, err

@@ -160,13 +160,6 @@ func checkInstance(t *testing.T, seed int64, nClients, nFacilities int, metric g
 				t.Fatalf("%s: QueryBatch[%d] = (%v, %v), Query = (%v, %v)", ctx, k, heats[k], rnns[k], h, r)
 			}
 		}
-		out := make([]float64, len(probes))
-		ix.HeatBatch(probes, out)
-		for k := range probes {
-			if out[k] != heats[k] {
-				t.Fatalf("%s: HeatBatch[%d] = %v, QueryBatch = %v", ctx, k, out[k], heats[k])
-			}
-		}
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 	"sort"
 
 	"rnnheatmap/internal/geom"
-	"rnnheatmap/internal/oset"
+	"rnnheatmap/internal/nncircle"
 )
 
 // Query returns the heat and RNN set of the face containing p. The returned
@@ -21,14 +21,14 @@ func (ix *Index) Query(p geom.Point) (float64, []int) {
 	q := ix.toSweep(p)
 	i, direct := ix.locateSlab(q.X)
 	if !direct {
-		return ix.exact(p, q.X)
+		return exact(ix, p, q.X)
 	}
 	if i < 0 {
 		return ix.empty.Heat, ix.empty.RNN
 	}
 	l, ok := ix.slabs[i].lookup(ix, q)
 	if !ok {
-		return ix.exact(p, q.X)
+		return exact(ix, p, q.X)
 	}
 	return l.Heat, l.RNN
 }
@@ -57,10 +57,11 @@ func (ix *Index) QueryBatch(ps []geom.Point) ([]float64, [][]int) {
 	return heats, rnns
 }
 
-// HeatBatch fills out[k] with the heat at ps[k] using the same monotone slab
-// walk as QueryBatch, skipping the RNN slices. len(out) must equal len(ps).
-func (ix *Index) HeatBatch(ps []geom.Point, out []float64) {
-	ix.queryMany(ps, func(k int, heat float64, _ []int) { out[k] = heat })
+// HeatGrid fills out (row-major, row 0 at the top, len(out) ==
+// width*height) with the heat Query returns at each pixel center of bounds
+// (geom.Rect.PixelCenters), bit for bit; see grid.go for the kernel.
+func (ix *Index) HeatGrid(bounds geom.Rect, width, height int, out []float64) {
+	heatGrid(ix, bounds, width, height, out)
 }
 
 // batchKey carries one batch point through the sort: its sweep-space
@@ -108,7 +109,7 @@ func (ix *Index) queryMany(ps []geom.Point, emit func(k int, heat float64, rnn [
 		i = gallopGE(ix.xs, i, q.X)
 		si, direct := ix.slabAt(q.X, i)
 		if !direct {
-			h, rnn := ix.exact(ps[k], q.X)
+			h, rnn := exact(ix, ps[k], q.X)
 			emit(k, h, rnn)
 			continue
 		}
@@ -119,7 +120,7 @@ func (ix *Index) queryMany(ps []geom.Point, emit func(k int, heat float64, rnn [
 		if l, ok := ix.slabs[si].lookup(ix, q); ok {
 			emit(k, l.Heat, l.RNN)
 		} else {
-			h, rnn := ix.exact(ps[k], q.X)
+			h, rnn := exact(ix, ps[k], q.X)
 			emit(k, h, rnn)
 		}
 	}
@@ -149,27 +150,27 @@ func gallopGE(xs []float64, from int, x float64) int {
 // direct=false when x lies within eps of a slab boundary or zero-radius
 // center (the exact path must answer), and i=-1 with direct=true when x is
 // strictly outside every slab (the answer is the empty label).
-func (ix *Index) locateSlab(x float64) (i int, direct bool) {
-	return ix.slabAt(x, sort.SearchFloat64s(ix.xs, x))
+func (a *axis) locateSlab(x float64) (i int, direct bool) {
+	return a.slabAt(x, sort.SearchFloat64s(a.xs, x))
 }
 
-// slabAt resolves the slab for x given pos = sort.SearchFloat64s(ix.xs, x)
+// slabAt resolves the slab for x given pos = sort.SearchFloat64s(a.xs, x)
 // (the first slab edge >= x).
-func (ix *Index) slabAt(x float64, pos int) (i int, direct bool) {
-	ex := ix.eps(x)
-	if ix.nearZeroX(x, ex) {
+func (a *axis) slabAt(x float64, pos int) (i int, direct bool) {
+	ex := a.eps(x)
+	if a.nearZeroX(x, ex) {
 		return 0, false
 	}
-	if len(ix.xs) == 0 {
+	if len(a.xs) == 0 {
 		return -1, true
 	}
-	if pos < len(ix.xs) && ix.xs[pos]-x <= ex {
+	if pos < len(a.xs) && a.xs[pos]-x <= ex {
 		return 0, false
 	}
-	if pos > 0 && x-ix.xs[pos-1] <= ex {
+	if pos > 0 && x-a.xs[pos-1] <= ex {
 		return 0, false
 	}
-	if pos == 0 || pos == len(ix.xs) {
+	if pos == 0 || pos == len(a.xs) {
 		// Strictly outside every slab by more than eps: empty face.
 		return -1, true
 	}
@@ -178,15 +179,15 @@ func (ix *Index) slabAt(x float64, pos int) (i int, direct bool) {
 
 // nearZeroX reports whether x lies within ex of the sweep-space center of a
 // zero-radius circle.
-func (ix *Index) nearZeroX(x float64, ex float64) bool {
-	if len(ix.zeroXs) == 0 {
+func (a *axis) nearZeroX(x float64, ex float64) bool {
+	if len(a.zeroXs) == 0 {
 		return false
 	}
-	j := sort.SearchFloat64s(ix.zeroXs, x)
-	if j < len(ix.zeroXs) && ix.zeroXs[j]-x <= ex {
+	j := sort.SearchFloat64s(a.zeroXs, x)
+	if j < len(a.zeroXs) && a.zeroXs[j]-x <= ex {
 		return true
 	}
-	return j > 0 && x-ix.zeroXs[j-1] <= ex
+	return j > 0 && x-a.zeroXs[j-1] <= ex
 }
 
 // lookup resolves the gap containing the sweep-space point q, returning
@@ -196,27 +197,50 @@ func (ix *Index) nearZeroX(x float64, ex float64) bool {
 // binary search remains valid at any interior x.
 func (sl *slab) lookup(ix *Index, q geom.Point) (*label, bool) {
 	ey := ix.eps(q.Y)
-	var j int
 	if sl.arcs == nil {
-		j = sort.SearchFloat64s(sl.edges, q.Y)
-		if j < len(sl.edges) && sl.edges[j]-q.Y <= ey {
-			return nil, false
+		if j, ok := gapIn(sl.edges, q.Y, ey); ok {
+			return sl.gaps[j], true
 		}
-		if j > 0 && q.Y-sl.edges[j-1] <= ey {
-			return nil, false
-		}
-		return sl.gaps[j], true
-	}
-	j = sort.Search(len(sl.arcs), func(k int) bool {
-		return ix.arcYAt(sl.arcs[k], q.X) >= q.Y
-	})
-	if j < len(sl.arcs) && ix.arcYAt(sl.arcs[j], q.X)-q.Y <= ey {
 		return nil, false
 	}
-	if j > 0 && q.Y-ix.arcYAt(sl.arcs[j-1], q.X) <= ey {
+	j := sort.Search(len(sl.arcs), func(k int) bool {
+		return ix.arcYAt(sl.arcs[k], q.X) >= q.Y
+	})
+	below, above := math.NaN(), math.NaN()
+	if j > 0 {
+		below = ix.arcYAt(sl.arcs[j-1], q.X)
+	}
+	if j < len(sl.arcs) {
+		above = ix.arcYAt(sl.arcs[j], q.X)
+	}
+	if nearEdge(below, above, q.Y, ey) {
 		return nil, false
 	}
 	return sl.gaps[j], true
+}
+
+// gapIn is lookup over a slab's edge heights h at the query's x, ascending:
+// it returns the gap holding y — the smallest j with h[j] >= y — and
+// ok=false when y lies within ey of either edge of that gap, where only the
+// exact path can answer.
+func gapIn(h []float64, y, ey float64) (j int, ok bool) {
+	j = sort.SearchFloat64s(h, y)
+	below, above := math.NaN(), math.NaN()
+	if j > 0 {
+		below = h[j-1]
+	}
+	if j < len(h) {
+		above = h[j]
+	}
+	return j, !nearEdge(below, above, y, ey)
+}
+
+// nearEdge is the gap-edge epsilon decision of every lookup: whether y lies
+// within ey of the edge below its gap, at height below, or of the edge above
+// it, at height above. A gap without an edge on one side passes NaN there,
+// which no comparison finds near.
+func nearEdge(below, above, y, ey float64) bool {
+	return above-y <= ey || y-below <= ey
 }
 
 // arcYAt evaluates an arc's boundary height at sweep-space x. Inside a
@@ -232,46 +256,20 @@ func (ix *Index) arcYAt(a arcEdge, x float64) float64 {
 	return c.Center.Y - h
 }
 
-// exact answers a query on the slow path: collect every circle that could
-// contain p (the actives of the slabs within eps of sweep x, plus nearby
-// zero-radius circles), test closed containment against the original-space
-// geometry — exactly the enclosure index's test — and evaluate the measure
-// over the set assembled in ascending client order. sx is p's sweep-space
-// x-coordinate.
-func (ix *Index) exact(p geom.Point, sx float64) (float64, []int) {
-	ex := ix.eps(sx)
-	lo, hi := sx-ex, sx+ex
-	var cand []int32
-	i := sort.SearchFloat64s(ix.xs, lo)
-	if i > 0 {
-		i-- // the slab opening before lo may span into the window
+// The slabTable accessors (see grid.go) over the heap slabs.
+
+func (ix *Index) edges(si int) []float64 { return ix.slabs[si].edges }
+
+func (ix *Index) arcHeights(si int, x float64, dst []float64) {
+	for k, a := range ix.slabs[si].arcs {
+		dst[k] = ix.arcYAt(a, x)
 	}
-	for ; i < len(ix.slabs) && ix.xs[i] <= hi; i++ {
-		cand = append(cand, ix.slabs[i].actives...)
-	}
-	sort.Slice(cand, func(a, b int) bool { return cand[a] < cand[b] })
-	matched := []int{}
-	var prev int32 = -1
-	for _, ci := range cand {
-		if ci == prev {
-			continue
-		}
-		prev = ci
-		if ix.all[ci].Circle.Contains(p) {
-			matched = append(matched, ix.all[ci].Client)
-		}
-	}
-	if len(ix.zeroXs) > 0 {
-		j := sort.SearchFloat64s(ix.zeroXs, lo)
-		for ; j < len(ix.zeros) && ix.zeroXs[j] <= hi; j++ {
-			if ix.zeros[j].Circle.Contains(p) {
-				matched = append(matched, ix.zeros[j].Client)
-			}
-		}
-	}
-	// Ascending client order is the canonical evaluation order of the
-	// enclosure path; sort before folding into the measure so floats match
-	// bit for bit.
-	sort.Ints(matched)
-	return ix.measure.Influence(oset.FromSorted(matched)), matched
 }
+
+func (ix *Index) gapHeat(si, j int) float64 { return ix.slabs[si].gaps[j].Heat }
+
+func (ix *Index) actives(si int) []int32 { return ix.slabs[si].actives }
+
+func (ix *Index) circle(ci int32) nncircle.NNCircle { return ix.all[ci] }
+
+func (ix *Index) zeroCircle(j int) nncircle.NNCircle { return ix.zeros[j] }

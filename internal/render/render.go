@@ -25,6 +25,7 @@ import (
 	"math"
 	"os"
 	"strings"
+	"sync"
 
 	"rnnheatmap/internal/geom"
 	"rnnheatmap/internal/influence"
@@ -174,21 +175,38 @@ func (r *Raster) ImageScaled(cm ColorMap, lo, hi float64) *image.RGBA {
 	}
 	span := hi - lo
 	img := image.NewRGBA(image.Rect(0, 0, r.Width, r.Height))
-	for y := 0; y < r.Height; y++ {
-		for x := 0; x < r.Width; x++ {
-			v := 0.0
-			if span > 0 {
-				v = (r.At(x, y) - lo) / span
-			}
-			img.SetRGBA(x, y, cm(v))
+	// Values and Pix share the row-major layout (Stride is 4*Width), so
+	// pixel i is Pix[4i:4i+4] — the bytes SetRGBA would write.
+	for i, h := range r.Values {
+		v := 0.0
+		if span > 0 {
+			v = (h - lo) / span
 		}
+		c := cm(v)
+		px := img.Pix[4*i : 4*i+4 : 4*i+4]
+		px[0], px[1], px[2], px[3] = c.R, c.G, c.B, c.A
 	}
 	return img
 }
 
+// pngEncoder encodes every raster with png.Encode's settings; its buffer
+// pool hands the zlib writer and row buffers of one encode to the next, so a
+// tile server stops allocating them per tile. The bytes are png.Encode's.
+var pngEncoder = png.Encoder{BufferPool: &pngBuffers{}}
+
+// pngBuffers is a png.EncoderBufferPool over a sync.Pool.
+type pngBuffers struct{ pool sync.Pool }
+
+func (p *pngBuffers) Get() *png.EncoderBuffer {
+	b, _ := p.pool.Get().(*png.EncoderBuffer)
+	return b
+}
+
+func (p *pngBuffers) Put(b *png.EncoderBuffer) { p.pool.Put(b) }
+
 // WritePNG encodes the raster as a PNG image.
 func (r *Raster) WritePNG(w io.Writer, cm ColorMap) error {
-	if err := png.Encode(w, r.Image(cm)); err != nil {
+	if err := pngEncoder.Encode(w, r.Image(cm)); err != nil {
 		return fmt.Errorf("render: encoding png: %w", err)
 	}
 	return nil
@@ -197,7 +215,7 @@ func (r *Raster) WritePNG(w io.Writer, cm ColorMap) error {
 // WritePNGScaled encodes the raster as a PNG normalized against the fixed
 // range [lo, hi]; see ImageScaled.
 func (r *Raster) WritePNGScaled(w io.Writer, cm ColorMap, lo, hi float64) error {
-	if err := png.Encode(w, r.ImageScaled(cm, lo, hi)); err != nil {
+	if err := pngEncoder.Encode(w, r.ImageScaled(cm, lo, hi)); err != nil {
 		return fmt.Errorf("render: encoding png: %w", err)
 	}
 	return nil

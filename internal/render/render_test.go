@@ -2,9 +2,11 @@ package render
 
 import (
 	"bytes"
+	"image"
 	"image/png"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"rnnheatmap/internal/geom"
@@ -309,4 +311,63 @@ func TestImageScaledFixedRange(t *testing.T) {
 	if _, err := png.Decode(&buf); err != nil {
 		t.Fatalf("WritePNGScaled produced an undecodable image: %v", err)
 	}
+}
+
+// TestPNGBytesMatchStdlibEncode pins the encode path to png.Encode over a
+// per-pixel SetRGBA image: the direct Pix fill writes the same pixels, and
+// the shared pooled encoder — reused across encodes and goroutines — writes
+// the same bytes.
+func TestPNGBytesMatchStdlibEncode(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(3))
+	type tile struct {
+		r    *Raster
+		cm   ColorMap
+		want []byte
+	}
+	var tiles []tile
+	for _, cm := range []ColorMap{Grayscale, Inferno} {
+		for k := 0; k < 3; k++ {
+			w, h := 1+rng.Intn(70), 1+rng.Intn(70)
+			r := &Raster{Bounds: geom.Rect{MaxX: 1, MaxY: 1}, Width: w, Height: h, Values: make([]float64, w*h)}
+			for i := range r.Values {
+				r.Values[i] = float64(rng.Intn(9))
+			}
+			ref := image.NewRGBA(image.Rect(0, 0, w, h))
+			for y := 0; y < h; y++ {
+				for x := 0; x < w; x++ {
+					ref.SetRGBA(x, y, cm((r.At(x, y)-1)/6))
+				}
+			}
+			if got := r.ImageScaled(cm, 1, 7); !bytes.Equal(got.Pix, ref.Pix) || got.Stride != ref.Stride {
+				t.Fatalf("%dx%d: ImageScaled pixels differ from SetRGBA", w, h)
+			}
+			var want bytes.Buffer
+			if err := png.Encode(&want, ref); err != nil {
+				t.Fatal(err)
+			}
+			tiles = append(tiles, tile{r, cm, want.Bytes()})
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				for _, tl := range tiles {
+					var got bytes.Buffer
+					if err := tl.r.WritePNGScaled(&got, tl.cm, 1, 7); err != nil {
+						t.Error(err)
+						return
+					}
+					if !bytes.Equal(got.Bytes(), tl.want) {
+						t.Errorf("%dx%d: WritePNGScaled bytes differ from png.Encode", tl.r.Width, tl.r.Height)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

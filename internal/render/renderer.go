@@ -28,13 +28,14 @@ type Renderer struct {
 
 // UsePointLoc attaches a slab point-location locator over the same circles
 // and measure — the heap index or an mmap-backed snapshot view.
-// Rasterization then resolves each pixel row with one monotone walk over the
-// slab decomposition (precomputed face heats, no per-pixel enclosure query
-// or RNN-set construction) instead of a stabbing query per pixel; the output
-// is byte-identical either way, as both locators implement the same closed
-// boundary convention as the enclosure path. Call it before the first Render
-// (heatmap.Map does, under its renderer-construction once). A nil locator is
-// ignored.
+// Rasterization then goes through the locator's raster kernel
+// (pointloc.Locator.HeatGrid) instead of a stabbing query per pixel: each
+// pixel column resolves its slab and evaluates each arc of it once, and each
+// pixel reads a precomputed face heat with no RNN-set construction. The
+// output is byte-identical either way: HeatGrid returns exactly the heats of
+// per-pixel point queries, and the locators implement the enclosure path's
+// closed boundary convention. Call it before the first Render (heatmap.Map
+// does, under its renderer-construction once). A nil locator is ignored.
 func (rd *Renderer) UsePointLoc(loc pointloc.Locator) {
 	if loc != nil {
 		rd.pl = loc
@@ -112,31 +113,31 @@ func (rd *Renderer) Render(bounds geom.Rect, width, height int) (*Raster, error)
 	}
 	r := &Raster{Bounds: bounds, Width: width, Height: height,
 		Values: make([]float64, width*height)}
-	dx := bounds.Width() / float64(width)
-	dy := bounds.Height() / float64(height)
+	if rd.pl != nil {
+		rd.pl.HeatGrid(bounds, width, height, r.Values)
+	} else {
+		rd.enclosureGrid(bounds, width, height, r.Values)
+	}
+	rd.calls.Add(1)
+	return r, nil
+}
+
+// enclosureGrid is the no-locator path and the oracle HeatGrid is held to:
+// one stabbing query per pixel center, its RNN set fed to the measure.
+func (rd *Renderer) enclosureGrid(bounds geom.Rect, width, height int, out []float64) {
+	xs, ys := bounds.PixelCenters(width, height)
 	centers := make([]geom.Point, width)
 	set := oset.New()
-	for py := 0; py < height; py++ {
-		// Row 0 is the top of the map.
-		y := bounds.MaxY - (float64(py)+0.5)*dy
-		for px := 0; px < width; px++ {
-			centers[px] = geom.Pt(bounds.MinX+(float64(px)+0.5)*dx, y)
-		}
-		if rd.pl != nil {
-			// One monotone slab walk per row: the centers ascend in x, which
-			// ascends in sweep space under every supported metric, so the
-			// batch touches each slab once and reads precomputed face heats.
-			rd.pl.HeatBatch(centers, r.Values[py*width:(py+1)*width])
-			continue
+	for py, y := range ys {
+		for px, x := range xs {
+			centers[px] = geom.Pt(x, y)
 		}
 		for px, ids := range rd.index.EnclosingBatch(centers) {
 			set.Clear()
 			for _, id := range ids {
 				set.Add(rd.circles[id].Client)
 			}
-			r.Values[py*width+px] = rd.measure.Influence(set)
+			out[py*width+px] = rd.measure.Influence(set)
 		}
 	}
-	rd.calls.Add(1)
-	return r, nil
 }
