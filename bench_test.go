@@ -26,6 +26,7 @@ import (
 	"rnnheatmap/internal/geom"
 	"rnnheatmap/internal/influence"
 	"rnnheatmap/internal/nncircle"
+	"rnnheatmap/internal/pointloc"
 	"rnnheatmap/internal/render"
 	"rnnheatmap/internal/server"
 	"rnnheatmap/internal/snapshot"
@@ -562,20 +563,63 @@ func BenchmarkTileServe(b *testing.B) {
 	}
 }
 
-// heatmapdDefaultMap builds the map cmd/heatmapd serves by default: NYC,
-// 2000 clients and 600 facilities under L2, sampled as with -seed 1.
-func heatmapdDefaultMap(b *testing.B) *heatmap.Map {
+// heatmapdDefaultPoints samples the clients and facilities cmd/heatmapd
+// serves by default: NYC, 2000 clients and 600 facilities, as with -seed 1.
+func heatmapdDefaultPoints(b *testing.B) (clients, facilities []geom.Point) {
 	b.Helper()
 	pool, err := dataset.ByName("NYC", (2000+600)*2, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	clients, facilities := pool.SampleClientsFacilities(2000, 600, 2)
+	return pool.SampleClientsFacilities(2000, 600, 2)
+}
+
+// heatmapdDefaultMap builds the map cmd/heatmapd serves by default: the
+// default points under L2.
+func heatmapdDefaultMap(b *testing.B) *heatmap.Map {
+	b.Helper()
+	clients, facilities := heatmapdDefaultPoints(b)
 	m, err := heatmap.Build(heatmap.Config{Clients: clients, Facilities: facilities, Metric: geom.L2})
 	if err != nil {
 		b.Fatal(err)
 	}
 	return m
+}
+
+// BenchmarkSlabIndexBuild measures one full slab point-location build
+// (pointloc.Build into a fresh label pool) on heatmapd's default map and on
+// the three inputs of the end-to-end plan workload. Run it with -benchmem:
+// allocs/op and B/op track the slab storage as closely as ns/op tracks the
+// emission. It is deliberately outside GATE_BENCH.
+func BenchmarkSlabIndexBuild(b *testing.B) {
+	for _, w := range []struct {
+		name    string
+		circles func(*testing.B) []nncircle.NNCircle
+	}{
+		{"l2-served", func(b *testing.B) []nncircle.NNCircle {
+			clients, facilities := heatmapdDefaultPoints(b)
+			ncs, err := nncircle.Compute(clients, facilities, geom.L2)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return ncs
+		}},
+		{"l2-nyc-600", func(b *testing.B) []nncircle.NNCircle { return benchWorkload(b, "NYC", 600, 180, geom.L2) }},
+		{"linf-uniform-1000", func(b *testing.B) []nncircle.NNCircle { return benchWorkload(b, "Uniform", 1000, 100, geom.LInf) }},
+		{"l1-zipfian-1000", func(b *testing.B) []nncircle.NNCircle { return benchWorkload(b, "Zipfian", 1000, 100, geom.L1) }},
+	} {
+		b.Run(w.name, func(b *testing.B) {
+			ncs := w.circles(b)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ix, err := pointloc.Build(ncs, nil, pointloc.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(float64(ix.Cells()), "cells")
+			}
+		})
+	}
 }
 
 // BenchmarkOptimal measures the optimal-location query behind GET /optimal:

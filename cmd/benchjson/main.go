@@ -16,6 +16,16 @@
 // nonzero. CI runs it against the committed baseline on every PR:
 //
 //	go run ./cmd/benchjson -compare -bench 'ApplyDelta|TileServe' -max-regress 20 OLD.json NEW.json
+//
+// With -ab it summarizes the log of scripts/e2e_ab.sh — alternating
+// end-to-end benchmark runs of a parent and a change checkout — against the
+// metric declarations of BENCHMARK.json: per metric each side's median and
+// quartiles, the change's pair wins and the range of its pair ratios,
+// whether the medians differ by more than the parent's interquartile range,
+// and whether the change's median stays within the metric's bound. It exits
+// nonzero when a bound or a run's checks failed:
+//
+//	go run ./cmd/benchjson -ab BENCHMARK.json ab.jsonl
 package main
 
 import (
@@ -55,12 +65,28 @@ type document struct {
 func main() {
 	var (
 		compareMode = flag.Bool("compare", false, "compare two benchjson documents (args: OLD.json NEW.json) instead of converting stdin")
+		abMode      = flag.Bool("ab", false, "summarize an e2e_ab.sh log (args: BENCHMARK.json LOG) instead of converting stdin")
 		benchRE     = flag.String("bench", ".", "in -compare mode, regexp selecting the benchmarks the gate applies to")
 		maxRegress  = flag.Float64("max-regress", 20, "in -compare mode, fail when ns/op grew by more than this percentage")
 		maxAlloc    = flag.Float64("max-alloc-regress", 20, "in -compare mode, fail when allocs/op grew by more than this percentage (skipped for benchmarks without allocation metrics)")
 	)
 	flag.Parse()
 
+	if *abMode {
+		if flag.NArg() != 2 {
+			fmt.Fprintln(os.Stderr, "benchjson: -ab takes exactly two arguments: BENCHMARK.json LOG")
+			os.Exit(2)
+		}
+		ok, err := abFiles(flag.Arg(0), flag.Arg(1), os.Stdout)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "benchjson:", err)
+			os.Exit(2)
+		}
+		if !ok {
+			os.Exit(1)
+		}
+		return
+	}
 	if *compareMode {
 		if flag.NArg() != 2 {
 			fmt.Fprintln(os.Stderr, "benchjson: -compare takes exactly two arguments: OLD.json NEW.json")

@@ -379,12 +379,14 @@ func (m *Map) ApplyDeltaBatch(ds []Delta) (*Map, DeltaStats, error) {
 		index:   enclosure.NewRTreeIndex(nncircle.Circles(out.State.Circles)),
 		measure: m.measure,
 	}
-	// Splice the slab point-location index forward: if this map had one
-	// materialized and the update stayed under the resweep threshold, only
-	// the slabs inside the dirty spans are rebuilt; the rest share storage
-	// with the old index (which keeps serving concurrent readers). When the
-	// core rebuilt from scratch — or the patch declines — the next map
-	// simply rebuilds its index lazily on first query.
+	// Splice the slab point-location index forward, for every metric: if
+	// this map had one materialized and the update stayed under the resweep
+	// threshold, only the dirty slabs are rebuilt — those with a left edge
+	// inside the dirty spans, plus under L2 the slab before each span, whose
+	// midpoint moves with its right edge — and the rest share storage with
+	// the old index (which keeps serving concurrent readers). When the core
+	// rebuilt from scratch — or the patch declines — the next map simply
+	// rebuilds its index lazily on first query.
 	if ix, done := m.builtPointLoc(); done && ix != nil && !out.Stats.Rebuilt {
 		if nix, perr := ix.Patch(out.State.Circles, out.Stats.DirtySpans, 0, pointloc.Options{}); perr == nil {
 			next.setPointLoc(nix)

@@ -159,15 +159,17 @@ func TestSlabQueryPathByteIdentical(t *testing.T) {
 }
 
 // TestApplyDeltaPatchesSlabIndex drives a mutation sequence through maps
-// whose slab index is materialized and checks, after every step, that (a)
-// the index was spliced forward rather than dropped, and (b) its answers
-// remain byte-identical to a from-scratch enclosure-path build over the
-// updated sets.
+// whose slab index is materialized and checks, after every step, that the
+// answers and tile bytes remain identical to a from-scratch enclosure-path
+// build over the updated sets, and that every metric carries the index
+// forward via Patch (rather than dropping it) on at least one step. The map
+// is large enough (300 clients, 60 facilities) that most single deltas
+// dirty less than the patch threshold's share of the slabs.
 func TestApplyDeltaPatchesSlabIndex(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(62))
 	for _, metric := range []Metric{LInf, L1, L2} {
-		clients, facilities := pointlocWorkload(rng.Int63(), 60, 8, true)
+		clients, facilities := pointlocWorkload(rng.Int63(), 300, 60, true)
 		m, err := Build(Config{Clients: clients, Facilities: facilities, Metric: metric})
 		if err != nil {
 			t.Fatal(err)
@@ -205,12 +207,6 @@ func TestApplyDeltaPatchesSlabIndex(t *testing.T) {
 			}
 			if built, _, _ := next.SlabIndexStats(); built {
 				patchedSteps++
-				if metric == L2 {
-					// L2 patches always decline; the index must rebuild
-					// lazily on the next query, never eagerly on the
-					// mutation path.
-					t.Fatalf("metric=%v step=%d: ApplyDelta materialized an L2 slab index eagerly", metric, step)
-				}
 			}
 			oracle, err := Build(Config{Clients: curC, Facilities: curF, Metric: metric, NoSlabIndex: true})
 			if err != nil {
@@ -226,7 +222,8 @@ func TestApplyDeltaPatchesSlabIndex(t *testing.T) {
 			}
 			m = next
 		}
-		if metric != L2 && patchedSteps == 0 {
+		t.Logf("metric=%v: %d of 6 steps patched", metric, patchedSteps)
+		if patchedSteps == 0 {
 			t.Fatalf("metric=%v: no delta step carried the slab index forward via Patch", metric)
 		}
 	}

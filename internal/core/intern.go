@@ -140,21 +140,30 @@ func (in *LabelInterner) Measure() influence.Measure { return in.measure }
 // Empty returns the shared label of the empty set.
 func (in *LabelInterner) Empty() *Interned { return in.empty }
 
-// Intern returns the canonical label of set, creating it on first sight. The
-// set is only read; the caller keeps ownership and may keep mutating it. Safe
-// for concurrent use.
-func (in *LabelInterner) Intern(set *oset.Set) *Interned {
-	if set.Len() == 0 {
+// lookup returns the label already interned under key (the empty label for
+// n == 0), or nil. Callers that maintain a set's key incrementally — the
+// XOR of oset.ValueHash over its members, and its size — find its label
+// without materializing the set; only a nil result needs the set itself.
+func (in *LabelInterner) lookup(key internKey) *Interned {
+	if key.n == 0 {
 		return in.empty
 	}
-	key := internKey{hash: set.Hash(), n: set.Len()}
 	sh := &in.shards[key.hash[0]&(internShards-1)]
 	sh.mu.RLock()
 	l := sh.byKey[key]
 	sh.mu.RUnlock()
-	if l != nil {
+	return l
+}
+
+// Intern returns the canonical label of set, creating it on first sight. The
+// set is only read; the caller keeps ownership and may keep mutating it. Safe
+// for concurrent use.
+func (in *LabelInterner) Intern(set *oset.Set) *Interned {
+	key := internKey{hash: set.Hash(), n: set.Len()}
+	if l := in.lookup(key); l != nil {
 		return l
 	}
+	sh := &in.shards[key.hash[0]&(internShards-1)]
 	// Build the label outside the lock: the sort and the influence evaluation
 	// are the expensive part, and a concurrent duplicate computes the exact
 	// same (deterministic) value — only one wins the map slot below.

@@ -175,15 +175,9 @@ func runL2Engine(circles []nncircle.NNCircle, opts Options) *Result {
 
 // sweepL2Strip warm-starts and sweeps one Euclidean strip into c.
 func sweepL2Strip(circles []nncircle.NNCircle, st span[l2Event], c *collector) {
-	active := make(map[int]bool)
-	for _, ci := range nncircle.StraddlingX(circles, st.events[0].x) {
-		active[ci] = true
-	}
-	scratch := l2ScratchPool.Get().(*l2Scratch)
 	c.reserve(2 * st.weight)
 	c.AddEvents(len(st.events))
-	sweepL2Events(circles, st.events, active, c, c.intern, scratch, st.xAfter)
-	l2ScratchPool.Put(scratch)
+	sweepL2Events(circles, st.events, nncircle.StraddlingX(circles, st.events[0].x), c, c.intern, st.xAfter)
 }
 
 // runStrips sweeps the strips on a bounded pool of workers goroutines, each

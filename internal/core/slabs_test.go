@@ -1,12 +1,17 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
+	"rnnheatmap/internal/dataset"
 	"rnnheatmap/internal/geom"
 	"rnnheatmap/internal/nncircle"
+	"rnnheatmap/internal/oset"
 )
 
 // slabRecord is one slab as captured by recordingSlabSink.
@@ -45,41 +50,301 @@ func (r *recordingSlabSink) Edge(y float64, circle int, upper bool, above *Inter
 	return true
 }
 
-// TestEmitSlabsRangeMatchesFullEmission checks the partial-rebuild contract:
-// for any [lo, hi) window, EmitSlabsRange reproduces exactly the slabs of
-// the full emission whose left edge falls inside the window — same
-// boundaries, actives, edges and gap sets — despite its warm-started active
-// set.
+// emitAll emits the full slab decomposition of ncs into sink (pool nil
+// means a fresh pool); ok is false when ncs has no positive-radius circle.
+func emitAll(t *testing.T, ncs []nncircle.NNCircle, sink SlabSink, pool *LabelInterner) (ev *SlabEvents, ok bool) {
+	t.Helper()
+	ev, err := NewSlabEvents(ncs)
+	if err == ErrNoCircles {
+		return nil, false
+	}
+	if err != nil {
+		t.Fatalf("NewSlabEvents: %v", err)
+	}
+	if err := ev.Emit(sink, pool); err != nil {
+		t.Fatalf("Emit: %v", err)
+	}
+	return ev, true
+}
+
+// oracleL2Slabs is the L2 slab emission the output-sensitive one replaced,
+// kept as its oracle: every slab collects its active circles from a map,
+// evaluates and fully sorts their arcs at the midpoint, and walks them bottom
+// to top with a running set, interning every gap.
+func oracleL2Slabs(circles []nncircle.NNCircle, sink SlabSink, pool *LabelInterner) error {
+	events := buildL2Events(circles)
+	active := make(map[int]bool)
+	var (
+		actives []int
+		arcs    []arcRef
+		set     = oset.New()
+	)
+	for l, ev := range events {
+		for _, ci := range ev.insert {
+			active[ci] = true
+		}
+		for _, ci := range ev.remove {
+			delete(active, ci)
+		}
+		xLeft := ev.x
+		xRight := xLeft
+		if l+1 < len(events) {
+			xRight = events[l+1].x
+		}
+		actives = actives[:0]
+		for ci := range active {
+			actives = append(actives, ci)
+		}
+		sort.Ints(actives)
+		if !sink.StartSlab(xLeft, xRight, actives) {
+			return ErrSlabsAborted
+		}
+		if xRight <= xLeft || len(actives) == 0 {
+			continue
+		}
+		xm := (xLeft + xRight) / 2
+		arcs = arcs[:0]
+		for _, ci := range actives {
+			yLo, yHi, ok := circles[ci].Circle.YAtX(xm)
+			if !ok {
+				continue
+			}
+			arcs = append(arcs,
+				arcRef{circle: ci, upper: false, y: yLo},
+				arcRef{circle: ci, upper: true, y: yHi},
+			)
+		}
+		slices.SortFunc(arcs, func(a, b arcRef) int {
+			switch {
+			case a.y < b.y:
+				return -1
+			case a.y > b.y:
+				return 1
+			case a.circle != b.circle:
+				return a.circle - b.circle
+			case !a.upper && b.upper:
+				return -1
+			case a.upper && !b.upper:
+				return 1
+			default:
+				return 0
+			}
+		})
+		set.Clear()
+		for _, a := range arcs {
+			applyArc(circles, a, set)
+			if !sink.Edge(a.y, a.circle, a.upper, pool.Intern(set)) {
+				return ErrSlabsAborted
+			}
+		}
+	}
+	return nil
+}
+
+// digestSink condenses every slab of a stream into one 64-bit digest of its
+// boundaries and edge heights (as bit patterns), actives, arc order and gap
+// label pointers, so two emissions of a large map can be compared slab by
+// slab without holding either stream in memory.
+type digestSink struct {
+	x0s     []float64
+	digests []uint64
+}
+
+func (d *digestSink) mix(w uint64) {
+	h := &d.digests[len(d.digests)-1]
+	*h = (*h ^ w) * 0x9e3779b97f4a7c15
+	*h ^= *h >> 29
+}
+
+func (d *digestSink) StartSlab(x0, x1 float64, actives []int) bool {
+	d.x0s = append(d.x0s, x0)
+	d.digests = append(d.digests, 0xcbf29ce484222325)
+	d.mix(math.Float64bits(x0))
+	d.mix(math.Float64bits(x1))
+	d.mix(uint64(len(actives)))
+	for _, a := range actives {
+		d.mix(uint64(a))
+	}
+	return true
+}
+
+func (d *digestSink) Edge(y float64, circle int, upper bool, above *Interned) bool {
+	d.mix(math.Float64bits(y))
+	d.mix(uint64(2*circle) + uint64(b2u(upper)))
+	d.mix(uint64(reflect.ValueOf(above).Pointer()))
+	return true
+}
+
+func b2u(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// assertSameDigests requires two digested slab streams to be identical.
+func assertSameDigests(t *testing.T, ctx string, got, want []uint64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d slabs, want %d", ctx, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: slab %d differs from the oracle's (boundaries, actives, heights, arc order or label pointers)", ctx, i)
+		}
+	}
+}
+
+// identityInstance derives an L2 instance for the emission identity suite.
+// Snapped instances put every coordinate on a coarse integer grid, so
+// boundaries meet in shared tangencies and multi-circle intersection points;
+// unsnapped ones are in general position. Both sample clients co-located
+// with a facility (zero-radius circles) and with another client (identical
+// circles).
+func identityInstance(rng *rand.Rand, snapped bool) []nncircle.NNCircle {
+	pt := func() geom.Point {
+		p := geom.Pt(rng.Float64()*40, rng.Float64()*40)
+		if snapped {
+			p = geom.Pt(math.Round(p.X/4)*4, math.Round(p.Y/4)*4)
+		}
+		return p
+	}
+	facilities := make([]geom.Point, 2+rng.Intn(8))
+	for i := range facilities {
+		facilities[i] = pt()
+	}
+	clients := make([]geom.Point, 10+rng.Intn(50))
+	for i := range clients {
+		switch {
+		case rng.Intn(10) == 0:
+			clients[i] = facilities[rng.Intn(len(facilities))]
+		case i > 0 && rng.Intn(6) == 0:
+			clients[i] = clients[rng.Intn(i)]
+		default:
+			clients[i] = pt()
+		}
+	}
+	ncs, err := nncircle.Compute(clients, facilities, geom.L2)
+	if err != nil {
+		panic(err)
+	}
+	return ncs
+}
+
+// checkL2EmissionIdentity emits ncs through the oracle, through Emit and
+// through EmitRanges over a few random windows, all interning into one
+// pool, and requires every stream to match the oracle's digest for digest.
+func checkL2EmissionIdentity(t *testing.T, ctx string, ncs []nncircle.NNCircle, rng *rand.Rand) {
+	t.Helper()
+	ev, err := NewSlabEvents(ncs)
+	if err == ErrNoCircles {
+		return
+	}
+	if err != nil {
+		t.Fatalf("%s: NewSlabEvents: %v", ctx, err)
+	}
+	pool := NewLabelInterner(nil)
+	want := &digestSink{}
+	if err := oracleL2Slabs(ev.circles, want, pool); err != nil {
+		t.Fatalf("%s: oracle: %v", ctx, err)
+	}
+	got := &digestSink{}
+	if err := ev.Emit(got, pool); err != nil {
+		t.Fatalf("%s: Emit: %v", ctx, err)
+	}
+	assertSameDigests(t, ctx+" full", got.digests, want.digests)
+
+	n := len(want.digests)
+	cuts := []int{rng.Intn(n + 1), rng.Intn(n + 1), rng.Intn(n + 1), rng.Intn(n + 1)}
+	sort.Ints(cuts)
+	xAt := func(i int) float64 {
+		if i == n {
+			return math.Inf(1)
+		}
+		return want.x0s[i]
+	}
+	windows := [][2]float64{{xAt(cuts[0]), xAt(cuts[1])}, {xAt(cuts[2]), xAt(cuts[3])}}
+	part := &digestSink{}
+	if err := ev.EmitRanges(part, pool, windows); err != nil {
+		t.Fatalf("%s: EmitRanges: %v", ctx, err)
+	}
+	wantPart := append(slices.Clone(want.digests[cuts[0]:cuts[1]]), want.digests[cuts[2]:cuts[3]]...)
+	assertSameDigests(t, ctx+" windows", part.digests, wantPart)
+}
+
+// TestL2SlabEmissionMatchesOracle is the identity suite of the
+// output-sensitive L2 emission: over 300 random snapped and unsnapped
+// instances and heatmapd's default map, the full and windowed StartSlab/Edge
+// streams equal the per-slab sort-and-walk oracle's.
+func TestL2SlabEmissionMatchesOracle(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(73))
+	for trial := 0; trial < 300; trial++ {
+		snapped := trial%2 == 0
+		ncs := identityInstance(rng, snapped)
+		checkL2EmissionIdentity(t, "random instance", ncs, rng)
+	}
+	if testing.Short() {
+		return
+	}
+	// heatmapd's default map: NYC, 2000 clients and 600 facilities, sampled
+	// as with -seed 1.
+	pool, err := dataset.ByName("NYC", (2000+600)*2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clients, facilities := pool.SampleClientsFacilities(2000, 600, 2)
+	ncs, err := nncircle.Compute(clients, facilities, geom.L2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkL2EmissionIdentity(t, "heatmapd default map", ncs, rng)
+}
+
+// TestEmitSlabsRangeMatchesFullEmission checks the partial-rebuild contract
+// for both sweep families: for any [lo, hi) window, EmitRanges reproduces
+// exactly the slabs of the full emission whose left edge falls inside the
+// window — same boundaries, actives, edges and gap sets — despite its
+// warm-started active set. It also pins Xs to the emitted left edges and
+// CellBound as an upper bound of the emitted cells.
 func TestEmitSlabsRangeMatchesFullEmission(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(71))
-	for trial := 0; trial < 8; trial++ {
-		ncs := fuzzInstance(t, rng.Int63(), 6+rng.Intn(30), 1+rng.Intn(6), geom.LInf)
-		full := &recordingSlabSink{}
-		if err := EmitSlabs(ncs, full, nil); err != nil {
-			if err == ErrNoCircles {
+	for _, metric := range []geom.Metric{geom.LInf, geom.L2} {
+		for trial := 0; trial < 8; trial++ {
+			ncs := fuzzInstance(t, rng.Int63(), 6+rng.Intn(30), 1+rng.Intn(6), metric)
+			full := &recordingSlabSink{}
+			ev, ok := emitAll(t, ncs, full, nil)
+			if !ok || len(full.slabs) == 0 {
 				continue
 			}
-			t.Fatalf("EmitSlabs: %v", err)
-		}
-		if len(full.slabs) == 0 {
-			continue
-		}
-		for w := 0; w < 4; w++ {
-			i := rng.Intn(len(full.slabs))
-			j := i + rng.Intn(len(full.slabs)-i)
-			lo := full.slabs[i].x0
-			hi := full.slabs[j].x0 // half-open: slab j itself is excluded
-			part := &recordingSlabSink{}
-			if err := EmitSlabsRange(ncs, part, nil, lo, hi); err != nil {
-				t.Fatalf("EmitSlabsRange(%v, %v): %v", lo, hi, err)
+			cells := len(full.slabs) + 2*full.edges
+			if ev.CellBound() < cells {
+				t.Fatalf("metric=%v trial=%d: CellBound %d below the %d emitted cells", metric, trial, ev.CellBound(), cells)
 			}
-			if len(part.slabs) == 0 && i == j {
-				continue
+			xs := make([]float64, len(full.slabs))
+			for i, sl := range full.slabs {
+				xs[i] = sl.x0
 			}
-			if !reflect.DeepEqual(part.slabs, full.slabs[i:j]) {
-				t.Fatalf("trial=%d window=[%v,%v): range emission differs from full emission slice (%d vs %d slabs)",
-					trial, lo, hi, len(part.slabs), j-i)
+			if !reflect.DeepEqual(ev.Xs(), xs) {
+				t.Fatalf("metric=%v trial=%d: Xs differs from the emitted slab left edges", metric, trial)
+			}
+			for w := 0; w < 4; w++ {
+				i := rng.Intn(len(full.slabs))
+				j := i + rng.Intn(len(full.slabs)-i)
+				lo := full.slabs[i].x0
+				hi := full.slabs[j].x0 // half-open: slab j itself is excluded
+				part := &recordingSlabSink{}
+				if err := ev.EmitRanges(part, nil, [][2]float64{{lo, hi}}); err != nil {
+					t.Fatalf("EmitRanges(%v, %v): %v", lo, hi, err)
+				}
+				if len(part.slabs) == 0 && i == j {
+					continue
+				}
+				if !reflect.DeepEqual(part.slabs, full.slabs[i:j]) {
+					t.Fatalf("metric=%v trial=%d window=[%v,%v): range emission differs from full emission slice (%d vs %d slabs)",
+						metric, trial, lo, hi, len(part.slabs), j-i)
+				}
 			}
 		}
 	}
@@ -97,11 +362,8 @@ func TestEmitSlabsRejectsL1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := EmitSlabs(ncs, &recordingSlabSink{}, nil); err != ErrUnsupportedSlabMetric {
-		t.Fatalf("EmitSlabs(L1) err = %v, want ErrUnsupportedSlabMetric", err)
-	}
-	if err := EmitSlabsRange(ncs, &recordingSlabSink{}, nil, 0, 1); err != ErrUnsupportedSlabMetric {
-		t.Fatalf("EmitSlabsRange(L1) err = %v, want ErrUnsupportedSlabMetric", err)
+	if _, err := NewSlabEvents(ncs); err != ErrUnsupportedSlabMetric {
+		t.Fatalf("NewSlabEvents(L1) err = %v, want ErrUnsupportedSlabMetric", err)
 	}
 }
 
@@ -111,7 +373,11 @@ func TestEmitSlabsAbort(t *testing.T) {
 	t.Parallel()
 	for _, metric := range []geom.Metric{geom.LInf, geom.L2} {
 		ncs := fuzzInstance(t, 5, 20, 3, metric)
-		if err := EmitSlabs(ncs, &recordingSlabSink{limit: 3}, nil); err != ErrSlabsAborted {
+		ev, err := NewSlabEvents(ncs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ev.Emit(&recordingSlabSink{limit: 3}, nil); err != ErrSlabsAborted {
 			t.Fatalf("metric=%v: err = %v, want ErrSlabsAborted", metric, err)
 		}
 	}
@@ -127,11 +393,8 @@ func TestEmitSlabsCoversArrangement(t *testing.T) {
 		metric := []geom.Metric{geom.LInf, geom.L2}[trial%2]
 		ncs := fuzzInstance(t, rng.Int63(), 5+rng.Intn(20), 1+rng.Intn(5), metric)
 		sink := &recordingSlabSink{}
-		if err := EmitSlabs(ncs, sink, nil); err != nil {
-			if err == ErrNoCircles {
-				continue
-			}
-			t.Fatal(err)
+		if _, ok := emitAll(t, ncs, sink, nil); !ok {
+			continue
 		}
 		for _, sl := range sink.slabs {
 			if sl.x1 <= sl.x0 {
@@ -160,31 +423,33 @@ func TestEmitSlabsCoversArrangement(t *testing.T) {
 	}
 }
 
-// TestEmitSlabsRangesMultiWindow pins the multi-window emission: two
-// disjoint windows emitted in one call equal the corresponding slices of the
-// full emission, in window order.
+// TestEmitSlabsRangesMultiWindow pins the multi-window emission for both
+// sweep families: two disjoint windows emitted in one call equal the
+// corresponding slices of the full emission, in window order, with the same
+// gap sets.
 func TestEmitSlabsRangesMultiWindow(t *testing.T) {
 	t.Parallel()
-	ncs := fuzzInstance(t, 17, 24, 4, geom.LInf)
-	full := &recordingSlabSink{}
-	if err := EmitSlabs(ncs, full, nil); err != nil {
-		t.Fatal(err)
-	}
-	n := len(full.slabs)
-	if n < 8 {
-		t.Skip("instance too small")
-	}
-	a0, a1, b0, b1 := 1, n/3, n/2, n-1
-	multi := &recordingSlabSink{}
-	windows := [][2]float64{
-		{full.slabs[a0].x0, full.slabs[a1].x0},
-		{full.slabs[b0].x0, full.slabs[b1].x0},
-	}
-	if err := EmitSlabsRanges(ncs, multi, nil, windows); err != nil {
-		t.Fatal(err)
-	}
-	want := append(append([]slabRecord{}, full.slabs[a0:a1]...), full.slabs[b0:b1]...)
-	if !reflect.DeepEqual(multi.slabs, want) {
-		t.Fatalf("multi-window emission differs: got %d slabs, want %d", len(multi.slabs), len(want))
+	for _, metric := range []geom.Metric{geom.LInf, geom.L2} {
+		ncs := fuzzInstance(t, 17, 24, 4, metric)
+		pool := NewLabelInterner(nil)
+		full := &recordingSlabSink{}
+		ev, _ := emitAll(t, ncs, full, pool)
+		n := len(full.slabs)
+		if n < 8 {
+			t.Fatalf("metric=%v: instance too small (%d slabs)", metric, n)
+		}
+		a0, a1, b0, b1 := 1, n/3, n/2, n-1
+		multi := &recordingSlabSink{}
+		windows := [][2]float64{
+			{full.slabs[a0].x0, full.slabs[a1].x0},
+			{full.slabs[b0].x0, full.slabs[b1].x0},
+		}
+		if err := ev.EmitRanges(multi, pool, windows); err != nil {
+			t.Fatal(err)
+		}
+		want := append(append([]slabRecord{}, full.slabs[a0:a1]...), full.slabs[b0:b1]...)
+		if !reflect.DeepEqual(multi.slabs, want) {
+			t.Fatalf("metric=%v: multi-window emission differs: got %d slabs, want %d", metric, len(multi.slabs), len(want))
+		}
 	}
 }

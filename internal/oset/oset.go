@@ -54,17 +54,20 @@ func (s *Set) recycle(n *node) {
 	s.free = n
 }
 
-// Hash returns a 128-bit order-independent hash of the set's members,
-// maintained in O(1) per mutation. Two equal sets always hash equally;
-// unequal sets collide with probability ~2^-128 per pair — far below any
-// realistic corpus — which is what lets the slab point-location builder
-// intern millions of per-face RNN sets without sorting or serializing each
-// one. Do not persist the hash: its mixing constants are an internal detail.
+// Hash returns a 128-bit order-independent hash of the set's members — the
+// XOR of ValueHash over them — maintained in O(1) per mutation. Two equal
+// sets always hash equally; unequal sets collide with probability ~2^-128
+// per pair — far below any realistic corpus — which is what lets the slab
+// point-location builder intern millions of per-face RNN sets without
+// sorting or serializing each one. Do not persist the hash: its mixing
+// constants are an internal detail.
 func (s *Set) Hash() [2]uint64 { return s.hash }
 
-// valueHash maps one member to its 128-bit hash: two independent
-// splitmix64 finalizer chains over the value.
-func valueHash(v int) [2]uint64 {
+// ValueHash maps one member to its 128-bit hash: two independent
+// splitmix64 finalizer chains over the value. Set.Hash is the XOR of
+// ValueHash over the members, so a caller that tracks membership changes
+// itself can maintain the same hash without a Set.
+func ValueHash(v int) [2]uint64 {
 	mix := func(x uint64) uint64 {
 		x ^= x >> 30
 		x *= 0xbf58476d1ce4e5b9
@@ -110,7 +113,7 @@ func (s *Set) Add(v int) bool {
 	}
 	s.tail = n
 	s.index[v] = n
-	vh := valueHash(v)
+	vh := ValueHash(v)
 	s.hash[0] ^= vh[0]
 	s.hash[1] ^= vh[1]
 	return true
@@ -134,7 +137,7 @@ func (s *Set) Remove(v int) bool {
 		s.tail = n.prev
 	}
 	delete(s.index, v)
-	vh := valueHash(v)
+	vh := ValueHash(v)
 	s.hash[0] ^= vh[0]
 	s.hash[1] ^= vh[1]
 	s.recycle(n)

@@ -19,33 +19,39 @@ const DefaultMaxPatchFraction = core.DefaultMaxResweepFraction
 // ErrPatchDeclined reports that the update cannot be answered by splicing
 // this index: the caller should drop its materialized index and rebuild
 // lazily (heatmap.Map does exactly that — the next query pays the build,
-// not the mutation that triggered it). Raised for L2 arrangements (their
-// dirty event lists are dominated by intersection recomputation), for
-// updates dirtying more than the splice threshold, and for inputs the
-// receiver cannot splice against.
+// not the mutation that triggered it). Raised for updates dirtying more than
+// the splice threshold and for inputs the receiver cannot splice against.
 var ErrPatchDeclined = errors.New("pointloc: patch declined; rebuild the index lazily")
 
 // Patch derives the index for an updated circle set from this one, rebuilding
-// only the slabs inside the dirty sweep-space x-spans (core.PerturbedSpans of
-// the update's perturbed circles) and sharing every other slab's storage with
-// the receiver. The receiver is immutable and keeps serving concurrent
-// readers.
+// only the dirty slabs and sharing every other slab's storage with the
+// receiver. The receiver is immutable and keeps serving concurrent readers.
+//
+// A slab of the new arrangement is dirty when its left edge lies in one of
+// the dirty sweep-space x-spans (core.PerturbedSpans of the update's
+// perturbed circles). For L2 the slab just before each span's first dirty
+// slab is dirty too — or, when a span holds no left edge at all, the slab
+// containing it: an L2 slab stores its arc heights at its midpoint, and its
+// right edge, with that midpoint, can move.
 //
 // The splice is sound for the same reason the incremental resweep is
-// (internal/core/resweep.go): a perturbation confined to the spans cannot
-// change the boundaries, the active sets or the gap labels of any slab whose
-// left edge lies outside them — deletions renumbered by swap-remove are
+// (internal/core/resweep.go): every event a perturbed circle contributes —
+// its extremes and, for L2, its center and boundary intersections — lies
+// inside its span (L2 spans carry the event-clustering epsilon), so no slab
+// whose closed extent stays clear of the spans changes its boundaries, its
+// active set or its gap labels. Deletions renumbered by swap-remove are
 // handled upstream by delta, which reports both the moved circle's old and
-// new geometry as perturbed. The result answers every query identically to a
-// fresh Build over newCircles.
+// new geometry as perturbed. The dirty slabs are re-emitted from the new
+// arrangement's event list, whose abscissae are the new slab boundaries, so
+// the result is structurally identical to a fresh Build over newCircles:
+// same boundaries, actives, edges, arcs and gap labels.
 //
-// Patching is implemented for the rectilinear sweeps (LInf natively, L1 via
-// the rotation the spans already carry). When splicing is not worthwhile or
-// not possible — L2 arrangements, updates past the dirty threshold, spans
-// inconsistent with the receiver — Patch returns ErrPatchDeclined and does
-// no work, so callers on a write path never pay a full rebuild; they drop
-// the index and let the next query rebuild it. maxFraction non-positive
-// means DefaultMaxPatchFraction.
+// Patching covers every metric: LInf natively, L1 via the rotation the spans
+// already carry, and L2. When splicing is not worthwhile or not possible —
+// updates past the dirty threshold, spans inconsistent with the receiver —
+// Patch returns ErrPatchDeclined and does no emission work, so callers on a
+// write path never pay a full rebuild; they drop the index and let the next
+// query rebuild it. maxFraction non-positive means DefaultMaxPatchFraction.
 func (ix *Index) Patch(newCircles []nncircle.NNCircle, spans [][2]float64, maxFraction float64, opts Options) (*Index, error) {
 	if maxFraction <= 0 {
 		maxFraction = DefaultMaxPatchFraction
@@ -66,7 +72,7 @@ func (ix *Index) Patch(newCircles []nncircle.NNCircle, spans [][2]float64, maxFr
 		}
 		return nil, ErrPatchDeclined
 	}
-	if ix.metric == geom.L2 || len(ix.slabs) == 0 {
+	if len(ix.slabs) == 0 {
 		return nil, ErrPatchDeclined
 	}
 	next := &Index{axis: axis{measure: ix.measure, empty: ix.empty}, pool: ix.pool}
@@ -81,18 +87,15 @@ func (ix *Index) Patch(newCircles []nncircle.NNCircle, spans [][2]float64, maxFr
 		return next, nil
 	}
 
-	// The new slab boundaries are the distinct side abscissae of the new
-	// sweep-space circles — the same definition core's event builder uses.
-	newXs := sideXs(usable)
-	spans = mergedSpans(spans)
-	dirty := make([]bool, len(newXs))
-	nDirty := 0
-	for k, x := range newXs {
-		if inSpan(spans, x) {
-			dirty[k] = true
-			nDirty++
-		}
+	// One event list serves both the new slab boundaries and the re-emission
+	// of the dirty slabs.
+	events, err := core.NewSlabEvents(usable)
+	if err != nil {
+		return nil, err
 	}
+	newXs := events.Xs()
+	isL2 := ix.metric == geom.L2
+	dirty, nDirty := dirtySlabs(newXs, mergedSpans(spans), isL2)
 	if float64(nDirty) > maxFraction*float64(len(newXs)) {
 		return nil, ErrPatchDeclined
 	}
@@ -105,19 +108,19 @@ func (ix *Index) Patch(newCircles []nncircle.NNCircle, spans [][2]float64, maxFr
 			continue
 		}
 		oi := sort.SearchFloat64s(ix.xs, x)
-		if oi >= len(ix.xs) || ix.xs[oi] != x {
-			// A kept boundary must be an unperturbed circle side and
-			// therefore an old event; not finding it means the spans were
+		if oi >= len(ix.xs) || ix.xs[oi] != x || isL2 && rightEdge(ix.xs, oi) != rightEdge(newXs, k) {
+			// A clean slab is bounded by unperturbed events and therefore
+			// an old slab; not finding it means the spans were
 			// inconsistent with the update — decline rather than guess.
 			return nil, ErrPatchDeclined
 		}
 		next.slabs[k] = ix.slabs[oi]
 		cells += 2 * len(ix.slabs[oi].edges)
 	}
-	// Rebuild the dirty slabs span by span; each emission run writes into
-	// the dirty positions of next.slabs it covers.
-	pb := &patchSink{ix: next, origIdx: origIdx, maxCells: opts.maxCells(), cells: cells}
-	if err := core.EmitSlabsRanges(usable, pb, next.pool, spans); err != nil {
+	// Rebuild the dirty slabs run by run; each emitted slab lands in its
+	// position of next.slabs.
+	pb := &patchSink{ix: next, origIdx: origIdx, maxCells: opts.maxCells(), cells: cells, isL2: isL2}
+	if err := events.EmitRanges(pb, next.pool, dirtyWindows(newXs, dirty)); err != nil {
 		if errors.Is(err, core.ErrSlabsAborted) {
 			return nil, ErrTooLarge
 		}
@@ -143,13 +146,14 @@ func sameArrangement(a, b []nncircle.NNCircle) bool {
 	return true
 }
 
-// patchSink routes core.EmitSlabsRange output into the right positions of an
-// existing slab slice instead of appending.
+// patchSink routes SlabEvents.EmitRanges output into the right positions of
+// an existing slab slice instead of appending.
 type patchSink struct {
 	ix       *Index
 	origIdx  []int32
 	maxCells int
 	cells    int
+	isL2     bool
 	pos      int
 }
 
@@ -160,11 +164,7 @@ func (b *patchSink) StartSlab(x0, x1 float64, actives []int) bool {
 		return false
 	}
 	b.pos = sort.SearchFloat64s(b.ix.xs, x0)
-	acts := make([]int32, len(actives))
-	for i, a := range actives {
-		acts[i] = b.origIdx[a]
-	}
-	b.ix.slabs[b.pos] = slab{actives: acts, gaps: []*label{b.ix.empty}}
+	b.ix.slabs[b.pos] = newSlab(actives, b.origIdx, b.isL2, b.ix.empty)
 	return true
 }
 
@@ -172,39 +172,64 @@ func (b *patchSink) Edge(y float64, circle int, upper bool, above *label) bool {
 	if b.cells += 2; b.cells > b.maxCells {
 		return false
 	}
-	sl := &b.ix.slabs[b.pos]
-	sl.edges = append(sl.edges, y)
-	sl.gaps = append(sl.gaps, above)
+	b.ix.slabs[b.pos].addEdge(y, circle, upper, above, b.origIdx, b.isL2)
 	return true
 }
 
-// sideXs returns the sorted distinct side x-coordinates of the circles — the
-// sweep event abscissae.
-func sideXs(circles []nncircle.NNCircle) []float64 {
-	xs := make([]float64, 0, 2*len(circles))
-	for _, nc := range circles {
-		xs = append(xs, nc.Circle.LeftX(), nc.Circle.RightX())
-	}
-	sort.Float64s(xs)
-	out := xs[:0]
-	for _, x := range xs {
-		if len(out) == 0 || out[len(out)-1] != x {
-			out = append(out, x)
+// dirtySlabs marks the slabs a patch must rebuild (see Patch): those whose
+// left edge lies in a half-open span [lo, hi) and, for L2, the slab before
+// each span's first one. Slabs whose left edge is exactly hi are clean: a
+// perturbed circle's extent lies inside its span, so it cannot be active in
+// a slab starting at hi.
+func dirtySlabs(xs []float64, spans [][2]float64, l2 bool) (dirty []bool, n int) {
+	dirty = make([]bool, len(xs))
+	mark := func(k int) {
+		if !dirty[k] {
+			dirty[k] = true
+			n++
 		}
+	}
+	for _, s := range spans {
+		first := sort.SearchFloat64s(xs, s[0])
+		if l2 && first > 0 {
+			mark(first - 1)
+		}
+		for k := first; k < len(xs) && xs[k] < s[1]; k++ {
+			mark(k)
+		}
+	}
+	return dirty, n
+}
+
+// dirtyWindows returns the [lo, hi) emission window of each run of dirty
+// slabs: from the run's first left edge to the next clean slab's (unbounded
+// when the run reaches the last slab).
+func dirtyWindows(xs []float64, dirty []bool) [][2]float64 {
+	var out [][2]float64
+	for k := 0; k < len(xs); k++ {
+		if !dirty[k] {
+			continue
+		}
+		j := k
+		for j < len(xs) && dirty[j] {
+			j++
+		}
+		hi := math.Inf(1)
+		if j < len(xs) {
+			hi = xs[j]
+		}
+		out = append(out, [2]float64{xs[k], hi})
+		k = j
 	}
 	return out
 }
 
-// inSpan reports whether x lies in any half-open span [lo, hi). Slabs whose
-// left edge is exactly hi are clean: a perturbed circle's extent is
-// contained in a span, so it cannot be active in a slab starting at hi.
-func inSpan(spans [][2]float64, x float64) bool {
-	for _, s := range spans {
-		if x >= s[0] && x < s[1] {
-			return true
-		}
+// rightEdge returns the right edge of slab i (the last slab is zero-width).
+func rightEdge(xs []float64, i int) float64 {
+	if i+1 < len(xs) {
+		return xs[i+1]
 	}
-	return false
+	return xs[i]
 }
 
 // mergedSpans sorts and merges overlapping spans.

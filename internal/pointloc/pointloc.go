@@ -4,7 +4,7 @@
 //
 // The structure is the classic slab decomposition (Sarnak & Tarjan's
 // persistent-slab idea in its explicit form) built directly from the CREST
-// sweep's event intervals (core.EmitSlabs): one slab per x-interval between
+// sweep's event intervals (core.SlabEvents): one slab per x-interval between
 // consecutive sweep events, each holding its y-ordered edge list with every
 // gap's precomputed label (heat plus sorted RNN set). A query binary-searches
 // the slab by x, then the gap by y, and returns the stored label. L-infinity
@@ -225,16 +225,18 @@ func Build(circles []nncircle.NNCircle, measure influence.Measure, opts Options)
 	if len(usable) == 0 {
 		return ix, nil
 	}
+	events, err := core.NewSlabEvents(usable)
+	if err != nil {
+		return nil, err
+	}
 	// Decline oversized arrangements before doing any emission work; the
 	// in-emission cap check remains as the exact backstop (the estimate is
 	// an upper bound — coincident edges make the real count smaller).
-	if est, err := core.CountSlabCells(usable); err != nil {
-		return nil, err
-	} else if est > opts.maxCells() {
+	if events.CellBound() > opts.maxCells() {
 		return nil, ErrTooLarge
 	}
 	b := newBuilder(ix, origIdx, opts.maxCells())
-	if err := core.EmitSlabs(usable, b, pool); err != nil {
+	if err := events.Emit(b, pool); err != nil {
 		if errors.Is(err, core.ErrSlabsAborted) {
 			return nil, ErrTooLarge
 		}
@@ -314,12 +316,8 @@ func (b *builder) StartSlab(x0, x1 float64, actives []int) bool {
 	if b.cells > b.maxCells {
 		return false
 	}
-	acts := make([]int32, len(actives))
-	for i, a := range actives {
-		acts[i] = b.origIdx[a]
-	}
 	b.xs = append(b.xs, x0)
-	b.slabs = append(b.slabs, slab{actives: acts, gaps: []*label{b.ix.empty}})
+	b.slabs = append(b.slabs, newSlab(actives, b.origIdx, b.isL2, b.ix.empty))
 	return true
 }
 
@@ -328,11 +326,35 @@ func (b *builder) Edge(y float64, circle int, upper bool, above *label) bool {
 	if b.cells > b.maxCells {
 		return false
 	}
-	sl := &b.slabs[len(b.slabs)-1]
+	b.slabs[len(b.slabs)-1].addEdge(y, circle, upper, above, b.origIdx, b.isL2)
+	return true
+}
+
+// newSlab opens a slab over the emitted actives (translated through
+// origIdx), with its edge storage sized for the at most two edges per active
+// circle the emission can report.
+func newSlab(actives []int, origIdx []int32, isL2 bool, empty *label) slab {
+	acts := make([]int32, len(actives))
+	for i, a := range actives {
+		acts[i] = origIdx[a]
+	}
+	n := 2 * len(actives)
+	sl := slab{actives: acts, gaps: make([]*label, 1, n+1)}
+	sl.gaps[0] = empty
+	if n > 0 {
+		sl.edges = make([]float64, 0, n)
+		if isL2 {
+			sl.arcs = make([]arcEdge, 0, n)
+		}
+	}
+	return sl
+}
+
+// addEdge appends one emitted edge and the label of the gap above it.
+func (sl *slab) addEdge(y float64, circle int, upper bool, above *label, origIdx []int32, isL2 bool) {
 	sl.edges = append(sl.edges, y)
-	if b.isL2 {
-		sl.arcs = append(sl.arcs, arcEdge{circle: b.origIdx[circle], upper: upper})
+	if isL2 {
+		sl.arcs = append(sl.arcs, arcEdge{circle: origIdx[circle], upper: upper})
 	}
 	sl.gaps = append(sl.gaps, above)
-	return true
 }

@@ -233,7 +233,7 @@ func TestPatchMatchesFreshBuild(t *testing.T) {
 		trials = 2
 	}
 	rng := rand.New(rand.NewSource(54))
-	for _, metric := range []geom.Metric{geom.LInf, geom.L1} {
+	for _, metric := range []geom.Metric{geom.LInf, geom.L1, geom.L2} {
 		for trial := 0; trial < trials; trial++ {
 			seed := rng.Int63()
 			snapped := trial%2 == 0
@@ -299,8 +299,10 @@ func TestPatchMatchesFreshBuild(t *testing.T) {
 }
 
 // TestPatchDeclines pins the decline contract: updates past the dirty
-// threshold, L2 receivers, and no-op updates over an unchanged arrangement
-// each answer without doing any splice work.
+// threshold, span-less updates that change the arrangement and spans
+// inconsistent with the update decline without doing any splice work; a
+// no-op update over an unchanged arrangement reuses the receiver, and an L2
+// receiver patches into an index identical to a fresh build.
 func TestPatchDeclines(t *testing.T) {
 	t.Parallel()
 	circles, facilities := testInstance(t, 99, 20, 4, geom.LInf, false)
@@ -336,13 +338,39 @@ func TestPatchDeclines(t *testing.T) {
 			t.Fatalf("no-op patch differs from receiver at %v", p)
 		}
 	}
-	// L2 receivers decline outright.
+	// A span-less update that does change the arrangement cannot be
+	// spliced.
+	if _, err := base.Patch(newCircles, nil, 0, Options{}); !errors.Is(err, ErrPatchDeclined) {
+		t.Fatalf("span-less Patch err = %v, want ErrPatchDeclined", err)
+	}
+	// Spans that miss the perturbation are inconsistent with the update: a
+	// slab they leave clean has no counterpart in the receiver.
+	if _, err := base.Patch(newCircles, [][2]float64{{1e6, 1e6 + 1}}, 0, Options{}); !errors.Is(err, ErrPatchDeclined) {
+		t.Fatalf("inconsistent-span Patch err = %v, want ErrPatchDeclined", err)
+	}
+	// L2 receivers patch like the rectilinear ones, into an index
+	// structurally identical to a fresh build; spans that miss the
+	// perturbation decline there too.
 	l2Circles, _ := testInstance(t, 99, 20, 4, geom.L2, false)
+	l2New, err := nncircle.Compute(newClients, facilities, geom.L2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	l2, err := Build(l2Circles, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l2.Patch(l2Circles, [][2]float64{{0, 1}}, 0, Options{}); !errors.Is(err, ErrPatchDeclined) {
-		t.Fatalf("L2 Patch err = %v, want ErrPatchDeclined", err)
+	l2Spans := core.PerturbedSpans([]geom.Circle{l2Circles[0].Circle, l2New[0].Circle}, geom.L2)
+	l2Patched, err := l2.Patch(l2New, l2Spans, 1.0, Options{})
+	if err != nil {
+		t.Fatalf("L2 Patch: %v", err)
+	}
+	l2Fresh, err := Build(l2New, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameIndex(t, "L2 patch", l2Patched, l2Fresh)
+	if _, err := l2.Patch(l2New, [][2]float64{{1e6, 1e6 + 1}}, 0, Options{}); !errors.Is(err, ErrPatchDeclined) {
+		t.Fatalf("inconsistent-span L2 Patch err = %v, want ErrPatchDeclined", err)
 	}
 }
