@@ -167,32 +167,55 @@ func TestMappedApplyDeltaPromotes(t *testing.T) {
 	}
 }
 
-// TestMappedOptimal: the optimal-location engine works on a mapped map
-// (materializing it) and matches the original build exactly.
+// TestMappedOptimal: the optimal-location engine works on a v2 snapshot
+// restored by decoding and by mmap (materializing it) and matches the
+// original build exactly, geometry included, for every metric. A restored
+// map's labels and slab gaps come from different pools than the build's, so
+// the ranking and the geometry join must compare sets by content.
 func TestMappedOptimal(t *testing.T) {
 	t.Parallel()
 	clients, facilities := snapshotTestSets(t)
-	orig, err := Build(Config{Clients: clients, Facilities: facilities, Metric: LInf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "m.snap")
-	if err := orig.SaveSnapshot(path, 1); err != nil {
-		t.Fatal(err)
-	}
-	mapped, _, err := OpenSnapshot(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := orig.OptimalTopK(5, OptimalConstraints{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := mapped.OptimalTopK(5, OptimalConstraints{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("OptimalTopK on mapped map diverges:\n got %+v\nwant %+v", got, want)
+	for _, metric := range []Metric{LInf, L1, L2} {
+		metric := metric
+		t.Run(fmt.Sprintf("%v", metric), func(t *testing.T) {
+			t.Parallel()
+			orig, err := Build(Config{Clients: clients, Facilities: facilities, Metric: metric})
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "m.snap")
+			if err := orig.SaveSnapshot(path, 1); err != nil {
+				t.Fatal(err)
+			}
+			decoded, _, err := LoadSnapshot(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mapped, _, err := OpenSnapshot(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := orig.OptimalTopK(10, OptimalConstraints{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want) != 10 {
+				t.Fatalf("built map ranks %d regions, want 10", len(want))
+			}
+			for _, r := range want {
+				if !r.HasGeometry || r.Area <= 0 || r.Cells == 0 {
+					t.Fatalf("built map's region %v has no geometry to compare: %+v", r.RNN, r)
+				}
+			}
+			for name, m := range map[string]*Map{"v2-decode": decoded, "v2-mmap": mapped} {
+				got, err := m.OptimalTopK(10, OptimalConstraints{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: OptimalTopK diverges:\n got %+v\nwant %+v", name, got, want)
+				}
+			}
+		})
 	}
 }

@@ -1,14 +1,15 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"rnnheatmap/internal/geom"
 	"rnnheatmap/internal/influence"
 	"rnnheatmap/internal/nncircle"
-	"rnnheatmap/internal/oset"
 )
 
 // --- shared test helpers -------------------------------------------------
@@ -26,7 +27,15 @@ func bruteRNN(circles []nncircle.NNCircle, p geom.Point) []int {
 	return out
 }
 
-func setKey(ids []int) string { return oset.FromSorted(ids).Key() }
+// setKey is the exact string oracle of a set's identity: its members in
+// ascending order, printed comma-separated ("" for the empty set). Tests
+// compare sets with it rather than with the hashed oset.ContentKey the
+// program uses.
+func setKey(ids []int) string {
+	sorted := append([]int(nil), ids...)
+	sort.Ints(sorted)
+	return strings.ReplaceAll(strings.Trim(fmt.Sprint(sorted), "[]"), " ", ",")
+}
 
 // randomInstance generates a random bichromatic instance and returns its
 // NN-circles under the given metric.

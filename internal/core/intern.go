@@ -18,16 +18,23 @@ import (
 // work rebuilt values that already existed. A LabelInterner deduplicates the
 // sets at their origin: the sweep asks it for the canonical *Interned of the
 // current scratch set (an O(1) lookup keyed by the set's incrementally
-// maintained 128-bit content hash, oset.Set.Hash) and both the base-set cache
-// and the emitted labels hold that pointer. Each distinct set is sorted and
-// has its influence evaluated exactly once, no matter how many faces carry
-// it.
+// maintained content key, oset.Set.ContentKey: a 128-bit order-independent
+// hash plus the count) and both the base-set cache and the emitted labels
+// hold that pointer. Each distinct set is sorted and has its influence
+// evaluated exactly once, no matter how many faces carry it.
 //
 // One interner is shared by every strip of a parallel run (and attached to
 // the Result, so pointloc can keep reusing the pool instead of re-interning
 // the same sets when it builds the slab index). The map is sharded by hash so
 // concurrent strips contend only on writes to the same shard, and reads — the
 // overwhelming majority — take an RLock.
+//
+// The content key is the one identity of an RNN set across the program. The
+// pool pointer identifies a set only within one pool, and a map restored
+// from a snapshot, or a label list assembled by a caller, carries sets from
+// different pools; so summaries, the optimal ranking and its geometry join,
+// and the snapshot's set pool key by oset.KeyOf over the member slice — the
+// same key the interner decides every emitted label with.
 
 // Interned is one pooled region label: an RNN set in ascending client order
 // together with its influence value under the interner's measure. Instances
@@ -40,14 +47,6 @@ type Interned struct {
 	// ascending order — the canonical evaluation order of the enclosure
 	// query path, so stored heats are bit-identical to a direct query's.
 	Heat float64
-}
-
-// internKey identifies a set by its 128-bit content hash plus length. The
-// per-pair collision probability of ~2^-128 is negligible against any corpus
-// a run can produce (see oset.Set.Hash).
-type internKey struct {
-	hash [2]uint64
-	n    int
 }
 
 // internShards is the shard count of the interner map; a power of two so the
@@ -79,7 +78,7 @@ type LabelInterner struct {
 
 type internShard struct {
 	mu    sync.RWMutex
-	byKey map[internKey]*Interned
+	byKey map[oset.ContentKey]*Interned
 	// labels and ints are the shard's slab chunks: interned records and their
 	// member slices are packed into fixed-capacity arrays, so a run with
 	// millions of distinct labels costs thousands of chunk allocations rather
@@ -97,7 +96,7 @@ const (
 
 // insert packs (rnn, heat) into the shard's slabs and publishes the record in
 // the map. The caller must hold mu and have checked key is absent.
-func (sh *internShard) insert(key internKey, rnn []int, heat float64) *Interned {
+func (sh *internShard) insert(key oset.ContentKey, rnn []int, heat float64) *Interned {
 	if len(sh.ints)+len(rnn) > cap(sh.ints) {
 		size := intChunk
 		if len(rnn) > size {
@@ -129,7 +128,7 @@ func NewLabelInterner(measure influence.Measure) *LabelInterner {
 	}
 	in.sorted, _ = measure.(influence.SortedMeasure)
 	for i := range in.shards {
-		in.shards[i].byKey = make(map[internKey]*Interned)
+		in.shards[i].byKey = make(map[oset.ContentKey]*Interned)
 	}
 	return in
 }
@@ -141,14 +140,14 @@ func (in *LabelInterner) Measure() influence.Measure { return in.measure }
 func (in *LabelInterner) Empty() *Interned { return in.empty }
 
 // lookup returns the label already interned under key (the empty label for
-// n == 0), or nil. Callers that maintain a set's key incrementally — the
-// XOR of oset.ValueHash over its members, and its size — find its label
-// without materializing the set; only a nil result needs the set itself.
-func (in *LabelInterner) lookup(key internKey) *Interned {
-	if key.n == 0 {
+// N == 0), or nil. Callers that maintain a set's key incrementally
+// (oset.ContentKey's Add and Remove) find its label without materializing
+// the set; only a nil result needs the set itself.
+func (in *LabelInterner) lookup(key oset.ContentKey) *Interned {
+	if key.N == 0 {
 		return in.empty
 	}
-	sh := &in.shards[key.hash[0]&(internShards-1)]
+	sh := &in.shards[key.Hash[0]&(internShards-1)]
 	sh.mu.RLock()
 	l := sh.byKey[key]
 	sh.mu.RUnlock()
@@ -159,11 +158,11 @@ func (in *LabelInterner) lookup(key internKey) *Interned {
 // set is only read; the caller keeps ownership and may keep mutating it. Safe
 // for concurrent use.
 func (in *LabelInterner) Intern(set *oset.Set) *Interned {
-	key := internKey{hash: set.Hash(), n: set.Len()}
+	key := set.ContentKey()
 	if l := in.lookup(key); l != nil {
 		return l
 	}
-	sh := &in.shards[key.hash[0]&(internShards-1)]
+	sh := &in.shards[key.Hash[0]&(internShards-1)]
 	// Build the label outside the lock: the sort and the influence evaluation
 	// are the expensive part, and a concurrent duplicate computes the exact
 	// same (deterministic) value — only one wins the map slot below.

@@ -52,10 +52,10 @@ type pruner struct {
 	maxNodes int
 	nodes    int
 	aborted  bool
-	// witnesses of the current seed: for every candidate witness point, the
-	// set of neighborhood circle positions (bitmask index into the candidate
-	// list) containing it, used by the existence check.
-	witnessKeys map[string]geom.Point
+	// witnesses of the current seed: one witness point per distinct set of
+	// neighborhood circles containing it, keyed by that set's content key,
+	// used by the existence check.
+	witnessKeys map[oset.ContentKey]geom.Point
 }
 
 func runPruning(circles []nncircle.NNCircle, col *collector, maxNodes int) {
@@ -164,7 +164,7 @@ func (p *pruner) buildWitnesses(seed int, neighbors []int) {
 		}
 	}
 	eps := minR * 1e-6
-	p.witnessKeys = make(map[string]geom.Point)
+	p.witnessKeys = make(map[oset.ContentKey]geom.Point)
 	for _, c := range candidates {
 		for _, d := range [...]geom.Point{{X: 0, Y: 0}, {X: eps, Y: 0}, {X: -eps, Y: 0}, {X: 0, Y: eps}, {X: 0, Y: -eps},
 			{X: eps, Y: eps}, {X: -eps, Y: eps}, {X: eps, Y: -eps}, {X: -eps, Y: -eps}} {
@@ -172,13 +172,12 @@ func (p *pruner) buildWitnesses(seed int, neighbors []int) {
 			if !p.circles[seed].Circle.ContainsStrict(pt) {
 				continue
 			}
-			containing := oset.New()
+			var key oset.ContentKey
 			for _, a := range group {
 				if p.circles[a].Circle.ContainsStrict(pt) {
-					containing.Add(a)
+					key = key.Add(a)
 				}
 			}
-			key := containing.Key()
 			if _, ok := p.witnessKeys[key]; !ok {
 				p.witnessKeys[key] = pt
 			}
@@ -190,8 +189,7 @@ func (p *pruner) buildWitnesses(seed int, neighbors []int) {
 // exactly the circles of inCircles (within the seed's neighborhood), and if
 // so returns an interior witness point.
 func (p *pruner) regionExists(inCircles []int) (geom.Point, bool) {
-	want := oset.New(inCircles...)
-	pt, ok := p.witnessKeys[want.Key()]
+	pt, ok := p.witnessKeys[oset.KeyOf(inCircles)]
 	return pt, ok
 }
 

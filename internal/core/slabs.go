@@ -299,13 +299,13 @@ func emitL2Slabs(circles []nncircle.NNCircle, events []l2Event, sink SlabSink, p
 // differs from the previous order and above the last one: a gap's RNN set
 // holds the clients whose lower arc lies below it and upper arc above it, so
 // it depends only on the arcs below the gap, or equally only on those above
-// it. The gaps in between are re-keyed with the running XOR of the members'
-// oset.ValueHash and the running count — the interner's key, the same as
-// oset.Set.Hash and Len — and a set is materialized only when that key
-// misses the pool. This relies on every circle carrying a distinct client,
-// as NN-circles do. The emitted stream is therefore identical to sorting
-// every slab's arcs and walking them with a running set: same heights bit
-// for bit, same arc order, and the same interned label pointers.
+// it. The gaps in between are re-keyed by carrying the interner's key,
+// oset.ContentKey, across each arc (Add for a lower arc, Remove for an upper
+// one), and a set is materialized only when that key misses the pool. This
+// relies on every circle carrying a distinct client, as NN-circles do. The
+// emitted stream is therefore identical to sorting every slab's arcs and
+// walking them with a running set: same heights bit for bit, same arc order,
+// and the same interned label pointers.
 type l2Slabs struct {
 	*l2Status
 	pool *LabelInterner
@@ -313,7 +313,7 @@ type l2Slabs struct {
 	// and keys[k] is its interner key; prevGaps and prevKeys are the last
 	// labeled slab's, whose buffers label swaps back in.
 	gaps, prevGaps []*Interned
-	keys, prevKeys []internKey
+	keys, prevKeys []oset.ContentKey
 	set            *oset.Set // a gap's set, materialized on a pool miss
 }
 
@@ -324,7 +324,7 @@ func newL2Slabs(circles []nncircle.NNCircle, pool *LabelInterner, straddling []i
 		l2Status: newL2Status(circles, straddling),
 		pool:     pool,
 		gaps:     []*Interned{pool.Empty()},
-		keys:     []internKey{{}},
+		keys:     []oset.ContentKey{{}},
 		set:      oset.New(),
 	}
 }
@@ -351,13 +351,10 @@ func (w *l2Slabs) label() {
 	key, setGap := w.keys[d], -1
 	for g := d + 1; g < n-s; g++ {
 		a := w.arcs[g-1]
-		vh := oset.ValueHash(w.circles[a.circle].Client)
-		key.hash[0] ^= vh[0]
-		key.hash[1] ^= vh[1]
-		if a.upper {
-			key.n--
+		if c := w.circles[a.circle].Client; a.upper {
+			key = key.Remove(c)
 		} else {
-			key.n++
+			key = key.Add(c)
 		}
 		l := w.pool.lookup(key)
 		if l == nil {

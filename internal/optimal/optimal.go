@@ -14,11 +14,17 @@
 // grouped by interned label (see pointloc.Index.VisitCells), and feeds the
 // constrained variants: minimum region area, minimum distance from existing
 // facilities, and a bounding-box filter.
+//
+// A distinct RNN set is identified by its oset.ContentKey, the key the
+// sweep's label interner decides every label with. Ranking and the geometry
+// join compute it from the member slice, so they work for labels and slab
+// gaps from any pools.
 package optimal
 
 import (
+	"cmp"
 	"errors"
-	"sort"
+	"slices"
 
 	"rnnheatmap/internal/core"
 	"rnnheatmap/internal/geom"
@@ -80,11 +86,11 @@ type Group struct {
 }
 
 // Geometry holds per-RNN-set face geometry recovered from a slab index,
-// keyed by the set's canonical content key so it can be joined against
-// labels from any pool (a snapshot-restored map interns labels and slab gaps
-// into different pools; pointer identity would not survive that).
+// keyed by the set's oset.ContentKey so it can be joined against labels from
+// any pool (a snapshot-restored map's labels and slab gaps come from
+// different pools, so pointer identity would not survive that).
 type Geometry struct {
-	byKey map[string]Group
+	byKey map[oset.ContentKey]Group
 	// TotalArea is the summed area of every bounded cell, the empty-set
 	// holes between circles included; differential tests compare it against
 	// independently computed arrangement measures.
@@ -92,15 +98,15 @@ type Geometry struct {
 }
 
 // FromIndex recovers the per-set geometry from a slab index by grouping its
-// bounded cells by interned label. Bounding boxes are mapped back to the
-// original coordinate system (exact except for L1, where the rotated box is
-// covered conservatively). Returns nil when ix is nil, so callers can thread
+// bounded cells by interned label and keying each group by its content key.
+// Bounding boxes are mapped back to the original coordinate system (exact
+// except for L1, where the rotated box is covered conservatively). Returns nil when ix is nil, so callers can thread
 // an absent index straight through to the label-scan fallback.
 func FromIndex(ix *pointloc.Index) *Geometry {
 	if ix == nil {
 		return nil
 	}
-	geo := &Geometry{byKey: make(map[string]Group)}
+	geo := &Geometry{byKey: make(map[oset.ContentKey]Group)}
 	for _, grp := range ix.GroupCells() {
 		bounds := grp.Bounds
 		if ix.Metric() == geom.L1 && !bounds.IsEmpty() {
@@ -111,7 +117,7 @@ func FromIndex(ix *pointloc.Index) *Geometry {
 			bounds = r
 		}
 		geo.TotalArea += grp.Area
-		geo.byKey[setKey(grp.Label.RNN)] = Group{Area: grp.Area, Cells: grp.Cells, Bounds: bounds}
+		geo.byKey[oset.KeyOf(grp.Label.RNN)] = Group{Area: grp.Area, Cells: grp.Cells, Bounds: bounds}
 	}
 	return geo
 }
@@ -121,44 +127,19 @@ func (g *Geometry) Lookup(rnn []int) (Group, bool) {
 	if g == nil {
 		return Group{}, false
 	}
-	grp, ok := g.byKey[setKey(rnn)]
+	grp, ok := g.byKey[oset.KeyOf(rnn)]
 	return grp, ok
 }
 
-// setKey is the canonical content key of an ascending RNN set.
-func setKey(rnn []int) string { return oset.FromSorted(rnn).Key() }
-
-// Ranked returns one Region per distinct RNN set, ordered by heat descending
-// with ties broken by first emission order. The first element is therefore
+// TopK returns the k best regions satisfying cons, best first. Each
+// distinct RNN set is one region, represented by its first emitted label,
+// and regions are ordered by heat descending with ties broken by first
+// emission order. With no constraints and k=1 the answer is therefore
 // exactly the label a brute-force scan over labels keeps (first label
 // strictly exceeding the running maximum) — the same tie-breaking the
 // sweep's own Result.MaxLabel uses. Geometry is attached from geo when
-// non-nil.
-func Ranked(labels []core.Label, geo *Geometry) []Region {
-	seen := make(map[string]bool, len(labels)/4+1)
-	out := make([]Region, 0, 16)
-	for _, l := range labels {
-		key := setKey(l.RNN)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		r := Region{Heat: l.Heat, RNN: l.RNN, Point: l.Point}
-		if grp, ok := geo.Lookup(l.RNN); ok {
-			r.HasGeometry = true
-			r.Area = grp.Area
-			r.Cells = grp.Cells
-			r.Bounds = grp.Bounds
-		}
-		out = append(out, r)
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Heat > out[j].Heat })
-	return out
-}
-
-// TopK returns the k best regions satisfying cons, best first, in Ranked
-// order. With no constraints and k=1 the answer is the exact MaxBRNN argmax.
-// Fewer than k regions may be returned; zero regions is not an error.
+// non-nil. Fewer than k regions may be returned; zero regions is not an
+// error.
 func TopK(labels []core.Label, geo *Geometry, k int, cons Constraints) ([]Region, error) {
 	if k <= 0 {
 		return nil, nil
@@ -166,8 +147,27 @@ func TopK(labels []core.Label, geo *Geometry, k int, cons Constraints) ([]Region
 	if cons.MinArea > 0 && geo == nil {
 		return nil, ErrNeedGeometry
 	}
+	// Rank the first label index of each distinct set; a Region is built,
+	// joined to its geometry and checked only when the scan reaches it.
+	seen := make(map[oset.ContentKey]struct{})
+	var first []int
+	for i := range labels {
+		key := oset.KeyOf(labels[i].RNN)
+		if _, ok := seen[key]; !ok {
+			seen[key] = struct{}{}
+			first = append(first, i)
+		}
+	}
+	slices.SortFunc(first, func(a, b int) int {
+		return cmp.Or(cmp.Compare(labels[b].Heat, labels[a].Heat), cmp.Compare(a, b))
+	})
 	out := make([]Region, 0, k)
-	for _, r := range Ranked(labels, geo) {
+	for _, i := range first {
+		l := &labels[i]
+		r := Region{Heat: l.Heat, RNN: l.RNN, Point: l.Point}
+		if grp, ok := geo.Lookup(l.RNN); ok {
+			r.HasGeometry, r.Area, r.Cells, r.Bounds = true, grp.Area, grp.Cells, grp.Bounds
+		}
 		if !cons.admit(r) {
 			continue
 		}

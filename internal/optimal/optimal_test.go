@@ -153,6 +153,7 @@ func TestAreasMatchMonteCarlo(t *testing.T) {
 			dy := (bounds.MaxY - bounds.MinY) / n
 			cell := dx * dy
 			sampled := make(map[string]float64)
+			sets := make(map[string][]int)
 			for i := 0; i < n; i++ {
 				for j := 0; j < n; j++ {
 					p := geom.Pt(bounds.MinX+(float64(i)+0.5)*dx, bounds.MinY+(float64(j)+0.5)*dy)
@@ -160,11 +161,13 @@ func TestAreasMatchMonteCarlo(t *testing.T) {
 					if len(rnn) == 0 {
 						continue
 					}
-					sampled[setKey(rnn)] += cell
+					key := oracleKey(rnn)
+					sampled[key] += cell
+					sets[key] = rnn
 				}
 			}
 			for key, approx := range sampled {
-				grp, ok := geo.byKey[key]
+				grp, ok := geo.Lookup(sets[key])
 				if !ok {
 					// A set sampled on the grid but absent from the
 					// geometry would be a real hole in the grouping.
@@ -182,10 +185,11 @@ func TestAreasMatchMonteCarlo(t *testing.T) {
 	}
 }
 
-// TestRankedTieBreak pins the argmax tie-breaking contract: among equal-heat
+// TestTopKTieBreak pins the argmax tie-breaking contract: among equal-heat
 // sets, the first in emission order wins, exactly as a brute-force
-// first-strict-max scan would pick.
-func TestRankedTieBreak(t *testing.T) {
+// first-strict-max scan would pick. A k past the number of sets ranks them
+// all.
+func TestTopKTieBreak(t *testing.T) {
 	labels := []core.Label{
 		{RNN: []int{2}, Heat: 1, Point: geom.Pt(0, 0)},
 		{RNN: []int{0, 1}, Heat: 2, Point: geom.Pt(1, 0)},
@@ -193,7 +197,10 @@ func TestRankedTieBreak(t *testing.T) {
 		{RNN: []int{3, 4}, Heat: 2, Point: geom.Pt(2, 0)},
 		{RNN: []int{5}, Heat: 0.5, Point: geom.Pt(3, 0)},
 	}
-	regs := Ranked(labels, nil)
+	regs, err := TopK(labels, nil, len(labels)+1, Constraints{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(regs) != 4 {
 		t.Fatalf("got %d distinct sets, want 4", len(regs))
 	}
@@ -207,6 +214,9 @@ func TestRankedTieBreak(t *testing.T) {
 	// The duplicate {2} keeps its first representative.
 	if got := regs[2]; got.Point != geom.Pt(0, 0) {
 		t.Fatalf("set {2} representative = %v, want first-emitted (0,0)", got.Point)
+	}
+	if got := regs[3]; got.Heat != 0.5 {
+		t.Fatalf("last = %+v, want {5} at heat 0.5", got)
 	}
 }
 

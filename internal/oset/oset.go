@@ -8,12 +8,14 @@
 // The implementation mirrors the paper's design: a doubly linked list of the
 // members (preserving insertion order so that snapshots are cheap and
 // deterministic) plus a random-access index (a map) from member to list node.
+//
+// ContentKey is the one identity of an RNN set, from the sweep's label
+// interner through summaries, optimal ranking and the snapshot pool.
 package oset
 
 import (
-	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 )
 
 // node is a doubly linked list node holding a single member.
@@ -27,10 +29,9 @@ type node struct {
 type Set struct {
 	head, tail *node
 	index      map[int]*node
-	// hash is the running order-independent content hash (see Hash),
-	// maintained incrementally: each member's 128-bit value hash is XORed in
-	// on Add and out again on Remove.
-	hash [2]uint64
+	// key is the running content key (see ContentKey), maintained
+	// incrementally on Add and Remove.
+	key ContentKey
 	// free is a free-list of removed nodes. Sweep scratch sets mutate
 	// millions of times over one strip; recycling nodes keeps those
 	// mutations allocation-free once the list has warmed up.
@@ -54,20 +55,33 @@ func (s *Set) recycle(n *node) {
 	s.free = n
 }
 
-// Hash returns a 128-bit order-independent hash of the set's members — the
-// XOR of ValueHash over them — maintained in O(1) per mutation. Two equal
-// sets always hash equally; unequal sets collide with probability ~2^-128
-// per pair — far below any realistic corpus — which is what lets the slab
-// point-location builder intern millions of per-face RNN sets without
-// sorting or serializing each one. Do not persist the hash: its mixing
-// constants are an internal detail.
-func (s *Set) Hash() [2]uint64 { return s.hash }
+// ContentKey identifies a set by its contents: Hash is the XOR of a 128-bit
+// value hash over the members and N their count, independent of order and
+// history. Equal sets have equal keys; unequal sets collide with probability
+// about 2^-128 per pair, so sets are interned and joined without sorting or
+// serializing them. Do not persist a key: its mixing constants are internal.
+type ContentKey struct {
+	Hash [2]uint64
+	N    int
+}
 
-// ValueHash maps one member to its 128-bit hash: two independent
-// splitmix64 finalizer chains over the value. Set.Hash is the XOR of
-// ValueHash over the members, so a caller that tracks membership changes
-// itself can maintain the same hash without a Set.
-func ValueHash(v int) [2]uint64 {
+// Add returns the key of the set k identifies with the non-member v added.
+func (k ContentKey) Add(v int) ContentKey {
+	k.toggle(v)
+	k.N++
+	return k
+}
+
+// Remove returns the key of the set k identifies with the member v removed.
+func (k ContentKey) Remove(v int) ContentKey {
+	k.toggle(v)
+	k.N--
+	return k
+}
+
+// toggle XORs v's 128-bit value hash (two independent splitmix64 finalizer
+// chains over the value) into the key's hash.
+func (k *ContentKey) toggle(v int) {
 	mix := func(x uint64) uint64 {
 		x ^= x >> 30
 		x *= 0xbf58476d1ce4e5b9
@@ -77,8 +91,24 @@ func ValueHash(v int) [2]uint64 {
 		return x
 	}
 	x := uint64(v) * 0x9e3779b97f4a7c15
-	return [2]uint64{mix(x + 0x9e3779b97f4a7c15), mix(x ^ 0x6a09e667f3bcc909)}
+	k.Hash[0] ^= mix(x + 0x9e3779b97f4a7c15)
+	k.Hash[1] ^= mix(x ^ 0x6a09e667f3bcc909)
 }
+
+// KeyOf returns the content key of the set whose members are vals, which
+// must hold no duplicates (in any order). It runs in O(len(vals)) and does
+// not allocate.
+func KeyOf(vals []int) ContentKey {
+	var k ContentKey
+	for _, v := range vals {
+		k = k.Add(v)
+	}
+	return k
+}
+
+// ContentKey returns the set's content key in O(1): the set maintains it on
+// every Add and Remove.
+func (s *Set) ContentKey() ContentKey { return s.key }
 
 // New returns an empty set. The optional members are added in order.
 func New(members ...int) *Set {
@@ -113,9 +143,7 @@ func (s *Set) Add(v int) bool {
 	}
 	s.tail = n
 	s.index[v] = n
-	vh := ValueHash(v)
-	s.hash[0] ^= vh[0]
-	s.hash[1] ^= vh[1]
+	s.key = s.key.Add(v)
 	return true
 }
 
@@ -137,9 +165,7 @@ func (s *Set) Remove(v int) bool {
 		s.tail = n.prev
 	}
 	delete(s.index, v)
-	vh := ValueHash(v)
-	s.hash[0] ^= vh[0]
-	s.hash[1] ^= vh[1]
+	s.key = s.key.Remove(v)
 	s.recycle(n)
 	return true
 }
@@ -154,7 +180,7 @@ func (s *Set) Clear() {
 	}
 	s.head, s.tail = nil, nil
 	clear(s.index)
-	s.hash = [2]uint64{}
+	s.key = ContentKey{}
 }
 
 // Reset clears s and refills it from vals in order. It is the scratch-set
@@ -205,38 +231,17 @@ func (s *Set) Clone() *Set {
 	return c
 }
 
-// Equal reports whether s and t contain exactly the same members, regardless
-// of insertion order.
-func (s *Set) Equal(t *Set) bool {
-	if s.Len() != t.Len() {
-		return false
-	}
-	for v := range s.index {
-		if !t.Contains(v) {
-			return false
-		}
-	}
-	return true
-}
-
-// Key returns a canonical string identifying the set contents (sorted,
-// comma-separated). Two sets have equal keys iff they are Equal. It is used
-// to de-duplicate RNN sets across regions in tests and post-processing.
-func (s *Set) Key() string {
-	vals := s.Sorted()
-	var b strings.Builder
-	for i, v := range vals {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%d", v)
-	}
-	return b.String()
-}
-
-// String implements fmt.Stringer using sorted order for readability.
+// String implements fmt.Stringer: the members in ascending order, as
+// "{1,2,3}".
 func (s *Set) String() string {
-	return "{" + s.Key() + "}"
+	b := []byte{'{'}
+	for i, v := range s.Sorted() {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(v), 10)
+	}
+	return string(append(b, '}'))
 }
 
 // Range calls f for each member in insertion order until f returns false.

@@ -1,6 +1,7 @@
 package oset
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -72,7 +73,7 @@ func TestRemoveEnds(t *testing.T) {
 func TestCloneIndependence(t *testing.T) {
 	s := New(1, 2, 3)
 	c := s.Clone()
-	if !s.Equal(c) {
+	if oracleKey(s.Members()) != oracleKey(c.Members()) {
 		t.Fatalf("clone should equal original")
 	}
 	c.Add(4)
@@ -80,32 +81,86 @@ func TestCloneIndependence(t *testing.T) {
 	if s.Contains(4) || !s.Contains(1) {
 		t.Fatalf("mutating clone affected original")
 	}
-	if s.Equal(c) {
+	if oracleKey(s.Members()) == oracleKey(c.Members()) {
 		t.Fatalf("sets should now differ")
 	}
+}
+
+// oracleKey is the exact string identity of a set: its members in
+// ascending order, printed. The content-key tests are checked against it.
+func oracleKey(vals []int) string {
+	sorted := append([]int(nil), vals...)
+	sort.Ints(sorted)
+	return fmt.Sprint(sorted)
 }
 
 func TestEqualAndKey(t *testing.T) {
 	a := New(3, 1, 2)
 	b := New(1, 2, 3)
 	c := New(1, 2)
-	if !a.Equal(b) || a.Key() != b.Key() {
-		t.Errorf("order should not affect equality: %q vs %q", a.Key(), b.Key())
+	if oracleKey(a.Members()) != oracleKey(b.Members()) || a.ContentKey() != b.ContentKey() {
+		t.Errorf("order should not affect equality: %v vs %v", a.ContentKey(), b.ContentKey())
 	}
-	if a.Equal(c) || a.Key() == c.Key() {
+	if oracleKey(a.Members()) == oracleKey(c.Members()) || a.ContentKey() == c.ContentKey() {
 		t.Errorf("different sets should not be equal")
 	}
-	if a.Key() != "1,2,3" {
-		t.Errorf("Key = %q", a.Key())
+	if a.ContentKey() != KeyOf([]int{2, 3, 1}) || a.ContentKey().N != 3 {
+		t.Errorf("ContentKey = %v, KeyOf = %v", a.ContentKey(), KeyOf([]int{2, 3, 1}))
 	}
 	if a.String() != "{1,2,3}" {
 		t.Errorf("String = %q", a.String())
 	}
-	if New().Key() != "" || New().String() != "{}" {
-		t.Errorf("empty key/string wrong: %q %q", New().Key(), New().String())
+	if New().ContentKey() != (ContentKey{}) || KeyOf(nil) != (ContentKey{}) || New().String() != "{}" {
+		t.Errorf("empty key/string wrong: %v %v %q", New().ContentKey(), KeyOf(nil), New().String())
 	}
-	if !New().Equal(New()) {
-		t.Errorf("empty sets should be equal")
+	if New().ContentKey() != New().ContentKey() {
+		t.Errorf("empty sets should have equal keys")
+	}
+}
+
+// TestContentKeyMatchesOracle checks the content key against the exact
+// string oracle on random small sets, where equal sets are common: two sets
+// have equal keys exactly when their sorted members print the same, whether
+// the key came from a Set's mutation history, KeyOf over the members in any
+// order, or Add and Remove steps on a key.
+func TestContentKeyMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	byKey := map[ContentKey]string{}
+	byOracle := map[string]ContentKey{}
+	s := New()
+	for i := 0; i < 5000; i++ {
+		v := rng.Intn(12)
+		before := s.ContentKey()
+		if s.Contains(v) {
+			s.Remove(v)
+			if s.ContentKey() != before.Remove(v) {
+				t.Fatalf("Remove(%d): set key %v, stepped key %v", v, s.ContentKey(), before.Remove(v))
+			}
+		} else {
+			s.Add(v)
+			if s.ContentKey() != before.Add(v) {
+				t.Fatalf("Add(%d): set key %v, stepped key %v", v, s.ContentKey(), before.Add(v))
+			}
+		}
+		members := s.Members()
+		rng.Shuffle(len(members), func(i, j int) { members[i], members[j] = members[j], members[i] })
+		key, oracle := s.ContentKey(), oracleKey(members)
+		if KeyOf(members) != key {
+			t.Fatalf("KeyOf(%v) = %v, set key %v", members, KeyOf(members), key)
+		}
+		if key.N != len(members) {
+			t.Fatalf("key count %d for %d members", key.N, len(members))
+		}
+		if got, ok := byKey[key]; ok && got != oracle {
+			t.Fatalf("sets %s and %s share key %v", got, oracle, key)
+		}
+		if got, ok := byOracle[oracle]; ok && got != key {
+			t.Fatalf("set %s has keys %v and %v", oracle, got, key)
+		}
+		byKey[key], byOracle[oracle] = oracle, key
+	}
+	if len(byKey) < 1000 {
+		t.Fatalf("only %d distinct sets visited", len(byKey))
 	}
 }
 
@@ -229,29 +284,35 @@ func TestClear(t *testing.T) {
 	}
 }
 
-// TestHashOrderIndependence pins the interning contract of Hash: equal sets
-// hash equally regardless of insertion order or mutation history, unequal
-// sets (here) differ, and an emptied set returns to the zero hash.
+// TestHashOrderIndependence pins the interning contract of ContentKey:
+// equal sets have equal keys regardless of insertion order or mutation
+// history, unequal sets (here) differ, and an emptied set returns to the
+// zero key.
 func TestHashOrderIndependence(t *testing.T) {
 	a := New(1, 2, 3)
 	b := New(3, 1, 2)
-	if a.Hash() != b.Hash() {
-		t.Fatalf("Hash depends on insertion order: %v vs %v", a.Hash(), b.Hash())
+	if a.ContentKey() != b.ContentKey() {
+		t.Fatalf("key depends on insertion order: %v vs %v", a.ContentKey(), b.ContentKey())
 	}
-	// Same members reached through a different history hash the same.
+	// Same members reached through a different history key the same.
 	c := New(1, 2, 3, 9)
 	c.Remove(9)
-	if c.Hash() != a.Hash() {
-		t.Fatalf("Hash depends on mutation history: %v vs %v", c.Hash(), a.Hash())
+	if c.ContentKey() != a.ContentKey() {
+		t.Fatalf("key depends on mutation history: %v vs %v", c.ContentKey(), a.ContentKey())
 	}
-	if a.Hash() == New(1, 2).Hash() {
+	if a.ContentKey().Hash == New(1, 2).ContentKey().Hash {
 		t.Fatal("distinct sets {1,2,3} and {1,2} collide")
 	}
 	a.Remove(1)
 	a.Remove(2)
 	a.Remove(3)
-	if a.Hash() != (New().Hash()) {
-		t.Fatalf("emptied set hash = %v, want the empty hash", a.Hash())
+	if a.ContentKey() != New().ContentKey() {
+		t.Fatalf("emptied set key = %v, want the empty key", a.ContentKey())
+	}
+	a.Add(4)
+	a.Clear()
+	if a.ContentKey() != (ContentKey{}) {
+		t.Fatalf("cleared set key = %v, want the zero key", a.ContentKey())
 	}
 }
 
@@ -267,8 +328,8 @@ func TestResetAndAppendMembers(t *testing.T) {
 	if s.Contains(10) || s.Len() != 3 {
 		t.Fatalf("Reset kept stale members: %v", s.Members())
 	}
-	if s.Hash() != New(7, 5, 6).Hash() {
-		t.Fatal("Reset set's hash disagrees with a freshly built equal set")
+	if s.ContentKey() != New(7, 5, 6).ContentKey() {
+		t.Fatal("Reset set's key disagrees with a freshly built equal set")
 	}
 	dst := s.AppendMembers([]int{99})
 	if want := []int{99, 7, 5, 6}; !reflect.DeepEqual(dst, want) {

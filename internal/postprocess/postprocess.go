@@ -1,7 +1,7 @@
 // Package postprocess implements the interactive post-processing operations
 // the paper motivates for RNN heat maps: selecting the top-k hottest
-// regions, filtering regions by a heat threshold, deduplicating labels that
-// share an RNN set, and summarizing the heat distribution. These operations
+// regions, filtering regions by a heat threshold, and summarizing the heat
+// distribution, counting labels that share an RNN set once. These operations
 // work on the labels produced by any of the Region Coloring algorithms,
 // which is exactly what a plain superimposition cannot support.
 package postprocess
@@ -17,7 +17,7 @@ import (
 // TopK returns the k labels with the highest heat, in descending heat order.
 // Ties are broken by smaller RNN set and then by emission order to keep the
 // result deterministic. When distinct is true, at most one label per
-// distinct RNN set is returned.
+// distinct RNN set (by oset.ContentKey) is returned.
 func TopK(labels []core.Label, k int, distinct bool) []core.Label {
 	if k <= 0 {
 		return nil
@@ -33,12 +33,12 @@ func TopK(labels []core.Label, k int, distinct bool) []core.Label {
 		}
 		return len(la.RNN) < len(lb.RNN)
 	})
-	seen := map[string]bool{}
+	seen := map[oset.ContentKey]bool{}
 	var out []core.Label
 	for _, i := range idx {
 		l := labels[i]
 		if distinct {
-			key := oset.FromSorted(l.RNN).Key()
+			key := oset.KeyOf(l.RNN)
 			if seen[key] {
 				continue
 			}
@@ -64,30 +64,6 @@ func Threshold(labels []core.Label, minHeat float64) []core.Label {
 	return out
 }
 
-// DistinctSets returns one representative label per distinct RNN set,
-// keeping the hottest representative.
-func DistinctSets(labels []core.Label) []core.Label {
-	best := map[string]core.Label{}
-	var order []string
-	for _, l := range labels {
-		key := oset.FromSorted(l.RNN).Key()
-		cur, ok := best[key]
-		if !ok {
-			order = append(order, key)
-			best[key] = l
-			continue
-		}
-		if l.Heat > cur.Heat {
-			best[key] = l
-		}
-	}
-	out := make([]core.Label, 0, len(order))
-	for _, key := range order {
-		out = append(out, best[key])
-	}
-	return out
-}
-
 // Summary describes the heat distribution over a label set.
 type Summary struct {
 	Count        int
@@ -98,14 +74,16 @@ type Summary struct {
 	MaxRNNSize   int // λ
 }
 
-// Summarize computes distributional statistics over labels.
+// Summarize computes distributional statistics over labels. Distinct sets
+// are counted by oset.ContentKey, so labels from any pools compare by
+// content.
 func Summarize(labels []core.Label) Summary {
 	s := Summary{MinHeat: math.Inf(1), MaxHeat: math.Inf(-1)}
-	seen := map[string]bool{}
+	seen := map[oset.ContentKey]struct{}{}
 	total := 0.0
 	for _, l := range labels {
 		s.Count++
-		seen[oset.FromSorted(l.RNN).Key()] = true
+		seen[oset.KeyOf(l.RNN)] = struct{}{}
 		total += l.Heat
 		if l.Heat < s.MinHeat {
 			s.MinHeat = l.Heat

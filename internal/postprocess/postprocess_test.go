@@ -55,17 +55,6 @@ func TestThreshold(t *testing.T) {
 	}
 }
 
-func TestDistinctSets(t *testing.T) {
-	labels := []core.Label{lbl(1, 1, 2), lbl(7, 1, 2), lbl(3, 4), lbl(2, 4)}
-	got := DistinctSets(labels)
-	if len(got) != 2 {
-		t.Fatalf("DistinctSets = %d labels", len(got))
-	}
-	if got[0].Heat != 7 || got[1].Heat != 3 {
-		t.Errorf("should keep the hottest representative: %v", got)
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	s := Summarize([]core.Label{lbl(1, 1), lbl(5, 1, 2, 3), lbl(3, 2)})
 	if s.Count != 3 || s.DistinctSets != 3 || s.MinHeat != 1 || s.MaxHeat != 5 || s.MaxRNNSize != 3 {

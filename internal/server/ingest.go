@@ -111,6 +111,7 @@ type ingester struct {
 	stopped bool
 	exited  chan struct{}
 
+	gathered     atomic.Uint64 // batches the writer has taken into a group commit
 	batches      atomic.Uint64 // committed batches
 	ops          atomic.Uint64 // committed ops
 	groups       atomic.Uint64 // group commits (fsyncs on the ingest path)
@@ -168,7 +169,9 @@ func (g *ingester) run() {
 			g.drain()
 			return
 		case pb := <-g.queue:
-			g.commit(g.gather(pb))
+			group := g.gather(pb)
+			g.gathered.Add(uint64(len(group)))
+			g.commit(group)
 		}
 	}
 }
@@ -376,12 +379,15 @@ func (g *ingester) commit(group []*pendingBatch) {
 	}
 }
 
-// ingestStats is the "ingest" section of GET /stats.
+// ingestStats is the "ingest" section of GET /stats. BatchesGathered counts
+// the batches the writer has taken off the queue into a group commit;
+// BatchesCommitted those of them that were applied.
 type ingestStats struct {
 	QueueDepth       int     `json:"queue_depth"`
 	QueueCap         int     `json:"queue_cap"`
 	CoalesceWindowMS float64 `json:"coalesce_window_ms"`
 	CoalesceOps      int     `json:"coalesce_ops"`
+	BatchesGathered  uint64  `json:"batches_gathered"`
 	BatchesCommitted uint64  `json:"batches_committed"`
 	OpsCommitted     uint64  `json:"ops_committed"`
 	GroupCommits     uint64  `json:"group_commits"`
@@ -399,6 +405,7 @@ func (s *Server) ingestStatsOf(inst *mapInstance) ingestStats {
 		QueueCap:         cap(g.queue),
 		CoalesceWindowMS: float64(s.coalesceWindow) / float64(time.Millisecond),
 		CoalesceOps:      s.coalesceOps,
+		BatchesGathered:  g.gathered.Load(),
 		BatchesCommitted: g.batches.Load(),
 		OpsCommitted:     g.ops.Load(),
 		GroupCommits:     g.groups.Load(),

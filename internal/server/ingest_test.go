@@ -76,8 +76,8 @@ func TestMutationsEndpoint(t *testing.T) {
 	if err := json.Unmarshal(st.Body.Bytes(), &stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Ingest.BatchesCommitted != 2 || stats.Ingest.OpsCommitted != 6 || stats.Ingest.GroupCommits != 2 {
-		t.Fatalf("ingest stats %+v, want 2 batches / 6 ops / 2 group commits", stats.Ingest)
+	if in := stats.Ingest; in.BatchesGathered != 2 || in.BatchesCommitted != 2 || in.OpsCommitted != 6 || in.GroupCommits != 2 {
+		t.Fatalf("ingest stats %+v, want 2 batches gathered and committed / 6 ops / 2 group commits", stats.Ingest)
 	}
 	if stats.Ingest.QueueCap <= 0 || stats.Ingest.CoalesceOps <= 0 {
 		t.Fatalf("ingest stats %+v missing configuration", stats.Ingest)
@@ -193,8 +193,15 @@ func TestMutationsBackpressure(t *testing.T) {
 	}
 	inst := s.def()
 
-	// Wedge the writer: its next commit blocks on writeMu.
+	// Wedge the writer: its next commit blocks on writeMu. Every exit path
+	// releases the lock and then waits for the admitted requests, so a
+	// failure leaves no goroutine blocked behind the writer.
+	var posts sync.WaitGroup
+	defer posts.Wait()
 	inst.writeMu.Lock()
+	var unlocked sync.Once
+	unlock := func() { unlocked.Do(inst.writeMu.Unlock) }
+	defer unlock()
 	results := make(chan mutationsResponse, 2)
 	post := func(x, y float64) {
 		rec := do(t, s, http.MethodPost, "/mutations", fmt.Sprintf(`{"ops":[{"add_clients":[{"x":%g,"y":%g}]}]}`, x, y))
@@ -207,10 +214,15 @@ func TestMutationsBackpressure(t *testing.T) {
 		}
 		results <- resp
 	}
-	go post(20, 20)
-	// The writer dequeues the first batch and blocks committing it.
-	waitFor(t, "writer to take batch A", func() bool { return len(inst.ing.queue) == 0 })
-	go post(21, 21)
+	posts.Add(1)
+	go func() { defer posts.Done(); post(20, 20) }()
+	// The writer takes the first batch into a group and blocks committing
+	// it. Waiting on the gathered counter, not on an empty queue: the queue
+	// is empty before A is admitted too, and a batch that arrives while the
+	// writer is still gathering joins A's group instead of queueing.
+	waitFor(t, "writer to gather batch A", func() bool { return inst.ing.gathered.Load() == 1 })
+	posts.Add(1)
+	go func() { defer posts.Done(); post(21, 21) }()
 	// The second batch fills the (capacity 1) queue.
 	waitFor(t, "batch B to queue", func() bool { return len(inst.ing.queue) == 1 })
 
@@ -222,7 +234,7 @@ func TestMutationsBackpressure(t *testing.T) {
 		t.Error("429 response has no Retry-After header")
 	}
 
-	inst.writeMu.Unlock()
+	unlock()
 	versions := map[uint64]bool{}
 	for i := 0; i < 2; i++ {
 		versions[(<-results).Version] = true

@@ -12,6 +12,7 @@ import (
 
 	"rnnheatmap/internal/core"
 	"rnnheatmap/internal/geom"
+	"rnnheatmap/internal/oset"
 	"rnnheatmap/internal/postprocess"
 )
 
@@ -102,37 +103,30 @@ type SlabTables struct {
 	ZeroIdx []int32
 }
 
-// poolBuilder interns label sets by content into the flat pool arrays. The
-// same set written twice (a label and a slab gap, say) gets one record; the
-// first writer's heat wins, which is exact because every producer computed
-// the heat from the same measure over the same set.
+// poolBuilder interns label sets by content (oset.ContentKey) into the flat
+// pool arrays. The same set written twice (a label and a slab gap, say) gets
+// one record; the first writer's heat wins, which is exact because every
+// producer computed the heat from the same measure over the same set. ptr
+// remembers the id of each slab gap's pool pointer, so the many gaps that
+// share one interned label are keyed once.
 type poolBuilder struct {
-	ids     map[string]uint32
+	ids     map[oset.ContentKey]uint32
 	ptr     map[*core.Interned]uint32
 	heats   []float64
 	off     []uint32
 	members []int32
-	keyBuf  []byte
 }
 
 func newPoolBuilder() *poolBuilder {
 	return &poolBuilder{
-		ids: make(map[string]uint32),
+		ids: make(map[oset.ContentKey]uint32),
 		ptr: make(map[*core.Interned]uint32),
 		off: []uint32{0},
 	}
 }
 
-func (p *poolBuilder) key(rnn []int) string {
-	p.keyBuf = p.keyBuf[:0]
-	for _, v := range rnn {
-		p.keyBuf = binary.LittleEndian.AppendUint64(p.keyBuf, uint64(v))
-	}
-	return string(p.keyBuf)
-}
-
 func (p *poolBuilder) intern(rnn []int, heat float64) uint32 {
-	k := p.key(rnn)
+	k := oset.KeyOf(rnn)
 	if id, ok := p.ids[k]; ok {
 		return id
 	}
