@@ -96,10 +96,10 @@ bench-regress:
 bench-parallel:
 	$(GO) test -run '^$$' -bench BenchmarkCRESTParallel -benchtime 2x .
 
-# bench-rss measures serving RSS for the three snapshot load paths (v1
-# decode, v2 decode, v2 mmap) on a dense L2 map; the mmap number tracks the
-# zero-copy claim — resident pages are the touched sections, not the decoded
-# arrangement. Informational alongside bench-regress (RSS is too
+# bench-rss measures serving RSS of a dense L2 map built in memory (heap)
+# against the same map opened from its snapshot (mmap); the mapped number
+# tracks the zero-copy claim — resident pages are the touched sections, not
+# the arrangement. Informational alongside bench-regress (RSS is too
 # machine-sensitive to hard-gate).
 bench-rss:
 	./scripts/measure_rss.sh

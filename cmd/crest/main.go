@@ -45,9 +45,7 @@ func main() {
 		seed          = flag.Int64("seed", 1, "random seed for sampling")
 		workers       = flag.Int("workers", 0, "parallel sweep strips (0 = one per CPU, 1 = sequential)")
 		saveSnapshot  = flag.String("save-snapshot", "", "write the built map to this snapshot file")
-		snapFormat    = flag.String("snapshot-format", "v2", "snapshot layout for -save-snapshot: v2 (mmap-able, the default) or v1 (rollback; -load-snapshot accepts both)")
-		loadSnapshot  = flag.String("load-snapshot", "", "load the map from this snapshot file instead of building")
-		loadMode      = flag.String("load-mode", "mmap", "how -load-snapshot restores the map: mmap (zero-copy for v2 files, the serving path) or decode (force the heap decode path)")
+		loadSnapshot  = flag.String("load-snapshot", "", "serve the map from this snapshot file (mmap'd, no decode) instead of building")
 		memStats      = flag.Bool("mem-stats", false, "print process residency (VmRSS/VmHWM from /proc/self/status) before exiting; scripts/measure_rss.sh parses this")
 	)
 	flag.Parse()
@@ -72,14 +70,7 @@ func main() {
 		})
 		start := time.Now()
 		var err error
-		switch *loadMode {
-		case "", "mmap":
-			m, mapVersion, err = heatmap.OpenSnapshot(*loadSnapshot)
-		case "decode":
-			m, mapVersion, err = heatmap.LoadSnapshot(*loadSnapshot)
-		default:
-			log.Fatalf("-load-mode must be mmap or decode, got %q", *loadMode)
-		}
+		m, mapVersion, err = heatmap.OpenSnapshot(*loadSnapshot)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -146,17 +137,8 @@ func main() {
 	}
 
 	if *saveSnapshot != "" {
-		var format heatmap.SnapshotFormat
-		switch *snapFormat {
-		case "", "v2":
-			format = heatmap.SnapshotV2
-		case "v1":
-			format = heatmap.SnapshotV1
-		default:
-			log.Fatalf("-snapshot-format must be v1 or v2, got %q", *snapFormat)
-		}
 		start := time.Now()
-		if err := m.SaveSnapshotFormat(*saveSnapshot, mapVersion, format); err != nil {
+		if err := m.SaveSnapshot(*saveSnapshot, mapVersion); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("\nsnapshot written to %s in %v\n", *saveSnapshot, time.Since(start).Round(time.Microsecond))

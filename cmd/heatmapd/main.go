@@ -78,7 +78,6 @@ func main() {
 		coalesceOps   = flag.Int("coalesce-ops", 512, "max total ops gathered into one group commit")
 		ingestQueue   = flag.Int("ingest-queue", 128, "per-map admission queue for POST /mutations; when full, requests get 429 + Retry-After")
 		snapshotDir   = flag.String("snapshot-dir", "", "persist maps (snapshots + mutation WAL) in this directory")
-		snapFormat    = flag.String("snapshot-format", "v2", "on-disk snapshot layout: v2 (mmap-able, the default) or v1 (rollback escape hatch; loading accepts both)")
 		load          = flag.Bool("load", false, "restore maps from -snapshot-dir at startup, replaying each WAL (skips the build when a default snapshot exists)")
 		saveEvery     = flag.Duration("save-every", 0, "autosave dirty maps to -snapshot-dir at this interval (0 = only on shutdown and explicit POST /maps/{name}/snapshot)")
 		pprofOn       = flag.Bool("pprof", false, "expose Go runtime profiling under /debug/pprof/ (see docs/PROFILING.md; do not enable on untrusted networks)")
@@ -95,7 +94,7 @@ func main() {
 		measureName: *measureName, capPer: *capPer, capNew: *capNew,
 		workers: *workers, seed: *seed,
 		tileSize: *tileSize, tileCache: *tileCache, colorMapName: *colorMapName,
-		mutable: *mutable, snapshotDir: *snapshotDir, snapFormat: *snapFormat, load: *load, saveEvery: *saveEvery,
+		mutable: *mutable, snapshotDir: *snapshotDir, load: *load, saveEvery: *saveEvery,
 		coalesceMS: *coalesceMS, coalesceOps: *coalesceOps, ingestQueue: *ingestQueue,
 		pprof:         *pprofOn,
 		clusterConfig: *clusterConfig, nodeID: *nodeID,
@@ -118,7 +117,6 @@ type config struct {
 	colorMapName              string
 	mutable                   bool
 	snapshotDir               string
-	snapFormat                string
 	load                      bool
 	saveEvery                 time.Duration
 	coalesceMS                float64
@@ -186,15 +184,6 @@ func run(cfg config) error {
 	if cfg.coalesceMS < 0 {
 		return fmt.Errorf("-coalesce-ms must be non-negative")
 	}
-	var format heatmap.SnapshotFormat
-	switch cfg.snapFormat {
-	case "", "v2":
-		format = heatmap.SnapshotV2
-	case "v1":
-		format = heatmap.SnapshotV1
-	default:
-		return fmt.Errorf("-snapshot-format must be v1 or v2, got %q", cfg.snapFormat)
-	}
 	// -coalesce-ms 0 means "never wait"; server.Config spells that as a
 	// negative window (its zero value selects the default).
 	window := time.Duration(cfg.coalesceMS * float64(time.Millisecond))
@@ -211,7 +200,6 @@ func run(cfg config) error {
 		CoalesceOps:    cfg.coalesceOps,
 		IngestQueue:    cfg.ingestQueue,
 		SnapshotDir:    cfg.snapshotDir,
-		SnapshotFormat: format,
 		Load:           cfg.load,
 		Cluster:        clusterOpts,
 	})

@@ -184,7 +184,7 @@ type Map struct {
 	geoOnce sync.Once
 	geo     *optimal.Geometry
 
-	// A mapped map (OpenSnapshot on a format-v2 file) serves queries, tiles
+	// A mapped map (restored by OpenSnapshot) serves queries, tiles
 	// and metadata straight off the snapshot view — view holds the mmap'd
 	// file, mloc the slab locator over it (nil when the file carries no slab
 	// index). Heap structures (clients, circles, labels, enclosure index)
@@ -487,10 +487,11 @@ func (m *Map) MaxHeat() (float64, Region) {
 
 // materialize builds the heap structures of a mapped map — client and
 // facility slices, circles, labels, the enclosure index — from the snapshot
-// view. It is a no-op for heap maps and runs at most once; operations that
-// can be answered from the view's metadata or the mapped locator never call
-// it, so a snapshot-serving process that only answers queries and tiles
-// keeps its heap resident set at zero.
+// view; it is the one place a map file becomes heap state. It is a no-op
+// for heap maps and runs at most once; operations that can be answered from
+// the view's metadata or the mapped locator never call it, so a
+// snapshot-serving process that only answers queries and tiles keeps its
+// heap resident set at zero.
 func (m *Map) materialize() {
 	if m.view == nil {
 		return
@@ -511,10 +512,11 @@ func (m *Map) materialize() {
 	})
 }
 
-// Residency reports where the map's data lives: "heap" for built or
-// v1-restored maps, "mapped" for a format-v2 snapshot served off the file
-// mapping alone, and "mapped+heap" once an operation has materialized heap
-// structures alongside the mapping. Servers surface it in /stats.
+// Residency reports where the map's data lives: "heap" for maps built in
+// memory (by Build or by a mutation), "mapped" for a snapshot served off
+// the file mapping alone, and "mapped+heap" once an operation has
+// materialized heap structures alongside the mapping. Servers surface it in
+// /stats.
 func (m *Map) Residency() string {
 	if m.view == nil {
 		return "heap"

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -229,23 +230,24 @@ func TestApplyDeltaPatchesSlabIndex(t *testing.T) {
 	}
 }
 
-// TestSnapshotRebuildsSlabIndexSweepFree pins the persistence contract: a
-// restored map answers byte-identically to the original through the slab
-// path, and the index materializes lazily from the snapshot's circles alone
-// — no Region Coloring sweep runs on load (the restored build stats stay
-// exactly as saved).
+// TestSnapshotRebuildsSlabIndexSweepFree pins the persistence contract for
+// a snapshot without slab sections (what a map whose index was disabled or
+// declined to build writes): the restored map answers byte-identically to
+// the original, through a slab index that materializes lazily from the
+// snapshot's circles alone — no Region Coloring sweep runs on load (the
+// restored build stats stay exactly as saved).
 func TestSnapshotRebuildsSlabIndexSweepFree(t *testing.T) {
 	t.Parallel()
 	clients, facilities := pointlocWorkload(63, 50, 6, true)
-	m, err := Build(Config{Clients: clients, Facilities: facilities, Metric: L2})
+	m, err := Build(Config{Clients: clients, Facilities: facilities, Metric: L2, NoSlabIndex: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := m.WriteSnapshot(&buf, 1); err != nil {
+	path := filepath.Join(t.TempDir(), "m.snap")
+	if err := m.SaveSnapshot(path, 1); err != nil {
 		t.Fatal(err)
 	}
-	restored, _, err := ReadSnapshot(&buf)
+	restored, _, err := OpenSnapshot(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,15 +1,9 @@
 package heatmap
 
 import (
-	"errors"
 	"fmt"
-	"io"
 
-	"rnnheatmap/internal/core"
-	"rnnheatmap/internal/enclosure"
-	"rnnheatmap/internal/geom"
 	"rnnheatmap/internal/influence"
-	"rnnheatmap/internal/nncircle"
 	"rnnheatmap/internal/pointloc"
 	"rnnheatmap/internal/snapshot"
 )
@@ -18,8 +12,9 @@ import (
 // the given server-side map version (use 1 for a freshly built map). The
 // snapshot round-trips everything queries and rendering depend on — points,
 // NN-circles, region labels, heat values, statistics and the measure's
-// context — so FromSnapshot restores a map whose answers and rendered tiles
-// are byte-identical to the original without re-running CREST.
+// context — so a map saved with SaveSnapshot and restored with OpenSnapshot
+// answers and renders byte-identically to the original without re-running
+// CREST.
 //
 // Measures built with CustomMeasure cannot be snapshotted: their behavior
 // lives in an arbitrary closure. Snapshot returns an error for them.
@@ -46,101 +41,43 @@ func (m *Map) Snapshot(mapVersion uint64) (*snapshot.Snapshot, error) {
 	}, nil
 }
 
-// FromSnapshot reconstructs a Map from a snapshot without re-running the
-// Region Coloring sweep: the labels and circles are taken as saved and only
-// the derived structures (bounds, enclosure index, renderer) are rebuilt,
-// which is why a 100k-circle map loads in milliseconds. The restored map
-// supports every operation of a freshly built one, including ApplyDelta.
-func FromSnapshot(s *snapshot.Snapshot) (*Map, error) {
-	if !s.Metric.Valid() {
-		return nil, fmt.Errorf("heatmap: snapshot has invalid metric %v", s.Metric)
-	}
-	if len(s.Clients) == 0 {
-		return nil, fmt.Errorf("heatmap: snapshot has no clients")
-	}
-	if len(s.Circles) != len(s.Clients) {
-		return nil, fmt.Errorf("heatmap: snapshot has %d circles for %d clients", len(s.Circles), len(s.Clients))
-	}
-	measure, err := s.Measure.Measure()
-	if err != nil {
-		return nil, fmt.Errorf("heatmap: %w", err)
-	}
-	bounds := geom.EmptyRect()
-	for _, nc := range s.Circles {
-		bounds = bounds.Union(nc.Circle.BoundingRect())
-	}
-	return &Map{
-		cfg: Config{
-			Clients:       s.Clients,
-			Facilities:    s.Facilities,
-			Monochromatic: s.Monochromatic,
-			Metric:        s.Metric,
-			Measure:       measure,
-			Algorithm:     Algorithm(s.Algorithm),
-			Workers:       s.Workers,
-		},
-		circles: s.Circles,
-		bounds:  bounds,
-		result: &core.Result{
-			Labels:   s.Labels,
-			MaxHeat:  s.MaxHeat,
-			MaxLabel: s.MaxLabel,
-			Stats:    s.Stats,
-		},
-		index:   enclosure.NewRTreeIndex(nncircle.Circles(s.Circles)),
-		measure: measure,
-	}, nil
-}
-
-// WriteSnapshot encodes the map (at the given map version) to w in the
-// versioned binary snapshot format (format v1 — the streaming encoding; use
-// SaveSnapshot for the mmap-able format-v2 file layout, which needs a
-// seekable target).
-func (m *Map) WriteSnapshot(w io.Writer, mapVersion uint64) error {
-	s, err := m.Snapshot(mapVersion)
-	if err != nil {
-		return err
-	}
-	return s.Encode(w)
-}
-
-// SnapshotFormat selects the on-disk snapshot layout for SaveSnapshotFormat.
-type SnapshotFormat = snapshot.Format
-
-// Snapshot formats: v1 is the legacy streaming encoding, v2 the sectioned
-// mmap-able layout OpenSnapshot serves zero-copy. The zero value means the
-// default (v2).
-const (
-	SnapshotV1 SnapshotFormat = snapshot.FormatV1
-	SnapshotV2 SnapshotFormat = snapshot.FormatV2
-)
-
-// SaveSnapshot atomically writes the map's snapshot to path in the default
-// format (v2). The slab point-location index is built if needed and stored
-// in the file, so OpenSnapshot can serve queries and tiles without a decode
-// or rebuild step.
+// SaveSnapshot atomically writes the map's snapshot to path. The slab
+// point-location index is built if needed and stored in the file, so
+// OpenSnapshot can serve queries and tiles without a decode or rebuild step.
 func (m *Map) SaveSnapshot(path string, mapVersion uint64) error {
-	return m.SaveSnapshotFormat(path, mapVersion, SnapshotV2)
-}
-
-// SaveSnapshotFormat is SaveSnapshot with an explicit format: SnapshotV1 is
-// the rollback escape hatch for downgrading to binaries that predate format
-// v2 (older readers reject v2 files by version, never misread them).
-func (m *Map) SaveSnapshotFormat(path string, mapVersion uint64, format SnapshotFormat) error {
 	s, err := m.Snapshot(mapVersion)
 	if err != nil {
 		return err
 	}
-	if format == SnapshotV1 {
-		return s.WriteFile(path)
-	}
-	return s.WriteFileFormat(path, format, m.slabTables())
+	return s.WriteFile(path, m.slabTables())
 }
 
-// slabTables exports the slab index for embedding in a format-v2 snapshot,
-// building it first if the map allows one (nil with NoSlabIndex or when the
-// build declined — the file is then written without slab sections and
-// OpenSnapshot falls back to materializing on first query).
+// SnapshotFormat names a snapshot file layout for SaveSnapshotFormat.
+//
+// Deprecated: there is one layout; use SaveSnapshot.
+type SnapshotFormat uint16
+
+// SnapshotV2 is the one snapshot layout SaveSnapshot writes and
+// OpenSnapshot reads.
+//
+// Deprecated: use SaveSnapshot.
+const SnapshotV2 SnapshotFormat = 2
+
+// SaveSnapshotFormat is SaveSnapshot for callers that still name the
+// layout: it accepts SnapshotV2 and refuses any other value.
+//
+// Deprecated: use SaveSnapshot.
+func (m *Map) SaveSnapshotFormat(path string, mapVersion uint64, format SnapshotFormat) error {
+	if format != SnapshotV2 {
+		return fmt.Errorf("heatmap: snapshot format %d is not writable (this build writes only format %d)", format, SnapshotV2)
+	}
+	return m.SaveSnapshot(path, mapVersion)
+}
+
+// slabTables exports the slab index for embedding in a snapshot, building it
+// first if the map allows one (nil with NoSlabIndex or when the build
+// declined — the file is then written without slab sections and a map
+// opened from it builds its index on first query).
 func (m *Map) slabTables() *snapshot.SlabTables {
 	if ix := m.pointLoc(); ix != nil {
 		return ix.ExportTables()
@@ -148,48 +85,16 @@ func (m *Map) slabTables() *snapshot.SlabTables {
 	return nil
 }
 
-// ReadSnapshot decodes a snapshot from r and restores the map, returning the
-// map version the snapshot was saved at.
-func ReadSnapshot(r io.Reader) (*Map, uint64, error) {
-	s, err := snapshot.Decode(r)
-	if err != nil {
-		return nil, 0, err
-	}
-	m, err := FromSnapshot(s)
-	if err != nil {
-		return nil, 0, err
-	}
-	return m, s.MapVersion, nil
-}
-
-// LoadSnapshot restores a map saved with SaveSnapshot by decoding the whole
-// file to the heap (either format). Prefer OpenSnapshot, which serves
-// format-v2 files off a file mapping instead.
-func LoadSnapshot(path string) (*Map, uint64, error) {
-	s, err := snapshot.ReadFile(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	m, err := FromSnapshot(s)
-	if err != nil {
-		return nil, 0, err
-	}
-	return m, s.MapVersion, nil
-}
-
-// OpenSnapshot restores a map from a snapshot file, serving format-v2 files
-// zero-copy: the file is mapped (or read once on platforms without mmap) and
-// queries, tiles and metadata resolve directly against the validated
-// sections — no decode, no index rebuild. Operations that need heap
-// structures (region enumeration, ApplyDelta, optimal-location ranking)
-// materialize them lazily; see (*Map).Residency. Format-v1 files fall back
-// to LoadSnapshot transparently.
+// OpenSnapshot restores a map from a snapshot file written by SaveSnapshot,
+// returning the map version it was saved at. The file is mapped (or read
+// once on platforms without mmap) and queries, tiles and metadata resolve
+// directly against the validated sections — no decode, no index rebuild.
+// Operations that need heap structures (region enumeration, ApplyDelta,
+// optimal-location ranking) materialize them lazily; see (*Map).Residency.
+// A file of another format version is refused with an error naming it.
 func OpenSnapshot(path string) (*Map, uint64, error) {
 	v, err := snapshot.Open(path)
 	if err != nil {
-		if errors.Is(err, snapshot.ErrFormatV1) {
-			return LoadSnapshot(path)
-		}
 		return nil, 0, err
 	}
 	m, err := fromView(v)
@@ -200,11 +105,11 @@ func OpenSnapshot(path string) (*Map, uint64, error) {
 	return m, m.view.Meta().MapVersion, nil
 }
 
-// fromView builds a mapped Map over an open format-v2 view, mirroring
-// FromSnapshot's validation against the header metadata. The view's
-// lifetime is tied to the map: it stays mapped for as long as the map is
-// reachable (views are small kernel objects backed by the page cache, so
-// maps dropped without Close leak nothing but address space).
+// fromView builds a mapped Map over an open snapshot view, validating the
+// header metadata a map needs. The view's lifetime is tied to the map: it
+// stays mapped for as long as the map is reachable (views are small kernel
+// objects backed by the page cache, so maps dropped without Close leak
+// nothing but address space).
 func fromView(v *snapshot.View) (*Map, error) {
 	meta := v.Meta()
 	if !meta.Metric.Valid() {

@@ -2,17 +2,20 @@ package heatmap
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
-// TestSnapshotFormatsAgree is the cross-format acceptance criterion: one
-// built map saved as format v1 and format v2, restored three ways — v1
-// decode, v2 decode, v2 mmap — answers every read identically, down to the
-// tile PNG bytes, for all three metrics. The mapped restore must serve
-// metadata, queries and tiles without materializing heap structures.
+// TestSnapshotFormatsAgree is the persistence acceptance criterion: one
+// built map saved with SaveSnapshot and restored with OpenSnapshot answers
+// every read identically to the original, down to the tile PNG bytes, for
+// all three metrics. The mapped restore must serve metadata, queries and
+// tiles without materializing heap structures.
 func TestSnapshotFormatsAgree(t *testing.T) {
 	t.Parallel()
 	clients, facilities := snapshotTestSets(t)
@@ -24,98 +27,112 @@ func TestSnapshotFormatsAgree(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Build: %v", err)
 			}
-			dir := t.TempDir()
-			v1Path := filepath.Join(dir, "m1.snap")
-			v2Path := filepath.Join(dir, "m2.snap")
-			if err := orig.SaveSnapshotFormat(v1Path, 7, SnapshotV1); err != nil {
-				t.Fatalf("SaveSnapshotFormat(v1): %v", err)
-			}
-			if err := orig.SaveSnapshot(v2Path, 7); err != nil {
+			path := filepath.Join(t.TempDir(), "m.snap")
+			if err := orig.SaveSnapshot(path, 7); err != nil {
 				t.Fatalf("SaveSnapshot: %v", err)
 			}
-
-			fromV1, ver1, err := LoadSnapshot(v1Path)
-			if err != nil {
-				t.Fatalf("LoadSnapshot(v1): %v", err)
-			}
-			fromV2, ver2, err := LoadSnapshot(v2Path)
-			if err != nil {
-				t.Fatalf("LoadSnapshot(v2): %v", err)
-			}
-			mapped, ver3, err := OpenSnapshot(v2Path)
+			m, version, err := OpenSnapshot(path)
 			if err != nil {
 				t.Fatalf("OpenSnapshot: %v", err)
 			}
-			if ver1 != 7 || ver2 != 7 || ver3 != 7 {
-				t.Errorf("map versions = %d/%d/%d, want 7", ver1, ver2, ver3)
+			if version != 7 {
+				t.Errorf("map version = %d, want 7", version)
 			}
-			if got := mapped.Residency(); got != "mapped" {
+			if got := m.Residency(); got != "mapped" {
 				t.Errorf("Residency after OpenSnapshot = %q, want mapped", got)
 			}
 
 			// Metadata, queries and tiles first: all must be served off the
 			// mapping without materializing.
-			maps := map[string]*Map{"v1-decode": fromV1, "v2-decode": fromV2, "v2-mmap": mapped}
+			if m.NumClients() != orig.NumClients() || m.NumFacilities() != orig.NumFacilities() {
+				t.Error("set sizes differ")
+			}
+			if m.NumRegions() != orig.NumRegions() {
+				t.Errorf("NumRegions = %d, want %d", m.NumRegions(), orig.NumRegions())
+			}
 			wantMaxHeat, wantMaxRegion := orig.MaxHeat()
-			for name, m := range maps {
-				if m.NumClients() != orig.NumClients() || m.NumFacilities() != orig.NumFacilities() {
-					t.Errorf("%s: set sizes differ", name)
-				}
-				if m.NumRegions() != orig.NumRegions() {
-					t.Errorf("%s: NumRegions = %d, want %d", name, m.NumRegions(), orig.NumRegions())
-				}
-				gotMaxHeat, gotMaxRegion := m.MaxHeat()
-				if gotMaxHeat != wantMaxHeat || !reflect.DeepEqual(gotMaxRegion, wantMaxRegion) {
-					t.Errorf("%s: MaxHeat diverges", name)
-				}
-				if m.Summary() != orig.Summary() {
-					t.Errorf("%s: Summary = %+v, want %+v", name, m.Summary(), orig.Summary())
-				}
-				if m.Stats() != orig.Stats() {
-					t.Errorf("%s: Stats diverge", name)
-				}
-				if m.Bounds() != orig.Bounds() {
-					t.Errorf("%s: Bounds = %v, want %v", name, m.Bounds(), orig.Bounds())
-				}
-				if name == "v2-mmap" {
-					// Saving built orig's slab index, so the mapped view's
-					// counts must match it exactly.
-					_, slabs, cells := orig.SlabIndexStats()
-					if mb, ms, mc := m.SlabIndexStats(); !mb || ms != slabs || mc != cells {
-						t.Errorf("%s: SlabIndexStats = %v/%d/%d, want true/%d/%d", name, mb, ms, mc, slabs, cells)
-					}
-				}
-				for _, p := range []Point{Pt(250, 250), Pt(10, 490), Pt(333.5, 41.25), Pt(-100, -100)} {
-					gh, gr := m.HeatAt(p)
-					wh, wr := orig.HeatAt(p)
-					if gh != wh || !reflect.DeepEqual(gr, wr) {
-						t.Errorf("%s: HeatAt(%v) = %v/%v, want %v/%v", name, p, gh, gr, wh, wr)
-					}
-				}
-				full := orig.Bounds()
-				sub := Rect{MinX: full.MinX, MinY: full.MinY,
-					MaxX: (full.MinX + full.MaxX) / 2, MaxY: (full.MinY + full.MaxY) / 2}
-				for _, b := range []Rect{full, sub} {
-					if !bytes.Equal(tilePNG(t, m, b), tilePNG(t, orig, b)) {
-						t.Errorf("%s: rendered PNG for %v differs", name, b)
-					}
+			gotMaxHeat, gotMaxRegion := m.MaxHeat()
+			if gotMaxHeat != wantMaxHeat || !reflect.DeepEqual(gotMaxRegion, wantMaxRegion) {
+				t.Error("MaxHeat diverges")
+			}
+			if m.Summary() != orig.Summary() {
+				t.Errorf("Summary = %+v, want %+v", m.Summary(), orig.Summary())
+			}
+			if m.Stats() != orig.Stats() {
+				t.Error("Stats diverge")
+			}
+			if m.Bounds() != orig.Bounds() {
+				t.Errorf("Bounds = %v, want %v", m.Bounds(), orig.Bounds())
+			}
+			// Saving built orig's slab index, so the mapped view's counts
+			// must match it exactly.
+			_, slabs, cells := orig.SlabIndexStats()
+			if mb, ms, mc := m.SlabIndexStats(); !mb || ms != slabs || mc != cells {
+				t.Errorf("SlabIndexStats = %v/%d/%d, want true/%d/%d", mb, ms, mc, slabs, cells)
+			}
+			for _, p := range []Point{Pt(250, 250), Pt(10, 490), Pt(333.5, 41.25), Pt(-100, -100)} {
+				gh, gr := m.HeatAt(p)
+				wh, wr := orig.HeatAt(p)
+				if gh != wh || !reflect.DeepEqual(gr, wr) {
+					t.Errorf("HeatAt(%v) = %v/%v, want %v/%v", p, gh, gr, wh, wr)
 				}
 			}
-			if got := mapped.Residency(); got != "mapped" {
+			full := orig.Bounds()
+			sub := Rect{MinX: full.MinX, MinY: full.MinY,
+				MaxX: (full.MinX + full.MaxX) / 2, MaxY: (full.MinY + full.MaxY) / 2}
+			for _, b := range []Rect{full, sub} {
+				if !bytes.Equal(tilePNG(t, m, b), tilePNG(t, orig, b)) {
+					t.Errorf("rendered PNG for %v differs", b)
+				}
+			}
+			if got := m.Residency(); got != "mapped" {
 				t.Errorf("Residency after decode-free reads = %q, want mapped", got)
 			}
 
 			// Region enumeration materializes the mapped map and must agree.
-			wantRegions := orig.Regions()
-			for name, m := range maps {
-				if !reflect.DeepEqual(m.Regions(), wantRegions) {
-					t.Errorf("%s: Regions diverge", name)
-				}
+			if !reflect.DeepEqual(m.Regions(), orig.Regions()) {
+				t.Error("Regions diverge")
 			}
-			if got := mapped.Residency(); got != "mapped+heap" {
+			if got := m.Residency(); got != "mapped+heap" {
 				t.Errorf("Residency after Regions = %q, want mapped+heap", got)
 			}
 		})
+	}
+}
+
+// TestOpenSnapshotRefusesOtherVersions: a file carrying the snapshot magic
+// but another format version — the retired format 1 or a future 3 — is
+// refused with an error naming the file and the version, never misread.
+func TestOpenSnapshotRefusesOtherVersions(t *testing.T) {
+	t.Parallel()
+	clients, facilities := snapshotTestSets(t)
+	orig, err := Build(Config{Clients: clients, Facilities: facilities, Metric: L2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "m.snap")
+	if err := orig.SaveSnapshot(path, 1); err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, version := range []uint16{1, 3} {
+		b := append([]byte(nil), good...)
+		binary.LittleEndian.PutUint16(b[4:6], version)
+		p := filepath.Join(dir, fmt.Sprintf("v%d.snap", version))
+		if err := os.WriteFile(p, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, _, err := OpenSnapshot(p)
+		if err == nil || m != nil {
+			t.Fatalf("OpenSnapshot of a version-%d file = (%v, %v), want a refusal", version, m, err)
+		}
+		if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("version %d", version)) || !strings.Contains(msg, p) {
+			t.Errorf("OpenSnapshot of a version-%d file: %q does not name the file and the version", version, msg)
+		}
 	}
 }
 
@@ -167,9 +184,9 @@ func TestMappedApplyDeltaPromotes(t *testing.T) {
 	}
 }
 
-// TestMappedOptimal: the optimal-location engine works on a v2 snapshot
-// restored by decoding and by mmap (materializing it) and matches the
-// original build exactly, geometry included, for every metric. A restored
+// TestMappedOptimal: the optimal-location engine works on a snapshot
+// restored by OpenSnapshot (materializing it) and matches the original
+// build exactly, geometry included, for every metric. A restored
 // map's labels and slab gaps come from different pools than the build's, so
 // the ranking and the geometry join must compare sets by content.
 func TestMappedOptimal(t *testing.T) {
@@ -185,10 +202,6 @@ func TestMappedOptimal(t *testing.T) {
 			}
 			path := filepath.Join(t.TempDir(), "m.snap")
 			if err := orig.SaveSnapshot(path, 1); err != nil {
-				t.Fatal(err)
-			}
-			decoded, _, err := LoadSnapshot(path)
-			if err != nil {
 				t.Fatal(err)
 			}
 			mapped, _, err := OpenSnapshot(path)
@@ -207,15 +220,56 @@ func TestMappedOptimal(t *testing.T) {
 					t.Fatalf("built map's region %v has no geometry to compare: %+v", r.RNN, r)
 				}
 			}
-			for name, m := range map[string]*Map{"v2-decode": decoded, "v2-mmap": mapped} {
-				got, err := m.OptimalTopK(10, OptimalConstraints{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s: OptimalTopK diverges:\n got %+v\nwant %+v", name, got, want)
-				}
+			got, err := mapped.OptimalTopK(10, OptimalConstraints{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("OptimalTopK diverges:\n got %+v\nwant %+v", got, want)
 			}
 		})
+	}
+}
+
+// TestSaveSnapshotFormat: the deprecated format-naming save writes exactly
+// SaveSnapshot's bytes for SnapshotV2 and refuses every other value without
+// touching the target path.
+func TestSaveSnapshotFormat(t *testing.T) {
+	t.Parallel()
+	clients, facilities := snapshotTestSets(t)
+	m, err := Build(Config{Clients: clients, Facilities: facilities, Metric: L1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	want := filepath.Join(dir, "want.snap")
+	if err := m.SaveSnapshot(want, 3); err != nil {
+		t.Fatal(err)
+	}
+	got := filepath.Join(dir, "got.snap")
+	if err := m.SaveSnapshotFormat(got, 3, SnapshotV2); err != nil {
+		t.Fatalf("SaveSnapshotFormat(SnapshotV2): %v", err)
+	}
+	wb, err := os.ReadFile(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gb, err := os.ReadFile(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Stats.Duration is part of the file and identical here: both saves
+	// encode the same built map.
+	if !bytes.Equal(gb, wb) {
+		t.Error("SaveSnapshotFormat(SnapshotV2) bytes differ from SaveSnapshot's")
+	}
+	for _, f := range []SnapshotFormat{0, 1, 3} {
+		p := filepath.Join(dir, fmt.Sprintf("f%d.snap", f))
+		if err := m.SaveSnapshotFormat(p, 3, f); err == nil {
+			t.Errorf("SaveSnapshotFormat(%d) succeeded, want a refusal", f)
+		}
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("SaveSnapshotFormat(%d) left a file behind (stat err %v)", f, err)
+		}
 	}
 }

@@ -35,9 +35,10 @@ func tilePNG(t *testing.T, m *Map, bounds Rect) []byte {
 }
 
 // TestSnapshotRoundTripAcrossMetricsAndMeasures is the acceptance criterion:
-// save -> load of a built map is byte-identical for region labels, heat
-// values and rendered tile PNGs, for every metric and every serializable
-// measure.
+// SaveSnapshot -> OpenSnapshot of a built map is byte-identical for region
+// labels, heat values and rendered tile PNGs, for every metric and every
+// serializable measure — so connectivity edges and the capacity context
+// round-trip through the snapshot's meta section.
 func TestSnapshotRoundTripAcrossMetricsAndMeasures(t *testing.T) {
 	t.Parallel()
 	clients, facilities := snapshotTestSets(t)
@@ -79,9 +80,9 @@ func TestSnapshotRoundTripAcrossMetricsAndMeasures(t *testing.T) {
 				if err := orig.SaveSnapshot(path, 5); err != nil {
 					t.Fatalf("SaveSnapshot: %v", err)
 				}
-				loaded, version, err := LoadSnapshot(path)
+				loaded, version, err := OpenSnapshot(path)
 				if err != nil {
-					t.Fatalf("LoadSnapshot: %v", err)
+					t.Fatalf("OpenSnapshot: %v", err)
 				}
 				if version != 5 {
 					t.Errorf("loaded map version = %d, want 5", version)
@@ -139,7 +140,7 @@ func TestSnapshotThenApplyDelta(t *testing.T) {
 	if err := orig.SaveSnapshot(path, 1); err != nil {
 		t.Fatal(err)
 	}
-	loaded, _, err := LoadSnapshot(path)
+	loaded, _, err := OpenSnapshot(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package geom
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -191,6 +192,33 @@ func TestRectBasics(t *testing.T) {
 	}
 }
 
+// TestRectPixelCenters pins the one pixel grid both render paths sample:
+// xs ascend from MinX + dx/2, ys descend from MaxY - dy/2 so row 0 is the
+// top, and a 1x1 grid samples the rectangle's center.
+func TestRectPixelCenters(t *testing.T) {
+	cases := []struct {
+		name          string
+		r             Rect
+		width, height int
+		xs, ys        []float64
+	}{
+		{"1x1 unit", Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, 1, 1, []float64{0.5}, []float64{0.5}},
+		{"1x1 offset", Rect{MinX: -3, MinY: 2, MaxX: 5, MaxY: 6}, 1, 1, []float64{1}, []float64{4}},
+		{"4x2", Rect{MinX: 0, MinY: 0, MaxX: 8, MaxY: 4}, 4, 2, []float64{1, 3, 5, 7}, []float64{3, 1}},
+		{"2x3 offset", Rect{MinX: -2, MinY: 10, MaxX: 2, MaxY: 16}, 2, 3, []float64{-1, 1}, []float64{15, 13, 11}},
+	}
+	for _, tc := range cases {
+		xs, ys := tc.r.PixelCenters(tc.width, tc.height)
+		if !slices.Equal(xs, tc.xs) || !slices.Equal(ys, tc.ys) {
+			t.Errorf("%s: PixelCenters(%d, %d) = %v, %v; want %v, %v",
+				tc.name, tc.width, tc.height, xs, ys, tc.xs, tc.ys)
+		}
+		if tc.width == 1 && tc.height == 1 && !Pt(xs[0], ys[0]).Equal(tc.r.Center()) {
+			t.Errorf("%s: 1x1 grid samples %v, want the center %v", tc.name, Pt(xs[0], ys[0]), tc.r.Center())
+		}
+	}
+}
+
 func TestRectContains(t *testing.T) {
 	r := Rect{MinX: 0, MinY: 0, MaxX: 2, MaxY: 2}
 	if !r.Contains(Pt(0, 0)) || !r.Contains(Pt(2, 2)) || !r.Contains(Pt(1, 1)) {
@@ -327,6 +355,9 @@ func TestCircleExtremesAndBounding(t *testing.T) {
 	}
 	if c.IntersectsRect(EmptyRect()) {
 		t.Errorf("should not intersect empty rect")
+	}
+	if s := NewCircle(Pt(1, -2), 2.5, L2).String(); s != "L2-circle(center=(1, -2), r=2.5)" {
+		t.Errorf("String = %q", s)
 	}
 }
 

@@ -28,8 +28,8 @@ func mappedFromIndex(t *testing.T, ix *Index, measure influence.Measure) *Mapped
 		Circles:   ix.all,
 	}
 	path := filepath.Join(t.TempDir(), "ix.snap")
-	if err := snap.WriteFileV2(path, ix.ExportTables()); err != nil {
-		t.Fatalf("WriteFileV2: %v", err)
+	if err := snap.WriteFile(path, ix.ExportTables()); err != nil {
+		t.Fatalf("WriteFile: %v", err)
 	}
 	v, err := snapshot.Open(path)
 	if err != nil {
@@ -93,7 +93,7 @@ func TestMappedNoSlabIndex(t *testing.T) {
 	circles, _ := testInstance(t, 7, 10, 4, geom.LInf, false)
 	snap := &snapshot.Snapshot{Metric: geom.LInf, Algorithm: "crest", Workers: 1, Circles: circles}
 	path := filepath.Join(t.TempDir(), "noslab.snap")
-	if err := snap.WriteFileV2(path, nil); err != nil {
+	if err := snap.WriteFile(path, nil); err != nil {
 		t.Fatal(err)
 	}
 	v, err := snapshot.Open(path)

@@ -81,9 +81,6 @@ func (o *ClusterOptions) validate(cfg *Config) error {
 	if !cfg.Mutable || cfg.SnapshotDir == "" {
 		return errors.New("server: cluster mode requires Mutable and SnapshotDir (owners write-ahead log for their replicas)")
 	}
-	if cfg.SnapshotFormat != heatmap.SnapshotV2 {
-		return errors.New("server: cluster mode requires the v2 snapshot format (replica bootstrap serves the snapshot file)")
-	}
 	if o.ShipInterval <= 0 {
 		o.ShipInterval = 150 * time.Millisecond
 	}
@@ -452,13 +449,12 @@ func (c *clusterNode) recordsSince(inst *mapInstance, since, published uint64, l
 	return h.tail.RecordsSince(since, published, limit)
 }
 
-// handleClusterSnapshot serves the owner's on-disk v2 snapshot file for
+// handleClusterSnapshot serves the owner's on-disk snapshot file for
 // replica bootstrap. The file is served from its mmap view through
 // http.ServeContent, so transfers are range-resumable and never hold the
 // map's writer lock; a save racing the transfer just renames a new file
 // into place while this view keeps its inode. When the on-disk file is
-// missing or unreadable (e.g. a v1-format leftover), a fresh v2 snapshot is
-// forced first.
+// missing or cannot be opened, a fresh snapshot is forced first.
 func (s *Server) handleClusterSnapshot(w http.ResponseWriter, r *http.Request) {
 	c := s.requireCluster(w)
 	if c == nil {
@@ -876,7 +872,6 @@ func (c *clusterNode) bootstrap(name string, owner cluster.Node) error {
 		if err != nil {
 			return err
 		}
-		inst.snapFormat.Store(int32(heatmap.SnapshotV2))
 	} else {
 		inst.writeMu.Lock()
 		if c.s.lookup(name) != inst {
@@ -905,7 +900,6 @@ func (c *clusterNode) bootstrap(name string, owner cluster.Node) error {
 		// Every cached tile belongs to the replaced lineage; start cold.
 		inst.cache.migrate(old.version, ns.version, func(int, int, int) bool { return false })
 		inst.cur.Store(ns)
-		inst.snapFormat.Store(int32(heatmap.SnapshotV2))
 		inst.dirty.Store(false) // disk and memory are the same bytes right now
 		inst.writeMu.Unlock()
 	}

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -19,6 +20,7 @@ import (
 	"rnnheatmap/heatmap"
 	"rnnheatmap/internal/cluster"
 	"rnnheatmap/internal/dataset"
+	"rnnheatmap/internal/snapshot"
 )
 
 // clusterMap builds the small deterministic map every cluster node starts
@@ -593,4 +595,41 @@ func TestClusterWALEndpoint(t *testing.T) {
 	v = mutateOwner(t, rng, owner)
 	tc.waitSynced(replica, DefaultMapName, v)
 	assertTileParity(t, owner, replica)
+}
+
+// TestClusterSnapshotResavesMissingFile: when the owner's snapshot file is
+// gone from disk, the bootstrap endpoint saves a fresh one and serves those
+// exact bytes, so a replica can always bootstrap from the owner's state.
+func TestClusterSnapshotResavesMissingFile(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	s, err := New(Config{
+		Map: clusterMap(t), Mutable: true, TileSize: 32, SnapshotDir: dir,
+		Cluster: &ClusterOptions{
+			Topology: &cluster.Topology{Nodes: []cluster.Node{{ID: "n0", Addr: "127.0.0.1:1"}}, Replicas: 1},
+			NodeID:   "n0",
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	path := snapshot.MapPath(dir, DefaultMapName)
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	rec := get(t, s, "/v1/cluster/maps/default/snapshot")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("bootstrap snapshot = %d (body %s)", rec.Code, rec.Body)
+	}
+	disk, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("snapshot file not re-saved: %v", err)
+	}
+	if !bytes.Equal(rec.Body.Bytes(), disk) {
+		t.Error("served snapshot differs from the re-saved file")
+	}
+	if v := rec.Header().Get(cluster.VersionHeader); v != "1" {
+		t.Errorf("%s = %q, want 1", cluster.VersionHeader, v)
+	}
 }

@@ -40,9 +40,6 @@ type mapInstance struct {
 	// dirty is set when the in-memory map has state (mutations, or a fresh
 	// build) not yet folded into the on-disk snapshot.
 	dirty atomic.Bool
-	// snapFormat is the format of the map's last loaded or saved snapshot
-	// (heatmap.SnapshotV1 or SnapshotV2 as an int32; 0 = never persisted).
-	snapFormat atomic.Int32
 	// Optimal-location counters, surfaced in /stats: GET /optimal queries,
 	// POST /optimize runs (dry or committed), and facilities placed by them.
 	optimalQueries atomic.Int64
@@ -52,19 +49,6 @@ type mapInstance struct {
 
 // state returns the instance's current map snapshot.
 func (inst *mapInstance) state() *mapState { return inst.cur.Load() }
-
-// snapshotFormat names the instance's on-disk snapshot format for /stats:
-// "v1", "v2", or "" when the map has never been loaded from or saved to disk.
-func (inst *mapInstance) snapshotFormat() string {
-	switch heatmap.SnapshotFormat(inst.snapFormat.Load()) {
-	case heatmap.SnapshotV1:
-		return "v1"
-	case heatmap.SnapshotV2:
-		return "v2"
-	default:
-		return ""
-	}
-}
 
 // mapNameRE validates tenant names: they appear in URLs and file names, so
 // they are restricted to a safe alphabet.
@@ -262,16 +246,12 @@ func (s *Server) loadMaps() error {
 		if !mapNameRE.MatchString(name) {
 			return fmt.Errorf("server: snapshot file %q does not name a valid map", e.Name())
 		}
-		// OpenSnapshot serves format-v2 files off an mmap view (queries,
-		// tiles and metadata with no decode step) and falls back to the heap
-		// decode for format-v1 files.
+		// OpenSnapshot serves the file off an mmap view (queries, tiles and
+		// metadata with no decode step). A file it refuses — another format
+		// version, or damage — fails startup rather than dropping the map.
 		m, version, err := heatmap.OpenSnapshot(snapshot.MapPath(s.snapshotDir, name))
 		if err != nil {
 			return fmt.Errorf("server: loading map %q: %w", name, err)
-		}
-		loadedFormat := heatmap.SnapshotV2
-		if m.Residency() == "heap" {
-			loadedFormat = heatmap.SnapshotV1
 		}
 		m, version, replayed, wal, err := s.replayWAL(name, m, version)
 		if err != nil {
@@ -281,7 +261,6 @@ func (s *Server) loadMaps() error {
 		if err != nil {
 			return fmt.Errorf("server: registering loaded map %q: %w", name, err)
 		}
-		inst.snapFormat.Store(int32(loadedFormat))
 		if replayed > 0 {
 			// The snapshot on disk lags the replayed state; mark dirty so the
 			// next save compacts snapshot+WAL.
@@ -351,10 +330,9 @@ func (s *Server) replayWAL(name string, m *heatmap.Map, version uint64) (*heatma
 // only owner (registration).
 func (s *Server) saveInstanceLocked(inst *mapInstance) error {
 	st := inst.state()
-	if err := st.m.SaveSnapshotFormat(snapshot.MapPath(s.snapshotDir, inst.name), st.version, s.snapFormat); err != nil {
+	if err := st.m.SaveSnapshot(snapshot.MapPath(s.snapshotDir, inst.name), st.version); err != nil {
 		return err
 	}
-	inst.snapFormat.Store(int32(s.snapFormat))
 	if inst.wal != nil {
 		if err := inst.wal.Reset(); err != nil {
 			return err

@@ -2,9 +2,12 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"os"
+	"strings"
 	"testing"
 
 	"rnnheatmap/internal/snapshot"
@@ -293,13 +296,14 @@ func TestSnapshotSaveCompactsWAL(t *testing.T) {
 	}
 	// After compaction the snapshot itself carries version 2 and the WAL is
 	// empty.
-	snap, err := snapshot.ReadFile(snapshot.MapPath(dir, DefaultMapName))
+	snap, err := snapshot.Open(snapshot.MapPath(dir, DefaultMapName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.MapVersion != wantVersion {
-		t.Errorf("compacted snapshot at version %d, want %d", snap.MapVersion, wantVersion)
+	if v := snap.Meta().MapVersion; v != wantVersion {
+		t.Errorf("compacted snapshot at version %d, want %d", v, wantVersion)
 	}
+	snap.Close()
 	_, records, err := snapshot.OpenWAL(snapshot.WALPath(dir, DefaultMapName))
 	if err != nil {
 		t.Fatal(err)
@@ -388,13 +392,14 @@ func TestForcedSnapshotEndpoint(t *testing.T) {
 	if rec := do(t, s, http.MethodPost, "/maps/default/snapshot", ""); rec.Code != http.StatusOK {
 		t.Fatalf("forced snapshot = %d (body %s)", rec.Code, rec.Body)
 	}
-	snap, err := snapshot.ReadFile(snapshot.MapPath(dir, DefaultMapName))
+	snap, err := snapshot.Open(snapshot.MapPath(dir, DefaultMapName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.MapVersion != 2 {
-		t.Errorf("forced snapshot at version %d, want 2", snap.MapVersion)
+	if v := snap.Meta().MapVersion; v != 2 {
+		t.Errorf("forced snapshot at version %d, want 2", v)
 	}
+	snap.Close()
 	if fi, err := os.Stat(snapshot.WALPath(dir, DefaultMapName)); err != nil || fi.Size() != int64(walFileHeaderLen(t)) {
 		t.Errorf("WAL not reset after forced snapshot (size %v, err %v)", fi, err)
 	}
@@ -414,6 +419,43 @@ func walFileHeaderLen(t *testing.T) int {
 		t.Fatal(err)
 	}
 	return int(fi.Size())
+}
+
+// TestLoadRefusesOtherSnapshotVersions: a map file of another snapshot
+// format version — the retired format 1 or a future 3 — fails startup with
+// an error naming the map and the version. The server neither skips the map
+// nor misreads the file.
+func TestLoadRefusesOtherSnapshotVersions(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	a, err := New(Config{Map: handMap(t), TileSize: 32, SnapshotDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := snapshot.MapPath(dir, DefaultMapName)
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, version := range []uint16{1, 3} {
+		b := append([]byte(nil), good...)
+		binary.LittleEndian.PutUint16(b[4:6], version)
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(Config{TileSize: 32, SnapshotDir: dir, Load: true})
+		if err == nil {
+			s.Close()
+			t.Fatalf("Load over a version-%d snapshot succeeded, want a refusal", version)
+		}
+		msg := err.Error()
+		if !strings.Contains(msg, fmt.Sprintf("%q", DefaultMapName)) || !strings.Contains(msg, fmt.Sprintf("version %d", version)) {
+			t.Errorf("Load over a version-%d snapshot: %q does not name the map and the version", version, msg)
+		}
+	}
 }
 
 // TestReadOnlyServerReplaysWAL asserts a read-only restart still applies the

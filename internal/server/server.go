@@ -116,16 +116,11 @@ type Config struct {
 	// Load restores every map found in SnapshotDir at startup, replaying
 	// each map's WAL on top of its snapshot. Requires SnapshotDir.
 	Load bool
-	// SnapshotFormat selects the on-disk layout for saved maps; the zero
-	// value means the default (format v2, the mmap-able layout). Set
-	// heatmap.SnapshotV1 as a rollback escape hatch for binaries that
-	// predate format v2. Loading accepts both formats regardless.
-	SnapshotFormat heatmap.SnapshotFormat
 	// Cluster, when non-nil, runs this server as one node of a static
 	// cluster: maps are placed onto nodes by consistent hashing, owners
 	// ship their WAL to read replicas, and requests for maps placed
 	// elsewhere are proxied (reads) or 307-redirected (writes). Requires
-	// Mutable, SnapshotDir and the v2 snapshot format. See cluster.go.
+	// Mutable and SnapshotDir. See cluster.go.
 	Cluster *ClusterOptions
 }
 
@@ -174,7 +169,6 @@ type Server struct {
 	maxMaps       int
 	maxMapPoints  int
 	snapshotDir   string
-	snapFormat    heatmap.SnapshotFormat
 
 	coalesceWindow time.Duration
 	coalesceOps    int
@@ -237,14 +231,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Load && cfg.SnapshotDir == "" {
 		return nil, errors.New("server: Config.Load requires Config.SnapshotDir")
 	}
-	switch cfg.SnapshotFormat {
-	case 0, heatmap.SnapshotV1, heatmap.SnapshotV2:
-	default:
-		return nil, fmt.Errorf("server: unknown snapshot format %d", cfg.SnapshotFormat)
-	}
-	if cfg.SnapshotFormat == 0 {
-		cfg.SnapshotFormat = heatmap.SnapshotV2
-	}
 	if cfg.Cluster != nil {
 		if err := cfg.Cluster.validate(&cfg); err != nil {
 			return nil, err
@@ -260,7 +246,6 @@ func New(cfg Config) (*Server, error) {
 		maxMaps:       cfg.MaxMaps,
 		maxMapPoints:  cfg.MaxMapPoints,
 		snapshotDir:   cfg.SnapshotDir,
-		snapFormat:    cfg.SnapshotFormat,
 
 		coalesceWindow: cfg.CoalesceWindow,
 		coalesceOps:    cfg.CoalesceOps,
@@ -578,8 +563,9 @@ type statsResponse struct {
 	APIVersion string `json:"api_version"`
 	Mutable    bool   `json:"mutable"`
 	Persisted  bool   `json:"persisted"`
-	// SnapshotFormat is the on-disk layout of the map's last loaded or saved
-	// snapshot ("v1" or "v2"); empty when the map has never touched disk.
+	// SnapshotFormat is the on-disk snapshot layout, "v2", when the server
+	// persists its maps (every map is on disk once registered); empty
+	// otherwise.
 	SnapshotFormat string `json:"snapshot_format,omitempty"`
 	// Residency reports where the map's data lives: "heap", "mapped" (served
 	// zero-copy off a format-v2 snapshot) or "mapped+heap" (mapped, with heap
@@ -690,6 +676,10 @@ func (s *Server) handleStats(inst *mapInstance, w http.ResponseWriter, r *http.R
 	if s.cluster != nil {
 		clusterSection = s.cluster.statsOf(inst)
 	}
+	var snapFormat string
+	if s.snapshotDir != "" {
+		snapFormat = "v2"
+	}
 	writeJSON(w, http.StatusOK, statsResponse{
 		Name:           inst.name,
 		Measure:        st.m.MeasureName(),
@@ -697,7 +687,7 @@ func (s *Server) handleStats(inst *mapInstance, w http.ResponseWriter, r *http.R
 		APIVersion:     APIVersion,
 		Mutable:        s.mutable,
 		Persisted:      s.snapshotDir != "",
-		SnapshotFormat: inst.snapshotFormat(),
+		SnapshotFormat: snapFormat,
 		Residency:      st.m.Residency(),
 		Clients:        st.m.NumClients(),
 		Facilities:     st.m.NumFacilities(),

@@ -252,47 +252,3 @@ func TestMappedSnapshotServesAndReports(t *testing.T) {
 		t.Errorf("residency after mutation = %q, want heap", st.Residency)
 	}
 }
-
-// TestSnapshotFormatV1Rollback runs the escape hatch end to end: a server
-// configured with SnapshotFormat v1 writes decodable v1 snapshots, and the
-// reloaded registry reports v1 with heap residency.
-func TestSnapshotFormatV1Rollback(t *testing.T) {
-	t.Parallel()
-	dir := t.TempDir()
-	a, err := New(Config{Map: handMap(t), Mutable: true, TileSize: 32, SnapshotDir: dir, SnapshotFormat: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tilePaths := []string{"/tiles/0/0/0.png", "/tiles/2/1/2.png"}
-	wantVersion, wantTiles := tileAndStats(t, a, tilePaths)
-	if err := a.SaveAll(); err != nil {
-		t.Fatalf("SaveAll: %v", err)
-	}
-	b, err := New(Config{TileSize: 32, SnapshotDir: dir, Load: true})
-	if err != nil {
-		t.Fatalf("restart: %v", err)
-	}
-	rec := get(t, b, "/v1/stats")
-	var st struct {
-		SnapshotFormat string `json:"snapshot_format"`
-		Residency      string `json:"residency"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
-		t.Fatalf("decoding stats: %v", err)
-	}
-	if st.SnapshotFormat != "v1" {
-		t.Errorf("snapshot_format = %q, want v1", st.SnapshotFormat)
-	}
-	if st.Residency != "heap" {
-		t.Errorf("residency = %q, want heap for a v1 restore", st.Residency)
-	}
-	gotVersion, gotTiles := tileAndStats(t, b, tilePaths)
-	if gotVersion != wantVersion {
-		t.Errorf("restored version = %d, want %d", gotVersion, wantVersion)
-	}
-	for _, p := range tilePaths {
-		if !bytes.Equal(gotTiles[p], wantTiles[p]) {
-			t.Errorf("tile %s differs across the v1 round trip", p)
-		}
-	}
-}

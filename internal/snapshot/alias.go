@@ -8,10 +8,10 @@ import (
 	"rnnheatmap/internal/geom"
 )
 
-// The v2 payloads are little-endian fixed-width arrays, 8-byte aligned within
-// the file. On little-endian hosts (every platform this repo targets) a
-// section is usable as a typed Go slice without copying a byte — that is the
-// whole point of the format. The helpers below alias when the host byte order
+// The section payloads are little-endian fixed-width arrays, 8-byte aligned
+// within the file. On little-endian hosts (every platform this repo targets)
+// a section is usable as a typed Go slice without copying a byte — that is
+// the whole point of the format. The helpers below alias when the host byte order
 // and the actual pointer alignment allow it and fall back to a boring
 // decode-copy otherwise, so the format stays readable on exotic platforms.
 

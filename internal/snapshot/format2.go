@@ -16,26 +16,15 @@ import (
 	"rnnheatmap/internal/postprocess"
 )
 
-// Format selects the on-disk layout Save-side callers write. FormatV2 is the
-// default: fixed-width little-endian sections behind an offset table, loadable
-// with mmap and no decode step (see view.go). FormatV1 is the PR 4 streaming
-// layout, kept as an escape hatch for rolling back a deploy whose older
-// binaries cannot read v2.
-type Format uint16
-
-const (
-	FormatV1 Format = 1
-	FormatV2 Format = 2
-)
-
-// Version2 is the sectioned, mmap-friendly format version.
-const Version2 uint16 = 2
+// Version is the snapshot format version: the sectioned, mmap-friendly
+// layout below. Open refuses files of any other version.
+const Version uint16 = 2
 
 // Section kinds. Every kind holds one flat array (or, for secMeta, a small
-// v1-style field stream); the offset table maps kind -> (offset, length, CRC).
+// field stream); the offset table maps kind -> (offset, length, CRC).
 // Layout per kind:
 //
-//	secMeta          v1-encoder field stream (see encodeMeta)
+//	secMeta          little-endian field stream (see encodeMeta)
 //	secClients       f64 ×2 per client (x, y)
 //	secFacilities    f64 ×2 per facility (x, y)
 //	secCircleIDs     i32 ×2 per circle (client, facility)
@@ -86,7 +75,7 @@ const (
 // u32 kind | u32 crc | u64 offset | u64 length.
 const tableEntrySize = 24
 
-// SlabTables is the flattened slab point-location index as stored in a v2
+// SlabTables is the flattened slab point-location index as stored in a
 // snapshot: the prefix-offset arrays index the concatenated per-slab lists,
 // exactly the shape pointloc.Index.ExportTables emits and the mapped locator
 // (pointloc.Mapped) queries in place. Gap labels are interned-set pointers;
@@ -203,7 +192,7 @@ func pointBytes(ps []geom.Point) []byte {
 	return b
 }
 
-// encodeMeta writes the small non-array remainder of the snapshot with the v1
+// encodeMeta writes the small non-array remainder of the snapshot with the
 // field encoder: identification, config, measure spec, stats, extrema, the
 // array counts the loader validates every section length against, and the
 // derived summary/bounds a mapped map serves without materializing anything.
@@ -264,9 +253,9 @@ func (s *Snapshot) encodeMeta(tables *SlabTables, nPool int) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// EncodeV2 writes the snapshot to w in the sectioned format v2. tables may be
-// nil: the snapshot is then written without a slab index and loaders fall
-// back to building one lazily, exactly as for a v1 file.
+// Encode writes the snapshot to w in the sectioned format. tables may be
+// nil: the snapshot is then written without slab sections, and a map opened
+// from it builds its slab index on the first query that needs one.
 //
 // Layout:
 //
@@ -277,7 +266,7 @@ func (s *Snapshot) encodeMeta(tables *SlabTables, nPool int) ([]byte, error) {
 //
 // Offsets are absolute file offsets. Each payload carries its own CRC, so a
 // torn write is pinned to a section instead of condemning the whole file.
-func (s *Snapshot) EncodeV2(w io.Writer, tables *SlabTables) error {
+func (s *Snapshot) Encode(w io.Writer, tables *SlabTables) error {
 	if tables != nil && len(tables.Gaps) != len(tables.Edges)+len(tables.Xs) {
 		return fmt.Errorf("snapshot: slab tables: %d gaps for %d edges + %d slabs",
 			len(tables.Gaps), len(tables.Edges), len(tables.Xs))
@@ -346,7 +335,7 @@ func (s *Snapshot) EncodeV2(w io.Writer, tables *SlabTables) error {
 	base := uint64((headerLen + 7) &^ 7)
 	header := make([]byte, base)
 	copy(header, magic[:])
-	binary.LittleEndian.PutUint16(header[4:], Version2)
+	binary.LittleEndian.PutUint16(header[4:], Version)
 	binary.LittleEndian.PutUint16(header[6:], uint16(nSec))
 	for i := 0; i < nSec; i++ {
 		ent := header[8+i*tableEntrySize:]
@@ -367,33 +356,21 @@ func (s *Snapshot) EncodeV2(w io.Writer, tables *SlabTables) error {
 	return nil
 }
 
-// WriteFileV2 atomically writes the snapshot to path in format v2 with the
-// same temp-file + fsync + rename discipline as WriteFile.
-func (s *Snapshot) WriteFileV2(path string, tables *SlabTables) error {
-	return s.writeFileWith(path, func(w io.Writer) error { return s.EncodeV2(w, tables) })
-}
-
-// WriteFileFormat writes the snapshot in the requested format. tables is only
-// consulted for FormatV2 (v1 has no slab sections).
-func (s *Snapshot) WriteFileFormat(path string, format Format, tables *SlabTables) error {
-	switch format {
-	case FormatV1:
-		return s.WriteFile(path)
-	case FormatV2, 0:
-		return s.WriteFileV2(path, tables)
-	default:
-		return fmt.Errorf("snapshot: unknown format %d", format)
-	}
-}
-
-func (s *Snapshot) writeFileWith(path string, encode func(io.Writer) error) error {
+// WriteFile atomically writes the snapshot to path: the bytes go to a
+// temporary file in the same directory which is fsynced and renamed over
+// path, so a crash mid-save leaves the previous snapshot intact. (The
+// directory is fsynced too: the server resets the WAL right after a snapshot
+// save, and if the rename were still only in the page cache a power failure
+// would roll back to the old snapshot with an already-emptied log — losing
+// acknowledged mutations.) tables is as for Encode.
+func (s *Snapshot) WriteFile(path string, tables *SlabTables) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
 		return fmt.Errorf("snapshot: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := encode(tmp); err != nil {
+	if err := s.Encode(tmp, tables); err != nil {
 		tmp.Close()
 		return err
 	}

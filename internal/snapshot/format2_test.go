@@ -3,79 +3,101 @@ package snapshot
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"rnnheatmap/internal/geom"
 )
 
-// TestV2RoundTrip: encoding the sample in format v2 and decoding it (heap
-// path) reproduces the exact snapshot, including empty-but-non-nil RNN
-// slices and the capacity measure context.
-func TestV2RoundTrip(t *testing.T) {
-	t.Parallel()
-	want := sample()
-	var buf bytes.Buffer
-	if err := want.EncodeV2(&buf, nil); err != nil {
-		t.Fatalf("EncodeV2: %v", err)
+// sampleL2 is sample() with its metric set to L2, the metric sampleTables()
+// is shaped for.
+func sampleL2() *Snapshot {
+	s := sample()
+	s.Metric = geom.L2
+	return s
+}
+
+// checkSlabIndex asserts that v carries exactly the slab index tables were
+// encoded from: every flat array verbatim, and each gap's pool id resolving
+// to the gap label's members and heat.
+func checkSlabIndex(t *testing.T, v *View, tables *SlabTables) {
+	t.Helper()
+	if !v.Meta().HasSlabIndex || !v.HasSlabIndex() {
+		t.Fatal("snapshot written with tables claims no slab index")
 	}
-	got, err := Decode(&buf)
-	if err != nil {
-		t.Fatalf("Decode of v2 stream: %v", err)
+	sv := v.Slab()
+	if !reflect.DeepEqual(sv.Xs, tables.Xs) || !reflect.DeepEqual(sv.ActOff, tables.ActOff) ||
+		!reflect.DeepEqual(sv.Actives, tables.Actives) || !reflect.DeepEqual(sv.EdgeOff, tables.EdgeOff) ||
+		!reflect.DeepEqual(sv.Edges, tables.Edges) || !reflect.DeepEqual(sv.Arcs, tables.Arcs) ||
+		!reflect.DeepEqual(sv.ZeroXs, tables.ZeroXs) || !reflect.DeepEqual(sv.ZeroIdx, tables.ZeroIdx) {
+		t.Errorf("slab arrays mismatch:\n got %+v\nwant %+v", sv, tables)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("v2 round-trip mismatch:\n got %+v\nwant %+v", got, want)
+	if len(sv.Gaps) != len(tables.Gaps) {
+		t.Fatalf("%d gaps, want %d", len(sv.Gaps), len(tables.Gaps))
+	}
+	for i, id := range sv.Gaps {
+		want := tables.Gaps[i]
+		if got := v.PoolRNN(id); !reflect.DeepEqual(got, want.RNN) || v.PoolHeat(id) != want.Heat {
+			t.Errorf("gap %d: pool %d holds %v heat %v, want %v heat %v",
+				i, id, got, v.PoolHeat(id), want.RNN, want.Heat)
+		}
+	}
+	// The gap set has the same content as label 0's RNN set, so the pool
+	// folds them into one record: two records, not three.
+	if v.Meta().NumPool != 2 {
+		t.Errorf("pool has %d records, want 2 (gap set shared with a label)", v.Meta().NumPool)
 	}
 }
 
-// TestV2FileRoundTrip: WriteFileV2 + ReadFile and WriteFileV2 + Open +
-// Snapshot both reproduce the original, and the mapped view's meta matches
-// the snapshot's derived quantities.
+// TestV2RoundTrip: encoding an L2 snapshot together with its slab index and
+// reading it back through a heap-backed View reproduces the snapshot, the
+// slab index and the version field.
+func TestV2RoundTrip(t *testing.T) {
+	t.Parallel()
+	want, tables := sampleL2(), sampleTables()
+	var buf bytes.Buffer
+	if err := want.Encode(&buf, tables); err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	if got := binary.LittleEndian.Uint16(buf.Bytes()[4:6]); got != Version {
+		t.Errorf("encoded version %d, want %d", got, Version)
+	}
+	v, err := newView(buf.Bytes(), false)
+	if err != nil {
+		t.Fatalf("newView: %v", err)
+	}
+	if got := v.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Errorf("round-trip mismatch:\n got %+v\nwant %+v", got, want)
+	}
+	checkSlabIndex(t, v, tables)
+}
+
+// TestV2FileRoundTrip: WriteFile with a slab index + Open reproduces the
+// snapshot and the slab index through the file path, and the meta's counts
+// match the snapshot.
 func TestV2FileRoundTrip(t *testing.T) {
 	t.Parallel()
-	want := sample()
+	want, tables := sampleL2(), sampleTables()
 	path := filepath.Join(t.TempDir(), "map.snap")
-	if err := want.WriteFileV2(path, nil); err != nil {
-		t.Fatalf("WriteFileV2: %v", err)
+	if err := want.WriteFile(path, tables); err != nil {
+		t.Fatalf("WriteFile: %v", err)
 	}
-	got, err := ReadFile(path)
-	if err != nil {
-		t.Fatalf("ReadFile: %v", err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("ReadFile(v2) mismatch")
-	}
-
 	v, err := Open(path)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
 	defer v.Close()
 	m := v.Meta()
-	if m.MapVersion != want.MapVersion || m.Metric != want.Metric ||
-		m.Algorithm != want.Algorithm || m.Workers != want.Workers {
+	if m.Metric != geom.L2 || m.NumClients != len(want.Clients) ||
+		m.NumCircles != len(want.Circles) || m.NumLabels != len(want.Labels) {
 		t.Errorf("Meta mismatch: %+v", m)
 	}
-	if m.NumClients != len(want.Clients) || m.NumCircles != len(want.Circles) ||
-		m.NumLabels != len(want.Labels) {
-		t.Errorf("Meta counts mismatch: %+v", m)
+	if got := v.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Errorf("View.Snapshot mismatch:\n got %+v\nwant %+v", got, want)
 	}
-	if m.Summary.Count != len(want.Labels) || m.Summary.MaxHeat != 2 {
-		t.Errorf("Meta summary mismatch: %+v", m.Summary)
-	}
-	if m.HasSlabIndex || v.HasSlabIndex() {
-		t.Error("sample written without tables claims a slab index")
-	}
-	got2 := v.Snapshot()
-	if !reflect.DeepEqual(got2, want) {
-		t.Errorf("View.Snapshot mismatch")
-	}
-	for i := range want.Circles {
-		if v.CircleAt(i) != want.Circles[i] {
-			t.Errorf("CircleAt(%d) = %+v, want %+v", i, v.CircleAt(i), want.Circles[i])
-		}
-	}
+	checkSlabIndex(t, v, tables)
 }
 
 // TestV2PoolDedup: two labels with the same RNN set share one pool record,
@@ -85,7 +107,7 @@ func TestV2PoolDedup(t *testing.T) {
 	s := sample()
 	s.Labels = append(s.Labels, s.Labels[0]) // duplicate content
 	var buf bytes.Buffer
-	if err := s.EncodeV2(&buf, nil); err != nil {
+	if err := s.Encode(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	v, err := newView(buf.Bytes(), false)
@@ -105,20 +127,20 @@ func TestV2PoolDedup(t *testing.T) {
 	}
 }
 
-// TestV2RejectsCorruption: a flipped byte anywhere in the file is caught at
-// Open — in the header by the table checksum, in a payload by that
-// section's checksum.
+// TestV2RejectsCorruption: in a file without a slab index (the smaller
+// section set TestSnapshotRejectsCorruption does not cover), a flipped byte
+// in the section table, the first payload or the last payload byte is
+// caught at Open, and so is a truncation.
 func TestV2RejectsCorruption(t *testing.T) {
 	t.Parallel()
 	var buf bytes.Buffer
-	if err := sample().EncodeV2(&buf, nil); err != nil {
+	if err := sample().Encode(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
 	dir := t.TempDir()
-	// Offsets chosen to land in protected regions: the section table, the
-	// first payload (right after the padded header) and the last payload
-	// byte. Inter-section padding is the only unprotected region.
+	// Inter-section padding is the only unprotected region; the first
+	// payload starts right after the padded header.
 	nSec := int(binary.LittleEndian.Uint16(good[6:8]))
 	base := (8 + nSec*tableEntrySize + 4 + 7) &^ 7
 	for _, off := range []int{9, 20, base + 2, len(good) - 1} {
@@ -128,72 +150,19 @@ func TestV2RejectsCorruption(t *testing.T) {
 		if err := os.WriteFile(path, b, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Open(path); err == nil {
+		if v, err := Open(path); err == nil {
+			v.Close()
 			t.Errorf("Open accepted a file with byte %d flipped", off)
 		}
-		if _, err := ReadFile(path); err == nil {
-			t.Errorf("ReadFile accepted a file with byte %d flipped", off)
-		}
 	}
-	// Truncation anywhere is also an error.
 	for _, n := range []int{7, 40, len(good) - 3} {
 		path := filepath.Join(dir, "trunc.snap")
 		if err := os.WriteFile(path, good[:n], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Open(path); err == nil {
+		if v, err := Open(path); err == nil {
+			v.Close()
 			t.Errorf("Open accepted a file truncated to %d bytes", n)
 		}
-	}
-}
-
-// TestOpenV1FallsBack: Open on a v1 file reports ErrFormatV1 so callers can
-// route to the decode path.
-func TestOpenV1FallsBack(t *testing.T) {
-	t.Parallel()
-	path := filepath.Join(t.TempDir(), "v1.snap")
-	if err := sample().WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	_, err := Open(path)
-	if !errors.Is(err, ErrFormatV1) {
-		t.Errorf("Open(v1 file) = %v, want ErrFormatV1", err)
-	}
-	// And the decode path still reads it.
-	if _, err := ReadFile(path); err != nil {
-		t.Errorf("ReadFile(v1 file): %v", err)
-	}
-}
-
-// TestWriteFileFormat routes to the requested format.
-func TestWriteFileFormat(t *testing.T) {
-	t.Parallel()
-	dir := t.TempDir()
-	s := sample()
-	for _, tc := range []struct {
-		format Format
-		want   uint16
-	}{{FormatV1, Version}, {FormatV2, Version2}, {0, Version2}} {
-		path := filepath.Join(dir, "f.snap")
-		if err := s.WriteFileFormat(path, tc.format, nil); err != nil {
-			t.Fatalf("WriteFileFormat(%d): %v", tc.format, err)
-		}
-		b, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := uint16(b[4]) | uint16(b[5])<<8; got != tc.want {
-			t.Errorf("WriteFileFormat(%d) wrote version %d, want %d", tc.format, got, tc.want)
-		}
-		got, err := ReadFile(path)
-		if err != nil {
-			t.Fatalf("ReadFile after WriteFileFormat(%d): %v", tc.format, err)
-		}
-		if !reflect.DeepEqual(got, s) {
-			t.Errorf("round trip via format %d mismatch", tc.format)
-		}
-	}
-	if err := s.WriteFileFormat(filepath.Join(dir, "bad.snap"), 9, nil); err == nil {
-		t.Error("WriteFileFormat(9) succeeded, want error")
 	}
 }

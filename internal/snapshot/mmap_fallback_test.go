@@ -18,8 +18,8 @@ func TestOpenFallbackParity(t *testing.T) {
 	t.Parallel()
 	want := sample()
 	path := filepath.Join(t.TempDir(), "map.snap")
-	if err := want.WriteFileV2(path, nil); err != nil {
-		t.Fatalf("WriteFileV2: %v", err)
+	if err := want.WriteFile(path, nil); err != nil {
+		t.Fatalf("WriteFile: %v", err)
 	}
 
 	def, err := Open(path)

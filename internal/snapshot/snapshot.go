@@ -1,51 +1,42 @@
-// Package snapshot persists built heat maps. It defines a versioned binary
-// format that round-trips everything a heatmap.Map is made of — the client
-// and facility sets, the NN-circles, the labeled regions, the influence
-// measure's serializable context and the run statistics — so a server
-// restart loads a 100k-circle map in milliseconds instead of re-running the
-// CREST sweep. A companion write-ahead log (wal.go) records the deltas a
-// mutable server applied since its last snapshot, so replaying snapshot+WAL
-// reconstructs the exact pre-crash map.
+// Package snapshot persists built heat maps. A snapshot file round-trips
+// everything a heatmap.Map is made of — the client and facility sets, the
+// NN-circles, the labeled regions, the influence measure's serializable
+// context, the run statistics and, when one was built, the slab
+// point-location index — so a server restart serves a 100k-circle map
+// without re-running the CREST sweep. A companion write-ahead log (wal.go)
+// records the deltas a mutable server applied since its last snapshot, so
+// replaying snapshot+WAL reconstructs the exact pre-crash map.
 //
-// Two format versions exist. Version 1 is a little-endian byte stream:
+// A map reaches disk through one writer (WriteFile, format2.go) and comes
+// back through one reader (Open, view.go). The layout is format version 2:
+// the magic "RNHM" and a u16 version, then fixed-width little-endian
+// sections behind an offset table, each CRC-framed individually, so the
+// file is mmap'd and queried with no decode step. Every section is bounds-
+// and CRC-checked at Open, so a corrupt or truncated file fails fast
+// instead of being misread.
 //
-//	magic "RNHM" | u16 format version | body | u32 CRC-32 (IEEE) of the body
-//
-// whose body layout is documented field by field in encodeBody. Version 2
-// (format2.go, view.go) shares the magic and version header but lays the
-// map out as fixed-width sections behind an offset table, each CRC-framed
-// individually, so the file can be mmap'd and queried with no decode step
-// (snapshot.Open). Compatibility policy: readers accept exactly the format
-// versions they know (currently 1 and 2); any layout change bumps the
-// version, and unknown files are rejected with a clear error rather than
-// misparsed. Writers emit v2 by default (WriteFileFormat); v1 stays
-// writable as a rollback escape hatch. Every slice length read from a v1
-// stream is validated against sane bounds before allocation, and every v2
-// section is bounds- and CRC-checked at open, so a corrupt or truncated
-// file fails fast instead of OOM-ing the loader.
+// Compatibility policy: readers accept exactly the version this package
+// writes. Any layout change bumps the version, and a file of any other
+// version — the retired streaming format 1 included — is refused with an
+// error naming the file and its version, never misparsed. To migrate a
+// version-1 file, open the map with a build that still reads version 1 and
+// save it again (heatmapd's POST /maps/{name}/snapshot forces a save).
+// heatmapd has written version 2 by default since that format was
+// introduced.
 package snapshot
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash"
-	"hash/crc32"
 	"io"
 	"math"
-	"os"
 	"path/filepath"
-	"time"
 
 	"rnnheatmap/internal/core"
 	"rnnheatmap/internal/geom"
 	"rnnheatmap/internal/influence"
 	"rnnheatmap/internal/nncircle"
 )
-
-// Version is the current snapshot format version. Decode rejects files
-// written by any other version.
-const Version uint16 = 1
 
 var magic = [4]byte{'R', 'N', 'H', 'M'}
 
@@ -89,173 +80,6 @@ type Snapshot struct {
 	MaxHeat  float64
 	MaxLabel core.Label
 	Stats    core.Stats
-}
-
-// Encode writes the snapshot to w in the versioned binary format.
-func (s *Snapshot) Encode(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	crc := crc32.NewIEEE()
-	e := &encoder{w: io.MultiWriter(bw, crc)}
-	if _, err := bw.Write(magic[:]); err != nil {
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	var verBuf [2]byte
-	binary.LittleEndian.PutUint16(verBuf[:], Version)
-	if _, err := bw.Write(verBuf[:]); err != nil {
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	s.encodeBody(e)
-	if e.err != nil {
-		return fmt.Errorf("snapshot: encoding: %w", e.err)
-	}
-	var crcBuf [4]byte
-	binary.LittleEndian.PutUint32(crcBuf[:], crc.Sum32())
-	if _, err := bw.Write(crcBuf[:]); err != nil {
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	return nil
-}
-
-// encodeBody writes the format-v1 body. The field order here is the format
-// specification; Decode reads the same order.
-func (s *Snapshot) encodeBody(e *encoder) {
-	e.u64(s.MapVersion)
-	e.u8(uint8(s.Metric))
-	var flags uint8
-	if s.Monochromatic {
-		flags |= 1
-	}
-	e.u8(flags)
-	e.str(s.Algorithm)
-	e.i64(int64(s.Workers))
-	encodeSpec(e, s.Measure)
-	e.points(s.Clients)
-	e.points(s.Facilities)
-	e.u32(uint32(len(s.Circles)))
-	for _, c := range s.Circles {
-		e.i32(int32(c.Client))
-		e.i32(int32(c.Facility))
-		e.u8(uint8(c.Circle.Metric))
-		e.f64(c.Circle.Center.X)
-		e.f64(c.Circle.Center.Y)
-		e.f64(c.Circle.Radius)
-	}
-	e.u32(uint32(len(s.Labels)))
-	for i := range s.Labels {
-		encodeLabel(e, &s.Labels[i])
-	}
-	e.f64(s.MaxHeat)
-	encodeLabel(e, &s.MaxLabel)
-	e.i64(int64(s.Stats.Circles))
-	e.i64(int64(s.Stats.Events))
-	e.i64(int64(s.Stats.Labelings))
-	e.i64(int64(s.Stats.InfluenceCalls))
-	e.i64(int64(s.Stats.EnclosureQueries))
-	e.i64(int64(s.Stats.GridCells))
-	e.i64(int64(s.Stats.MaxRNNSetSize))
-	e.i64(int64(s.Stats.Duration))
-}
-
-// Decode reads one snapshot from r, verifying the magic, format version and
-// checksums. It accepts both format versions: v1 streams through the field
-// decoder; v2 is buffered, validated as a View and materialized.
-func Decode(r io.Reader) (*Snapshot, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var head [6]byte
-	if _, err := io.ReadFull(br, head[:]); err != nil {
-		return nil, fmt.Errorf("snapshot: reading header: %w", err)
-	}
-	if [4]byte(head[:4]) != magic {
-		return nil, fmt.Errorf("snapshot: bad magic %q (not a snapshot file)", head[:4])
-	}
-	switch v := binary.LittleEndian.Uint16(head[4:6]); v {
-	case Version:
-	case Version2:
-		rest, err := io.ReadAll(br)
-		if err != nil {
-			return nil, fmt.Errorf("snapshot: %w", err)
-		}
-		view, err := newView(append(head[:], rest...), false)
-		if err != nil {
-			return nil, fmt.Errorf("snapshot: %w", err)
-		}
-		return view.Snapshot(), nil
-	default:
-		return nil, fmt.Errorf("snapshot: unsupported format version %d (this build reads versions %d and %d)", v, Version, Version2)
-	}
-	crc := crc32.NewIEEE()
-	d := &decoder{r: br, crc: crc}
-	s := decodeBody(d)
-	if d.err != nil {
-		return nil, fmt.Errorf("snapshot: decoding: %w", d.err)
-	}
-	sum := crc.Sum32()
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(br, crcBuf[:]); err != nil {
-		return nil, fmt.Errorf("snapshot: reading checksum: %w", err)
-	}
-	if want := binary.LittleEndian.Uint32(crcBuf[:]); sum != want {
-		return nil, fmt.Errorf("snapshot: checksum mismatch (file %08x, computed %08x): file is corrupt", want, sum)
-	}
-	return s, nil
-}
-
-func decodeBody(d *decoder) *Snapshot {
-	s := &Snapshot{}
-	s.MapVersion = d.u64()
-	s.Metric = geom.Metric(d.u8())
-	flags := d.u8()
-	s.Monochromatic = flags&1 != 0
-	s.Algorithm = d.str()
-	s.Workers = int(d.i64())
-	s.Measure = decodeSpec(d)
-	s.Clients = d.points()
-	s.Facilities = d.points()
-	n := d.sliceLen()
-	if d.err == nil && n > 0 {
-		// Grown with append (capacity capped) rather than allocated up front:
-		// a corrupt length prefix must run out of input after a bounded
-		// allocation, not reserve gigabytes before the CRC check ever runs.
-		s.Circles = make([]nncircle.NNCircle, 0, min(n, allocChunk))
-		for i := 0; i < n && d.err == nil; i++ {
-			c := nncircle.NNCircle{
-				Client:   int(d.i32()),
-				Facility: int(d.i32()),
-			}
-			c.Circle = geom.Circle{
-				Metric: geom.Metric(d.u8()),
-				Center: geom.Point{X: d.f64(), Y: d.f64()},
-			}
-			c.Circle.Radius = d.f64()
-			s.Circles = append(s.Circles, c)
-		}
-	}
-	k := d.sliceLen()
-	if d.err == nil && k > 0 {
-		s.Labels = make([]core.Label, 0, min(k, allocChunk))
-		for i := 0; i < k && d.err == nil; i++ {
-			var l core.Label
-			decodeLabel(d, &l)
-			s.Labels = append(s.Labels, l)
-		}
-	}
-	s.MaxHeat = d.f64()
-	decodeLabel(d, &s.MaxLabel)
-	s.Stats.Circles = int(d.i64())
-	s.Stats.Events = int(d.i64())
-	s.Stats.Labelings = int(d.i64())
-	s.Stats.InfluenceCalls = int(d.i64())
-	s.Stats.EnclosureQueries = int(d.i64())
-	s.Stats.GridCells = int(d.i64())
-	s.Stats.MaxRNNSetSize = int(d.i64())
-	s.Stats.Duration = time.Duration(d.i64())
-	if d.err == nil && !s.Metric.Valid() {
-		d.err = fmt.Errorf("invalid metric %d", s.Metric)
-	}
-	return s
 }
 
 func encodeLabel(e *encoder, l *core.Label) {
@@ -334,27 +158,6 @@ func decodeSpec(d *decoder) influence.Spec {
 func MapPath(dir, name string) string { return filepath.Join(dir, name+".snap") }
 func WALPath(dir, name string) string { return filepath.Join(dir, name+".wal") }
 
-// WriteFile atomically writes the snapshot to path in format v1: the bytes
-// go to a temporary file in the same directory which is fsynced and renamed
-// over path, so a crash mid-save leaves the previous snapshot intact. (The
-// directory is fsynced too: the server resets the WAL right after a snapshot
-// save, and if the rename were still only in the page cache a power failure
-// would roll back to the old snapshot with an already-emptied log — losing
-// acknowledged mutations.)
-func (s *Snapshot) WriteFile(path string) error {
-	return s.writeFileWith(path, s.Encode)
-}
-
-// ReadFile loads a snapshot written by WriteFile or WriteFileV2.
-func ReadFile(path string) (*Snapshot, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
-	}
-	defer f.Close()
-	return Decode(f)
-}
-
 // encoder writes little-endian primitives with a sticky error.
 type encoder struct {
 	w   io.Writer
@@ -409,11 +212,9 @@ func (e *encoder) points(ps []geom.Point) {
 	}
 }
 
-// decoder reads little-endian primitives with a sticky error, feeding every
-// consumed byte into the CRC.
+// decoder reads little-endian primitives with a sticky error.
 type decoder struct {
 	r   io.Reader
-	crc hash.Hash32
 	err error
 	buf [8]byte
 }
@@ -430,10 +231,6 @@ func (d *decoder) read(b []byte) {
 		for i := range b {
 			b[i] = 0
 		}
-		return
-	}
-	if d.crc != nil {
-		_, _ = d.crc.Write(b)
 	}
 }
 

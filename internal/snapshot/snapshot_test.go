@@ -3,6 +3,8 @@ package snapshot
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -53,79 +55,190 @@ func sample() *Snapshot {
 	}
 }
 
+// sampleTables is a small structurally valid slab index for sample() with
+// its metric set to L2, so every section kind, arcs included, is present
+// and non-empty in the encoded file.
+func sampleTables() *SlabTables {
+	set := &core.Interned{RNN: []int{0, 2}, Heat: 2}
+	return &SlabTables{
+		Xs:      []float64{0, 1},
+		ActOff:  []uint32{0, 1, 2},
+		Actives: []int32{0, 1},
+		EdgeOff: []uint32{0, 1, 2},
+		Edges:   []float64{0.5, 0.25},
+		Arcs:    []uint32{0<<1 | 1, 1 << 1},
+		Gaps:    []*core.Interned{set, set, set, set},
+		ZeroXs:  []float64{0.5},
+		ZeroIdx: []int32{1},
+	}
+}
+
+// TestSnapshotRoundTrip: encoding the sample and reading it back through a
+// heap-backed View (the path builds without mmap take) reproduces the exact
+// snapshot, capacity measure context included.
 func TestSnapshotRoundTrip(t *testing.T) {
 	t.Parallel()
 	want := sample()
 	var buf bytes.Buffer
-	if err := want.Encode(&buf); err != nil {
+	if err := want.Encode(&buf, nil); err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
-	got, err := Decode(bytes.NewReader(buf.Bytes()))
+	v, err := newView(buf.Bytes(), false)
 	if err != nil {
-		t.Fatalf("Decode: %v", err)
+		t.Fatalf("newView: %v", err)
 	}
-	if !reflect.DeepEqual(got, want) {
+	if got := v.Snapshot(); !reflect.DeepEqual(got, want) {
 		t.Errorf("round-trip mismatch:\n got %+v\nwant %+v", got, want)
 	}
 }
 
+// TestSnapshotFileRoundTrip: WriteFile + Open reproduces the original, and
+// the mapped view's meta matches the snapshot's derived quantities.
 func TestSnapshotFileRoundTrip(t *testing.T) {
 	t.Parallel()
 	want := sample()
-	path := filepath.Join(t.TempDir(), "m.snap")
-	if err := want.WriteFile(path); err != nil {
+	path := filepath.Join(t.TempDir(), "map.snap")
+	if err := want.WriteFile(path, nil); err != nil {
 		t.Fatalf("WriteFile: %v", err)
 	}
-	got, err := ReadFile(path)
+	v, err := Open(path)
 	if err != nil {
-		t.Fatalf("ReadFile: %v", err)
+		t.Fatalf("Open: %v", err)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("file round-trip mismatch")
+	defer v.Close()
+	m := v.Meta()
+	if m.MapVersion != want.MapVersion || m.Metric != want.Metric ||
+		m.Algorithm != want.Algorithm || m.Workers != want.Workers {
+		t.Errorf("Meta mismatch: %+v", m)
+	}
+	if m.NumClients != len(want.Clients) || m.NumCircles != len(want.Circles) ||
+		m.NumLabels != len(want.Labels) {
+		t.Errorf("Meta counts mismatch: %+v", m)
+	}
+	if m.Summary.Count != len(want.Labels) || m.Summary.MaxHeat != 2 {
+		t.Errorf("Meta summary mismatch: %+v", m.Summary)
+	}
+	if m.HasSlabIndex || v.HasSlabIndex() {
+		t.Error("sample written without tables claims a slab index")
+	}
+	if got := v.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Errorf("View.Snapshot mismatch:\n got %+v\nwant %+v", got, want)
+	}
+	for i := range want.Circles {
+		if v.CircleAt(i) != want.Circles[i] {
+			t.Errorf("CircleAt(%d) = %+v, want %+v", i, v.CircleAt(i), want.Circles[i])
+		}
 	}
 }
 
+// reseal recomputes every section CRC and the header CRC of an encoded
+// snapshot, so a test can plant damage the checksums would otherwise catch
+// and reach the structural checks behind them.
+func reseal(b []byte) {
+	nSec := int(binary.LittleEndian.Uint16(b[6:8]))
+	headerLen := 8 + nSec*tableEntrySize + 4
+	for i := 0; i < nSec; i++ {
+		ent := b[8+i*tableEntrySize:]
+		off := binary.LittleEndian.Uint64(ent[8:])
+		length := binary.LittleEndian.Uint64(ent[16:])
+		binary.LittleEndian.PutUint32(ent[4:], crc32.ChecksumIEEE(b[off:off+length]))
+	}
+	binary.LittleEndian.PutUint32(b[headerLen-4:], crc32.ChecksumIEEE(b[:headerLen-4]))
+}
+
+// TestSnapshotRejectsCorruption: Open refuses every damaged or foreign file
+// with an error, never a misread map: a bad magic, any version but Version
+// (the retired format 1 included), a flipped byte in the section table or
+// in any section, a truncation, and a length prefix past the sanity bound.
 func TestSnapshotRejectsCorruption(t *testing.T) {
 	t.Parallel()
+	s := sample()
+	s.Metric = geom.L2 // L2 stores slab arcs, so every section kind is present
 	var buf bytes.Buffer
-	if err := sample().Encode(&buf); err != nil {
+	if err := s.Encode(&buf, sampleTables()); err != nil {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
+	dir := t.TempDir()
+	tryOpen := func(t *testing.T, b []byte) (string, error) {
+		t.Helper()
+		path := filepath.Join(dir, strings.ReplaceAll(t.Name(), "/", "_")+".snap")
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		v, err := Open(path)
+		if err == nil {
+			v.Close()
+		}
+		return path, err
+	}
+	if _, err := tryOpen(t, good); err != nil {
+		t.Fatalf("Open of the undamaged file: %v", err)
+	}
 
 	t.Run("bad magic", func(t *testing.T) {
 		b := append([]byte(nil), good...)
 		b[0] = 'X'
-		if _, err := Decode(bytes.NewReader(b)); err == nil || !strings.Contains(err.Error(), "magic") {
-			t.Errorf("Decode of bad magic: %v, want magic error", err)
+		if _, err := tryOpen(t, b); err == nil || !strings.Contains(err.Error(), "magic") {
+			t.Errorf("Open of bad magic: %v, want magic error", err)
 		}
 	})
-	t.Run("future version", func(t *testing.T) {
-		b := append([]byte(nil), good...)
-		binary.LittleEndian.PutUint16(b[4:6], Version2+1)
-		if _, err := Decode(bytes.NewReader(b)); err == nil || !strings.Contains(err.Error(), "version") {
-			t.Errorf("Decode of future version: %v, want version error", err)
-		}
-	})
+	for _, tc := range []struct {
+		name    string
+		version uint16
+	}{{"retired version 1", 1}, {"future version", Version + 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := append([]byte(nil), good...)
+			binary.LittleEndian.PutUint16(b[4:6], tc.version)
+			path, err := tryOpen(t, b)
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", tc.version)) ||
+				!strings.Contains(err.Error(), path) {
+				t.Errorf("Open of version %d: %v, want an error naming the file and the version", tc.version, err)
+			}
+		})
+	}
 	t.Run("flipped body byte", func(t *testing.T) {
-		b := append([]byte(nil), good...)
-		b[len(b)/2] ^= 0xff
-		if _, err := Decode(bytes.NewReader(b)); err == nil {
-			t.Error("Decode of corrupted body succeeded, want checksum or parse error")
+		nSec := int(binary.LittleEndian.Uint16(good[6:8]))
+		if nSec != 20 {
+			t.Fatalf("sample encodes %d sections, want all 20 kinds", nSec)
+		}
+		// Two bytes of the section table and the header CRC, then one byte
+		// inside every section's payload. Inter-section padding is the only
+		// unprotected region.
+		offs := []int{9, 20, 8 + nSec*tableEntrySize}
+		for i := 0; i < nSec; i++ {
+			ent := good[8+i*tableEntrySize:]
+			off := binary.LittleEndian.Uint64(ent[8:])
+			length := binary.LittleEndian.Uint64(ent[16:])
+			if length == 0 {
+				t.Fatalf("section %d is empty", binary.LittleEndian.Uint32(ent))
+			}
+			offs = append(offs, int(off+length/2))
+		}
+		for _, off := range offs {
+			b := append([]byte(nil), good...)
+			b[off] ^= 0xff
+			if _, err := tryOpen(t, b); err == nil || !strings.Contains(err.Error(), "checksum") {
+				t.Errorf("Open with byte %d flipped: %v, want a checksum error", off, err)
+			}
 		}
 	})
 	t.Run("truncated", func(t *testing.T) {
-		if _, err := Decode(bytes.NewReader(good[:len(good)/2])); err == nil {
-			t.Error("Decode of truncated file succeeded")
+		for _, n := range []int{7, 40, len(good) / 2, len(good) - 3} {
+			if _, err := tryOpen(t, good[:n]); err == nil {
+				t.Errorf("Open accepted a file truncated to %d bytes", n)
+			}
 		}
 	})
 	t.Run("insane length prefix", func(t *testing.T) {
 		b := append([]byte(nil), good...)
-		// The algorithm-string length prefix sits right after
-		// magic(4)+version(2)+mapVersion(8)+metric(1)+flags(1).
-		binary.LittleEndian.PutUint32(b[16:20], 1<<30)
-		if _, err := Decode(bytes.NewReader(b)); err == nil || !strings.Contains(err.Error(), "sanity") {
-			t.Errorf("Decode with huge length prefix: %v, want sanity-bound error", err)
+		// The meta section comes first; its algorithm-string length prefix
+		// sits after mapVersion(8)+metric(1)+flags(1).
+		meta := binary.LittleEndian.Uint64(b[8+8:])
+		binary.LittleEndian.PutUint32(b[meta+10:], 1<<30)
+		reseal(b)
+		if _, err := tryOpen(t, b); err == nil || !strings.Contains(err.Error(), "sanity") {
+			t.Errorf("Open with huge length prefix: %v, want sanity-bound error", err)
 		}
 	})
 }

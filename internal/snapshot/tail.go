@@ -111,8 +111,8 @@ func (t *Tail) checkHeader() (ok bool, err error) {
 	if [4]byte(head[:4]) != walMagic {
 		return false, fmt.Errorf("wal tail: bad magic %q (not a WAL file)", head[:4])
 	}
-	if v := binary.LittleEndian.Uint16(head[4:6]); v != Version {
-		return false, fmt.Errorf("wal tail: unsupported format version %d (this build reads version %d)", v, Version)
+	if v := binary.LittleEndian.Uint16(head[4:6]); v != walVersion {
+		return false, fmt.Errorf("wal tail: unsupported format version %d (this build reads version %d)", v, walVersion)
 	}
 	return true, nil
 }
@@ -266,7 +266,7 @@ func (t *Tail) RecordsSince(since, capVersion uint64, max int) ([]Record, error)
 func WriteRecords(w io.Writer, recs []Record) error {
 	var head [walHeaderLen]byte
 	copy(head[:4], walMagic[:])
-	binary.LittleEndian.PutUint16(head[4:6], Version)
+	binary.LittleEndian.PutUint16(head[4:6], walVersion)
 	if _, err := w.Write(head[:]); err != nil {
 		return fmt.Errorf("wal wire: %w", err)
 	}
@@ -298,8 +298,8 @@ func ReadRecords(r io.Reader) ([]Record, error) {
 	if [4]byte(head[:4]) != walMagic {
 		return nil, fmt.Errorf("wal wire: bad magic %q", head[:4])
 	}
-	if v := binary.LittleEndian.Uint16(head[4:6]); v != Version {
-		return nil, fmt.Errorf("wal wire: unsupported format version %d (this build reads version %d)", v, Version)
+	if v := binary.LittleEndian.Uint16(head[4:6]); v != walVersion {
+		return nil, fmt.Errorf("wal wire: unsupported format version %d (this build reads version %d)", v, walVersion)
 	}
 	var recs []Record
 	var frame [walFrameLen]byte

@@ -105,7 +105,7 @@ func TestTailHeaderErrors(t *testing.T) {
 	tl.Close()
 
 	future := append([]byte(nil), raw...)
-	binary.LittleEndian.PutUint16(future[4:6], Version+1)
+	binary.LittleEndian.PutUint16(future[4:6], walVersion+1)
 	tl, err = OpenTail(write("future.wal", future))
 	if err != nil {
 		t.Fatal(err)
@@ -226,7 +226,7 @@ func TestWireRecordsErrors(t *testing.T) {
 		{"empty", func(b []byte) []byte { return nil }, "header"},
 		{"bad magic", func(b []byte) []byte { copy(b[:4], "NOPE"); return b }, "magic"},
 		{"future version", func(b []byte) []byte {
-			binary.LittleEndian.PutUint16(b[4:6], Version+1)
+			binary.LittleEndian.PutUint16(b[4:6], walVersion+1)
 			return b
 		}, "version"},
 		{"truncated frame", func(b []byte) []byte { return b[:walHeaderLen+walFrameLen-3] }, "truncated frame"},
@@ -289,7 +289,7 @@ func TestViewBytes(t *testing.T) {
 	t.Parallel()
 	snap := sample()
 	path := filepath.Join(t.TempDir(), "map.snap")
-	if err := snap.WriteFileV2(path, nil); err != nil {
+	if err := snap.WriteFile(path, nil); err != nil {
 		t.Fatal(err)
 	}
 	v, err := Open(path)
@@ -322,7 +322,7 @@ func TestTailDecodeError(t *testing.T) {
 	var b bytes.Buffer
 	b.Write([]byte{walMagic[0], walMagic[1], walMagic[2], walMagic[3]})
 	var ver [2]byte
-	binary.LittleEndian.PutUint16(ver[:], Version)
+	binary.LittleEndian.PutUint16(ver[:], walVersion)
 	b.Write(ver[:])
 	b.Write(frame[:])
 	b.Write(junk)

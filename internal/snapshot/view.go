@@ -18,12 +18,7 @@ import (
 	"rnnheatmap/internal/postprocess"
 )
 
-// ErrFormatV1 is returned (wrapped) by Open for a valid v1 snapshot file.
-// v1 is a streaming format with nothing to map; callers fall back to the
-// decode path (ReadFile) on this error.
-var ErrFormatV1 = errors.New("snapshot is format v1; use the decode path")
-
-// Meta is the decoded non-array remainder of a v2 snapshot: everything a
+// Meta is the decoded non-array remainder of a snapshot: everything a
 // server needs to describe and route a map — config, measure spec, stats,
 // extrema, counts, the label-distribution summary and the map bounds —
 // without touching a single array section. It is a few hundred bytes
@@ -65,7 +60,7 @@ type SlabView struct {
 	ZeroIdx []int32
 }
 
-// View is a validated v2 snapshot whose arrays alias the underlying bytes —
+// View is a validated snapshot whose arrays alias the underlying bytes —
 // an mmap'd file when Open could map it, a heap buffer otherwise. All
 // structural invariants (section CRCs, counts, offset monotonicity, index
 // ranges) are checked once at Open, so every accessor and Snapshot() are
@@ -96,8 +91,9 @@ type View struct {
 	rnn     [][]int
 }
 
-// Open maps the v2 snapshot at path and validates it. For a v1 file it
-// returns an error wrapping ErrFormatV1 so callers can fall back to ReadFile.
+// Open maps the snapshot at path and validates it. A file of any version
+// other than Version is refused with an error naming the path and the
+// version.
 func Open(path string) (*View, error) {
 	return open(path, true)
 }
@@ -129,12 +125,9 @@ func open(path string, allowMmap bool) (*View, error) {
 	if [4]byte(head[:4]) != magic {
 		return nil, fmt.Errorf("snapshot: %s: bad magic %q (not a snapshot file)", path, head[:4])
 	}
-	if v := binary.LittleEndian.Uint16(head[4:6]); v != Version2 {
-		if v == Version {
-			return nil, fmt.Errorf("snapshot: %s: %w", path, ErrFormatV1)
-		}
-		return nil, fmt.Errorf("snapshot: %s: unsupported format version %d (this build reads versions %d and %d)",
-			path, v, Version, Version2)
+	if v := binary.LittleEndian.Uint16(head[4:6]); v != Version {
+		return nil, fmt.Errorf("snapshot: %s: unsupported format version %d (this build reads version %d only)",
+			path, v, Version)
 	}
 
 	var data []byte

@@ -77,6 +77,13 @@ func BatchRecord(version uint64, ops []Op) Record {
 
 var walMagic = [4]byte{'R', 'N', 'W', 'L'}
 
+// walVersion is the header version of a WAL file and of the record stream
+// WriteRecords ships to replicas. It is independent of the snapshot format
+// Version and stays 1, so logs on disk and the stream exchanged with nodes
+// running earlier builds keep their header; batched records extend version
+// 1 with an optional suffix (see encodeRecord).
+const walVersion uint16 = 1
+
 // walFile is the slice of *os.File the WAL needs. Production always uses a
 // real file; the fault-injection tests substitute a wrapper whose Write and
 // Sync fail on demand, which is how the append-failure rollback and the
@@ -184,7 +191,7 @@ func OpenWAL(path string) (*WAL, []Record, error) {
 func (w *WAL) writeHeader() error {
 	var head [walHeaderLen]byte
 	copy(head[:4], walMagic[:])
-	binary.LittleEndian.PutUint16(head[4:6], Version)
+	binary.LittleEndian.PutUint16(head[4:6], walVersion)
 	if _, err := w.f.Write(head[:]); err != nil {
 		return fmt.Errorf("wal: writing header: %w", err)
 	}
@@ -204,8 +211,8 @@ func readWAL(f walFile) ([]Record, int64, error) {
 	if [4]byte(head[:4]) != walMagic {
 		return nil, 0, fmt.Errorf("wal: bad magic %q (not a WAL file)", head[:4])
 	}
-	if v := binary.LittleEndian.Uint16(head[4:6]); v != Version {
-		return nil, 0, fmt.Errorf("wal: unsupported format version %d (this build reads version %d)", v, Version)
+	if v := binary.LittleEndian.Uint16(head[4:6]); v != walVersion {
+		return nil, 0, fmt.Errorf("wal: unsupported format version %d (this build reads version %d)", v, walVersion)
 	}
 	var recs []Record
 	offset := int64(walHeaderLen)

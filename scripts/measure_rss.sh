@@ -1,25 +1,23 @@
 #!/usr/bin/env bash
-# measure_rss.sh — serving-RSS comparison for the three snapshot load paths.
+# measure_rss.sh — serving-RSS comparison: a map built in memory against the
+# same map opened from its snapshot.
 #
 # Builds a dense L2 map once (10 clients per facility, the densest L2
-# regime whose slab decomposition fits the cell cap, so the v2 file embeds
-# the point-location index), saves it as format v1
-# and format v2, then restores it three ways and reports each process's peak
-# resident set (VmHWM, via crest -mem-stats):
+# regime whose slab decomposition fits the cell cap, so the snapshot embeds
+# the point-location index) and saves it, then reports each process's peak
+# and anonymous resident set (VmHWM and RssAnon, via crest -mem-stats) for:
 #
-#   v1-decode   LoadSnapshot on the v1 file: every circle, label and interned
-#               set decoded to heap objects.
-#   v2-decode   LoadSnapshot forced on the v2 file (-load-mode decode): same
-#               heap shape, sectioned input.
-#   v2-mmap     OpenSnapshot on the v2 file: the zero-copy serving path —
-#               resident pages are the touched sections plus the Go runtime,
-#               not the decoded arrangement.
+#   build   a fresh crest run over the same workload: the arrangement, its
+#           labels and interned sets live on the heap.
+#   mmap    crest -load-snapshot: the one load path, OpenSnapshot's zero-copy
+#           mapping — resident pages are the touched sections plus the Go
+#           runtime, not the arrangement.
 #
-# Every restore answers the same stats/max-heat queries (-topk 0 keeps the
-# mapped path from materializing), so the numbers compare like for like. The
-# result is informational: RSS depends on the allocator, the page size and
-# what the kernel keeps resident, so CI prints it next to bench-regress
-# instead of hard-gating on it (run via `make bench-rss`).
+# Both answer the same stats/max-heat queries (-topk 0 keeps the mapped path
+# from materializing), so the numbers compare like for like. The result is
+# informational: RSS depends on the allocator, the page size and what the
+# kernel keeps resident, so CI prints it next to bench-regress instead of
+# hard-gating on it (run via `make bench-rss`).
 #
 # Usage: scripts/measure_rss.sh [clients] [facilities]
 set -euo pipefail
@@ -34,34 +32,31 @@ trap 'rm -rf "$workdir"' EXIT
 echo "building crest..."
 go build -o "$workdir/crest" ./cmd/crest
 
+build=(-dataset Uniform -clients "$CLIENTS" -facilities "$FACILITIES" -metric l2)
 echo "building dense L2 map (${CLIENTS} clients, ${FACILITIES} facilities)..."
-"$workdir/crest" -dataset Uniform -clients "$CLIENTS" -facilities "$FACILITIES" \
-    -metric l2 -topk 0 -save-snapshot "$workdir/snap_v2" >/dev/null
-"$workdir/crest" -load-snapshot "$workdir/snap_v2" -topk 0 \
-    -save-snapshot "$workdir/snap_v1" -snapshot-format v1 >/dev/null
-ls -l "$workdir/snap_v1" "$workdir/snap_v2" | awk '{print "  " $NF ": " $5 " bytes"}'
+"$workdir/crest" "${build[@]}" -topk 0 -save-snapshot "$workdir/map.snap" >/dev/null
+ls -l "$workdir/map.snap" | awk '{print "  " $NF ": " $5 " bytes"}'
 
-# Peak RSS (VmHWM) alone flatters neither path: the mmap loader's CRC pass
+# Peak RSS (VmHWM) alone flatters neither side: the mmap loader's CRC pass
 # faults in every file page, so its peak is roughly the file size — but those
 # pages are file-backed and reclaimable. RssAnon is the unreclaimable heap,
-# and that is where the decode paths pay and the mapped path doesn't.
+# and that is where a built map pays and a mapped one doesn't.
 measure() { # name, crest args...
     local name=$1
     shift
-    local out hwm anon load
+    local out hwm anon took
     out=$("$workdir/crest" "$@" -topk 0 -mem-stats)
     hwm=$(awk '/^VmHWM:/ {print $2 " " $3}' <<<"$out")
     anon=$(awk '/^RssAnon:/ {print $2 " " $3}' <<<"$out")
-    load=$(sed -n 's/.*loaded in \([^:]*\):.*/\1/p' <<<"$out")
+    took=$(sed -n 's/.*loaded in \([^:]*\):.*/load \1/p; s/.*  time: \(.*\)$/sweep \1/p' <<<"$out" | head -1)
     if [ -z "$hwm" ]; then
         echo "  $name: VmHWM unavailable (non-Linux?)"
         return
     fi
-    printf '  %-10s peak RSS %-12s heap (RssAnon) %-12s load %s\n' \
-        "$name" "$hwm" "${anon:-n/a}" "$load"
+    printf '  %-6s peak RSS %-12s heap (RssAnon) %-12s %s\n' \
+        "$name" "$hwm" "${anon:-n/a}" "$took"
 }
 
-echo "peak resident set per load path:"
-measure v1-decode -load-snapshot "$workdir/snap_v1" -load-mode decode
-measure v2-decode -load-snapshot "$workdir/snap_v2" -load-mode decode
-measure v2-mmap -load-snapshot "$workdir/snap_v2" -load-mode mmap
+echo "peak resident set, built vs mapped:"
+measure build "${build[@]}"
+measure mmap -load-snapshot "$workdir/map.snap"
