@@ -513,18 +513,18 @@ func BenchmarkTileServe(b *testing.B) {
 			}
 			return s
 		}
-		get := func(s *server.Server, path string) int {
+		get := func(s *server.Server, path string) (code, size int) {
 			req := httptest.NewRequest(http.MethodGet, path, nil)
 			rec := httptest.NewRecorder()
 			s.ServeHTTP(rec, req)
-			return rec.Code
+			return rec.Code, rec.Body.Len()
 		}
 		s := newServer(b)
 		warm := make([]string, 0, 16)
 		for x := 0; x < 4; x++ {
 			for y := 0; y < 4; y++ {
 				path := fmt.Sprintf("/tiles/2/%d/%d.png", x, y)
-				if code := get(s, path); code != http.StatusOK {
+				if code, _ := get(s, path); code != http.StatusOK {
 					b.Fatalf("GET %s = %d", path, code)
 				}
 				warm = append(warm, path)
@@ -533,7 +533,7 @@ func BenchmarkTileServe(b *testing.B) {
 		b.Run(cfg.name+"/warm", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if code := get(s, warm[i%len(warm)]); code != http.StatusOK {
+				if code, _ := get(s, warm[i%len(warm)]); code != http.StatusOK {
 					b.Fatal("warm tile failed")
 				}
 			}
@@ -545,8 +545,10 @@ func BenchmarkTileServe(b *testing.B) {
 			// rather than the PNG encoding of empty corner tiles. Each pass
 			// over the block starts on a fresh server, built untimed, so no
 			// request — in any invocation or -count repeat — is a cache hit.
+			// png-B/tile is the mean encoded tile size.
 			const z, span, off = 6, 32, 16
 			var cold *server.Server
+			total := 0
 			for i := 0; i < b.N; i++ {
 				k := i % (span * span)
 				if k == 0 {
@@ -555,10 +557,13 @@ func BenchmarkTileServe(b *testing.B) {
 					b.StartTimer()
 				}
 				path := fmt.Sprintf("/tiles/%d/%d/%d.png", z, off+k%span, off+k/span)
-				if code := get(cold, path); code != http.StatusOK {
+				code, size := get(cold, path)
+				if code != http.StatusOK {
 					b.Fatal("cold tile failed")
 				}
+				total += size
 			}
+			b.ReportMetric(float64(total)/float64(b.N), "png-B/tile")
 		})
 	}
 }

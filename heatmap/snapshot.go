@@ -44,7 +44,14 @@ func (m *Map) Snapshot(mapVersion uint64) (*snapshot.Snapshot, error) {
 // SaveSnapshot atomically writes the map's snapshot to path. The slab
 // point-location index is built if needed and stored in the file, so
 // OpenSnapshot can serve queries and tiles without a decode or rebuild step.
+// A map opened from a file that already carries its slab index, saved at the
+// file's own map version, has exactly the file's bytes to write: they are
+// copied from the mapping, so the map stays "mapped" and nothing is
+// materialized or rebuilt.
 func (m *Map) SaveSnapshot(path string, mapVersion uint64) error {
+	if m.view != nil && m.view.HasSlabIndex() && m.view.Meta().MapVersion == mapVersion {
+		return m.view.WriteFile(path)
+	}
 	s, err := m.Snapshot(mapVersion)
 	if err != nil {
 		return err

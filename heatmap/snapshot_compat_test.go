@@ -184,6 +184,86 @@ func TestMappedApplyDeltaPromotes(t *testing.T) {
 	}
 }
 
+// TestSaveMappedSnapshotCopiesFile: saving a map opened from a file that
+// carries its slab index, at the file's own version, writes the file's bytes
+// without materializing the map, for every metric. Another version, or a
+// file without slab sections, takes the encoding path: it materializes, and
+// the latter gains the slab index it lacked.
+func TestSaveMappedSnapshotCopiesFile(t *testing.T) {
+	t.Parallel()
+	clients, facilities := snapshotTestSets(t)
+	for _, metric := range []Metric{LInf, L1, L2} {
+		orig, err := Build(Config{Clients: clients, Facilities: facilities, Metric: metric})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		src := filepath.Join(dir, "src.snap")
+		if err := orig.SaveSnapshot(src, 4); err != nil {
+			t.Fatal(err)
+		}
+		mapped, _, err := OpenSnapshot(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := filepath.Join(dir, "dst.snap")
+		if err := mapped.SaveSnapshot(dst, 4); err != nil {
+			t.Fatal(err)
+		}
+		sb, err := os.ReadFile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, err := os.ReadFile(dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(sb, db) {
+			t.Errorf("%v: saving a mapped map at its own version wrote %d bytes that differ from the %d-byte source", metric, len(db), len(sb))
+		}
+		if got := mapped.Residency(); got != "mapped" {
+			t.Errorf("%v: Residency after the copy = %q, want mapped", metric, got)
+		}
+		if err := mapped.SaveSnapshot(dst, 5); err != nil {
+			t.Fatal(err)
+		}
+		if got := mapped.Residency(); got != "mapped+heap" {
+			t.Errorf("%v: Residency after a save at another version = %q, want mapped+heap", metric, got)
+		}
+		if m, v, err := OpenSnapshot(dst); err != nil || v != 5 || !bytes.Equal(tilePNG(t, m, orig.Bounds()), tilePNG(t, orig, orig.Bounds())) {
+			t.Errorf("%v: the re-encoded save reopens at version %d (err %v), want 5 with the original's pixels", metric, v, err)
+		}
+	}
+
+	bare, err := Build(Config{Clients: clients, Facilities: facilities, Metric: L2, NoSlabIndex: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	src := filepath.Join(dir, "bare.snap")
+	if err := bare.SaveSnapshot(src, 1); err != nil {
+		t.Fatal(err)
+	}
+	mapped, _, err := OpenSnapshot(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mapped.view.HasSlabIndex() {
+		t.Fatal("a NoSlabIndex map's snapshot carries slab sections")
+	}
+	dst := filepath.Join(dir, "indexed.snap")
+	if err := mapped.SaveSnapshot(dst, 1); err != nil {
+		t.Fatal(err)
+	}
+	indexed, _, err := OpenSnapshot(dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !indexed.view.HasSlabIndex() {
+		t.Error("re-saving a mapped map without slab sections did not add them")
+	}
+}
+
 // TestMappedOptimal: the optimal-location engine works on a snapshot
 // restored by OpenSnapshot (materializing it) and matches the original
 // build exactly, geometry included, for every metric. A restored

@@ -126,45 +126,6 @@ func TestSnapshotRoundTripAcrossMetricsAndMeasures(t *testing.T) {
 	}
 }
 
-// TestSnapshotThenApplyDelta asserts a restored map stays mutable: applying
-// the same delta to the original and the restored map converges to identical
-// regions and pixels.
-func TestSnapshotThenApplyDelta(t *testing.T) {
-	t.Parallel()
-	clients, facilities := snapshotTestSets(t)
-	orig, err := Build(Config{Clients: clients, Facilities: facilities, Metric: L2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "m.snap")
-	if err := orig.SaveSnapshot(path, 1); err != nil {
-		t.Fatal(err)
-	}
-	loaded, _, err := OpenSnapshot(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := Delta{
-		AddClients:    []Point{Pt(100, 100), Pt(400, 250)},
-		RemoveClients: []int{3},
-		AddFacilities: []Point{Pt(250, 250)},
-	}
-	next1, _, err := orig.ApplyDelta(d)
-	if err != nil {
-		t.Fatalf("ApplyDelta on original: %v", err)
-	}
-	next2, _, err := loaded.ApplyDelta(d)
-	if err != nil {
-		t.Fatalf("ApplyDelta on restored map: %v", err)
-	}
-	if !reflect.DeepEqual(next1.Regions(), next2.Regions()) {
-		t.Error("regions diverge after ApplyDelta on a restored map")
-	}
-	if !bytes.Equal(tilePNG(t, next1, next1.Bounds()), tilePNG(t, next2, next2.Bounds())) {
-		t.Error("pixels diverge after ApplyDelta on a restored map")
-	}
-}
-
 // TestSnapshotRejectsCustomMeasure asserts the documented limitation.
 func TestSnapshotRejectsCustomMeasure(t *testing.T) {
 	t.Parallel()

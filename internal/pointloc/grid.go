@@ -2,6 +2,7 @@ package pointloc
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"sort"
 
@@ -176,11 +177,21 @@ func (c *column) exactHeat(p geom.Point) float64 {
 
 // match appends to dst, in ascending order, the clients of the candidate
 // circles that contain p.
+//
+// A candidate whose center is farther than its radius from p in y is
+// skipped before the distance test. The skip is exact: every metric's
+// distance is at least the y-gap (L∞ takes the max, L1 adds |Δx|, and
+// L2's math.Hypot scales the larger gap by sqrt(1+q²) ≥ 1, so it holds in
+// floating point too), and a NaN fails the comparison and falls through to
+// Contains.
 func (c *column) match(dst []int, p geom.Point) []int {
 	if !c.gathered {
 		c.gather()
 	}
 	for _, nc := range c.cands {
+		if math.Abs(nc.Circle.Center.Y-p.Y) > nc.Circle.Radius {
+			continue
+		}
 		if nc.Circle.Contains(p) {
 			dst = append(dst, nc.Client)
 		}

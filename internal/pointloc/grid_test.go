@@ -270,3 +270,67 @@ func TestHeatGridAdversarial(t *testing.T) {
 		}
 	}
 }
+
+// TestMatchRejectIsExact pins column.match's y-gap reject to the plain
+// containment loop it short-cuts: on candidates and points built at the
+// reject's edges — |Δy| exactly the radius and one ulp either side,
+// centers offset by 1e6 to 1e9, zero radii, NaN and infinite coordinates
+// and radii — match returns exactly the clients whose circle Contains the
+// point, for every metric.
+func TestMatchRejectIsExact(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(19))
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, metric := range []geom.Metric{geom.LInf, geom.L1, geom.L2} {
+		var cands []nncircle.NNCircle
+		var pts []geom.Point
+		add := func(cx, cy, r float64) {
+			cands = append(cands, nncircle.NNCircle{Client: len(cands), Circle: geom.NewCircle(geom.Pt(cx, cy), r, metric)})
+		}
+		for _, off := range []float64{0, 1e6, 3.3e7, 1e8, 7.7e8, 1e9} {
+			for _, r := range []float64{0, 0.5, 1, 2.75, 1.0 / 3, 1e-9} {
+				cx := off + float64(rng.Intn(64))/8
+				cy := off + float64(rng.Intn(64))/8
+				if rng.Intn(2) == 0 {
+					cx, cy = -cx, -cy
+				}
+				add(cx, cy, r)
+				for _, py := range []float64{cy + r, cy - r} {
+					for _, y := range []float64{py, math.Nextafter(py, inf), math.Nextafter(py, -inf)} {
+						// dx = 0 makes every metric's distance the y-gap;
+						// a small dx makes L2 and L1 exceed it.
+						pts = append(pts, geom.Pt(cx, y), geom.Pt(cx+r/4, y), geom.Pt(math.Nextafter(cx, inf), y))
+					}
+				}
+				pts = append(pts, geom.Pt(cx, cy), geom.Pt(cx+r, cy))
+			}
+		}
+		add(nan, 0, 1)
+		add(0, nan, 1)
+		add(0, 0, nan)
+		add(0, 0, inf)
+		add(inf, 0, 1)
+		add(0, -inf, 1)
+		pts = append(pts, geom.Pt(nan, 0), geom.Pt(0, nan), geom.Pt(nan, nan), geom.Pt(0, 0),
+			geom.Pt(0, 1), geom.Pt(inf, 0), geom.Pt(0, -inf), geom.Pt(nan, 1e9))
+
+		c := column{cands: cands, gathered: true}
+		matches := 0
+		for _, p := range pts {
+			var want []int
+			for _, nc := range cands {
+				if nc.Circle.Contains(p) {
+					want = append(want, nc.Client)
+				}
+			}
+			got := c.match(nil, p)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%v: match(%v) = %v, a plain Contains loop gives %v", metric, p, got, want)
+			}
+			matches += len(want)
+		}
+		if matches < len(pts)/4 {
+			t.Fatalf("%v: only %d matches over %d points; the cases miss the boundary", metric, matches, len(pts))
+		}
+	}
+}

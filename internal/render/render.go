@@ -24,6 +24,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 
@@ -178,20 +179,25 @@ func (r *Raster) ImageScaled(cm ColorMap, lo, hi float64) *image.RGBA {
 	// Values and Pix share the row-major layout (Stride is 4*Width), so
 	// pixel i is Pix[4i:4i+4] — the bytes SetRGBA would write.
 	for i, h := range r.Values {
-		v := 0.0
-		if span > 0 {
-			v = (h - lo) / span
-		}
-		c := cm(v)
+		c := cm(scaled(h, lo, span))
 		px := img.Pix[4*i : 4*i+4 : 4*i+4]
 		px[0], px[1], px[2], px[3] = c.R, c.G, c.B, c.A
 	}
 	return img
 }
 
+// scaled normalizes heat h against [lo, lo+span]; a non-positive span maps
+// every heat to 0.
+func scaled(h, lo, span float64) float64 {
+	if span > 0 {
+		return (h - lo) / span
+	}
+	return 0
+}
+
 // pngEncoder encodes every raster with png.Encode's settings; its buffer
 // pool hands the zlib writer and row buffers of one encode to the next, so a
-// tile server stops allocating them per tile. The bytes are png.Encode's.
+// tile server stops allocating them per tile.
 var pngEncoder = png.Encoder{BufferPool: &pngBuffers{}}
 
 // pngBuffers is a png.EncoderBufferPool over a sync.Pool.
@@ -204,18 +210,112 @@ func (p *pngBuffers) Get() *png.EncoderBuffer {
 
 func (p *pngBuffers) Put(b *png.EncoderBuffer) { p.pool.Put(b) }
 
-// WritePNG encodes the raster as a PNG image.
-func (r *Raster) WritePNG(w io.Writer, cm ColorMap) error {
-	if err := pngEncoder.Encode(w, r.Image(cm)); err != nil {
-		return fmt.Errorf("render: encoding png: %w", err)
+// paletter maps a raster onto a palette image: one color-map evaluation per
+// distinct heat and one palette entry per distinct color. Given a palette
+// image, png picks 1, 2, 4 or 8 bits per pixel and skips the per-row filter
+// search, which is most of the cost of encoding a truecolor tile that holds
+// a handful of heats. paletters pools it, Pix buffer included, so a tile
+// server stops allocating it per tile.
+type paletter struct {
+	img    image.Paletted
+	byHeat map[uint64]uint8 // heat bits → palette index, this encode
+	// swatches holds each color's palette entry, boxed into a color.Color
+	// once and kept across encodes (up to maxSwatches colors), so building
+	// a palette allocates nothing; an entry is in this encode's palette, at
+	// idx, when its gen is this encode's.
+	swatches map[color.RGBA]swatch
+	gen      uint64
+}
+
+type swatch struct {
+	entry color.Color
+	idx   uint8
+	gen   uint64
+}
+
+const maxSwatches = 4096
+
+var paletters = sync.Pool{New: func() any {
+	return &paletter{img: image.Paletted{Palette: make(color.Palette, 0, 256)},
+		byHeat: map[uint64]uint8{}, swatches: map[color.RGBA]swatch{}}
+}}
+
+// index fills the palette image with the raster's colors as ImageScaled
+// computes them. It reports false when they do not fit a palette: more than
+// 256 distinct colors, or any color with alpha below 255 (which would need a
+// tRNS chunk and premultiplied round trips).
+func (p *paletter) index(r *Raster, cm ColorMap, lo, hi float64) (*image.Paletted, bool) {
+	clear(p.byHeat)
+	if len(p.swatches) > maxSwatches {
+		clear(p.swatches)
 	}
-	return nil
+	p.gen++
+	pix := slices.Grow(p.img.Pix[:0], len(r.Values))[:len(r.Values)]
+	p.img = image.Paletted{Pix: pix, Stride: r.Width, Rect: image.Rect(0, 0, r.Width, r.Height),
+		Palette: p.img.Palette[:0]}
+	span := hi - lo
+	// Heats change only at region boundaries along a row, so the lookup
+	// runs once per run of equal heats, not once per pixel.
+	var last uint64
+	var idx uint8
+	for i, h := range r.Values {
+		if bits := math.Float64bits(h); i == 0 || bits != last {
+			j, ok := p.byHeat[bits]
+			if !ok {
+				c := cm(scaled(h, lo, span))
+				if c.A != 255 {
+					return nil, false
+				}
+				sw, seen := p.swatches[c]
+				if !seen || sw.gen != p.gen {
+					if len(p.img.Palette) == 256 {
+						return nil, false
+					}
+					if !seen {
+						// An opaque RGBA is the same NRGBA, the model png
+						// writes the palette in, so the write converts
+						// nothing.
+						sw.entry = color.NRGBA{R: c.R, G: c.G, B: c.B, A: 255}
+					}
+					sw.idx, sw.gen = uint8(len(p.img.Palette)), p.gen
+					p.swatches[c] = sw
+					p.img.Palette = append(p.img.Palette, sw.entry)
+				}
+				j = sw.idx
+				p.byHeat[bits] = j
+			}
+			last, idx = bits, j
+		}
+		pix[i] = idx
+	}
+	return &p.img, true
+}
+
+// WritePNG encodes the raster as a PNG image normalized against its own
+// min/max; see WritePNGScaled.
+func (r *Raster) WritePNG(w io.Writer, cm ColorMap) error {
+	lo, hi := r.MinMax()
+	return r.WritePNGScaled(w, cm, lo, hi)
 }
 
 // WritePNGScaled encodes the raster as a PNG normalized against the fixed
-// range [lo, hi]; see ImageScaled.
+// range [lo, hi]; see ImageScaled. The PNG is indexed-color when the
+// raster's colors fit a palette — at most 256 distinct colors, all opaque,
+// as Grayscale's always are — and truecolor otherwise; either way it
+// decodes to ImageScaled's pixels.
 func (r *Raster) WritePNGScaled(w io.Writer, cm ColorMap, lo, hi float64) error {
-	if err := pngEncoder.Encode(w, r.ImageScaled(cm, lo, hi)); err != nil {
+	if cm == nil {
+		cm = Grayscale
+	}
+	p := paletters.Get().(*paletter)
+	defer paletters.Put(p)
+	var img image.Image
+	if pi, ok := p.index(r, cm, lo, hi); ok {
+		img = pi
+	} else {
+		img = r.ImageScaled(cm, lo, hi)
+	}
+	if err := pngEncoder.Encode(w, img); err != nil {
 		return fmt.Errorf("render: encoding png: %w", err)
 	}
 	return nil

@@ -3,15 +3,19 @@ package render
 import (
 	"bytes"
 	"image"
+	"image/color"
 	"image/png"
+	"math"
 	"math/rand"
 	"strings"
 	"sync"
 	"testing"
 
+	"rnnheatmap/internal/dataset"
 	"rnnheatmap/internal/geom"
 	"rnnheatmap/internal/influence"
 	"rnnheatmap/internal/nncircle"
+	"rnnheatmap/internal/pointloc"
 )
 
 func testCircles() []nncircle.NNCircle {
@@ -313,11 +317,44 @@ func TestImageScaledFixedRange(t *testing.T) {
 	}
 }
 
-// TestPNGBytesMatchStdlibEncode pins the encode path to png.Encode over a
-// per-pixel SetRGBA image: the direct Pix fill writes the same pixels, and
-// the shared pooled encoder — reused across encodes and goroutines — writes
-// the same bytes.
-func TestPNGBytesMatchStdlibEncode(t *testing.T) {
+// pngColorType returns the IHDR color type byte of an encoded PNG: 3 for
+// indexed color, 2 for truecolor, 6 for truecolor with alpha.
+func pngColorType(t *testing.T, b []byte) byte {
+	t.Helper()
+	// 8-byte signature, chunk length, "IHDR", width, height, bit depth.
+	if len(b) < 26 || string(b[12:16]) != "IHDR" {
+		t.Fatalf("not a PNG with a leading IHDR chunk: % x", b[:min(len(b), 26)])
+	}
+	return b[25]
+}
+
+// assertDecodesTo decodes an encoded PNG and compares every pixel with want.
+func assertDecodesTo(t *testing.T, b []byte, want *image.RGBA) {
+	t.Helper()
+	got, err := png.Decode(bytes.NewReader(b))
+	if err != nil {
+		t.Fatalf("png.Decode: %v", err)
+	}
+	if got.Bounds() != want.Bounds() {
+		t.Fatalf("decoded bounds %v, want %v", got.Bounds(), want.Bounds())
+	}
+	for y := 0; y < want.Rect.Dy(); y++ {
+		for x := 0; x < want.Rect.Dx(); x++ {
+			if g, w := color.RGBAModel.Convert(got.At(x, y)), want.RGBAAt(x, y); g != w {
+				t.Fatalf("pixel (%d,%d) decodes to %v, want %v", x, y, g, w)
+			}
+		}
+	}
+}
+
+// TestPNGDecodesToImageScaled pins the tile encoding to ImageScaled's pixels,
+// which are the truecolor tiles' pixels: a Grayscale or Inferno raster of a
+// few heats encodes as indexed color (IHDR color type 3) and decodes to
+// exactly ImageScaled's colors, ImageScaled's direct Pix fill writes the
+// pixels a per-pixel SetRGBA would, and encodes from four goroutines
+// sharing the palette, Pix and encoder pools write the same bytes as a
+// lone encode.
+func TestPNGDecodesToImageScaled(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(3))
 	type tile struct {
@@ -327,11 +364,12 @@ func TestPNGBytesMatchStdlibEncode(t *testing.T) {
 	}
 	var tiles []tile
 	for _, cm := range []ColorMap{Grayscale, Inferno} {
-		for k := 0; k < 3; k++ {
+		for k := 0; k < 4; k++ {
 			w, h := 1+rng.Intn(70), 1+rng.Intn(70)
 			r := &Raster{Bounds: geom.Rect{MaxX: 1, MaxY: 1}, Width: w, Height: h, Values: make([]float64, w*h)}
+			// k = 0 is a constant raster: a one-color palette.
 			for i := range r.Values {
-				r.Values[i] = float64(rng.Intn(9))
+				r.Values[i] = float64(rng.Intn(1 + 8*k))
 			}
 			ref := image.NewRGBA(image.Rect(0, 0, w, h))
 			for y := 0; y < h; y++ {
@@ -339,13 +377,18 @@ func TestPNGBytesMatchStdlibEncode(t *testing.T) {
 					ref.SetRGBA(x, y, cm((r.At(x, y)-1)/6))
 				}
 			}
-			if got := r.ImageScaled(cm, 1, 7); !bytes.Equal(got.Pix, ref.Pix) || got.Stride != ref.Stride {
+			img := r.ImageScaled(cm, 1, 7)
+			if !bytes.Equal(img.Pix, ref.Pix) || img.Stride != ref.Stride {
 				t.Fatalf("%dx%d: ImageScaled pixels differ from SetRGBA", w, h)
 			}
 			var want bytes.Buffer
-			if err := png.Encode(&want, ref); err != nil {
+			if err := r.WritePNGScaled(&want, cm, 1, 7); err != nil {
 				t.Fatal(err)
 			}
+			if ct := pngColorType(t, want.Bytes()); ct != 3 {
+				t.Fatalf("%dx%d: IHDR color type %d, want 3 (indexed)", w, h, ct)
+			}
+			assertDecodesTo(t, want.Bytes(), img)
 			tiles = append(tiles, tile{r, cm, want.Bytes()})
 		}
 	}
@@ -362,7 +405,7 @@ func TestPNGBytesMatchStdlibEncode(t *testing.T) {
 						return
 					}
 					if !bytes.Equal(got.Bytes(), tl.want) {
-						t.Errorf("%dx%d: WritePNGScaled bytes differ from png.Encode", tl.r.Width, tl.r.Height)
+						t.Errorf("%dx%d: concurrent WritePNGScaled bytes differ from a lone encode", tl.r.Width, tl.r.Height)
 						return
 					}
 				}
@@ -370,4 +413,167 @@ func TestPNGBytesMatchStdlibEncode(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestPNGTruecolorFallback pins the rasters whose colors do not fit a
+// palette to the truecolor encoding, byte for byte png.Encode of
+// ImageScaled: more than 256 distinct colors, and a color map with alpha
+// below 255. Exactly 256 colors still take the palette.
+func TestPNGTruecolorFallback(t *testing.T) {
+	t.Parallel()
+	ramp := func(n int) *Raster {
+		r := &Raster{Bounds: geom.Rect{MaxX: 1, MaxY: 1}, Width: n, Height: 3, Values: make([]float64, 3*n)}
+		for i := range r.Values {
+			r.Values[i] = float64(i % n)
+		}
+		return r
+	}
+	// step maps the ramp's n heats to n distinct opaque colors.
+	step := func(n int) ColorMap {
+		return func(v float64) color.RGBA {
+			i := int(math.Round(v * float64(n-1)))
+			return color.RGBA{R: uint8(i), G: uint8(i >> 8), A: 255}
+		}
+	}
+	translucent := func(v float64) color.RGBA { return color.RGBA{R: uint8(128 * clamp01(v)), A: 128} }
+	for _, tc := range []struct {
+		name     string
+		r        *Raster
+		cm       ColorMap
+		wantType byte
+	}{
+		{"inferno-4096", ramp(4096), Inferno, 2},
+		{"257-colors", ramp(257), step(257), 2},
+		{"256-colors", ramp(256), step(256), 3},
+		{"translucent", ramp(64), translucent, 6},
+	} {
+		lo, hi := tc.r.MinMax()
+		img := tc.r.ImageScaled(tc.cm, lo, hi)
+		colors := map[color.RGBA]bool{}
+		for i := 0; i < len(img.Pix); i += 4 {
+			colors[color.RGBA{img.Pix[i], img.Pix[i+1], img.Pix[i+2], img.Pix[i+3]}] = true
+		}
+		var got bytes.Buffer
+		if err := tc.r.WritePNGScaled(&got, tc.cm, lo, hi); err != nil {
+			t.Fatal(err)
+		}
+		if ct := pngColorType(t, got.Bytes()); ct != tc.wantType {
+			t.Errorf("%s (%d colors): IHDR color type %d, want %d", tc.name, len(colors), ct, tc.wantType)
+		}
+		if tc.wantType == 3 {
+			assertDecodesTo(t, got.Bytes(), img)
+			continue
+		}
+		if tc.name == "inferno-4096" && len(colors) <= 256 {
+			t.Fatalf("%s: only %d distinct colors; the case must overflow the palette", tc.name, len(colors))
+		}
+		var want bytes.Buffer
+		if err := png.Encode(&want, img); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%s: WritePNGScaled bytes differ from png.Encode(ImageScaled)", tc.name)
+		}
+	}
+}
+
+// TestPaletterStaleBuffers pins the pooled palette state: a paletter whose
+// Pix, palette and lookup maps hold a previous, larger tile's contents
+// indexes and encodes a raster exactly as a fresh one does, and so does one
+// whose swatches of this raster's colors stand from earlier encodes.
+func TestPaletterStaleBuffers(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(5))
+	r := &Raster{Bounds: geom.Rect{MaxX: 1, MaxY: 1}, Width: 37, Height: 23, Values: make([]float64, 37*23)}
+	for i := range r.Values {
+		r.Values[i] = float64(rng.Intn(5))
+	}
+	stale := paletters.New().(*paletter)
+	stale.gen = 41
+	stale.img.Pix = bytes.Repeat([]byte{0xff}, 4096)
+	for i := 0; i < 200; i++ {
+		stale.img.Palette = append(stale.img.Palette, color.RGBA{R: uint8(i), A: 255})
+		stale.byHeat[math.Float64bits(float64(i%5))] = uint8(199 - i)
+		c := Inferno(float64(i%5) / 4)
+		stale.swatches[c] = swatch{entry: color.NRGBA{R: c.R, G: c.G, B: c.B, A: 255}, idx: uint8(i), gen: stale.gen}
+	}
+	encode := func(p *paletter) []byte {
+		img, ok := p.index(r, Inferno, 0, 4)
+		if !ok {
+			t.Fatal("a five-heat raster must fit a palette")
+		}
+		var b bytes.Buffer
+		if err := pngEncoder.Encode(&b, img); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	fresh := encode(paletters.New().(*paletter))
+	if got := encode(stale); !bytes.Equal(got, fresh) {
+		t.Fatal("encoding from stale pooled buffers differs from a fresh encode")
+	}
+	var viaAPI bytes.Buffer
+	if err := r.WritePNGScaled(&viaAPI, Inferno, 0, 4); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(viaAPI.Bytes(), fresh) {
+		t.Fatal("WritePNGScaled differs from a fresh paletter's encode")
+	}
+}
+
+// TestRenderIntoMatchesRender pins the pooled raster path: RenderInto into a
+// raster prefilled with NaN — larger than the tile, and smaller — equals a
+// fresh Render, for every metric through the slab locator and through the
+// enclosure path.
+func TestRenderIntoMatchesRender(t *testing.T) {
+	t.Parallel()
+	ds := dataset.Uniform(300, geom.Rect{MaxX: 100, MaxY: 100}, 11)
+	clients, facilities := ds.SampleClientsFacilities(200, 40, 3)
+	for _, metric := range []geom.Metric{geom.LInf, geom.L1, geom.L2} {
+		circles, err := nncircle.Compute(clients, facilities, metric)
+		if err != nil {
+			t.Fatal(err)
+		}
+		encl, err := NewRenderer(circles, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slab, err := NewRenderer(circles, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix, err := pointloc.Build(circles, nil, pointloc.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		slab.UsePointLoc(ix)
+		b := encl.Bounds()
+		sub := geom.Rect{MinX: b.MinX + 10, MinY: b.MinY + 20, MaxX: b.MinX + 50, MaxY: b.MinY + 45}
+		for name, rd := range map[string]*Renderer{"enclosure": encl, "slab": slab} {
+			for _, prefill := range []int{0, 17, 40 * 30, 5000} {
+				dst := &Raster{Values: make([]float64, prefill)}
+				for i := range dst.Values {
+					dst.Values[i] = math.NaN()
+				}
+				for _, view := range []geom.Rect{sub, b} {
+					want, err := rd.Render(view, 40, 30)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := rd.RenderInto(dst, view, 40, 30); err != nil {
+						t.Fatal(err)
+					}
+					if dst.Bounds != want.Bounds || dst.Width != want.Width || dst.Height != want.Height || len(dst.Values) != len(want.Values) {
+						t.Fatalf("%v %s: RenderInto raster %v %dx%d with %d values, want %v %dx%d with %d", metric, name,
+							dst.Bounds, dst.Width, dst.Height, len(dst.Values), want.Bounds, want.Width, want.Height, len(want.Values))
+					}
+					for i, v := range want.Values {
+						if math.Float64bits(dst.Values[i]) != math.Float64bits(v) {
+							t.Fatalf("%v %s prefill %d: value %d = %g, want %g", metric, name, prefill, i, dst.Values[i], v)
+						}
+					}
+				}
+			}
+		}
+	}
 }

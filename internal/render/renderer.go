@@ -2,6 +2,7 @@ package render
 
 import (
 	"errors"
+	"slices"
 	"sync/atomic"
 
 	"rnnheatmap/internal/enclosure"
@@ -105,21 +106,32 @@ func (rd *Renderer) RenderWidth(bounds geom.Rect, width int) (*Raster, error) {
 // circles and the measure — never on how the heat map was swept — so output
 // is deterministic across worker counts.
 func (rd *Renderer) Render(bounds geom.Rect, width, height int) (*Raster, error) {
+	r := new(Raster)
+	if err := rd.RenderInto(r, bounds, width, height); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// RenderInto is Render writing into dst: it overwrites every value and
+// reuses dst.Values when its capacity suffices, so a caller that renders
+// many tiles (the tile server, from a pool) allocates no raster per tile.
+func (rd *Renderer) RenderInto(dst *Raster, bounds geom.Rect, width, height int) error {
 	if bounds.IsEmpty() || bounds.Width() <= 0 || bounds.Height() <= 0 {
-		return nil, errors.New("render: empty raster bounds")
+		return errors.New("render: empty raster bounds")
 	}
 	if width <= 0 || height <= 0 {
-		return nil, errors.New("render: non-positive raster size")
+		return errors.New("render: non-positive raster size")
 	}
-	r := &Raster{Bounds: bounds, Width: width, Height: height,
-		Values: make([]float64, width*height)}
+	values := slices.Grow(dst.Values[:0], width*height)[:width*height]
+	*dst = Raster{Bounds: bounds, Width: width, Height: height, Values: values}
 	if rd.pl != nil {
-		rd.pl.HeatGrid(bounds, width, height, r.Values)
+		rd.pl.HeatGrid(bounds, width, height, values)
 	} else {
-		rd.enclosureGrid(bounds, width, height, r.Values)
+		rd.enclosureGrid(bounds, width, height, values)
 	}
 	rd.calls.Add(1)
-	return r, nil
+	return nil
 }
 
 // enclosureGrid is the no-locator path and the oracle HeatGrid is held to:

@@ -935,21 +935,40 @@ func (s *Server) handleTile(inst *mapInstance, w http.ResponseWriter, r *http.Re
 	_, _ = w.Write(t.png)
 }
 
+// tileScratch is a tile miss's scratch: the heat raster between rendering
+// and encoding, and the buffer the PNG is encoded into before it is copied
+// out for the cache. tileScratches pools it, so a miss allocates about the
+// PNG's size instead of tileSize² heats and the encode buffer's growth.
+type tileScratch struct {
+	raster render.Raster
+	png    bytes.Buffer
+}
+
+var tileScratches = sync.Pool{New: func() any {
+	sc := new(tileScratch)
+	sc.png.Grow(8 << 10) // most tiles encode in one or two KiB
+	return sc
+}}
+
 // renderTile rasterizes one tile of the given snapshot, encodes it as PNG
 // normalizing against the snapshot's map-wide heat range, and stamps the
-// ETag once.
+// ETag once. The cached PNG bytes are a copy, never pooled memory.
 func (s *Server) renderTile(inst *mapInstance, st *mapState, z, x, y int) (*tileData, error) {
-	raster, err := st.rd.Render(st.grid.tileBounds(z, x, y), s.tileSize, s.tileSize)
-	if err != nil {
+	sc := tileScratches.Get().(*tileScratch)
+	defer tileScratches.Put(sc)
+	if err := st.rd.RenderInto(&sc.raster, st.grid.tileBounds(z, x, y), s.tileSize, s.tileSize); err != nil {
 		return nil, err
 	}
 	inst.renders.Add(1)
-	var buf bytes.Buffer
-	if err := raster.WritePNGScaled(&buf, s.cm, st.heatLo, st.heatHi); err != nil {
+	sc.png.Reset()
+	if err := sc.raster.WritePNGScaled(&sc.png, s.cm, st.heatLo, st.heatHi); err != nil {
 		return nil, err
 	}
+	png := bytes.Clone(sc.png.Bytes())
 	h := fnv.New64a()
-	_, _ = h.Write(buf.Bytes())
-	etag := fmt.Sprintf("%q", strconv.FormatUint(h.Sum64(), 16))
-	return &tileData{png: buf.Bytes(), etag: etag}, nil
+	_, _ = h.Write(png)
+	// The quoted hex hash, as %q would print it, in one allocation.
+	var quoted [18]byte
+	etag := string(append(strconv.AppendUint(append(quoted[:0], '"'), h.Sum64(), 16), '"'))
+	return &tileData{png: png, etag: etag}, nil
 }

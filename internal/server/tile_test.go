@@ -1,6 +1,10 @@
 package server
 
 import (
+	"fmt"
+	"net/http"
+	"runtime"
+	"slices"
 	"testing"
 
 	"rnnheatmap/internal/geom"
@@ -56,4 +60,46 @@ func TestGridValid(t *testing.T) {
 			t.Errorf("valid(%d, %d, %d) = %v, want %v", tc.z, tc.x, tc.y, got, tc.want)
 		}
 	}
+}
+
+// TestTileMissAllocs pins the pooled tile miss: once the raster, palette
+// and encoder pools are warm, rendering and encoding a 256-pixel tile
+// through ServeHTTP allocates about the PNG's size, not the 512 KiB of heats
+// and 256 KiB of RGBA pixels an unpooled miss allocates. It runs serially,
+// so no parallel test's allocations land in the measurement.
+func TestTileMissAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled values on purpose")
+	}
+	s, err := New(Config{Map: buildMap(t, 1), TileSize: 256, TileCacheSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first misses build the slab index and fill the pools.
+	for x := 0; x < 2; x++ {
+		if rec := get(t, s, fmt.Sprintf("/tiles/3/%d/0.png", x)); rec.Code != http.StatusOK {
+			t.Fatalf("warm-up tile = %d", rec.Code)
+		}
+	}
+	var per []uint64
+	var ms runtime.MemStats
+	for x := 0; x < 8; x++ {
+		path := fmt.Sprintf("/tiles/3/%d/4.png", x)
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		rec := get(t, s, path)
+		runtime.ReadMemStats(&ms)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s = %d", path, rec.Code)
+		}
+		per = append(per, ms.TotalAlloc-before)
+	}
+	if got := s.RenderCalls(); got != 10 {
+		t.Fatalf("RenderCalls = %d, want 10: every measured request must be a miss", got)
+	}
+	slices.Sort(per)
+	if med := per[len(per)/2]; med >= 64<<10 {
+		t.Fatalf("a warm-pool tile miss allocates a median %d B (all: %v), want under 64 KiB", med, per)
+	}
+	t.Logf("bytes allocated per tile miss: %v", per)
 }

@@ -364,13 +364,31 @@ func (s *Snapshot) Encode(w io.Writer, tables *SlabTables) error {
 // would roll back to the old snapshot with an already-emptied log — losing
 // acknowledged mutations.) tables is as for Encode.
 func (s *Snapshot) WriteFile(path string, tables *SlabTables) error {
+	return writeFile(path, func(w io.Writer) error { return s.Encode(w, tables) })
+}
+
+// WriteFile atomically writes the view's file bytes to path, the way
+// Snapshot.WriteFile writes an encoded snapshot: a copy of the file the
+// view was opened from, with no decode and no re-encode.
+func (v *View) WriteFile(path string) error {
+	return writeFile(path, func(w io.Writer) error {
+		if _, err := w.Write(v.data); err != nil {
+			return fmt.Errorf("snapshot: %w", err)
+		}
+		return nil
+	})
+}
+
+// writeFile is the temp-file, fsync, rename and directory-fsync sequence
+// of WriteFile around write.
+func writeFile(path string, write func(io.Writer) error) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
 		return fmt.Errorf("snapshot: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := s.Encode(tmp, tables); err != nil {
+	if err := write(tmp); err != nil {
 		tmp.Close()
 		return err
 	}
