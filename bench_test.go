@@ -523,7 +523,7 @@ func BenchmarkTileServe(b *testing.B) {
 		warm := make([]string, 0, 16)
 		for x := 0; x < 4; x++ {
 			for y := 0; y < 4; y++ {
-				path := fmt.Sprintf("/tiles/2/%d/%d.png", x, y)
+				path := fmt.Sprintf("/v1/tiles/2/%d/%d.png", x, y)
 				if code, _ := get(s, path); code != http.StatusOK {
 					b.Fatalf("GET %s = %d", path, code)
 				}
@@ -556,7 +556,7 @@ func BenchmarkTileServe(b *testing.B) {
 					cold = newServer(b)
 					b.StartTimer()
 				}
-				path := fmt.Sprintf("/tiles/%d/%d/%d.png", z, off+k%span, off+k/span)
+				path := fmt.Sprintf("/v1/tiles/%d/%d/%d.png", z, off+k%span, off+k/span)
 				code, size := get(cold, path)
 				if code != http.StatusOK {
 					b.Fatal("cold tile failed")
@@ -731,19 +731,20 @@ func ingestBenchOps(rng *rand.Rand, bounds geom.Rect, n int) []string {
 }
 
 func ingestBenchPost(b *testing.B, s *server.Server, body string) {
-	req := httptest.NewRequest(http.MethodPost, "/mutations", strings.NewReader(body))
+	req := httptest.NewRequest(http.MethodPost, "/v1/mutations", strings.NewReader(body))
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
-		b.Fatalf("POST /mutations = %d: %s", rec.Code, rec.Body)
+		b.Fatalf("POST /v1/mutations = %d: %s", rec.Code, rec.Body)
 	}
 }
 
 // BenchmarkIngestBatch measures the streaming write path at equal
 // durability: one iteration pushes 64 balanced ops through POST /mutations,
 // either one op per request (perop — 64 WAL fsyncs, 64 resweeps and 64
-// republishes, the legacy mutation endpoints' cost model) or as one batched
-// request (batch — one group-commit fsync, one merged resweep, one publish).
+// publishes, the cost of clients that send every op as it happens) or as one
+// batched request (batch — one group-commit fsync, one merged resweep, one
+// publish).
 // The acceptance bar for the batched path is >=5x on mutations/sec.
 func BenchmarkIngestBatch(b *testing.B) {
 	const opsPerIter = 64
@@ -805,7 +806,7 @@ func BenchmarkReadUnderWriteLoad(b *testing.B) {
 			}
 			ops := ingestBenchOps(wrng, bounds, 64)
 			body := `{"ops":[` + strings.Join(ops, ",") + `]}`
-			req := httptest.NewRequest(http.MethodPost, "/mutations", strings.NewReader(body))
+			req := httptest.NewRequest(http.MethodPost, "/v1/mutations", strings.NewReader(body))
 			rec := httptest.NewRecorder()
 			s.ServeHTTP(rec, req)
 			if rec.Code == http.StatusTooManyRequests {
@@ -818,7 +819,7 @@ func BenchmarkReadUnderWriteLoad(b *testing.B) {
 	for i := range queries {
 		x := bounds.MinX + rng.Float64()*bounds.Width()
 		y := bounds.MinY + rng.Float64()*bounds.Height()
-		queries[i] = fmt.Sprintf("/heat?x=%g&y=%g", x, y)
+		queries[i] = fmt.Sprintf("/v1/heat?x=%g&y=%g", x, y)
 	}
 	read := func(q string) time.Duration {
 		t0 := time.Now()
@@ -878,7 +879,7 @@ func BenchmarkWALShip(b *testing.B) {
 				RemoveClients: []int{int(v) % 7},
 			})
 		}
-		if err := w.Append(rec); err != nil {
+		if err := w.AppendBatch([]snapshot.Record{rec}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -5,7 +5,7 @@
 // point queries, then reports sustained mutation throughput and read
 // latency percentiles as one JSON summary.
 //
-// Every mutation travels through POST /maps/{map}/mutations. In the default
+// Every mutation travels through POST /v1/maps/{map}/mutations. In the default
 // batch mode each request carries -batch ops, exercising the server's
 // coalescing group commit; -mode perop sends one op per request, the
 // baseline the batched path is measured against. Backpressure (429) is
@@ -68,7 +68,7 @@ func main() {
 	}
 }
 
-// serverStats is the slice of GET /stats heatgen needs: the data bounds to
+// serverStats is the slice of GET /v1/maps/{map}/stats heatgen needs: the data bounds to
 // aim the feed at, and set sizes to keep removals valid.
 type serverStats struct {
 	Clients    int  `json:"clients"`
@@ -136,7 +136,7 @@ func run(addr, mapName string, duration time.Duration, writers, batch int, mode 
 	time.AfterFunc(duration, func() { close(stop) })
 	started := time.Now()
 
-	url := base + "/maps/" + mapName + "/mutations"
+	url := base + "/v1/maps/" + mapName + "/mutations"
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -185,7 +185,7 @@ func run(addr, mapName string, duration time.Duration, writers, batch int, mode 
 				}
 				x := bounds.MinX + rng.Float64()*(bounds.MaxX-bounds.MinX)
 				y := bounds.MinY + rng.Float64()*(bounds.MaxY-bounds.MinY)
-				q := fmt.Sprintf("%s/maps/%s/heat?x=%g&y=%g", base, mapName, x, y)
+				q := fmt.Sprintf("%s/v1/maps/%s/heat?x=%g&y=%g", base, mapName, x, y)
 				t0 := time.Now()
 				resp, err := client.Get(q)
 				if err != nil {
@@ -339,7 +339,7 @@ func parseRetryAfter(h string, now time.Time) (time.Duration, bool) {
 
 // fetchStats reads the target map's /stats.
 func fetchStats(client *http.Client, base, mapName string) (*serverStats, error) {
-	resp, err := client.Get(base + "/maps/" + mapName + "/stats")
+	resp, err := client.Get(base + "/v1/maps/" + mapName + "/stats")
 	if err != nil {
 		return nil, fmt.Errorf("reaching heatmapd: %w", err)
 	}
@@ -349,7 +349,7 @@ func fetchStats(client *http.Client, base, mapName string) (*serverStats, error)
 		return nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET /maps/%s/stats = %d: %s", mapName, resp.StatusCode, bytes.TrimSpace(raw))
+		return nil, fmt.Errorf("GET /v1/maps/%s/stats = %d: %s", mapName, resp.StatusCode, bytes.TrimSpace(raw))
 	}
 	var st serverStats
 	if err := json.Unmarshal(raw, &st); err != nil {

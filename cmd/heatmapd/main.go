@@ -4,9 +4,10 @@
 // exploration, optimal-location analytics (GET /optimal for the exact
 // max-influence region, POST /optimize for greedy what-if facility
 // placement), health and stats until shut down — for the default map and
-// for any further maps created through POST /maps. With -mutable it also
-// accepts live client/facility insertions and deletions, applied
-// incrementally with a copy-on-write map swap. With -snapshot-dir the
+// for any further maps created through POST /v1/maps. Every endpoint lives
+// under /v1. With -mutable it also accepts live client/facility insertions
+// and deletions through POST /v1/mutations (one request, one or more ops),
+// applied incrementally with a copy-on-write map swap. With -snapshot-dir the
 // registry is durable: maps are saved as binary snapshots, mutations are
 // write-ahead logged, and -load restores everything on restart without
 // re-running CREST. See internal/server for the endpoint reference.
@@ -15,20 +16,20 @@
 //
 //	heatmapd -dataset NYC -clients 5000 -facilities 1500 -metric l2 -addr :8080
 //	heatmapd -clients-csv o.csv -facilities-csv f.csv -measure capacity -cap 25
-//	heatmapd -dataset NYC -mutable       # enable POST/DELETE /clients, /facilities
+//	heatmapd -dataset NYC -mutable       # enable POST /v1/mutations
 //	heatmapd -mutable -snapshot-dir /var/lib/heatmapd -save-every 30s
 //	heatmapd -mutable -snapshot-dir /var/lib/heatmapd -load   # resume after restart
 //
 // Then:
 //
-//	curl localhost:8080/healthz
-//	curl localhost:8080/heat?x=-73.985\&y=40.755    # NYC is (lon, lat)
-//	curl -o tile.png localhost:8080/tiles/3/4/2.png
-//	curl -X POST localhost:8080/facilities -d '{"points":[{"x":-73.985,"y":40.755}]}'
-//	curl localhost:8080/optimal?k=3\&min_dist=0.01       # best places to open
-//	curl -X POST 'localhost:8080/optimize?k=2'           # greedy what-if (dry run)
-//	curl localhost:8080/maps
-//	curl -X POST localhost:8080/maps/default/snapshot
+//	curl localhost:8080/v1/healthz
+//	curl localhost:8080/v1/heat?x=-73.985\&y=40.755    # NYC is (lon, lat)
+//	curl -o tile.png localhost:8080/v1/tiles/3/4/2.png
+//	curl -X POST localhost:8080/v1/mutations -d '{"ops":[{"add_facilities":[{"x":-73.985,"y":40.755}]}]}'
+//	curl localhost:8080/v1/optimal?k=3\&min_dist=0.01       # best places to open
+//	curl -X POST 'localhost:8080/v1/optimize?k=2'           # greedy what-if (dry run)
+//	curl localhost:8080/v1/maps
+//	curl -X POST localhost:8080/v1/maps/default/snapshot
 package main
 
 import (
@@ -73,7 +74,7 @@ func main() {
 		tileSize      = flag.Int("tile-size", 256, "tile edge length in pixels")
 		tileCache     = flag.Int("tile-cache", 512, "LRU tile cache capacity (tiles)")
 		colorMapName  = flag.String("colormap", "gray", "tile color map: gray or inferno")
-		mutable       = flag.Bool("mutable", false, "enable the live mutation API (POST/DELETE /clients and /facilities, POST /mutations)")
+		mutable       = flag.Bool("mutable", false, "enable the write API (POST /v1/mutations, POST /v1/optimize?commit=true)")
 		coalesceMS    = flag.Float64("coalesce-ms", 2, "coalescing window for POST /mutations group commits, in milliseconds (0 = never wait, commit whatever is queued)")
 		coalesceOps   = flag.Int("coalesce-ops", 512, "max total ops gathered into one group commit")
 		ingestQueue   = flag.Int("ingest-queue", 128, "per-map admission queue for POST /mutations; when full, requests get 429 + Retry-After")
@@ -207,7 +208,7 @@ func run(cfg config) error {
 		return err
 	}
 	if cfg.mutable {
-		log.Printf("mutation API enabled: POST/DELETE /clients and /facilities, POST /mutations (coalesce %.3gms, %d ops; queue %d)",
+		log.Printf("write API enabled: POST /v1/mutations, POST /v1/optimize?commit=true (coalesce %.3gms, %d ops; queue %d)",
 			cfg.coalesceMS, cfg.coalesceOps, cfg.ingestQueue)
 	}
 	if cfg.snapshotDir != "" {

@@ -930,17 +930,7 @@ func (c *clusterNode) applyRecords(inst *mapInstance, recs []snapshot.Record) er
 			inst.writeMu.Unlock()
 			return fmt.Errorf("shipped record jumps from version %d to %d", st.version, rec.Version)
 		}
-		ops := rec.Ops()
-		ds := make([]heatmap.Delta, len(ops))
-		for i, op := range ops {
-			ds[i] = heatmap.Delta{
-				AddClients:       op.AddClients,
-				RemoveClients:    op.RemoveClients,
-				AddFacilities:    op.AddFacilities,
-				RemoveFacilities: op.RemoveFacilities,
-			}
-		}
-		next, stats, err := st.m.ApplyDeltaBatch(ds)
+		next, stats, err := st.m.ApplyDeltaBatch(recordDeltas(rec))
 		if err != nil {
 			inst.writeMu.Unlock()
 			return fmt.Errorf("applying shipped record for version %d: %w", rec.Version, err)
@@ -950,12 +940,11 @@ func (c *clusterNode) applyRecords(inst *mapInstance, recs []snapshot.Record) er
 			inst.writeMu.Unlock()
 			return err
 		}
-		flushAll := ns.grid != st.grid || ns.heatLo != st.heatLo || ns.heatHi != st.heatHi
-		inst.cache.migrate(st.version, ns.version, func(z, x, y int) bool {
-			return !flushAll && !st.grid.tileBounds(z, x, y).Intersects(stats.DirtyRect)
-		})
-		inst.cur.Store(ns)
-		inst.dirty.Store(true)
+		// No records: the owner's log is the replica's only history.
+		if err := inst.publish(st, ns, stats.DirtyRect, nil); err != nil {
+			inst.writeMu.Unlock()
+			return err
+		}
 		inst.writeMu.Unlock()
 		c.shippedRecords.Add(1)
 	}

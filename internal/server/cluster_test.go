@@ -221,44 +221,46 @@ func (tc *testCluster) waitSynced(node *testNode, name string, v uint64) {
 	})
 }
 
-// mutateOwner applies one random mutation batch directly to the owner and
-// returns the owner's new version.
+// mutateOwner applies one random one-op mutation batch directly to the
+// owner and returns the owner's new version.
 func mutateOwner(t *testing.T, rng *rand.Rand, owner *testNode) uint64 {
 	t.Helper()
-	var (
-		method, path string
-		body         map[string]any
-	)
+	var op map[string]any
 	switch rng.Intn(3) {
 	case 0:
 		pts := make([]map[string]float64, 1+rng.Intn(4))
 		for i := range pts {
 			pts[i] = map[string]float64{"x": rng.Float64() * 1000, "y": rng.Float64() * 1000}
 		}
-		method, path, body = http.MethodPost, "/v1/clients", map[string]any{"points": pts}
+		op = map[string]any{"add_clients": pts}
 	case 1:
 		pts := []map[string]float64{{"x": rng.Float64() * 1000, "y": rng.Float64() * 1000}}
-		method, path, body = http.MethodPost, "/v1/facilities", map[string]any{"points": pts}
+		op = map[string]any{"add_facilities": pts}
 	default:
-		method, path, body = http.MethodDelete, "/v1/clients", map[string]any{"indexes": []int{rng.Intn(50)}}
+		op = map[string]any{"remove_clients": []int{rng.Intn(50)}}
 	}
-	raw, _ := json.Marshal(body)
-	req, _ := http.NewRequest(method, owner.url(path), bytes.NewReader(raw))
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := http.DefaultClient.Do(req)
+	raw, _ := json.Marshal(map[string]any{"ops": []any{op}})
+	return postOwner(t, owner, "/v1/mutations", raw)
+}
+
+// postOwner sends one write to the owner and returns the version its 200
+// response reports.
+func postOwner(t *testing.T, owner *testNode, path string, body []byte) uint64 {
+	t.Helper()
+	resp, err := http.Post(owner.url(path), "application/json", bytes.NewReader(body))
 	if err != nil {
-		t.Fatalf("%s %s: %v", method, path, err)
+		t.Fatalf("POST %s: %v", path, err)
 	}
 	defer resp.Body.Close()
 	payload, _ := io.ReadAll(resp.Body)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("%s %s = %d: %s", method, path, resp.StatusCode, payload)
+		t.Fatalf("POST %s = %d: %s", path, resp.StatusCode, payload)
 	}
 	var out struct {
 		Version uint64 `json:"version"`
 	}
 	if err := json.Unmarshal(payload, &out); err != nil {
-		t.Fatalf("decoding mutation response: %v", err)
+		t.Fatalf("decoding %s response: %v", path, err)
 	}
 	return out.Version
 }
@@ -318,6 +320,11 @@ func TestClusterReplicaConvergence(t *testing.T) {
 		tc.waitSynced(replica, DefaultMapName, v)
 		assertTileParity(t, owner, replica)
 	}
+	// A committed optimizer run ships as one batched record of its
+	// placements, and the replica's tiles and labels follow it.
+	v = postOwner(t, owner, "/v1/optimize?k=2&commit=true", nil)
+	tc.waitSynced(replica, DefaultMapName, v)
+	assertTileParity(t, owner, replica)
 
 	// Crash the replica mid-tail: queue several batches and kill it without
 	// waiting for them to ship (and without any orderly flush).
@@ -365,7 +372,7 @@ func TestClusterRouting(t *testing.T) {
 
 	// A write against any non-owner answers 307 with the owner's address.
 	for _, n := range []*testNode{replica, outside} {
-		req, _ := http.NewRequest(http.MethodPost, n.url("/v1/clients"), strings.NewReader(`{"points":[{"x":1,"y":2}]}`))
+		req, _ := http.NewRequest(http.MethodPost, n.url("/v1/mutations"), strings.NewReader(`{"ops":[{"add_clients":[{"x":1,"y":2}]}]}`))
 		resp, err := noRedirect.Do(req)
 		if err != nil {
 			t.Fatalf("POST via %s: %v", n.id, err)
@@ -375,14 +382,14 @@ func TestClusterRouting(t *testing.T) {
 		if resp.StatusCode != http.StatusTemporaryRedirect {
 			t.Fatalf("write via %s = %d, want 307", n.id, resp.StatusCode)
 		}
-		if loc := resp.Header.Get("Location"); loc != "http://"+owner.addr+"/v1/clients" {
+		if loc := resp.Header.Get("Location"); loc != "http://"+owner.addr+"/v1/mutations" {
 			t.Errorf("write via %s redirects to %q, want the owner %s", n.id, loc, owner.addr)
 		}
 	}
 
 	// A client that follows redirects (Go re-sends the body on 307) lands
 	// the write on the owner transparently.
-	resp, err := http.Post(replica.url("/v1/clients"), "application/json", strings.NewReader(`{"points":[{"x":3,"y":4}]}`))
+	resp, err := http.Post(replica.url("/v1/mutations"), "application/json", strings.NewReader(`{"ops":[{"add_clients":[{"x":3,"y":4}]}]}`))
 	if err != nil {
 		t.Fatalf("redirected write: %v", err)
 	}
@@ -457,7 +464,7 @@ func TestClusterReadFailover(t *testing.T) {
 	}
 
 	// Writes have no failover: the owner is the only WAL writer.
-	req, _ := http.NewRequest(http.MethodPost, replica.url("/v1/clients"), strings.NewReader(`{"points":[{"x":1,"y":2}]}`))
+	req, _ := http.NewRequest(http.MethodPost, replica.url("/v1/mutations"), strings.NewReader(`{"ops":[{"add_clients":[{"x":1,"y":2}]}]}`))
 	resp, err := noRedirect.Do(req)
 	if err != nil {
 		t.Fatal(err)

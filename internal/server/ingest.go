@@ -10,19 +10,23 @@ import (
 	"time"
 
 	"rnnheatmap/heatmap"
+	"rnnheatmap/internal/geom"
 	"rnnheatmap/internal/snapshot"
 )
 
-// The streaming ingestion path.
+// The write path: the server's one write endpoint and the one step that
+// publishes a new map version.
 //
-//	POST /maps/{map}/mutations    {"ops":[{op},{op},...]}
+//	POST /v1/maps/{map}/mutations    {"ops":[{op},{op},...]}
 //
-// (and the un-prefixed alias against the default map). One request carries an
-// ordered array of mutation ops — each op any combination of client/facility
-// additions and removals — applied atomically: either every op lands, under a
-// single version bump, or none do. Removal indexes are interpreted
-// sequentially across the whole array with swap-remove semantics, so op k may
-// remove what op k-1 added.
+// (and the alias /v1/mutations against the default map). One request carries
+// an ordered array of mutation ops — each op any combination of
+// client/facility additions and removals — applied atomically: either every
+// op lands, under a single version bump, or none do. Removal indexes are
+// interpreted sequentially across the whole array with swap-remove
+// semantics, so op k may remove what op k-1 added, and each index refers to
+// the set as left by the preceding removals (the last element moves into
+// the freed slot).
 //
 // Requests do not take the write path directly. Each map runs a coalescing
 // writer goroutine: admitted batches sit in a bounded queue, the writer
@@ -31,7 +35,7 @@ import (
 // resweep via ApplyDeltaBatch, one WAL group commit with a single fsync
 // (every acked batch is fsync-durable before its 200), one snapshot swap.
 // Each batch in the group still gets its own version and its own WAL record,
-// so replay and the one-at-a-time API agree on version arithmetic.
+// so replay and the one-request-at-a-time arithmetic agree on versions.
 //
 // Backpressure is explicit: when the queue is full the request is refused
 // immediately with 429 and a Retry-After header, and the batch is guaranteed
@@ -44,6 +48,16 @@ type opJSON struct {
 	RemoveClients    []int       `json:"remove_clients,omitempty"`
 	AddFacilities    []pointJSON `json:"add_facilities,omitempty"`
 	RemoveFacilities []int       `json:"remove_facilities,omitempty"`
+}
+
+// toPoints converts request points (mutation ops, POST /maps sets) to map
+// points.
+func toPoints(ps []pointJSON) []heatmap.Point {
+	out := make([]heatmap.Point, len(ps))
+	for i, p := range ps {
+		out[i] = heatmap.Pt(p.X, p.Y)
+	}
+	return out
 }
 
 // mutationsRequest is the POST /mutations payload.
@@ -71,10 +85,9 @@ type mutationsResponse struct {
 	CommitMS       float64 `json:"commit_ms"`
 }
 
-// batchResult is the writer's reply to one admitted batch. Failures carry
-// the machine code and message rather than a rendered body, because only the
-// handler knows whether its client came through /v1 (structured envelope) or
-// a legacy path (historical error shape).
+// batchResult is the writer's reply to one admitted batch: a status with
+// either the success body or the error envelope's code and message, which
+// the waiting handler writes to its client.
 type batchResult struct {
 	code    int
 	errCode string
@@ -274,8 +287,52 @@ func walRecord(version uint64, ds []heatmap.Delta) snapshot.Record {
 	return snapshot.BatchRecord(version, ops)
 }
 
+// recordDeltas is walRecord's inverse: the deltas a WAL record logged, in
+// application order, for crash replay and replica apply to re-run through
+// ApplyDeltaBatch.
+func recordDeltas(rec snapshot.Record) []heatmap.Delta {
+	ops := rec.Ops()
+	ds := make([]heatmap.Delta, len(ops))
+	for i, op := range ops {
+		ds[i] = heatmap.Delta{
+			AddClients:       op.AddClients,
+			RemoveClients:    op.RemoveClients,
+			AddFacilities:    op.AddFacilities,
+			RemoveFacilities: op.RemoveFacilities,
+		}
+	}
+	return ds
+}
+
+// publish makes ns, derived from st by an update that dirtied the dirty
+// rectangle, the instance's served state. It is the one step every new map
+// version goes through, and the caller holds inst.writeMu.
+//
+// Durable before visible: recs, the log form of the versions after st up to
+// ns, are appended to the WAL with one fsync first, and on an append error
+// nothing changes and the error is returned — the served map stays st. A
+// replica passes none: the owner's log is its history. Then the tile cache
+// migrates to the new version: tiles outside dirty carry over, unless the
+// tile grid or the heat range moved, in which case every tile's bytes are
+// suspect and the cache starts cold. Last, ns is swapped in and the
+// instance marked as ahead of its on-disk snapshot.
+func (inst *mapInstance) publish(st, ns *mapState, dirty geom.Rect, recs []snapshot.Record) error {
+	if inst.wal != nil {
+		if err := inst.wal.AppendBatch(recs); err != nil {
+			return err
+		}
+	}
+	flushAll := ns.grid != st.grid || ns.heatLo != st.heatLo || ns.heatHi != st.heatHi
+	inst.cache.migrate(st.version, ns.version, func(z, x, y int) bool {
+		return !flushAll && !st.grid.tileBounds(z, x, y).Intersects(dirty)
+	})
+	inst.cur.Store(ns)
+	inst.dirty.Store(true)
+	return nil
+}
+
 // commit applies one gathered group: per-batch validation, one merged
-// ApplyDeltaBatch, one WAL AppendBatch (single fsync), one snapshot swap —
+// ApplyDeltaBatch, one publish (one WAL record per batch, a single fsync) —
 // then a per-batch reply carrying that batch's own version.
 func (g *ingester) commit(group []*pendingBatch) {
 	s, inst := g.s, g.inst
@@ -323,33 +380,20 @@ func (g *ingester) commit(group []*pendingBatch) {
 		}
 		return
 	}
-	// Write-ahead, group-committed: one record per acked batch at consecutive
-	// versions, one fsync for the whole group. Durable before visible — on
-	// failure the new state is discarded, the served map is unchanged, and
-	// every batch of the group sees a retryable 503.
-	if inst.wal != nil {
-		recs := make([]snapshot.Record, len(accepted))
-		v := st.version
-		for i, pb := range accepted {
-			v++
-			recs[i] = walRecord(v, pb.deltas)
-		}
-		if err := inst.wal.AppendBatch(recs); err != nil {
-			inst.writeMu.Unlock()
-			for _, pb := range accepted {
-				pb.fail(http.StatusServiceUnavailable, codeUnavailable, "logging batch: %v", err)
-			}
-			return
-		}
+	// One record per acked batch at consecutive versions. On a failed append
+	// the served map is unchanged and every batch of the group sees a
+	// retryable 503.
+	recs := make([]snapshot.Record, len(accepted))
+	for i, pb := range accepted {
+		recs[i] = walRecord(st.version+uint64(i+1), pb.deltas)
 	}
-	// Tile-cache migration mirrors the single-op path: carry over tiles that
-	// the merged dirty rectangle cannot have changed.
-	flushAll := ns.grid != st.grid || ns.heatLo != st.heatLo || ns.heatHi != st.heatHi
-	inst.cache.migrate(st.version, ns.version, func(z, x, y int) bool {
-		return !flushAll && !st.grid.tileBounds(z, x, y).Intersects(stats.DirtyRect)
-	})
-	inst.cur.Store(ns)
-	inst.dirty.Store(true)
+	if err := inst.publish(st, ns, stats.DirtyRect, recs); err != nil {
+		inst.writeMu.Unlock()
+		for _, pb := range accepted {
+			pb.fail(http.StatusServiceUnavailable, codeUnavailable, "logging batch: %v", err)
+		}
+		return
+	}
 	inst.writeMu.Unlock()
 
 	elapsed := time.Since(started)
@@ -358,13 +402,11 @@ func (g *ingester) commit(group []*pendingBatch) {
 	g.lastCommitNS.Store(elapsed.Nanoseconds())
 	commitMS := float64(elapsed) / float64(time.Millisecond)
 	maxHeat, _ := next.MaxHeat()
-	v := st.version
-	for _, pb := range accepted {
-		v++
+	for i, pb := range accepted {
 		g.ops.Add(uint64(pb.nops))
 		pb.done <- batchResult{code: http.StatusOK, body: mutationsResponse{
 			Map:            inst.name,
-			Version:        v,
+			Version:        recs[i].Version,
 			Ops:            pb.nops,
 			Clients:        next.NumClients(),
 			Facilities:     next.NumFacilities(),

@@ -50,7 +50,7 @@ func TestMutationsEndpoint(t *testing.T) {
 		{"remove_clients":[3],"add_facilities":[{"x":40,"y":60}]},
 		{"remove_facilities":[5]}
 	]}`
-	rec := do(t, s, http.MethodPost, "/mutations", body)
+	rec := do(t, s, http.MethodPost, "/v1/mutations", body)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("POST /mutations = %d (body %s)", rec.Code, rec.Body)
 	}
@@ -65,13 +65,13 @@ func TestMutationsEndpoint(t *testing.T) {
 	if s.Version() != 2 {
 		t.Fatalf("one batch moved the version to %d, want 2", s.Version())
 	}
-	if rec := do(t, s, http.MethodPost, "/maps/default/mutations", `{"ops":[{"add_clients":[{"x":50,"y":50}]}]}`); rec.Code != http.StatusOK {
+	if rec := do(t, s, http.MethodPost, "/v1/maps/default/mutations", `{"ops":[{"add_clients":[{"x":50,"y":50}]}]}`); rec.Code != http.StatusOK {
 		t.Fatalf("named form = %d (body %s)", rec.Code, rec.Body)
 	}
 	if s.Version() != 3 {
 		t.Fatalf("version = %d after two batches, want 3", s.Version())
 	}
-	st := do(t, s, http.MethodGet, "/stats", "")
+	st := do(t, s, http.MethodGet, "/v1/stats", "")
 	var stats statsResponse
 	if err := json.Unmarshal(st.Body.Bytes(), &stats); err != nil {
 		t.Fatal(err)
@@ -93,7 +93,7 @@ func TestMutationsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec := do(t, ro, http.MethodPost, "/mutations", `{"ops":[{"add_clients":[{"x":1,"y":1}]}]}`); rec.Code != http.StatusForbidden {
+	if rec := do(t, ro, http.MethodPost, "/v1/mutations", `{"ops":[{"add_clients":[{"x":1,"y":1}]}]}`); rec.Code != http.StatusForbidden {
 		t.Errorf("read-only POST /mutations = %d, want 403", rec.Code)
 	}
 
@@ -116,7 +116,7 @@ func TestMutationsValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rec := do(t, s, http.MethodPost, "/mutations", tc.body)
+			rec := do(t, s, http.MethodPost, "/v1/mutations", tc.body)
 			if rec.Code != tc.want {
 				t.Errorf("POST /mutations %s = %d, want %d (body %s)", tc.name, rec.Code, tc.want, rec.Body)
 			}
@@ -127,14 +127,14 @@ func TestMutationsValidation(t *testing.T) {
 	}
 	// A batch whose removal index is only valid because an earlier op of the
 	// same batch added the point: indexes are sequential across the array.
-	rec := do(t, s, http.MethodPost, "/mutations", `{"ops":[{"add_facilities":[{"x":70,"y":30}]},{"remove_facilities":[5]}]}`)
+	rec := do(t, s, http.MethodPost, "/v1/mutations", `{"ops":[{"add_facilities":[{"x":70,"y":30}]},{"remove_facilities":[5]}]}`)
 	if rec.Code != http.StatusOK {
 		t.Errorf("add-then-remove batch = %d, want 200 (body %s)", rec.Code, rec.Body)
 	}
 }
 
 // TestMutationsMatchSequentialThroughAPI: one server ingests a batch through
-// POST /mutations, another applies the same ops one request at a time; every
+// POST /mutations, another applies the same ops as four one-op batches; every
 // read answer — tile bytes included — must be identical.
 func TestMutationsMatchSequentialThroughAPI(t *testing.T) {
 	t.Parallel()
@@ -147,7 +147,7 @@ func TestMutationsMatchSequentialThroughAPI(t *testing.T) {
 	}
 	batched, sequential := build(), build()
 
-	rec := do(t, batched, http.MethodPost, "/mutations", `{"ops":[
+	rec := do(t, batched, http.MethodPost, "/v1/mutations", `{"ops":[
 		{"add_clients":[{"x":25,"y":25},{"x":75,"y":70}]},
 		{"remove_clients":[4]},
 		{"add_facilities":[{"x":30,"y":70}]},
@@ -156,19 +156,19 @@ func TestMutationsMatchSequentialThroughAPI(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("batched ingest = %d (body %s)", rec.Code, rec.Body)
 	}
-	for _, mu := range []struct{ method, path, body string }{
-		{http.MethodPost, "/clients", `{"points":[{"x":25,"y":25},{"x":75,"y":70}]}`},
-		{http.MethodDelete, "/clients", `{"indexes":[4]}`},
-		{http.MethodPost, "/facilities", `{"points":[{"x":30,"y":70}]}`},
-		{http.MethodDelete, "/facilities", `{"indexes":[2]}`},
+	for _, op := range []string{
+		`{"add_clients":[{"x":25,"y":25},{"x":75,"y":70}]}`,
+		`{"remove_clients":[4]}`,
+		`{"add_facilities":[{"x":30,"y":70}]}`,
+		`{"remove_facilities":[2]}`,
 	} {
-		if rec := do(t, sequential, mu.method, mu.path, mu.body); rec.Code != http.StatusOK {
-			t.Fatalf("%s %s = %d (body %s)", mu.method, mu.path, rec.Code, rec.Body)
+		if rec := do(t, sequential, http.MethodPost, "/v1/mutations", `{"ops":[`+op+`]}`); rec.Code != http.StatusOK {
+			t.Fatalf("one-op batch %s = %d (body %s)", op, rec.Code, rec.Body)
 		}
 	}
 	for _, path := range []string{
-		"/tiles/0/0/0.png", "/tiles/2/0/0.png", "/tiles/2/3/3.png",
-		"/heat?x=10&y=10", "/heat?x=75&y=70", "/topk?k=5", "/histogram?bins=8",
+		"/v1/tiles/0/0/0.png", "/v1/tiles/2/0/0.png", "/v1/tiles/2/3/3.png",
+		"/v1/heat?x=10&y=10", "/v1/heat?x=75&y=70", "/v1/topk?k=5", "/v1/histogram?bins=8",
 	} {
 		b := do(t, batched, http.MethodGet, path, "")
 		q := do(t, sequential, http.MethodGet, path, "")
@@ -178,6 +178,47 @@ func TestMutationsMatchSequentialThroughAPI(t *testing.T) {
 		if !bytes.Equal(b.Body.Bytes(), q.Body.Bytes()) {
 			t.Errorf("GET %s differs between batched and sequential ingestion", path)
 		}
+	}
+}
+
+// TestPublishDurableBeforeVisible fails the WAL under a durable server:
+// both writers that publish through it — a mutations batch and a committed
+// optimizer run — answer 503 and leave the served map, its version, its
+// snapshot-dirty mark and its cached tiles as they were.
+func TestPublishDurableBeforeVisible(t *testing.T) {
+	t.Parallel()
+	s, err := New(Config{Map: handMap(t), Mutable: true, TileSize: 32, SnapshotDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const tile = "/v1/tiles/0/0/0.png"
+	cold := do(t, s, http.MethodGet, tile, "")
+	if cold.Code != http.StatusOK {
+		t.Fatalf("GET %s = %d", tile, cold.Code)
+	}
+	inst := s.def()
+	before := inst.state()
+	// A closed log file fails the append before it writes a byte.
+	inst.writeMu.Lock()
+	if err := inst.wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	inst.writeMu.Unlock()
+	for _, wr := range []struct{ path, body string }{
+		{"/v1/mutations", `{"ops":[{"add_clients":[{"x":91,"y":91}]}]}`},
+		{"/v1/optimize?k=1&commit=true", ""},
+	} {
+		if rec := do(t, s, http.MethodPost, wr.path, wr.body); rec.Code != http.StatusServiceUnavailable {
+			t.Errorf("POST %s with a failing WAL = %d, want 503 (body %s)", wr.path, rec.Code, rec.Body)
+		}
+	}
+	if inst.state() != before || inst.dirty.Load() {
+		t.Errorf("a failed append published: version %d, dirty %v", inst.state().version, inst.dirty.Load())
+	}
+	renders := s.RenderCalls()
+	warm := do(t, s, http.MethodGet, tile, "")
+	if !bytes.Equal(warm.Body.Bytes(), cold.Body.Bytes()) || s.RenderCalls() != renders {
+		t.Errorf("the cached tile did not survive a failed publish (renders %d -> %d)", renders, s.RenderCalls())
 	}
 }
 
@@ -204,7 +245,7 @@ func TestMutationsBackpressure(t *testing.T) {
 	defer unlock()
 	results := make(chan mutationsResponse, 2)
 	post := func(x, y float64) {
-		rec := do(t, s, http.MethodPost, "/mutations", fmt.Sprintf(`{"ops":[{"add_clients":[{"x":%g,"y":%g}]}]}`, x, y))
+		rec := do(t, s, http.MethodPost, "/v1/mutations", fmt.Sprintf(`{"ops":[{"add_clients":[{"x":%g,"y":%g}]}]}`, x, y))
 		if rec.Code != http.StatusOK {
 			t.Errorf("admitted batch = %d (body %s)", rec.Code, rec.Body)
 		}
@@ -226,7 +267,7 @@ func TestMutationsBackpressure(t *testing.T) {
 	// The second batch fills the (capacity 1) queue.
 	waitFor(t, "batch B to queue", func() bool { return len(inst.ing.queue) == 1 })
 
-	rec := do(t, s, http.MethodPost, "/mutations", `{"ops":[{"add_clients":[{"x":22,"y":22}]}]}`)
+	rec := do(t, s, http.MethodPost, "/v1/mutations", `{"ops":[{"add_clients":[{"x":22,"y":22}]}]}`)
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("batch against a full queue = %d, want 429 (body %s)", rec.Code, rec.Body)
 	}
@@ -279,7 +320,7 @@ func TestMutationsCoalescing(t *testing.T) {
 		wg.Add(1)
 		go func(i int, body string) {
 			defer wg.Done()
-			rec := do(t, s, http.MethodPost, "/mutations", body)
+			rec := do(t, s, http.MethodPost, "/v1/mutations", body)
 			var resp mutationsResponse
 			if rec.Code == http.StatusOK {
 				if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
@@ -372,7 +413,7 @@ func TestIngestSoak(t *testing.T) {
 				body := fmt.Sprintf(`{"ops":[{"add_clients":[{"x":%f,"y":%f}]},{"remove_clients":[0]}]}`,
 					rng.Float64()*100, rng.Float64()*100)
 				for {
-					resp, err := ts.Client().Post(ts.URL+"/mutations", "application/json", strings.NewReader(body))
+					resp, err := ts.Client().Post(ts.URL+"/v1/mutations", "application/json", strings.NewReader(body))
 					if err != nil {
 						fail("writer %d: %v", w, err)
 						return
@@ -405,7 +446,7 @@ func TestIngestSoak(t *testing.T) {
 				default:
 				}
 				if i%2 == 0 {
-					resp, err := ts.Client().Get(ts.URL + "/stats")
+					resp, err := ts.Client().Get(ts.URL + "/v1/stats")
 					if err != nil {
 						fail("reader %d: %v", r, err)
 						return
@@ -423,7 +464,7 @@ func TestIngestSoak(t *testing.T) {
 						fail("reader %d: queue depth %d exceeds cap %d", r, stats.Ingest.QueueDepth, stats.Ingest.QueueCap)
 					}
 				} else {
-					resp, err := ts.Client().Get(ts.URL + "/tiles/1/0/0.png")
+					resp, err := ts.Client().Get(ts.URL + "/v1/tiles/1/0/0.png")
 					if err != nil {
 						fail("reader %d: %v", r, err)
 						return
@@ -488,7 +529,7 @@ func TestIngestShutdownDrains(t *testing.T) {
 	body := `{"name":"victim",
 		"clients":[{"x":7,"y":7},{"x":13,"y":7},{"x":7,"y":13},{"x":13,"y":13},{"x":10,"y":13}],
 		"facilities":[{"x":10,"y":10},{"x":90,"y":90}]}`
-	if rec := do(t, s, http.MethodPost, "/maps", body); rec.Code != http.StatusCreated {
+	if rec := do(t, s, http.MethodPost, "/v1/maps", body); rec.Code != http.StatusCreated {
 		t.Fatalf("creating victim map: %d (body %s)", rec.Code, rec.Body)
 	}
 	inst := s.lookup("victim")
@@ -496,7 +537,7 @@ func TestIngestShutdownDrains(t *testing.T) {
 	codes := make(chan int, 2)
 	for i := 0; i < 2; i++ {
 		go func(i int) {
-			rec := do(t, s, http.MethodPost, "/maps/victim/mutations",
+			rec := do(t, s, http.MethodPost, "/v1/maps/victim/mutations",
 				fmt.Sprintf(`{"ops":[{"add_clients":[{"x":%d,"y":30}]}]}`, 30+i))
 			codes <- rec.Code
 		}(i)
@@ -505,7 +546,7 @@ func TestIngestShutdownDrains(t *testing.T) {
 	// we hold, so they sit in commit or in the queue.
 	time.Sleep(50 * time.Millisecond)
 	delDone := make(chan *httptest.ResponseRecorder, 1)
-	go func() { delDone <- do(t, s, http.MethodDelete, "/maps/victim", "") }()
+	go func() { delDone <- do(t, s, http.MethodDelete, "/v1/maps/victim", "") }()
 	// DELETE removes the name from the registry, then waits for the writer —
 	// which is blocked on the lock we hold. Release it.
 	waitFor(t, "victim to leave the registry", func() bool { return s.lookup("victim") == nil })

@@ -54,22 +54,24 @@ func handMap(t *testing.T) *heatmap.Map {
 }
 
 // TestMutationRequiresMutable asserts the read-only default rejects every
-// mutation endpoint with 403.
+// kind of mutation op with 403, on both forms of the write endpoint.
 func TestMutationRequiresMutable(t *testing.T) {
 	t.Parallel()
 	s, err := New(Config{Map: handMap(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range [][2]string{
-		{http.MethodPost, "/clients"},
-		{http.MethodDelete, "/clients"},
-		{http.MethodPost, "/facilities"},
-		{http.MethodDelete, "/facilities"},
-	} {
-		rec := do(t, s, tc[0], tc[1], `{"points":[{"x":1,"y":1}],"indexes":[0]}`)
-		if rec.Code != http.StatusForbidden {
-			t.Errorf("%s %s = %d on a read-only server, want 403", tc[0], tc[1], rec.Code)
+	for _, path := range []string{"/v1/mutations", "/v1/maps/default/mutations"} {
+		for _, op := range []string{
+			`{"add_clients":[{"x":1,"y":1}]}`,
+			`{"remove_clients":[0]}`,
+			`{"add_facilities":[{"x":1,"y":1}]}`,
+			`{"remove_facilities":[0]}`,
+		} {
+			rec := do(t, s, http.MethodPost, path, `{"ops":[`+op+`]}`)
+			if rec.Code != http.StatusForbidden {
+				t.Errorf("POST %s %s = %d on a read-only server, want 403", path, op, rec.Code)
+			}
 		}
 	}
 }
@@ -96,7 +98,7 @@ func TestMutationRejectsIndexContextMeasure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := do(t, s, http.MethodPost, "/clients", `{"points":[{"x":2,"y":2}]}`)
+	rec := do(t, s, http.MethodPost, "/v1/mutations", `{"ops":[{"add_clients":[{"x":2,"y":2}]}]}`)
 	if rec.Code != http.StatusConflict {
 		t.Errorf("mutation of a capacity-measure map = %d, want 409 (body %s)", rec.Code, rec.Body)
 	}
@@ -105,32 +107,27 @@ func TestMutationRejectsIndexContextMeasure(t *testing.T) {
 	}
 }
 
-// TestMutationBadRequests covers the 4xx paths of the mutation API.
+// TestMutationBadRequests covers the 4xx paths of the write endpoint for
+// one-op requests: each is refused whole, with no version bump.
 func TestMutationBadRequests(t *testing.T) {
 	t.Parallel()
 	s, err := New(Config{Map: handMap(t), Mutable: true, MaxBatch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := []struct {
-		name, method, path, body string
-		want                     int
-	}{
-		{"post malformed", http.MethodPost, "/clients", "{", http.StatusBadRequest},
-		{"post no points", http.MethodPost, "/clients", `{"points":[]}`, http.StatusBadRequest},
-		{"post with indexes", http.MethodPost, "/clients", `{"points":[{"x":1,"y":1}],"indexes":[0]}`, http.StatusBadRequest},
-		{"post over batch", http.MethodPost, "/clients", `{"points":[{"x":1,"y":1},{"x":2,"y":2},{"x":3,"y":3},{"x":4,"y":4},{"x":5,"y":5}]}`, http.StatusBadRequest},
-		{"delete no indexes", http.MethodDelete, "/clients", `{"indexes":[]}`, http.StatusBadRequest},
-		{"delete with points", http.MethodDelete, "/clients", `{"indexes":[0],"points":[{"x":1,"y":1}]}`, http.StatusBadRequest},
-		{"delete out of range", http.MethodDelete, "/clients", `{"indexes":[99]}`, http.StatusBadRequest},
-		{"delete facility out of range", http.MethodDelete, "/facilities", `{"indexes":[-1]}`, http.StatusBadRequest},
-		{"unknown field", http.MethodPost, "/facilities", `{"pts":[{"x":1,"y":1}]}`, http.StatusBadRequest},
-	}
-	for _, tc := range cases {
+	for _, tc := range []struct{ name, body string }{
+		{"post malformed", "{"},
+		{"post no points", `{"ops":[{"add_clients":[]}]}`},
+		{"post over batch", `{"ops":[{"add_clients":[{"x":1,"y":1},{"x":2,"y":2},{"x":3,"y":3},{"x":4,"y":4},{"x":5,"y":5}]}]}`},
+		{"delete no indexes", `{"ops":[{"remove_clients":[]}]}`},
+		{"delete out of range", `{"ops":[{"remove_clients":[99]}]}`},
+		{"delete facility out of range", `{"ops":[{"remove_facilities":[-1]}]}`},
+		{"unknown field", `{"ops":[{"pts":[{"x":1,"y":1}]}]}`},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rec := do(t, s, tc.method, tc.path, tc.body)
-			if rec.Code != tc.want {
-				t.Errorf("%s %s = %d, want %d (body %s)", tc.method, tc.path, rec.Code, tc.want, rec.Body)
+			rec := do(t, s, http.MethodPost, "/v1/mutations", tc.body)
+			if rec.Code != http.StatusBadRequest {
+				t.Errorf("POST /v1/mutations %s = %d, want 400 (body %s)", tc.body, rec.Code, rec.Body)
 			}
 		})
 	}
@@ -159,10 +156,10 @@ func TestMutationDirtyRectCache(t *testing.T) {
 		for y := 0; y < 4; y++ {
 			b := st.grid.tileBounds(2, x, y)
 			if b.Contains(cluster) && farTile == "" {
-				farTile = fmt.Sprintf("/tiles/2/%d/%d.png", x, y)
+				farTile = fmt.Sprintf("/v1/tiles/2/%d/%d.png", x, y)
 			}
 			if b.Contains(update) && nearTile == "" {
-				nearTile = fmt.Sprintf("/tiles/2/%d/%d.png", x, y)
+				nearTile = fmt.Sprintf("/v1/tiles/2/%d/%d.png", x, y)
 			}
 		}
 	}
@@ -182,11 +179,11 @@ func TestMutationDirtyRectCache(t *testing.T) {
 	// Add one client near facility (90, 90): a small NN-circle wholly inside
 	// the old bounds, far cooler than the cluster, so neither the tile grid
 	// nor the normalization range moves.
-	rec := do(t, s, http.MethodPost, "/clients", `{"points":[{"x":91,"y":91}]}`)
+	rec := do(t, s, http.MethodPost, "/v1/mutations", `{"ops":[{"add_clients":[{"x":91,"y":91}]}]}`)
 	if rec.Code != 200 {
-		t.Fatalf("POST /clients = %d (body %s)", rec.Code, rec.Body)
+		t.Fatalf("POST /v1/mutations = %d (body %s)", rec.Code, rec.Body)
 	}
-	var resp mutateResponse
+	var resp mutationsResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatalf("decoding mutation response: %v", err)
 	}
@@ -196,12 +193,17 @@ func TestMutationDirtyRectCache(t *testing.T) {
 	if resp.Rebuilt {
 		t.Fatalf("a one-client corner update should not trigger a full rebuild: %+v", resp)
 	}
-	if resp.EventsReswept >= resp.EventsTotal {
-		t.Fatalf("localized update reswept everything: %+v", resp)
+	// The server applied exactly this one-delta batch to st's map; its stats
+	// show the update stayed local.
+	_, stats, err := st.m.ApplyDeltaBatch([]heatmap.Delta{{AddClients: []heatmap.Point{update}}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	dirty := geom.Rect{MinX: resp.DirtyRect.MinX, MinY: resp.DirtyRect.MinY, MaxX: resp.DirtyRect.MaxX, MaxY: resp.DirtyRect.MaxY}
-	if !dirty.Contains(update) || dirty.Contains(cluster) {
-		t.Fatalf("dirty rect %v should cover the update site but not the cluster", dirty)
+	if stats.EventsReswept >= stats.EventsTotal {
+		t.Fatalf("localized update reswept everything: %+v", stats)
+	}
+	if !stats.DirtyRect.Contains(update) || stats.DirtyRect.Contains(cluster) {
+		t.Fatalf("dirty rect %v should cover the update site but not the cluster", stats.DirtyRect)
 	}
 	if ns := s.def().state(); ns.grid != st.grid || ns.heatLo != st.heatLo || ns.heatHi != st.heatHi {
 		t.Fatalf("grid or heat range moved; the retention assertions below would be vacuous")
@@ -258,20 +260,20 @@ func TestMutationMatchesRebuildThroughAPI(t *testing.T) {
 	// Mirror the documented swap-remove semantics while mutating via HTTP.
 	cs := append([]heatmap.Point(nil), clients...)
 	fs := append([]heatmap.Point(nil), facilities...)
-	if rec := do(t, s, http.MethodPost, "/clients", `{"points":[{"x":250,"y":250},{"x":700,"y":300}]}`); rec.Code != 200 {
+	if rec := do(t, s, http.MethodPost, "/v1/mutations", `{"ops":[{"add_clients":[{"x":250,"y":250},{"x":700,"y":300}]}]}`); rec.Code != 200 {
 		t.Fatalf("add clients: %d %s", rec.Code, rec.Body)
 	}
 	cs = append(cs, heatmap.Pt(250, 250), heatmap.Pt(700, 300))
-	if rec := do(t, s, http.MethodDelete, "/clients", `{"indexes":[5]}`); rec.Code != 200 {
+	if rec := do(t, s, http.MethodPost, "/v1/mutations", `{"ops":[{"remove_clients":[5]}]}`); rec.Code != 200 {
 		t.Fatalf("remove client: %d %s", rec.Code, rec.Body)
 	}
 	cs[5] = cs[len(cs)-1]
 	cs = cs[:len(cs)-1]
-	if rec := do(t, s, http.MethodPost, "/facilities", `{"points":[{"x":500,"y":480}]}`); rec.Code != 200 {
+	if rec := do(t, s, http.MethodPost, "/v1/mutations", `{"ops":[{"add_facilities":[{"x":500,"y":480}]}]}`); rec.Code != 200 {
 		t.Fatalf("add facility: %d %s", rec.Code, rec.Body)
 	}
 	fs = append(fs, heatmap.Pt(500, 480))
-	if rec := do(t, s, http.MethodDelete, "/facilities", `{"indexes":[2]}`); rec.Code != 200 {
+	if rec := do(t, s, http.MethodPost, "/v1/mutations", `{"ops":[{"remove_facilities":[2]}]}`); rec.Code != 200 {
 		t.Fatalf("remove facility: %d %s", rec.Code, rec.Body)
 	}
 	fs[2] = fs[len(fs)-1]
@@ -282,8 +284,8 @@ func TestMutationMatchesRebuildThroughAPI(t *testing.T) {
 	}
 	fresh := build(cs, fs)
 	for _, path := range []string{
-		"/tiles/0/0/0.png", "/tiles/2/1/1.png", "/tiles/3/5/2.png",
-		"/heat?x=500&y=500", "/topk?k=5", "/histogram?bins=10",
+		"/v1/tiles/0/0/0.png", "/v1/tiles/2/1/1.png", "/v1/tiles/3/5/2.png",
+		"/v1/heat?x=500&y=500", "/v1/topk?k=5", "/v1/histogram?bins=10",
 	} {
 		mu := do(t, s, http.MethodGet, path, "")
 		fr := do(t, fresh, http.MethodGet, path, "")
@@ -337,21 +339,16 @@ func TestConcurrentReadsAndWrites(t *testing.T) {
 		defer close(stop)
 		rng := rand.New(rand.NewSource(123))
 		for i := 0; i < writes; i++ {
-			var resp *http.Response
-			var err error
+			op := `{"remove_clients":[0]}`
 			if i%2 == 0 {
-				body := fmt.Sprintf(`{"points":[{"x":%f,"y":%f}]}`, rng.Float64()*1000, rng.Float64()*1000)
-				req, _ := http.NewRequest(http.MethodPost, ts.URL+"/clients", strings.NewReader(body))
-				resp, err = ts.Client().Do(req)
-			} else {
-				req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/clients", strings.NewReader(`{"indexes":[0]}`))
-				resp, err = ts.Client().Do(req)
+				op = fmt.Sprintf(`{"add_clients":[{"x":%f,"y":%f}]}`, rng.Float64()*1000, rng.Float64()*1000)
 			}
+			resp, err := ts.Client().Post(ts.URL+"/v1/mutations", "application/json", strings.NewReader(`{"ops":[`+op+`]}`))
 			if err != nil {
 				fail("write %d: %v", i, err)
 				return
 			}
-			var mr mutateResponse
+			var mr mutationsResponse
 			if err := json.NewDecoder(resp.Body).Decode(&mr); err != nil {
 				fail("write %d: decoding: %v", i, err)
 			}
@@ -384,7 +381,7 @@ func TestConcurrentReadsAndWrites(t *testing.T) {
 				switch i % 3 {
 				case 0: // tile: must always be a parseable PNG
 					z := rng.Intn(3)
-					path := fmt.Sprintf("/tiles/%d/%d/%d.png", z, rng.Intn(1<<z), rng.Intn(1<<z))
+					path := fmt.Sprintf("/v1/tiles/%d/%d/%d.png", z, rng.Intn(1<<z), rng.Intn(1<<z))
 					resp, err := ts.Client().Get(ts.URL + path)
 					if err != nil {
 						fail("reader %d: %v", r, err)
@@ -399,7 +396,7 @@ func TestConcurrentReadsAndWrites(t *testing.T) {
 				case 1: // batch heat
 					body := fmt.Sprintf(`{"points":[{"x":%f,"y":%f},{"x":%f,"y":%f}]}`,
 						rng.Float64()*1000, rng.Float64()*1000, rng.Float64()*1000, rng.Float64()*1000)
-					resp, err := ts.Client().Post(ts.URL+"/heat/batch", "application/json", strings.NewReader(body))
+					resp, err := ts.Client().Post(ts.URL+"/v1/heat/batch", "application/json", strings.NewReader(body))
 					if err != nil {
 						fail("reader %d: %v", r, err)
 						return
@@ -412,7 +409,7 @@ func TestConcurrentReadsAndWrites(t *testing.T) {
 					}
 					resp.Body.Close()
 				default: // stats: version must be monotone from any one reader's view
-					resp, err := ts.Client().Get(ts.URL + "/stats")
+					resp, err := ts.Client().Get(ts.URL + "/v1/stats")
 					if err != nil {
 						fail("reader %d: %v", r, err)
 						return

@@ -10,15 +10,16 @@ import (
 
 	"rnnheatmap/heatmap"
 	"rnnheatmap/internal/geom"
+	"rnnheatmap/internal/snapshot"
 )
 
 // The optimal-location endpoints: site selection served straight from the
 // labeled arrangement.
 //
-//	GET  /maps/{map}/optimal    exact MaxBRNN argmax / constrained top-k
-//	POST /maps/{map}/optimize   greedy k-facility what-if placement
+//	GET  /v1/maps/{map}/optimal    exact MaxBRNN argmax / constrained top-k
+//	POST /v1/maps/{map}/optimize   greedy k-facility what-if placement
 //
-// (and the un-prefixed aliases against the default map). /optimal answers
+// (and the default-map aliases /v1/optimal, /v1/optimize). /optimal answers
 // are exact: the unconstrained top-1 is identical to a brute-force max over
 // every labeled region, with face geometry (area, cell count, bounding box)
 // recovered from the slab decomposition when available. /optimize is a
@@ -249,9 +250,9 @@ func (s *Server) handleOptimize(inst *mapInstance, w http.ResponseWriter, r *htt
 }
 
 // optimizeCommit recomputes the greedy placement under the writer lock and
-// publishes the final map, mirroring the mutation path: WAL append before
-// the swap, tile-cache migration against the union of the steps' dirty
-// rectangles, one version bump for the whole sequence.
+// publishes the final map as one version bump: one batched WAL record for
+// the whole sequence, tile-cache migration against the union of the steps'
+// dirty rectangles.
 func (s *Server) optimizeCommit(inst *mapInstance, w http.ResponseWriter, k int, cons heatmap.OptimalConstraints, started time.Time) {
 	inst.writeMu.Lock()
 	// Re-check membership under the writer lock, as every write path does.
@@ -278,30 +279,20 @@ func (s *Server) optimizeCommit(inst *mapInstance, w http.ResponseWriter, k int,
 		writeError(w, http.StatusInternalServerError, "building map state: %v", err)
 		return
 	}
-	// Write-ahead before the swap: the whole sequence is one batched record,
-	// so replay applies it with ApplyDeltaBatch — byte-identical to the
-	// greedy chain — and a crash can never leave half the placements.
-	if inst.wal != nil {
-		ds := make([]heatmap.Delta, len(steps))
-		for i, step := range steps {
-			ds[i] = heatmap.Delta{AddFacilities: []heatmap.Point{step.Point}}
-		}
-		if err := inst.wal.Append(walRecord(ns.version, ds)); err != nil {
-			inst.writeMu.Unlock()
-			writeError(w, http.StatusServiceUnavailable, "logging placements: %v", err)
-			return
-		}
+	// The whole sequence is one record, so replay applies it with
+	// ApplyDeltaBatch — byte-identical to the greedy chain — and a crash can
+	// never leave half the placements.
+	ds := make([]heatmap.Delta, len(steps))
+	dirty := geom.EmptyRect()
+	for i, step := range steps {
+		ds[i] = heatmap.Delta{AddFacilities: []heatmap.Point{step.Point}}
+		dirty = dirty.Union(step.Stats.DirtyRect)
 	}
-	dirtyRect := geom.EmptyRect()
-	for _, step := range steps {
-		dirtyRect = dirtyRect.Union(step.Stats.DirtyRect)
+	if err := inst.publish(st, ns, dirty, []snapshot.Record{walRecord(ns.version, ds)}); err != nil {
+		inst.writeMu.Unlock()
+		writeError(w, http.StatusServiceUnavailable, "logging placements: %v", err)
+		return
 	}
-	flushAll := ns.grid != st.grid || ns.heatLo != st.heatLo || ns.heatHi != st.heatHi
-	inst.cache.migrate(st.version, ns.version, func(z, x, y int) bool {
-		return !flushAll && !st.grid.tileBounds(z, x, y).Intersects(dirtyRect)
-	})
-	inst.cur.Store(ns)
-	inst.dirty.Store(true)
 	inst.writeMu.Unlock()
 
 	s.writeOptimizeResponse(inst, w, ns.version, k, steps, true, started)

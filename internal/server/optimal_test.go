@@ -56,7 +56,7 @@ func TestOptimalEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Optimal: %v", err)
 	}
-	for _, path := range []string{"/optimal", "/maps/default/optimal"} {
+	for _, path := range []string{"/v1/optimal", "/v1/maps/default/optimal"} {
 		rec := get(t, s, path)
 		if rec.Code != http.StatusOK {
 			t.Fatalf("GET %s = %d: %s", path, rec.Code, rec.Body.String())
@@ -85,7 +85,7 @@ func TestOptimalEndpoint(t *testing.T) {
 			Queries int64 `json:"queries"`
 		} `json:"optimal"`
 	}
-	if err := json.Unmarshal(get(t, s, "/stats").Body.Bytes(), &stats); err != nil {
+	if err := json.Unmarshal(get(t, s, "/v1/stats").Body.Bytes(), &stats); err != nil {
 		t.Fatalf("decoding stats: %v", err)
 	}
 	if stats.Optimal.Queries != 2 {
@@ -97,7 +97,7 @@ func TestOptimalEndpoint(t *testing.T) {
 func TestOptimalTopKEndpoint(t *testing.T) {
 	t.Parallel()
 	s := newTestServer(t, 1)
-	rec := get(t, s, "/optimal?k=5")
+	rec := get(t, s, "/v1/optimal?k=5")
 	var body optimalBody
 	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
 		t.Fatalf("decoding body: %v", err)
@@ -111,7 +111,7 @@ func TestOptimalTopKEndpoint(t *testing.T) {
 		}
 	}
 	// A bbox covering nothing filters everything: count 0, not an error.
-	rec = get(t, s, "/optimal?k=5&bbox=2000,2000,3000,3000")
+	rec = get(t, s, "/v1/optimal?k=5&bbox=2000,2000,3000,3000")
 	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
 		t.Fatalf("decoding body: %v", err)
 	}
@@ -124,14 +124,14 @@ func TestOptimalTopKEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	rec = get(t, small, "/optimal?k=1000&min_dist=30")
+	rec = get(t, small, "/v1/optimal?k=1000&min_dist=30")
 	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
 		t.Fatalf("decoding body: %v", err)
 	}
 	if rec.Code != http.StatusOK {
 		t.Fatalf("min_dist query = %d: %s", rec.Code, rec.Body.String())
 	}
-	unfiltered := get(t, small, "/optimal?k=1000")
+	unfiltered := get(t, small, "/v1/optimal?k=1000")
 	var all optimalBody
 	if err := json.Unmarshal(unfiltered.Body.Bytes(), &all); err != nil {
 		t.Fatalf("decoding body: %v", err)
@@ -152,7 +152,7 @@ func TestOptimizeDryRunAndCommit(t *testing.T) {
 	}
 	baseFacilities := s.def().state().m.NumFacilities()
 
-	rec := do(t, s, http.MethodPost, "/optimize?k=3", "")
+	rec := do(t, s, http.MethodPost, "/v1/optimize?k=3", "")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("POST /optimize = %d: %s", rec.Code, rec.Body.String())
 	}
@@ -181,7 +181,7 @@ func TestOptimizeDryRunAndCommit(t *testing.T) {
 	}
 
 	// Commit: same deterministic greedy run, now published.
-	rec = do(t, s, http.MethodPost, "/optimize?k=3&commit=true", "")
+	rec = do(t, s, http.MethodPost, "/v1/optimize?k=3&commit=true", "")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("POST /optimize commit = %d: %s", rec.Code, rec.Body.String())
 	}
@@ -211,10 +211,10 @@ func TestOptimizeRequiresMutableForCommit(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if rec := do(t, s, http.MethodPost, "/optimize?k=1", ""); rec.Code != http.StatusOK {
+	if rec := do(t, s, http.MethodPost, "/v1/optimize?k=1", ""); rec.Code != http.StatusOK {
 		t.Fatalf("dry run on read-only server = %d: %s", rec.Code, rec.Body.String())
 	}
-	if rec := do(t, s, http.MethodPost, "/optimize?k=1&commit=true", ""); rec.Code != http.StatusForbidden {
+	if rec := do(t, s, http.MethodPost, "/v1/optimize?k=1&commit=true", ""); rec.Code != http.StatusForbidden {
 		t.Fatalf("commit on read-only server = %d, want 403", rec.Code)
 	}
 }
@@ -235,23 +235,23 @@ func TestDegenerateMapEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	rec := do(t, s, http.MethodPost, "/facilities", `{"points":[{"x":5,"y":5},{"x":9,"y":2}]}`)
+	rec := do(t, s, http.MethodPost, "/v1/mutations", `{"ops":[{"add_facilities":[{"x":5,"y":5},{"x":9,"y":2}]}]}`)
 	if rec.Code != http.StatusOK {
-		t.Fatalf("POST /facilities = %d: %s", rec.Code, rec.Body.String())
+		t.Fatalf("POST /v1/mutations = %d: %s", rec.Code, rec.Body.String())
 	}
 	if n := s.def().state().m.NumRegions(); n != 0 {
 		t.Fatalf("map still has %d regions", n)
 	}
 
 	// /optimal and /optimize: 409, there is no optimal location.
-	if rec := get(t, s, "/optimal"); rec.Code != http.StatusConflict {
+	if rec := get(t, s, "/v1/optimal"); rec.Code != http.StatusConflict {
 		t.Fatalf("GET /optimal on empty arrangement = %d, want 409: %s", rec.Code, rec.Body.String())
 	}
-	if rec := do(t, s, http.MethodPost, "/optimize?k=2", ""); rec.Code != http.StatusConflict {
+	if rec := do(t, s, http.MethodPost, "/v1/optimize?k=2", ""); rec.Code != http.StatusConflict {
 		t.Fatalf("POST /optimize on empty arrangement = %d, want 409: %s", rec.Code, rec.Body.String())
 	}
 	// /topk: explicit empty list with count 0.
-	rec = get(t, s, "/topk?k=5")
+	rec = get(t, s, "/v1/topk?k=5")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("GET /topk on empty arrangement = %d: %s", rec.Code, rec.Body.String())
 	}
@@ -266,12 +266,12 @@ func TestDegenerateMapEndpoints(t *testing.T) {
 		t.Fatalf("topk on empty arrangement: count=%d regions=%d, want explicit empty", topk.Count, len(topk.Regions))
 	}
 	// /histogram: empty edges and counts, not an error.
-	rec = get(t, s, "/histogram")
+	rec = get(t, s, "/v1/histogram")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("GET /histogram on empty arrangement = %d", rec.Code)
 	}
 	// /heat still answers (the empty-set heat everywhere).
-	if rec := get(t, s, "/heat?x=5&y=5"); rec.Code != http.StatusOK {
+	if rec := get(t, s, "/v1/heat?x=5&y=5"); rec.Code != http.StatusOK {
 		t.Fatalf("GET /heat on empty arrangement = %d", rec.Code)
 	}
 }
@@ -285,7 +285,7 @@ func TestTopKClampsToMaxRegions(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	rec := get(t, s, "/topk?k=100000")
+	rec := get(t, s, "/v1/topk?k=100000")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("GET /topk?k=100000 = %d", rec.Code)
 	}
@@ -311,6 +311,7 @@ func TestAnalyticsParamValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	// Paths are relative to the /v1 mount.
 	cases := []struct {
 		method, path string
 	}{
@@ -354,16 +355,16 @@ func TestAnalyticsParamValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.method+" "+tc.path, func(t *testing.T) {
-			rec := do(t, s, tc.method, tc.path, "")
+			rec := do(t, s, tc.method, "/v1"+tc.path, "")
 			if rec.Code != http.StatusBadRequest {
 				t.Fatalf("%s %s = %d, want 400 (body %s)", tc.method, tc.path, rec.Code, rec.Body.String())
 			}
-			var body map[string]string
-			if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			var env v1Error
+			if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
 				t.Fatalf("%s %s: non-JSON error body %q", tc.method, tc.path, rec.Body.String())
 			}
-			if body["error"] == "" {
-				t.Fatalf("%s %s: missing error field in %q", tc.method, tc.path, rec.Body.String())
+			if env.Error.Code != codeInvalidArgument || env.Error.Message == "" {
+				t.Fatalf("%s %s: want an invalid_argument envelope with a message, got %q", tc.method, tc.path, rec.Body.String())
 			}
 			if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
 				t.Fatalf("%s %s: Content-Type %q", tc.method, tc.path, ct)
@@ -373,12 +374,12 @@ func TestAnalyticsParamValidation(t *testing.T) {
 
 	// The valid edges of the same parameters stay accepted.
 	for _, path := range []string{
-		"/topk?k=1",
-		"/regions?min=0",
-		"/histogram?bins=1",
-		"/histogram?bins=1000",
-		"/optimal?k=1&min_area=0&min_dist=0",
-		"/optimal?bbox=0,0,100,100",
+		"/v1/topk?k=1",
+		"/v1/regions?min=0",
+		"/v1/histogram?bins=1",
+		"/v1/histogram?bins=1000",
+		"/v1/optimal?k=1&min_area=0&min_dist=0",
+		"/v1/optimal?bbox=0,0,100,100",
 	} {
 		if rec := get(t, s, path); rec.Code != http.StatusOK {
 			t.Fatalf("GET %s = %d, want 200: %s", path, rec.Code, rec.Body.String())

@@ -17,8 +17,9 @@ import (
 	"rnnheatmap/internal/snapshot"
 )
 
-// DefaultMapName is the name of the map every legacy (un-prefixed) endpoint
-// resolves to. It always exists and cannot be deleted.
+// DefaultMapName is the name of the map the default-map aliases (/v1/heat,
+// /v1/tiles/..., /v1/mutations, ...) resolve to. It always exists and cannot
+// be deleted.
 const DefaultMapName = "default"
 
 // mapInstance is one tenant of the registry: a named map with its own
@@ -29,7 +30,7 @@ const DefaultMapName = "default"
 type mapInstance struct {
 	name    string
 	cur     atomic.Pointer[mapState]
-	writeMu sync.Mutex // serializes ApplyDelta + WAL append + swap + cache migration
+	writeMu sync.Mutex // serializes writes: apply + publish, saves, teardown
 	cache   *tileCache
 	renders atomic.Int64 // tile renders across all of this map's versions
 	wal     *snapshot.WAL
@@ -303,17 +304,7 @@ func (s *Server) replayWAL(name string, m *heatmap.Map, version uint64) (*heatma
 		if rec.Version != version+1 {
 			return fail(fmt.Errorf("record jumps from version %d to %d: log diverges from snapshot", version, rec.Version))
 		}
-		ops := rec.Ops()
-		ds := make([]heatmap.Delta, len(ops))
-		for i, op := range ops {
-			ds[i] = heatmap.Delta{
-				AddClients:       op.AddClients,
-				RemoveClients:    op.RemoveClients,
-				AddFacilities:    op.AddFacilities,
-				RemoveFacilities: op.RemoveFacilities,
-			}
-		}
-		next, _, err := m.ApplyDeltaBatch(ds)
+		next, _, err := m.ApplyDeltaBatch(recordDeltas(rec))
 		if err != nil {
 			return fail(fmt.Errorf("re-applying record for version %d: %w", rec.Version, err))
 		}

@@ -44,7 +44,7 @@ func TestRegistryCRUD(t *testing.T) {
 	}
 
 	// The registry starts with exactly the default map.
-	rec := do(t, s, http.MethodGet, "/maps", "")
+	rec := do(t, s, http.MethodGet, "/v1/maps", "")
 	var listing struct {
 		Maps []mapInfo `json:"maps"`
 	}
@@ -56,7 +56,7 @@ func TestRegistryCRUD(t *testing.T) {
 	}
 
 	// Create a tenant and exercise its endpoints.
-	rec = do(t, s, http.MethodPost, "/maps", mapBody("tenant-a", 0))
+	rec = do(t, s, http.MethodPost, "/v1/maps", mapBody("tenant-a", 0))
 	if rec.Code != http.StatusCreated {
 		t.Fatalf("POST /maps = %d (body %s)", rec.Code, rec.Body)
 	}
@@ -68,9 +68,9 @@ func TestRegistryCRUD(t *testing.T) {
 		t.Fatalf("created = %+v", created)
 	}
 	for _, path := range []string{
-		"/maps/tenant-a", "/maps/tenant-a/stats", "/maps/tenant-a/topk?k=3",
-		"/maps/tenant-a/heat?x=10&y=10", "/maps/tenant-a/histogram?bins=4",
-		"/maps/tenant-a/tiles/1/0/0.png",
+		"/v1/maps/tenant-a", "/v1/maps/tenant-a/stats", "/v1/maps/tenant-a/topk?k=3",
+		"/v1/maps/tenant-a/heat?x=10&y=10", "/v1/maps/tenant-a/histogram?bins=4",
+		"/v1/maps/tenant-a/tiles/1/0/0.png",
 	} {
 		if rec := do(t, s, http.MethodGet, path, ""); rec.Code != http.StatusOK {
 			t.Errorf("GET %s = %d (body %s)", path, rec.Code, rec.Body)
@@ -78,11 +78,11 @@ func TestRegistryCRUD(t *testing.T) {
 	}
 
 	// Mutating the tenant must not touch the default map.
-	rec = do(t, s, http.MethodPost, "/maps/tenant-a/clients", `{"points":[{"x":50,"y":50}]}`)
+	rec = do(t, s, http.MethodPost, "/v1/maps/tenant-a/mutations", `{"ops":[{"add_clients":[{"x":50,"y":50}]}]}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("tenant mutation = %d (body %s)", rec.Code, rec.Body)
 	}
-	var mr mutateResponse
+	var mr mutationsResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &mr); err != nil {
 		t.Fatal(err)
 	}
@@ -94,13 +94,13 @@ func TestRegistryCRUD(t *testing.T) {
 	}
 
 	// Deletion: tenants go away, the default map is protected.
-	if rec := do(t, s, http.MethodDelete, "/maps/tenant-a", ""); rec.Code != http.StatusOK {
+	if rec := do(t, s, http.MethodDelete, "/v1/maps/tenant-a", ""); rec.Code != http.StatusOK {
 		t.Fatalf("DELETE tenant = %d", rec.Code)
 	}
-	if rec := do(t, s, http.MethodGet, "/maps/tenant-a/stats", ""); rec.Code != http.StatusNotFound {
+	if rec := do(t, s, http.MethodGet, "/v1/maps/tenant-a/stats", ""); rec.Code != http.StatusNotFound {
 		t.Errorf("stats of deleted map = %d, want 404", rec.Code)
 	}
-	if rec := do(t, s, http.MethodDelete, "/maps/default", ""); rec.Code != http.StatusForbidden {
+	if rec := do(t, s, http.MethodDelete, "/v1/maps/default", ""); rec.Code != http.StatusForbidden {
 		t.Errorf("DELETE default = %d, want 403", rec.Code)
 	}
 	if s.NumMaps() != 1 {
@@ -128,22 +128,22 @@ func TestRegistryCreateValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if rec := do(t, s, http.MethodPost, "/maps", tc.body); rec.Code != tc.want {
+			if rec := do(t, s, http.MethodPost, "/v1/maps", tc.body); rec.Code != tc.want {
 				t.Errorf("POST /maps (%s) = %d, want %d (body %s)", tc.name, rec.Code, tc.want, rec.Body)
 			}
 		})
 	}
 	// Registry cap: MaxMaps=2 leaves room for exactly one tenant.
-	if rec := do(t, s, http.MethodPost, "/maps", mapBody("one", 0)); rec.Code != http.StatusCreated {
+	if rec := do(t, s, http.MethodPost, "/v1/maps", mapBody("one", 0)); rec.Code != http.StatusCreated {
 		t.Fatalf("first tenant = %d (body %s)", rec.Code, rec.Body)
 	}
-	if rec := do(t, s, http.MethodPost, "/maps", mapBody("two", 0)); rec.Code != http.StatusTooManyRequests {
+	if rec := do(t, s, http.MethodPost, "/v1/maps", mapBody("two", 0)); rec.Code != http.StatusTooManyRequests {
 		t.Errorf("tenant beyond MaxMaps = %d, want 429", rec.Code)
 	}
 }
 
-// TestAliasesMatchNamedForm asserts the back-compat contract: every legacy
-// endpoint answers byte-identically to its /maps/default/... form.
+// TestAliasesMatchNamedForm asserts the alias contract: every default-map
+// alias answers byte-identically to its /v1/maps/default/... form.
 func TestAliasesMatchNamedForm(t *testing.T) {
 	t.Parallel()
 	s, err := New(Config{Map: handMap(t), Mutable: true, TileSize: 32})
@@ -155,35 +155,35 @@ func TestAliasesMatchNamedForm(t *testing.T) {
 		"/regions?min=2", "/tiles/1/0/0.png", "/tiles/2/1/1.png",
 	}
 	for _, path := range paths {
-		legacy := do(t, s, http.MethodGet, path, "")
-		named := do(t, s, http.MethodGet, "/maps/default"+path, "")
-		if legacy.Code != http.StatusOK || named.Code != http.StatusOK {
-			t.Fatalf("GET %s: legacy %d, named %d", path, legacy.Code, named.Code)
+		alias := do(t, s, http.MethodGet, "/v1"+path, "")
+		named := do(t, s, http.MethodGet, "/v1/maps/default"+path, "")
+		if alias.Code != http.StatusOK || named.Code != http.StatusOK {
+			t.Fatalf("GET %s: alias %d, named %d", path, alias.Code, named.Code)
 		}
-		if !bytes.Equal(legacy.Body.Bytes(), named.Body.Bytes()) {
-			t.Errorf("GET %s differs between the alias and /maps/default form", path)
+		if !bytes.Equal(alias.Body.Bytes(), named.Body.Bytes()) {
+			t.Errorf("GET %s differs between the alias and /v1/maps/default form", path)
 		}
 	}
 	// /stats carries a wall-clock uptime, so compare it structurally.
-	var legacySt, namedSt statsResponse
-	if err := json.Unmarshal(do(t, s, http.MethodGet, "/stats", "").Body.Bytes(), &legacySt); err != nil {
+	var aliasSt, namedSt statsResponse
+	if err := json.Unmarshal(do(t, s, http.MethodGet, "/v1/stats", "").Body.Bytes(), &aliasSt); err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(do(t, s, http.MethodGet, "/maps/default/stats", "").Body.Bytes(), &namedSt); err != nil {
+	if err := json.Unmarshal(do(t, s, http.MethodGet, "/v1/maps/default/stats", "").Body.Bytes(), &namedSt); err != nil {
 		t.Fatal(err)
 	}
-	legacySt.UptimeSeconds, namedSt.UptimeSeconds = 0, 0
-	if legacySt != namedSt {
-		t.Errorf("/stats differs between forms:\n alias %+v\n named %+v", legacySt, namedSt)
+	aliasSt.UptimeSeconds, namedSt.UptimeSeconds = 0, 0
+	if aliasSt != namedSt {
+		t.Errorf("/v1/stats differs between forms:\n alias %+v\n named %+v", aliasSt, namedSt)
 	}
 	// Batched heat and mutations work through both forms, sharing version.
-	if rec := do(t, s, http.MethodPost, "/maps/default/heat/batch", `{"points":[{"x":10,"y":10}]}`); rec.Code != http.StatusOK {
+	if rec := do(t, s, http.MethodPost, "/v1/maps/default/heat/batch", `{"points":[{"x":10,"y":10}]}`); rec.Code != http.StatusOK {
 		t.Errorf("named heat/batch = %d", rec.Code)
 	}
-	if rec := do(t, s, http.MethodPost, "/clients", `{"points":[{"x":50,"y":55}]}`); rec.Code != http.StatusOK {
+	if rec := do(t, s, http.MethodPost, "/v1/mutations", `{"ops":[{"add_clients":[{"x":50,"y":55}]}]}`); rec.Code != http.StatusOK {
 		t.Errorf("alias mutation = %d", rec.Code)
 	}
-	rec := do(t, s, http.MethodGet, "/maps/default/stats", "")
+	rec := do(t, s, http.MethodGet, "/v1/maps/default/stats", "")
 	var st statsResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
 		t.Fatal(err)
@@ -197,7 +197,7 @@ func TestAliasesMatchNamedForm(t *testing.T) {
 // the /stats version and a set of tile bodies.
 func tileAndStats(t *testing.T, s *Server, paths []string) (uint64, map[string][]byte) {
 	t.Helper()
-	rec := do(t, s, http.MethodGet, "/stats", "")
+	rec := do(t, s, http.MethodGet, "/v1/stats", "")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("GET /stats = %d", rec.Code)
 	}
@@ -226,32 +226,28 @@ func TestWALReplayConvergesAfterCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mutations := []struct{ method, path, body string }{
-		{http.MethodPost, "/clients", `{"points":[{"x":91,"y":91},{"x":11,"y":12}]}`},
-		{http.MethodDelete, "/clients", `{"indexes":[3]}`},
-		{http.MethodPost, "/facilities", `{"points":[{"x":55,"y":45}]}`},
-		{http.MethodDelete, "/facilities", `{"indexes":[1]}`},
+	// One-op requests, two batched requests (each lands in the WAL as one
+	// multi-op record that replay must apply as a unit), and a committed
+	// optimizer run (one batched record of its placements). Each write bumps
+	// the version by one.
+	writes := []struct{ path, body string }{
+		{"/v1/mutations", `{"ops":[{"add_clients":[{"x":91,"y":91},{"x":11,"y":12}]}]}`},
+		{"/v1/mutations", `{"ops":[{"remove_clients":[3]}]}`},
+		{"/v1/mutations", `{"ops":[{"add_facilities":[{"x":55,"y":45}]}]}`},
+		{"/v1/mutations", `{"ops":[{"remove_facilities":[1]}]}`},
+		{"/v1/mutations", `{"ops":[{"add_clients":[{"x":30,"y":30},{"x":31,"y":31}]},{"remove_clients":[2]}]}`},
+		{"/v1/mutations", `{"ops":[{"add_facilities":[{"x":60,"y":60}]},{"add_clients":[{"x":61,"y":61}]},{"remove_facilities":[0]}]}`},
+		{"/v1/optimize?k=2&commit=true", ""},
 	}
-	for _, mu := range mutations {
-		if rec := do(t, a, mu.method, mu.path, mu.body); rec.Code != http.StatusOK {
-			t.Fatalf("%s %s = %d (body %s)", mu.method, mu.path, rec.Code, rec.Body)
+	for _, wr := range writes {
+		if rec := do(t, a, http.MethodPost, wr.path, wr.body); rec.Code != http.StatusOK {
+			t.Fatalf("POST %s = %d (body %s)", wr.path, rec.Code, rec.Body)
 		}
 	}
-	// Two batched requests through the ingestion path: each lands in the WAL
-	// as one multi-op record that replay must apply as a unit.
-	batches := []string{
-		`{"ops":[{"add_clients":[{"x":30,"y":30},{"x":31,"y":31}]},{"remove_clients":[2]}]}`,
-		`{"ops":[{"add_facilities":[{"x":60,"y":60}]},{"add_clients":[{"x":61,"y":61}]},{"remove_facilities":[0]}]}`,
-	}
-	for _, body := range batches {
-		if rec := do(t, a, http.MethodPost, "/mutations", body); rec.Code != http.StatusOK {
-			t.Fatalf("POST /mutations = %d (body %s)", rec.Code, rec.Body)
-		}
-	}
-	tilePaths := []string{"/tiles/0/0/0.png", "/tiles/2/0/0.png", "/tiles/2/3/3.png", "/tiles/3/2/5.png"}
+	tilePaths := []string{"/v1/tiles/0/0/0.png", "/v1/tiles/2/0/0.png", "/v1/tiles/2/3/3.png", "/v1/tiles/3/2/5.png"}
 	wantVersion, wantTiles := tileAndStats(t, a, tilePaths)
-	if wantVersion != uint64(len(mutations)+len(batches)+1) {
-		t.Fatalf("uninterrupted server at version %d, want %d", wantVersion, len(mutations)+len(batches)+1)
+	if wantVersion != uint64(len(writes)+1) {
+		t.Fatalf("uninterrupted server at version %d, want %d", wantVersion, len(writes)+1)
 	}
 	// Crash: server a is abandoned without Close/SaveAll. The on-disk state
 	// is the initial snapshot (version 1) plus the WAL.
@@ -269,7 +265,7 @@ func TestWALReplayConvergesAfterCrash(t *testing.T) {
 		}
 	}
 	// The replayed server keeps accepting (and logging) mutations.
-	if rec := do(t, b, http.MethodPost, "/clients", `{"points":[{"x":20,"y":80}]}`); rec.Code != http.StatusOK {
+	if rec := do(t, b, http.MethodPost, "/v1/mutations", `{"ops":[{"add_clients":[{"x":20,"y":80}]}]}`); rec.Code != http.StatusOK {
 		t.Fatalf("mutation after replay = %d (body %s)", rec.Code, rec.Body)
 	}
 	if got := b.Version(); got != wantVersion+1 {
@@ -286,10 +282,10 @@ func TestSnapshotSaveCompactsWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec := do(t, a, http.MethodPost, "/clients", `{"points":[{"x":91,"y":91}]}`); rec.Code != http.StatusOK {
+	if rec := do(t, a, http.MethodPost, "/v1/mutations", `{"ops":[{"add_clients":[{"x":91,"y":91}]}]}`); rec.Code != http.StatusOK {
 		t.Fatal(rec.Code)
 	}
-	tilePaths := []string{"/tiles/0/0/0.png", "/tiles/2/3/3.png"}
+	tilePaths := []string{"/v1/tiles/0/0/0.png", "/v1/tiles/2/3/3.png"}
 	wantVersion, wantTiles := tileAndStats(t, a, tilePaths)
 	if err := a.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -337,15 +333,15 @@ func TestCreatedMapsPersistAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"alpha", "beta"} {
-		if rec := do(t, a, http.MethodPost, "/maps", mapBody(name, 5)); rec.Code != http.StatusCreated {
+		if rec := do(t, a, http.MethodPost, "/v1/maps", mapBody(name, 5)); rec.Code != http.StatusCreated {
 			t.Fatalf("create %s = %d (body %s)", name, rec.Code, rec.Body)
 		}
 	}
-	if rec := do(t, a, http.MethodDelete, "/maps/beta", ""); rec.Code != http.StatusOK {
+	if rec := do(t, a, http.MethodDelete, "/v1/maps/beta", ""); rec.Code != http.StatusOK {
 		t.Fatal(rec.Code)
 	}
 	// Mutate alpha so its durable state is snapshot+WAL.
-	if rec := do(t, a, http.MethodPost, "/maps/alpha/clients", `{"points":[{"x":60,"y":60}]}`); rec.Code != http.StatusOK {
+	if rec := do(t, a, http.MethodPost, "/v1/maps/alpha/mutations", `{"ops":[{"add_clients":[{"x":60,"y":60}]}]}`); rec.Code != http.StatusOK {
 		t.Fatal(rec.Code)
 	}
 
@@ -356,10 +352,10 @@ func TestCreatedMapsPersistAcrossRestart(t *testing.T) {
 	if got := b.NumMaps(); got != 2 {
 		t.Errorf("restarted registry holds %d maps, want 2 (default, alpha)", got)
 	}
-	if rec := do(t, b, http.MethodGet, "/maps/beta/stats", ""); rec.Code != http.StatusNotFound {
+	if rec := do(t, b, http.MethodGet, "/v1/maps/beta/stats", ""); rec.Code != http.StatusNotFound {
 		t.Errorf("deleted map resurrected: %d", rec.Code)
 	}
-	rec := do(t, b, http.MethodGet, "/maps/alpha/stats", "")
+	rec := do(t, b, http.MethodGet, "/v1/maps/alpha/stats", "")
 	var st statsResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
 		t.Fatal(err)
@@ -377,7 +373,7 @@ func TestForcedSnapshotEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec := do(t, noDir, http.MethodPost, "/maps/default/snapshot", ""); rec.Code != http.StatusForbidden {
+	if rec := do(t, noDir, http.MethodPost, "/v1/maps/default/snapshot", ""); rec.Code != http.StatusForbidden {
 		t.Errorf("snapshot without dir = %d, want 403", rec.Code)
 	}
 
@@ -386,10 +382,10 @@ func TestForcedSnapshotEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec := do(t, s, http.MethodPost, "/clients", `{"points":[{"x":91,"y":91}]}`); rec.Code != http.StatusOK {
+	if rec := do(t, s, http.MethodPost, "/v1/mutations", `{"ops":[{"add_clients":[{"x":91,"y":91}]}]}`); rec.Code != http.StatusOK {
 		t.Fatal(rec.Code)
 	}
-	if rec := do(t, s, http.MethodPost, "/maps/default/snapshot", ""); rec.Code != http.StatusOK {
+	if rec := do(t, s, http.MethodPost, "/v1/maps/default/snapshot", ""); rec.Code != http.StatusOK {
 		t.Fatalf("forced snapshot = %d (body %s)", rec.Code, rec.Body)
 	}
 	snap, err := snapshot.Open(snapshot.MapPath(dir, DefaultMapName))
@@ -467,23 +463,23 @@ func TestReadOnlyServerReplaysWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec := do(t, a, http.MethodPost, "/clients", `{"points":[{"x":91,"y":91}]}`); rec.Code != http.StatusOK {
+	if rec := do(t, a, http.MethodPost, "/v1/mutations", `{"ops":[{"add_clients":[{"x":91,"y":91}]}]}`); rec.Code != http.StatusOK {
 		t.Fatal(rec.Code)
 	}
-	wantVersion, wantTiles := tileAndStats(t, a, []string{"/tiles/2/3/3.png"})
+	wantVersion, wantTiles := tileAndStats(t, a, []string{"/v1/tiles/2/3/3.png"})
 
 	b, err := New(Config{SnapshotDir: dir, Load: true, TileSize: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotVersion, gotTiles := tileAndStats(t, b, []string{"/tiles/2/3/3.png"})
+	gotVersion, gotTiles := tileAndStats(t, b, []string{"/v1/tiles/2/3/3.png"})
 	if gotVersion != wantVersion {
 		t.Errorf("read-only replay version = %d, want %d", gotVersion, wantVersion)
 	}
-	if !bytes.Equal(gotTiles["/tiles/2/3/3.png"], wantTiles["/tiles/2/3/3.png"]) {
+	if !bytes.Equal(gotTiles["/v1/tiles/2/3/3.png"], wantTiles["/v1/tiles/2/3/3.png"]) {
 		t.Errorf("tile differs after read-only replay")
 	}
-	if rec := do(t, b, http.MethodPost, "/clients", `{"points":[{"x":1,"y":1}]}`); rec.Code != http.StatusForbidden {
+	if rec := do(t, b, http.MethodPost, "/v1/mutations", `{"ops":[{"add_clients":[{"x":1,"y":1}]}]}`); rec.Code != http.StatusForbidden {
 		t.Errorf("mutation on read-only server = %d, want 403", rec.Code)
 	}
 }
@@ -496,11 +492,11 @@ func TestPerMapTileCachesAreIsolated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec := do(t, s, http.MethodPost, "/maps", mapBody("other", 0)); rec.Code != http.StatusCreated {
+	if rec := do(t, s, http.MethodPost, "/v1/maps", mapBody("other", 0)); rec.Code != http.StatusCreated {
 		t.Fatal(rec.Code)
 	}
 	for i := 0; i < 3; i++ {
-		if rec := do(t, s, http.MethodGet, "/maps/other/tiles/1/0/0.png", ""); rec.Code != http.StatusOK {
+		if rec := do(t, s, http.MethodGet, "/v1/maps/other/tiles/1/0/0.png", ""); rec.Code != http.StatusOK {
 			t.Fatal(rec.Code)
 		}
 	}

@@ -5,34 +5,40 @@
 // slippy-map raster tiles, point and batched influence queries, region
 // exploration and operational introspection.
 //
-// Every data endpoint exists in two forms: the tenant form
-// /maps/{name}/... and a legacy alias without the prefix that resolves to
-// the map named "default", so pre-registry clients keep working unchanged:
+// Every endpoint is mounted once, under /v1, and every error a handler
+// writes is the structured envelope {"error": {"code": "...", "message":
+// "..."}} (a path or method no route matches gets the mux's plain 404 or
+// 405). Each per-map endpoint exists in the tenant form /v1/maps/{map}/...
+// and as a default-map alias without the /maps/{map} segment, which
+// resolves to the map named "default":
 //
-//	GET    /maps                          list maps
-//	POST   /maps                          create a map from uploaded points
-//	GET    /maps/{map}                    map info
-//	DELETE /maps/{map}                    delete a map (not "default")
-//	POST   /maps/{map}/snapshot           force-persist the map now
-//	GET    /maps/{map}/tiles/{z}/{x}/{y}.png   (alias /tiles/...)
-//	GET    /maps/{map}/heat               (alias /heat)
-//	POST   /maps/{map}/heat/batch         (alias /heat/batch)
-//	GET    /maps/{map}/topk               (alias /topk)
-//	GET    /maps/{map}/regions            (alias /regions)
-//	GET    /maps/{map}/histogram          (alias /histogram)
-//	GET    /maps/{map}/optimal            (alias /optimal)
-//	POST   /maps/{map}/optimize           (alias /optimize)
-//	GET    /maps/{map}/stats              (alias /stats)
-//	POST/DELETE /maps/{map}/clients, /maps/{map}/facilities   (aliases too)
-//	POST   /maps/{map}/mutations          batched mutation ops (alias /mutations)
+//	GET    /v1/maps                          list maps
+//	POST   /v1/maps                          create a map from uploaded points
+//	GET    /v1/maps/{map}                    map info
+//	DELETE /v1/maps/{map}                    delete a map (not "default")
+//	POST   /v1/maps/{map}/snapshot           force-persist the map now
+//	GET    /v1/maps/{map}/tiles/{z}/{x}/{y}.png   (alias /v1/tiles/...)
+//	GET    /v1/maps/{map}/heat               (alias /v1/heat)
+//	POST   /v1/maps/{map}/heat/batch         (alias /v1/heat/batch)
+//	GET    /v1/maps/{map}/topk               (alias /v1/topk)
+//	GET    /v1/maps/{map}/regions            (alias /v1/regions)
+//	GET    /v1/maps/{map}/histogram          (alias /v1/histogram)
+//	GET    /v1/maps/{map}/optimal            (alias /v1/optimal)
+//	POST   /v1/maps/{map}/optimize           (alias /v1/optimize)
+//	GET    /v1/maps/{map}/stats              (alias /v1/stats)
+//	POST   /v1/maps/{map}/mutations          batched mutation ops (alias /v1/mutations)
 //
-// A mutable server (Config.Mutable) accepts live set updates applied through
-// heatmap.ApplyDelta's copy-on-write semantics: per map, writers build a new
-// map (resweeping only the dirty part of the arrangement) and atomically
-// swap it in, so readers never lock and never observe a half-updated map.
-// Each swap bumps that map's version. Maps are isolated: every instance has
-// its own writer lock and its own version-keyed tile cache, so a write burst
-// against one tenant never blocks reads or writes on another.
+// A mutable server (Config.Mutable) accepts live set updates through one
+// write endpoint, POST .../mutations, applied through heatmap's
+// copy-on-write delta path: per map, a writer builds a new map (resweeping
+// only the dirty part of the arrangement) and publishes it, so readers never
+// lock and never observe a half-updated map. Every new map version — an
+// ingested group commit, a committed /optimize, a replica applying shipped
+// records — goes through one publish step (mapInstance.publish): log, then
+// migrate the tile cache, then swap. Every acknowledged write request bumps
+// its map's version by one. Maps are isolated: every instance has its own
+// writer lock and its own version-keyed tile cache, so a write burst against
+// one tenant never blocks reads or writes on another.
 //
 // With Config.SnapshotDir set the registry is durable: each map is saved as
 // a versioned binary snapshot (internal/snapshot), every applied mutation is
@@ -77,8 +83,9 @@ type Config struct {
 	// Map is the initial "default" map. Required unless Load restores a
 	// default map from SnapshotDir.
 	Map *heatmap.Map
-	// Mutable enables the live mutation API (POST/DELETE /clients and
-	// /facilities, per map). When false those endpoints answer 403.
+	// Mutable enables the write API: POST .../mutations and committed
+	// placements (POST .../optimize?commit=true). When false those answer 403
+	// read_only.
 	Mutable bool
 	// TileSize is the tile edge length in pixels; 0 means 256.
 	TileSize int
@@ -88,7 +95,8 @@ type Config struct {
 	// as in the paper's figures).
 	ColorMap render.ColorMap
 	// MaxBatch caps the number of points accepted by POST /heat/batch and the
-	// points/indexes accepted by one mutation request; 0 means 10000.
+	// ops and mutations accepted by one POST /mutations request; 0 means
+	// 10000.
 	MaxBatch int
 	// MaxRegions caps the number of regions returned by GET /regions and
 	// GET /topk; 0 means 10000.
@@ -182,8 +190,8 @@ type Server struct {
 	creating map[string]struct{}
 
 	mux *http.ServeMux
-	// routeList records every registered (method, unversioned path) pair;
-	// each also exists under /v1. The OpenAPI contract test walks it.
+	// routeList records every registered (method, path) pair. The OpenAPI
+	// contract test walks it.
 	routeList [][2]string
 	started   time.Time
 
@@ -288,9 +296,7 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// APIVersion is the current versioned-prefix of the HTTP API. Every endpoint
-// is mounted both at its historical path (legacy alias, byte-identical
-// responses) and under this prefix, where errors use the structured envelope.
+// APIVersion is the versioned prefix every endpoint is mounted under.
 const APIVersion = "v1"
 
 // routeKind classifies per-map endpoints for cluster routing: reads may be
@@ -306,8 +312,8 @@ const (
 	routeWrite
 )
 
-// routes registers every endpoint in both its tenant form and its legacy
-// default-map alias, each additionally mounted under /v1.
+// routes registers every endpoint: the registry, each per-map endpoint in
+// its tenant form and its default-map alias, and the cluster endpoints.
 func (s *Server) routes() {
 	s.add("GET", "/healthz", s.handleHealthz)
 	s.add("GET", "/maps", s.handleListMaps)
@@ -329,10 +335,6 @@ func (s *Server) routes() {
 		"POST /optimize":         {routeWrite, s.handleOptimize},
 		"GET /tiles/{z}/{x}/{y}": {routeRead, s.handleTile},
 		"POST /mutations":        {routeWrite, s.handleMutations},
-		"POST /clients":          {routeWrite, s.handleAddClients},
-		"DELETE /clients":        {routeWrite, s.handleRemoveClients},
-		"POST /facilities":       {routeWrite, s.handleAddFacilities},
-		"DELETE /facilities":     {routeWrite, s.handleRemoveFacilities},
 	} {
 		method, path, _ := strings.Cut(pattern, " ")
 		s.add(method, path, s.onDefault(e.kind, e.h))
@@ -348,41 +350,23 @@ func (s *Server) routes() {
 	s.add("GET", "/cluster/maps/{map}/snapshot", s.handleClusterSnapshot)
 }
 
-// add registers one endpoint twice: at its legacy path, and under /v1 with
-// the response writer wrapped so error responses use the structured envelope.
-// Success bodies are identical on both mounts; only the error shape differs,
-// which is what lets legacy clients keep parsing {"error": "..."} unchanged.
+// add registers one endpoint under /v1.
 func (s *Server) add(method, path string, h http.HandlerFunc) {
+	path = "/" + APIVersion + path
 	s.mux.HandleFunc(method+" "+path, h)
-	s.mux.HandleFunc(method+" /"+APIVersion+path, func(w http.ResponseWriter, r *http.Request) {
-		h(&v1Writer{ResponseWriter: w}, r)
-	})
 	s.routeList = append(s.routeList, [2]string{method, path})
 }
 
-// Routes returns every registered (method, unversioned path) pair; each is
-// also mounted under /v1. The OpenAPI contract test compares this table
-// against docs/openapi.yaml in both directions.
+// Routes returns every registered (method, path) pair, paths including the
+// /v1 prefix. The OpenAPI contract test compares this table against
+// docs/openapi.yaml in both directions.
 func (s *Server) Routes() [][2]string {
 	out := make([][2]string, len(s.routeList))
 	copy(out, s.routeList)
 	return out
 }
 
-// v1Writer marks a request as arriving through the /v1 mount; writeError
-// checks for it to select the structured error envelope. It adds no behavior
-// of its own — headers, status and body pass straight through.
-type v1Writer struct {
-	http.ResponseWriter
-}
-
-// isV1 reports whether the response goes to a /v1 client.
-func isV1(w http.ResponseWriter) bool {
-	_, ok := w.(*v1Writer)
-	return ok
-}
-
-// onDefault adapts a per-map handler to the legacy un-prefixed route.
+// onDefault adapts a per-map handler to its default-map alias.
 func (s *Server) onDefault(kind routeKind, h func(*mapInstance, http.ResponseWriter, *http.Request)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if s.clusterRoute(DefaultMapName, kind, w, r) {
@@ -466,8 +450,8 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
-// Machine-readable error codes of the /v1 error envelope. Every /v1 error
-// response has the shape {"error": {"code": "<code>", "message": "..."}};
+// Machine-readable error codes of the error envelope. Every error response
+// has the shape {"error": {"code": "<code>", "message": "..."}};
 // the code is stable API surface (documented in docs/openapi.yaml), the
 // message is free-form prose that may change between releases.
 const (
@@ -509,7 +493,7 @@ func errorCodeFor(status int) string {
 	}
 }
 
-// errorEnvelope is the /v1 error body.
+// errorEnvelope is the error body.
 type errorEnvelope struct {
 	Code    string `json:"code"`
 	Message string `json:"message"`
@@ -519,16 +503,10 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeErrorCode(w, code, errorCodeFor(code), format, args...)
 }
 
-// writeErrorCode writes an error response: on the /v1 mount the structured
-// envelope with the given machine code, on legacy paths the historical
-// {"error": "<message>"} shape, byte-identical to what pre-/v1 clients parse.
+// writeErrorCode writes an error response in the structured envelope with
+// the given machine code.
 func writeErrorCode(w http.ResponseWriter, status int, code, format string, args ...any) {
-	msg := fmt.Sprintf(format, args...)
-	if isV1(w) {
-		writeJSON(w, status, map[string]errorEnvelope{"error": {Code: code, Message: msg}})
-		return
-	}
-	writeJSON(w, status, map[string]string{"error": msg})
+	writeJSON(w, status, map[string]errorEnvelope{"error": {Code: code, Message: fmt.Sprintf(format, args...)}})
 }
 
 // parseFloat parses a finite float query parameter.
@@ -652,18 +630,6 @@ type rectJSON struct {
 
 func toRectJSON(r geom.Rect) rectJSON {
 	return rectJSON{MinX: r.MinX, MinY: r.MinY, MaxX: r.MaxX, MaxY: r.MaxY}
-}
-
-// finiteRect maps the empty rectangle's infinite sentinels to the zero
-// rectangle. encoding/json rejects non-finite numbers, and an update that
-// perturbs no circles (e.g. a facility opened where it captures no client)
-// reports an empty dirty rectangle — without the mapping the mutation
-// response would die mid-encode and reach the client as a bodyless 200.
-func finiteRect(r geom.Rect) geom.Rect {
-	if r.IsEmpty() {
-		return geom.Rect{}
-	}
-	return r
 }
 
 func (s *Server) handleStats(inst *mapInstance, w http.ResponseWriter, r *http.Request) {

@@ -56,7 +56,7 @@ func get(t *testing.T, s *Server, path string) *httptest.ResponseRecorder {
 func TestHealthz(t *testing.T) {
 	t.Parallel()
 	s := newTestServer(t, 1)
-	rec := get(t, s, "/healthz")
+	rec := get(t, s, "/v1/healthz")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("GET /healthz = %d, want 200", rec.Code)
 	}
@@ -79,10 +79,10 @@ func TestTileByteDeterminism(t *testing.T) {
 	s1 := newTestServer(t, 1)
 	s4 := newTestServer(t, 4)
 	paths := []string{
-		"/tiles/0/0/0.png",
-		"/tiles/1/0/1.png",
-		"/tiles/2/1/2.png",
-		"/tiles/3/5/3.png",
+		"/v1/tiles/0/0/0.png",
+		"/v1/tiles/1/0/1.png",
+		"/v1/tiles/2/1/2.png",
+		"/v1/tiles/3/5/3.png",
 	}
 	for _, path := range paths {
 		r1 := get(t, s1, path)
@@ -103,7 +103,7 @@ func TestTileByteDeterminism(t *testing.T) {
 func TestTileCacheWarm(t *testing.T) {
 	t.Parallel()
 	s := newTestServer(t, 1)
-	const path = "/tiles/2/1/1.png"
+	const path = "/v1/tiles/2/1/1.png"
 
 	cold := get(t, s, path)
 	if cold.Code != http.StatusOK {
@@ -147,7 +147,7 @@ func TestTileCacheWarm(t *testing.T) {
 func TestTileSingleFlight(t *testing.T) {
 	t.Parallel()
 	s := newTestServer(t, 1)
-	const path = "/tiles/3/2/4.png"
+	const path = "/v1/tiles/3/2/4.png"
 	const n = 16
 	var wg sync.WaitGroup
 	bodies := make([][]byte, n)
@@ -192,7 +192,7 @@ func TestBatchMatchesHeatAt(t *testing.T) {
 		payload.Points = append(payload.Points, map[string]float64{"x": p.X, "y": p.Y})
 	}
 	body, _ := json.Marshal(payload)
-	req := httptest.NewRequest(http.MethodPost, "/heat/batch", bytes.NewReader(body))
+	req := httptest.NewRequest(http.MethodPost, "/v1/heat/batch", bytes.NewReader(body))
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
@@ -240,7 +240,7 @@ func TestHeatMatchesHeatAt(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	p := heatmap.Pt(421.5, 610.25)
-	rec := get(t, s, fmt.Sprintf("/heat?x=%v&y=%v", p.X, p.Y))
+	rec := get(t, s, fmt.Sprintf("/v1/heat?x=%v&y=%v", p.X, p.Y))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("GET /heat = %d, want 200", rec.Code)
 	}
@@ -264,7 +264,7 @@ func TestTopKAndRegions(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	rec := get(t, s, "/topk?k=3")
+	rec := get(t, s, "/v1/topk?k=3")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("GET /topk = %d, want 200", rec.Code)
 	}
@@ -288,7 +288,7 @@ func TestTopKAndRegions(t *testing.T) {
 	}
 
 	maxHeat, _ := m.MaxHeat()
-	rec = get(t, s, fmt.Sprintf("/regions?min=%v", maxHeat))
+	rec = get(t, s, fmt.Sprintf("/v1/regions?min=%v", maxHeat))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("GET /regions = %d, want 200", rec.Code)
 	}
@@ -315,24 +315,24 @@ func TestBadRequests(t *testing.T) {
 		body   string
 		want   int
 	}{
-		{"heat missing x", http.MethodGet, "/heat?y=2", "", http.StatusBadRequest},
-		{"heat malformed x", http.MethodGet, "/heat?x=abc&y=2", "", http.StatusBadRequest},
-		{"heat non-finite x", http.MethodGet, "/heat?x=NaN&y=2", "", http.StatusBadRequest},
-		{"batch malformed json", http.MethodPost, "/heat/batch", "{", http.StatusBadRequest},
-		{"batch empty points", http.MethodPost, "/heat/batch", `{"points":[]}`, http.StatusBadRequest},
-		{"batch unknown field", http.MethodPost, "/heat/batch", `{"pts":[{"x":1,"y":2}]}`, http.StatusBadRequest},
-		{"batch wrong method", http.MethodGet, "/heat/batch", "", http.StatusMethodNotAllowed},
-		{"topk zero k", http.MethodGet, "/topk?k=0", "", http.StatusBadRequest},
-		{"topk malformed k", http.MethodGet, "/topk?k=five", "", http.StatusBadRequest},
-		{"regions missing min", http.MethodGet, "/regions", "", http.StatusBadRequest},
-		{"regions malformed min", http.MethodGet, "/regions?min=hot", "", http.StatusBadRequest},
-		{"tile malformed z", http.MethodGet, "/tiles/a/0/0.png", "", http.StatusBadRequest},
-		{"tile malformed y", http.MethodGet, "/tiles/0/0/zero.png", "", http.StatusBadRequest},
-		{"tile missing extension", http.MethodGet, "/tiles/0/0/0", "", http.StatusBadRequest},
-		{"tile negative zoom", http.MethodGet, "/tiles/-1/0/0.png", "", http.StatusNotFound},
-		{"tile x out of range", http.MethodGet, "/tiles/1/2/0.png", "", http.StatusNotFound},
-		{"tile zoom too deep", http.MethodGet, fmt.Sprintf("/tiles/%d/0/0.png", MaxZoom+1), "", http.StatusNotFound},
-		{"unknown path", http.MethodGet, "/nope", "", http.StatusNotFound},
+		{"heat missing x", http.MethodGet, "/v1/heat?y=2", "", http.StatusBadRequest},
+		{"heat malformed x", http.MethodGet, "/v1/heat?x=abc&y=2", "", http.StatusBadRequest},
+		{"heat non-finite x", http.MethodGet, "/v1/heat?x=NaN&y=2", "", http.StatusBadRequest},
+		{"batch malformed json", http.MethodPost, "/v1/heat/batch", "{", http.StatusBadRequest},
+		{"batch empty points", http.MethodPost, "/v1/heat/batch", `{"points":[]}`, http.StatusBadRequest},
+		{"batch unknown field", http.MethodPost, "/v1/heat/batch", `{"pts":[{"x":1,"y":2}]}`, http.StatusBadRequest},
+		{"batch wrong method", http.MethodGet, "/v1/heat/batch", "", http.StatusMethodNotAllowed},
+		{"topk zero k", http.MethodGet, "/v1/topk?k=0", "", http.StatusBadRequest},
+		{"topk malformed k", http.MethodGet, "/v1/topk?k=five", "", http.StatusBadRequest},
+		{"regions missing min", http.MethodGet, "/v1/regions", "", http.StatusBadRequest},
+		{"regions malformed min", http.MethodGet, "/v1/regions?min=hot", "", http.StatusBadRequest},
+		{"tile malformed z", http.MethodGet, "/v1/tiles/a/0/0.png", "", http.StatusBadRequest},
+		{"tile malformed y", http.MethodGet, "/v1/tiles/0/0/zero.png", "", http.StatusBadRequest},
+		{"tile missing extension", http.MethodGet, "/v1/tiles/0/0/0", "", http.StatusBadRequest},
+		{"tile negative zoom", http.MethodGet, "/v1/tiles/-1/0/0.png", "", http.StatusNotFound},
+		{"tile x out of range", http.MethodGet, "/v1/tiles/1/2/0.png", "", http.StatusNotFound},
+		{"tile zoom too deep", http.MethodGet, fmt.Sprintf("/v1/tiles/%d/0/0.png", MaxZoom+1), "", http.StatusNotFound},
+		{"unknown path", http.MethodGet, "/v1/nope", "", http.StatusNotFound},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -356,9 +356,9 @@ func TestBadRequests(t *testing.T) {
 func TestStatsCounters(t *testing.T) {
 	t.Parallel()
 	s := newTestServer(t, 1)
-	get(t, s, "/tiles/1/0/0.png")
-	get(t, s, "/tiles/1/0/0.png")
-	rec := get(t, s, "/stats")
+	get(t, s, "/v1/tiles/1/0/0.png")
+	get(t, s, "/v1/tiles/1/0/0.png")
+	rec := get(t, s, "/v1/stats")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("GET /stats = %d, want 200", rec.Code)
 	}
@@ -386,7 +386,7 @@ func TestTileCacheEviction(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	for x := 0; x < 8; x++ {
-		rec := get(t, s, fmt.Sprintf("/tiles/3/%d/0.png", x))
+		rec := get(t, s, fmt.Sprintf("/v1/tiles/3/%d/0.png", x))
 		if rec.Code != http.StatusOK {
 			t.Fatalf("tile %d = %d, want 200", x, rec.Code)
 		}
@@ -396,7 +396,7 @@ func TestTileCacheEviction(t *testing.T) {
 	}
 	// The oldest tile was evicted: re-requesting it renders again.
 	before := s.RenderCalls()
-	get(t, s, "/tiles/3/0/0.png")
+	get(t, s, "/v1/tiles/3/0/0.png")
 	if got := s.RenderCalls(); got != before+1 {
 		t.Errorf("evicted tile did not re-render: RenderCalls %d -> %d", before, got)
 	}
@@ -410,7 +410,7 @@ func TestHistogram(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	rec := get(t, s, "/histogram?bins=8")
+	rec := get(t, s, "/v1/histogram?bins=8")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("GET /histogram = %d, want 200", rec.Code)
 	}
@@ -432,7 +432,7 @@ func TestHistogram(t *testing.T) {
 			t.Errorf("count[%d] = %d, want %d", i, got.Counts[i], wantCounts[i])
 		}
 	}
-	for _, bad := range []string{"/histogram?bins=0", "/histogram?bins=1001", "/histogram?bins=many"} {
+	for _, bad := range []string{"/v1/histogram?bins=0", "/v1/histogram?bins=1001", "/v1/histogram?bins=many"} {
 		if rec := get(t, s, bad); rec.Code != http.StatusBadRequest {
 			t.Errorf("GET %s = %d, want 400", bad, rec.Code)
 		}

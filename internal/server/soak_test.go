@@ -35,10 +35,10 @@ type soakTruth struct {
 }
 
 const (
-	soakHeatPath  = "/heat?x=10&y=10"
+	soakHeatPath  = "/v1/heat?x=10&y=10"
 	soakBatchBody = `{"points":[{"x":10,"y":10},{"x":50,"y":50},{"x":90,"y":10},{"x":-3,"y":200}]}`
-	soakTopKPath  = "/topk?k=3"
-	soakTilePath  = "/tiles/2/0/3.png"
+	soakTopKPath  = "/v1/topk?k=3"
+	soakTilePath  = "/v1/tiles/2/0/3.png"
 )
 
 // captureTruth snapshots every read endpoint at the server's current state.
@@ -47,7 +47,7 @@ const (
 func captureTruth(t *testing.T, s *Server) soakTruth {
 	t.Helper()
 	heat := do(t, s, http.MethodGet, soakHeatPath, "")
-	batch := do(t, s, http.MethodPost, "/heat/batch", soakBatchBody)
+	batch := do(t, s, http.MethodPost, "/v1/heat/batch", soakBatchBody)
 	topk := do(t, s, http.MethodGet, soakTopKPath, "")
 	tile := do(t, s, http.MethodGet, soakTilePath, "")
 	for _, rec := range []int{heat.Code, batch.Code, topk.Code, tile.Code} {
@@ -66,9 +66,9 @@ func captureTruth(t *testing.T, s *Server) soakTruth {
 
 func statsVersion(t *testing.T, s *Server) uint64 {
 	t.Helper()
-	rec := do(t, s, http.MethodGet, "/stats", "")
+	rec := do(t, s, http.MethodGet, "/v1/stats", "")
 	if rec.Code != http.StatusOK {
-		t.Errorf("/stats = %d", rec.Code)
+		t.Errorf("/v1/stats = %d", rec.Code)
 		return 0
 	}
 	var st struct {
@@ -125,28 +125,25 @@ func TestMutableServerSoak(t *testing.T) {
 		defer done.Store(true)
 		rng := rand.New(rand.NewSource(91))
 		for i := 0; i < mutations; i++ {
-			var method, path, body string
+			var op string
 			switch i % 3 {
 			case 0:
-				method, path = http.MethodPost, "/clients"
-				body = fmt.Sprintf(`{"points":[{"x":%.3f,"y":%.3f}]}`, rng.Float64()*100, rng.Float64()*100)
+				op = fmt.Sprintf(`{"add_clients":[{"x":%.3f,"y":%.3f}]}`, rng.Float64()*100, rng.Float64()*100)
 			case 1:
-				method, path = http.MethodPost, "/facilities"
-				body = fmt.Sprintf(`{"points":[{"x":%.3f,"y":%.3f}]}`, rng.Float64()*100, rng.Float64()*100)
+				op = fmt.Sprintf(`{"add_facilities":[{"x":%.3f,"y":%.3f}]}`, rng.Float64()*100, rng.Float64()*100)
 			case 2:
-				method, path = http.MethodDelete, "/clients"
-				body = `{"indexes":[0]}`
+				op = `{"remove_clients":[0]}`
 			}
-			rec := do(t, s, method, path, body)
+			rec := do(t, s, http.MethodPost, "/v1/mutations", `{"ops":[`+op+`]}`)
 			if rec.Code != http.StatusOK {
-				t.Errorf("mutation %d (%s %s) = %d: %s", i, method, path, rec.Code, rec.Body)
+				t.Errorf("mutation %d (%s) = %d: %s", i, op, rec.Code, rec.Body)
 				return
 			}
 			var resp struct {
 				Version uint64 `json:"version"`
 			}
 			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-				t.Errorf("decoding mutation response %d %s %s (code %d, body %q): %v", i, method, path, rec.Code, rec.Body.String(), err)
+				t.Errorf("decoding mutation response %d %s (code %d, body %q): %v", i, op, rec.Code, rec.Body.String(), err)
 				return
 			}
 			if want := uint64(i + 2); resp.Version != want {
@@ -183,7 +180,7 @@ func TestMutableServerSoak(t *testing.T) {
 					}
 					body = w.Body.Bytes()
 				case 1:
-					w := do(t, s, http.MethodPost, "/heat/batch", soakBatchBody)
+					w := do(t, s, http.MethodPost, "/v1/heat/batch", soakBatchBody)
 					if w.Code != http.StatusOK {
 						t.Errorf("reader %d: /heat/batch = %d", r, w.Code)
 						return

@@ -77,14 +77,14 @@ func TestTileMissAllocs(t *testing.T) {
 	}
 	// The first misses build the slab index and fill the pools.
 	for x := 0; x < 2; x++ {
-		if rec := get(t, s, fmt.Sprintf("/tiles/3/%d/0.png", x)); rec.Code != http.StatusOK {
+		if rec := get(t, s, fmt.Sprintf("/v1/tiles/3/%d/0.png", x)); rec.Code != http.StatusOK {
 			t.Fatalf("warm-up tile = %d", rec.Code)
 		}
 	}
 	var per []uint64
 	var ms runtime.MemStats
 	for x := 0; x < 8; x++ {
-		path := fmt.Sprintf("/tiles/3/%d/4.png", x)
+		path := fmt.Sprintf("/v1/tiles/3/%d/4.png", x)
 		runtime.ReadMemStats(&ms)
 		before := ms.TotalAlloc
 		rec := get(t, s, path)

@@ -3,12 +3,14 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 )
 
-// v1Error is the structured /v1 error envelope, as clients decode it.
+// v1Error is the structured error envelope, as clients decode it.
 type v1Error struct {
 	Error struct {
 		Code    string `json:"code"`
@@ -18,8 +20,7 @@ type v1Error struct {
 
 // TestV1ErrorEnvelope drives real error paths through the /v1 mount and
 // asserts every one answers the structured envelope with the documented
-// machine code — while the same request against the legacy path keeps the
-// historical flat {"error": "..."} shape.
+// machine code and a message.
 func TestV1ErrorEnvelope(t *testing.T) {
 	t.Parallel()
 	// Read-only server, registry capped at one map: that makes the 403
@@ -29,6 +30,7 @@ func TestV1ErrorEnvelope(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	// Paths are relative to the /v1 mount.
 	cases := []struct {
 		name         string
 		method, path string
@@ -41,7 +43,7 @@ func TestV1ErrorEnvelope(t *testing.T) {
 		{"bad topk k", http.MethodGet, "/topk?k=zero", "", http.StatusBadRequest, "invalid_argument"},
 		{"unknown map", http.MethodGet, "/maps/nope", "", http.StatusNotFound, "not_found"},
 		{"unknown map stats", http.MethodGet, "/maps/nope/stats", "", http.StatusNotFound, "not_found"},
-		{"read-only mutation", http.MethodPost, "/clients", `{"points":[{"x":1,"y":1}]}`, http.StatusForbidden, "read_only"},
+		{"read-only mutation", http.MethodPost, "/mutations", `{"ops":[{"add_clients":[{"x":1,"y":1}]}]}`, http.StatusForbidden, "read_only"},
 		{"read-only batch", http.MethodPost, "/mutations", `{"ops":[]}`, http.StatusForbidden, "read_only"},
 		{"read-only optimize", http.MethodPost, "/optimize?commit=true", "", http.StatusForbidden, "read_only"},
 		{"delete default map", http.MethodDelete, "/maps/default", "", http.StatusForbidden, "forbidden"},
@@ -65,32 +67,13 @@ func TestV1ErrorEnvelope(t *testing.T) {
 			if env.Error.Message == "" {
 				t.Errorf("empty message in envelope (body %s)", rec.Body)
 			}
-
-			// The legacy mount answers the same status with the historical
-			// flat shape, and its message matches the envelope's.
-			legacy := do(t, s, tc.method, tc.path, tc.body)
-			if legacy.Code != tc.status {
-				t.Fatalf("%s %s = %d, want %d (body %s)", tc.method, tc.path, legacy.Code, tc.status, legacy.Body)
-			}
-			var flat struct {
-				Error string `json:"error"`
-			}
-			if err := json.Unmarshal(legacy.Body.Bytes(), &flat); err != nil {
-				t.Fatalf("decoding legacy error: %v (body %s)", err, legacy.Body)
-			}
-			if flat.Error == "" {
-				t.Errorf("legacy error message empty (body %s)", legacy.Body)
-			}
-			if flat.Error != env.Error.Message {
-				t.Errorf("legacy message %q != envelope message %q", flat.Error, env.Error.Message)
-			}
 		})
 	}
 }
 
-// TestWriteErrorCodeShapes covers the two wire shapes directly, including
-// statuses (429 queue_full, 503 unavailable) that need load or fault
-// injection to reach through a live handler.
+// TestWriteErrorCodeShapes covers the envelope directly, including statuses
+// (429 queue_full, 503 unavailable) that need load or fault injection to
+// reach through a live handler.
 func TestWriteErrorCodeShapes(t *testing.T) {
 	t.Parallel()
 	statuses := []struct {
@@ -107,7 +90,7 @@ func TestWriteErrorCodeShapes(t *testing.T) {
 	}
 	for _, tc := range statuses {
 		rec := httptest.NewRecorder()
-		writeError(&v1Writer{ResponseWriter: rec}, tc.status, "boom %d", tc.status)
+		writeError(rec, tc.status, "boom %d", tc.status)
 		if rec.Code != tc.status {
 			t.Fatalf("status = %d, want %d", rec.Code, tc.status)
 		}
@@ -118,50 +101,49 @@ func TestWriteErrorCodeShapes(t *testing.T) {
 		if env.Error.Code != tc.code {
 			t.Errorf("status %d code = %q, want %q", tc.status, env.Error.Code, tc.code)
 		}
-
-		plain := httptest.NewRecorder()
-		writeError(plain, tc.status, "boom %d", tc.status)
-		var flat map[string]string
-		if err := json.Unmarshal(plain.Body.Bytes(), &flat); err != nil {
-			t.Fatalf("decoding legacy error: %v", err)
-		}
-		if flat["error"] != env.Error.Message {
-			t.Errorf("legacy shape = %v, want message %q", flat, env.Error.Message)
+		if want := fmt.Sprintf("boom %d", tc.status); env.Error.Message != want {
+			t.Errorf("status %d message = %q, want %q", tc.status, env.Error.Message, want)
 		}
 	}
 }
 
-// TestV1AliasSuccessBytesIdentical asserts the /v1 mount is a pure alias on
-// the success path: same handler, byte-identical body and content type.
-func TestV1AliasSuccessBytesIdentical(t *testing.T) {
+// TestOnlyV1RoutesServed pins the single mount: every registered route lives
+// under /v1 and is routed there, the same path without the prefix answers
+// the mux's 404, and the per-op write endpoints answer 404 in both forms —
+// POST .../mutations is the one write endpoint.
+func TestOnlyV1RoutesServed(t *testing.T) {
 	t.Parallel()
-	s := newTestServer(t, 2)
-	// /stats is excluded: uptime and traffic counters advance between the
-	// two requests. Its /v1 fields are covered by TestStatsV1Fields.
-	paths := []string{
-		"/healthz",
-		"/maps",
-		"/maps/default",
-		"/heat?x=500&y=500",
-		"/topk?k=3",
-		"/regions?min=2",
-		"/histogram",
-		"/tiles/1/0/1.png",
-		"/maps/default/heat?x=500&y=500",
-		"/maps/default/tiles/1/0/1.png",
+	s, err := New(Config{Map: handMap(t), Mutable: true, TileSize: 32})
+	if err != nil {
+		t.Fatalf("New: %v", err)
 	}
-	for _, path := range paths {
-		legacy := get(t, s, path)
-		v1 := get(t, s, "/v1"+path)
-		if legacy.Code != http.StatusOK || v1.Code != http.StatusOK {
-			t.Fatalf("GET %s = %d, GET /v1%s = %d, want 200/200 (body %s)", path, legacy.Code, path, v1.Code, legacy.Body)
+	fill := strings.NewReplacer("{map}", DefaultMapName, "{z}", "0", "{x}", "0", "{y}", "0.png")
+	for _, r := range s.Routes() {
+		method, path := r[0], fill.Replace(r[1])
+		rest, ok := strings.CutPrefix(path, "/"+APIVersion+"/")
+		if !ok {
+			t.Errorf("route %s %s is not under /%s", method, r[1], APIVersion)
+			continue
 		}
-		if !bytes.Equal(legacy.Body.Bytes(), v1.Body.Bytes()) {
-			t.Errorf("GET %s body differs between legacy and /v1 mounts", path)
+		// The mux's own 404 and 405 are plain text; every handler answers
+		// JSON or a PNG tile.
+		rec := do(t, s, method, path, "")
+		if ct := rec.Header().Get("Content-Type"); ct != "application/json" && ct != "image/png" {
+			t.Errorf("%s %s = %d %q, want an answer from its handler", method, path, rec.Code, ct)
 		}
-		if lt, vt := legacy.Header().Get("Content-Type"), v1.Header().Get("Content-Type"); lt != vt {
-			t.Errorf("GET %s Content-Type %q != /v1 %q", path, lt, vt)
+		if rec := do(t, s, method, "/"+rest, ""); rec.Code != http.StatusNotFound {
+			t.Errorf("%s /%s = %d, want 404: only /%s is served", method, rest, rec.Code, APIVersion)
 		}
+	}
+	for _, path := range []string{"/v1/clients", "/v1/facilities", "/v1/maps/default/clients", "/v1/maps/default/facilities"} {
+		for _, method := range []string{http.MethodPost, http.MethodDelete} {
+			if rec := do(t, s, method, path, `{"points":[{"x":1,"y":1}],"indexes":[0]}`); rec.Code != http.StatusNotFound {
+				t.Errorf("%s %s = %d, want 404: the per-op endpoints are gone", method, path, rec.Code)
+			}
+		}
+	}
+	if got := s.Version(); got != 1 {
+		t.Errorf("probing the route table moved the default map to version %d", got)
 	}
 }
 
@@ -205,7 +187,7 @@ func TestMappedSnapshotServesAndReports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tilePaths := []string{"/tiles/0/0/0.png", "/tiles/2/1/2.png"}
+	tilePaths := []string{"/v1/tiles/0/0/0.png", "/v1/tiles/2/1/2.png"}
 	wantVersion, wantTiles := tileAndStats(t, a, tilePaths)
 	if err := a.SaveAll(); err != nil {
 		t.Fatalf("SaveAll: %v", err)
@@ -241,7 +223,7 @@ func TestMappedSnapshotServesAndReports(t *testing.T) {
 
 	// Mutating the mapped map goes through ApplyDelta's copy-on-write
 	// promotion: the new snapshot is a heap map.
-	if rec := do(t, b, http.MethodPost, "/v1/clients", `{"points":[{"x":42,"y":17}]}`); rec.Code != http.StatusOK {
+	if rec := do(t, b, http.MethodPost, "/v1/mutations", `{"ops":[{"add_clients":[{"x":42,"y":17}]}]}`); rec.Code != http.StatusOK {
 		t.Fatalf("mutation on mapped map = %d (body %s)", rec.Code, rec.Body)
 	}
 	rec = get(t, b, "/v1/stats")

@@ -120,7 +120,7 @@ func TestOpenWALReinitializesShortFile(t *testing.T) {
 		t.Errorf("Path = %q, want %q", w.Path(), path)
 	}
 	rec := Record{Version: 1, AddClients: []geom.Point{{X: 1, Y: 2}}}
-	if err := w.Append(rec); err != nil {
+	if err := w.AppendBatch([]Record{rec}); err != nil {
 		t.Fatal(err)
 	}
 	_, got, err := OpenWAL(path)

@@ -263,8 +263,8 @@ func TestWALAppendReopen(t *testing.T) {
 	}
 	want := walRecords()
 	for _, rec := range want {
-		if err := w.Append(rec); err != nil {
-			t.Fatalf("Append: %v", err)
+		if err := w.AppendBatch([]Record{rec}); err != nil {
+			t.Fatalf("AppendBatch: %v", err)
 		}
 	}
 	if err := w.Close(); err != nil {
@@ -282,7 +282,7 @@ func TestWALAppendReopen(t *testing.T) {
 
 	// Appending after reopen extends the log.
 	extra := Record{Version: 5, AddClients: []geom.Point{{X: 9, Y: 9}}}
-	if err := w2.Append(extra); err != nil {
+	if err := w2.AppendBatch([]Record{extra}); err != nil {
 		t.Fatal(err)
 	}
 	w2.Close()
@@ -304,7 +304,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 	}
 	want := walRecords()
 	for _, rec := range want {
-		if err := w.Append(rec); err != nil {
+		if err := w.AppendBatch([]Record{rec}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -334,7 +334,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 		t.Errorf("torn tail not truncated: %d -> %d bytes", sizeBefore.Size(), sizeAfter.Size())
 	}
 	// The reopened WAL must be appendable and clean.
-	if err := w2.Append(Record{Version: 5}); err != nil {
+	if err := w2.AppendBatch([]Record{{Version: 5}}); err != nil {
 		t.Fatalf("append after truncation: %v", err)
 	}
 }
@@ -347,14 +347,14 @@ func TestWALReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, rec := range walRecords() {
-		if err := w.Append(rec); err != nil {
+		if err := w.AppendBatch([]Record{rec}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := w.Reset(); err != nil {
 		t.Fatalf("Reset: %v", err)
 	}
-	if err := w.Append(Record{Version: 9}); err != nil {
+	if err := w.AppendBatch([]Record{{Version: 9}}); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
@@ -383,7 +383,7 @@ func TestWALShortHeaderReinitialized(t *testing.T) {
 	if len(recs) != 0 {
 		t.Fatalf("torn-header WAL yielded %d records", len(recs))
 	}
-	if err := w.Append(Record{Version: 2}); err != nil {
+	if err := w.AppendBatch([]Record{{Version: 2}}); err != nil {
 		t.Fatalf("append after reinit: %v", err)
 	}
 }
@@ -396,7 +396,7 @@ func TestWALRejectsBadLengthMidFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, rec := range walRecords() {
-		if err := w.Append(rec); err != nil {
+		if err := w.AppendBatch([]Record{rec}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -425,7 +425,7 @@ func TestWALRejectsMiddleCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, rec := range walRecords() {
-		if err := w.Append(rec); err != nil {
+		if err := w.AppendBatch([]Record{rec}); err != nil {
 			t.Fatal(err)
 		}
 	}

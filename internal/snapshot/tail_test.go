@@ -163,7 +163,7 @@ func TestTailRecordsSince(t *testing.T) {
 	// New appends after the reset serve replicas resuming at the snapshot
 	// version, and still refuse those from before it.
 	after := Record{Version: 6, AddClients: []geom.Point{{X: 9, Y: 9}}}
-	if err := w.Append(after); err != nil {
+	if err := w.AppendBatch([]Record{after}); err != nil {
 		t.Fatal(err)
 	}
 	got, err = tl.RecordsSince(5, 6, 0)
@@ -189,7 +189,7 @@ func TestTailSelfHealsAfterResetRegrowth(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	if err := w.Append(Record{Version: 2, AddClients: []geom.Point{{X: 1, Y: 1}}}); err != nil {
+	if err := w.AppendBatch([]Record{{Version: 2, AddClients: []geom.Point{{X: 1, Y: 1}}}}); err != nil {
 		t.Fatal(err)
 	}
 	tl, err := OpenTail(path)

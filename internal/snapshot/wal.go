@@ -277,22 +277,15 @@ func readWAL(f walFile) ([]Record, int64, error) {
 	}
 }
 
-// Append encodes rec, appends it and fsyncs the file. On any write or sync
-// failure the file is truncated back to its pre-append length: a torn frame
-// left in the middle of the log would read as corruption (not as a torn
-// tail) once a later append succeeds after it, permanently poisoning the
-// map.
-func (w *WAL) Append(rec Record) error {
-	return w.AppendBatch([]Record{rec})
-}
-
 // AppendBatch is the group commit: it appends every record in recs and
 // fsyncs exactly once, so K acknowledged batches cost one disk flush instead
 // of K. Each record is still its own CRC-framed unit, so a crash mid-append
 // (or mid-flush) leaves a durable prefix of whole records — the torn
 // remainder is truncated by the next OpenWAL — and a batch is never replayed
 // partially. On any write or sync failure the file is truncated back to its
-// pre-batch length, exactly as Append does; an empty recs is a no-op.
+// pre-batch length: a torn frame left in the middle of the log would read as
+// corruption (not as a torn tail) once a later append succeeds after it,
+// permanently poisoning the map. An empty recs is a no-op.
 func (w *WAL) AppendBatch(recs []Record) error {
 	if len(recs) == 0 {
 		return nil

@@ -93,8 +93,8 @@ func TestWALAppendBatchReopen(t *testing.T) {
 	if err := w.AppendBatch(want[:2]); err != nil {
 		t.Fatalf("AppendBatch: %v", err)
 	}
-	if err := w.Append(want[2]); err != nil {
-		t.Fatalf("Append: %v", err)
+	if err := w.AppendBatch([]Record{want[2]}); err != nil {
+		t.Fatalf("AppendBatch: %v", err)
 	}
 	w.Close()
 
@@ -172,7 +172,7 @@ func TestWALAppendBatchFaultRollback(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := w.Append(recs[0]); err != nil {
+			if err := w.AppendBatch([]Record{recs[0]}); err != nil {
 				t.Fatal(err)
 			}
 			fault := tc.fault
@@ -184,7 +184,7 @@ func TestWALAppendBatchFaultRollback(t *testing.T) {
 			// Heal the file and append again: the rollback must have left a
 			// clean log positioned at its pre-batch end.
 			w.f = fault.walFile
-			if err := w.Append(recs[2]); err != nil {
+			if err := w.AppendBatch([]Record{recs[2]}); err != nil {
 				t.Fatalf("append after rollback: %v", err)
 			}
 			w.Close()
@@ -218,13 +218,13 @@ func TestWALAppendBatchPoisonedOnFailedRollback(t *testing.T) {
 		t.Fatalf("AppendBatch = %v, want errInjected", err)
 	}
 	w.f = fault.walFile
-	if err := w.Append(recs[2]); err == nil {
+	if err := w.AppendBatch([]Record{recs[2]}); err == nil {
 		t.Fatal("append on a poisoned log succeeded")
 	}
 	if err := w.Reset(); err != nil {
 		t.Fatalf("Reset: %v", err)
 	}
-	if err := w.Append(recs[2]); err != nil {
+	if err := w.AppendBatch([]Record{recs[2]}); err != nil {
 		t.Fatalf("append after Reset: %v", err)
 	}
 }
