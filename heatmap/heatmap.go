@@ -186,13 +186,12 @@ type Map struct {
 
 	// A mapped map (restored by OpenSnapshot) serves queries, tiles
 	// and metadata straight off the snapshot view — view holds the mmap'd
-	// file, mloc the slab locator over it (nil when the file carries no slab
-	// index). Heap structures (clients, circles, labels, enclosure index)
-	// materialize lazily under matOnce the first time an operation needs
-	// them — region enumeration, ApplyDelta, the enclosure fallback — after
-	// which the map is "mapped+heap". Both fields are nil for heap maps.
+	// file, and pl the slab index opened over its sections when the file
+	// carries one. Heap structures (clients, circles, labels, enclosure
+	// index) materialize lazily under matOnce the first time an operation
+	// needs them — region enumeration, ApplyDelta, the enclosure fallback —
+	// after which the map is "mapped+heap". view is nil for heap maps.
 	view         *snapshot.View
-	mloc         *pointloc.Mapped
 	matOnce      sync.Once
 	materialized atomic.Bool
 }
@@ -380,13 +379,14 @@ func (m *Map) ApplyDeltaBatch(ds []Delta) (*Map, DeltaStats, error) {
 		measure: m.measure,
 	}
 	// Splice the slab point-location index forward, for every metric: if
-	// this map had one materialized and the update stayed under the resweep
-	// threshold, only the dirty slabs are rebuilt — those with a left edge
-	// inside the dirty spans, plus under L2 the slab before each span, whose
-	// midpoint moves with its right edge — and the rest share storage with
-	// the old index (which keeps serving concurrent readers). When the core
-	// rebuilt from scratch — or the patch declines — the next map simply
-	// rebuilds its index lazily on first query.
+	// this map had one materialized — built, patched, or opened from its
+	// snapshot file — and the update stayed under the resweep threshold,
+	// only the dirty slabs are rebuilt — those with a left edge inside the
+	// dirty spans, plus under L2 the slab before each span, whose midpoint
+	// moves with its right edge — and the rest share storage with the old
+	// index (which keeps serving concurrent readers), heap or file. When the
+	// core rebuilt from scratch — or the patch declines — the next map
+	// simply rebuilds its index lazily on first query.
 	if ix, done := m.builtPointLoc(); done && ix != nil && !out.Stats.Rebuilt {
 		if nix, perr := ix.Patch(out.State.Circles, out.Stats.DirtySpans, 0, pointloc.Options{}); perr == nil {
 			next.setPointLoc(nix)
@@ -489,9 +489,9 @@ func (m *Map) MaxHeat() (float64, Region) {
 // facility slices, circles, labels, the enclosure index — from the snapshot
 // view; it is the one place a map file becomes heap state. It is a no-op
 // for heap maps and runs at most once; operations that can be answered from
-// the view's metadata or the mapped locator never call it, so a
+// the view's metadata or the slab index opened over it never call it, so a
 // snapshot-serving process that only answers queries and tiles keeps its
-// heap resident set at zero.
+// heap resident set to the index's slab headers.
 func (m *Map) materialize() {
 	if m.view == nil {
 		return
@@ -515,8 +515,10 @@ func (m *Map) materialize() {
 // Residency reports where the map's data lives: "heap" for maps built in
 // memory (by Build or by a mutation), "mapped" for a snapshot served off
 // the file mapping alone, and "mapped+heap" once an operation has
-// materialized heap structures alongside the mapping. Servers surface it in
-// /stats.
+// materialized heap structures alongside the mapping. A map a mutation
+// derived from a mapped one reports "heap", although the clean slabs its
+// slab index shares with its predecessor's may still alias the file it
+// descends from. Servers surface it in /stats.
 func (m *Map) Residency() string {
 	if m.view == nil {
 		return "heap"
@@ -542,9 +544,9 @@ func (m *Map) pointLoc() *pointloc.Index {
 	if st := m.pl.Load(); st != nil {
 		return st.ix
 	}
-	// A mapped map needs heap circles and labels before a heap index can be
-	// built (reached only when the snapshot carries no slab sections, since
-	// locator() prefers the mapped locator).
+	// A mapped map needs heap circles and labels before an index can be
+	// built (reached only when the snapshot carries no slab sections:
+	// OpenSnapshot installs the index a file stores).
 	m.materialize()
 	m.plMu.Lock()
 	defer m.plMu.Unlock()
@@ -584,32 +586,14 @@ func (m *Map) setPointLoc(ix *pointloc.Index) {
 
 // SlabIndexStats reports whether the slab point-location index is currently
 // materialized and, if so, its slab and cell counts. It never forces a
-// build; servers surface it in /stats. On a mapped map the counts come from
-// the snapshot's slab sections, which are resident by construction.
+// build; servers surface it in /stats. A map opened from a snapshot that
+// stores its index has it from the start.
 func (m *Map) SlabIndexStats() (built bool, slabs, cells int) {
-	if m.mloc != nil {
-		return true, m.mloc.NumSlabs(), m.mloc.Cells()
-	}
 	ix, done := m.builtPointLoc()
 	if !done || ix == nil {
 		return false, 0, 0
 	}
 	return true, ix.NumSlabs(), ix.Cells()
-}
-
-// locator returns the preferred point-location locator: the mapped slab
-// locator for snapshot-backed maps, else the heap index (built on first
-// use), else nil when the slab index is disabled or declined — queries then
-// take the enclosure path. The branches keep a nil *pointloc.Index from
-// leaking into the interface as a non-nil value.
-func (m *Map) locator() pointloc.Locator {
-	if m.mloc != nil {
-		return m.mloc
-	}
-	if ix := m.pointLoc(); ix != nil {
-		return ix
-	}
-	return nil
 }
 
 // HeatAt returns the heat and RNN set of an arbitrary location, including
@@ -621,8 +605,8 @@ func (m *Map) locator() pointloc.Locator {
 // boundary convention (see internal/enclosure) and return identical
 // answers.
 func (m *Map) HeatAt(p Point) (float64, []int) {
-	if loc := m.locator(); loc != nil {
-		heat, rnn := loc.Query(p)
+	if ix := m.pointLoc(); ix != nil {
+		heat, rnn := ix.Query(p)
 		return heat, copyInts(rnn)
 	}
 	return m.heatAtEnclosure(p)
@@ -643,10 +627,10 @@ func (m *Map) heatAtEnclosure(p Point) (float64, []int) {
 // points are sorted by sweep x once and the slab list is walked
 // monotonically; the fallback issues one enclosure batch.
 func (m *Map) HeatAtBatch(ps []Point) (heats []float64, rnns [][]int) {
-	if loc := m.locator(); loc != nil {
+	if ix := m.pointLoc(); ix != nil {
 		// QueryBatch hands back caller-owned arena-packed copies, so the
 		// answers are safe to retain as-is.
-		return loc.QueryBatch(ps)
+		return ix.QueryBatch(ps)
 	}
 	heats = make([]float64, len(ps))
 	rnns = make([][]int, len(ps))
@@ -680,30 +664,23 @@ func (m *Map) Bounds() Rect { return m.bounds }
 // with (e.g. "size", "capacity"). Servers use it in cache keys and stats.
 func (m *Map) MeasureName() string { return m.measure.Name() }
 
-// Renderer returns a render.Renderer that shares the map's point-enclosure
-// index and slab point-location index, for repeated sub-rectangle (tile)
-// rendering. The renderer is built on first use and cached; it is safe for
-// concurrent use.
+// Renderer returns a render.Renderer over the map's slab point-location
+// index — or, when the index is disabled or declined to build, its
+// point-enclosure index — for repeated sub-rectangle (tile) rendering. The
+// renderer is built on first use and cached; it is safe for concurrent use.
 func (m *Map) Renderer() (*render.Renderer, error) {
 	m.rendererOnce.Do(func() {
-		if m.mloc != nil {
-			// The mmap cold path: rasterize straight off the snapshot's slab
-			// sections — no circles, no enclosure index, no heap decode.
-			m.renderer, m.rendererErr = render.NewLocatorRenderer(m.mloc, m.bounds, m.measure)
+		// Tiles are the hottest read path; rasterizing from the slab index
+		// resolves each pixel column's slab once and reads precomputed face
+		// heats instead of running one enclosure query per pixel. A map
+		// opened from a snapshot rasterizes straight off the file's slab
+		// sections — no circles, no enclosure index, no heap decode.
+		if ix := m.pointLoc(); ix != nil {
+			m.renderer, m.rendererErr = render.NewIndexRenderer(ix, m.bounds, m.measure)
 			return
 		}
+		m.materialize()
 		m.renderer, m.rendererErr = render.NewRenderer(m.circles, m.index, m.measure)
-		if m.rendererErr == nil {
-			// Tiles are the hottest read path; rasterizing from the slab
-			// index resolves each pixel column's slab once and reads
-			// precomputed face heats instead of running one enclosure query
-			// per pixel. The guard
-			// matters: passing a nil *pointloc.Index through the interface
-			// parameter would read as non-nil inside UsePointLoc.
-			if ix := m.pointLoc(); ix != nil {
-				m.renderer.UsePointLoc(ix)
-			}
-		}
 	})
 	return m.renderer, m.rendererErr
 }

@@ -43,11 +43,14 @@ func (m *Map) Snapshot(mapVersion uint64) (*snapshot.Snapshot, error) {
 
 // SaveSnapshot atomically writes the map's snapshot to path. The slab
 // point-location index is built if needed and stored in the file, so
-// OpenSnapshot can serve queries and tiles without a decode or rebuild step.
-// A map opened from a file that already carries its slab index, saved at the
+// OpenSnapshot can serve queries and tiles without a decode or rebuild step
+// (with NoSlabIndex, or when the build declines, the file has no slab
+// sections and a map opened from it builds its index on first query). A
+// map opened from a file that already carries its slab index, saved at the
 // file's own map version, has exactly the file's bytes to write: they are
 // copied from the mapping, so the map stays "mapped" and nothing is
-// materialized or rebuilt.
+// materialized or rebuilt; at another version the index opened from the
+// file is written back as it is.
 func (m *Map) SaveSnapshot(path string, mapVersion uint64) error {
 	if m.view != nil && m.view.HasSlabIndex() && m.view.Meta().MapVersion == mapVersion {
 		return m.view.WriteFile(path)
@@ -56,7 +59,11 @@ func (m *Map) SaveSnapshot(path string, mapVersion uint64) error {
 	if err != nil {
 		return err
 	}
-	return s.WriteFile(path, m.slabTables())
+	var tables *snapshot.SlabTables
+	if ix := m.pointLoc(); ix != nil {
+		tables = ix.ExportTables()
+	}
+	return s.WriteFile(path, tables)
 }
 
 // SnapshotFormat names a snapshot file layout for SaveSnapshotFormat.
@@ -81,24 +88,15 @@ func (m *Map) SaveSnapshotFormat(path string, mapVersion uint64, format Snapshot
 	return m.SaveSnapshot(path, mapVersion)
 }
 
-// slabTables exports the slab index for embedding in a snapshot, building it
-// first if the map allows one (nil with NoSlabIndex or when the build
-// declined — the file is then written without slab sections and a map
-// opened from it builds its index on first query).
-func (m *Map) slabTables() *snapshot.SlabTables {
-	if ix := m.pointLoc(); ix != nil {
-		return ix.ExportTables()
-	}
-	return nil
-}
-
 // OpenSnapshot restores a map from a snapshot file written by SaveSnapshot,
 // returning the map version it was saved at. The file is mapped (or read
 // once on platforms without mmap) and queries, tiles and metadata resolve
-// directly against the validated sections — no decode, no index rebuild.
-// Operations that need heap structures (region enumeration, ApplyDelta,
-// optimal-location ranking) materialize them lazily; see (*Map).Residency.
-// A file of another format version is refused with an error naming it.
+// directly against the validated sections — no decode, no index rebuild:
+// the slab index the file stores (pointloc.Open) is the map's index, and
+// the map's first ApplyDelta patches it like any other. Operations that
+// need heap structures (region enumeration, ApplyDelta, optimal-location
+// ranking) materialize them lazily; see (*Map).Residency. A file of another
+// format version is refused with an error naming it.
 func OpenSnapshot(path string) (*Map, uint64, error) {
 	v, err := snapshot.Open(path)
 	if err != nil {
@@ -145,11 +143,11 @@ func fromView(v *snapshot.View) (*Map, error) {
 		view:    v,
 	}
 	if meta.HasSlabIndex {
-		mloc, err := pointloc.NewMapped(v, measure)
+		ix, err := pointloc.Open(v, measure)
 		if err != nil {
 			return nil, fmt.Errorf("heatmap: %w", err)
 		}
-		m.mloc = mloc
+		m.setPointLoc(ix)
 	}
 	return m, nil
 }

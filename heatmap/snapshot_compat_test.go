@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -181,6 +182,83 @@ func TestMappedApplyDeltaPromotes(t *testing.T) {
 	// The receiver keeps serving its pre-delta answers off the mapping.
 	if !bytes.Equal(tilePNG(t, mapped, orig.Bounds()), tilePNG(t, orig, orig.Bounds())) {
 		t.Error("mapped receiver changed after ApplyDelta")
+	}
+}
+
+// TestOpenedMapCommitPatches: the first commit on a map opened from its
+// snapshot patches the slab index the file stores, so the committed map has
+// its index before any query, and answers exactly as a fresh build over the
+// updated sets — regions, queries on circle boundaries, tiles, and the
+// optimal ranking with its face geometry — for every metric.
+func TestOpenedMapCommitPatches(t *testing.T) {
+	t.Parallel()
+	clients, facilities := snapshotTestSets(t)
+	d := Delta{RemoveClients: []int{3}, AddFacilities: []Point{Pt(490.5, 10.25)}}
+	for _, metric := range []Metric{LInf, L1, L2} {
+		metric := metric
+		t.Run(fmt.Sprintf("%v", metric), func(t *testing.T) {
+			t.Parallel()
+			orig, err := Build(Config{Clients: clients, Facilities: facilities, Metric: metric})
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "m.snap")
+			if err := orig.SaveSnapshot(path, 1); err != nil {
+				t.Fatal(err)
+			}
+			mapped, _, err := OpenSnapshot(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			next, st, err := mapped.ApplyDelta(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Rebuilt {
+				t.Fatal("the delta passed the resweep threshold; it must stay under it")
+			}
+			if built, _, _ := next.SlabIndexStats(); !built {
+				t.Fatal("the committed map has no slab index before its first query: the commit did not patch the file's index")
+			}
+			fresh, err := Build(Config{Clients: next.cfg.Clients, Facilities: next.cfg.Facilities, Metric: metric})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(next.Regions(), fresh.Regions()) {
+				t.Error("regions diverge from a fresh build")
+			}
+			for _, nc := range fresh.circles {
+				c, r := nc.Circle.Center, nc.Circle.Radius
+				for _, p := range []Point{c, Pt(c.X+r, c.Y), Pt(c.X, c.Y-r), Pt(c.X-r/2, c.Y+r/2)} {
+					gh, gr := next.HeatAt(p)
+					wh, wr := fresh.HeatAt(p)
+					if math.Float64bits(gh) != math.Float64bits(wh) || !reflect.DeepEqual(gr, wr) {
+						t.Fatalf("HeatAt(%v) = %v/%v, a fresh build answers %v/%v", p, gh, gr, wh, wr)
+					}
+				}
+			}
+			full := fresh.Bounds()
+			sub := Rect{MinX: full.MinX, MinY: full.MinY, MaxX: (full.MinX + full.MaxX) / 2, MaxY: (full.MinY + full.MaxY) / 2}
+			for _, b := range []Rect{full, sub} {
+				if !bytes.Equal(tilePNG(t, next, b), tilePNG(t, fresh, b)) {
+					t.Errorf("rendered PNG for %v differs from a fresh build's", b)
+				}
+			}
+			want, err := fresh.OptimalTopK(10, OptimalConstraints{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := next.OptimalTopK(10, OptimalConstraints{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want) != 10 || !want[0].HasGeometry {
+				t.Fatalf("a fresh build ranks %d regions (geometry %v), want 10 with geometry", len(want), len(want) > 0 && want[0].HasGeometry)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("OptimalTopK diverges from a fresh build:\n got %+v\nwant %+v", got, want)
+			}
+		})
 	}
 }
 

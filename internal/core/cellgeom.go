@@ -79,10 +79,10 @@ func SlabCellArea(x0, x1 float64, bottom, top CellEdge) float64 {
 }
 
 // CellGroup aggregates the cells of one interned label: their total area,
-// count, sweep-space bounding box, and the largest single cell (whose center
-// is a robust interior representative of the face group).
+// count and sweep-space bounding box.
 type CellGroup struct {
-	Label *Interned
+	// ID is the label's id in its interner (Interned.ID).
+	ID    uint32
 	Area  float64
 	Cells int
 	// Bounds is the sweep-space bounding box of the group's cells. For L2
@@ -92,25 +92,26 @@ type CellGroup struct {
 }
 
 // CellGrouper accumulates slab cells into per-label groups. Labels are
-// compared by pointer — cells emitted from one slab index share one interner
-// pool, so pointer identity is set identity.
+// compared by id — cells emitted from one slab index draw their labels from
+// one id table, where each set has one id, so id identity is set identity.
 type CellGrouper struct {
-	byLabel map[*Interned]*CellGroup
+	at     []int32 // id -> 1 + position in groups; 0 before the id's first cell
+	groups []CellGroup
 }
 
-// NewCellGrouper returns an empty grouper.
-func NewCellGrouper() *CellGrouper {
-	return &CellGrouper{byLabel: make(map[*Interned]*CellGroup)}
+// NewCellGrouper returns an empty grouper for labels with ids below n.
+func NewCellGrouper(n int) *CellGrouper {
+	return &CellGrouper{at: make([]int32, n)}
 }
 
 // Add accumulates one cell into its label's group. Zero-width cells (the
 // final zero-width slab) are counted but contribute no area.
-func (g *CellGrouper) Add(lbl *Interned, x0, x1 float64, bottom, top CellEdge) {
-	grp, ok := g.byLabel[lbl]
-	if !ok {
-		grp = &CellGroup{Label: lbl, Bounds: geom.EmptyRect()}
-		g.byLabel[lbl] = grp
+func (g *CellGrouper) Add(id uint32, x0, x1 float64, bottom, top CellEdge) {
+	if g.at[id] == 0 {
+		g.groups = append(g.groups, CellGroup{ID: id, Bounds: geom.EmptyRect()})
+		g.at[id] = int32(len(g.groups))
 	}
+	grp := &g.groups[g.at[id]-1]
 	grp.Cells++
 	grp.Area += SlabCellArea(x0, x1, bottom, top)
 	grp.Bounds = grp.Bounds.Union(cellBounds(x0, x1, bottom, top))
@@ -157,11 +158,6 @@ func arcYAt(c geom.Circle, upper bool, x float64) float64 {
 	return c.Center.Y - h
 }
 
-// Groups returns the accumulated per-label groups in unspecified order.
-func (g *CellGrouper) Groups() []*CellGroup {
-	out := make([]*CellGroup, 0, len(g.byLabel))
-	for _, grp := range g.byLabel {
-		out = append(out, grp)
-	}
-	return out
-}
+// Groups returns the accumulated per-label groups in the order of their
+// first cells.
+func (g *CellGrouper) Groups() []CellGroup { return g.groups }

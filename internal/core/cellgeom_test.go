@@ -82,21 +82,20 @@ func TestEdgeRangeY(t *testing.T) {
 }
 
 func TestCellGrouper(t *testing.T) {
-	la := &Interned{}
-	lb := &Interned{}
-	g := NewCellGrouper()
+	const la, lb = 3, 1
+	g := NewCellGrouper(4)
 	g.Add(la, 0, 2, horiz(0), horiz(1)) // area 2
 	g.Add(la, 2, 5, horiz(0), horiz(2)) // area 6
 	g.Add(la, 5, 5, horiz(0), horiz(9)) // zero-width: counted, no area
 	g.Add(lb, 10, 11, horiz(10), horiz(12))
 
 	groups := g.Groups()
-	if len(groups) != 2 {
-		t.Fatalf("got %d groups, want 2", len(groups))
+	if len(groups) != 2 || groups[0].ID != la || groups[1].ID != lb {
+		t.Fatalf("got groups %+v, want ids %d then %d", groups, la, lb)
 	}
-	byLabel := map[*Interned]*CellGroup{}
-	for _, grp := range groups {
-		byLabel[grp.Label] = grp
+	byLabel := map[uint32]*CellGroup{}
+	for i := range groups {
+		byLabel[groups[i].ID] = &groups[i]
 	}
 	a := byLabel[la]
 	if a == nil || a.Cells != 3 || math.Abs(a.Area-8) > 1e-12 {

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"rnnheatmap/internal/influence"
 	"rnnheatmap/internal/oset"
@@ -38,8 +40,9 @@ import (
 
 // Interned is one pooled region label: an RNN set in ascending client order
 // together with its influence value under the interner's measure. Instances
-// are shared across labels, sweep caches and point-location gaps; both fields
-// are immutable — callers must never modify RNN.
+// are shared across labels and sweep caches, and point-location gaps store
+// their ids (LabelInterner.ID); both exported fields are immutable —
+// callers must never modify RNN.
 type Interned struct {
 	// RNN holds the client identifiers in ascending order (never nil).
 	RNN []int
@@ -47,6 +50,9 @@ type Interned struct {
 	// ascending order — the canonical evaluation order of the enclosure
 	// query path, so stored heats are bit-identical to a direct query's.
 	Heat float64
+	// id is 1 + the record's id in its interner's id table, 0 until the
+	// first ID call.
+	id atomic.Uint32
 }
 
 // internShards is the shard count of the interner map; a power of two so the
@@ -74,6 +80,14 @@ type LabelInterner struct {
 	// per distinct label (which used to be ~96% of the sweep's allocations).
 	scratch sync.Pool
 	shards  [internShards]internShard
+
+	// idMu guards the id table: byID[id] is the record with that id and
+	// heats[id] its heat. Both only grow by appending, so a prefix handed
+	// out by Table is never written again. Ids are assigned on first use
+	// (ID), so a sweep that only labels never pays for them.
+	idMu  sync.Mutex
+	byID  []*Interned
+	heats []float64
 }
 
 type internShard struct {
@@ -94,8 +108,8 @@ const (
 	intChunk   = 16384 // member ints per slab chunk
 )
 
-// insert packs (rnn, heat) into the shard's slabs and publishes the record in
-// the map. The caller must hold mu and have checked key is absent.
+// insert packs (rnn, heat) into the shard's slabs and publishes the record
+// in the map. The caller must hold sh.mu and have checked key is absent.
 func (sh *internShard) insert(key oset.ContentKey, rnn []int, heat float64) *Interned {
 	if len(sh.ints)+len(rnn) > cap(sh.ints) {
 		size := intChunk
@@ -116,19 +130,75 @@ func (sh *internShard) insert(key oset.ContentKey, rnn []int, heat float64) *Int
 	return l
 }
 
+// ID returns the id of l, a record of this pool, assigning it the next id
+// on first call: ids count up from 0 in the order records are first asked
+// for, one per distinct set, and are never reused or reassigned, so an id
+// names one set for the pool's whole life. Safe for concurrent use.
+func (in *LabelInterner) ID(l *Interned) uint32 {
+	if id := l.id.Load(); id != 0 {
+		return id - 1
+	}
+	in.idMu.Lock()
+	defer in.idMu.Unlock()
+	if l.id.Load() == 0 {
+		in.byID = append(in.byID, l)
+		in.heats = append(in.heats, l.Heat)
+		l.id.Store(uint32(len(in.byID)))
+	}
+	return l.id.Load() - 1
+}
+
 // NewLabelInterner returns an empty pool evaluating heats under measure (nil
 // means influence.Size()).
 func NewLabelInterner(measure influence.Measure) *LabelInterner {
+	in := newInterner(measure, 0)
+	in.empty = &Interned{RNN: []int{}, Heat: in.measure.Influence(oset.New())}
+	return in
+}
+
+// NewLabelInternerFrom returns a pool that already holds sets[id], with heat
+// heats[id], under every id below len(sets); later sets get the ids after
+// them. It continues a set table written out earlier — a snapshot's pool —
+// so each set keeps the id it was stored under. sets must be in ascending
+// client order; they are retained, not copied, and must never be modified.
+// The empty set takes its stored id when the table has one.
+func NewLabelInternerFrom(measure influence.Measure, sets [][]int, heats []float64) *LabelInterner {
+	in := newInterner(measure, len(sets))
+	recs := make([]Interned, len(sets))
+	in.byID = make([]*Interned, len(sets))
+	in.heats = slices.Clone(heats[:len(sets)])
+	for id, rnn := range sets {
+		l := &recs[id]
+		l.RNN, l.Heat = rnn, heats[id]
+		l.id.Store(uint32(id) + 1)
+		in.byID[id] = l
+		if len(rnn) == 0 {
+			if in.empty == nil {
+				in.empty = l
+			}
+			continue
+		}
+		key := oset.KeyOf(rnn)
+		if sh := &in.shards[key.Hash[0]&(internShards-1)]; sh.byKey[key] == nil {
+			sh.byKey[key] = l
+		}
+	}
+	if in.empty == nil {
+		in.empty = &Interned{RNN: []int{}, Heat: in.measure.Influence(oset.New())}
+	}
+	return in
+}
+
+// newInterner returns a pool with no records and no empty label, its shard
+// maps sized for about n sets.
+func newInterner(measure influence.Measure, n int) *LabelInterner {
 	if measure == nil {
 		measure = influence.Size()
 	}
-	in := &LabelInterner{
-		measure: measure,
-		empty:   &Interned{RNN: []int{}, Heat: measure.Influence(oset.New())},
-	}
+	in := &LabelInterner{measure: measure}
 	in.sorted, _ = measure.(influence.SortedMeasure)
 	for i := range in.shards {
-		in.shards[i].byKey = make(map[oset.ContentKey]*Interned)
+		in.shards[i].byKey = make(map[oset.ContentKey]*Interned, n/internShards)
 	}
 	return in
 }
@@ -138,6 +208,16 @@ func (in *LabelInterner) Measure() influence.Measure { return in.measure }
 
 // Empty returns the shared label of the empty set.
 func (in *LabelInterner) Empty() *Interned { return in.empty }
+
+// Table returns the id table as it stands: heats[id] and sets[id] are the
+// heat and the record of every id ID has assigned so far. The slices are
+// prefixes of tables that only grow by appending, so they stay valid and
+// unchanged while the pool keeps interning; callers must not modify them.
+func (in *LabelInterner) Table() (heats []float64, sets []*Interned) {
+	in.idMu.Lock()
+	defer in.idMu.Unlock()
+	return in.heats[:len(in.heats):len(in.heats)], in.byID[:len(in.byID):len(in.byID)]
+}
 
 // lookup returns the label already interned under key (the empty label for
 // N == 0), or nil. Callers that maintain a set's key incrementally

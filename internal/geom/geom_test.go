@@ -208,7 +208,8 @@ func TestRectPixelCenters(t *testing.T) {
 		{"2x3 offset", Rect{MinX: -2, MinY: 10, MaxX: 2, MaxY: 16}, 2, 3, []float64{-1, 1}, []float64{15, 13, 11}},
 	}
 	for _, tc := range cases {
-		xs, ys := tc.r.PixelCenters(tc.width, tc.height)
+		xs, ys := make([]float64, tc.width), make([]float64, tc.height)
+		tc.r.PixelCenters(xs, ys)
 		if !slices.Equal(xs, tc.xs) || !slices.Equal(ys, tc.ys) {
 			t.Errorf("%s: PixelCenters(%d, %d) = %v, %v; want %v, %v",
 				tc.name, tc.width, tc.height, xs, ys, tc.xs, tc.ys)

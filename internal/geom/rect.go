@@ -64,22 +64,20 @@ func (r Rect) Height() float64 {
 // Area returns the area of r (zero for empty rectangles).
 func (r Rect) Area() float64 { return r.Width() * r.Height() }
 
-// PixelCenters returns the center coordinates of a width x height pixel grid
-// over r: xs[px] ascending from MinX, ys[py] descending from MaxY (row 0 is
-// the top). Every rasterizer samples these points, so rasters of one grid
-// agree pixel for pixel whichever index resolves them.
-func (r Rect) PixelCenters(width, height int) (xs, ys []float64) {
-	dx := r.Width() / float64(width)
-	dy := r.Height() / float64(height)
-	xs = make([]float64, width)
+// PixelCenters sets xs and ys to the center coordinates of a len(xs) x
+// len(ys) pixel grid over r: xs[px] ascending from MinX, ys[py] descending
+// from MaxY (row 0 is the top). Every rasterizer samples these points, so
+// rasters of one grid agree pixel for pixel whichever index resolves them;
+// the caller owns the buffers, so a rasterizer can reuse them.
+func (r Rect) PixelCenters(xs, ys []float64) {
+	dx := r.Width() / float64(len(xs))
+	dy := r.Height() / float64(len(ys))
 	for px := range xs {
 		xs[px] = r.MinX + (float64(px)+0.5)*dx
 	}
-	ys = make([]float64, height)
 	for py := range ys {
 		ys[py] = r.MaxY - (float64(py)+0.5)*dy
 	}
-	return xs, ys
 }
 
 // Perimeter returns the perimeter of r (zero for empty rectangles).

@@ -40,7 +40,7 @@ func geometryOracle(ix *pointloc.Index) map[string]Group {
 			}
 			bounds = r
 		}
-		out[oracleKey(grp.Label.RNN)] = Group{Area: grp.Area, Cells: grp.Cells, Bounds: bounds}
+		out[oracleKey(ix.AppendSet(nil, grp.ID))] = Group{Area: grp.Area, Cells: grp.Cells, Bounds: bounds}
 	}
 	return out
 }

@@ -11,7 +11,7 @@
 // wins), so the unconstrained argmax is byte-identical to a brute-force max
 // over the label list. Geometry — exact face area, cell count, bounding box
 // per distinct RNN set — is recovered from the slab decomposition's cells
-// grouped by interned label (see pointloc.Index.VisitCells), and feeds the
+// grouped by set id (see pointloc.Index.VisitCells), and feeds the
 // constrained variants: minimum region area, minimum distance from existing
 // facilities, and a bounding-box filter.
 //
@@ -98,15 +98,17 @@ type Geometry struct {
 }
 
 // FromIndex recovers the per-set geometry from a slab index by grouping its
-// bounded cells by interned label and keying each group by its content key.
+// bounded cells by set id and keying each group by its set's content key.
 // Bounding boxes are mapped back to the original coordinate system (exact
-// except for L1, where the rotated box is covered conservatively). Returns nil when ix is nil, so callers can thread
-// an absent index straight through to the label-scan fallback.
+// except for L1, where the rotated box is covered conservatively). Returns
+// nil when ix is nil, so callers can thread an absent index straight through
+// to the label-scan fallback.
 func FromIndex(ix *pointloc.Index) *Geometry {
 	if ix == nil {
 		return nil
 	}
 	geo := &Geometry{byKey: make(map[oset.ContentKey]Group)}
+	var rnn []int
 	for _, grp := range ix.GroupCells() {
 		bounds := grp.Bounds
 		if ix.Metric() == geom.L1 && !bounds.IsEmpty() {
@@ -117,7 +119,8 @@ func FromIndex(ix *pointloc.Index) *Geometry {
 			bounds = r
 		}
 		geo.TotalArea += grp.Area
-		geo.byKey[oset.KeyOf(grp.Label.RNN)] = Group{Area: grp.Area, Cells: grp.Cells, Bounds: bounds}
+		rnn = ix.AppendSet(rnn[:0], grp.ID)
+		geo.byKey[oset.KeyOf(rnn)] = Group{Area: grp.Area, Cells: grp.Cells, Bounds: bounds}
 	}
 	return geo
 }

@@ -15,24 +15,21 @@ import (
 // slab in ascending x order and bottom to top inside each slab. A bounded
 // cell is the region between two consecutive edges of one slab; the
 // unbounded gaps below the first and above the last edge (always the
-// empty-set face) are skipped, as is the face outside every slab. label is
-// the cell's interned face label — a pointer into the index's shared pool,
-// so grouping by pointer groups by RNN set. Returning false stops the walk.
+// empty-set face) are skipped, as is the face outside every slab. id is the
+// cell's set id — each set has one id in an index, so grouping by id groups
+// by RNN set (AppendSet resolves it). Returning false stops the walk.
 //
 // Coordinates are in sweep space: the original coordinate system for L∞ and
 // L2, the rotated system for L1. The rotation is orthonormal, so areas
 // computed from these cells are original-space areas for every metric.
-func (ix *Index) VisitCells(visit func(x0, x1 float64, bottom, top core.CellEdge, label *core.Interned) bool) {
+func (ix *Index) VisitCells(visit func(x0, x1 float64, bottom, top core.CellEdge, id uint32) bool) {
 	for i := range ix.slabs {
 		sl := &ix.slabs[i]
 		if len(sl.edges) == 0 {
 			continue
 		}
 		x0 := ix.xs[i]
-		x1 := x0
-		if i+1 < len(ix.xs) {
-			x1 = ix.xs[i+1]
-		}
+		x1 := rightEdge(ix.xs, i)
 		for j := 1; j < len(sl.edges); j++ {
 			if !visit(x0, x1, ix.cellEdge(sl, j-1), ix.cellEdge(sl, j), sl.gaps[j]) {
 				return
@@ -47,23 +44,28 @@ func (ix *Index) cellEdge(sl *slab, k int) core.CellEdge {
 	if sl.arcs != nil {
 		a := sl.arcs[k]
 		e.Arc = true
-		e.Circle = ix.sweepAll[a.circle].Circle
-		e.Upper = a.upper
+		e.Circle = ix.sweepAll[a>>1].Circle
+		e.Upper = a&1 != 0
 	}
 	return e
 }
 
-// GroupCells walks every bounded cell and aggregates them into per-label
+// GroupCells walks every bounded cell and aggregates them into per-set
 // groups (see core.CellGrouper): total exact area, cell count, and
-// sweep-space bounding box per distinct RNN set.
-func (ix *Index) GroupCells() []*core.CellGroup {
-	g := core.NewCellGrouper()
-	ix.VisitCells(func(x0, x1 float64, bottom, top core.CellEdge, label *core.Interned) bool {
-		g.Add(label, x0, x1, bottom, top)
+// sweep-space bounding box per distinct RNN set, in the order of each set's
+// first cell.
+func (ix *Index) GroupCells() []core.CellGroup {
+	g := core.NewCellGrouper(len(ix.sets.heats))
+	ix.VisitCells(func(x0, x1 float64, bottom, top core.CellEdge, id uint32) bool {
+		g.Add(id, x0, x1, bottom, top)
 		return true
 	})
 	return g.Groups()
 }
+
+// AppendSet appends the members of the set with the given id (a gap id
+// VisitCells or GroupCells reported), ascending, to dst.
+func (ix *Index) AppendSet(dst []int, id uint32) []int { return ix.sets.appendSet(dst, id) }
 
 // ToOriginal maps a sweep-space point back to the index's original
 // coordinate system (the inverse of the L1 rotation; identity otherwise).

@@ -31,11 +31,12 @@ func abs64(v int64) int64 {
 
 // FuzzPointLocation is the point-location differential fuzz harness: random
 // (and snapped-integer degenerate) instances across all three metrics, the
-// slab index held byte-identical to the enclosure oracle on the adversarial
-// probe set — boundary points included — plus one fully fuzzer-chosen query
-// point, and one fuzzer-chosen raster (top-left corner at the query point,
-// rw x rh pixels of the given pitch) held to per-pixel Query by HeatGrid
-// (seed corpus in testdata/fuzz/FuzzPointLocation).
+// slab index — built, and opened from the instance's own snapshot — held
+// byte-identical to the enclosure oracle on the adversarial probe set —
+// boundary points included — plus one fully fuzzer-chosen query point, and
+// one fuzzer-chosen raster (top-left corner at the query point, rw x rh
+// pixels of the given pitch) held to per-pixel Query by HeatGrid (seed
+// corpus in testdata/fuzz/FuzzPointLocation).
 func FuzzPointLocation(f *testing.F) {
 	f.Add(int64(1), int64(8), int64(3), int64(0), int64(0), 10.0, 10.0, int64(7), int64(5), 0.5)
 	f.Add(int64(2), int64(20), int64(5), int64(1), int64(1), 32.0, 0.0, int64(1), int64(40), 1.0)
@@ -55,11 +56,14 @@ func FuzzPointLocation(f *testing.F) {
 		if !math.IsNaN(qx) && !math.IsInf(qx, 0) && !math.IsNaN(qy) && !math.IsInf(qy, 0) {
 			probes = append(probes, geom.Pt(qx, qy))
 		}
+		opened := openedFromIndex(t, ix, influence.Size())
 		for _, p := range probes {
 			assertSameAnswer(t, ix, o, p, "fuzz")
+			assertSameAnswer(t, opened, o, p, "fuzz opened")
 		}
 		if b, w, h, ok := fuzzRaster(qx, qy, rw, rh, pitch); ok {
 			assertGridMatchesQuery(t, ix, b, w, h, "fuzz raster")
+			assertGridMatchesQuery(t, opened, b, w, h, "fuzz opened raster")
 		}
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"rnnheatmap/internal/geom"
 	"rnnheatmap/internal/influence"
@@ -32,38 +33,60 @@ import (
 // walk each row through the slabs monotonically, one slab resolution and
 // one binary search per pixel, as a sorted QueryBatch would.
 
-// slabTable is what each locator representation supplies to the code written
-// once for both — the raster kernel and the exact path: the shared axis and
-// per-slab reads of edges, arc heights, gap heats, active circles and
-// circles by position. Slab si, edge k and gap j index the same things in
-// both representations.
-type slabTable interface {
-	base() *axis
-	// edges returns slab si's edge keys: the edge y-coordinates for the
-	// rectilinear sweeps, the build-time ordering keys of its arcs for L2.
-	edges(si int) []float64
-	// arcHeights sets dst[k] to the height of arc k of L2 slab si at
-	// sweep-space x, for every arc of the slab.
-	arcHeights(si int, x float64, dst []float64)
-	// gapHeat returns the heat of gap j of slab si.
-	gapHeat(si, j int) float64
-	// actives returns the circle positions whose x-extent covers slab si.
-	actives(si int) []int32
-	// circle returns the original-space circle at position ci.
-	circle(ci int32) nncircle.NNCircle
-	// zeroCircle returns the original-space circle behind zeroXs[j].
-	zeroCircle(j int) nncircle.NNCircle
+// HeatGrid fills out (row-major, row 0 at the top, len(out) ==
+// width*height) with the heat Query returns at each pixel center of bounds
+// (geom.Rect.PixelCenters), bit for bit. Its scratch — the pixel centers and
+// the per-column buffers — is pooled, so a warm call allocates nothing.
+func (ix *Index) HeatGrid(bounds geom.Rect, width, height int, out []float64) {
+	c := columns.Get().(*column)
+	defer func() {
+		c.ix, c.h = nil, nil // hold no index alive from the pool
+		columns.Put(c)
+	}()
+	c.ix = ix
+	c.xs = slices.Grow(c.xs[:0], width)[:width]
+	c.ys = slices.Grow(c.ys[:0], height)[:height]
+	bounds.PixelCenters(c.xs, c.ys)
+	if ix.metric == geom.L1 {
+		for py, y := range c.ys {
+			row := out[py*width : (py+1)*width]
+			// pos tracks sort.SearchFloat64s(ix.xs, q.X) along the row: the
+			// pixel centers ascend in x, and so in rotated x.
+			pos := 0
+			for px, x := range c.xs {
+				p := geom.Pt(x, y)
+				q := ix.toSweep(p)
+				if q.X != q.X {
+					// NaN resolves to the empty face, as in Query; it must
+					// not move the monotone position.
+					row[px] = ix.emptyHeat
+					continue
+				}
+				pos = gallopGE(ix.xs, pos, q.X)
+				c.at(q.X, pos)
+				row[px] = c.heat(p, q.Y)
+			}
+		}
+		return
+	}
+	for px, x := range c.xs {
+		c.at(x, sort.SearchFloat64s(ix.xs, x))
+		for py, y := range c.ys {
+			out[py*width+px] = c.heat(geom.Pt(x, y), y)
+		}
+	}
 }
 
-func (a *axis) base() *axis { return a }
+// columns pools the raster kernel's scratch across HeatGrid calls.
+var columns = sync.Pool{New: func() any { return new(column) }}
 
 // heatOf evaluates the measure over an ascending client set, through the
 // measure's slice fast path when it has one.
-func (a *axis) heatOf(rnn []int) float64 {
-	if sm, ok := a.measure.(influence.SortedMeasure); ok {
+func (ix *Index) heatOf(rnn []int) float64 {
+	if sm, ok := ix.measure.(influence.SortedMeasure); ok {
 		return sm.InfluenceSorted(rnn)
 	}
-	return a.measure.Influence(oset.FromSorted(rnn))
+	return ix.measure.Influence(oset.FromSorted(rnn))
 }
 
 // exact answers a query on the slow path: collect every circle that could
@@ -72,53 +95,19 @@ func (a *axis) heatOf(rnn []int) float64 {
 // geometry — exactly the enclosure index's test — and evaluate the measure
 // over the matches in ascending client order, the canonical evaluation order
 // of the enclosure path. sx is p's sweep-space x-coordinate.
-func exact(t slabTable, p geom.Point, sx float64) (float64, []int) {
-	c := column{t: t, a: t.base(), x: sx}
+func (ix *Index) exact(p geom.Point, sx float64) (float64, []int) {
+	c := column{ix: ix, x: sx}
 	matched := c.match([]int{}, p)
-	return c.a.heatOf(matched), matched
-}
-
-// heatGrid is the HeatGrid body of both locators.
-func heatGrid(t slabTable, bounds geom.Rect, width, height int, out []float64) {
-	a := t.base()
-	xs, ys := bounds.PixelCenters(width, height)
-	c := column{t: t, a: a}
-	if a.metric == geom.L1 {
-		for py, y := range ys {
-			row := out[py*width : (py+1)*width]
-			// pos tracks sort.SearchFloat64s(a.xs, q.X) along the row: the
-			// pixel centers ascend in x, and so in rotated x.
-			pos := 0
-			for px, x := range xs {
-				p := geom.Pt(x, y)
-				q := a.toSweep(p)
-				if q.X != q.X {
-					// NaN resolves to the empty face, as in Query; it must
-					// not move the monotone position.
-					row[px] = a.empty.Heat
-					continue
-				}
-				pos = gallopGE(a.xs, pos, q.X)
-				c.at(q.X, pos)
-				row[px] = c.heat(p, q.Y)
-			}
-		}
-		return
-	}
-	for px, x := range xs {
-		c.at(x, sort.SearchFloat64s(a.xs, x))
-		for py, y := range ys {
-			out[py*width+px] = c.heat(geom.Pt(x, y), y)
-		}
-	}
+	return ix.heatOf(matched), matched
 }
 
 // column holds everything a pixel's resolution reads that depends only on
 // its sweep-space x: the slab decision, the slab's edge heights at x and the
-// exact-path candidates.
+// exact-path candidates. HeatGrid reuses one column, buffers included, for
+// the whole raster (xs and ys are its pixel centers).
 type column struct {
-	t slabTable
-	a *axis
+	ix     *Index
+	xs, ys []float64
 
 	x      float64
 	si     int // the slab; -1 with direct for the empty face
@@ -140,18 +129,18 @@ type column struct {
 // over the slab edges.
 func (c *column) at(x float64, pos int) {
 	c.x = x
-	c.si, c.direct = c.a.slabAt(x, pos)
+	c.si, c.direct = c.ix.slabAt(x, pos)
 	c.gathered = false
 	if !c.direct || c.si < 0 {
 		return
 	}
-	c.h = c.t.edges(c.si)
-	if c.a.metric == geom.L2 {
-		if cap(c.buf) < len(c.h) {
-			c.buf = make([]float64, len(c.h))
+	sl := &c.ix.slabs[c.si]
+	c.h = sl.edges
+	if c.ix.metric == geom.L2 {
+		c.buf = slices.Grow(c.buf[:0], len(sl.arcs))[:len(sl.arcs)]
+		for k, a := range sl.arcs {
+			c.buf[k] = c.ix.arcYAt(a, x)
 		}
-		c.buf = c.buf[:len(c.h)]
-		c.t.arcHeights(c.si, x, c.buf)
 		c.h = c.buf
 	}
 }
@@ -162,17 +151,17 @@ func (c *column) heat(p geom.Point, y float64) float64 {
 		return c.exactHeat(p)
 	}
 	if c.si < 0 {
-		return c.a.empty.Heat
+		return c.ix.emptyHeat
 	}
-	if j, ok := gapIn(c.h, y, c.a.eps(y)); ok {
-		return c.t.gapHeat(c.si, j)
+	if j, ok := gapIn(c.h, y, c.ix.eps(y)); ok {
+		return c.ix.sets.heats[c.ix.slabs[c.si].gaps[j]]
 	}
 	return c.exactHeat(p)
 }
 
 func (c *column) exactHeat(p geom.Point) float64 {
 	c.matched = c.match(c.matched[:0], p)
-	return c.a.heatOf(c.matched)
+	return c.ix.heatOf(c.matched)
 }
 
 // match appends to dst, in ascending order, the clients of the candidate
@@ -203,25 +192,25 @@ func (c *column) match(dst []int, p geom.Point) []int {
 // of every slab within eps of x, de-duplicated, plus the zero-radius circles
 // within eps, ordered by client so matches come out ascending.
 func (c *column) gather() {
-	a := c.a
-	ex := a.eps(c.x)
+	ix := c.ix
+	ex := ix.eps(c.x)
 	lo, hi := c.x-ex, c.x+ex
 	ids := c.ids[:0]
-	i := sort.SearchFloat64s(a.xs, lo)
+	i := sort.SearchFloat64s(ix.xs, lo)
 	if i > 0 {
 		i-- // the slab opening before lo may span into the window
 	}
-	for ; i < len(a.xs) && a.xs[i] <= hi; i++ {
-		ids = append(ids, c.t.actives(i)...)
+	for ; i < len(ix.xs) && ix.xs[i] <= hi; i++ {
+		ids = append(ids, ix.slabs[i].actives...)
 	}
 	slices.Sort(ids)
 	ids = slices.Compact(ids)
+	for j := sort.SearchFloat64s(ix.zeroXs, lo); j < len(ix.zeroXs) && ix.zeroXs[j] <= hi; j++ {
+		ids = append(ids, ix.zeroIdx[j])
+	}
 	cands := c.cands[:0]
 	for _, ci := range ids {
-		cands = append(cands, c.t.circle(ci))
-	}
-	for j := sort.SearchFloat64s(a.zeroXs, lo); j < len(a.zeroXs) && a.zeroXs[j] <= hi; j++ {
-		cands = append(cands, c.t.zeroCircle(j))
+		cands = append(cands, ix.all[ci])
 	}
 	slices.SortFunc(cands, func(p, q nncircle.NNCircle) int { return cmp.Compare(p.Client, q.Client) })
 	c.ids, c.cands, c.gathered = ids, cands, true

@@ -15,7 +15,7 @@ import (
 // The HeatGrid differential suite: the raster kernel must return, bit for
 // bit, the heat per-pixel Query returns at every pixel center — and Query is
 // held to the enclosure oracle by the suites in pointloc_test.go and
-// mapped_test.go, so HeatGrid is too.
+// file_test.go, so HeatGrid is too.
 
 // serializableMeasures returns one instance of every measure a snapshot can
 // carry (influence.SpecOf), with contexts drawn over the instance's clients
@@ -49,16 +49,23 @@ func serializableMeasures(circles []nncircle.NNCircle, rng *rand.Rand) []influen
 	}
 }
 
-// assertGridMatchesQuery holds loc.HeatGrid over bounds at width x height to
-// per-pixel loc.Query at the same pixel centers, bit for bit.
-func assertGridMatchesQuery(t *testing.T, loc Locator, bounds geom.Rect, width, height int, ctx string) {
+// pixelCenters returns the pixel centers of a width x height grid over b.
+func pixelCenters(b geom.Rect, width, height int) (xs, ys []float64) {
+	xs, ys = make([]float64, width), make([]float64, height)
+	b.PixelCenters(xs, ys)
+	return xs, ys
+}
+
+// assertGridMatchesQuery holds ix.HeatGrid over bounds at width x height to
+// per-pixel ix.Query at the same pixel centers, bit for bit.
+func assertGridMatchesQuery(t *testing.T, ix *Index, bounds geom.Rect, width, height int, ctx string) {
 	t.Helper()
 	out := make([]float64, width*height)
-	loc.HeatGrid(bounds, width, height, out)
-	xs, ys := bounds.PixelCenters(width, height)
+	ix.HeatGrid(bounds, width, height, out)
+	xs, ys := pixelCenters(bounds, width, height)
 	for py, y := range ys {
 		for px, x := range xs {
-			want, _ := loc.Query(geom.Pt(x, y))
+			want, _ := ix.Query(geom.Pt(x, y))
 			if got := out[py*width+px]; math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("%s: %dx%d raster over %v: pixel (%d,%d) at (%v,%v) = %v, Query = %v",
 					ctx, width, height, bounds, px, py, x, y, got, want)
@@ -75,20 +82,20 @@ func randomSubRect(rng *rand.Rand) geom.Rect {
 	return geom.Rect{MinX: x0, MinY: y0, MaxX: x0 + w, MaxY: y0 + h}
 }
 
-// gridLocators returns the heap index and its mapped round-trip for one
-// instance and measure.
-func gridLocators(t *testing.T, circles []nncircle.NNCircle, m influence.Measure) []Locator {
+// gridIndexes returns the built index and the index opened from its
+// snapshot for one instance and measure.
+func gridIndexes(t *testing.T, circles []nncircle.NNCircle, m influence.Measure) []*Index {
 	t.Helper()
 	ix, err := Build(circles, m, Options{})
 	if err != nil {
 		t.Fatalf("Build(%s): %v", m.Name(), err)
 	}
-	return []Locator{ix, mappedFromIndex(t, ix, m)}
+	return []*Index{ix, openedFromIndex(t, ix, m)}
 }
 
-// TestHeatGridMatchesQuery covers all three metrics, both locator
-// representations, snapped and unsnapped instances and every serializable
-// measure, on random sub-rectangles at 1xN, Nx1, 37x91 and 256x256.
+// TestHeatGridMatchesQuery covers all three metrics, built and file-opened
+// indexes, snapped and unsnapped instances and every serializable measure,
+// on random sub-rectangles at 1xN, Nx1, 37x91 and 256x256.
 func TestHeatGridMatchesQuery(t *testing.T) {
 	t.Parallel()
 	for _, metric := range []geom.Metric{geom.LInf, geom.L1, geom.L2} {
@@ -99,15 +106,15 @@ func TestHeatGridMatchesQuery(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(13 + 2*int(metric))))
 				circles, _ := testInstance(t, rng.Int63(), 50, 12, metric, snapped)
 				for mi, m := range serializableMeasures(circles, rng) {
-					for li, loc := range gridLocators(t, circles, m) {
-						ctx := fmt.Sprintf("measure=%s locator=%d", m.Name(), li)
+					for li, ix := range gridIndexes(t, circles, m) {
+						ctx := fmt.Sprintf("measure=%s index=%d", m.Name(), li)
 						n := 1 + rng.Intn(300)
 						sizes := [][2]int{{1, n}, {n, 1}, {37, 91}}
 						if mi == 0 {
 							sizes = append(sizes, [2]int{256, 256})
 						}
 						for _, sz := range sizes {
-							assertGridMatchesQuery(t, loc, randomSubRect(rng), sz[0], sz[1], ctx)
+							assertGridMatchesQuery(t, ix, randomSubRect(rng), sz[0], sz[1], ctx)
 						}
 					}
 				}
@@ -171,8 +178,8 @@ func adversarialTargets(ix *Index, rng *rand.Rand, n int) []gridTarget {
 		}
 		var x float64
 		switch {
-		case len(ix.zeros) > 0 && rng.Intn(4) == 0:
-			z := ix.zeros[rng.Intn(len(ix.zeros))].Circle.Center
+		case len(ix.zeroIdx) > 0 && rng.Intn(4) == 0:
+			z := ix.all[ix.zeroIdx[rng.Intn(len(ix.zeroIdx))]].Circle.Center
 			x = z.X
 			if rng.Intn(2) == 0 {
 				y = z.Y
@@ -215,7 +222,7 @@ func alignedBounds(tgt gridTarget, width, height, px, py int) (geom.Rect, bool) 
 	b.MaxX = b.MinX + float64(width)*pitch
 	b.MinY = b.MaxY - float64(height)*pitch
 	for try := 0; try < 8; try++ {
-		xs, ys := b.PixelCenters(width, height)
+		xs, ys := pixelCenters(b, width, height)
 		dx, dy := tgt.x-xs[px], tgt.y-ys[py]
 		if dx == 0 && dy == 0 {
 			return b, true
@@ -237,11 +244,11 @@ func TestHeatGridAdversarial(t *testing.T) {
 	for _, metric := range []geom.Metric{geom.LInf, geom.L1, geom.L2} {
 		for _, snapped := range []bool{false, true} {
 			circles, _ := testInstance(t, rng.Int63(), 45, 10, metric, snapped)
-			var locs []Locator
+			var ixs []*Index
 			for _, m := range serializableMeasures(circles, rng) {
-				locs = append(locs, gridLocators(t, circles, m)...)
+				ixs = append(ixs, gridIndexes(t, circles, m)...)
 			}
-			targets := adversarialTargets(locs[0].(*Index), rng, 40)
+			targets := adversarialTargets(ixs[0], rng, 40)
 			hit := 0
 			for _, tgt := range targets {
 				w, h := 3+rng.Intn(15), 3+rng.Intn(15)
@@ -251,15 +258,15 @@ func TestHeatGridAdversarial(t *testing.T) {
 					continue
 				}
 				hit++
-				for li, loc := range locs {
-					ctx := fmt.Sprintf("%v snapped=%v locator %d (%T) target=%+v", metric, snapped, li, loc, tgt)
-					assertGridMatchesQuery(t, loc, b, w, h, ctx)
+				for li, ix := range ixs {
+					ctx := fmt.Sprintf("%v snapped=%v index %d target=%+v", metric, snapped, li, tgt)
+					assertGridMatchesQuery(t, ix, b, w, h, ctx)
 					// The target's column and row alone, as 1-pixel strips.
 					if col, ok := alignedBounds(tgt, 1, h, 0, py); ok {
-						assertGridMatchesQuery(t, loc, col, 1, h, ctx)
+						assertGridMatchesQuery(t, ix, col, 1, h, ctx)
 					}
 					if row, ok := alignedBounds(tgt, w, 1, px, 0); ok {
-						assertGridMatchesQuery(t, loc, row, w, 1, ctx)
+						assertGridMatchesQuery(t, ix, row, w, 1, ctx)
 					}
 				}
 			}

@@ -25,7 +25,10 @@ var ErrPatchDeclined = errors.New("pointloc: patch declined; rebuild the index l
 
 // Patch derives the index for an updated circle set from this one, rebuilding
 // only the dirty slabs and sharing every other slab's storage with the
-// receiver. The receiver is immutable and keeps serving concurrent readers.
+// receiver — heap memory, or the file sections of an index Open returned.
+// The receiver is immutable and keeps serving concurrent readers, and
+// concurrent patches from one receiver are safe: the dirty slabs' sets are
+// interned into the lineage's one append-only id table.
 //
 // A slab of the new arrangement is dirty when its left edge lies in one of
 // the dirty sweep-space x-spans (core.PerturbedSpans of the update's
@@ -75,7 +78,7 @@ func (ix *Index) Patch(newCircles []nncircle.NNCircle, spans [][2]float64, maxFr
 	if len(ix.slabs) == 0 {
 		return nil, ErrPatchDeclined
 	}
-	next := &Index{axis: axis{measure: ix.measure, empty: ix.empty}, pool: ix.pool}
+	next := &Index{measure: ix.measure, emptyHeat: ix.emptyHeat, lin: ix.lin}
 	usable, origIdx, err := next.initCircles(newCircles)
 	if err != nil {
 		return nil, err
@@ -84,6 +87,7 @@ func (ix *Index) Patch(newCircles []nncircle.NNCircle, spans [][2]float64, maxFr
 		return nil, errors.New("pointloc: Patch with mixed or changed metrics")
 	}
 	if len(usable) == 0 {
+		next.sets = ix.sets
 		return next, nil
 	}
 
@@ -119,14 +123,16 @@ func (ix *Index) Patch(newCircles []nncircle.NNCircle, spans [][2]float64, maxFr
 	}
 	// Rebuild the dirty slabs run by run; each emitted slab lands in its
 	// position of next.slabs.
-	pb := &patchSink{ix: next, origIdx: origIdx, maxCells: opts.maxCells(), cells: cells, isL2: isL2}
-	if err := events.EmitRanges(pb, next.pool, dirtyWindows(newXs, dirty)); err != nil {
+	pool := ix.lin.interner(ix.measure)
+	pb := &patchSink{ix: next, origIdx: origIdx, maxCells: opts.maxCells(), cells: cells, isL2: isL2, pool: pool}
+	if err := events.EmitRanges(pb, pool, dirtyWindows(newXs, dirty)); err != nil {
 		if errors.Is(err, core.ErrSlabsAborted) {
 			return nil, ErrTooLarge
 		}
 		return nil, err
 	}
 	next.cells = pb.cells
+	next.sets = tableOf(pool)
 	return next, nil
 }
 
@@ -154,6 +160,7 @@ type patchSink struct {
 	maxCells int
 	cells    int
 	isL2     bool
+	pool     *core.LabelInterner
 	pos      int
 }
 
@@ -164,15 +171,15 @@ func (b *patchSink) StartSlab(x0, x1 float64, actives []int) bool {
 		return false
 	}
 	b.pos = sort.SearchFloat64s(b.ix.xs, x0)
-	b.ix.slabs[b.pos] = newSlab(actives, b.origIdx, b.isL2, b.ix.empty)
+	b.ix.slabs[b.pos] = newSlab(actives, b.origIdx, b.isL2, b.pool.ID(b.pool.Empty()))
 	return true
 }
 
-func (b *patchSink) Edge(y float64, circle int, upper bool, above *label) bool {
+func (b *patchSink) Edge(y float64, circle int, upper bool, above *core.Interned) bool {
 	if b.cells += 2; b.cells > b.maxCells {
 		return false
 	}
-	b.ix.slabs[b.pos].addEdge(y, circle, upper, above, b.origIdx, b.isL2)
+	b.ix.slabs[b.pos].addEdge(y, circle, upper, b.pool.ID(above), b.origIdx)
 	return true
 }
 

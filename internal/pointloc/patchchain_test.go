@@ -12,6 +12,7 @@ import (
 	"rnnheatmap/internal/core"
 	"rnnheatmap/internal/delta"
 	"rnnheatmap/internal/geom"
+	"rnnheatmap/internal/influence"
 	"rnnheatmap/internal/nncircle"
 )
 
@@ -20,9 +21,13 @@ import (
 // zero-radius transitions) through delta.Apply, patching the slab index at
 // every step with the reported dirty spans, and requires the patched index
 // to be structurally identical — slab boundaries, active lists, edges, L2
-// arcs and gap labels — to a from-scratch build over the updated circles.
-// Every metric must actually patch on a minimum share of its steps, so a
-// patch that declines too eagerly fails here too.
+// arcs, gap heats and sets, cells — to a from-scratch build over the
+// updated circles. Every chain runs twice: from the built index, and from
+// the index opened from the chain's first snapshot, whose patches seed an
+// interner with the file's sets and then slice their clean slabs out of the
+// file. Both runs must patch on the same steps, and every metric must
+// actually patch on a minimum share of its steps, so a patch that declines
+// too eagerly fails here too.
 func TestPatchChainMatchesFreshBuild(t *testing.T) {
 	t.Parallel()
 	outers := int64(12)
@@ -34,79 +39,38 @@ func TestPatchChainMatchesFreshBuild(t *testing.T) {
 	for outer := int64(0); outer < outers; outer++ {
 		rng := rand.New(rand.NewSource(62 + outer))
 		for _, metric := range metrics {
-			seed := rng.Int63()
-			wrng := rand.New(rand.NewSource(seed))
-			pt := func() geom.Point {
-				p := geom.Pt(wrng.Float64()*100, wrng.Float64()*100)
-				if wrng.Intn(3) == 0 {
-					p = geom.Pt(math.Round(p.X), math.Round(p.Y))
-				}
-				return p
-			}
-			facilities := make([]geom.Point, 8)
-			for i := range facilities {
-				facilities[i] = pt()
-			}
-			clients := make([]geom.Point, 60)
-			for i := range clients {
-				if wrng.Intn(12) == 0 {
-					clients[i] = facilities[wrng.Intn(8)]
-				} else {
-					clients[i] = pt()
-				}
-			}
-			circles, err := nncircle.Compute(clients, facilities, metric)
+			circles, steps := patchChain(t, rng, metric)
+			built, err := Build(circles, nil, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			ix, err := Build(circles, nil, Options{})
-			if err != nil {
-				t.Fatal(err)
+			var counts [2]int
+			for run, ix := range []*Index{built, openedFromIndex(t, built, influence.Size())} {
+				for step, st := range steps {
+					next, err := ix.Patch(st.circles, st.spans, 0, Options{})
+					if errors.Is(err, ErrPatchDeclined) {
+						// Over the splice threshold (or a span-less
+						// renumbering): the chain continues from a fresh
+						// build, exactly as heatmap's lazy rebuild would.
+						ix = st.fresh
+						continue
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(st.spans) > 0 {
+						counts[run]++
+					}
+					ctx := fmt.Sprintf("metric=%v run=%d step=%d", metric, run, step)
+					assertSameIndex(t, ctx, next, st.fresh)
+					assertOneIDPerSet(t, ctx, next)
+					ix = next
+				}
 			}
-			res, err := core.CREST(circles, core.Options{})
-			if err != nil {
-				t.Fatal(err)
+			if counts[0] != counts[1] {
+				t.Errorf("metric=%v: the built chain patched %d steps, the opened chain %d", metric, counts[0], counts[1])
 			}
-			st := delta.State{Clients: clients, Facilities: facilities, Circles: circles, Labels: res.Labels}
-			for step := 0; step < 12; step++ {
-				var d delta.Delta
-				switch rng.Intn(4) {
-				case 0:
-					d.AddClients = []geom.Point{geom.Pt(rng.Float64()*100, rng.Float64()*100)}
-				case 1:
-					d.RemoveClients = []int{rng.Intn(len(st.Clients))}
-				case 2:
-					d.AddFacilities = []geom.Point{geom.Pt(rng.Float64()*100, rng.Float64()*100)}
-				case 3:
-					d.RemoveFacilities = []int{rng.Intn(len(st.Facilities))}
-				}
-				out, err := delta.Apply(st, d, delta.Options{Metric: metric})
-				if err != nil {
-					t.Fatal(err)
-				}
-				fresh, err := Build(out.State.Circles, nil, Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				next, err := ix.Patch(out.State.Circles, out.Stats.DirtySpans, 0, Options{})
-				if errors.Is(err, ErrPatchDeclined) {
-					// Over the splice threshold (or a span-less renumbering):
-					// the chain continues from a fresh build, exactly as
-					// heatmap's lazy rebuild would.
-					st = out.State
-					ix = fresh
-					continue
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(out.Stats.DirtySpans) > 0 {
-					patched[metric]++
-				}
-				assertSameIndex(t, fmt.Sprintf("metric=%v step=%d", metric, step), next, fresh)
-				st = out.State
-				ix = next
-			}
+			patched[metric] += counts[0]
 		}
 	}
 	// A patch over an unchanged arrangement (no spans) reuses the receiver
@@ -126,9 +90,76 @@ func TestPatchChainMatchesFreshBuild(t *testing.T) {
 	}
 }
 
+// chainStep is one update of a patch chain: the updated circles, the dirty
+// spans delta reported, and a fresh build over the circles.
+type chainStep struct {
+	circles []nncircle.NNCircle
+	spans   [][2]float64
+	fresh   *Index
+}
+
+// patchChain draws an instance and a sequence of 12 single-op deltas over it.
+func patchChain(t *testing.T, rng *rand.Rand, metric geom.Metric) ([]nncircle.NNCircle, []chainStep) {
+	t.Helper()
+	wrng := rand.New(rand.NewSource(rng.Int63()))
+	pt := func() geom.Point {
+		p := geom.Pt(wrng.Float64()*100, wrng.Float64()*100)
+		if wrng.Intn(3) == 0 {
+			p = geom.Pt(math.Round(p.X), math.Round(p.Y))
+		}
+		return p
+	}
+	facilities := make([]geom.Point, 8)
+	for i := range facilities {
+		facilities[i] = pt()
+	}
+	clients := make([]geom.Point, 60)
+	for i := range clients {
+		if wrng.Intn(12) == 0 {
+			clients[i] = facilities[wrng.Intn(8)]
+		} else {
+			clients[i] = pt()
+		}
+	}
+	circles, err := nncircle.Compute(clients, facilities, metric)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.CREST(circles, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := delta.State{Clients: clients, Facilities: facilities, Circles: circles, Labels: res.Labels}
+	var steps []chainStep
+	for step := 0; step < 12; step++ {
+		var d delta.Delta
+		switch rng.Intn(4) {
+		case 0:
+			d.AddClients = []geom.Point{geom.Pt(rng.Float64()*100, rng.Float64()*100)}
+		case 1:
+			d.RemoveClients = []int{rng.Intn(len(st.Clients))}
+		case 2:
+			d.AddFacilities = []geom.Point{geom.Pt(rng.Float64()*100, rng.Float64()*100)}
+		case 3:
+			d.RemoveFacilities = []int{rng.Intn(len(st.Facilities))}
+		}
+		out, err := delta.Apply(st, d, delta.Options{Metric: metric})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := Build(out.State.Circles, nil, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps = append(steps, chainStep{circles: out.State.Circles, spans: out.Stats.DirtySpans, fresh: fresh})
+		st = out.State
+	}
+	return circles, steps
+}
+
 // assertSameIndex requires two indexes to be structurally identical: slab
-// boundaries, active lists, edge heights, L2 arcs, gap labels (by content —
-// the two may intern into different pools) and the cell count.
+// boundaries, active lists, edge heights, L2 arcs, gap heats and sets (by
+// content — the two may draw ids from different tables) and the cell count.
 func assertSameIndex(t *testing.T, ctx string, got, want *Index) {
 	t.Helper()
 	if !reflect.DeepEqual(got.xs, want.xs) {
@@ -139,7 +170,7 @@ func assertSameIndex(t *testing.T, ctx string, got, want *Index) {
 	}
 	for si := range want.slabs {
 		ws, gs := want.slabs[si], got.slabs[si]
-		if !reflect.DeepEqual(ws.actives, gs.actives) {
+		if !slices.Equal(ws.actives, gs.actives) {
 			t.Fatalf("%s slab %d: actives %v, want %v", ctx, si, gs.actives, ws.actives)
 		}
 		if !slices.Equal(ws.edges, gs.edges) {
@@ -152,9 +183,25 @@ func assertSameIndex(t *testing.T, ctx string, got, want *Index) {
 			t.Fatalf("%s slab %d: %d gaps, want %d", ctx, si, len(gs.gaps), len(ws.gaps))
 		}
 		for g := range ws.gaps {
-			if ws.gaps[g].Heat != gs.gaps[g].Heat || !slices.Equal(ws.gaps[g].RNN, gs.gaps[g].RNN) {
-				t.Fatalf("%s slab %d gap %d: %v, want %v", ctx, si, g, gs.gaps[g].RNN, ws.gaps[g].RNN)
+			wid, gid := ws.gaps[g], gs.gaps[g]
+			if want.sets.heats[wid] != got.sets.heats[gid] || !slices.Equal(want.sets.set(wid), got.sets.set(gid)) {
+				t.Fatalf("%s slab %d gap %d: %v, want %v", ctx, si, g, got.sets.set(gid), want.sets.set(wid))
 			}
+		}
+	}
+}
+
+// assertOneIDPerSet requires every set an index's gaps carry to have one id.
+func assertOneIDPerSet(t *testing.T, ctx string, ix *Index) {
+	t.Helper()
+	ids := map[string]uint32{}
+	for si := range ix.slabs {
+		for _, id := range ix.slabs[si].gaps {
+			key := fmt.Sprint(ix.sets.set(id))
+			if prev, ok := ids[key]; ok && prev != id {
+				t.Fatalf("%s: set %s has ids %d and %d", ctx, key, prev, id)
+			}
+			ids[key] = id
 		}
 	}
 }

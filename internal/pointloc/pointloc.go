@@ -14,6 +14,20 @@
 // intersection is a sweep event), so the gap search evaluates arc heights at
 // the query's x.
 //
+// # One layout
+//
+// An Index is stored the same way whether Build made it in memory or Open
+// opened it from a format-v2 snapshot: each slab holds the file's element
+// types — active circle positions (int32), edge heights (float64), L2 arcs
+// (uint32, circle<<1 | upper) and gap set ids (uint32). A built index
+// allocates these lists; an opened one slices them out of the file's
+// sections, copying no cell data. Gap ids resolve to heats and RNN sets
+// through one id table per lineage (the label interner's, or the file's
+// pool), so Patch works alike from either: the dirty slabs are re-emitted
+// and every clean slab aliases its predecessor, heap or file. The first
+// Patch from an opened index seeds an interner with the file's sets under
+// their file ids, so a set keeps one id through every later patch.
+//
 // # Boundary semantics
 //
 // Circles are closed: a point exactly on a circle boundary belongs to the
@@ -34,11 +48,13 @@ import (
 	"errors"
 	"math"
 	"sort"
+	"sync"
 
 	"rnnheatmap/internal/core"
 	"rnnheatmap/internal/geom"
 	"rnnheatmap/internal/influence"
 	"rnnheatmap/internal/nncircle"
+	"rnnheatmap/internal/snapshot"
 )
 
 // DefaultMaxCells caps the total number of stored slab cells (edges plus
@@ -73,23 +89,12 @@ func (o Options) maxCells() int {
 	return DefaultMaxCells
 }
 
-// label is the precomputed answer for one face: its heat and its RNN set in
-// ascending order (never nil). Labels are interned in a core.LabelInterner —
-// faces with equal RNN sets share one label — which keeps the index
-// near-linear in practice even though the face count is quadratic in the
-// worst case.
-type label = core.Interned
-
-// arcEdge identifies one L2 arc edge: the lower or upper half of a circle's
-// boundary.
-type arcEdge struct {
-	circle int32
-	upper  bool
-}
-
-// slab is one x-interval between consecutive sweep events.
+// slab is one x-interval between consecutive sweep events. Its lists are
+// stored as a format-v2 snapshot stores them (see snapshot.SlabTables), so
+// an index opened from a file slices them out of the file's sections and a
+// built index allocates them.
 type slab struct {
-	// actives holds the indexes (into the index's all/sweepAll slices,
+	// actives holds the positions (into the index's all/sweepAll slices,
 	// ascending) of the circles whose closed x-extent covers the slab. It
 	// serves the exact fallback path.
 	actives []int32
@@ -97,38 +102,30 @@ type slab struct {
 	// coordinates for rectilinear sweeps, arc heights at the slab midpoint
 	// for L2 (the build-time ordering key).
 	edges []float64
-	// arcs parallels edges for L2 slabs (nil for rectilinear ones).
-	arcs []arcEdge
-	// gaps[k] labels the face between edges[k-1] and edges[k] (gaps[0] the
-	// face below the first edge, gaps[len(edges)] the face above the last);
-	// len(gaps) == len(edges)+1. For an empty slab gaps holds the single
-	// empty-set label.
-	gaps []*label
+	// arcs parallels edges for L2 slabs (nil for rectilinear ones): circle
+	// position <<1 | 1 for the upper half of its boundary.
+	arcs []uint32
+	// gaps[k] is the set id of the face between edges[k-1] and edges[k]
+	// (gaps[0] the face below the first edge, gaps[len(edges)] the face
+	// above the last); len(gaps) == len(edges)+1, and gaps[0] is always the
+	// empty set.
+	gaps []uint32
 }
 
-// axis is the state Index and Mapped share: the metric and measure, the
-// empty face, and the sweep-space abscissae a query resolves its slab from.
-// Both embed it, so slab location, the epsilon bands and the exact path are
-// written once.
-type axis struct {
-	metric  geom.Metric // the original metric of the circles
-	measure influence.Measure
-	empty   *label
+// Index is a slab point-location structure, built in memory (Build),
+// opened from a snapshot (Open) or patched from another index (Patch). It
+// is immutable and safe for concurrent use.
+type Index struct {
+	metric    geom.Metric // the original metric of the circles
+	measure   influence.Measure
+	emptyHeat float64 // the heat of the empty set: every face outside the slabs
 
 	// xs holds the slab left edges (the sweep event abscissae) ascending;
 	// slab i spans [xs[i], xs[i+1]] (the final slab is zero-width).
 	xs []float64
-	// zeroXs holds the sweep-space center x of every zero-radius circle
-	// (clients co-located with their facility), ascending. They contribute
-	// no slabs — only a point query exactly at the center can hit one — so
-	// queries near a zero x take the exact path.
-	zeroXs []float64
-}
-
-// Index is a built slab point-location structure. It is immutable and safe
-// for concurrent use.
-type Index struct {
-	axis
+	// slabs[i] is the slab opening at xs[i].
+	slabs []slab
+	cells int
 
 	// all holds the input circles (original space) and sweepAll the same
 	// circles in the sweep coordinate system (identical except for L1,
@@ -139,19 +136,105 @@ type Index struct {
 	// positive radius (and would shift any filtered numbering).
 	all      []nncircle.NNCircle
 	sweepAll []nncircle.NNCircle
+	// zeroIdx holds the positions of the zero-radius circles (clients
+	// co-located with their facility) ordered by sweep-space center x, and
+	// zeroXs those abscissae. They contribute no slabs — only a point query
+	// exactly at the center can hit one — so queries near a zero x take the
+	// exact path.
+	zeroIdx []int32
+	zeroXs  []float64
 
-	// zeros holds the zero-radius circles in the original space, in axis
-	// zeroXs order.
-	zeros []nncircle.NNCircle
+	// sets resolves the gap set ids; lin is what the index shares with
+	// every index patched from it.
+	sets labelTable
+	lin  *lineage
+}
 
-	// slabs[i] is the slab opening at xs[i].
-	slabs []slab
+// labelTable resolves set ids to heats and RNN sets. Every index of a
+// lineage draws its ids from one table, which only grows by appending, so
+// an id means the same set in all of them.
+type labelTable struct {
+	// heats[id] is the heat of set id.
+	heats []float64
+	// sets[id] is the record of set id; nil for an index opened from a
+	// snapshot, whose ids are the file's pool ids (view).
+	sets []*core.Interned
+	view *snapshot.View
+}
 
-	// pool is the interned-label pool the gap labels point into. Patch
-	// reuses it so spliced generations keep sharing one label corpus.
+// tableOf returns pool's id table as it stands.
+func tableOf(pool *core.LabelInterner) labelTable {
+	heats, sets := pool.Table()
+	return labelTable{heats: heats, sets: sets}
+}
+
+// size returns the number of clients in set id.
+func (t *labelTable) size(id uint32) int {
+	if t.sets != nil {
+		return len(t.sets[id].RNN)
+	}
+	return len(t.view.PoolMembers(id))
+}
+
+// appendSet appends the members of set id, ascending, to dst.
+func (t *labelTable) appendSet(dst []int, id uint32) []int {
+	if t.sets != nil {
+		return append(dst, t.sets[id].RNN...)
+	}
+	for _, c := range t.view.PoolMembers(id) {
+		dst = append(dst, int(c))
+	}
+	return dst
+}
+
+// answer returns the heat and members of set id for one query: the
+// interned record's, or the file's heat with a copy of just this record of
+// its pool — a cold map answering one query never decodes the rest. The
+// members must not be modified.
+func (t *labelTable) answer(id uint32) (float64, []int) {
+	if t.sets != nil {
+		l := t.sets[id]
+		return l.Heat, l.RNN
+	}
+	return t.heats[id], t.appendSet(make([]int, 0, t.size(id)), id)
+}
+
+// set returns the members of set id without copying them where the table
+// holds them as ints: the interned record's slice, or the view's pool-wide
+// member lists (which the first call builds for every record — bulk
+// readers only). Callers must not modify it.
+func (t *labelTable) set(id uint32) []int {
+	if t.sets != nil {
+		return t.sets[id].RNN
+	}
+	return t.view.PoolRNN(id)
+}
+
+// lineage is shared by an index and every index patched from it: the label
+// interner their gap ids are drawn from. A lineage opened from a snapshot
+// starts with the file's pool instead; the first Patch seeds an interner
+// with the file's sets under their file ids, so a set keeps one id from the
+// file through every later patch, and concurrent patches share that one
+// interner.
+type lineage struct {
 	pool *core.LabelInterner
+	view *snapshot.View
+	seed sync.Once
+}
 
-	cells int
+// interner returns the lineage's label interner, seeding it from the file
+// on first use.
+func (l *lineage) interner(measure influence.Measure) *core.LabelInterner {
+	if l.view != nil {
+		l.seed.Do(func() {
+			sets := make([][]int, l.view.Meta().NumPool)
+			for id := range sets {
+				sets[id] = l.view.PoolRNN(uint32(id))
+			}
+			l.pool = core.NewLabelInternerFrom(measure, sets, l.view.PoolHeats())
+		})
+	}
+	return l.pool
 }
 
 // Metric returns the original metric of the indexed circles.
@@ -186,17 +269,17 @@ const (
 
 // eps returns the epsilon around coordinate v within which a query is routed
 // to the exact evaluation path.
-func (a *axis) eps(v float64) float64 {
+func (ix *Index) eps(v float64) float64 {
 	rel := epsRelRect
-	if a.metric == geom.L2 {
+	if ix.metric == geom.L2 {
 		rel = epsRelL2
 	}
 	return rel * (1 + math.Abs(v))
 }
 
 // toSweep maps an original-space point into the sweep coordinate system.
-func (a *axis) toSweep(p geom.Point) geom.Point {
-	if a.metric == geom.L1 {
+func (ix *Index) toSweep(p geom.Point) geom.Point {
+	if ix.metric == geom.L1 {
 		return geom.RotateL1ToLInf(p)
 	}
 	return p
@@ -217,34 +300,33 @@ func Build(circles []nncircle.NNCircle, measure influence.Measure, opts Options)
 	if pool == nil || pool.Measure() != measure {
 		pool = core.NewLabelInterner(measure)
 	}
-	ix := &Index{axis: axis{measure: measure, empty: pool.Empty()}, pool: pool}
+	ix := &Index{measure: measure, emptyHeat: pool.Empty().Heat, lin: &lineage{pool: pool}}
 	usable, origIdx, err := ix.initCircles(circles)
 	if err != nil {
 		return nil, err
 	}
-	if len(usable) == 0 {
-		return ix, nil
-	}
-	events, err := core.NewSlabEvents(usable)
-	if err != nil {
-		return nil, err
-	}
-	// Decline oversized arrangements before doing any emission work; the
-	// in-emission cap check remains as the exact backstop (the estimate is
-	// an upper bound — coincident edges make the real count smaller).
-	if events.CellBound() > opts.maxCells() {
-		return nil, ErrTooLarge
-	}
-	b := newBuilder(ix, origIdx, opts.maxCells())
-	if err := events.Emit(b, pool); err != nil {
-		if errors.Is(err, core.ErrSlabsAborted) {
+	if len(usable) > 0 {
+		events, err := core.NewSlabEvents(usable)
+		if err != nil {
+			return nil, err
+		}
+		// Decline oversized arrangements before doing any emission work;
+		// the in-emission cap check remains as the exact backstop (the
+		// estimate is an upper bound — coincident edges make the real count
+		// smaller).
+		if events.CellBound() > opts.maxCells() {
 			return nil, ErrTooLarge
 		}
-		return nil, err
+		b := &builder{ix: ix, origIdx: origIdx, maxCells: opts.maxCells(), pool: pool}
+		if err := events.Emit(b, pool); err != nil {
+			if errors.Is(err, core.ErrSlabsAborted) {
+				return nil, ErrTooLarge
+			}
+			return nil, err
+		}
+		ix.cells = b.cells
 	}
-	ix.xs = b.xs
-	ix.slabs = b.slabs
-	ix.cells = b.cells
+	ix.sets = tableOf(pool)
 	return ix, nil
 }
 
@@ -261,54 +343,47 @@ func (ix *Index) initCircles(circles []nncircle.NNCircle) (usable []nncircle.NNC
 			return nil, nil, errors.New("pointloc: circles use mixed metrics")
 		}
 	}
-	ix.all = circles
-	switch ix.metric {
-	case geom.L1:
-		ix.sweepAll = nncircle.RotateL1ToLInf(circles)
-	default:
-		ix.sweepAll = circles
-	}
+	ix.setCircles(circles)
 	for i, nc := range ix.sweepAll {
 		if nc.Circle.Radius <= 0 {
-			ix.zeros = append(ix.zeros, ix.all[i])
+			ix.zeroIdx = append(ix.zeroIdx, int32(i))
 			continue
 		}
 		usable = append(usable, nc)
 		origIdx = append(origIdx, int32(i))
 	}
-	sort.SliceStable(ix.zeros, func(i, j int) bool {
-		return ix.toSweep(ix.zeros[i].Circle.Center).X < ix.toSweep(ix.zeros[j].Circle.Center).X
+	sort.SliceStable(ix.zeroIdx, func(i, j int) bool {
+		return ix.zeroX(ix.zeroIdx[i]) < ix.zeroX(ix.zeroIdx[j])
 	})
-	ix.zeroXs = make([]float64, len(ix.zeros))
-	for i, nc := range ix.zeros {
-		ix.zeroXs[i] = ix.toSweep(nc.Circle.Center).X
+	ix.zeroXs = make([]float64, len(ix.zeroIdx))
+	for i, ci := range ix.zeroIdx {
+		ix.zeroXs[i] = ix.zeroX(ci)
 	}
 	return usable, origIdx, nil
 }
 
-// builder is the core.SlabSink that materializes the index arrays. The
+// setCircles sets the original-space circles and their sweep-space copy.
+func (ix *Index) setCircles(circles []nncircle.NNCircle) {
+	ix.all, ix.sweepAll = circles, circles
+	if ix.metric == geom.L1 {
+		ix.sweepAll = nncircle.RotateL1ToLInf(circles)
+	}
+}
+
+// zeroX returns the sweep-space center x of the circle at position ci.
+func (ix *Index) zeroX(ci int32) float64 { return ix.toSweep(ix.all[ci].Circle.Center).X }
+
+// builder is the core.SlabSink that materializes the slabs of a Build. The
 // emission references circles by position in its filtered input slice;
 // origIdx translates those to stable positions in the index's full circle
 // slices. Gap labels arrive already interned (the emission pools them), so
-// the builder just stores the pointers.
+// the builder stores their ids in the pool.
 type builder struct {
 	ix       *Index
 	origIdx  []int32
 	maxCells int
 	cells    int
-	isL2     bool
-
-	xs    []float64
-	slabs []slab
-}
-
-func newBuilder(ix *Index, origIdx []int32, maxCells int) *builder {
-	return &builder{
-		ix:       ix,
-		origIdx:  origIdx,
-		maxCells: maxCells,
-		isL2:     ix.metric == geom.L2,
-	}
+	pool     *core.LabelInterner
 }
 
 func (b *builder) StartSlab(x0, x1 float64, actives []int) bool {
@@ -316,45 +391,49 @@ func (b *builder) StartSlab(x0, x1 float64, actives []int) bool {
 	if b.cells > b.maxCells {
 		return false
 	}
-	b.xs = append(b.xs, x0)
-	b.slabs = append(b.slabs, newSlab(actives, b.origIdx, b.isL2, b.ix.empty))
+	b.ix.xs = append(b.ix.xs, x0)
+	b.ix.slabs = append(b.ix.slabs, newSlab(actives, b.origIdx, b.ix.metric == geom.L2, b.pool.ID(b.pool.Empty())))
 	return true
 }
 
-func (b *builder) Edge(y float64, circle int, upper bool, above *label) bool {
+func (b *builder) Edge(y float64, circle int, upper bool, above *core.Interned) bool {
 	b.cells += 2 // one edge, one gap
 	if b.cells > b.maxCells {
 		return false
 	}
-	b.slabs[len(b.slabs)-1].addEdge(y, circle, upper, above, b.origIdx, b.isL2)
+	b.ix.slabs[len(b.ix.slabs)-1].addEdge(y, circle, upper, b.pool.ID(above), b.origIdx)
 	return true
 }
 
 // newSlab opens a slab over the emitted actives (translated through
 // origIdx), with its edge storage sized for the at most two edges per active
 // circle the emission can report.
-func newSlab(actives []int, origIdx []int32, isL2 bool, empty *label) slab {
+func newSlab(actives []int, origIdx []int32, isL2 bool, empty uint32) slab {
 	acts := make([]int32, len(actives))
 	for i, a := range actives {
 		acts[i] = origIdx[a]
 	}
 	n := 2 * len(actives)
-	sl := slab{actives: acts, gaps: make([]*label, 1, n+1)}
+	sl := slab{actives: acts, gaps: make([]uint32, 1, n+1)}
 	sl.gaps[0] = empty
 	if n > 0 {
 		sl.edges = make([]float64, 0, n)
 		if isL2 {
-			sl.arcs = make([]arcEdge, 0, n)
+			sl.arcs = make([]uint32, 0, n)
 		}
 	}
 	return sl
 }
 
-// addEdge appends one emitted edge and the label of the gap above it.
-func (sl *slab) addEdge(y float64, circle int, upper bool, above *label, origIdx []int32, isL2 bool) {
+// addEdge appends one emitted edge and the set id of the gap above it.
+func (sl *slab) addEdge(y float64, circle int, upper bool, above uint32, origIdx []int32) {
 	sl.edges = append(sl.edges, y)
-	if isL2 {
-		sl.arcs = append(sl.arcs, arcEdge{circle: origIdx[circle], upper: upper})
+	if sl.arcs != nil {
+		a := uint32(origIdx[circle]) << 1
+		if upper {
+			a |= 1
+		}
+		sl.arcs = append(sl.arcs, a)
 	}
 	sl.gaps = append(sl.gaps, above)
 }

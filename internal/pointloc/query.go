@@ -6,12 +6,14 @@ import (
 	"sort"
 
 	"rnnheatmap/internal/geom"
-	"rnnheatmap/internal/nncircle"
 )
 
+// noClients is the RNN set of every face outside the slabs.
+var noClients = []int{}
+
 // Query returns the heat and RNN set of the face containing p. The returned
-// slice is shared with the index for label-lookup answers — callers must not
-// mutate it (heatmap.Map copies it before handing it out).
+// slice may be shared with the index — callers must not mutate it
+// (heatmap.Map copies it before handing it out).
 //
 // The generic path is two binary searches (slab by x, gap by y) and zero set
 // construction; queries within eps of a slab edge, gap edge or zero-radius
@@ -21,16 +23,16 @@ func (ix *Index) Query(p geom.Point) (float64, []int) {
 	q := ix.toSweep(p)
 	i, direct := ix.locateSlab(q.X)
 	if !direct {
-		return exact(ix, p, q.X)
+		return ix.exact(p, q.X)
 	}
 	if i < 0 {
-		return ix.empty.Heat, ix.empty.RNN
+		return ix.emptyHeat, noClients
 	}
-	l, ok := ix.slabs[i].lookup(ix, q)
+	id, ok := ix.lookup(i, q)
 	if !ok {
-		return exact(ix, p, q.X)
+		return ix.exact(p, q.X)
 	}
-	return l.Heat, l.RNN
+	return ix.sets.answer(id)
 }
 
 // QueryBatch answers one Query per point, in input order. Points are sorted
@@ -39,40 +41,31 @@ func (ix *Index) Query(p geom.Point) (float64, []int) {
 // independent slab searches. Answers are identical to per-point Query calls.
 //
 // Unlike Query, the returned RNN slices are caller-owned copies (packed into
-// chunked arenas while each label is still cache-hot), never views into the
+// chunked arenas while each set is still cache-hot), never views into the
 // index, so callers may retain and mutate them freely.
 func (ix *Index) QueryBatch(ps []geom.Point) ([]float64, [][]int) {
 	heats := make([]float64, len(ps))
 	rnns := make([][]int, len(ps))
 	arena := make([]int, 0, 4096)
-	ix.queryMany(ps, func(k int, heat float64, rnn []int) {
-		heats[k] = heat
-		if len(rnn) > cap(arena)-len(arena) {
-			arena = make([]int, 0, max(4096, len(rnn)))
+	// answer stores point k's heat and copies its set into the arena: set
+	// id's members when hit, else rnn.
+	answer := func(k int, heat float64, rnn []int, id uint32, hit bool) {
+		n := len(rnn)
+		if hit {
+			n = ix.sets.size(id)
+		}
+		if n > cap(arena)-len(arena) {
+			arena = make([]int, 0, max(4096, n))
 		}
 		start := len(arena)
-		arena = append(arena, rnn...)
+		if hit {
+			arena = ix.sets.appendSet(arena, id)
+		} else {
+			arena = append(arena, rnn...)
+		}
+		heats[k] = heat
 		rnns[k] = arena[start:len(arena):len(arena)]
-	})
-	return heats, rnns
-}
-
-// HeatGrid fills out (row-major, row 0 at the top, len(out) ==
-// width*height) with the heat Query returns at each pixel center of bounds
-// (geom.Rect.PixelCenters), bit for bit; see grid.go for the kernel.
-func (ix *Index) HeatGrid(bounds geom.Rect, width, height int, out []float64) {
-	heatGrid(ix, bounds, width, height, out)
-}
-
-// batchKey carries one batch point through the sort: its sweep-space
-// coordinates plus its input position.
-type batchKey struct {
-	x, y float64
-	k    int32
-}
-
-// queryMany is the shared batch driver: transform, sort by sweep x, walk.
-func (ix *Index) queryMany(ps []geom.Point, emit func(k int, heat float64, rnn []int)) {
+	}
 	keys := make([]batchKey, 0, len(ps))
 	for k, p := range ps {
 		q := ix.toSweep(p)
@@ -81,7 +74,7 @@ func (ix *Index) queryMany(ps []geom.Point, emit func(k int, heat float64, rnn [
 			// the monotone walk for every other point. No circle contains a
 			// NaN coordinate (all comparisons are false), which is also
 			// exactly what a standalone Query resolves: the empty face.
-			emit(k, ix.empty.Heat, ix.empty.RNN)
+			answer(k, ix.emptyHeat, nil, 0, false)
 			continue
 		}
 		keys = append(keys, batchKey{x: q.X, y: q.Y, k: int32(k)})
@@ -109,21 +102,29 @@ func (ix *Index) queryMany(ps []geom.Point, emit func(k int, heat float64, rnn [
 		i = gallopGE(ix.xs, i, q.X)
 		si, direct := ix.slabAt(q.X, i)
 		if !direct {
-			h, rnn := exact(ix, ps[k], q.X)
-			emit(k, h, rnn)
+			h, rnn := ix.exact(ps[k], q.X)
+			answer(k, h, rnn, 0, false)
 			continue
 		}
 		if si < 0 {
-			emit(k, ix.empty.Heat, ix.empty.RNN)
+			answer(k, ix.emptyHeat, nil, 0, false)
 			continue
 		}
-		if l, ok := ix.slabs[si].lookup(ix, q); ok {
-			emit(k, l.Heat, l.RNN)
+		if id, ok := ix.lookup(si, q); ok {
+			answer(k, ix.sets.heats[id], nil, id, true)
 		} else {
-			h, rnn := exact(ix, ps[k], q.X)
-			emit(k, h, rnn)
+			h, rnn := ix.exact(ps[k], q.X)
+			answer(k, h, rnn, 0, false)
 		}
 	}
+	return heats, rnns
+}
+
+// batchKey carries one batch point through the sort: its sweep-space
+// coordinates plus its input position.
+type batchKey struct {
+	x, y float64
+	k    int32
 }
 
 // gallopGE returns the first index >= from with xs[idx] >= x (len(xs) when
@@ -149,28 +150,28 @@ func gallopGE(xs []float64, from int, x float64) int {
 // locateSlab finds the slab containing sweep-space x. It returns
 // direct=false when x lies within eps of a slab boundary or zero-radius
 // center (the exact path must answer), and i=-1 with direct=true when x is
-// strictly outside every slab (the answer is the empty label).
-func (a *axis) locateSlab(x float64) (i int, direct bool) {
-	return a.slabAt(x, sort.SearchFloat64s(a.xs, x))
+// strictly outside every slab (the answer is the empty set).
+func (ix *Index) locateSlab(x float64) (i int, direct bool) {
+	return ix.slabAt(x, sort.SearchFloat64s(ix.xs, x))
 }
 
-// slabAt resolves the slab for x given pos = sort.SearchFloat64s(a.xs, x)
+// slabAt resolves the slab for x given pos = sort.SearchFloat64s(ix.xs, x)
 // (the first slab edge >= x).
-func (a *axis) slabAt(x float64, pos int) (i int, direct bool) {
-	ex := a.eps(x)
-	if a.nearZeroX(x, ex) {
+func (ix *Index) slabAt(x float64, pos int) (i int, direct bool) {
+	ex := ix.eps(x)
+	if ix.nearZeroX(x, ex) {
 		return 0, false
 	}
-	if len(a.xs) == 0 {
+	if len(ix.xs) == 0 {
 		return -1, true
 	}
-	if pos < len(a.xs) && a.xs[pos]-x <= ex {
+	if pos < len(ix.xs) && ix.xs[pos]-x <= ex {
 		return 0, false
 	}
-	if pos > 0 && x-a.xs[pos-1] <= ex {
+	if pos > 0 && x-ix.xs[pos-1] <= ex {
 		return 0, false
 	}
-	if pos == 0 || pos == len(a.xs) {
+	if pos == 0 || pos == len(ix.xs) {
 		// Strictly outside every slab by more than eps: empty face.
 		return -1, true
 	}
@@ -179,29 +180,31 @@ func (a *axis) slabAt(x float64, pos int) (i int, direct bool) {
 
 // nearZeroX reports whether x lies within ex of the sweep-space center of a
 // zero-radius circle.
-func (a *axis) nearZeroX(x float64, ex float64) bool {
-	if len(a.zeroXs) == 0 {
+func (ix *Index) nearZeroX(x float64, ex float64) bool {
+	if len(ix.zeroXs) == 0 {
 		return false
 	}
-	j := sort.SearchFloat64s(a.zeroXs, x)
-	if j < len(a.zeroXs) && a.zeroXs[j]-x <= ex {
+	j := sort.SearchFloat64s(ix.zeroXs, x)
+	if j < len(ix.zeroXs) && ix.zeroXs[j]-x <= ex {
 		return true
 	}
-	return j > 0 && x-a.zeroXs[j-1] <= ex
+	return j > 0 && x-ix.zeroXs[j-1] <= ex
 }
 
-// lookup resolves the gap containing the sweep-space point q, returning
-// ok=false when q lies within eps of a gap edge (exact path required). For
-// rectilinear slabs the edges are constants; for L2 slabs the arc heights
-// are evaluated at q.X — the arc order is invariant across the slab, so the
-// binary search remains valid at any interior x.
-func (sl *slab) lookup(ix *Index, q geom.Point) (*label, bool) {
+// lookup resolves the gap of slab si containing the sweep-space point q,
+// returning its set id, and ok=false when q lies within eps of a gap edge
+// (exact path required). For rectilinear slabs the edges are constants; for
+// L2 slabs the arc heights are evaluated at q.X — the arc order is
+// invariant across the slab, so the binary search remains valid at any
+// interior x.
+func (ix *Index) lookup(si int, q geom.Point) (uint32, bool) {
+	sl := &ix.slabs[si]
 	ey := ix.eps(q.Y)
-	if sl.arcs == nil {
+	if ix.metric != geom.L2 {
 		if j, ok := gapIn(sl.edges, q.Y, ey); ok {
 			return sl.gaps[j], true
 		}
-		return nil, false
+		return 0, false
 	}
 	j := sort.Search(len(sl.arcs), func(k int) bool {
 		return ix.arcYAt(sl.arcs[k], q.X) >= q.Y
@@ -214,7 +217,7 @@ func (sl *slab) lookup(ix *Index, q geom.Point) (*label, bool) {
 		above = ix.arcYAt(sl.arcs[j], q.X)
 	}
 	if nearEdge(below, above, q.Y, ey) {
-		return nil, false
+		return 0, false
 	}
 	return sl.gaps[j], true
 }
@@ -243,33 +246,16 @@ func nearEdge(below, above, y, ey float64) bool {
 	return above-y <= ey || y-below <= ey
 }
 
-// arcYAt evaluates an arc's boundary height at sweep-space x. Inside a
-// slab's interior |x - cx| < r is guaranteed (the circle's extreme is an
-// event bounding the slab); the radicand is clamped defensively anyway.
-func (ix *Index) arcYAt(a arcEdge, x float64) float64 {
-	c := ix.sweepAll[a.circle].Circle
+// arcYAt evaluates an encoded arc's boundary height at sweep-space x.
+// Inside a slab's interior |x - cx| < r is guaranteed (the circle's extreme
+// is an event bounding the slab); the radicand is clamped defensively
+// anyway.
+func (ix *Index) arcYAt(a uint32, x float64) float64 {
+	c := ix.sweepAll[a>>1].Circle
 	dx := x - c.Center.X
 	h := math.Sqrt(math.Max(0, c.Radius*c.Radius-dx*dx))
-	if a.upper {
+	if a&1 != 0 {
 		return c.Center.Y + h
 	}
 	return c.Center.Y - h
 }
-
-// The slabTable accessors (see grid.go) over the heap slabs.
-
-func (ix *Index) edges(si int) []float64 { return ix.slabs[si].edges }
-
-func (ix *Index) arcHeights(si int, x float64, dst []float64) {
-	for k, a := range ix.slabs[si].arcs {
-		dst[k] = ix.arcYAt(a, x)
-	}
-}
-
-func (ix *Index) gapHeat(si, j int) float64 { return ix.slabs[si].gaps[j].Heat }
-
-func (ix *Index) actives(si int) []int32 { return ix.slabs[si].actives }
-
-func (ix *Index) circle(ci int32) nncircle.NNCircle { return ix.all[ci] }
-
-func (ix *Index) zeroCircle(j int) nncircle.NNCircle { return ix.zeros[j] }

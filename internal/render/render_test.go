@@ -523,7 +523,7 @@ func TestPaletterStaleBuffers(t *testing.T) {
 
 // TestRenderIntoMatchesRender pins the pooled raster path: RenderInto into a
 // raster prefilled with NaN — larger than the tile, and smaller — equals a
-// fresh Render, for every metric through the slab locator and through the
+// fresh Render, for every metric through the slab index and through the
 // enclosure path.
 func TestRenderIntoMatchesRender(t *testing.T) {
 	t.Parallel()
@@ -538,15 +538,14 @@ func TestRenderIntoMatchesRender(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		slab, err := NewRenderer(circles, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
 		ix, err := pointloc.Build(circles, nil, pointloc.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		slab.UsePointLoc(ix)
+		slab, err := NewIndexRenderer(ix, encl.Bounds(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		b := encl.Bounds()
 		sub := geom.Rect{MinX: b.MinX + 10, MinY: b.MinY + 20, MaxX: b.MinX + 50, MaxY: b.MinY + 45}
 		for name, rd := range map[string]*Renderer{"enclosure": encl, "slab": slab} {

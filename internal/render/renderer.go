@@ -13,50 +13,38 @@ import (
 	"rnnheatmap/internal/pointloc"
 )
 
-// Renderer rasterizes arbitrary sub-rectangles of one heat map against a
-// point-enclosure index that is built once and reused across calls. HeatMap
-// rebuilds the index per invocation, which is fine for a one-shot PNG dump
-// but not for a tile server answering many small viewport requests; a
-// Renderer amortizes the construction and is safe for concurrent use.
+// Renderer rasterizes arbitrary sub-rectangles of one heat map, through a
+// slab point-location index (NewIndexRenderer) or a point-enclosure index
+// that is built once and reused across calls (NewRenderer). HeatMap builds
+// a renderer per invocation, which is fine for a one-shot PNG dump but not
+// for a tile server answering many small viewport requests; a Renderer
+// amortizes the construction and is safe for concurrent use.
 type Renderer struct {
 	circles []nncircle.NNCircle
 	index   enclosure.Index
 	measure influence.Measure
 	bounds  geom.Rect
-	pl      pointloc.Locator
+	ix      *pointloc.Index
 	calls   atomic.Int64
 }
 
-// UsePointLoc attaches a slab point-location locator over the same circles
-// and measure — the heap index or an mmap-backed snapshot view.
-// Rasterization then goes through the locator's raster kernel
-// (pointloc.Locator.HeatGrid) instead of a stabbing query per pixel: each
-// pixel column resolves its slab and evaluates each arc of it once, and each
-// pixel reads a precomputed face heat with no RNN-set construction. The
-// output is byte-identical either way: HeatGrid returns exactly the heats of
-// per-pixel point queries, and the locators implement the enclosure path's
-// closed boundary convention. Call it before the first Render (heatmap.Map
-// does, under its renderer-construction once). A nil locator is ignored.
-func (rd *Renderer) UsePointLoc(loc pointloc.Locator) {
-	if loc != nil {
-		rd.pl = loc
-	}
-}
-
-// NewLocatorRenderer builds a Renderer that rasterizes exclusively through a
-// point-location locator — no circles, no enclosure index. This is the
-// mmap cold-start path: a format-v2 snapshot supplies the locator and the
-// map bounds, and the renderer serves tiles without materializing a single
-// heap object from the file. Render never touches the enclosure fallback
-// when a locator is set, so the missing circle slice is unreachable.
-func NewLocatorRenderer(loc pointloc.Locator, bounds geom.Rect, measure influence.Measure) (*Renderer, error) {
-	if loc == nil {
-		return nil, errors.New("render: nil locator")
+// NewIndexRenderer builds a Renderer that rasterizes through a slab
+// point-location index (pointloc.Index.HeatGrid): each pixel column
+// resolves its slab and evaluates each arc of it once, and each pixel reads
+// a precomputed face heat with no RNN-set construction — no circles, no
+// enclosure index. The output is byte-identical to the enclosure path:
+// HeatGrid returns exactly the heats of per-pixel point queries, and the
+// index implements the enclosure path's closed boundary convention. bounds
+// is the map's full extent (Bounds); an index opened from a snapshot
+// renders tiles without materializing a single heap object from the file.
+func NewIndexRenderer(ix *pointloc.Index, bounds geom.Rect, measure influence.Measure) (*Renderer, error) {
+	if ix == nil {
+		return nil, errors.New("render: nil slab index")
 	}
 	if measure == nil {
 		measure = influence.Size()
 	}
-	return &Renderer{measure: measure, bounds: bounds, pl: loc}, nil
+	return &Renderer{measure: measure, bounds: bounds, ix: ix}, nil
 }
 
 // NewRenderer builds a Renderer over the NN-circles. index may be nil, in
@@ -125,8 +113,8 @@ func (rd *Renderer) RenderInto(dst *Raster, bounds geom.Rect, width, height int)
 	}
 	values := slices.Grow(dst.Values[:0], width*height)[:width*height]
 	*dst = Raster{Bounds: bounds, Width: width, Height: height, Values: values}
-	if rd.pl != nil {
-		rd.pl.HeatGrid(bounds, width, height, values)
+	if rd.ix != nil {
+		rd.ix.HeatGrid(bounds, width, height, values)
 	} else {
 		rd.enclosureGrid(bounds, width, height, values)
 	}
@@ -134,10 +122,11 @@ func (rd *Renderer) RenderInto(dst *Raster, bounds geom.Rect, width, height int)
 	return nil
 }
 
-// enclosureGrid is the no-locator path and the oracle HeatGrid is held to:
+// enclosureGrid is the no-index path and the oracle HeatGrid is held to:
 // one stabbing query per pixel center, its RNN set fed to the measure.
 func (rd *Renderer) enclosureGrid(bounds geom.Rect, width, height int, out []float64) {
-	xs, ys := bounds.PixelCenters(width, height)
+	xs, ys := make([]float64, width), make([]float64, height)
+	bounds.PixelCenters(xs, ys)
 	centers := make([]geom.Point, width)
 	set := oset.New()
 	for py, y := range ys {

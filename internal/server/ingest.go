@@ -487,10 +487,17 @@ func (s *Server) handleMutations(inst *mapInstance, w http.ResponseWriter, r *ht
 	nops := 0
 	ds := make([]heatmap.Delta, len(req.Ops))
 	for i, op := range req.Ops {
-		for j, p := range append(append([]pointJSON(nil), op.AddClients...), op.AddFacilities...) {
-			if math.IsNaN(p.X) || math.IsInf(p.X, 0) || math.IsNaN(p.Y) || math.IsInf(p.Y, 0) {
-				writeError(w, http.StatusBadRequest, "op %d: point %d is not finite", i, j)
-				return
+		// encoding/json already refuses NaN and out-of-range numbers such as
+		// 1e999, so this check is defense in depth. The op's facility points
+		// are numbered after its clients.
+		j := 0
+		for _, pts := range [2][]pointJSON{op.AddClients, op.AddFacilities} {
+			for _, p := range pts {
+				if math.IsNaN(p.X) || math.IsInf(p.X, 0) || math.IsNaN(p.Y) || math.IsInf(p.Y, 0) {
+					writeError(w, http.StatusBadRequest, "op %d: point %d is not finite", i, j)
+					return
+				}
+				j++
 			}
 		}
 		nops += len(op.AddClients) + len(op.RemoveClients) + len(op.AddFacilities) + len(op.RemoveFacilities)

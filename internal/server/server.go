@@ -5,10 +5,11 @@
 // slippy-map raster tiles, point and batched influence queries, region
 // exploration and operational introspection.
 //
-// Every endpoint is mounted once, under /v1, and every error a handler
-// writes is the structured envelope {"error": {"code": "...", "message":
-// "..."}} (a path or method no route matches gets the mux's plain 404 or
-// 405). Each per-map endpoint exists in the tenant form /v1/maps/{map}/...
+// Every endpoint is mounted once, under /v1, and every error is the
+// structured envelope {"error": {"code": "...", "message": "..."}}: the
+// ones handlers write, and the answer to a request no route matches — 404
+// not_found, or 405 method_not_allowed with an Allow header when the path
+// has routes under other methods. Each per-map endpoint exists in the tenant form /v1/maps/{map}/...
 // and as a default-map alias without the /maps/{map} segment, which
 // resolves to the map named "default":
 //
@@ -348,6 +349,33 @@ func (s *Server) routes() {
 	s.add("GET", "/cluster/maps", s.handleClusterMaps)
 	s.add("GET", "/cluster/maps/{map}/wal", s.handleClusterWAL)
 	s.add("GET", "/cluster/maps/{map}/snapshot", s.handleClusterSnapshot)
+	// Every other method and path: the catch-all pattern matches any
+	// request no route above does.
+	s.mux.HandleFunc("/", s.handleUnrouted)
+}
+
+// handleUnrouted answers a request no route matches in the error envelope.
+// When the path has routes under other methods the answer is the mux's own
+// 405 — the same status and Allow header, GET implying HEAD — else 404.
+func (s *Server) handleUnrouted(w http.ResponseWriter, r *http.Request) {
+	var allow []string
+	for _, method := range []string{http.MethodDelete, http.MethodGet, http.MethodPost} {
+		probe := *r
+		probe.Method = method
+		if _, pattern := s.mux.Handler(&probe); pattern != "/" {
+			allow = append(allow, method)
+			if method == http.MethodGet {
+				allow = append(allow, http.MethodHead)
+			}
+		}
+	}
+	if len(allow) == 0 {
+		writeErrorCode(w, http.StatusNotFound, codeNotFound, "no route matches %s %s", r.Method, r.URL.Path)
+		return
+	}
+	w.Header().Set("Allow", strings.Join(allow, ", "))
+	writeErrorCode(w, http.StatusMethodNotAllowed, codeMethodNotAllowed,
+		"no route matches %s %s; the path allows %s", r.Method, r.URL.Path, strings.Join(allow, ", "))
 }
 
 // add registers one endpoint under /v1.
@@ -459,6 +487,7 @@ const (
 	codeForbidden         = "forbidden"
 	codeReadOnly          = "read_only"
 	codeNotFound          = "not_found"
+	codeMethodNotAllowed  = "method_not_allowed"
 	codeConflict          = "conflict"
 	codeMapExists         = "map_exists"
 	codeImmutableMap      = "immutable_map"

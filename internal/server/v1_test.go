@@ -107,10 +107,23 @@ func TestWriteErrorCodeShapes(t *testing.T) {
 	}
 }
 
+// unrouted decodes rec as the answer to a request no route matches: the
+// error envelope, with the catch-all's message, which no handler writes.
+func unrouted(rec *httptest.ResponseRecorder) (v1Error, bool) {
+	var env v1Error
+	if rec.Header().Get("Content-Type") != "application/json" || json.Unmarshal(rec.Body.Bytes(), &env) != nil {
+		return env, false
+	}
+	return env, strings.HasPrefix(env.Error.Message, "no route matches ")
+}
+
 // TestOnlyV1RoutesServed pins the single mount: every registered route lives
 // under /v1 and is routed there, the same path without the prefix answers
-// the mux's 404, and the per-op write endpoints answer 404 in both forms —
-// POST .../mutations is the one write endpoint.
+// 404, and the per-op write endpoints answer 404 in both forms — POST
+// .../mutations is the one write endpoint. A request no route matches gets
+// the error envelope: 404 not_found for an unknown path, 405
+// method_not_allowed with the Allow header for a known path under another
+// method.
 func TestOnlyV1RoutesServed(t *testing.T) {
 	t.Parallel()
 	s, err := New(Config{Map: handMap(t), Mutable: true, TileSize: 32})
@@ -125,11 +138,14 @@ func TestOnlyV1RoutesServed(t *testing.T) {
 			t.Errorf("route %s %s is not under /%s", method, r[1], APIVersion)
 			continue
 		}
-		// The mux's own 404 and 405 are plain text; every handler answers
-		// JSON or a PNG tile.
+		// Every handler answers JSON or a PNG tile, never the catch-all's
+		// envelope.
 		rec := do(t, s, method, path, "")
 		if ct := rec.Header().Get("Content-Type"); ct != "application/json" && ct != "image/png" {
 			t.Errorf("%s %s = %d %q, want an answer from its handler", method, path, rec.Code, ct)
+		}
+		if env, ok := unrouted(rec); ok {
+			t.Errorf("%s %s = %d %+v, want an answer from its handler, not the catch-all's", method, path, rec.Code, env)
 		}
 		if rec := do(t, s, method, "/"+rest, ""); rec.Code != http.StatusNotFound {
 			t.Errorf("%s /%s = %d, want 404: only /%s is served", method, rest, rec.Code, APIVersion)
@@ -140,6 +156,24 @@ func TestOnlyV1RoutesServed(t *testing.T) {
 			if rec := do(t, s, method, path, `{"points":[{"x":1,"y":1}],"indexes":[0]}`); rec.Code != http.StatusNotFound {
 				t.Errorf("%s %s = %d, want 404: the per-op endpoints are gone", method, path, rec.Code)
 			}
+		}
+	}
+	for _, tc := range []struct {
+		method, path string
+		status       int
+		code, allow  string
+	}{
+		{http.MethodGet, "/v1/nope", http.StatusNotFound, "not_found", ""},
+		{http.MethodGet, "/heat", http.StatusNotFound, "not_found", ""},
+		{http.MethodGet, "/v1/heat/batch", http.StatusMethodNotAllowed, "method_not_allowed", "POST"},
+		{http.MethodPost, "/v1/maps/default", http.StatusMethodNotAllowed, "method_not_allowed", "DELETE, GET, HEAD"},
+	} {
+		rec := do(t, s, tc.method, tc.path, "")
+		env, ok := unrouted(rec)
+		if rec.Code != tc.status || !ok || env.Error.Code != tc.code || rec.Header().Get("Allow") != tc.allow {
+			t.Errorf("%s %s = %d %q (Allow %q) %s, want %d with the catch-all's %s envelope (Allow %q)",
+				tc.method, tc.path, rec.Code, rec.Header().Get("Content-Type"), rec.Header().Get("Allow"),
+				rec.Body.String(), tc.status, tc.code, tc.allow)
 		}
 	}
 	if got := s.Version(); got != 1 {

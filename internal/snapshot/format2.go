@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"rnnheatmap/internal/core"
 	"rnnheatmap/internal/geom"
 	"rnnheatmap/internal/oset"
 	"rnnheatmap/internal/postprocess"
@@ -77,9 +76,9 @@ const tableEntrySize = 24
 
 // SlabTables is the flattened slab point-location index as stored in a
 // snapshot: the prefix-offset arrays index the concatenated per-slab lists,
-// exactly the shape pointloc.Index.ExportTables emits and the mapped locator
-// (pointloc.Mapped) queries in place. Gap labels are interned-set pointers;
-// the encoder folds them into the snapshot's set pool and stores pool ids.
+// exactly the shape pointloc.Index.ExportTables emits and pointloc.Open
+// slices back out of a mapped file. Gap labels are the index's set ids; the
+// encoder folds their sets into the snapshot's set pool and stores pool ids.
 type SlabTables struct {
 	Xs      []float64
 	ActOff  []uint32
@@ -87,7 +86,11 @@ type SlabTables struct {
 	EdgeOff []uint32
 	Edges   []float64
 	Arcs    []uint32 // circle index <<1 | upper bit; L2 only, else empty
-	Gaps    []*core.Interned
+	// Gaps holds one set id per gap, each below NumSets; Set resolves an id
+	// to the set's members (ascending) and heat.
+	Gaps    []uint32
+	NumSets int
+	Set     func(id uint32) (rnn []int, heat float64)
 	ZeroXs  []float64
 	ZeroIdx []int32
 }
@@ -95,12 +98,9 @@ type SlabTables struct {
 // poolBuilder interns label sets by content (oset.ContentKey) into the flat
 // pool arrays. The same set written twice (a label and a slab gap, say) gets
 // one record; the first writer's heat wins, which is exact because every
-// producer computed the heat from the same measure over the same set. ptr
-// remembers the id of each slab gap's pool pointer, so the many gaps that
-// share one interned label are keyed once.
+// producer computed the heat from the same measure over the same set.
 type poolBuilder struct {
 	ids     map[oset.ContentKey]uint32
-	ptr     map[*core.Interned]uint32
 	heats   []float64
 	off     []uint32
 	members []int32
@@ -109,7 +109,6 @@ type poolBuilder struct {
 func newPoolBuilder() *poolBuilder {
 	return &poolBuilder{
 		ids: make(map[oset.ContentKey]uint32),
-		ptr: make(map[*core.Interned]uint32),
 		off: []uint32{0},
 	}
 }
@@ -129,13 +128,22 @@ func (p *poolBuilder) intern(rnn []int, heat float64) uint32 {
 	return id
 }
 
-func (p *poolBuilder) internLabel(l *core.Interned) uint32 {
-	if id, ok := p.ptr[l]; ok {
-		return id
+// gapIDs maps the tables' gap set ids to pool ids. Each distinct set id is
+// keyed once, through a dense table over the ids: the many gaps sharing one
+// set cost one array read each.
+func (p *poolBuilder) gapIDs(t *SlabTables) ([]uint32, error) {
+	pooled := make([]uint32, t.NumSets) // pool id + 1; 0 until first seen
+	out := make([]uint32, len(t.Gaps))
+	for i, g := range t.Gaps {
+		if int(g) >= len(pooled) {
+			return nil, fmt.Errorf("snapshot: slab tables: gap set id %d of %d", g, len(pooled))
+		}
+		if pooled[g] == 0 {
+			pooled[g] = p.intern(t.Set(g)) + 1
+		}
+		out[i] = pooled[g] - 1
 	}
-	id := p.intern(l.RNN, l.Heat)
-	p.ptr[l] = id
-	return id
+	return out, nil
 }
 
 // sectionWriter accumulates aligned sections and their table entries.
@@ -284,9 +292,9 @@ func (s *Snapshot) Encode(w io.Writer, tables *SlabTables) error {
 	}
 	var gapIDs []uint32
 	if tables != nil {
-		gapIDs = make([]uint32, 0, len(tables.Gaps))
-		for _, g := range tables.Gaps {
-			gapIDs = append(gapIDs, pool.internLabel(g))
+		var err error
+		if gapIDs, err = pool.gapIDs(tables); err != nil {
+			return err
 		}
 	}
 

@@ -38,10 +38,10 @@ func checkSlabIndex(t *testing.T, v *View, tables *SlabTables) {
 		t.Fatalf("%d gaps, want %d", len(sv.Gaps), len(tables.Gaps))
 	}
 	for i, id := range sv.Gaps {
-		want := tables.Gaps[i]
-		if got := v.PoolRNN(id); !reflect.DeepEqual(got, want.RNN) || v.PoolHeat(id) != want.Heat {
+		wantRNN, wantHeat := tables.Set(tables.Gaps[i])
+		if got := v.PoolRNN(id); !reflect.DeepEqual(got, wantRNN) || v.PoolHeats()[id] != wantHeat {
 			t.Errorf("gap %d: pool %d holds %v heat %v, want %v heat %v",
-				i, id, got, v.PoolHeat(id), want.RNN, want.Heat)
+				i, id, got, v.PoolHeats()[id], wantRNN, wantHeat)
 		}
 	}
 	// The gap set has the same content as label 0's RNN set, so the pool

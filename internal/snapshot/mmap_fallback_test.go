@@ -58,17 +58,14 @@ func TestOpenFallbackParity(t *testing.T) {
 			t.Errorf("CircleAt(%d) diverges: %+v vs %+v", i, def.CircleAt(i), fb.CircleAt(i))
 		}
 	}
-	if !reflect.DeepEqual(def.CircleGeo(), fb.CircleGeo()) {
-		t.Error("CircleGeo diverges between the mmap and fallback paths")
-	}
 	for i := 0; i < dm.NumLabels; i++ {
 		if !reflect.DeepEqual(def.LabelAt(i), fb.LabelAt(i)) {
 			t.Errorf("LabelAt(%d) diverges", i)
 		}
 	}
 	for id := uint32(0); int(id) < dm.NumPool; id++ {
-		if def.PoolHeat(id) != fb.PoolHeat(id) {
-			t.Errorf("PoolHeat(%d) diverges", id)
+		if def.PoolHeats()[id] != fb.PoolHeats()[id] {
+			t.Errorf("PoolHeats()[%d] diverges", id)
 		}
 		if !reflect.DeepEqual(def.PoolMembers(id), fb.PoolMembers(id)) {
 			t.Errorf("PoolMembers(%d) diverges", id)

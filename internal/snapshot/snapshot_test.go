@@ -59,7 +59,6 @@ func sample() *Snapshot {
 // its metric set to L2, so every section kind, arcs included, is present
 // and non-empty in the encoded file.
 func sampleTables() *SlabTables {
-	set := &core.Interned{RNN: []int{0, 2}, Heat: 2}
 	return &SlabTables{
 		Xs:      []float64{0, 1},
 		ActOff:  []uint32{0, 1, 2},
@@ -67,7 +66,9 @@ func sampleTables() *SlabTables {
 		EdgeOff: []uint32{0, 1, 2},
 		Edges:   []float64{0.5, 0.25},
 		Arcs:    []uint32{0<<1 | 1, 1 << 1},
-		Gaps:    []*core.Interned{set, set, set, set},
+		Gaps:    []uint32{0, 0, 0, 0},
+		NumSets: 1,
+		Set:     func(uint32) ([]int, float64) { return []int{0, 2}, 2 },
 		ZeroXs:  []float64{0.5},
 		ZeroIdx: []int32{1},
 	}

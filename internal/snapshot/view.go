@@ -45,9 +45,11 @@ type Meta struct {
 }
 
 // SlabView exposes the slab point-location sections of a mapped snapshot as
-// typed slices aliasing the file bytes. Offsets are prefix arrays: slab i
-// owns Actives[ActOff[i]:ActOff[i+1]] and Edges[EdgeOff[i]:EdgeOff[i+1]];
-// its len(edges)+1 gap pool-ids start at Gaps[EdgeOff[i]+uint32(i)].
+// typed slices aliasing the file bytes; pointloc.Open slices each slab's
+// lists out of them without copying. Offsets are prefix arrays: slab i owns
+// Actives[ActOff[i]:ActOff[i+1]], Edges[EdgeOff[i]:EdgeOff[i+1]] and (L2)
+// the Arcs at the same positions; its len(edges)+1 gap pool-ids start at
+// Gaps[EdgeOff[i]+uint32(i)].
 type SlabView struct {
 	Xs      []float64
 	ActOff  []uint32
@@ -155,7 +157,8 @@ func open(path string, allowMmap bool) (*View, error) {
 }
 
 // Close releases a mapped View. It must only be called once no slice aliased
-// from the view (including any Snapshot it materialized) is in use.
+// from the view (including any Snapshot it materialized, any slab index
+// opened over it, or any index patched from it) is in use.
 func (v *View) Close() error {
 	data, mapped := v.data, v.mapped
 	v.data, v.mapped = nil, false
@@ -421,9 +424,6 @@ func (v *View) Slab() *SlabView { return v.slab }
 // NumCircles returns the circle count.
 func (v *View) NumCircles() int { return v.meta.NumCircles }
 
-// CircleGeo aliases the (cx, cy, radius) triples of all circles.
-func (v *View) CircleGeo() []float64 { return v.circleGeo }
-
 // CircleAt materializes circle i from the flat arrays.
 func (v *View) CircleAt(i int) nncircle.NNCircle {
 	return nncircle.NNCircle{
@@ -437,8 +437,8 @@ func (v *View) CircleAt(i int) nncircle.NNCircle {
 	}
 }
 
-// PoolHeat returns the influence of pool record id.
-func (v *View) PoolHeat(id uint32) float64 { return v.poolHeats[id] }
+// PoolHeats aliases the influence of every pool record, by pool id.
+func (v *View) PoolHeats() []float64 { return v.poolHeats }
 
 // PoolRNN returns the materialized member list of pool record id. Lists are
 // built once for the whole pool on first use and shared by every caller —
