@@ -717,12 +717,16 @@ func (m *Map) AboveThreshold(minHeat float64) []Region {
 	return out
 }
 
-// Stats exposes the work counters of the underlying Region Coloring run.
+// Stats exposes the work counters of the underlying Region Coloring run, as
+// a snapshot keeps them: StatusWork, which measures one sweep's execution
+// rather than the map, is not stored and reads zero.
 func (m *Map) Stats() core.Stats {
 	if m.view != nil {
 		return m.view.Meta().Stats
 	}
-	return m.result.Stats
+	st := m.result.Stats
+	st.StatusWork = 0
+	return st
 }
 
 // Summary describes the heat distribution over the labeled regions: region

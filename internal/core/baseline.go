@@ -37,7 +37,7 @@ func Baseline(circles []nncircle.NNCircle, opts Options) (*Result, error) {
 	case geom.L2:
 		return nil, ErrUnsupportedBaselineL2
 	}
-	finalizeStats(col, usable)
+	col.res.Stats.Circles = len(usable)
 	return col.finish(), nil
 }
 

@@ -82,16 +82,22 @@ func labelKeys(labels []Label) map[string]bool {
 // regions whose midpoints are numerically on the boundary.
 func checkLabelsAgainstOracle(t *testing.T, name string, circles []nncircle.NNCircle, labels []Label) {
 	t.Helper()
+	if i := mislabeled(circles, labels); i >= 0 {
+		l := labels[i]
+		t.Fatalf("%s: label %d at %v has RNN %v, brute force %v", name, i, l.Point, l.RNN, bruteRNN(circles, l.Point))
+	}
+}
+
+// mislabeled returns the index of the first label checkLabelsAgainstOracle
+// rejects, or -1.
+func mislabeled(circles []nncircle.NNCircle, labels []Label) int {
 	for i, l := range labels {
 		want := bruteRNN(circles, l.Point)
-		if setKey(want) == setKey(l.RNN) {
-			continue
+		if setKey(want) != setKey(l.RNN) && !onlyBoundaryAmbiguous(circles, l.Point, symmetricDiff(want, l.RNN)) {
+			return i
 		}
-		if onlyBoundaryAmbiguous(circles, l.Point, symmetricDiff(want, l.RNN)) {
-			continue
-		}
-		t.Fatalf("%s: label %d at %v has RNN %v, brute force %v", name, i, l.Point, l.RNN, want)
 	}
+	return -1
 }
 
 // symmetricDiff returns the client ids present in exactly one of the sorted

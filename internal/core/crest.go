@@ -2,12 +2,9 @@ package core
 
 import (
 	"errors"
-	"sync"
 
-	"rnnheatmap/internal/bptree"
 	"rnnheatmap/internal/geom"
 	"rnnheatmap/internal/nncircle"
-	"rnnheatmap/internal/oset"
 )
 
 // ErrUnsupportedL2Ablation is returned when CREST-A is requested for L2
@@ -25,7 +22,7 @@ var ErrUnsupportedL2Ablation = errors.New("core: CREST-A is not defined for the 
 // The input circles must share a single metric. L-infinity inputs are swept
 // directly; L1 inputs are rotated by π/4 into the equivalent L-infinity
 // instance (Section VII-B) and representative points are rotated back; L2
-// inputs are dispatched to CRESTL2 (Section VII-C).
+// inputs run the same sweep over circular arcs (CRESTL2, Section VII-C).
 //
 // With more than one worker (Options.Workers) the sweep is partitioned into
 // vertical strips executed concurrently (see partition.go); the result is
@@ -37,12 +34,10 @@ func CREST(circles []nncircle.NNCircle, opts Options) (*Result, error) {
 	}
 	var res *Result
 	switch metric {
-	case geom.LInf:
+	case geom.LInf, geom.L2:
 		res = runEngine(usable, opts, nil, true)
 	case geom.L1:
 		res = runEngine(nncircle.RotateL1ToLInf(usable), opts, geom.RotateLInfToL1, true)
-	case geom.L2:
-		return CRESTL2(circles, opts)
 	}
 	res.Stats.Circles = len(usable)
 	return res, nil
@@ -68,182 +63,4 @@ func CRESTA(circles []nncircle.NNCircle, opts Options) (*Result, error) {
 	}
 	res.Stats.Circles = len(usable)
 	return res, nil
-}
-
-func finalizeStats(col *collector, usable []nncircle.NNCircle) {
-	col.res.Stats.Circles = len(usable)
-}
-
-// sweepScratch is the reusable per-strip working memory of the rectilinear
-// sweep: the mutable base set the interval walk evolves (its node free-list
-// and index map survive Clear, so steady-state mutation allocates nothing)
-// and the changed-interval buffer rebuilt at every event. Instances are
-// pooled; strips borrow one for their whole run.
-type sweepScratch struct {
-	base    *oset.Set
-	changed []interval
-	replay  []int64
-}
-
-var sweepScratchPool = sync.Pool{
-	New: func() any { return &sweepScratch{base: oset.New()} },
-}
-
-// runCREST executes the full sequential sweep over L-infinity circles,
-// interning labels into intern. When changedIntervals is true the full CREST
-// optimization is used; otherwise every valid pair of every status is
-// labeled (CREST-A).
-func runCREST(circles []nncircle.NNCircle, sink Sink, intern *LabelInterner, changedIntervals bool) {
-	events := buildEvents(circles)
-	sink.AddEvents(len(events))
-	status := newLineStatus(circles)
-	cache := make(map[int64]*Interned)
-	scratch := sweepScratchPool.Get().(*sweepScratch)
-	sweepEvents(circles, events, status, cache, sink, intern, scratch, changedIntervals, events[len(events)-1].x)
-	sweepScratchPool.Put(scratch)
-}
-
-// sweepEvents advances the sweep over a contiguous run of events. status and
-// cache must describe the sweep line just before events[0]: empty for a full
-// sweep, warmed up with the straddling circles for a partition strip. cache
-// maps an anchor side ID (see cacheStride) to the interned RNN label of the
-// region immediately above that side, as of the last time a changed interval
-// updated it (the paper indexes its records by key 2i−1 / 2i; the anchor
-// sides thin that scheme out without losing its O(1) base-set restarts).
-// xAfter is the x-coordinate bounding the final event's slab on the
-// right: the x of the event that follows this run, or the final event's own
-// x when the run ends the sweep (the status is then empty, so the slab width
-// is irrelevant).
-func sweepEvents(circles []nncircle.NNCircle, events []event, status *lineStatus, cache map[int64]*Interned, sink Sink, intern *LabelInterner, scratch *sweepScratch, changedIntervals bool, xAfter float64) {
-	for l, ev := range events {
-		changed := scratch.changed[:0]
-		for _, ci := range ev.insert {
-			status.insertCircle(ci)
-			c := circles[ci].Circle
-			changed = append(changed, interval{lo: c.BottomY(), hi: c.TopY()})
-		}
-		for _, ci := range ev.remove {
-			status.removeCircle(ci)
-			delete(cache, lowerSideID(ci))
-			delete(cache, upperSideID(ci))
-			c := circles[ci].Circle
-			changed = append(changed, interval{lo: c.BottomY(), hi: c.TopY()})
-		}
-		scratch.changed = changed
-		// The slab labeled at this event lies between this event and the
-		// next one.
-		xNext := xAfter
-		if l+1 < len(events) {
-			xNext = events[l+1].x
-		}
-		slab := [2]float64{ev.x, xNext}
-
-		if !changedIntervals {
-			labelWholeStatus(status, sink, intern, scratch, slab)
-			continue
-		}
-		for _, iv := range mergeIntervals(changed) {
-			processInterval(status, cache, sink, intern, scratch, slab, iv)
-		}
-	}
-}
-
-// cacheStride is the anchor spacing of the base-record cache: only sides
-// whose ID is divisible by the stride keep an interned record. Since every
-// anchor in the status was covered by its own insertion event's changed
-// interval — and removals delete their records — every anchor present in the
-// tree always has a current record, so a base set is reconstructed by
-// replaying at most a handful of sides above the nearest anchor. The stride
-// trades that short replay for a cache (and interned pool) holding several
-// times fewer records, which is where the sweep's memory went.
-const cacheStride = 4
-
-// isAnchor reports whether the side keeps a base record in the cache.
-func isAnchor(id int64) bool { return id%cacheStride == 0 }
-
-// processInterval labels every valid pair of the current line status that
-// lies within the changed interval, rebuilding the base set from the nearest
-// anchor record below the interval (Section V-C2). The walk evolves the
-// scratch base set in place and interns it only where a pointer is actually
-// needed — at anchors (the new cache record) and at labeled pairs — so no
-// per-face set is ever materialized and degenerate pairs cost nothing.
-func processInterval(status *lineStatus, cache map[int64]*Interned, sink Sink, intern *LabelInterner, scratch *sweepScratch, slab [2]float64, iv interval) {
-	start := status.tree.Seek(key(iv.lo, negInfID))
-	if !start.Valid() || start.Key().Value > iv.hi {
-		return
-	}
-	base := scratch.base
-	rebuildBase(status, cache, start, base, scratch)
-	cur := start
-	for cur.Valid() && cur.Key().Value <= iv.hi {
-		status.apply(cur.Key().ID, base)
-		anchor := isAnchor(cur.Key().ID)
-		next := cur.Next()
-		// Valid pair entirely inside the changed interval: label it.
-		emit := next.Valid() && next.Key().Value <= iv.hi && next.Key().Value > cur.Key().Value
-		if anchor || emit {
-			lbl := intern.Intern(base)
-			if anchor {
-				cache[cur.Key().ID] = lbl
-			}
-			if emit {
-				region := geom.Rect{MinX: slab[0], MinY: cur.Key().Value, MaxX: slab[1], MaxY: next.Key().Value}
-				sink.Label(region, lbl)
-			}
-		}
-		if !next.Valid() || next.Key().Value > iv.hi {
-			break
-		}
-		cur = next
-	}
-}
-
-// rebuildBase reconstructs into base the RNN set of the region immediately
-// below start: it walks backward from start's predecessor to the nearest
-// anchor record — or the bottom of the status — and replays the skipped
-// sides bottom-up (apply of a circle's two sides only cancels in that
-// order). The expected walk length is about cacheStride elements.
-func rebuildBase(status *lineStatus, cache map[int64]*Interned, start bptree.Iterator[struct{}], base *oset.Set, scratch *sweepScratch) {
-	base.Clear()
-	it := start.Prev()
-	if !it.Valid() {
-		return
-	}
-	ids := scratch.replay[:0]
-	for {
-		if rec, ok := cache[it.Key().ID]; ok {
-			base.Reset(rec.RNN)
-			break
-		}
-		ids = append(ids, it.Key().ID)
-		prev := it.Prev()
-		if !prev.Valid() {
-			break
-		}
-		it = prev
-	}
-	for i := len(ids) - 1; i >= 0; i-- {
-		status.apply(ids[i], base)
-	}
-	scratch.replay = ids[:0]
-}
-
-// labelWholeStatus labels every valid pair of the current status, walking it
-// once from the bottom (Corollary 1). Used by CREST-A.
-func labelWholeStatus(status *lineStatus, sink Sink, intern *LabelInterner, scratch *sweepScratch, slab [2]float64) {
-	set := scratch.base
-	set.Clear()
-	it := status.tree.Min()
-	for it.Valid() {
-		status.apply(it.Key().ID, set)
-		next := it.Next()
-		if !next.Valid() {
-			break
-		}
-		if next.Key().Value > it.Key().Value {
-			region := geom.Rect{MinX: slab[0], MinY: it.Key().Value, MaxX: slab[1], MaxY: next.Key().Value}
-			sink.Label(region, intern.Intern(set))
-		}
-		it = next
-	}
 }

@@ -49,14 +49,91 @@ func fuzzInstance(t testing.TB, seed int64, nClients, nFacilities int, metric ge
 	return ncs
 }
 
+// nearDegenerateInstance derives an instance from a seed whose clients sit
+// where exact arithmetic would call the arrangement degenerate. Each client
+// after the first takes one of these placements relative to an earlier client
+// c and c's nearest facility f:
+//   - on the segment from f to c, so both circles pass through f and are
+//     tangent there;
+//   - the same, nudged by about 1e-12, so they are near-tangent;
+//   - at c's distance from f in a random direction, giving equal radii;
+//   - mirrored across f's vertical line, so both intersections share f's x;
+//   - uniformly at random.
+//
+// Every point is then offset by 0, 1e3 or 1e6, which scales the rounding of
+// every coordinate the sweep computes.
+func nearDegenerateInstance(t testing.TB, seed int64, nClients, nFacilities int, metric geom.Metric) []nncircle.NNCircle {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	facilities := make([]geom.Point, nFacilities)
+	for i := range facilities {
+		facilities[i] = geom.Pt(rng.Float64()*64, rng.Float64()*64)
+	}
+	nearest := func(p geom.Point) geom.Point {
+		best := facilities[0]
+		for _, f := range facilities[1:] {
+			if metric.Distance(p, f) < metric.Distance(p, best) {
+				best = f
+			}
+		}
+		return best
+	}
+	clients := make([]geom.Point, nClients)
+	clients[0] = geom.Pt(rng.Float64()*64, rng.Float64()*64)
+	for i := 1; i < nClients; i++ {
+		c := clients[rng.Intn(i)]
+		f := nearest(c)
+		switch rng.Intn(5) {
+		case 0, 1:
+			s := 0.1 + 0.8*rng.Float64()
+			p := geom.Pt(f.X+s*(c.X-f.X), f.Y+s*(c.Y-f.Y))
+			if rng.Intn(2) == 1 {
+				p = geom.Pt(p.X+(rng.Float64()-0.5)*2e-12, p.Y+(rng.Float64()-0.5)*2e-12)
+			}
+			clients[i] = p
+		case 2:
+			u := geom.Pt(math.Cos(rng.Float64()*2*math.Pi), math.Sin(rng.Float64()*2*math.Pi))
+			s := metric.Distance(c, f) / metric.Distance(geom.Pt(0, 0), u)
+			clients[i] = geom.Pt(f.X+s*u.X, f.Y+s*u.Y)
+		case 3:
+			clients[i] = geom.Pt(2*f.X-c.X, c.Y)
+		default:
+			clients[i] = geom.Pt(rng.Float64()*64, rng.Float64()*64)
+		}
+	}
+	offset := []float64{0, 1e3, 1e6}[rng.Intn(3)]
+	for _, pts := range [][]geom.Point{facilities, clients} {
+		for i := range pts {
+			pts[i] = geom.Pt(pts[i].X+offset, pts[i].Y+offset)
+		}
+	}
+	ncs, err := nncircle.Compute(clients, facilities, metric)
+	if err != nil {
+		t.Fatalf("nncircle.Compute: %v", err)
+	}
+	return ncs
+}
+
 // checkDifferential runs CREST on one instance and cross-validates it: for
 // L-infinity and L1 against the grid baseline (region for region on solid
 // labels, maximum bracketed), for L2 against the sequential sweep; for every
 // metric the labels are checked against the brute-force oracle and random
 // probes against completeness.
-func checkDifferential(t *testing.T, seed int64, nClients, nFacilities int, metric geom.Metric, workers int) {
+//
+// With degenerate set the instance comes from nearDegenerateInstance. The
+// rectilinear metrics keep every check. L2 keeps the sequential-versus-
+// parallel identity and compares with the retained sweep
+// (crestl2_oracle_test.go): the label check holds wherever it holds for the
+// retained sweep, and every RNN set it labels must be labeled too. The
+// probes are left out, since CREST-L2 misses faces born at a shared point
+// in a slab too thin to separate their arcs (see ROADMAP item 7).
+func checkDifferential(t *testing.T, seed int64, nClients, nFacilities int, metric geom.Metric, workers int, degenerate bool) {
 	t.Helper()
-	ncs := fuzzInstance(t, seed, nClients, nFacilities, metric)
+	instance := fuzzInstance
+	if degenerate {
+		instance = nearDegenerateInstance
+	}
+	ncs := instance(t, seed, nClients, nFacilities, metric)
 	res, err := CREST(ncs, Options{Workers: workers})
 	if err != nil {
 		if err == ErrNoCircles {
@@ -65,8 +142,10 @@ func checkDifferential(t *testing.T, seed int64, nClients, nFacilities int, metr
 		t.Fatalf("CREST: %v", err)
 	}
 	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
-	checkLabelsAgainstOracle(t, "crest", ncs, res.Labels)
-	checkCompleteness(t, "crest", ncs, res.Labels, rng, 300)
+	if metric != geom.L2 || !degenerate {
+		checkLabelsAgainstOracle(t, "crest", ncs, res.Labels)
+		checkCompleteness(t, "crest", ncs, res.Labels, rng, 300)
+	}
 
 	if metric == geom.L2 {
 		seq, err := CREST(ncs, Options{Workers: 1})
@@ -74,6 +153,24 @@ func checkDifferential(t *testing.T, seed int64, nClients, nFacilities int, metr
 			t.Fatalf("sequential CREST: %v", err)
 		}
 		assertSameResult(t, "fuzz-l2", seq, res)
+		if degenerate {
+			// The labels pass the label check wherever the retained sweep's
+			// do: at an offset of 1e6 its clustering epsilon reaches 1e-3,
+			// and an event can drop a circle that far left of its right
+			// extreme (ROADMAP item 7). Every RNN set the retained sweep
+			// labels, the sweep labels too.
+			_, usable, _ := validateInput(ncs)
+			oracle, _ := oracleCRESTL2(usable, Options{})
+			if mislabeled(ncs, oracle.Labels) < 0 {
+				checkLabelsAgainstOracle(t, "crest", ncs, res.Labels)
+			}
+			keys := labelKeys(res.Labels)
+			for key := range labelKeys(oracle.Labels) {
+				if !keys[key] {
+					t.Fatalf("RNN set %q labeled by the retained sweep but not by CREST", key)
+				}
+			}
+		}
 		return
 	}
 
@@ -118,8 +215,11 @@ func checkDifferential(t *testing.T, seed int64, nClients, nFacilities int, metr
 	}
 }
 
-// fuzzParams folds raw fuzz inputs into a valid instance description.
-func fuzzParams(nc, nf, metricSel, workerSel int64) (nClients, nFacilities int, metric geom.Metric, workers int) {
+// fuzzParams folds raw fuzz inputs into a valid instance description. Bit 0
+// of workerSel picks the worker count and bit 1 the near-degenerate
+// generator; every committed corpus entry has bit 1 clear, so it keeps the
+// instance it was recorded with.
+func fuzzParams(nc, nf, metricSel, workerSel int64) (nClients, nFacilities int, metric geom.Metric, workers int, degenerate bool) {
 	nClients = 2 + int(abs64(nc)%28)
 	nFacilities = 1 + int(abs64(nf)%8)
 	metric = []geom.Metric{geom.LInf, geom.L1, geom.L2}[abs64(metricSel)%3]
@@ -127,7 +227,7 @@ func fuzzParams(nc, nf, metricSel, workerSel int64) (nClients, nFacilities int, 
 	if abs64(workerSel)%2 == 1 {
 		workers = 3
 	}
-	return nClients, nFacilities, metric, workers
+	return nClients, nFacilities, metric, workers, abs64(workerSel)&2 != 0
 }
 
 func abs64(v int64) int64 {
@@ -156,14 +256,14 @@ func FuzzRegionColoring(f *testing.F) {
 	// lists drive the sweep through the interned-label strip path.
 	f.Add(int64(20260807), int64(27), int64(6), int64(0), int64(1))
 	f.Fuzz(func(t *testing.T, seed, nc, nf, metricSel, workerSel int64) {
-		nClients, nFacilities, metric, workers := fuzzParams(nc, nf, metricSel, workerSel)
-		checkDifferential(t, seed, nClients, nFacilities, metric, workers)
+		nClients, nFacilities, metric, workers, degenerate := fuzzParams(nc, nf, metricSel, workerSel)
+		checkDifferential(t, seed, nClients, nFacilities, metric, workers, degenerate)
 	})
 }
 
 // TestCRESTVsBaselineRandom is the seeded, always-on slice of the fuzz
-// harness: randomized instances across all three metrics and both worker
-// counts, checked through the same differential oracle.
+// harness: randomized instances across all three metrics, both worker
+// counts and both generators, checked through the same differential oracle.
 func TestCRESTVsBaselineRandom(t *testing.T) {
 	t.Parallel()
 	perMetric := 12
@@ -171,12 +271,14 @@ func TestCRESTVsBaselineRandom(t *testing.T) {
 		perMetric = 4
 	}
 	rng := rand.New(rand.NewSource(20260728))
-	for _, metric := range []geom.Metric{geom.LInf, geom.L1, geom.L2} {
-		for trial := 0; trial < perMetric; trial++ {
-			workers := 1 + 2*(trial%2)
-			nClients := 4 + rng.Intn(26)
-			nFacilities := 1 + rng.Intn(8)
-			checkDifferential(t, rng.Int63(), nClients, nFacilities, metric, workers)
+	for _, degenerate := range []bool{false, true} {
+		for _, metric := range []geom.Metric{geom.LInf, geom.L1, geom.L2} {
+			for trial := 0; trial < perMetric; trial++ {
+				workers := 1 + 2*(trial%2)
+				nClients := 4 + rng.Intn(26)
+				nFacilities := 1 + rng.Intn(8)
+				checkDifferential(t, rng.Int63(), nClients, nFacilities, metric, workers, degenerate)
+			}
 		}
 	}
 }

@@ -178,33 +178,34 @@ func TestParallelDefaultWorkers(t *testing.T) {
 // TestSplitSpans exercises the strip splitter directly.
 func TestSplitSpans(t *testing.T) {
 	t.Parallel()
-	xOf := func(e event) float64 { return e.x }
 	events := make([]event, 1000)
 	for i := range events {
 		events[i] = event{x: float64(i)}
 	}
+	last := events[len(events)-1].x
 	for _, workers := range []int{1, 2, 3, 7, 16, 1000} {
-		spans := splitSpans(events, workers, xOf, func(event) int { return 1 })
+		spans := splitSpans(events, 0, len(events), workers, last)
 		if len(spans) == 0 || len(spans) > workers {
 			t.Fatalf("workers=%d: got %d spans", workers, len(spans))
 		}
 		total := 0
 		for i, sp := range spans {
-			if len(sp.events) == 0 {
+			if sp.hi <= sp.lo {
 				t.Fatalf("workers=%d: empty span %d", workers, i)
 			}
-			if len(sp.events) < minStripEvents && len(spans) > 1 {
-				t.Fatalf("workers=%d: span %d has %d events (< %d)", workers, i, len(sp.events), minStripEvents)
+			if sp.hi-sp.lo < minStripEvents && len(spans) > 1 {
+				t.Fatalf("workers=%d: span %d has %d events (< %d)", workers, i, sp.hi-sp.lo, minStripEvents)
 			}
-			// Every inner span's xAfter must be the next span's first event.
+			// Every inner span's xAfter must be the next span's first event,
+			// and the spans must tile the events in order.
 			if i+1 < len(spans) {
-				if sp.xAfter != spans[i+1].events[0].x {
-					t.Fatalf("workers=%d: span %d xAfter %v != next first %v", workers, i, sp.xAfter, spans[i+1].events[0].x)
+				if sp.xAfter != events[spans[i+1].lo].x || sp.hi != spans[i+1].lo {
+					t.Fatalf("workers=%d: span %d xAfter %v, next first %v", workers, i, sp.xAfter, events[spans[i+1].lo].x)
 				}
-			} else if sp.xAfter != events[len(events)-1].x {
+			} else if sp.xAfter != last {
 				t.Fatalf("workers=%d: last span xAfter %v", workers, sp.xAfter)
 			}
-			total += len(sp.events)
+			total += sp.hi - sp.lo
 		}
 		if total != len(events) {
 			t.Fatalf("workers=%d: spans cover %d of %d events", workers, total, len(events))
@@ -230,27 +231,42 @@ func TestStraddlingXWarmup(t *testing.T) {
 	if nncircle.StraddlingX(ncs, 7) != nil {
 		t.Fatalf("StraddlingX(7) should be empty")
 	}
-	scratch := sweepScratchPool.Get().(*sweepScratch)
-	defer sweepScratchPool.Put(scratch)
-	status, cache := warmLineStatus(ncs, 9, NewLabelInterner(nil), scratch)
-	if _, noCache := warmLineStatus(ncs, 9, nil, scratch); len(noCache) != 0 {
-		t.Fatalf("CREST-A warm-up should not build cache records, got %d", len(noCache))
-	}
-	if status.tree.Len() != 2 {
-		t.Fatalf("warm status has %d sides, want 2", status.tree.Len())
-	}
-	// Only anchor sides keep base records: circle 2's lower side (ID 4) is an
-	// anchor at the default stride, its upper side (ID 5) is not.
-	if !isAnchor(lowerSideID(2)) || isAnchor(upperSideID(2)) {
+	// A sweeper started at x = 9 holds circle 2's two sides. Only anchor
+	// sides keep base records: circle 2's lower side (slot 4) is an anchor
+	// at the default stride, its upper side (slot 5) is not.
+	if 4%cacheStride != 0 || 5%cacheStride == 0 {
 		t.Fatalf("anchor layout changed; update this test's expectations")
 	}
-	if len(cache) != 1 {
-		t.Fatalf("warm cache has %d records, want 1", len(cache))
-	}
-	if rec, ok := cache[lowerSideID(2)]; !ok || len(rec.RNN) != 1 || rec.RNN[0] != 2 {
-		t.Fatalf("lower-side record = %v", rec)
-	}
-	if _, ok := cache[upperSideID(2)]; ok {
-		t.Fatalf("non-anchor upper side should not be cached")
+	events := buildEvents(ncs)
+	l := sort.Search(len(events), func(i int) bool { return events[i].x >= 9 })
+	for _, stride := range []int32{cacheStride, 0} {
+		s := newSweeper(ncs, events, stride, &collector{}, NewLabelInterner(nil))
+		s.warm(l)
+		s.recordAll()
+		var arcs []int32
+		records := map[int32]*Interned{}
+		for n := s.st.head; n != 0; n = s.st.next[n] {
+			arcs = append(arcs, s.st.arc[n])
+			if rec := s.st.rec[n]; rec != nil {
+				records[s.st.arc[n]] = rec
+			}
+		}
+		s.release()
+		if len(arcs) != 2 || arcs[0] != 4 || arcs[1] != 5 {
+			t.Fatalf("stride %d: warm status holds arcs %v, want [4 5]", stride, arcs)
+		}
+		if stride == 0 {
+			// CREST-A never reads the records, so it writes none.
+			if len(records) != 0 {
+				t.Fatalf("CREST-A warm-up wrote %d records", len(records))
+			}
+			continue
+		}
+		if len(records) != 1 {
+			t.Fatalf("warm status has %d records, want 1", len(records))
+		}
+		if rec, ok := records[4]; !ok || len(rec.RNN) != 1 || rec.RNN[0] != 2 {
+			t.Fatalf("lower-side record = %v", rec)
+		}
 	}
 }

@@ -119,15 +119,15 @@ func TestSplitSpansWeightBalance(t *testing.T) {
 	events := buildEvents(ncs)
 	maxEvent := 0
 	total := 0
-	for _, ev := range events {
-		w := eventWeight(ev)
+	for i := range events {
+		w := eventWeight(&events[i])
 		total += w
 		if w > maxEvent {
 			maxEvent = w
 		}
 	}
 	for _, workers := range []int{2, 4, 7} {
-		strips := splitSpans(events, workers*stripsPerWorker, func(e event) float64 { return e.x }, eventWeight)
+		strips := splitSpans(events, 0, len(events), workers*stripsPerWorker, events[len(events)-1].x)
 		if len(strips) < 2 {
 			t.Fatalf("workers=%d: instance too small to split (%d strips over %d events)", workers, len(strips), len(events))
 		}

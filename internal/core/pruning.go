@@ -40,7 +40,7 @@ func PruningMax(circles []nncircle.NNCircle, opts Options, maxNodes int) (*Resul
 	}
 	col := newCollector(opts)
 	runPruning(usable, col, maxNodes)
-	finalizeStats(col, usable)
+	col.res.Stats.Circles = len(usable)
 	return col.finish(), nil
 }
 

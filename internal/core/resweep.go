@@ -58,7 +58,8 @@ type ResweepOutcome struct {
 // RNN sets and heat values — to what CREST(circles, opts) would produce. The
 // Stats of the returned Result describe the resulting map the way a full run
 // would (Labelings and InfluenceCalls equal the label count, Events the full
-// event count); the work actually performed is in the outcome's counters.
+// event count), except StatusWork, which counts the resweep's own status
+// work; the events actually swept are in the outcome's counters.
 func Resweep(circles []nncircle.NNCircle, opts Options, prior []Label, perturbed []geom.Circle, maxFraction float64) (*ResweepOutcome, error) {
 	metric, usable, err := validateInput(circles)
 	if err != nil {
@@ -77,14 +78,10 @@ func Resweep(circles []nncircle.NNCircle, opts Options, prior []Label, perturbed
 		return rebuiltOutcome(res), nil
 	}
 	spans := perturbedSpans(perturbed, metric)
-	switch metric {
-	case geom.LInf:
-		return resweepRect(usable, opts, prior, spans, nil, maxFraction), nil
-	case geom.L1:
-		return resweepRect(nncircle.RotateL1ToLInf(usable), opts, prior, spans, geom.RotateLInfToL1, maxFraction), nil
-	default: // geom.L2, by validateInput
-		return resweepL2(usable, opts, prior, spans, maxFraction), nil
+	if metric == geom.L1 {
+		return resweep(nncircle.RotateL1ToLInf(usable), opts, prior, spans, geom.RotateLInfToL1, maxFraction), nil
 	}
+	return resweep(usable, opts, prior, spans, nil, maxFraction), nil
 }
 
 func rebuiltOutcome(res *Result) *ResweepOutcome {
@@ -176,11 +173,10 @@ func eventRanges(n int, xOf func(int) float64, spans []interval) []eventRange {
 	return merged
 }
 
-// resweepRect runs the incremental rectilinear (L-infinity, and rotated L1)
-// resweep. circles must already be in sweep space.
-func resweepRect(circles []nncircle.NNCircle, opts Options, prior []Label, spans []interval, toOriginal func(geom.Point) geom.Point, maxFraction float64) *ResweepOutcome {
+// resweep runs the incremental resweep over circles already in sweep space.
+func resweep(circles []nncircle.NNCircle, opts Options, prior []Label, spans []interval, toOriginal func(geom.Point) geom.Point, maxFraction float64) *ResweepOutcome {
 	started := time.Now()
-	events := buildEvents(circles)
+	events := eventsOf(circles)
 	ranges := eventRanges(len(events), func(i int) float64 { return events[i].x }, spans)
 	if reswept, frac := reweptCount(ranges, len(events)); frac > maxFraction {
 		res := runEngine(circles, opts, toOriginal, true)
@@ -196,45 +192,13 @@ func resweepRect(circles []nncircle.NNCircle, opts Options, prior []Label, spans
 	workers := opts.workerCount()
 	parts := make([][]*collector, len(ranges))
 	for i, r := range ranges {
-		evs := events[r.lo : r.hi+1]
 		xAfter := events[r.hi].x
 		if r.hi+1 < len(events) {
 			xAfter = events[r.hi+1].x
 		}
-		strips := splitSpans(evs, workers*stripsPerWorker, func(ev event) float64 { return ev.x }, eventWeight)
-		strips[len(strips)-1].xAfter = xAfter
-		parts[i] = runStrips(strips, workers, parent, func(st span[event], c *collector) {
-			sweepStrip(circles, st, c, true)
-		})
-	}
-	return spliceOutcome(circles, prior, ranges, parts, parent.intern, len(events), started)
-}
-
-// resweepL2 is the Euclidean counterpart of resweepRect.
-func resweepL2(circles []nncircle.NNCircle, opts Options, prior []Label, spans []interval, maxFraction float64) *ResweepOutcome {
-	started := time.Now()
-	events := buildL2Events(circles)
-	ranges := eventRanges(len(events), func(i int) float64 { return events[i].x }, spans)
-	if reswept, frac := reweptCount(ranges, len(events)); frac > maxFraction {
-		res := runL2Engine(circles, opts)
-		res.Stats.Circles = len(circles)
-		return rebuiltOutcome(res)
-	} else if reswept == 0 {
-		return priorOutcome(circles, prior, len(events), started)
-	}
-	parent := newCollector(opts)
-	workers := opts.workerCount()
-	parts := make([][]*collector, len(ranges))
-	for i, r := range ranges {
-		evs := events[r.lo : r.hi+1]
-		xAfter := events[r.hi].x
-		if r.hi+1 < len(events) {
-			xAfter = events[r.hi+1].x
-		}
-		strips := splitSpans(evs, workers*stripsPerWorker, func(ev l2Event) float64 { return ev.x }, l2EventWeight)
-		strips[len(strips)-1].xAfter = xAfter
-		parts[i] = runStrips(strips, workers, parent, func(st span[l2Event], c *collector) {
-			sweepL2Strip(circles, st, c)
+		strips := splitSpans(events, r.lo, r.hi+1, workers*stripsPerWorker, xAfter)
+		parts[i] = runStrips(strips, workers, parent, func(st span, c *collector) {
+			sweepStrip(circles, events, st, c, true)
 		})
 	}
 	return spliceOutcome(circles, prior, ranges, parts, parent.intern, len(events), started)
@@ -271,7 +235,7 @@ func priorOutcome(circles []nncircle.NNCircle, prior []Label, eventsTotal int, s
 // full-sweep emission order.
 func spliceOutcome(circles []nncircle.NNCircle, prior []Label, ranges []eventRange, parts [][]*collector, pool *LabelInterner, eventsTotal int, started time.Time) *ResweepOutcome {
 	labels := make([]Label, 0, len(prior))
-	reswept := 0
+	reswept, work := 0, 0
 	pi := 0
 	for i, r := range ranges {
 		reswept += r.hi - r.lo + 1
@@ -284,11 +248,14 @@ func spliceOutcome(circles []nncircle.NNCircle, prior []Label, ranges []eventRan
 		}
 		for _, c := range parts[i] {
 			labels = append(labels, c.res.Labels...)
+			work += c.res.Stats.StatusWork
 		}
 	}
 	labels = append(labels, prior[pi:]...)
+	res := finalizeSpliced(circles, labels, pool, eventsTotal, started)
+	res.Stats.StatusWork = work
 	return &ResweepOutcome{
-		Result:        finalizeSpliced(circles, labels, pool, eventsTotal, started),
+		Result:        res,
 		EventsTotal:   eventsTotal,
 		EventsReswept: reswept,
 	}

@@ -4,10 +4,10 @@ import (
 	"rnnheatmap/internal/geom"
 )
 
-// Sink receives the output stream of a Region Coloring engine. The sweeps in
-// crest.go and crestl2.go are pure control flow: everything observable — the
-// labels, the running maximum and the work statistics — is accumulated by the
-// Sink they emit into. Decoupling the two is what lets the partition layer
+// Sink receives the output stream of a Region Coloring engine. The sweep of
+// sweep.go is pure control flow: everything observable — the labels, the
+// running maximum and the work statistics — is accumulated by the Sink it
+// emits into. Decoupling the two is what lets the partition layer
 // (partition.go) run one sweep strip per goroutine, each with its own Sink,
 // and merge the per-strip results afterwards.
 //

@@ -8,22 +8,21 @@ import (
 
 	"rnnheatmap/internal/geom"
 	"rnnheatmap/internal/nncircle"
-	"rnnheatmap/internal/oset"
 )
 
-// Slab emission: the optional second product of the sweep engines.
+// Slab emission: the optional second product of the sweep.
 //
 // The CREST Sink receives only the Θ(k) labels of regions that *change* at an
 // event; a point-location structure needs the complete picture instead — for
 // every slab between consecutive events, the full y-ordered list of edges
-// cutting it and the RNN set of every gap. A SlabEvents streams exactly that,
-// reusing the sweeps' event machinery (buildEvents / buildL2Events), so the
+// cutting it and the RNN set of every gap. A SlabEvents streams exactly that
+// with the one sweeper of sweep.go over the sweep's own event list, so the
 // slab decomposition consumed by internal/pointloc is derived from the same
-// arrangement CREST labels. The rectilinear emission costs O(Σ per-slab
-// edges), the size of the emitted structure itself; the L2 emission derives
-// each slab's arc order and gap labels from the previous slab's (see
-// l2Slabs), so its work beyond writing the slabs down is proportional to the
-// arcs that change between slabs.
+// arrangement CREST labels. The emission keeps a base-set record on every
+// arc: each event's changed ranges refresh the records they pass, and each
+// slab is written by one walk up the status that reads every gap's label
+// from the record of the arc below it. So its work beyond writing the slabs
+// down is proportional to the arcs the events change.
 
 // ErrUnsupportedSlabMetric is returned when NewSlabEvents receives L1
 // circles: the rectilinear slab sweep operates in the rotated (L-infinity)
@@ -70,42 +69,32 @@ var ErrSlabsAborted = errors.New("core: slab emission aborted by sink")
 // it. A SlabEvents is immutable and safe for concurrent emissions.
 type SlabEvents struct {
 	circles []nncircle.NNCircle
-	rect    []event   // LInf arrangements
-	l2      []l2Event // L2 arrangements
+	events  []event
 }
 
 // NewSlabEvents validates the circles (they must share one metric; ErrNoCircles
-// when none has a positive radius) and constructs their event list. LInf is
-// swept directly and L2 with the arc sweep of crestl2.go; L1 inputs are
-// rejected with ErrUnsupportedSlabMetric — rotate them into the LInf system
-// first (the slab structure lives in sweep space). Emitted circle indexes
-// refer to the positive-radius circles in input order.
+// when none has a positive radius) and constructs their event list. LInf and
+// L2 are swept directly; L1 inputs are rejected with
+// ErrUnsupportedSlabMetric — rotate them into the LInf system first (the
+// slab structure lives in sweep space). Emitted circle indexes refer to the
+// positive-radius circles in input order.
 func NewSlabEvents(circles []nncircle.NNCircle) (*SlabEvents, error) {
 	metric, usable, err := validateInput(circles)
 	if err != nil {
 		return nil, err
 	}
-	e := &SlabEvents{circles: usable}
-	switch metric {
-	case geom.LInf:
-		e.rect = buildEvents(usable)
-	case geom.L2:
-		e.l2 = buildL2Events(usable)
-	default:
+	if metric == geom.L1 {
 		return nil, ErrUnsupportedSlabMetric
 	}
-	return e, nil
+	return &SlabEvents{circles: usable, events: eventsOf(usable)}, nil
 }
 
 // Xs returns the slab left edges — the event abscissae — in ascending order,
 // one per emitted slab.
 func (e *SlabEvents) Xs() []float64 {
-	xs := make([]float64, 0, len(e.rect)+len(e.l2))
-	for _, ev := range e.rect {
-		xs = append(xs, ev.x)
-	}
-	for _, ev := range e.l2 {
-		xs = append(xs, ev.x)
+	xs := make([]float64, len(e.events))
+	for i, ev := range e.events {
+		xs[i] = ev.x
 	}
 	return xs
 }
@@ -117,15 +106,9 @@ func (e *SlabEvents) Xs() []float64 {
 // to decline oversized arrangements before any emission work.
 func (e *SlabEvents) CellBound() int {
 	cells, active := 0, 0
-	add := func(inserted, removed int) {
-		active += inserted - removed
+	for _, ev := range e.events {
+		active += len(ev.insert) - len(ev.remove)
 		cells += 1 + 4*active
-	}
-	for _, ev := range e.rect {
-		add(len(ev.insert), len(ev.remove))
-	}
-	for _, ev := range e.l2 {
-		add(len(ev.insert), len(ev.remove))
 	}
 	return cells
 }
@@ -140,7 +123,7 @@ func (e *SlabEvents) Emit(sink SlabSink, pool *LabelInterner) error {
 
 // EmitRanges is the partial-rebuild entry point: for each [lo, hi) window in
 // turn it emits exactly the slabs of the full emission whose left edge x
-// satisfies lo <= x < hi, warm-starting the active set at the window's first
+// satisfies lo <= x < hi, warm-starting the sweeper at the window's first
 // event exactly like the partition layer warm-starts a strip. Every window
 // walks the one shared event list, so a patch over k dirty runs pays one
 // event construction plus one O(n) warm start per window. Which slabs a
@@ -152,229 +135,132 @@ func (e *SlabEvents) EmitRanges(sink SlabSink, pool *LabelInterner, windows [][2
 		pool = NewLabelInterner(nil)
 	}
 	for _, w := range windows {
-		var err error
-		if e.l2 != nil {
-			err = emitL2Slabs(e.circles, e.l2, sink, pool, w[0], w[1])
-		} else {
-			err = emitRectSlabs(e.circles, e.rect, sink, pool, w[0], w[1])
-		}
-		if err != nil {
+		if err := e.emit(sink, pool, w[0], w[1]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// emitRectSlabs walks the prebuilt rectilinear event list and emits every
-// slab whose left edge lies in [lo, hi). The active set is maintained as a
-// boolean per-circle membership; per slab the horizontal sides of the active
-// circles are sorted and walked bottom to top with a running RNN set,
-// coalescing coincident side coordinates into one edge.
-func emitRectSlabs(circles []nncircle.NNCircle, events []event, sink SlabSink, pool *LabelInterner, lo, hi float64) error {
+// emit streams every slab whose left edge lies in [lo, hi).
+func (e *SlabEvents) emit(sink SlabSink, pool *LabelInterner, lo, hi float64) error {
+	events := e.events
 	first := sort.Search(len(events), func(i int) bool { return events[i].x >= lo })
 	last := sort.Search(len(events), func(i int) bool { return events[i].x >= hi })
 	if first >= last {
 		return nil
 	}
-	active := make([]bool, len(circles))
-	for i, nc := range circles {
-		// Active in the slab starting at events[first].x: inserted at or
-		// before it, removed strictly after it.
-		if nc.Circle.LeftX() <= events[first].x && nc.Circle.RightX() > events[first].x {
-			active[i] = true
-		}
+	s := newSweeper(e.circles, events, 1, nil, pool)
+	defer s.release()
+	s.warm(first)
+	act := activeSet{on: make([]bool, len(e.circles)), list: nncircle.StraddlingX(e.circles, events[first].x)}
+	for _, ci := range act.list {
+		act.on[ci] = true
 	}
-	var (
-		actives []int
-		sides   []sideRef
-		set     = oset.New()
-	)
 	for l := first; l < last; l++ {
-		ev := events[l]
-		for _, ci := range ev.insert {
-			active[ci] = true
-		}
-		for _, ci := range ev.remove {
-			active[ci] = false
-		}
-		xNext := ev.x
+		ev := &events[l]
+		xr := ev.x
 		if l+1 < len(events) {
-			xNext = events[l+1].x
+			xr = events[l+1].x
 		}
-		actives = actives[:0]
-		for ci := range active {
-			if active[ci] {
-				actives = append(actives, ci)
-			}
-		}
-		if !sink.StartSlab(ev.x, xNext, actives) {
+		s.step(l, xr, l == first)
+		act.advance(ev.insert, ev.remove)
+		if !sink.StartSlab(ev.x, xr, act.list) {
 			return ErrSlabsAborted
 		}
-		sides = sides[:0]
-		for _, ci := range actives {
-			c := circles[ci].Circle
-			sides = append(sides,
-				sideRef{y: c.BottomY(), circle: ci, lower: true},
-				sideRef{y: c.TopY(), circle: ci, lower: false},
-			)
-		}
-		slices.SortFunc(sides, func(a, b sideRef) int {
-			switch {
-			case a.y < b.y:
-				return -1
-			case a.y > b.y:
-				return 1
-			default:
-				return a.circle - b.circle
-			}
-		})
-		set.Clear()
-		for k := 0; k < len(sides); {
-			y := sides[k].y
-			for k < len(sides) && sides[k].y == y {
-				client := circles[sides[k].circle].Client
-				if sides[k].lower {
-					set.Add(client)
-				} else {
-					set.Remove(client)
-				}
-				k++
-			}
-			if !sink.Edge(y, -1, false, pool.Intern(set)) {
-				return ErrSlabsAborted
-			}
-		}
-	}
-	return nil
-}
-
-// sideRef is one horizontal circle side inside a slab.
-type sideRef struct {
-	y      float64
-	circle int
-	lower  bool
-}
-
-// emitL2Slabs walks the prebuilt Euclidean event list and emits every slab
-// whose left edge lies in [lo, hi), warm-starting the active set from the
-// circles straddling the first such event exactly like sweepL2Strip. Each
-// slab's arcs are ordered at the slab midpoint, the ordering sweepL2Events
-// labels with (the order cannot change strictly inside a slab because every
-// boundary intersection is an event); l2Slabs derives the order and the gap
-// labels from the previous slab's.
-func emitL2Slabs(circles []nncircle.NNCircle, events []l2Event, sink SlabSink, pool *LabelInterner, lo, hi float64) error {
-	first := sort.Search(len(events), func(i int) bool { return events[i].x >= lo })
-	last := sort.Search(len(events), func(i int) bool { return events[i].x >= hi })
-	if first >= last {
-		return nil
-	}
-	w := newL2Slabs(circles, pool, nncircle.StraddlingX(circles, events[first].x))
-	for l := first; l < last; l++ {
-		ev := events[l]
-		xRight := ev.x
-		if l+1 < len(events) {
-			xRight = events[l+1].x
-		}
-		w.advance(ev.insert, ev.remove)
-		if !sink.StartSlab(ev.x, xRight, w.actives) {
-			return ErrSlabsAborted
-		}
-		if xRight <= ev.x || len(w.actives) == 0 {
+		if xr <= ev.x || len(act.list) == 0 {
 			continue
 		}
-		w.order((ev.x + xRight) / 2)
-		w.label()
-		for i, a := range w.arcs {
-			if !sink.Edge(a.y, a.circle, a.upper, w.gaps[i+1]) {
-				return ErrSlabsAborted
-			}
+		if !s.emitSlab(sink) {
+			return ErrSlabsAborted
 		}
 	}
 	return nil
 }
 
-// l2Slabs is the L2 slab emission's state: the line status it carries from
-// slab to slab (see l2Status) plus each slab's gap labels, derived from the
-// last labeled slab's. label reuses the gaps below the first arc that
-// differs from the previous order and above the last one: a gap's RNN set
-// holds the clients whose lower arc lies below it and upper arc above it, so
-// it depends only on the arcs below the gap, or equally only on those above
-// it. The gaps in between are re-keyed by carrying the interner's key,
-// oset.ContentKey, across each arc (Add for a lower arc, Remove for an upper
-// one), and a set is materialized only when that key misses the pool. This
-// relies on every circle carrying a distinct client, as NN-circles do. The
-// emitted stream is therefore identical to sorting every slab's arcs and
-// walking them with a running set: same heights bit for bit, same arc order,
-// and the same interned label pointers.
-type l2Slabs struct {
-	*l2Status
-	pool *LabelInterner
-	// gaps[k] labels the gap below arcs[k] (gaps[len(arcs)] the top one)
-	// and keys[k] is its interner key; prevGaps and prevKeys are the last
-	// labeled slab's, whose buffers label swaps back in.
-	gaps, prevGaps []*Interned
-	keys, prevKeys []oset.ContentKey
-	set            *oset.Set // a gap's set, materialized on a pool miss
+// emitSlab writes the current slab's edges bottom-up, each with the record
+// of its arc, the label of the gap above it: one Edge per arc for L2, and
+// one per distinct side height for the rectilinear metrics, whose
+// coincident sides are coalesced. Since it reads every arc anyway, it first
+// checks every adjacent pair, so the L2 order it writes is a full sort's
+// even where rounding reorders arcs that no event names; a pair out of
+// order is swapped into place and the records it staled are rewritten.
+func (s *sweeper) emitSlab(sink SlabSink) bool {
+	st := &s.st
+	for {
+		buf := s.slab[:0]
+		s.checks, s.stale = s.checks[:0], s.stale[:0]
+		for n := st.head; n != 0; n = st.next[n] {
+			e := slabEdge{y: st.y(n), arc: st.arc[n], node: n}
+			if k := len(buf) - 1; k >= 0 && (e.y < buf[k].y || e.y == buf[k].y && e.arc < buf[k].arc) {
+				s.checks = append(s.checks, e.arc)
+			}
+			buf = append(buf, e)
+		}
+		s.slab = buf
+		if len(s.checks) == 0 {
+			break
+		}
+		s.checkOrder()
+		s.ranges = s.ranges[:0]
+		s.addStale()
+		for _, r := range s.ranges {
+			s.processInterval(r, 0, 0)
+		}
+	}
+	buf := s.slab
+	for k := 0; k < len(buf); k++ {
+		e := buf[k]
+		if !s.l2 {
+			for k+1 < len(buf) && buf[k+1].y == e.y {
+				k++
+			}
+			if !sink.Edge(e.y, -1, false, st.rec[buf[k].node]) {
+				return false
+			}
+			continue
+		}
+		if !sink.Edge(e.y, int(e.arc>>1), e.arc&1 == 1, st.rec[e.node]) {
+			return false
+		}
+	}
+	return true
 }
 
-// newL2Slabs returns the emission state for a sweep line cutting the given
-// circles (ascending), before any slab has been labeled.
-func newL2Slabs(circles []nncircle.NNCircle, pool *LabelInterner, straddling []int) *l2Slabs {
-	return &l2Slabs{
-		l2Status: newL2Status(circles, straddling),
-		pool:     pool,
-		gaps:     []*Interned{pool.Empty()},
-		keys:     []oset.ContentKey{{}},
-		set:      oset.New(),
-	}
+// slabEdge is one arc of the slab emitSlab writes.
+type slabEdge struct {
+	y    float64
+	arc  int32
+	node int32
 }
 
-// label derives the current slab's gap labels, for the order the last order
-// call produced, from the last labeled slab's (see l2Slabs).
-func (w *l2Slabs) label() {
-	w.prevGaps, w.gaps = w.gaps, w.prevGaps[:0]
-	w.prevKeys, w.keys = w.keys, w.prevKeys[:0]
-	n, m := len(w.arcs), len(w.prev)
-	d := 0 // common prefix of the two orders
-	for d < n && d < m && arcSlot(w.arcs[d]) == arcSlot(w.prev[d]) {
-		d++
+// activeSet is the ascending list of the circles active in the current slab,
+// which StartSlab reports.
+type activeSet struct {
+	on   []bool
+	list []int
+}
+
+// advance applies one event's insertions and removals.
+func (a *activeSet) advance(insert, remove []int) {
+	for _, ci := range insert {
+		a.on[ci] = true
 	}
-	s := 0 // common suffix, disjoint from the prefix
-	for s < n-d && s < m-d && arcSlot(w.arcs[n-1-s]) == arcSlot(w.prev[m-1-s]) {
-		s++
+	for _, ci := range remove {
+		a.on[ci] = false
 	}
-	// Gaps 0..d lie below the common prefix.
-	w.gaps = append(w.gaps, w.prevGaps[:d+1]...)
-	w.keys = append(w.keys, w.prevKeys[:d+1]...)
-	// Gaps d+1 .. n-s-1 are re-keyed; the set of gap g is materialized only
-	// on a miss, from gap d's label and the arcs in between.
-	key, setGap := w.keys[d], -1
-	for g := d + 1; g < n-s; g++ {
-		a := w.arcs[g-1]
-		if c := w.circles[a.circle].Client; a.upper {
-			key = key.Remove(c)
-		} else {
-			key = key.Add(c)
+	if len(remove) > 0 {
+		a.list = slices.DeleteFunc(a.list, func(ci int) bool { return !a.on[ci] })
+	}
+	n := len(a.list)
+	for _, ci := range insert {
+		if a.on[ci] {
+			a.list = append(a.list, ci)
 		}
-		l := w.pool.lookup(key)
-		if l == nil {
-			if setGap < 0 {
-				w.set.Reset(w.gaps[d].RNN)
-				setGap = d
-			}
-			for ; setGap < g; setGap++ {
-				applyArc(w.circles, w.arcs[setGap], w.set)
-			}
-			l = w.pool.Intern(w.set)
-		}
-		w.gaps = append(w.gaps, l)
-		w.keys = append(w.keys, key)
 	}
-	// Gaps from n-s up lie above the common suffix: gap g is the previous
-	// slab's gap g-n+m.
-	from := max(d+1, n-s)
-	w.gaps = append(w.gaps, w.prevGaps[from-n+m:]...)
-	w.keys = append(w.keys, w.prevKeys[from-n+m:]...)
+	if len(a.list) > n {
+		slices.Sort(a.list)
+	}
 }
 
 // PerturbedSpans returns the merged sweep-space x-intervals covered by the

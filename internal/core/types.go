@@ -9,11 +9,16 @@
 // representative interior point, and the heat value under a configurable
 // influence measure.
 //
-// The package is structured as engine + sink: the sweeps (crest.go,
-// crestl2.go) are pure control flow emitting labels into a Sink (sink.go),
-// and the partition layer (partition.go) runs the sweep as independent
-// vertical strips on Options.Workers goroutines, merging the per-strip
-// results into an output identical to the sequential sweep.
+// The package is structured as engine + sink. One sweep (sweep.go) serves
+// every metric: its line status (status.go) is a balanced tree of arcs
+// ordered by height at the sweep's current x — the horizontal sides of the
+// squares for L-infinity and rotated L1, circular arcs for L2 — and its
+// base-set records derive each RNN set from a nearby cached one. It is pure
+// control flow emitting labels into a Sink (sink.go). The partition layer
+// (partition.go) runs it as independent vertical strips on Options.Workers
+// goroutines, merging the per-strip results into an output identical to the
+// sequential sweep; the incremental resweep (resweep.go) and the slab
+// emission (slabs.go) run the same sweeper.
 package core
 
 import (
@@ -64,6 +69,12 @@ type Stats struct {
 	GridCells int
 	// MaxRNNSetSize is the largest RNN set encountered (λ).
 	MaxRNNSetSize int
+	// StatusWork counts the line status work of a sweep, summed over its
+	// strips: insertions, removals and swaps, the nodes visited by seeks,
+	// order checks and range walks, and the arcs rebuildBase replays (0 for
+	// the baseline and pruning). It depends on the input and the worker
+	// count, not on the machine.
+	StatusWork int
 	// Duration is the wall-clock time of the run.
 	Duration time.Duration
 }

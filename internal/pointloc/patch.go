@@ -184,10 +184,10 @@ func (b *patchSink) Edge(y float64, circle int, upper bool, above *core.Interned
 }
 
 // dirtySlabs marks the slabs a patch must rebuild (see Patch): those whose
-// left edge lies in a half-open span [lo, hi) and, for L2, the slab before
-// each span's first one. Slabs whose left edge is exactly hi are clean: a
-// perturbed circle's extent lies inside its span, so it cannot be active in
-// a slab starting at hi.
+// left edge lies in a closed span [lo, hi] and, for L2, the slab before each
+// span's first one. A slab whose left edge is exactly hi is dirty too: a
+// perturbed circle's right extreme can lie at hi, and an added circle then
+// puts a new slab boundary there that no old slab starts at.
 func dirtySlabs(xs []float64, spans [][2]float64, l2 bool) (dirty []bool, n int) {
 	dirty = make([]bool, len(xs))
 	mark := func(k int) {
@@ -201,7 +201,7 @@ func dirtySlabs(xs []float64, spans [][2]float64, l2 bool) (dirty []bool, n int)
 		if l2 && first > 0 {
 			mark(first - 1)
 		}
-		for k := first; k < len(xs) && xs[k] < s[1]; k++ {
+		for k := first; k < len(xs) && xs[k] <= s[1]; k++ {
 			mark(k)
 		}
 	}

@@ -75,9 +75,9 @@ func TestPatchChainMatchesFreshBuild(t *testing.T) {
 	}
 	// A patch over an unchanged arrangement (no spans) reuses the receiver
 	// and is not counted. The floors sit about a quarter below what this
-	// workload splices of its 144 steps per metric (LInf 22, L1 21, L2 41;
-	// in short mode 8, 4 and 7 of 36).
-	floor := map[geom.Metric]int{geom.LInf: 16, geom.L1: 16, geom.L2: 30}
+	// workload splices of its 144 steps per metric (LInf 47, L1 50, L2 41;
+	// in short mode 16, 9 and 7 of 36).
+	floor := map[geom.Metric]int{geom.LInf: 35, geom.L1: 37, geom.L2: 30}
 	for _, metric := range metrics {
 		want := floor[metric]
 		if testing.Short() {
@@ -86,6 +86,55 @@ func TestPatchChainMatchesFreshBuild(t *testing.T) {
 		t.Logf("metric=%v: %d steps patched", metric, patched[metric])
 		if patched[metric] < want {
 			t.Errorf("metric=%v: %d steps patched, want at least %d", metric, patched[metric], want)
+		}
+	}
+}
+
+// TestPatchAddsClients adds clients one at a time to a 40-client instance
+// of every metric. Each addition must patch, not decline, and equal a fresh
+// build: a rectilinear addition puts a slab boundary exactly at its span's
+// right end, where no old slab starts.
+func TestPatchAddsClients(t *testing.T) {
+	t.Parallel()
+	for _, metric := range []geom.Metric{geom.LInf, geom.L1, geom.L2} {
+		rng := rand.New(rand.NewSource(81))
+		pt := func() geom.Point { return geom.Pt(rng.Float64()*100, rng.Float64()*100) }
+		clients, facilities := make([]geom.Point, 40), make([]geom.Point, 6)
+		for i := range clients {
+			clients[i] = pt()
+		}
+		for i := range facilities {
+			facilities[i] = pt()
+		}
+		circles, err := nncircle.Compute(clients, facilities, metric)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := core.CREST(circles, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix, err := Build(circles, nil, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := delta.State{Clients: clients, Facilities: facilities, Circles: circles, Labels: res.Labels}
+		for step := 0; step < 20; step++ {
+			out, err := delta.Apply(st, delta.Delta{AddClients: []geom.Point{pt()}}, delta.Options{Metric: metric})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := fmt.Sprintf("metric=%v step=%d", metric, step)
+			next, err := ix.Patch(out.State.Circles, out.Stats.DirtySpans, 0.99, Options{})
+			if err != nil {
+				t.Fatalf("%s: %v", ctx, err)
+			}
+			fresh, err := Build(out.State.Circles, nil, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameIndex(t, ctx, next, fresh)
+			ix, st = next, out.State
 		}
 	}
 }

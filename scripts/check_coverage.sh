@@ -14,7 +14,6 @@ set -eu
 floors='
 rnnheatmap/cmd/benchjson 72
 rnnheatmap/heatmap 84
-rnnheatmap/internal/bptree 96
 rnnheatmap/internal/core 92
 rnnheatmap/internal/dataset 90
 rnnheatmap/internal/delta 95
