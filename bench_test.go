@@ -7,6 +7,7 @@ package rnnheatmap
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -671,7 +672,7 @@ func BenchmarkGreedyPlace(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		steps, _, err := m.GreedyPlace(3, heatmap.OptimalConstraints{})
+		steps, _, err := m.GreedyPlace(context.Background(), 3, heatmap.OptimalConstraints{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -177,12 +177,11 @@ type Map struct {
 	plMu sync.Mutex
 	pl   atomic.Pointer[plState]
 
-	// Per-set face geometry for the optimal-location engine, grouped from
-	// the slab index's cells on first use (nil when the index is disabled or
-	// declined to build). A Map is immutable once published, so the grouping
-	// is computed once and shared by every Optimal/OptimalTopK call.
-	geoOnce sync.Once
-	geo     *optimal.Geometry
+	// The heat summary of the labels, computed on first use: a heap map is
+	// immutable once built, so /stats, the server's map state and a
+	// snapshot save share one Summarize.
+	summaryOnce sync.Once
+	summary     Summary
 
 	// A mapped map (restored by OpenSnapshot) serves queries, tiles
 	// and metadata straight off the snapshot view — view holds the mmap'd
@@ -529,10 +528,16 @@ func (m *Map) Residency() string {
 	return "mapped"
 }
 
-// plState is the resolved slab-index state: Index is nil when the index is
-// disabled or declined to build.
+// plState is the resolved slab-index state: ix is nil when the index is
+// disabled or declined to build. geo is the optimal-location geometry of
+// ix, which memoizes the face geometry of each set an answer resolves.
 type plState struct {
-	ix *pointloc.Index
+	ix  *pointloc.Index
+	geo *optimal.Geometry
+}
+
+func newPLState(ix *pointloc.Index) *plState {
+	return &plState{ix: ix, geo: optimal.FromIndex(ix)}
 }
 
 // pointLoc returns the map's slab point-location index, building it on
@@ -553,18 +558,18 @@ func (m *Map) pointLoc() *pointloc.Index {
 	if st := m.pl.Load(); st != nil {
 		return st.ix
 	}
-	st := &plState{}
+	var ix *pointloc.Index
 	if !m.cfg.NoSlabIndex {
 		// Sharing the sweep's label pool lets the build reuse every RNN set
 		// and heat the sweep already interned instead of recomputing them
 		// (the pool is nil for maps restored from snapshots — Build then
 		// interns from scratch).
-		if ix, err := pointloc.Build(m.circles, m.measure, pointloc.Options{Pool: m.result.LabelPool()}); err == nil {
-			st.ix = ix
+		if built, err := pointloc.Build(m.circles, m.measure, pointloc.Options{Pool: m.result.LabelPool()}); err == nil {
+			ix = built
 		}
 	}
-	m.pl.Store(st)
-	return st.ix
+	m.pl.Store(newPLState(ix))
+	return ix
 }
 
 // builtPointLoc returns the slab index only if it has already been built (or
@@ -581,7 +586,7 @@ func (m *Map) builtPointLoc() (*pointloc.Index, bool) {
 // setPointLoc seeds a map (before publication) with an index spliced from
 // its predecessor's.
 func (m *Map) setPointLoc(ix *pointloc.Index) {
-	m.pl.Store(&plState{ix: ix})
+	m.pl.Store(newPLState(ix))
 }
 
 // SlabIndexStats reports whether the slab point-location index is currently
@@ -734,14 +739,15 @@ func (m *Map) Stats() core.Stats {
 // size (the paper's λ).
 type Summary = postprocess.Summary
 
-// Summary computes distributional statistics over all labeled regions. For a
-// mapped map the summary was computed at save time and is read back from the
-// snapshot header — no label scan.
+// Summary computes distributional statistics over all labeled regions, once
+// per map. For a mapped map the summary was computed at save time and is
+// read back from the snapshot header — no label scan.
 func (m *Map) Summary() Summary {
 	if m.view != nil {
 		return m.view.Meta().Summary
 	}
-	return postprocess.Summarize(m.result.Labels)
+	m.summaryOnce.Do(func() { m.summary = postprocess.Summarize(m.result.Labels) })
+	return m.summary
 }
 
 // HeatHistogram buckets the labeled regions' heat values into the given

@@ -368,6 +368,10 @@ func TestSummaryAndHistogram(t *testing.T) {
 	if s.Count != m.NumRegions() {
 		t.Errorf("Summary.Count = %d, want %d regions", s.Count, m.NumRegions())
 	}
+	// The summary is computed once per map: a later call keys no label.
+	if allocs := testing.AllocsPerRun(5, func() { m.Summary() }); allocs != 0 {
+		t.Errorf("a repeated Summary allocates %v times, want 0", allocs)
+	}
 	maxHeat, _ := m.MaxHeat()
 	if s.MaxHeat != maxHeat {
 		t.Errorf("Summary.MaxHeat = %v, want %v", s.MaxHeat, maxHeat)

@@ -1,6 +1,7 @@
 package heatmap
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -118,12 +119,13 @@ func (m *Map) optimalTopK(k int, cons OptimalConstraints, withGeometry bool) ([]
 	return out, nil
 }
 
-// geometry returns the per-set face geometry grouped from the slab index's
-// cells, building the index (and the grouping) on first use. Nil when the
-// index is disabled or declined to build.
+// geometry returns the per-set face geometry of the slab index, building
+// the index on first use; each set is grouped from the index's cells the
+// first time an answer returns it. Nil when the index is disabled or
+// declined to build.
 func (m *Map) geometry() *optimal.Geometry {
-	m.geoOnce.Do(func() { m.geo = optimal.FromIndex(m.pointLoc()) })
-	return m.geo
+	m.pointLoc()
+	return m.pl.Load().geo
 }
 
 // PlacementStep records one step of a greedy facility placement.
@@ -152,10 +154,11 @@ type PlacementStep struct {
 // step point.
 //
 // The loop stops early — returning the steps so far — when the map runs out
-// of regions or the constraints filter every candidate out. Requires
-// DeltaSupported; constraints needing geometry (MinArea) require the slab
-// index on the receiver and on every intermediate map.
-func (m *Map) GreedyPlace(k int, cons OptimalConstraints) ([]PlacementStep, *Map, error) {
+// of regions or the constraints filter every candidate out. It checks ctx
+// before each step and returns ctx.Err() once ctx is done, with no steps and
+// no map. Requires DeltaSupported; constraints needing geometry (MinArea)
+// require the slab index on the receiver and on every intermediate map.
+func (m *Map) GreedyPlace(ctx context.Context, k int, cons OptimalConstraints) ([]PlacementStep, *Map, error) {
 	if k < 1 {
 		return nil, nil, fmt.Errorf("heatmap: GreedyPlace requires k >= 1, got %d", k)
 	}
@@ -165,6 +168,9 @@ func (m *Map) GreedyPlace(k int, cons OptimalConstraints) ([]PlacementStep, *Map
 	cur := m
 	steps := make([]PlacementStep, 0, k)
 	for len(steps) < k {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
+		}
 		regs, err := cur.optimalTopK(1, cons, cons.MinArea > 0)
 		if err != nil {
 			if errors.Is(err, ErrNoRegions) {

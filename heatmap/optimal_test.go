@@ -1,6 +1,7 @@
 package heatmap
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -223,7 +224,7 @@ func TestGreedyPlaceMatchesManualChain(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	m := randomInstance(t, rng, L2, 2, 50, 8)
 
-	steps, final, err := m.GreedyPlace(3, OptimalConstraints{})
+	steps, final, err := m.GreedyPlace(context.Background(), 3, OptimalConstraints{})
 	if err != nil {
 		t.Fatalf("GreedyPlace: %v", err)
 	}
@@ -301,7 +302,7 @@ func TestGreedyPlaceStopsWhenDry(t *testing.T) {
 	m := randomInstance(t, rng, LInf, 1, 20, 5)
 	// A bbox far outside the data admits no representative point.
 	box := Rect{MinX: 1e6, MinY: 1e6, MaxX: 2e6, MaxY: 2e6}
-	steps, final, err := m.GreedyPlace(3, OptimalConstraints{Bounds: &box})
+	steps, final, err := m.GreedyPlace(context.Background(), 3, OptimalConstraints{Bounds: &box})
 	if err != nil {
 		t.Fatalf("GreedyPlace: %v", err)
 	}
@@ -310,6 +311,37 @@ func TestGreedyPlaceStopsWhenDry(t *testing.T) {
 	}
 	if final != m {
 		t.Fatal("dry run with no placements should return the receiver")
+	}
+}
+
+// stepCancelled is a context that is done after its first n Err calls.
+type stepCancelled struct {
+	context.Context
+	n int
+}
+
+func (c *stepCancelled) Err() error {
+	if c.n--; c.n < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestGreedyPlaceStopsWhenCancelled: GreedyPlace checks its context before
+// each step and returns the context's error, with no steps and no map, once
+// it is done — before the first step or between two.
+func TestGreedyPlaceStopsWhenCancelled(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	m := randomInstance(t, rng, L2, 2, 50, 8)
+	for _, n := range []int{0, 1, 2} {
+		ctx := &stepCancelled{Context: context.Background(), n: n}
+		steps, final, err := m.GreedyPlace(ctx, 3, OptimalConstraints{})
+		if !errors.Is(err, context.Canceled) || steps != nil || final != nil {
+			t.Fatalf("cancelled after %d steps: steps=%v final=%v err=%v, want context.Canceled alone", n, steps, final, err)
+		}
+		if ctx.n != -1 {
+			t.Fatalf("cancelled after %d steps: GreedyPlace checked its context %d times, want %d", n, n-ctx.n, n+1)
+		}
 	}
 }
 
@@ -339,7 +371,7 @@ func TestOptimalOnDegenerateMap(t *testing.T) {
 	if _, err := empty.OptimalTopK(5, OptimalConstraints{}); !errors.Is(err, ErrNoRegions) {
 		t.Fatalf("OptimalTopK on empty arrangement: err = %v, want ErrNoRegions", err)
 	}
-	if steps, _, err := empty.GreedyPlace(2, OptimalConstraints{}); err != nil || len(steps) != 0 {
+	if steps, _, err := empty.GreedyPlace(context.Background(), 2, OptimalConstraints{}); err != nil || len(steps) != 0 {
 		t.Fatalf("GreedyPlace on empty arrangement: steps=%v err=%v, want no steps, no error", steps, err)
 	}
 	// TopK stays explicit-empty rather than erroring: it is a list endpoint.

@@ -24,6 +24,7 @@ func (m *Map) Snapshot(mapVersion uint64) (*snapshot.Snapshot, error) {
 		return nil, fmt.Errorf("heatmap: %w", err)
 	}
 	m.materialize()
+	sum := m.Summary()
 	return &snapshot.Snapshot{
 		MapVersion:    mapVersion,
 		Metric:        m.cfg.Metric,
@@ -38,6 +39,7 @@ func (m *Map) Snapshot(mapVersion uint64) (*snapshot.Snapshot, error) {
 		MaxHeat:       m.result.MaxHeat,
 		MaxLabel:      m.result.MaxLabel,
 		Stats:         m.result.Stats,
+		Summary:       &sum,
 	}, nil
 }
 

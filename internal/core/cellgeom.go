@@ -95,17 +95,34 @@ type CellGroup struct {
 // compared by id — cells emitted from one slab index draw their labels from
 // one id table, where each set has one id, so id identity is set identity.
 type CellGrouper struct {
-	at     []int32 // id -> 1 + position in groups; 0 before the id's first cell
+	// at maps id -> 1 + position in groups; 0 before the id's first cell,
+	// -1 for an id the grouper does not want.
+	at     []int32
 	groups []CellGroup
 }
 
-// NewCellGrouper returns an empty grouper for labels with ids below n.
-func NewCellGrouper(n int) *CellGrouper {
-	return &CellGrouper{at: make([]int32, n)}
+// NewCellGrouper returns an empty grouper for labels with ids below n that
+// wants the cells of the given ids, or of every id when ids is nil.
+func NewCellGrouper(n int, ids []uint32) *CellGrouper {
+	g := &CellGrouper{at: make([]int32, n)}
+	if ids != nil {
+		for i := range g.at {
+			g.at[i] = -1
+		}
+		for _, id := range ids {
+			g.at[id] = 0
+		}
+	}
+	return g
 }
 
-// Add accumulates one cell into its label's group. Zero-width cells (the
-// final zero-width slab) are counted but contribute no area.
+// Wants reports whether the grouper aggregates the cells of id. A walk asks
+// before it builds a cell's edges, so an unwanted cell costs one load.
+func (g *CellGrouper) Wants(id uint32) bool { return g.at[id] >= 0 }
+
+// Add accumulates one cell into its label's group, which the grouper must
+// want. Zero-width cells (the final zero-width slab) are counted but
+// contribute no area.
 func (g *CellGrouper) Add(id uint32, x0, x1 float64, bottom, top CellEdge) {
 	if g.at[id] == 0 {
 		g.groups = append(g.groups, CellGroup{ID: id, Bounds: geom.EmptyRect()})

@@ -83,7 +83,7 @@ func TestEdgeRangeY(t *testing.T) {
 
 func TestCellGrouper(t *testing.T) {
 	const la, lb = 3, 1
-	g := NewCellGrouper(4)
+	g := NewCellGrouper(4, nil)
 	g.Add(la, 0, 2, horiz(0), horiz(1)) // area 2
 	g.Add(la, 2, 5, horiz(0), horiz(2)) // area 6
 	g.Add(la, 5, 5, horiz(0), horiz(9)) // zero-width: counted, no area
@@ -108,5 +108,15 @@ func TestCellGrouper(t *testing.T) {
 	b := byLabel[lb]
 	if b == nil || b.Cells != 1 || math.Abs(b.Area-2) > 1e-12 {
 		t.Fatalf("group b = %+v, want 1 cell, area 2", b)
+	}
+
+	// A filtered grouper wants only its ids.
+	f := NewCellGrouper(4, []uint32{lb})
+	if f.Wants(la) || !f.Wants(lb) {
+		t.Fatalf("filter on id %d: Wants(%d)=%v Wants(%d)=%v", lb, la, f.Wants(la), lb, f.Wants(lb))
+	}
+	f.Add(lb, 10, 11, horiz(10), horiz(12))
+	if groups := f.Groups(); len(groups) != 1 || groups[0] != *b {
+		t.Fatalf("filtered groups %+v, want only %+v", groups, *b)
 	}
 }

@@ -148,6 +148,19 @@ func (in *LabelInterner) ID(l *Interned) uint32 {
 	return l.id.Load() - 1
 }
 
+// LookupID returns the id of the pool's record of the set with members rnn
+// (ascending). It never assigns one: ok is false when the pool holds no such
+// set, or holds it without an id — a set no slab gap stores. Safe for
+// concurrent use.
+func (in *LabelInterner) LookupID(rnn []int) (id uint32, ok bool) {
+	l := in.lookup(oset.KeyOf(rnn))
+	if l == nil {
+		return 0, false
+	}
+	id = l.id.Load()
+	return id - 1, id != 0
+}
+
 // NewLabelInterner returns an empty pool evaluating heats under measure (nil
 // means influence.Size()).
 func NewLabelInterner(measure influence.Measure) *LabelInterner {

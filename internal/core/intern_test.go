@@ -44,3 +44,36 @@ func TestLabelInternerIDs(t *testing.T) {
 		t.Errorf("an empty set the stored table lacks gets id %d, want the next one, 1", id)
 	}
 }
+
+// TestLabelInternerLookupID checks that LookupID finds the id of a set the
+// pool numbered, by its members, and never assigns one: a set the pool
+// holds without an id, or does not hold, is not found, and the table does
+// not grow.
+func TestLabelInternerLookupID(t *testing.T) {
+	in := NewLabelInterner(nil)
+	a := in.Intern(oset.FromSorted([]int{1, 4}))
+	in.Intern(oset.FromSorted([]int{2}))
+	if _, ok := in.LookupID([]int{1, 4}); ok {
+		t.Fatal("found an id for a set the pool never numbered")
+	}
+	in.ID(in.Empty())
+	in.ID(a)
+	if id, ok := in.LookupID([]int{1, 4}); !ok || id != 1 {
+		t.Fatalf("LookupID({1,4}) = %d, %v, want 1, true", id, ok)
+	}
+	if id, ok := in.LookupID([]int{}); !ok || id != 0 {
+		t.Fatalf("LookupID({}) = %d, %v, want the empty set's id 0", id, ok)
+	}
+	for _, rnn := range [][]int{{2}, {3}} {
+		if _, ok := in.LookupID(rnn); ok {
+			t.Fatalf("LookupID(%v) found an id", rnn)
+		}
+	}
+	if heats, _ := in.Table(); len(heats) != 2 {
+		t.Fatalf("table holds %d ids after the lookups, want 2", len(heats))
+	}
+	seeded := NewLabelInternerFrom(nil, [][]int{{2, 9}, {}, {4}}, []float64{2, 0, 1})
+	if id, ok := seeded.LookupID([]int{4}); !ok || id != 2 {
+		t.Fatalf("seeded LookupID({4}) = %d, %v, want its stored id 2", id, ok)
+	}
+}

@@ -31,7 +31,7 @@ func oracleKey(rnn []int) string {
 // oracleKey.
 func geometryOracle(ix *pointloc.Index) map[string]Group {
 	out := make(map[string]Group)
-	for _, grp := range ix.GroupCells() {
+	for _, grp := range ix.GroupCells(nil) {
 		bounds := grp.Bounds
 		if ix.Metric() == geom.L1 && !bounds.IsEmpty() {
 			r := geom.EmptyRect()
@@ -91,22 +91,30 @@ func checkTopK(t *testing.T, name string, labels []core.Label, geo *Geometry, or
 // randomLabels draws n labels from a pool of up to 12 random sets over
 // clients 0..63, so equal sets recur. Every label gets its own backing
 // array, including labels of equal sets; empty sets appear both as nil and
-// as empty slices; heats come from four values, so ties are common.
+// as empty slices. Each set draws one heat from four values, so ties between
+// sets are common and all labels of one set carry one heat, as TopK
+// requires (an empty pool set and a drawn duplicate of it share the heat of
+// the first).
 func randomLabels(rng *rand.Rand, n int) []core.Label {
 	pool := make([][]int, 1+rng.Intn(12))
+	heats := make(map[string]float64)
 	for i := range pool {
 		pool[i] = rng.Perm(64)[:rng.Intn(6)]
 		sort.Ints(pool[i])
+		if _, ok := heats[oracleKey(pool[i])]; !ok {
+			heats[oracleKey(pool[i])] = float64(rng.Intn(4))
+		}
 	}
 	labels := make([]core.Label, n)
 	for i := range labels {
 		var rnn []int
-		if set := pool[rng.Intn(len(pool))]; len(set) > 0 || rng.Intn(2) == 0 {
+		set := pool[rng.Intn(len(pool))]
+		if len(set) > 0 || rng.Intn(2) == 0 {
 			rnn = append([]int{}, set...)
 		}
 		labels[i] = core.Label{
 			RNN:   rnn,
-			Heat:  float64(rng.Intn(4)),
+			Heat:  heats[oracleKey(set)],
 			Point: geom.Pt(rng.Float64()*10, rng.Float64()*10),
 		}
 	}
@@ -174,11 +182,17 @@ func checkCrossPool(t *testing.T, name string, clients, facilities []geom.Point,
 		t.Fatal(err)
 	}
 	geo, oracleGeo := FromIndex(ix), geometryOracle(ix)
-	if len(geo.byKey) != len(oracleGeo) {
-		t.Fatalf("%s: %d geometry groups, oracle %d", name, len(geo.byKey), len(oracleGeo))
-	}
 	checkTopK(t, name, res.Labels, geo, oracleGeo, Constraints{})
 	checkTopK(t, name+" min area", res.Labels, geo, oracleGeo, Constraints{MinArea: 1})
+	groups := 0
+	for _, grp := range geo.groups {
+		if grp.Cells > 0 {
+			groups++
+		}
+	}
+	if groups != len(oracleGeo) {
+		t.Fatalf("%s: %d geometry groups, oracle %d", name, groups, len(oracleGeo))
+	}
 }
 
 // TestTopKAllocsIndependentOfSetSize is a machine-independent gate: keying a

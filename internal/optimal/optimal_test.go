@@ -3,9 +3,12 @@ package optimal
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 
 	"rnnheatmap/internal/core"
+	"rnnheatmap/internal/dataset"
 	"rnnheatmap/internal/geom"
 	"rnnheatmap/internal/influence"
 	"rnnheatmap/internal/nncircle"
@@ -35,7 +38,8 @@ func TestSingleCircleArea(t *testing.T) {
 	facilities := []geom.Point{geom.Pt(5, 4)} // r = 2
 
 	t.Run("linf square", func(t *testing.T) {
-		geo := FromIndex(buildIndex(t, clients, facilities, geom.LInf))
+		ix := buildIndex(t, clients, facilities, geom.LInf)
+		geo := FromIndex(ix)
 		grp, ok := geo.Lookup([]int{0})
 		if !ok {
 			t.Fatal("no geometry for RNN set {0}")
@@ -47,8 +51,12 @@ func TestSingleCircleArea(t *testing.T) {
 		if math.Abs(grp.Bounds.Area()-want) > 1e-9 {
 			t.Fatalf("bounding box area = %v, want %v (a square region is its own bounding box)", grp.Bounds.Area(), want)
 		}
-		if math.Abs(geo.TotalArea-want) > 1e-9 {
-			t.Fatalf("total slab-cell area = %v, want bounding-box area %v", geo.TotalArea, want)
+		total := 0.0
+		for _, grp := range ix.GroupCells(nil) {
+			total += grp.Area
+		}
+		if math.Abs(total-want) > 1e-9 {
+			t.Fatalf("total slab-cell area = %v, want bounding-box area %v", total, want)
 		}
 	})
 
@@ -260,4 +268,140 @@ func TestConstraints(t *testing.T) {
 			t.Fatalf("k=0: regs=%v err=%v, want empty", regs, err)
 		}
 	})
+}
+
+// TestGeometryIntegratesOnlyAnswers is the machine-independent
+// output-sensitivity gate. On a fresh Geometry — the state a freshly built
+// map holds — an unconstrained TopK(10) integrates exactly the cells of the
+// regions it returns, and a repeated call integrates none. A min-area
+// filter integrates every cell once, and only once.
+func TestGeometryIntegratesOnlyAnswers(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(47))
+	check := func(name string, clients, facilities []geom.Point, metric geom.Metric) {
+		t.Helper()
+		circles, err := nncircle.Compute(clients, facilities, metric)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := core.CREST(circles, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix, err := pointloc.Build(circles, influence.Size(), pointloc.Options{Pool: res.LabelPool()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		all := 0
+		for _, grp := range ix.GroupCells(nil) {
+			all += grp.Cells
+		}
+		geo := FromIndex(ix)
+		regs, err := TopK(res.Labels, geo, 10, Constraints{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		returned := 0
+		for _, r := range regs {
+			returned += r.Cells
+		}
+		if geo.integrated != returned || returned == 0 || returned >= all {
+			t.Fatalf("%s: TopK(10) integrated %d cells, its %d regions hold %d of the index's %d", name, geo.integrated, len(regs), returned, all)
+		}
+		for _, k := range []int{10, 3} {
+			if _, err := TopK(res.Labels, geo, k, Constraints{}); err != nil {
+				t.Fatal(err)
+			}
+			if geo.integrated != returned {
+				t.Fatalf("%s: a repeated TopK(%d) integrated %d more cells", name, k, geo.integrated-returned)
+			}
+		}
+		for i := 0; i < 2; i++ {
+			if _, err := TopK(res.Labels, geo, 10, Constraints{MinArea: 1e-9}); err != nil {
+				t.Fatal(err)
+			}
+			if geo.integrated != returned+all {
+				t.Fatalf("%s: min-area TopK #%d brought the integrated cells to %d, want %d + every cell, %d", name, i+1, geo.integrated, returned, all)
+			}
+		}
+	}
+	for _, metric := range []geom.Metric{geom.LInf, geom.L1, geom.L2} {
+		clients := make([]geom.Point, 300)
+		facilities := make([]geom.Point, 30)
+		for i := range clients {
+			clients[i] = geom.Pt(rng.Float64()*100, rng.Float64()*100)
+		}
+		for i := range facilities {
+			facilities[i] = geom.Pt(rng.Float64()*100, rng.Float64()*100)
+		}
+		check(metric.String(), clients, facilities, metric)
+	}
+	if testing.Short() {
+		return
+	}
+	pool, err := dataset.ByName("NYC", (2000+600)*2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clients, facilities := pool.SampleClientsFacilities(2000, 600, 2)
+	check("default map", clients, facilities, geom.L2)
+}
+
+// TestGeometryConcurrentQueries asks one Geometry from several goroutines
+// at once, as concurrent /optimal requests on one map do, mixing queries
+// that resolve a few sets with min-area queries that resolve every set.
+// Every answer must equal the one a fresh Geometry gives alone.
+func TestGeometryConcurrentQueries(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(53))
+	clients := make([]geom.Point, 200)
+	facilities := make([]geom.Point, 20)
+	for i := range clients {
+		clients[i] = geom.Pt(rng.Float64()*100, rng.Float64()*100)
+	}
+	for i := range facilities {
+		facilities[i] = geom.Pt(rng.Float64()*100, rng.Float64()*100)
+	}
+	circles, err := nncircle.Compute(clients, facilities, geom.L2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.CREST(circles, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := pointloc.Build(circles, influence.Size(), pointloc.Options{Pool: res.LabelPool()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type query struct {
+		k    int
+		cons Constraints
+	}
+	var queries []query
+	for _, k := range []int{1, 3, 10, 50} {
+		queries = append(queries, query{k, Constraints{}}, query{k, Constraints{MinArea: 0.5}})
+	}
+	want := make([][]Region, len(queries))
+	for i, q := range queries {
+		if want[i], err = TopK(res.Labels, FromIndex(ix), q.k, q.cons); err != nil {
+			t.Fatal(err)
+		}
+	}
+	geo := FromIndex(ix)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for j := range queries {
+				i := (j + 3*g) % len(queries)
+				got, err := TopK(res.Labels, geo, queries[i].k, queries[i].cons)
+				if err != nil || !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("goroutine %d, query %+v: got %+v (err %v), want %+v", g, queries[i], got, err, want[i])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -1,41 +1,39 @@
 package pointloc
 
-import (
-	"rnnheatmap/internal/core"
-	"rnnheatmap/internal/geom"
-)
+import "rnnheatmap/internal/core"
 
-// Per-label cell iteration: the slab decomposition already cuts every face
-// of the arrangement into cells, so walking the cells and grouping them by
-// interned label recovers exact per-face geometry (area, bounding box, cell
-// count) without any new sweep. The optimal-location engine
-// (internal/optimal) is the consumer.
+// Per-set cell geometry: the slab decomposition already cuts every face of
+// the arrangement into cells, so walking the cells and grouping them by set
+// id recovers exact per-face geometry (area, bounding box, cell count)
+// without any new sweep. The optimal-location engine (internal/optimal) is
+// the consumer; it asks for the few sets an answer returns, so the walk
+// reads every gap id but builds and integrates only the wanted cells.
 
-// VisitCells calls visit once per bounded cell of the decomposition, slab by
-// slab in ascending x order and bottom to top inside each slab. A bounded
-// cell is the region between two consecutive edges of one slab; the
-// unbounded gaps below the first and above the last edge (always the
-// empty-set face) are skipped, as is the face outside every slab. id is the
-// cell's set id — each set has one id in an index, so grouping by id groups
-// by RNN set (AppendSet resolves it). Returning false stops the walk.
+// GroupCells aggregates the bounded cells of the sets with the given ids
+// (every set when ids is nil) into per-set groups (see core.CellGrouper):
+// total exact area, cell count, and sweep-space bounding box per set, in the
+// order of each set's first cell. A set without a bounded cell in the index
+// gets no group. Ids are the index's own (SetID resolves a set to its id).
 //
-// Coordinates are in sweep space: the original coordinate system for L∞ and
-// L2, the rotated system for L1. The rotation is orthonormal, so areas
-// computed from these cells are original-space areas for every metric.
-func (ix *Index) VisitCells(visit func(x0, x1 float64, bottom, top core.CellEdge, id uint32) bool) {
+// A bounded cell is the region between two consecutive edges of one slab;
+// the unbounded gaps below the first and above the last edge (always the
+// empty-set face) are skipped, as is the face outside every slab. Cells are
+// visited slab by slab in ascending x order and bottom to top inside each
+// slab. Coordinates are in sweep space: the original coordinate system for
+// L∞ and L2, the rotated system for L1. The rotation is orthonormal, so
+// areas computed from these cells are original-space areas for every metric.
+func (ix *Index) GroupCells(ids []uint32) []core.CellGroup {
+	g := core.NewCellGrouper(len(ix.sets.heats), ids)
 	for i := range ix.slabs {
 		sl := &ix.slabs[i]
-		if len(sl.edges) == 0 {
-			continue
-		}
-		x0 := ix.xs[i]
-		x1 := rightEdge(ix.xs, i)
+		x0, x1 := ix.xs[i], rightEdge(ix.xs, i)
 		for j := 1; j < len(sl.edges); j++ {
-			if !visit(x0, x1, ix.cellEdge(sl, j-1), ix.cellEdge(sl, j), sl.gaps[j]) {
-				return
+			if id := sl.gaps[j]; g.Wants(id) {
+				g.Add(id, x0, x1, ix.cellEdge(sl, j-1), ix.cellEdge(sl, j))
 			}
 		}
 	}
+	return g.Groups()
 }
 
 // cellEdge materializes edge k of a slab as a core.CellEdge.
@@ -50,28 +48,17 @@ func (ix *Index) cellEdge(sl *slab, k int) core.CellEdge {
 	return e
 }
 
-// GroupCells walks every bounded cell and aggregates them into per-set
-// groups (see core.CellGrouper): total exact area, cell count, and
-// sweep-space bounding box per distinct RNN set, in the order of each set's
-// first cell.
-func (ix *Index) GroupCells() []core.CellGroup {
-	g := core.NewCellGrouper(len(ix.sets.heats))
-	ix.VisitCells(func(x0, x1 float64, bottom, top core.CellEdge, id uint32) bool {
-		g.Add(id, x0, x1, bottom, top)
-		return true
-	})
-	return g.Groups()
+// SetID returns the id the index's gaps store for the set with members rnn
+// (ascending), found through the lineage's interner, which never assigns an
+// id on a lookup. ok is false when no gap of the index can store the set:
+// the lineage never numbered it, or numbered it after this index was made.
+// The first call on an index opened from a snapshot seeds the lineage's
+// interner from the file's pool, as its first Patch would.
+func (ix *Index) SetID(rnn []int) (id uint32, ok bool) {
+	id, ok = ix.lin.interner(ix.measure).LookupID(rnn)
+	return id, ok && int(id) < len(ix.sets.heats)
 }
 
 // AppendSet appends the members of the set with the given id (a gap id
-// VisitCells or GroupCells reported), ascending, to dst.
+// GroupCells reported), ascending, to dst.
 func (ix *Index) AppendSet(dst []int, id uint32) []int { return ix.sets.appendSet(dst, id) }
-
-// ToOriginal maps a sweep-space point back to the index's original
-// coordinate system (the inverse of the L1 rotation; identity otherwise).
-func (ix *Index) ToOriginal(p geom.Point) geom.Point {
-	if ix.metric == geom.L1 {
-		return geom.RotateLInfToL1(p)
-	}
-	return p
-}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"math"
 	"net/http"
@@ -237,11 +238,11 @@ func (s *Server) handleOptimize(inst *mapInstance, w http.ResponseWriter, r *htt
 
 	started := time.Now()
 	if commit {
-		s.optimizeCommit(inst, w, k, cons, started)
+		s.optimizeCommit(r.Context(), inst, w, k, cons, started)
 		return
 	}
 	st := inst.state()
-	steps, _, err := st.m.GreedyPlace(k, cons)
+	steps, _, err := st.m.GreedyPlace(r.Context(), k, cons)
 	if err != nil {
 		s.writeOptimizeError(inst, w, err)
 		return
@@ -252,8 +253,9 @@ func (s *Server) handleOptimize(inst *mapInstance, w http.ResponseWriter, r *htt
 // optimizeCommit recomputes the greedy placement under the writer lock and
 // publishes the final map as one version bump: one batched WAL record for
 // the whole sequence, tile-cache migration against the union of the steps'
-// dirty rectangles.
-func (s *Server) optimizeCommit(inst *mapInstance, w http.ResponseWriter, k int, cons heatmap.OptimalConstraints, started time.Time) {
+// dirty rectangles. The placement stops when ctx, the request's, is done:
+// the lock is released and nothing is published or logged.
+func (s *Server) optimizeCommit(ctx context.Context, inst *mapInstance, w http.ResponseWriter, k int, cons heatmap.OptimalConstraints, started time.Time) {
 	inst.writeMu.Lock()
 	// Re-check membership under the writer lock, as every write path does.
 	if s.lookup(inst.name) != inst {
@@ -262,7 +264,7 @@ func (s *Server) optimizeCommit(inst *mapInstance, w http.ResponseWriter, k int,
 		return
 	}
 	st := inst.state()
-	steps, final, err := st.m.GreedyPlace(k, cons)
+	steps, final, err := st.m.GreedyPlace(ctx, k, cons)
 	if err != nil {
 		inst.writeMu.Unlock()
 		s.writeOptimizeError(inst, w, err)

@@ -1,11 +1,15 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
+	"os"
 	"testing"
 
 	"rnnheatmap/heatmap"
+	"rnnheatmap/internal/snapshot"
 )
 
 // optimalBody is the GET /optimal response shape used by these tests.
@@ -200,6 +204,37 @@ func TestOptimizeDryRunAndCommit(t *testing.T) {
 		if dry.Steps[i].Point != committed.Steps[i].Point {
 			t.Fatalf("step %d: dry %v != committed %v", i, dry.Steps[i].Point, committed.Steps[i].Point)
 		}
+	}
+}
+
+// TestOptimizeStopsWhenClientGoesAway: an /optimize whose request context is
+// done stops before its first step. A cancelled commit releases the writer
+// lock and neither publishes nor writes to the WAL.
+func TestOptimizeStopsWhenClientGoesAway(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	s, err := New(Config{Map: handMap(t), Mutable: true, TileSize: 32, SnapshotDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, path := range []string{"/v1/optimize?k=3&commit=true", "/v1/optimize?k=3"} {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, nil).WithContext(ctx))
+		if rec.Code == http.StatusOK {
+			t.Fatalf("POST %s with a cancelled context = 200: %s", path, rec.Body)
+		}
+	}
+	if v := s.Version(); v != 1 {
+		t.Fatalf("a cancelled commit bumped the version to %d", v)
+	}
+	if fi, err := os.Stat(snapshot.WALPath(dir, DefaultMapName)); err != nil || fi.Size() != int64(walFileHeaderLen(t)) {
+		t.Fatalf("a cancelled commit wrote to the WAL (size %v, err %v)", fi, err)
+	}
+	// The writer lock was released: a live commit goes through.
+	if rec := do(t, s, http.MethodPost, "/v1/optimize?k=1&commit=true", ""); rec.Code != http.StatusOK || s.Version() != 2 {
+		t.Fatalf("commit after the cancelled one = %d, version %d: %s", rec.Code, s.Version(), rec.Body)
 	}
 }
 

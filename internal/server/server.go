@@ -144,9 +144,6 @@ type mapState struct {
 	// heatLo and heatHi are the map-wide heat range used to normalize every
 	// tile, so a region renders the same shade on whichever tile it lands.
 	heatLo, heatHi float64
-	// summary is the heat distribution over the labeled regions, immutable
-	// per snapshot and therefore computed once rather than per /stats poll.
-	summary heatmap.Summary
 }
 
 func newMapState(m *heatmap.Map, version uint64) (*mapState, error) {
@@ -159,9 +156,8 @@ func newMapState(m *heatmap.Map, version uint64) (*mapState, error) {
 		rd:      rd,
 		grid:    newGrid(rd.Bounds()),
 		version: version,
-		summary: m.Summary(),
 	}
-	st.heatLo, st.heatHi = heatRange(m, st.summary)
+	st.heatLo, st.heatHi = heatRange(m)
 	return st, nil
 }
 
@@ -435,11 +431,11 @@ func (s *Server) clusterRoute(name string, kind routeKind, w http.ResponseWriter
 // smaller of the empty-set heat and the coolest region to the map maximum.
 // For the size measure this is simply [0, max], but signed measures (e.g.
 // capacity gain) can dip below the empty-set value.
-func heatRange(m *heatmap.Map, sum heatmap.Summary) (lo, hi float64) {
+func heatRange(m *heatmap.Map) (lo, hi float64) {
 	outside := m.Bounds().Expand(1).Corners()
 	lo, _ = m.HeatAt(outside[0]) // empty RNN set
 	hi = lo
-	if sum.Count > 0 {
+	if sum := m.Summary(); sum.Count > 0 {
 		lo = math.Min(lo, sum.MinHeat)
 		hi = math.Max(hi, sum.MaxHeat)
 	}
@@ -665,7 +661,7 @@ func (s *Server) handleStats(inst *mapInstance, w http.ResponseWriter, r *http.R
 	st := inst.state()
 	cs := st.m.Stats()
 	maxHeat, _ := st.m.MaxHeat()
-	sum := st.summary
+	sum := st.m.Summary()
 	hits, misses, waited := inst.cache.stats()
 	var clusterSection *clusterStats
 	if s.cluster != nil {

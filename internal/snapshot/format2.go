@@ -240,7 +240,11 @@ func (s *Snapshot) encodeMeta(tables *SlabTables, nPool int) ([]byte, error) {
 	} else {
 		e.u32(0)
 	}
-	sum := postprocess.Summarize(s.Labels)
+	sum := s.Summary
+	if sum == nil {
+		all := postprocess.Summarize(s.Labels)
+		sum = &all
+	}
 	e.i64(int64(sum.Count))
 	e.i64(int64(sum.DistinctSets))
 	e.f64(sum.MinHeat)

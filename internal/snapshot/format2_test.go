@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"rnnheatmap/internal/geom"
+	"rnnheatmap/internal/postprocess"
 )
 
 // sampleL2 is sample() with its metric set to L2, the metric sampleTables()
@@ -72,6 +73,25 @@ func TestV2RoundTrip(t *testing.T) {
 		t.Errorf("round-trip mismatch:\n got %+v\nwant %+v", got, want)
 	}
 	checkSlabIndex(t, v, tables)
+}
+
+// TestV2CarriedSummary: a snapshot that carries its labels' summary encodes
+// to the bytes of one whose encoder computes it.
+func TestV2CarriedSummary(t *testing.T) {
+	t.Parallel()
+	s, tables := sampleL2(), sampleTables()
+	var computed, carried bytes.Buffer
+	if err := s.Encode(&computed, tables); err != nil {
+		t.Fatal(err)
+	}
+	sum := postprocess.Summarize(s.Labels)
+	s.Summary = &sum
+	if err := s.Encode(&carried, tables); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(carried.Bytes(), computed.Bytes()) {
+		t.Fatal("a carried summary changed the snapshot bytes")
+	}
 }
 
 // TestV2FileRoundTrip: WriteFile with a slab index + Open reproduces the

@@ -36,6 +36,7 @@ import (
 	"rnnheatmap/internal/geom"
 	"rnnheatmap/internal/influence"
 	"rnnheatmap/internal/nncircle"
+	"rnnheatmap/internal/postprocess"
 )
 
 var magic = [4]byte{'R', 'N', 'H', 'M'}
@@ -80,6 +81,9 @@ type Snapshot struct {
 	MaxHeat  float64
 	MaxLabel core.Label
 	Stats    core.Stats
+	// Summary, when non-nil, is postprocess.Summarize(Labels), which the
+	// caller already holds; the encoder computes it when nil.
+	Summary *postprocess.Summary
 }
 
 func encodeLabel(e *encoder, l *core.Label) {
