@@ -300,15 +300,14 @@ func BenchmarkAblationLabeling(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationEnclosureIndex compares the two point-enclosure index
-// implementations the baseline can use (R-tree vs stripe index); the paper
-// uses an S-tree but notes other spatial indexes work (Section IV).
+// BenchmarkAblationEnclosureIndex times the baseline, which issues one
+// point-enclosure query per grid cell over the R-tree index (the paper uses
+// an S-tree but notes other spatial indexes work, Section IV), against
+// CREST on the same input, exposing the enclosure-query cost the paper's
+// Section IV analysis attributes to the baseline.
 func BenchmarkAblationEnclosureIndex(b *testing.B) {
 	ncs := benchWorkload(b, "Uniform", 1<<11, 1<<5, geom.LInf)
 	opts := core.Options{Measure: influence.Size(), DiscardLabels: true}
-	// The baseline always uses the R-tree index internally; this ablation
-	// times the full baseline against CREST to expose the enclosure-query
-	// cost the paper's Section IV analysis attributes to it.
 	b.Run("baseline-rtree", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var err error

@@ -73,10 +73,10 @@ func main() {
 	//
 	// ApplyDelta applies the change incrementally: only the NN-circles of the
 	// clients the new point captures change, so just the dirty slice of the
-	// arrangement is reswept and spliced — the answer is identical to a full
-	// rebuild. (The walkthrough runs on the plain size-measure map: the
-	// capacity measure's assignment context is index-based and must be
-	// rebuilt after a facility change, shown below.)
+	// arrangement is reswept and spliced, however large that slice is — the
+	// answer is identical to a full rebuild. (The walkthrough runs on the
+	// plain size-measure map: the capacity measure's assignment context is
+	// index-based and must be rebuilt after a facility change, shown below.)
 	_, sizeBest := base.MaxHeat()
 	opened, stats, err := base.ApplyDelta(heatmap.Delta{AddFacilities: []heatmap.Point{sizeBest.Point}})
 	if err != nil {
@@ -107,7 +107,8 @@ func main() {
 	closedMax, closedBest := closed.MaxHeat()
 	fmt.Printf("\nwhat-if: close the busiest point (#%d, %d assigned clients)\n", busiest, counts[busiest])
 	fmt.Printf("  best replacement location now captures %.0f clients at %s\n", closedMax, closedBest.Point)
-	fmt.Printf("  reswept %d of %d sweep events (rebuilt=%v)\n", stats.EventsReswept, stats.EventsTotal, stats.Rebuilt)
+	fmt.Printf("  reswept %d of %d sweep events (%.1f%%)\n", stats.EventsReswept, stats.EventsTotal,
+		100*float64(stats.EventsReswept)/float64(stats.EventsTotal))
 
 	// Index-based measures need fresh context after the update: recompute the
 	// assignment against the enlarged facility set and rebuild the capacity

@@ -146,10 +146,10 @@ type Config struct {
 	// NoSlabIndex disables the slab point-location index that normally
 	// serves HeatAt, HeatAtBatch and tile rasterization in O(log n) per
 	// query (internal/pointloc). With it set, queries fall back to
-	// point-enclosure stabbing over the R-tree index. Answers are identical
-	// either way — the flag exists for memory-constrained deployments, for
-	// benchmarking the two paths against each other, and as the oracle side
-	// of the differential test suite.
+	// point-enclosure stabbing over an R-tree index, built on the map's
+	// first query. Answers are identical either way — the flag exists for
+	// memory-constrained deployments, for benchmarking the two paths against
+	// each other, and as the oracle side of the differential test suite.
 	NoSlabIndex bool
 }
 
@@ -160,20 +160,22 @@ type Map struct {
 	cfg     Config
 	circles []nncircle.NNCircle
 	bounds  Rect
+	// result holds the labels; its LabelPool is the label pool of the map's
+	// lineage (the map and every map derived from it by ApplyDelta), shared
+	// with the slab index, or nil for a map opened from a snapshot.
 	result  *core.Result
-	index   enclosure.Index
 	measure Measure
 
 	rendererOnce sync.Once
 	renderer     *render.Renderer
 	rendererErr  error
 
-	// The slab point-location index is built lazily on the first query (or
-	// spliced from the previous map's by ApplyDelta). pl publishes the
-	// resolved state lock-free — readers on the hot query path never touch
-	// plMu after the one-time build — and holds a nil Index when the index
-	// is disabled or declined to build (too large), in which case queries
-	// use the enclosure path.
+	// The point-query structure is resolved lazily on the first query
+	// (pointLoc), or spliced from the previous map's slab index by
+	// ApplyDelta. pl publishes the resolved state lock-free — readers on the
+	// hot query path never touch plMu after the one-time build: the slab
+	// index, or, when the index is disabled or declined to build (too
+	// large), the R-tree the enclosure path stabs.
 	plMu sync.Mutex
 	pl   atomic.Pointer[plState]
 
@@ -186,10 +188,10 @@ type Map struct {
 	// A mapped map (restored by OpenSnapshot) serves queries, tiles
 	// and metadata straight off the snapshot view — view holds the mmap'd
 	// file, and pl the slab index opened over its sections when the file
-	// carries one. Heap structures (clients, circles, labels, enclosure
-	// index) materialize lazily under matOnce the first time an operation
-	// needs them — region enumeration, ApplyDelta, the enclosure fallback —
-	// after which the map is "mapped+heap". view is nil for heap maps.
+	// carries one. Heap structures (clients, circles, labels) materialize
+	// lazily under matOnce the first time an operation needs them — region
+	// enumeration, ApplyDelta, the enclosure fallback — after which the map
+	// is "mapped+heap". view is nil for heap maps.
 	view         *snapshot.View
 	matOnce      sync.Once
 	materialized atomic.Bool
@@ -253,7 +255,6 @@ func Build(cfg Config) (*Map, error) {
 		circles: circles,
 		bounds:  bounds,
 		result:  res,
-		index:   enclosure.NewRTreeIndex(nncircle.Circles(circles)),
 		measure: measure,
 	}, nil
 }
@@ -280,8 +281,9 @@ var ErrBadDelta = delta.ErrBadDelta
 type DeltaStats struct {
 	// ChangedClients is the number of clients whose NN-circle changed.
 	ChangedClients int
-	// Rebuilt reports that the update dirtied too much of the arrangement and
-	// a full resweep ran instead of an incremental splice.
+	// Rebuilt reports that a full sweep ran instead of an incremental
+	// splice: the map had no labels to splice into, or the update left no
+	// usable circle.
 	Rebuilt bool
 	// EventsTotal is the sweep-event count of the updated arrangement;
 	// EventsReswept is how many of them the incremental path actually swept.
@@ -317,8 +319,8 @@ func (m *Map) ApplyDelta(d Delta) (*Map, DeltaStats, error) {
 // runs delta by delta (removal indexes mean exactly what they would if the
 // deltas were applied one at a time), but the union of everything the batch
 // dirtied is reswept ONCE and the result published as a single new Map — K
-// deltas cost one splice, one enclosure rebuild and one point-location
-// patch instead of K. The returned map is identical, region for region and
+// deltas cost one splice and one point-location patch instead of K. The
+// returned map is identical, region for region and
 // pixel for pixel, to chaining K ApplyDelta calls. The batch is atomic: an
 // invalid delta anywhere (ErrBadDelta) fails the whole call with the
 // receiver untouched. The group-committing server ingest path is built on
@@ -340,19 +342,27 @@ func (m *Map) ApplyDeltaBatch(ds []Delta) (*Map, DeltaStats, error) {
 			RemoveFacilities: d.RemoveFacilities,
 		}
 	}
+	// The resweep interns into the lineage's one label pool: the one the
+	// slab index draws its ids from (for an index opened from a snapshot,
+	// the interner seeded from the file), or else the labels' own.
+	ix, _ := m.builtPointLoc()
+	pool := m.result.LabelPool()
+	if ix != nil {
+		pool = ix.Pool()
+	}
 	out, err := delta.ApplyBatch(
 		delta.State{
 			Clients:    m.cfg.Clients,
 			Facilities: m.cfg.Facilities,
 			Circles:    m.circles,
 			Labels:     m.result.Labels,
+			Pool:       pool,
 		},
 		dds,
 		delta.Options{
-			Metric:    m.cfg.Metric,
-			Measure:   m.measure,
-			Workers:   m.cfg.Workers,
-			Enclosure: m.index,
+			Metric:  m.cfg.Metric,
+			Measure: m.measure,
+			Workers: m.cfg.Workers,
 		},
 	)
 	if err != nil {
@@ -365,29 +375,23 @@ func (m *Map) ApplyDeltaBatch(ds []Delta) (*Map, DeltaStats, error) {
 	for _, nc := range out.State.Circles {
 		bounds = bounds.Union(nc.Circle.BoundingRect())
 	}
-	// The enclosure index is rebuilt rather than patched: the old map must
-	// keep serving concurrent readers from its own index, so an in-place
-	// patch is off the table, and bulk-loading the R-tree is a small cost
-	// next to even the incremental resweep.
 	next := &Map{
 		cfg:     cfg,
 		circles: out.State.Circles,
 		bounds:  bounds,
 		result:  out.Result,
-		index:   enclosure.NewRTreeIndex(nncircle.Circles(out.State.Circles)),
 		measure: m.measure,
 	}
 	// Splice the slab point-location index forward, for every metric: if
 	// this map had one materialized — built, patched, or opened from its
-	// snapshot file — and the update stayed under the resweep threshold,
-	// only the dirty slabs are rebuilt — those with a left edge inside the
-	// dirty spans, plus under L2 the slab before each span, whose midpoint
-	// moves with its right edge — and the rest share storage with the old
-	// index (which keeps serving concurrent readers), heap or file. When the
-	// core rebuilt from scratch — or the patch declines — the next map
-	// simply rebuilds its index lazily on first query.
-	if ix, done := m.builtPointLoc(); done && ix != nil && !out.Stats.Rebuilt {
-		if nix, perr := ix.Patch(out.State.Circles, out.Stats.DirtySpans, 0, pointloc.Options{}); perr == nil {
+	// snapshot file — only the dirty slabs are re-emitted from the event
+	// list the resweep swept — those with a left edge inside the dirty
+	// spans, plus under L2 the slab before each span, whose midpoint moves
+	// with its right edge — and the rest share storage with the old index
+	// (which keeps serving concurrent readers), heap or file. When the patch
+	// declines, the next map builds its index lazily on first query.
+	if ix != nil {
+		if nix, perr := ix.Patch(out.State.Circles, out.Stats.DirtySpans, out.Events, pointloc.Options{}); perr == nil {
 			next.setPointLoc(nix)
 		}
 	}
@@ -485,8 +489,8 @@ func (m *Map) MaxHeat() (float64, Region) {
 }
 
 // materialize builds the heap structures of a mapped map — client and
-// facility slices, circles, labels, the enclosure index — from the snapshot
-// view; it is the one place a map file becomes heap state. It is a no-op
+// facility slices, circles, labels — from the snapshot view; it is the one
+// place a map file becomes heap state. It is a no-op
 // for heap maps and runs at most once; operations that can be answered from
 // the view's metadata or the slab index opened over it never call it, so a
 // snapshot-serving process that only answers queries and tiles keeps its
@@ -506,7 +510,6 @@ func (m *Map) materialize() {
 			MaxLabel: s.MaxLabel,
 			Stats:    s.Stats,
 		}
-		m.index = enclosure.NewRTreeIndex(nncircle.Circles(s.Circles))
 		m.materialized.Store(true)
 	})
 }
@@ -528,11 +531,14 @@ func (m *Map) Residency() string {
 	return "mapped"
 }
 
-// plState is the resolved slab-index state: ix is nil when the index is
-// disabled or declined to build. geo is the optimal-location geometry of
-// ix, which memoizes the face geometry of each set an answer resolves.
+// plState is the resolved point-query state: the slab index ix, or, when
+// the index is disabled or declined to build, the R-tree enc over the
+// circles (exactly one of the two is set). geo is the optimal-location
+// geometry of ix, which memoizes the face geometry of each set an answer
+// resolves.
 type plState struct {
 	ix  *pointloc.Index
+	enc enclosure.Index
 	geo *optimal.Geometry
 }
 
@@ -540,14 +546,15 @@ func newPLState(ix *pointloc.Index) *plState {
 	return &plState{ix: ix, geo: optimal.FromIndex(ix)}
 }
 
-// pointLoc returns the map's slab point-location index, building it on
-// first use. It returns nil when the index is disabled (Config.NoSlabIndex)
-// or declined to build (pointloc.ErrTooLarge); queries then use the
-// enclosure path, with identical answers. After the first call the lookup
-// is one atomic load.
-func (m *Map) pointLoc() *pointloc.Index {
+// pointLoc returns the map's point-query structure, resolving it on first
+// use; it is the one place a map decides how it answers points. The slab
+// index comes first. When it is disabled (Config.NoSlabIndex) or declines to
+// build (pointloc.ErrTooLarge), the R-tree the enclosure path stabs is
+// built instead, with identical answers; no other path builds one. After
+// the first call the lookup is one atomic load.
+func (m *Map) pointLoc() *plState {
 	if st := m.pl.Load(); st != nil {
-		return st.ix
+		return st
 	}
 	// A mapped map needs heap circles and labels before an index can be
 	// built (reached only when the snapshot carries no slab sections:
@@ -556,7 +563,7 @@ func (m *Map) pointLoc() *pointloc.Index {
 	m.plMu.Lock()
 	defer m.plMu.Unlock()
 	if st := m.pl.Load(); st != nil {
-		return st.ix
+		return st
 	}
 	var ix *pointloc.Index
 	if !m.cfg.NoSlabIndex {
@@ -568,8 +575,12 @@ func (m *Map) pointLoc() *pointloc.Index {
 			ix = built
 		}
 	}
-	m.pl.Store(newPLState(ix))
-	return ix
+	st := newPLState(ix)
+	if ix == nil {
+		st.enc = enclosure.NewRTreeIndex(nncircle.Circles(m.circles))
+	}
+	m.pl.Store(st)
+	return st
 }
 
 // builtPointLoc returns the slab index only if it has already been built (or
@@ -610,18 +621,13 @@ func (m *Map) SlabIndexStats() (built bool, slabs, cells int) {
 // boundary convention (see internal/enclosure) and return identical
 // answers.
 func (m *Map) HeatAt(p Point) (float64, []int) {
-	if ix := m.pointLoc(); ix != nil {
-		heat, rnn := ix.Query(p)
+	st := m.pointLoc()
+	if st.ix != nil {
+		heat, rnn := st.ix.Query(p)
 		return heat, copyInts(rnn)
 	}
-	return m.heatAtEnclosure(p)
-}
-
-// heatAtEnclosure is the stabbing-query fallback (and differential oracle)
-// behind HeatAt.
-func (m *Map) heatAtEnclosure(p Point) (float64, []int) {
 	set := oset.New()
-	for _, id := range m.index.Enclosing(p) {
+	for _, id := range st.enc.Enclosing(p) {
 		set.Add(m.circles[id].Client)
 	}
 	return m.measure.Influence(set), set.Sorted()
@@ -632,15 +638,16 @@ func (m *Map) heatAtEnclosure(p Point) (float64, []int) {
 // points are sorted by sweep x once and the slab list is walked
 // monotonically; the fallback issues one enclosure batch.
 func (m *Map) HeatAtBatch(ps []Point) (heats []float64, rnns [][]int) {
-	if ix := m.pointLoc(); ix != nil {
+	st := m.pointLoc()
+	if st.ix != nil {
 		// QueryBatch hands back caller-owned arena-packed copies, so the
 		// answers are safe to retain as-is.
-		return ix.QueryBatch(ps)
+		return st.ix.QueryBatch(ps)
 	}
 	heats = make([]float64, len(ps))
 	rnns = make([][]int, len(ps))
 	set := oset.New()
-	for i, ids := range m.index.EnclosingBatch(ps) {
+	for i, ids := range st.enc.EnclosingBatch(ps) {
 		set.Clear()
 		for _, id := range ids {
 			set.Add(m.circles[id].Client)
@@ -680,12 +687,12 @@ func (m *Map) Renderer() (*render.Renderer, error) {
 		// heats instead of running one enclosure query per pixel. A map
 		// opened from a snapshot rasterizes straight off the file's slab
 		// sections — no circles, no enclosure index, no heap decode.
-		if ix := m.pointLoc(); ix != nil {
-			m.renderer, m.rendererErr = render.NewIndexRenderer(ix, m.bounds, m.measure)
+		st := m.pointLoc()
+		if st.ix != nil {
+			m.renderer, m.rendererErr = render.NewIndexRenderer(st.ix, m.bounds, m.measure)
 			return
 		}
-		m.materialize()
-		m.renderer, m.rendererErr = render.NewRenderer(m.circles, m.index, m.measure)
+		m.renderer, m.rendererErr = render.NewRenderer(m.circles, st.enc, m.measure)
 	})
 	return m.renderer, m.rendererErr
 }

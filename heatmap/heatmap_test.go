@@ -147,8 +147,22 @@ func TestMeasures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h, _ := m.MaxHeat(); h != 2 {
+	h, top := m.MaxHeat()
+	if h != 2 {
 		t.Errorf("custom measure max = %g, want 2 (clients 0 and 2)", h)
+	}
+	// The slab index and a commit reuse the map's label pool only after
+	// comparing its measure with the map's, which a func-valued measure
+	// must survive.
+	if got, _ := m.HeatAt(top.Point); got != 2 {
+		t.Errorf("custom measure HeatAt(%v) = %g, want 2", top.Point, got)
+	}
+	next, _, err := m.ApplyDelta(Delta{AddClients: []Point{top.Point}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := next.HeatAt(top.Point); got < 2 {
+		t.Errorf("custom measure HeatAt(%v) after a commit = %g, want at least 2", top.Point, got)
 	}
 }
 

@@ -124,8 +124,7 @@ func (m *Map) optimalTopK(k int, cons OptimalConstraints, withGeometry bool) ([]
 // first time an answer returns it. Nil when the index is disabled or
 // declined to build.
 func (m *Map) geometry() *optimal.Geometry {
-	m.pointLoc()
-	return m.pl.Load().geo
+	return m.pointLoc().geo
 }
 
 // PlacementStep records one step of a greedy facility placement.

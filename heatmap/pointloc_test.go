@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"rnnheatmap/internal/render"
@@ -227,6 +228,165 @@ func TestApplyDeltaPatchesSlabIndex(t *testing.T) {
 		if patchedSteps == 0 {
 			t.Fatalf("metric=%v: no delta step carried the slab index forward via Patch", metric)
 		}
+	}
+}
+
+// TestConcurrentCommitsShareOnePool: commits derived concurrently from one
+// map — the writer's next version beside a dry-run optimizer's what-if —
+// resweep into the one label pool their slab indexes share while the map
+// keeps answering queries, and each equals a fresh build over its sets.
+func TestConcurrentCommitsShareOnePool(t *testing.T) {
+	t.Parallel()
+	clients, facilities := snapshotTestSets(t)
+	for _, metric := range []Metric{LInf, L1, L2} {
+		m, err := Build(Config{Clients: clients, Facilities: facilities, Metric: metric})
+		if err != nil {
+			t.Fatal(err)
+		}
+		probes := boundaryProbes(clients, facilities, metric)
+		wantH, wantR := m.HeatAtBatch(probes)
+		batches := [][]Delta{
+			{{AddClients: []Point{Pt(120, 130), Pt(400, 60)}}, {RemoveClients: []int{7}}},
+			{{AddFacilities: []Point{Pt(300, 310)}}, {RemoveFacilities: []int{4, 11}}},
+			{{RemoveFacilities: busiestFacilities(m, 15)}},
+		}
+		next := make([]*Map, len(batches))
+		var wg sync.WaitGroup
+		for i, ds := range batches {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				n, _, err := m.ApplyDeltaBatch(ds)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				n.HeatAtBatch(probes)
+				next[i] = n
+			}()
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if h, r := m.HeatAtBatch(probes); !reflect.DeepEqual(h, wantH) || !reflect.DeepEqual(r, wantR) {
+				t.Errorf("%v: the receiver's answers changed while commits were derived from it", metric)
+			}
+		}()
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		for i, n := range next {
+			ctx := fmt.Sprintf("%v commit %d", metric, i)
+			ix, built := n.builtPointLoc()
+			if !built || ix == nil || n.result.LabelPool() != ix.Pool() || ix.Pool() != m.result.LabelPool() {
+				t.Fatalf("%s: the commit did not patch within its lineage's one pool", ctx)
+			}
+			fresh, err := Build(Config{Clients: n.cfg.Clients, Facilities: n.cfg.Facilities, Metric: metric, NoSlabIndex: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(n.Regions(), fresh.Regions()) {
+				t.Fatalf("%s: regions differ from a fresh build", ctx)
+			}
+			assertMapsAgree(t, ctx, n, fresh, probes)
+		}
+	}
+}
+
+// TestRTreeOnlyAsFallback: a map answers points from its slab index, so no
+// operation on a map that has one — building, querying, rendering,
+// committing, ranking, saving and opening — builds the R-tree the
+// enclosure path stabs. A NoSlabIndex map builds it once, on its first
+// query, and every later query reuses it.
+func TestRTreeOnlyAsFallback(t *testing.T) {
+	t.Parallel()
+	clients, facilities := snapshotTestSets(t)
+	noRTree := func(ctx string, ms ...*Map) {
+		t.Helper()
+		for _, m := range ms {
+			if st := m.pl.Load(); st != nil && st.enc != nil {
+				t.Fatalf("%s: a map with a slab index built an R-tree", ctx)
+			}
+		}
+	}
+	probes := []Point{Pt(250, 250), Pt(10, 490), Pt(400, 100)}
+	d := []Delta{{AddClients: []Point{Pt(120, 130)}}, {RemoveFacilities: []int{4}, AddFacilities: []Point{Pt(300, 310)}}}
+	for _, metric := range []Metric{LInf, L1, L2} {
+		ctx := metric.String()
+		m, err := Build(Config{Clients: clients, Facilities: facilities, Metric: metric})
+		if err != nil {
+			t.Fatal(err)
+		}
+		noRTree(ctx+" Build", m)
+		m.HeatAt(probes[0])
+		noRTree(ctx+" HeatAt", m)
+		m.HeatAtBatch(probes)
+		noRTree(ctx+" HeatAtBatch", m)
+		if _, err := m.Renderer(); err != nil {
+			t.Fatal(err)
+		}
+		noRTree(ctx+" Renderer", m)
+		next, _, err := m.ApplyDeltaBatch(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		noRTree(ctx+" ApplyDeltaBatch", m, next)
+		if _, err := next.OptimalTopK(3, OptimalConstraints{}); err != nil {
+			t.Fatal(err)
+		}
+		noRTree(ctx+" OptimalTopK", next)
+		path := filepath.Join(t.TempDir(), "m.snap")
+		if err := next.SaveSnapshot(path, 2); err != nil {
+			t.Fatal(err)
+		}
+		noRTree(ctx+" SaveSnapshot", next)
+		opened, _, err := OpenSnapshot(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		noRTree(ctx+" OpenSnapshot", opened)
+		opened.HeatAt(probes[1])
+		opened.HeatAtBatch(probes)
+		if _, err := opened.OptimalTopK(3, OptimalConstraints{}); err != nil {
+			t.Fatal(err)
+		}
+		after, _, err := opened.ApplyDeltaBatch(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after.HeatAt(probes[2])
+		noRTree(ctx+" opened map's queries and commit", opened, after)
+	}
+
+	m, err := Build(Config{Clients: clients, Facilities: facilities, Metric: L2, NoSlabIndex: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.pl.Load() != nil {
+		t.Fatal("a NoSlabIndex map resolved its point queries before the first one")
+	}
+	m.HeatAt(probes[0])
+	st := m.pl.Load()
+	if st == nil || st.enc == nil || st.ix != nil {
+		t.Fatal("a NoSlabIndex map's first query did not build the R-tree")
+	}
+	m.HeatAtBatch(probes)
+	if _, err := m.Renderer(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.OptimalTopK(3, OptimalConstraints{}); err != nil {
+		t.Fatal(err)
+	}
+	if m.pl.Load() != st {
+		t.Fatal("a NoSlabIndex map resolved its point queries twice")
+	}
+	next, _, err := m.ApplyDelta(d[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.pl.Load() != nil {
+		t.Fatal("a commit on a NoSlabIndex map built an R-tree before the new map's first query")
 	}
 }
 

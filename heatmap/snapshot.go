@@ -62,7 +62,7 @@ func (m *Map) SaveSnapshot(path string, mapVersion uint64) error {
 		return err
 	}
 	var tables *snapshot.SlabTables
-	if ix := m.pointLoc(); ix != nil {
+	if ix := m.pointLoc().ix; ix != nil {
 		tables = ix.ExportTables()
 	}
 	return s.WriteFile(path, tables)

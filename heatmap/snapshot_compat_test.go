@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -185,11 +186,15 @@ func TestMappedApplyDeltaPromotes(t *testing.T) {
 	}
 }
 
-// TestOpenedMapCommitPatches: the first commit on a map opened from its
-// snapshot patches the slab index the file stores, so the committed map has
-// its index before any query, and answers exactly as a fresh build over the
-// updated sets — regions, queries on circle boundaries, tiles, and the
-// optimal ranking with its face geometry — for every metric.
+// TestOpenedMapCommitPatches: a commit patches the slab index of the map it
+// derives from — the index a built map materialized, or the one a map
+// opened from its snapshot finds in the file — whatever share of the
+// arrangement it dirties, so the committed map has its index before any
+// query, interns into the one pool that index draws its ids from, and
+// answers exactly as a fresh build over the updated sets: regions, queries
+// on circle boundaries, tiles, and the optimal ranking with its face
+// geometry, for every metric. The second commit closes the facilities that
+// serve the most clients and dirties more than a third of the events.
 func TestOpenedMapCommitPatches(t *testing.T) {
 	t.Parallel()
 	clients, facilities := snapshotTestSets(t)
@@ -210,55 +215,95 @@ func TestOpenedMapCommitPatches(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			next, st, err := mapped.ApplyDelta(d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.Rebuilt {
-				t.Fatal("the delta passed the resweep threshold; it must stay under it")
-			}
-			if built, _, _ := next.SlabIndexStats(); !built {
-				t.Fatal("the committed map has no slab index before its first query: the commit did not patch the file's index")
-			}
-			fresh, err := Build(Config{Clients: next.cfg.Clients, Facilities: next.cfg.Facilities, Metric: metric})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(next.Regions(), fresh.Regions()) {
-				t.Error("regions diverge from a fresh build")
-			}
-			for _, nc := range fresh.circles {
-				c, r := nc.Circle.Center, nc.Circle.Radius
-				for _, p := range []Point{c, Pt(c.X+r, c.Y), Pt(c.X, c.Y-r), Pt(c.X-r/2, c.Y+r/2)} {
-					gh, gr := next.HeatAt(p)
-					wh, wr := fresh.HeatAt(p)
-					if math.Float64bits(gh) != math.Float64bits(wh) || !reflect.DeepEqual(gr, wr) {
-						t.Fatalf("HeatAt(%v) = %v/%v, a fresh build answers %v/%v", p, gh, gr, wh, wr)
-					}
+			for name, m := range map[string]*Map{"built": orig, "opened": mapped} {
+				next, st, err := m.ApplyDelta(d)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			full := fresh.Bounds()
-			sub := Rect{MinX: full.MinX, MinY: full.MinY, MaxX: (full.MinX + full.MaxX) / 2, MaxY: (full.MinY + full.MaxY) / 2}
-			for _, b := range []Rect{full, sub} {
-				if !bytes.Equal(tilePNG(t, next, b), tilePNG(t, fresh, b)) {
-					t.Errorf("rendered PNG for %v differs from a fresh build's", b)
+				assertCommitPatched(t, name+" commit 1", next, st)
+				next, st, err = next.ApplyDelta(Delta{RemoveFacilities: busiestFacilities(next, 12)})
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			want, err := fresh.OptimalTopK(10, OptimalConstraints{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := next.OptimalTopK(10, OptimalConstraints{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(want) != 10 || !want[0].HasGeometry {
-				t.Fatalf("a fresh build ranks %d regions (geometry %v), want 10 with geometry", len(want), len(want) > 0 && want[0].HasGeometry)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("OptimalTopK diverges from a fresh build:\n got %+v\nwant %+v", got, want)
+				if 100*st.EventsReswept <= 35*st.EventsTotal {
+					t.Fatalf("%s commit 2 reswept %d of %d events; it must dirty more than 35%%", name, st.EventsReswept, st.EventsTotal)
+				}
+				assertCommitPatched(t, name+" commit 2", next, st)
 			}
 		})
+	}
+}
+
+// busiestFacilities returns the indexes of the n facilities that serve the
+// most clients, descending, so that removing them in order keeps each
+// index valid under swap-remove.
+func busiestFacilities(m *Map, n int) []int {
+	served := make([]int, m.NumFacilities())
+	for _, nc := range m.circles {
+		served[nc.Facility]++
+	}
+	order := make([]int, len(served))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(i, j int) bool { return served[order[i]] > served[order[j]] })
+	out := order[:n]
+	sort.Sort(sort.Reverse(sort.IntSlice(out)))
+	return out
+}
+
+// assertCommitPatched requires a committed map to splice rather than
+// rebuild, to carry a patched slab index before its first query whose ids
+// come from the map's own label pool, and to answer as a fresh build.
+func assertCommitPatched(t *testing.T, ctx string, next *Map, st DeltaStats) {
+	t.Helper()
+	if st.Rebuilt {
+		t.Fatalf("%s: the commit rebuilt instead of splicing", ctx)
+	}
+	ix, built := next.builtPointLoc()
+	if !built || ix == nil {
+		t.Fatalf("%s: the committed map has no slab index before its first query: the commit did not patch", ctx)
+	}
+	if pool := next.result.LabelPool(); pool == nil || pool != ix.Pool() {
+		t.Fatalf("%s: the map's label pool is not the one its slab index draws ids from", ctx)
+	}
+	fresh, err := Build(Config{Clients: next.cfg.Clients, Facilities: next.cfg.Facilities, Metric: next.cfg.Metric})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(next.Regions(), fresh.Regions()) {
+		t.Errorf("%s: regions diverge from a fresh build", ctx)
+	}
+	for _, nc := range fresh.circles {
+		c, r := nc.Circle.Center, nc.Circle.Radius
+		for _, p := range []Point{c, Pt(c.X+r, c.Y), Pt(c.X, c.Y-r), Pt(c.X-r/2, c.Y+r/2)} {
+			gh, gr := next.HeatAt(p)
+			wh, wr := fresh.HeatAt(p)
+			if math.Float64bits(gh) != math.Float64bits(wh) || !reflect.DeepEqual(gr, wr) {
+				t.Fatalf("%s: HeatAt(%v) = %v/%v, a fresh build answers %v/%v", ctx, p, gh, gr, wh, wr)
+			}
+		}
+	}
+	full := fresh.Bounds()
+	sub := Rect{MinX: full.MinX, MinY: full.MinY, MaxX: (full.MinX + full.MaxX) / 2, MaxY: (full.MinY + full.MaxY) / 2}
+	for _, b := range []Rect{full, sub} {
+		if !bytes.Equal(tilePNG(t, next, b), tilePNG(t, fresh, b)) {
+			t.Errorf("%s: rendered PNG for %v differs from a fresh build's", ctx, b)
+		}
+	}
+	want, err := fresh.OptimalTopK(10, OptimalConstraints{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := next.OptimalTopK(10, OptimalConstraints{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != 10 || !want[0].HasGeometry {
+		t.Fatalf("%s: a fresh build ranks %d regions (geometry %v), want 10 with geometry", ctx, len(want), len(want) > 0 && want[0].HasGeometry)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("%s: OptimalTopK diverges from a fresh build:\n got %+v\nwant %+v", ctx, got, want)
 	}
 }
 

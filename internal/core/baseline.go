@@ -26,7 +26,7 @@ func Baseline(circles []nncircle.NNCircle, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	col := newCollector(opts)
+	col := newCollector(opts, nil)
 	switch metric {
 	case geom.LInf:
 		runBaseline(usable, col)

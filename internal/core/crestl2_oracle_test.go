@@ -24,7 +24,7 @@ import (
 // positive radius) and returns its result, with the number of circle height
 // evaluations (YAtX, both arcs at once) plus walk steps it made in evals.
 func oracleCRESTL2(circles []nncircle.NNCircle, opts Options) (res *Result, evals int) {
-	col := newCollector(opts)
+	col := newCollector(opts, nil)
 	events := buildL2Events(circles)
 	col.AddEvents(len(events))
 	evals = sweepL2Events(circles, events, nil, col, col.intern, events[len(events)-1].x)

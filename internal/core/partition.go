@@ -113,13 +113,18 @@ func eventWeight(ev *event) int {
 // the original coordinate system (nil = identity; the L1 callers pass the
 // inverse rotation).
 func runEngine(circles []nncircle.NNCircle, opts Options, toOriginal func(geom.Point) geom.Point, changedIntervals bool) *Result {
-	col := newCollector(opts)
+	col := newCollector(opts, nil)
 	if toOriginal != nil {
 		col.toOriginal = toOriginal
 	}
-	events := eventsOf(circles)
+	return sweepEvents(col, circles, eventsOf(circles), changedIntervals)
+}
+
+// sweepEvents sweeps all of events, the event list of circles, into col,
+// sequentially or strip-parallel by col's worker count.
+func sweepEvents(col *collector, circles []nncircle.NNCircle, events []event, changedIntervals bool) *Result {
 	last := events[len(events)-1].x
-	workers := opts.workerCount()
+	workers := col.opts.workerCount()
 	if workers <= 1 {
 		sweepStrip(circles, events, span{hi: len(events), xAfter: last}, col, changedIntervals)
 		return col.finish()

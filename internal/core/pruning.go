@@ -38,7 +38,7 @@ func PruningMax(circles []nncircle.NNCircle, opts Options, maxNodes int) (*Resul
 	if metric != geom.L2 {
 		return nil, ErrNotL2
 	}
-	col := newCollector(opts)
+	col := newCollector(opts, nil)
 	runPruning(usable, col, maxNodes)
 	col.res.Stats.Circles = len(usable)
 	return col.finish(), nil

@@ -25,21 +25,28 @@ import (
 // moved — need resweeping, and the relabeled slice can be spliced between the
 // untouched prefix and suffix of the previous label list, reproducing the
 // from-scratch emission order byte for byte.
-
-// DefaultMaxResweepFraction is the dirty-event fraction above which Resweep
-// abandons splicing and reruns the full sweep: past this point the warm-up
-// scans plus the resweep cost about as much as a clean run.
-const DefaultMaxResweepFraction = 0.35
+//
+// Every update takes this one path, however much of the arrangement it
+// dirties: with every event dirty the resweep is a strip-parallel full
+// sweep plus a copy of the label list, so no share of dirty events makes a
+// clean run the cheaper answer. The reswept sets are interned into the pool
+// the caller passes — the one pool a map and every map derived from it by
+// updates share — and the event list the resweep swept is handed back, so
+// the slab index patches from it instead of building it again.
 
 // ResweepOutcome is the result of an incremental Resweep, with counters
 // describing how much of the sweep actually ran.
 type ResweepOutcome struct {
 	// Result is equivalent, label for label, to a full CREST run over the
 	// circles (the Stats work counters describe the map, not the incremental
-	// work; see Resweep).
+	// work; see Resweep). Its LabelPool is the pool Resweep interned into.
 	Result *Result
-	// Rebuilt reports that the dirty fraction exceeded the threshold (or the
-	// prior labels were unavailable) and a full sweep ran instead of a splice.
+	// Events is the sweep-space event list of the new arrangement, the one
+	// the resweep swept: a slab index patches from it
+	// (pointloc.Index.Patch) instead of constructing it again.
+	Events *SlabEvents
+	// Rebuilt reports that a full sweep ran instead of a splice: the prior
+	// labels were unavailable (none, or discarded).
 	Rebuilt bool
 	// EventsTotal is the event count of the new arrangement; EventsReswept is
 	// how many of them were actually swept (equal when Rebuilt).
@@ -51,8 +58,10 @@ type ResweepOutcome struct {
 // slice of the previous CREST run (in emission order) over the previous
 // circles; perturbed holds the geometry of every circle that differs between
 // the two runs — the old version of a removed or modified circle and the new
-// version of an added or modified one. maxFraction bounds the dirty-event
-// fraction worth splicing (non-positive means DefaultMaxResweepFraction).
+// version of an added or modified one. pool is the label pool to intern the
+// reswept sets into — the one every map of a lineage shares — and is reused
+// only when it evaluates opts' measure; otherwise (nil included) a fresh pool
+// is made. The returned Result carries the pool either way.
 //
 // The returned labels are identical — order, regions, representative points,
 // RNN sets and heat values — to what CREST(circles, opts) would produce. The
@@ -60,37 +69,26 @@ type ResweepOutcome struct {
 // would (Labelings and InfluenceCalls equal the label count, Events the full
 // event count), except StatusWork, which counts the resweep's own status
 // work; the events actually swept are in the outcome's counters.
-func Resweep(circles []nncircle.NNCircle, opts Options, prior []Label, perturbed []geom.Circle, maxFraction float64) (*ResweepOutcome, error) {
+func Resweep(circles []nncircle.NNCircle, opts Options, prior []Label, perturbed []geom.Circle, pool *LabelInterner) (*ResweepOutcome, error) {
 	metric, usable, err := validateInput(circles)
 	if err != nil {
 		return nil, err
 	}
-	if maxFraction <= 0 {
-		maxFraction = DefaultMaxResweepFraction
+	col := newCollector(opts, pool)
+	if metric == geom.L1 {
+		usable = nncircle.RotateL1ToLInf(usable)
+		col.toOriginal = geom.RotateLInfToL1
 	}
+	ev := &SlabEvents{circles: usable, events: eventsOf(usable)}
 	if opts.DiscardLabels || len(prior) == 0 {
 		// Splicing needs the prior labels; without them only a full run can
 		// answer.
-		res, err := CREST(circles, opts)
-		if err != nil {
-			return nil, err
-		}
-		return rebuiltOutcome(res), nil
+		res := sweepEvents(col, usable, ev.events, true)
+		res.Stats.Circles = len(usable)
+		n := len(ev.events)
+		return &ResweepOutcome{Result: res, Events: ev, Rebuilt: true, EventsTotal: n, EventsReswept: n}, nil
 	}
-	spans := perturbedSpans(perturbed, metric)
-	if metric == geom.L1 {
-		return resweep(nncircle.RotateL1ToLInf(usable), opts, prior, spans, geom.RotateLInfToL1, maxFraction), nil
-	}
-	return resweep(usable, opts, prior, spans, nil, maxFraction), nil
-}
-
-func rebuiltOutcome(res *Result) *ResweepOutcome {
-	return &ResweepOutcome{
-		Result:        res,
-		Rebuilt:       true,
-		EventsTotal:   res.Stats.Events,
-		EventsReswept: res.Stats.Events,
-	}
+	return resweep(col, ev, prior, perturbedSpans(perturbed, metric)), nil
 }
 
 // perturbedSpans returns the merged x-intervals (in the sweep coordinate
@@ -173,23 +171,12 @@ func eventRanges(n int, xOf func(int) float64, spans []interval) []eventRange {
 	return merged
 }
 
-// resweep runs the incremental resweep over circles already in sweep space.
-func resweep(circles []nncircle.NNCircle, opts Options, prior []Label, spans []interval, toOriginal func(geom.Point) geom.Point, maxFraction float64) *ResweepOutcome {
-	started := time.Now()
-	events := eventsOf(circles)
+// resweep runs the incremental resweep over the event list ev, already in
+// sweep space, into col.
+func resweep(col *collector, ev *SlabEvents, prior []Label, spans []interval) *ResweepOutcome {
+	events := ev.events
 	ranges := eventRanges(len(events), func(i int) float64 { return events[i].x }, spans)
-	if reswept, frac := reweptCount(ranges, len(events)); frac > maxFraction {
-		res := runEngine(circles, opts, toOriginal, true)
-		res.Stats.Circles = len(circles)
-		return rebuiltOutcome(res)
-	} else if reswept == 0 {
-		return priorOutcome(circles, prior, len(events), started)
-	}
-	parent := newCollector(opts)
-	if toOriginal != nil {
-		parent.toOriginal = toOriginal
-	}
-	workers := opts.workerCount()
+	workers := col.opts.workerCount()
 	parts := make([][]*collector, len(ranges))
 	for i, r := range ranges {
 		xAfter := events[r.hi].x
@@ -197,34 +184,11 @@ func resweep(circles []nncircle.NNCircle, opts Options, prior []Label, spans []i
 			xAfter = events[r.hi+1].x
 		}
 		strips := splitSpans(events, r.lo, r.hi+1, workers*stripsPerWorker, xAfter)
-		parts[i] = runStrips(strips, workers, parent, func(st span, c *collector) {
-			sweepStrip(circles, events, st, c, true)
+		parts[i] = runStrips(strips, workers, col, func(st span, c *collector) {
+			sweepStrip(ev.circles, events, st, c, true)
 		})
 	}
-	return spliceOutcome(circles, prior, ranges, parts, parent.intern, len(events), started)
-}
-
-func reweptCount(ranges []eventRange, total int) (int, float64) {
-	n := 0
-	for _, r := range ranges {
-		n += r.hi - r.lo + 1
-	}
-	if total == 0 {
-		return n, 0
-	}
-	return n, float64(n) / float64(total)
-}
-
-// priorOutcome repackages the untouched prior labels: the perturbation had no
-// usable events (e.g. only zero-radius circles changed), so the arrangement is
-// unchanged.
-func priorOutcome(circles []nncircle.NNCircle, prior []Label, eventsTotal int, started time.Time) *ResweepOutcome {
-	labels := make([]Label, len(prior))
-	copy(labels, prior)
-	return &ResweepOutcome{
-		Result:      finalizeSpliced(circles, labels, nil, eventsTotal, started),
-		EventsTotal: eventsTotal,
-	}
+	return spliceOutcome(col, ev, prior, ranges, parts)
 }
 
 // spliceOutcome assembles the final label slice: the prior labels outside
@@ -232,8 +196,10 @@ func priorOutcome(circles []nncircle.NNCircle, prior []Label, eventsTotal int, s
 // collectors concatenated in order) inserted in place of the prior labels
 // inside its window. Prior labels are in emission order (non-decreasing
 // Region.MinX), so a single merge pass suffices and the spliced slice is in
-// full-sweep emission order.
-func spliceOutcome(circles []nncircle.NNCircle, prior []Label, ranges []eventRange, parts [][]*collector, pool *LabelInterner, eventsTotal int, started time.Time) *ResweepOutcome {
+// full-sweep emission order. With no ranges (the perturbation had no usable
+// events, e.g. only zero-radius circles changed) the arrangement is
+// unchanged and the prior labels are copied as they are.
+func spliceOutcome(col *collector, ev *SlabEvents, prior []Label, ranges []eventRange, parts [][]*collector) *ResweepOutcome {
 	labels := make([]Label, 0, len(prior))
 	reswept, work := 0, 0
 	pi := 0
@@ -252,23 +218,22 @@ func spliceOutcome(circles []nncircle.NNCircle, prior []Label, ranges []eventRan
 		}
 	}
 	labels = append(labels, prior[pi:]...)
-	res := finalizeSpliced(circles, labels, pool, eventsTotal, started)
+	res := finalizeSpliced(col, labels, len(ev.circles), len(ev.events))
 	res.Stats.StatusWork = work
 	return &ResweepOutcome{
 		Result:        res,
-		EventsTotal:   eventsTotal,
+		Events:        ev,
+		EventsTotal:   len(ev.events),
 		EventsReswept: reswept,
 	}
 }
 
 // finalizeSpliced builds the Result describing the spliced labels, with the
 // same maximum tie-breaking as the sequential collector (the first label in
-// emission order strictly exceeding the running maximum wins) and Stats as a
-// full run would report them. pool, when non-nil, is the label pool the
-// resweep interned the dirty-range labels into (partial — it only saw the
-// reswept sets — but a valid seed for downstream consumers).
-func finalizeSpliced(circles []nncircle.NNCircle, labels []Label, pool *LabelInterner, eventsTotal int, started time.Time) *Result {
-	res := &Result{Labels: labels, MaxHeat: math.Inf(-1), pool: pool}
+// emission order strictly exceeding the running maximum wins), Stats as a
+// full run would report them, and col's label pool.
+func finalizeSpliced(col *collector, labels []Label, circles, eventsTotal int) *Result {
+	res := &Result{Labels: labels, MaxHeat: math.Inf(-1), pool: col.intern}
 	for _, l := range labels {
 		if n := len(l.RNN); n > res.Stats.MaxRNNSetSize {
 			res.Stats.MaxRNNSetSize = n
@@ -281,10 +246,10 @@ func finalizeSpliced(circles []nncircle.NNCircle, labels []Label, pool *LabelInt
 	if math.IsInf(res.MaxHeat, -1) {
 		res.MaxHeat = 0
 	}
-	res.Stats.Circles = len(circles)
+	res.Stats.Circles = circles
 	res.Stats.Events = eventsTotal
 	res.Stats.Labelings = len(labels)
 	res.Stats.InfluenceCalls = len(labels)
-	res.Stats.Duration = time.Since(started)
+	res.Stats.Duration = time.Since(col.started)
 	return res
 }

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"rnnheatmap/internal/geom"
+	"rnnheatmap/internal/influence"
 	"rnnheatmap/internal/nncircle"
+	"rnnheatmap/internal/oset"
 )
 
 // assertResweepEqual asserts a Resweep outcome equals a full CREST run over
@@ -43,6 +45,24 @@ func assertResweepEqual(t *testing.T, name string, full *Result, out *ResweepOut
 	}
 	if !out.Rebuilt && out.EventsReswept > out.EventsTotal {
 		t.Fatalf("%s: reswept %d of %d events", name, out.EventsReswept, out.EventsTotal)
+	}
+	if out.Events == nil || len(out.Events.events) != out.EventsTotal || out.EventsTotal != full.Stats.Events {
+		t.Fatalf("%s: the outcome does not carry the %d events it swept", name, full.Stats.Events)
+	}
+}
+
+// assertPoolRecords requires every label of res to hold the member slice of
+// pool's own record of its set, and res to carry pool.
+func assertPoolRecords(t *testing.T, name string, pool *LabelInterner, res *Result) {
+	t.Helper()
+	if res.LabelPool() != pool {
+		t.Fatalf("%s: the result carries another label pool than the one passed", name)
+	}
+	for i, l := range res.Labels {
+		rec := pool.lookup(oset.KeyOf(l.RNN))
+		if rec == nil || len(l.RNN) > 0 && &rec.RNN[0] != &l.RNN[0] {
+			t.Fatalf("%s: label %d's members %v are not the pool's record", name, i, l.RNN)
+		}
 	}
 }
 
@@ -119,23 +139,26 @@ func TestResweepMatchesFullRun(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					out, err := Resweep(cur, opts, priorRes.Labels, perturbed, 1.01)
+					pool := priorRes.LabelPool()
+					out, err := Resweep(cur, opts, priorRes.Labels, perturbed, pool)
 					if err != nil {
 						t.Fatal(err)
 					}
 					name := fmt.Sprintf("%s/trial=%d/workers=%d", metric, trial, workers)
 					if out.Rebuilt {
-						t.Fatalf("%s: maxFraction 1.01 must never rebuild", name)
+						t.Fatalf("%s: a resweep with prior labels must splice", name)
 					}
 					assertResweepEqual(t, name, full, out)
+					assertPoolRecords(t, name, pool, out.Result)
 				}
 			}
 		})
 	}
 }
 
-// TestResweepFallbacks covers the non-splicing paths: threshold exceeded,
-// missing prior labels, DiscardLabels, and an empty perturbation.
+// TestResweepFallbacks covers the non-splicing paths — missing prior
+// labels, DiscardLabels, and an empty perturbation — and the pool rule: a
+// pool of another measure is not interned into.
 func TestResweepFallbacks(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(4202))
@@ -150,18 +173,9 @@ func TestResweepFallbacks(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A tiny threshold forces the rebuild path; the result must still match.
-	out, err := Resweep(cur, Options{}, prior.Labels, perturbed, 1e-9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Rebuilt {
-		t.Fatal("threshold 1e-9 should force a rebuild")
-	}
-	assertResweepEqual(t, "rebuild", full, out)
-
-	// No prior labels: rebuilt.
-	out, err = Resweep(cur, Options{}, nil, perturbed, 0)
+	// No prior labels: rebuilt, into the pool it was given.
+	pool := prior.LabelPool()
+	out, err := Resweep(cur, Options{}, nil, perturbed, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,9 +183,10 @@ func TestResweepFallbacks(t *testing.T) {
 		t.Fatal("nil prior should force a rebuild")
 	}
 	assertResweepEqual(t, "nil-prior", full, out)
+	assertPoolRecords(t, "nil-prior", pool, out.Result)
 
 	// DiscardLabels: rebuilt (nothing to splice into).
-	out, err = Resweep(cur, Options{DiscardLabels: true}, prior.Labels, perturbed, 0)
+	out, err = Resweep(cur, Options{DiscardLabels: true}, prior.Labels, perturbed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +195,7 @@ func TestResweepFallbacks(t *testing.T) {
 	}
 
 	// An empty perturbation leaves the labels untouched.
-	out, err = Resweep(ncs, Options{}, prior.Labels, nil, 0)
+	out, err = Resweep(ncs, Options{}, prior.Labels, nil, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,9 +203,22 @@ func TestResweepFallbacks(t *testing.T) {
 		t.Fatalf("empty perturbation: rebuilt=%v reswept=%d", out.Rebuilt, out.EventsReswept)
 	}
 	assertResweepEqual(t, "no-op", prior, out)
+	assertPoolRecords(t, "no-op", pool, out.Result)
+
+	// A pool of another measure is left alone: the sets are interned into
+	// a fresh pool of the run's measure.
+	weighted := influence.Weighted(make([]float64, len(cur)))
+	out, err = Resweep(cur, Options{}, prior.Labels, perturbed, NewLabelInterner(weighted))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out.Result.LabelPool().Measure(); got != influence.Size() {
+		t.Fatalf("resweep interned into a pool of measure %q", got.Name())
+	}
+	assertResweepEqual(t, "other-measure pool", full, out)
 
 	// Invalid input still errors.
-	if _, err := Resweep(nil, Options{}, prior.Labels, perturbed, 0); err != ErrNoCircles {
+	if _, err := Resweep(nil, Options{}, prior.Labels, perturbed, nil); err != ErrNoCircles {
 		t.Fatalf("Resweep(nil) err = %v, want ErrNoCircles", err)
 	}
 }

@@ -161,12 +161,18 @@ type collector struct {
 	toOriginal func(geom.Point) geom.Point
 }
 
-func newCollector(opts Options) *collector {
+// newCollector returns the outer collector of a run, interning into pool
+// when it evaluates the run's measure and into a fresh pool otherwise (nil
+// included).
+func newCollector(opts Options, pool *LabelInterner) *collector {
 	measure := opts.measure()
+	if pool == nil || pool.Measure() != measure {
+		pool = NewLabelInterner(measure)
+	}
 	c := &collector{
 		opts:       opts,
 		measure:    measure,
-		intern:     NewLabelInterner(measure),
+		intern:     pool,
 		res:        &Result{MaxHeat: math.Inf(-1)},
 		started:    time.Now(),
 		toOriginal: func(p geom.Point) geom.Point { return p },

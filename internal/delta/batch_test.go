@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"rnnheatmap/heatmap"
+	"rnnheatmap/internal/core"
 	"rnnheatmap/internal/delta"
 	"rnnheatmap/internal/geom"
 )
@@ -214,8 +215,10 @@ func decodeFuzzDeltas(data []byte) []heatmap.Delta {
 // whatever op sequence the bytes decode to — duplicate removal indexes,
 // add-then-remove of the same facility across a batch, empty deltas,
 // out-of-range indexes — ApplyDeltaBatch must either reject exactly when
-// the sequential path rejects, or produce a map identical to it region by
-// region.
+// the sequential path rejects, or produce a map identical region by region
+// to it and to a from-scratch Build over the updated sets. The batched and
+// the sequential path both splice, so only the build can catch a fault
+// they share.
 func FuzzApplyDeltaBatch(f *testing.F) {
 	// Duplicate removal of the same client index, twice within one delta and
 	// again in the next.
@@ -267,26 +270,45 @@ func FuzzApplyDeltaBatch(f *testing.F) {
 			}
 			return
 		}
-		if batched.NumClients() != sequential.NumClients() || batched.NumFacilities() != sequential.NumFacilities() {
-			t.Fatalf("set sizes diverge: batch %d/%d, sequential %d/%d",
-				batched.NumClients(), batched.NumFacilities(),
-				sequential.NumClients(), sequential.NumFacilities())
-		}
-		br, sr := batched.Regions(), sequential.Regions()
-		if len(br) != len(sr) {
-			t.Fatalf("region counts diverge: batch %d, sequential %d (deltas %+v)", len(br), len(sr), ds)
-		}
-		for i := range sr {
-			if br[i].Point != sr[i].Point || br[i].Heat != sr[i].Heat || !equalInts(br[i].RNN, sr[i].RNN) {
-				t.Fatalf("region %d diverges:\nbatch      %+v\nsequential %+v", i, br[i], sr[i])
+		same := func(name string, other *heatmap.Map) {
+			t.Helper()
+			if batched.NumClients() != other.NumClients() || batched.NumFacilities() != other.NumFacilities() {
+				t.Fatalf("set sizes diverge: batch %d/%d, %s %d/%d",
+					batched.NumClients(), batched.NumFacilities(), name,
+					other.NumClients(), other.NumFacilities())
+			}
+			br, or := batched.Regions(), other.Regions()
+			if len(br) != len(or) {
+				t.Fatalf("region counts diverge: batch %d, %s %d (deltas %+v)", len(br), name, len(or), ds)
+			}
+			for i := range or {
+				if br[i].Point != or[i].Point || br[i].Heat != or[i].Heat || !equalInts(br[i].RNN, or[i].RNN) {
+					t.Fatalf("region %d diverges:\nbatch %+v\n%s %+v", i, br[i], name, or[i])
+				}
+			}
+			for _, p := range []heatmap.Point{heatmap.Pt(4, 4), heatmap.Pt(0, 10), heatmap.Pt(8.5, 3.5)} {
+				bh, brnn := batched.HeatAt(p)
+				oh, ornn := other.HeatAt(p)
+				if bh != oh || !equalInts(brnn, ornn) {
+					t.Fatalf("HeatAt(%v) diverges: batch %v/%v, %s %v/%v", p, bh, brnn, name, oh, ornn)
+				}
 			}
 		}
-		for _, p := range []heatmap.Point{heatmap.Pt(4, 4), heatmap.Pt(0, 10), heatmap.Pt(8.5, 3.5)} {
-			bh, brnn := batched.HeatAt(p)
-			sh, srnn := sequential.HeatAt(p)
-			if bh != sh || !equalInts(brnn, srnn) {
-				t.Fatalf("HeatAt(%v) diverges: batch %v/%v, sequential %v/%v", p, bh, brnn, sh, srnn)
-			}
+		same("sequential", sequential)
+		mr := &mirror{
+			clients:    append([]heatmap.Point(nil), clients...),
+			facilities: append([]heatmap.Point(nil), facilities...),
 		}
+		for _, d := range ds {
+			mr.apply(t, d)
+		}
+		fresh, err := heatmap.Build(heatmap.Config{Clients: mr.clients, Facilities: mr.facilities, Metric: metric, Workers: workers})
+		if errors.Is(err, core.ErrNoCircles) && batched.NumRegions() == 0 {
+			return // every client sits on a facility: nothing to build
+		}
+		if err != nil {
+			t.Fatalf("Build over the batched map's sets: %v", err)
+		}
+		same("fresh build", fresh)
 	})
 }

@@ -8,12 +8,16 @@
 // circles that contain it, deleting one grows the circles of the clients it
 // served, and client updates touch a single circle — so the dirty part of the
 // arrangement is a union of bounded x-intervals. This package computes which
-// circles change (reusing the point-enclosure index for facility insertions
-// and the same k-d tree construction as package nncircle for the
-// re-assignments), then hands the perturbed geometry to core.Resweep, which
-// resweeps just the dirty intervals and splices the relabeled faces into the
-// prior label list. The spliced result is identical, label for label, to a
-// from-scratch rebuild over the updated sets.
+// circles change (a facility insertion re-assigns the clients whose circles
+// contain it, found by one exact scan, and the re-assignments use the same
+// k-d tree construction as package nncircle), then hands the perturbed
+// geometry to core.Resweep, which resweeps just the dirty intervals, interns
+// their sets into the state's label pool and splices the relabeled faces
+// into the prior label list. The spliced result is identical, label for
+// label, to a from-scratch rebuild over the updated sets, whatever share of
+// the arrangement the update dirtied. The outcome carries the event list the
+// resweep swept and the dirty spans, which is all a slab point-location
+// index needs to patch itself (pointloc.Index.Patch).
 //
 // Deletions use swap-remove semantics: the last element moves into the freed
 // slot. That keeps every unrelated index stable and bounds the renumbering
@@ -28,7 +32,6 @@ import (
 	"time"
 
 	"rnnheatmap/internal/core"
-	"rnnheatmap/internal/enclosure"
 	"rnnheatmap/internal/geom"
 	"rnnheatmap/internal/influence"
 	"rnnheatmap/internal/kdtree"
@@ -69,6 +72,10 @@ type State struct {
 	Facilities []geom.Point
 	Circles    []nncircle.NNCircle
 	Labels     []core.Label
+	// Pool is the label pool the resweep interns into: the one pool of the
+	// map's lineage (see core.Resweep). Nil, or a pool of another measure,
+	// means a fresh pool, which the outcome's State then carries.
+	Pool *core.LabelInterner
 }
 
 // Options configures an Apply call.
@@ -79,16 +86,6 @@ type Options struct {
 	Measure influence.Measure
 	// Workers is the sweep parallelism forwarded to the core (0 = GOMAXPROCS).
 	Workers int
-	// MaxResweepFraction is the dirty-event fraction above which Apply lets
-	// the core rebuild from scratch instead of splicing; non-positive means
-	// core.DefaultMaxResweepFraction.
-	MaxResweepFraction float64
-	// Enclosure optionally supplies the point-enclosure index over
-	// State.Circles (the one heatmap.Map already owns). It accelerates the
-	// affected-client search for facility insertions; it is consulted only
-	// when the batch leaves the client set and prior facilities untouched, so
-	// a stale index can never be misread. Nil falls back to a linear scan.
-	Enclosure enclosure.Index
 }
 
 // Stats describes the incremental work one Apply performed.
@@ -96,8 +93,9 @@ type Stats struct {
 	// ChangedClients is the number of clients whose NN-circle changed
 	// (including removed and added ones).
 	ChangedClients int
-	// Rebuilt reports that the dirty fraction exceeded the threshold and the
-	// core ran a full sweep instead of splicing.
+	// Rebuilt reports that the core ran a full sweep instead of splicing:
+	// the state had no labels to splice into, or the update left no usable
+	// circle.
 	Rebuilt bool
 	// EventsTotal and EventsReswept are the core's resweep counters.
 	EventsTotal, EventsReswept int
@@ -116,10 +114,13 @@ type Stats struct {
 }
 
 // Outcome is the result of one Apply: the new snapshot and the spliced
-// Region Coloring result (State.Labels aliases Result.Labels).
+// Region Coloring result (State.Labels aliases Result.Labels, and
+// State.Pool is Result.LabelPool()), with the event list the resweep swept
+// (nil when the update left no usable circle).
 type Outcome struct {
 	State  State
 	Result *core.Result
+	Events *core.SlabEvents
 	Stats  Stats
 }
 
@@ -142,9 +143,8 @@ func Apply(st State, d Delta, opts Options) (*Outcome, error) {
 // exactly as applying the deltas one at a time would — but the perturbed
 // circles accumulate across the whole batch and the arrangement is reswept
 // once over their union. K deltas therefore cost K cheap set updates plus a
-// single splice instead of K splices, and the ≥35% rebuild fallback
-// amortizes over the batch. The result is identical, label for label, to
-// both the one-at-a-time sequence and a from-scratch rebuild.
+// single splice instead of K splices. The result is identical, label for
+// label, to both the one-at-a-time sequence and a from-scratch rebuild.
 //
 // ApplyBatch is atomic: a validation failure in any delta (see ErrBadDelta)
 // fails the whole call and st is untouched — partial application is
@@ -173,12 +173,7 @@ func ApplyBatch(st State, ds []Delta, opts Options) (*Outcome, error) {
 	}
 	changed := 0
 	for di, d := range ds {
-		// The enclosure index describes st.Circles, so it can only serve the
-		// first delta (under applyOne's own further conditions); later deltas
-		// run against circles the index has never seen. The per-delta NN
-		// reassignment (step 5) keeps ws.circles exact between deltas, so the
-		// linear-scan fallback is always correct.
-		c, err := applyOne(ws, d, opts, di == 0)
+		c, err := applyOne(ws, d, opts)
 		if err != nil {
 			if len(ds) > 1 {
 				return nil, fmt.Errorf("op %d: %w", di, err)
@@ -189,7 +184,7 @@ func ApplyBatch(st State, ds []Delta, opts Options) (*Outcome, error) {
 	}
 
 	coreOpts := core.Options{Measure: opts.Measure, Workers: opts.Workers}
-	out, err := core.Resweep(ws.circles, coreOpts, st.Labels, ws.perturbed, opts.MaxResweepFraction)
+	out, err := core.Resweep(ws.circles, coreOpts, st.Labels, ws.perturbed, st.Pool)
 	if errors.Is(err, core.ErrNoCircles) && len(ws.circles) > 0 {
 		// Every remaining NN-circle is zero-radius — each client sits
 		// exactly on a facility, so no location can steal any of them. That
@@ -219,8 +214,10 @@ func ApplyBatch(st State, ds []Delta, opts Options) (*Outcome, error) {
 			Facilities: ws.facilities,
 			Circles:    ws.circles,
 			Labels:     out.Result.Labels,
+			Pool:       out.Result.LabelPool(),
 		},
 		Result: out.Result,
+		Events: out.Events,
 		Stats: Stats{
 			ChangedClients: changed,
 			Rebuilt:        out.Rebuilt,
@@ -244,9 +241,8 @@ type workState struct {
 }
 
 // applyOne performs the set-level maintenance (steps 1-5) for one delta
-// against ws, returning how many clients' NN-circles changed. first marks
-// the batch's first delta, the only one opts.Enclosure may describe.
-func applyOne(ws *workState, d Delta, opts Options, first bool) (int, error) {
+// against ws, returning how many clients' NN-circles changed.
+func applyOne(ws *workState, d Delta, opts Options) (int, error) {
 	clients := ws.clients
 	facilities := ws.facilities
 	circles := ws.circles
@@ -311,23 +307,12 @@ func applyOne(ws *workState, d Delta, opts Options, first bool) (int, error) {
 	}
 
 	// 4. Facility additions. A client's assignment can only change if the new
-	// facility lies inside (or on) its current NN-circle. The enclosure index
-	// answers that as a stabbing query, but only describes the circles the
-	// caller built it over — the batch's starting circles — so it serves only
-	// the first delta, and only when that delta leaves the client set and
-	// prior facilities untouched. Radii marked stale by an earlier addition
-	// in the same delta only over-approximate (circles never grow on
-	// insertion), which is safe.
-	useIndex := first && opts.Enclosure != nil &&
-		len(d.RemoveClients) == 0 && len(d.AddClients) == 0 && len(d.RemoveFacilities) == 0
+	// facility lies inside (or on) its current NN-circle; one exact scan
+	// finds those clients. Radii marked stale by an earlier addition in the
+	// same delta only over-approximate (circles never grow on insertion),
+	// which is safe.
 	for _, p := range d.AddFacilities {
 		facilities = append(facilities, p)
-		if useIndex {
-			for _, ci := range opts.Enclosure.Enclosing(p) {
-				needsNN[ci] = true
-			}
-			continue
-		}
 		for ci := range circles {
 			if needsNN[ci] {
 				continue

@@ -4,9 +4,10 @@
 // The baseline algorithm of the paper (Section IV) issues one such query per
 // grid cell; the heat-map rasterizer issues one per pixel. The paper uses an
 // S-tree for ease of analysis and notes that "other spatial indexes such as
-// the R-tree may be used"; this package offers an R-tree backed index (the
-// default) and a stripe index closer in spirit to the S-tree, used in the
-// ablation benchmarks.
+// the R-tree may be used"; this package offers an R-tree backed index, and a
+// brute-force index that is its differential oracle. Its large batches take
+// one shared plane sweep over the circle extents, the stripe walk of the
+// S-tree analysis (sweepData).
 //
 // # Boundary semantics
 //
@@ -18,7 +19,7 @@
 // ascending order, for every point including such boundary cases.
 //
 // This is less automatic than it sounds: the candidate filters (R-tree
-// bounding rectangles, stripe extents) are computed from the rounded
+// bounding rectangles, sweep extents) are computed from the rounded
 // coordinates cx±r, which can sit one ulp inside the set accepted by the
 // rounded distance comparison, silently dropping a circle whose boundary
 // passes exactly through the query point — making the reported set depend on
@@ -68,10 +69,10 @@ type Index interface {
 	// strictly in their interior.
 	EnclosingStrict(p geom.Point) []int
 	// EnclosingBatch answers one Enclosing query per point, returning the
-	// results in input order. The R-tree and stripe indexes answer large
-	// batches with one shared plane sweep (sort the queries by x, walk the
-	// circle extents once — see sweepBatch) instead of one index descent per
-	// point; results are identical to per-point Enclosing calls either way.
+	// results in input order. The R-tree index answers large batches with
+	// one shared plane sweep (sort the queries by x, walk the circle extents
+	// once — see sweepData) instead of one index descent per point; results
+	// are identical to per-point Enclosing calls either way.
 	// It is the serving fallback when the slab point-location index
 	// (internal/pointloc) is absent.
 	EnclosingBatch(ps []geom.Point) [][]int
@@ -197,7 +198,7 @@ func (sd *sweepData) batch(ps []geom.Point) [][]int {
 	return out
 }
 
-// rtreeIndex is the default Index implementation: an R-tree over the circle
+// rtreeIndex is the Index implementation: an R-tree over the circle
 // bounding rectangles refined by an exact containment test.
 type rtreeIndex struct {
 	circles []geom.Circle
@@ -205,7 +206,7 @@ type rtreeIndex struct {
 	sweep   *sweepData
 }
 
-// NewRTreeIndex builds the default point-enclosure index over circles.
+// NewRTreeIndex builds the point-enclosure index over circles.
 func NewRTreeIndex(circles []geom.Circle) Index {
 	items := make([]rtree.Item, len(circles))
 	for i, c := range circles {
@@ -239,106 +240,6 @@ func (ix *rtreeIndex) EnclosingStrict(p geom.Point) []int {
 }
 
 func (ix *rtreeIndex) EnclosingBatch(ps []geom.Point) [][]int {
-	if ix.sweep.useFor(len(ps)) {
-		return ix.sweep.batch(ps)
-	}
-	return batch(ix, ps)
-}
-
-// stripeIndex divides the x-axis into stripes bounded by the distinct
-// x-extremes of the circles; each stripe lists the circles whose horizontal
-// extent covers it. A query binary-searches its stripe and tests the listed
-// circles. This mirrors the two-level structure of the S-tree used in the
-// paper's baseline analysis.
-type stripeIndex struct {
-	circles []geom.Circle
-	xs      []float64 // stripe boundaries, ascending
-	stripes [][]int   // stripes[i] covers [xs[i], xs[i+1])
-	sweep   *sweepData
-}
-
-// NewStripeIndex builds a stripe-based point-enclosure index over circles.
-// The stripe boundaries are the padded circle extents (see the package
-// comment on boundary semantics), so a point exactly on a circle's vertical
-// side always finds that circle among its stripe's candidates.
-func NewStripeIndex(circles []geom.Circle) Index {
-	ix := &stripeIndex{circles: circles, sweep: newSweepData(circles)}
-	seen := map[float64]bool{}
-	for _, c := range circles {
-		r := paddedRect(c)
-		for _, x := range []float64{r.MinX, r.MaxX} {
-			if !seen[x] {
-				seen[x] = true
-				ix.xs = append(ix.xs, x)
-			}
-		}
-	}
-	sort.Float64s(ix.xs)
-	if len(ix.xs) == 0 {
-		return ix
-	}
-	ix.stripes = make([][]int, len(ix.xs))
-	for id, c := range circles {
-		r := paddedRect(c)
-		lo := sort.SearchFloat64s(ix.xs, r.MinX)
-		hi := sort.SearchFloat64s(ix.xs, r.MaxX)
-		for s := lo; s < hi && s < len(ix.stripes); s++ {
-			ix.stripes[s] = append(ix.stripes[s], id)
-		}
-	}
-	return ix
-}
-
-func (ix *stripeIndex) Len() int { return len(ix.circles) }
-
-// stripeFor returns the candidate circle IDs for the stripe containing x, or
-// nil when x lies outside every circle's horizontal extent.
-func (ix *stripeIndex) stripeFor(x float64) []int {
-	if len(ix.xs) == 0 || x < ix.xs[0] || x > ix.xs[len(ix.xs)-1] {
-		return nil
-	}
-	// Find the last boundary <= x.
-	i := sort.SearchFloat64s(ix.xs, x)
-	if i == len(ix.xs) || ix.xs[i] > x {
-		i--
-	}
-	if i < 0 {
-		return nil
-	}
-	if i == len(ix.stripes)-1 {
-		// x equals the right-most boundary: candidates are circles whose
-		// right side is that boundary; fall back to the previous stripe plus
-		// an exact test below (previous stripe covers them).
-		if i > 0 {
-			i--
-		}
-	}
-	return ix.stripes[i]
-}
-
-func (ix *stripeIndex) Enclosing(p geom.Point) []int {
-	var out []int
-	for _, id := range ix.stripeFor(p.X) {
-		if ix.circles[id].Contains(p) {
-			out = append(out, id)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-func (ix *stripeIndex) EnclosingStrict(p geom.Point) []int {
-	var out []int
-	for _, id := range ix.stripeFor(p.X) {
-		if ix.circles[id].ContainsStrict(p) {
-			out = append(out, id)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-func (ix *stripeIndex) EnclosingBatch(ps []geom.Point) [][]int {
 	if ix.sweep.useFor(len(ps)) {
 		return ix.sweep.batch(ps)
 	}

@@ -27,8 +27,7 @@ func TestIndexesAgreeWithBruteForce(t *testing.T) {
 		circles := randomCircles(rng, 800, metric, 100)
 		brute := NewBruteIndex(circles)
 		rt := NewRTreeIndex(circles)
-		st := NewStripeIndex(circles)
-		if rt.Len() != 800 || st.Len() != 800 || brute.Len() != 800 {
+		if rt.Len() != 800 || brute.Len() != 800 {
 			t.Fatalf("Len mismatch")
 		}
 		for q := 0; q < 400; q++ {
@@ -37,15 +36,9 @@ func TestIndexesAgreeWithBruteForce(t *testing.T) {
 			if got := rt.Enclosing(p); !sameIDs(got, want) {
 				t.Fatalf("metric %v: rtree Enclosing(%v) = %v, want %v", metric, p, got, want)
 			}
-			if got := st.Enclosing(p); !sameIDs(got, want) {
-				t.Fatalf("metric %v: stripe Enclosing(%v) = %v, want %v", metric, p, got, want)
-			}
 			wantStrict := brute.EnclosingStrict(p)
 			if got := rt.EnclosingStrict(p); !sameIDs(got, wantStrict) {
 				t.Fatalf("metric %v: rtree EnclosingStrict(%v) = %v, want %v", metric, p, got, wantStrict)
-			}
-			if got := st.EnclosingStrict(p); !sameIDs(got, wantStrict) {
-				t.Fatalf("metric %v: stripe EnclosingStrict(%v) = %v, want %v", metric, p, got, wantStrict)
 			}
 		}
 	}
@@ -62,7 +55,7 @@ func TestQueryOnCircleCenters(t *testing.T) {
 	// Each circle must report itself when queried at its own center.
 	rng := rand.New(rand.NewSource(22))
 	circles := randomCircles(rng, 300, geom.L2, 50)
-	for _, ix := range []Index{NewRTreeIndex(circles), NewStripeIndex(circles), NewBruteIndex(circles)} {
+	for _, ix := range []Index{NewRTreeIndex(circles), NewBruteIndex(circles)} {
 		for i, c := range circles {
 			found := false
 			for _, id := range ix.Enclosing(c.Center) {
@@ -78,7 +71,7 @@ func TestQueryOnCircleCenters(t *testing.T) {
 }
 
 func TestEmptyIndexes(t *testing.T) {
-	for _, ix := range []Index{NewRTreeIndex(nil), NewStripeIndex(nil), NewBruteIndex(nil)} {
+	for _, ix := range []Index{NewRTreeIndex(nil), NewBruteIndex(nil)} {
 		if ix.Len() != 0 {
 			t.Errorf("empty index Len = %d", ix.Len())
 		}
@@ -93,7 +86,7 @@ func TestEmptyIndexes(t *testing.T) {
 
 func TestBoundaryInclusion(t *testing.T) {
 	circles := []geom.Circle{geom.NewCircle(geom.Pt(0, 0), 1, geom.LInf)}
-	for _, ix := range []Index{NewRTreeIndex(circles), NewStripeIndex(circles), NewBruteIndex(circles)} {
+	for _, ix := range []Index{NewRTreeIndex(circles), NewBruteIndex(circles)} {
 		if got := ix.Enclosing(geom.Pt(1, 1)); len(got) != 1 {
 			t.Errorf("boundary point should be enclosed (closed): %v", got)
 		}
@@ -114,7 +107,7 @@ func TestHeavyOverlap(t *testing.T) {
 	for i := range circles {
 		circles[i] = geom.NewCircle(geom.Pt(10, 10), float64(i+1)/10, geom.L2)
 	}
-	for _, ix := range []Index{NewRTreeIndex(circles), NewStripeIndex(circles)} {
+	for _, ix := range []Index{NewRTreeIndex(circles), NewBruteIndex(circles)} {
 		if got := ix.Enclosing(geom.Pt(10, 10)); len(got) != n {
 			t.Errorf("center query = %d circles, want %d", len(got), n)
 		}
@@ -133,15 +126,6 @@ func BenchmarkRTreeEnclosing(b *testing.B) {
 	}
 }
 
-func BenchmarkStripeEnclosing(b *testing.B) {
-	rng := rand.New(rand.NewSource(23))
-	ix := NewStripeIndex(randomCircles(rng, 10000, geom.LInf, 1000))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ix.Enclosing(geom.Pt(rng.Float64()*1000, rng.Float64()*1000))
-	}
-}
-
 func TestEnclosingBatchAgreesWithSingleQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	circles := randomCircles(rng, 400, geom.L2, 100)
@@ -149,7 +133,7 @@ func TestEnclosingBatchAgreesWithSingleQueries(t *testing.T) {
 	for i := range queries {
 		queries[i] = geom.Pt(rng.Float64()*110-5, rng.Float64()*110-5)
 	}
-	for _, ix := range []Index{NewBruteIndex(circles), NewRTreeIndex(circles), NewStripeIndex(circles)} {
+	for _, ix := range []Index{NewBruteIndex(circles), NewRTreeIndex(circles)} {
 		got := ix.EnclosingBatch(queries)
 		if len(got) != len(queries) {
 			t.Fatalf("batch returned %d results, want %d", len(got), len(queries))
@@ -241,9 +225,8 @@ func TestBoundaryConventionTable(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			impls := map[string]Index{
-				"brute":  NewBruteIndex(tc.circles),
-				"rtree":  NewRTreeIndex(tc.circles),
-				"stripe": NewStripeIndex(tc.circles),
+				"brute": NewBruteIndex(tc.circles),
+				"rtree": NewRTreeIndex(tc.circles),
 			}
 			for name, ix := range impls {
 				if got := ix.Enclosing(tc.p); !sameIDs(got, tc.want) {
@@ -272,15 +255,14 @@ func TestBoundaryConventionTable(t *testing.T) {
 // TestIndexesAgreeOnExactBoundaries stresses the padded candidate filters:
 // for every circle, probe its four extreme points and corner-ish boundary
 // points exactly; every index must return precisely the brute-force (pure
-// Contains) answer. Before the extent padding, the R-tree and stripe filters
-// could drop a circle whose rounded extent excluded such a point by one ulp.
+// Contains) answer. Before the extent padding, the R-tree filter could drop
+// a circle whose rounded extent excluded such a point by one ulp.
 func TestIndexesAgreeOnExactBoundaries(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	for _, metric := range []geom.Metric{geom.LInf, geom.L1, geom.L2} {
 		circles := randomCircles(rng, 300, metric, 100)
 		brute := NewBruteIndex(circles)
 		rt := NewRTreeIndex(circles)
-		st := NewStripeIndex(circles)
 		var probes []geom.Point
 		for _, c := range circles {
 			cx, cy, r := c.Center.X, c.Center.Y, c.Radius
@@ -297,18 +279,13 @@ func TestIndexesAgreeOnExactBoundaries(t *testing.T) {
 			if got := rt.Enclosing(p); !sameIDs(got, want) {
 				t.Fatalf("metric %v: rtree Enclosing(%v) = %v, want %v", metric, p, got, want)
 			}
-			if got := st.Enclosing(p); !sameIDs(got, want) {
-				t.Fatalf("metric %v: stripe Enclosing(%v) = %v, want %v", metric, p, got, want)
-			}
 		}
 		// And through the sweep-batch path in one go.
 		want := brute.EnclosingBatch(probes)
-		for _, ix := range []Index{rt, st} {
-			got := ix.EnclosingBatch(probes)
-			for i := range probes {
-				if !sameIDs(got[i], want[i]) {
-					t.Fatalf("metric %v: batch[%d] (%v) = %v, want %v", metric, i, probes[i], got[i], want[i])
-				}
+		got := rt.EnclosingBatch(probes)
+		for i := range probes {
+			if !sameIDs(got[i], want[i]) {
+				t.Fatalf("metric %v: batch[%d] (%v) = %v, want %v", metric, i, probes[i], got[i], want[i])
 			}
 		}
 	}

@@ -285,9 +285,11 @@ func (g gainMeasure) InfluenceSorted(rnn []int) float64 {
 	return minFloat(g.capacity, float64(len(rnn)))
 }
 
-// Func adapts a plain function into a Measure.
+// Func adapts a plain function into a Measure. The measure is a pointer, so
+// it compares by identity: a label pool knows its measure by comparing it
+// with ==, and a func-valued struct would panic there.
 func Func(name string, f func(rnn *oset.Set) float64) Measure {
-	return funcMeasure{name: name, f: f}
+	return &funcMeasure{name: name, f: f}
 }
 
 type funcMeasure struct {
@@ -295,9 +297,9 @@ type funcMeasure struct {
 	f    func(rnn *oset.Set) float64
 }
 
-func (m funcMeasure) Name() string { return m.name }
+func (m *funcMeasure) Name() string { return m.name }
 
-func (m funcMeasure) Influence(rnn *oset.Set) float64 { return m.f(rnn) }
+func (m *funcMeasure) Influence(rnn *oset.Set) float64 { return m.f(rnn) }
 
 func minFloat(a, b float64) float64 {
 	if a < b {

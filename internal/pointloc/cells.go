@@ -53,9 +53,9 @@ func (ix *Index) cellEdge(sl *slab, k int) core.CellEdge {
 // id on a lookup. ok is false when no gap of the index can store the set:
 // the lineage never numbered it, or numbered it after this index was made.
 // The first call on an index opened from a snapshot seeds the lineage's
-// interner from the file's pool, as its first Patch would.
+// interner from the file's pool, as Pool does.
 func (ix *Index) SetID(rnn []int) (id uint32, ok bool) {
-	id, ok = ix.lin.interner(ix.measure).LookupID(rnn)
+	id, ok = ix.Pool().LookupID(rnn)
 	return id, ok && int(id) < len(ix.sets.heats)
 }
 

@@ -149,7 +149,7 @@ func TestPatchOpenedConcurrently(t *testing.T) {
 			wg.Add(2)
 			go func() {
 				defer wg.Done()
-				patched[k], errs[k] = opened.Patch(u.State.Circles, u.Stats.DirtySpans, 1.0, Options{})
+				patched[k], errs[k] = opened.Patch(u.State.Circles, u.Stats.DirtySpans, u.Events, Options{})
 			}()
 			go func() {
 				defer wg.Done()

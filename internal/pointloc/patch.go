@@ -10,17 +10,11 @@ import (
 	"rnnheatmap/internal/nncircle"
 )
 
-// DefaultMaxPatchFraction mirrors core.DefaultMaxResweepFraction: when more
-// than this fraction of the new slabs is dirty, Patch declines to splice
-// (past that point the splice costs about as much as a clean build, which
-// the caller should then schedule off its write path).
-const DefaultMaxPatchFraction = core.DefaultMaxResweepFraction
-
 // ErrPatchDeclined reports that the update cannot be answered by splicing
 // this index: the caller should drop its materialized index and rebuild
 // lazily (heatmap.Map does exactly that — the next query pays the build,
-// not the mutation that triggered it). Raised for updates dirtying more than
-// the splice threshold and for inputs the receiver cannot splice against.
+// not the mutation that triggered it). Raised for spans inconsistent with
+// the update and for span-less updates that renumber circles.
 var ErrPatchDeclined = errors.New("pointloc: patch declined; rebuild the index lazily")
 
 // Patch derives the index for an updated circle set from this one, rebuilding
@@ -28,7 +22,13 @@ var ErrPatchDeclined = errors.New("pointloc: patch declined; rebuild the index l
 // receiver — heap memory, or the file sections of an index Open returned.
 // The receiver is immutable and keeps serving concurrent readers, and
 // concurrent patches from one receiver are safe: the dirty slabs' sets are
-// interned into the lineage's one append-only id table.
+// interned into the lineage's one append-only id table (Pool).
+//
+// events is the event list of the new arrangement — the one core.Resweep
+// swept and returned with its outcome (positive-radius circles of
+// newCircles in input order, L1 rotated into the LInf system) — so a commit
+// constructs it once. Its abscissae are the new slab boundaries, and the
+// dirty slabs are re-emitted from it.
 //
 // A slab of the new arrangement is dirty when its left edge lies in one of
 // the dirty sweep-space x-spans (core.PerturbedSpans of the update's
@@ -44,21 +44,18 @@ var ErrPatchDeclined = errors.New("pointloc: patch declined; rebuild the index l
 // whose closed extent stays clear of the spans changes its boundaries, its
 // active set or its gap labels. Deletions renumbered by swap-remove are
 // handled upstream by delta, which reports both the moved circle's old and
-// new geometry as perturbed. The dirty slabs are re-emitted from the new
-// arrangement's event list, whose abscissae are the new slab boundaries, so
-// the result is structurally identical to a fresh Build over newCircles:
-// same boundaries, actives, edges, arcs and gap labels.
+// new geometry as perturbed. So the result is structurally identical to a
+// fresh Build over newCircles: same boundaries, actives, edges, arcs and gap
+// labels.
 //
 // Patching covers every metric: LInf natively, L1 via the rotation the spans
-// already carry, and L2. When splicing is not worthwhile or not possible —
-// updates past the dirty threshold, spans inconsistent with the receiver —
-// Patch returns ErrPatchDeclined and does no emission work, so callers on a
-// write path never pay a full rebuild; they drop the index and let the next
-// query rebuild it. maxFraction non-positive means DefaultMaxPatchFraction.
-func (ix *Index) Patch(newCircles []nncircle.NNCircle, spans [][2]float64, maxFraction float64, opts Options) (*Index, error) {
-	if maxFraction <= 0 {
-		maxFraction = DefaultMaxPatchFraction
-	}
+// already carry, and L2, and every share of dirty slabs: with all of them
+// dirty it is a Build that reuses the lineage's pool. Patch returns
+// ErrPatchDeclined, doing no emission work, for spans inconsistent with the
+// receiver and for span-less updates that change the arrangement, and
+// ErrTooLarge past the cell cap; the caller then drops the index and lets
+// the next query build it.
+func (ix *Index) Patch(newCircles []nncircle.NNCircle, spans [][2]float64, events *core.SlabEvents, opts Options) (*Index, error) {
 	if len(newCircles) > 0 && newCircles[0].Circle.Metric != ix.metric {
 		return nil, errors.New("pointloc: Patch with mixed or changed metrics")
 	}
@@ -75,9 +72,6 @@ func (ix *Index) Patch(newCircles []nncircle.NNCircle, spans [][2]float64, maxFr
 		}
 		return nil, ErrPatchDeclined
 	}
-	if len(ix.slabs) == 0 {
-		return nil, ErrPatchDeclined
-	}
 	next := &Index{measure: ix.measure, emptyHeat: ix.emptyHeat, lin: ix.lin}
 	usable, origIdx, err := next.initCircles(newCircles)
 	if err != nil {
@@ -90,19 +84,13 @@ func (ix *Index) Patch(newCircles []nncircle.NNCircle, spans [][2]float64, maxFr
 		next.sets = ix.sets
 		return next, nil
 	}
-
-	// One event list serves both the new slab boundaries and the re-emission
-	// of the dirty slabs.
-	events, err := core.NewSlabEvents(usable)
-	if err != nil {
-		return nil, err
+	if events == nil {
+		return nil, errors.New("pointloc: Patch needs the event list of the new arrangement")
 	}
+
 	newXs := events.Xs()
 	isL2 := ix.metric == geom.L2
-	dirty, nDirty := dirtySlabs(newXs, mergedSpans(spans), isL2)
-	if float64(nDirty) > maxFraction*float64(len(newXs)) {
-		return nil, ErrPatchDeclined
-	}
+	dirty := dirtySlabs(newXs, mergedSpans(spans), isL2)
 
 	next.xs = newXs
 	next.slabs = make([]slab, len(newXs))
@@ -123,7 +111,7 @@ func (ix *Index) Patch(newCircles []nncircle.NNCircle, spans [][2]float64, maxFr
 	}
 	// Rebuild the dirty slabs run by run; each emitted slab lands in its
 	// position of next.slabs.
-	pool := ix.lin.interner(ix.measure)
+	pool := ix.Pool()
 	pb := &patchSink{ix: next, origIdx: origIdx, maxCells: opts.maxCells(), cells: cells, isL2: isL2, pool: pool}
 	if err := events.EmitRanges(pb, pool, dirtyWindows(newXs, dirty)); err != nil {
 		if errors.Is(err, core.ErrSlabsAborted) {
@@ -135,6 +123,13 @@ func (ix *Index) Patch(newCircles []nncircle.NNCircle, spans [][2]float64, maxFr
 	next.sets = tableOf(pool)
 	return next, nil
 }
+
+// Pool returns the label interner the index's lineage draws its gap ids
+// from: the pool it was built with, or, for an index opened from a
+// snapshot, an interner seeded with the file's sets under their file ids on
+// first call. A resweep that interns into it gives every set one record
+// and one id across the sweep, the index and every later patch.
+func (ix *Index) Pool() *core.LabelInterner { return ix.lin.interner(ix.measure) }
 
 // sameArrangement reports whether two circle slices describe the same
 // arrangement under the same client numbering. Facility assignments are
@@ -188,24 +183,18 @@ func (b *patchSink) Edge(y float64, circle int, upper bool, above *core.Interned
 // span's first one. A slab whose left edge is exactly hi is dirty too: a
 // perturbed circle's right extreme can lie at hi, and an added circle then
 // puts a new slab boundary there that no old slab starts at.
-func dirtySlabs(xs []float64, spans [][2]float64, l2 bool) (dirty []bool, n int) {
-	dirty = make([]bool, len(xs))
-	mark := func(k int) {
-		if !dirty[k] {
-			dirty[k] = true
-			n++
-		}
-	}
+func dirtySlabs(xs []float64, spans [][2]float64, l2 bool) []bool {
+	dirty := make([]bool, len(xs))
 	for _, s := range spans {
 		first := sort.SearchFloat64s(xs, s[0])
 		if l2 && first > 0 {
-			mark(first - 1)
+			dirty[first-1] = true
 		}
 		for k := first; k < len(xs) && xs[k] <= s[1]; k++ {
-			mark(k)
+			dirty[k] = true
 		}
 	}
-	return dirty, n
+	return dirty
 }
 
 // dirtyWindows returns the [lo, hi) emission window of each run of dirty

@@ -47,11 +47,11 @@ func TestPatchChainMatchesFreshBuild(t *testing.T) {
 			var counts [2]int
 			for run, ix := range []*Index{built, openedFromIndex(t, built, influence.Size())} {
 				for step, st := range steps {
-					next, err := ix.Patch(st.circles, st.spans, 0, Options{})
+					next, err := ix.Patch(st.circles, st.spans, st.events, Options{})
 					if errors.Is(err, ErrPatchDeclined) {
-						// Over the splice threshold (or a span-less
-						// renumbering): the chain continues from a fresh
-						// build, exactly as heatmap's lazy rebuild would.
+						// A span-less renumbering: the chain continues
+						// from a fresh build, exactly as heatmap's lazy
+						// rebuild would.
 						ix = st.fresh
 						continue
 					}
@@ -74,14 +74,14 @@ func TestPatchChainMatchesFreshBuild(t *testing.T) {
 		}
 	}
 	// A patch over an unchanged arrangement (no spans) reuses the receiver
-	// and is not counted. The floors sit about a quarter below what this
-	// workload splices of its 144 steps per metric (LInf 47, L1 50, L2 41;
-	// in short mode 16, 9 and 7 of 36).
-	floor := map[geom.Metric]int{geom.LInf: 35, geom.L1: 37, geom.L2: 30}
+	// and is not counted. Every other step of this workload patches: the
+	// floors are its counts of 144 steps per metric (36 of 36 in short
+	// mode).
+	floor := map[geom.Metric]int{geom.LInf: 142, geom.L1: 143, geom.L2: 143}
 	for _, metric := range metrics {
 		want := floor[metric]
 		if testing.Short() {
-			want = 2
+			want = 36
 		}
 		t.Logf("metric=%v: %d steps patched", metric, patched[metric])
 		if patched[metric] < want {
@@ -125,7 +125,7 @@ func TestPatchAddsClients(t *testing.T) {
 				t.Fatal(err)
 			}
 			ctx := fmt.Sprintf("metric=%v step=%d", metric, step)
-			next, err := ix.Patch(out.State.Circles, out.Stats.DirtySpans, 0.99, Options{})
+			next, err := ix.Patch(out.State.Circles, out.Stats.DirtySpans, out.Events, Options{})
 			if err != nil {
 				t.Fatalf("%s: %v", ctx, err)
 			}
@@ -140,10 +140,12 @@ func TestPatchAddsClients(t *testing.T) {
 }
 
 // chainStep is one update of a patch chain: the updated circles, the dirty
-// spans delta reported, and a fresh build over the circles.
+// spans delta reported, the event list its resweep swept, and a fresh build
+// over the circles.
 type chainStep struct {
 	circles []nncircle.NNCircle
 	spans   [][2]float64
+	events  *core.SlabEvents
 	fresh   *Index
 }
 
@@ -200,7 +202,7 @@ func patchChain(t *testing.T, rng *rand.Rand, metric geom.Metric) ([]nncircle.NN
 		if err != nil {
 			t.Fatal(err)
 		}
-		steps = append(steps, chainStep{circles: out.State.Circles, spans: out.Stats.DirtySpans, fresh: fresh})
+		steps = append(steps, chainStep{circles: out.State.Circles, spans: out.Stats.DirtySpans, events: out.Events, fresh: fresh})
 		st = out.State
 	}
 	return circles, steps

@@ -25,8 +25,9 @@
 // through one id table per lineage (the label interner's, or the file's
 // pool), so Patch works alike from either: the dirty slabs are re-emitted
 // and every clean slab aliases its predecessor, heap or file. The first
-// Patch from an opened index seeds an interner with the file's sets under
-// their file ids, so a set keeps one id through every later patch.
+// Pool call on an opened index (a commit makes it before its resweep)
+// seeds an interner with the file's sets under their file ids, so a set
+// keeps one id through every later resweep and patch.
 //
 // # Boundary semantics
 //
@@ -211,11 +212,12 @@ func (t *labelTable) set(id uint32) []int {
 }
 
 // lineage is shared by an index and every index patched from it: the label
-// interner their gap ids are drawn from. A lineage opened from a snapshot
-// starts with the file's pool instead; the first Patch seeds an interner
-// with the file's sets under their file ids, so a set keeps one id from the
-// file through every later patch, and concurrent patches share that one
-// interner.
+// interner their gap ids are drawn from, which the resweeps that produce
+// their arrangements intern into too (Index.Pool). A lineage opened from a
+// snapshot starts with the file's pool instead; the first Pool call seeds
+// an interner with the file's sets under their file ids, so a set keeps
+// one id from the file through every later patch, and concurrent patches
+// share that one interner.
 type lineage struct {
 	pool *core.LabelInterner
 	view *snapshot.View

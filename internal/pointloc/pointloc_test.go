@@ -34,6 +34,17 @@ func newOracle(circles []nncircle.NNCircle, measure influence.Measure) *oracle {
 	}
 }
 
+// sweptEvents returns the event list a resweep over circles sweeps: the one
+// Patch takes.
+func sweptEvents(t testing.TB, circles []nncircle.NNCircle) *core.SlabEvents {
+	t.Helper()
+	out, err := core.Resweep(circles, core.Options{DiscardLabels: true}, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out.Events
+}
+
 func (o *oracle) heatAt(p geom.Point) (float64, []int) {
 	set := oset.New()
 	for _, id := range o.index.Enclosing(p) {
@@ -266,7 +277,7 @@ func TestPatchMatchesFreshBuild(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			patched, err := base.Patch(newCircles, spans, 1.0, Options{})
+			patched, err := base.Patch(newCircles, spans, sweptEvents(t, newCircles), Options{})
 			if errors.Is(err, ErrPatchDeclined) {
 				// Rare degenerate trial (e.g. every perturbed circle is
 				// zero-radius): nothing to splice; skip it.
@@ -298,11 +309,11 @@ func TestPatchMatchesFreshBuild(t *testing.T) {
 	}
 }
 
-// TestPatchDeclines pins the decline contract: updates past the dirty
-// threshold, span-less updates that change the arrangement and spans
-// inconsistent with the update decline without doing any splice work; a
-// no-op update over an unchanged arrangement reuses the receiver, and an L2
-// receiver patches into an index identical to a fresh build.
+// TestPatchDeclines pins the decline contract: span-less updates that change
+// the arrangement and spans inconsistent with the update decline without
+// doing any splice work; a no-op update over an unchanged arrangement reuses
+// the receiver, and an L2 receiver patches into an index identical to a
+// fresh build.
 func TestPatchDeclines(t *testing.T) {
 	t.Parallel()
 	circles, facilities := testInstance(t, 99, 20, 4, geom.LInf, false)
@@ -321,12 +332,22 @@ func TestPatchDeclines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Over-threshold: declined, no eager rebuild on the caller's write path.
-	if _, err := base.Patch(newCircles, spans, 1e-9, Options{}); !errors.Is(err, ErrPatchDeclined) {
-		t.Fatalf("over-threshold Patch err = %v, want ErrPatchDeclined", err)
+	newEvents := sweptEvents(t, newCircles)
+	fresh, err := Build(newCircles, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The update's own spans and spans dirtying every slab both patch, into
+	// an index equal to a fresh build: no share of dirty slabs declines.
+	for _, sp := range [][][2]float64{spans, {{-1e6, 1e6}}} {
+		patched, err := base.Patch(newCircles, sp, newEvents, Options{})
+		if err != nil {
+			t.Fatalf("Patch over %v: %v", sp, err)
+		}
+		assertSameIndex(t, fmt.Sprintf("patch over %v", sp), patched, fresh)
 	}
 	// No spans over an unchanged arrangement: the receiver is reused.
-	same, err := base.Patch(circles, nil, 0, Options{})
+	same, err := base.Patch(circles, nil, nil, Options{})
 	if err != nil {
 		t.Fatalf("no-op Patch: %v", err)
 	}
@@ -340,12 +361,12 @@ func TestPatchDeclines(t *testing.T) {
 	}
 	// A span-less update that does change the arrangement cannot be
 	// spliced.
-	if _, err := base.Patch(newCircles, nil, 0, Options{}); !errors.Is(err, ErrPatchDeclined) {
+	if _, err := base.Patch(newCircles, nil, newEvents, Options{}); !errors.Is(err, ErrPatchDeclined) {
 		t.Fatalf("span-less Patch err = %v, want ErrPatchDeclined", err)
 	}
 	// Spans that miss the perturbation are inconsistent with the update: a
 	// slab they leave clean has no counterpart in the receiver.
-	if _, err := base.Patch(newCircles, [][2]float64{{1e6, 1e6 + 1}}, 0, Options{}); !errors.Is(err, ErrPatchDeclined) {
+	if _, err := base.Patch(newCircles, [][2]float64{{1e6, 1e6 + 1}}, newEvents, Options{}); !errors.Is(err, ErrPatchDeclined) {
 		t.Fatalf("inconsistent-span Patch err = %v, want ErrPatchDeclined", err)
 	}
 	// L2 receivers patch like the rectilinear ones, into an index
@@ -361,7 +382,8 @@ func TestPatchDeclines(t *testing.T) {
 		t.Fatal(err)
 	}
 	l2Spans := core.PerturbedSpans([]geom.Circle{l2Circles[0].Circle, l2New[0].Circle}, geom.L2)
-	l2Patched, err := l2.Patch(l2New, l2Spans, 1.0, Options{})
+	l2Events := sweptEvents(t, l2New)
+	l2Patched, err := l2.Patch(l2New, l2Spans, l2Events, Options{})
 	if err != nil {
 		t.Fatalf("L2 Patch: %v", err)
 	}
@@ -370,7 +392,7 @@ func TestPatchDeclines(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameIndex(t, "L2 patch", l2Patched, l2Fresh)
-	if _, err := l2.Patch(l2New, [][2]float64{{1e6, 1e6 + 1}}, 0, Options{}); !errors.Is(err, ErrPatchDeclined) {
+	if _, err := l2.Patch(l2New, [][2]float64{{1e6, 1e6 + 1}}, l2Events, Options{}); !errors.Is(err, ErrPatchDeclined) {
 		t.Fatalf("inconsistent-span L2 Patch err = %v, want ErrPatchDeclined", err)
 	}
 }

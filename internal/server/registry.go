@@ -271,11 +271,15 @@ func (s *Server) loadMaps() error {
 	return nil
 }
 
-// replayWAL applies the records of name's WAL that postdate the snapshot.
-// Replay happens even on a read-only server (the log is state, not an
-// optional extra). On a mutable server the open handle is returned for
-// register to adopt, so the log is parsed exactly once at startup; on a
-// read-only server it is closed and nil is returned.
+// replayWAL applies the records of name's WAL that postdate the snapshot,
+// all of them as one ApplyDeltaBatch — identical to applying them in a
+// chain, with one resweep and one slab-index patch instead of one per
+// record. Each record is first checked for continuity and validated against
+// the set sizes the records before it leave, so a refused op names the
+// version of its record. Replay happens even on a read-only server (the log
+// is state, not an optional extra). On a mutable server the open handle is
+// returned for register to adopt, so the log is parsed exactly once at
+// startup; on a read-only server it is closed and nil is returned.
 func (s *Server) replayWAL(name string, m *heatmap.Map, version uint64) (*heatmap.Map, uint64, int, *snapshot.WAL, error) {
 	path := snapshot.WALPath(s.snapshotDir, name)
 	if _, err := os.Stat(path); errors.Is(err, os.ErrNotExist) {
@@ -296,7 +300,9 @@ func (s *Server) replayWAL(name string, m *heatmap.Map, version uint64) (*heatma
 		}
 		return nil, 0, 0, nil, err
 	}
-	replayed := 0
+	var ds []heatmap.Delta
+	first, replayed := version+1, 0
+	nClients, nFacilities := m.NumClients(), m.NumFacilities()
 	for _, rec := range records {
 		if rec.Version <= version {
 			continue // already folded into the snapshot
@@ -304,13 +310,20 @@ func (s *Server) replayWAL(name string, m *heatmap.Map, version uint64) (*heatma
 		if rec.Version != version+1 {
 			return fail(fmt.Errorf("record jumps from version %d to %d: log diverges from snapshot", version, rec.Version))
 		}
-		next, _, err := m.ApplyDeltaBatch(recordDeltas(rec))
-		if err != nil {
+		rds := recordDeltas(rec)
+		if err := validateOps(rds, &nClients, &nFacilities); err != nil {
 			return fail(fmt.Errorf("re-applying record for version %d: %w", rec.Version, err))
 		}
-		m = next
+		ds = append(ds, rds...)
 		version = rec.Version
 		replayed++
+	}
+	if replayed > 0 {
+		next, _, err := m.ApplyDeltaBatch(ds)
+		if err != nil {
+			return fail(fmt.Errorf("re-applying the records for versions %d to %d: %w", first, version, err))
+		}
+		m = next
 	}
 	return m, version, replayed, wal, nil
 }

@@ -7,9 +7,11 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
+	"rnnheatmap/heatmap"
 	"rnnheatmap/internal/snapshot"
 )
 
@@ -264,12 +266,50 @@ func TestWALReplayConvergesAfterCrash(t *testing.T) {
 			t.Errorf("tile %s differs after WAL replay", path)
 		}
 	}
+	// The records replay as one batch, which must equal the chain the
+	// uninterrupted server committed, region for region.
+	if got, want := b.def().state().m.Regions(), a.def().state().m.Regions(); !reflect.DeepEqual(got, want) {
+		t.Errorf("replayed map has %d regions that differ from the uninterrupted server's %d", len(got), len(want))
+	}
 	// The replayed server keeps accepting (and logging) mutations.
 	if rec := do(t, b, http.MethodPost, "/v1/mutations", `{"ops":[{"add_clients":[{"x":20,"y":80}]}]}`); rec.Code != http.StatusOK {
 		t.Fatalf("mutation after replay = %d (body %s)", rec.Code, rec.Body)
 	}
 	if got := b.Version(); got != wantVersion+1 {
 		t.Errorf("version after post-replay mutation = %d, want %d", got, wantVersion+1)
+	}
+}
+
+// TestWALReplayNamesRefusedRecord: a log whose record refuses an op fails
+// the restart with an error naming that record's version, although the
+// records replay as one batch.
+func TestWALReplayNamesRefusedRecord(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	a, err := New(Config{Map: handMap(t), Mutable: true, TileSize: 32, SnapshotDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := do(t, a, http.MethodPost, "/v1/mutations", `{"ops":[{"remove_clients":[0]}]}`); rec.Code != http.StatusOK {
+		t.Fatalf("mutation = %d (body %s)", rec.Code, rec.Body)
+	}
+	wal, _, err := snapshot.OpenWAL(snapshot.WALPath(dir, DefaultMapName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The map holds 8 clients at version 2: version 3 is valid, version 4
+	// removes a client index past the end.
+	recs := []snapshot.Record{
+		snapshot.BatchRecord(3, []snapshot.Op{{AddClients: []heatmap.Point{heatmap.Pt(40, 40)}}}),
+		snapshot.BatchRecord(4, []snapshot.Op{{AddClients: []heatmap.Point{heatmap.Pt(41, 41)}}, {RemoveClients: []int{10}}}),
+	}
+	if err := wal.AppendBatch(recs); err != nil {
+		t.Fatal(err)
+	}
+	wal.Close()
+	_, err = New(Config{Mutable: true, TileSize: 32, SnapshotDir: dir, Load: true})
+	if err == nil || !strings.Contains(err.Error(), "record for version 4: op 1: client index 10 out of range") {
+		t.Fatalf("restart err = %v, want the refusal of version 4's op 1", err)
 	}
 }
 

@@ -17,7 +17,7 @@ rnnheatmap/heatmap 84
 rnnheatmap/internal/core 92
 rnnheatmap/internal/dataset 90
 rnnheatmap/internal/delta 95
-rnnheatmap/internal/enclosure 92
+rnnheatmap/internal/enclosure 94
 rnnheatmap/internal/experiment 78
 rnnheatmap/internal/geom 96
 rnnheatmap/internal/influence 78
