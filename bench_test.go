@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"runtime"
 	"sort"
@@ -622,6 +623,68 @@ func BenchmarkSlabIndexBuild(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.ReportMetric(float64(ix.Cells()), "cells")
+			}
+		})
+	}
+}
+
+// BenchmarkSnapshotSave measures SaveSnapshot — the streamed encode, the
+// write, the fsync and the rename — of the three maps the end-to-end plan
+// workload creates and of heatmapd's default map after one commit. Each map
+// is saved once before the timer starts, which builds its slab index as a
+// server's first render would. SetBytes is the file size, so MB/s is the
+// save rate and B/op what a save allocates. It is deliberately outside
+// GATE_BENCH.
+func BenchmarkSnapshotSave(b *testing.B) {
+	planMap := func(ds string, nO, nF int, metric geom.Metric) func(*testing.B) *heatmap.Map {
+		return func(b *testing.B) *heatmap.Map {
+			pool, err := dataset.ByName(ds, 2*(nO+nF), 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			clients, facilities := pool.SampleClientsFacilities(nO, nF, 1)
+			m, err := heatmap.Build(heatmap.Config{Clients: clients, Facilities: facilities, Metric: metric})
+			if err != nil {
+				b.Fatal(err)
+			}
+			return m
+		}
+	}
+	for _, w := range []struct {
+		name string
+		m    func(*testing.B) *heatmap.Map
+	}{
+		{"linf-uniform-1000", planMap("Uniform", 1000, 100, geom.LInf)},
+		{"l1-zipfian-1000", planMap("Zipfian", 1000, 100, geom.L1)},
+		{"l2-nyc-600", planMap("NYC", 600, 180, geom.L2)},
+		{"l2-served-committed", func(b *testing.B) *heatmap.Map {
+			m := heatmapdDefaultMap(b)
+			m.HeatAt(m.Bounds().Center())
+			clients, _ := heatmapdDefaultPoints(b)
+			next, _, err := m.ApplyDelta(heatmap.Delta{AddClients: []heatmap.Point{clients[0]}, RemoveClients: []int{3}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			return next
+		}},
+	} {
+		b.Run(w.name, func(b *testing.B) {
+			m := w.m(b)
+			path := filepath.Join(b.TempDir(), "m.snap")
+			if err := m.SaveSnapshot(path, 2); err != nil {
+				b.Fatal(err)
+			}
+			st, err := os.Stat(path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(st.Size())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := m.SaveSnapshot(path, 2); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

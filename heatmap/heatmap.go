@@ -172,12 +172,17 @@ type Map struct {
 
 	// The point-query structure is resolved lazily on the first query
 	// (pointLoc), or spliced from the previous map's slab index by
-	// ApplyDelta. pl publishes the resolved state lock-free — readers on the
-	// hot query path never touch plMu after the one-time build: the slab
-	// index, or, when the index is disabled or declined to build (too
-	// large), the R-tree the enclosure path stabs.
+	// ApplyDelta (by the first query, for a map whose patch was deferred).
+	// pl publishes the resolved state lock-free — readers on the hot query
+	// path never touch plMu after the one-time build: the slab index, or,
+	// when the index is disabled or declined to build (too large), the
+	// R-tree the enclosure path stabs.
 	plMu sync.Mutex
 	pl   atomic.Pointer[plState]
+	// pending, set on a map whose slab index patch was deferred (the steps
+	// of GreedyPlace), is what its first point query patches the index
+	// from; see pendingPatch. It never changes after the map is built.
+	pending *pendingPatch
 
 	// The heat summary of the labels, computed on first use: a heap map is
 	// immutable once built, so /stats, the server's map state and a
@@ -326,6 +331,15 @@ func (m *Map) ApplyDelta(d Delta) (*Map, DeltaStats, error) {
 // receiver untouched. The group-committing server ingest path is built on
 // this.
 func (m *Map) ApplyDeltaBatch(ds []Delta) (*Map, DeltaStats, error) {
+	return m.applyDeltaBatch(ds, false)
+}
+
+// applyDeltaBatch is ApplyDeltaBatch, with the slab index patch deferred
+// to the new map's first point query when deferPatch is set: the new map
+// records the index its patch would start from instead (see pendingPatch).
+// GreedyPlace derives its steps this way, since a step that ranks regions
+// without geometry reads no index.
+func (m *Map) applyDeltaBatch(ds []Delta, deferPatch bool) (*Map, DeltaStats, error) {
 	if err := m.DeltaSupported(); err != nil {
 		return nil, DeltaStats{}, err
 	}
@@ -345,10 +359,10 @@ func (m *Map) ApplyDeltaBatch(ds []Delta) (*Map, DeltaStats, error) {
 	// The resweep interns into the lineage's one label pool: the one the
 	// slab index draws its ids from (for an index opened from a snapshot,
 	// the interner seeded from the file), or else the labels' own.
-	ix, _ := m.builtPointLoc()
+	base, spans := m.patchBase()
 	pool := m.result.LabelPool()
-	if ix != nil {
-		pool = ix.Pool()
+	if base != nil {
+		pool = base.Pool()
 	}
 	out, err := delta.ApplyBatch(
 		delta.State{
@@ -388,10 +402,16 @@ func (m *Map) ApplyDeltaBatch(ds []Delta) (*Map, DeltaStats, error) {
 	// list the resweep swept — those with a left edge inside the dirty
 	// spans, plus under L2 the slab before each span, whose midpoint moves
 	// with its right edge — and the rest share storage with the old index
-	// (which keeps serving concurrent readers), heap or file. When the patch
-	// declines, the next map builds its index lazily on first query.
-	if ix != nil {
-		if nix, perr := ix.Patch(out.State.Circles, out.Stats.DirtySpans, out.Events, pointloc.Options{}); perr == nil {
+	// (which keeps serving concurrent readers), heap or file. A map whose
+	// own patch was deferred passes on its ancestor's index with the spans
+	// recorded since, which Patch merges as ApplyBatch merges a batch's. When
+	// the patch declines, the next map builds its index lazily on first
+	// query.
+	if base != nil {
+		spans = append(spans[:len(spans):len(spans)], out.Stats.DirtySpans...)
+		if deferPatch {
+			next.pending = &pendingPatch{base: base, spans: spans, events: out.Events}
+		} else if nix := next.patch(base, spans, out.Events); nix != nil {
 			next.setPointLoc(nix)
 		}
 	}
@@ -548,7 +568,8 @@ func newPLState(ix *pointloc.Index) *plState {
 
 // pointLoc returns the map's point-query structure, resolving it on first
 // use; it is the one place a map decides how it answers points. The slab
-// index comes first. When it is disabled (Config.NoSlabIndex) or declines to
+// index comes first: patched from the ancestor index a deferred patch
+// records, or built. When it is disabled (Config.NoSlabIndex) or declines to
 // build (pointloc.ErrTooLarge), the R-tree the enclosure path stabs is
 // built instead, with identical answers; no other path builds one. After
 // the first call the lookup is one atomic load.
@@ -566,7 +587,10 @@ func (m *Map) pointLoc() *plState {
 		return st
 	}
 	var ix *pointloc.Index
-	if !m.cfg.NoSlabIndex {
+	if p := m.pending; p != nil {
+		ix = m.patch(p.base, p.spans, p.events)
+	}
+	if ix == nil && !m.cfg.NoSlabIndex {
 		// Sharing the sweep's label pool lets the build reuse every RNN set
 		// and heat the sweep already interned instead of recomputing them
 		// (the pool is nil for maps restored from snapshots — Build then
@@ -583,9 +607,52 @@ func (m *Map) pointLoc() *plState {
 	return st
 }
 
+// pendingPatch is the record a map whose slab index patch was deferred
+// keeps: the nearest ancestor index already built, the dirty spans of every
+// commit since it, and the map's own event list. The map's first point
+// query patches base over spans once, exactly as ApplyDeltaBatch of those
+// commits' deltas would. It holds no ancestor Map, so a chain of deferred
+// maps keeps no chain of maps alive.
+type pendingPatch struct {
+	base   *pointloc.Index
+	spans  [][2]float64
+	events *core.SlabEvents
+}
+
+// patchBase returns the slab index a commit on m patches from, with the
+// dirty spans already recorded against it: m's own index once resolved
+// (nil when it was never built or its build declined), else the ancestor
+// index of m's deferred patch and the spans since.
+func (m *Map) patchBase() (*pointloc.Index, [][2]float64) {
+	if st := m.pl.Load(); st != nil {
+		return st.ix, nil
+	}
+	if p := m.pending; p != nil {
+		return p.base, p.spans
+	}
+	return nil, nil
+}
+
+// patchHook, when set, is called before every slab index patch; tests
+// count patches with it.
+var patchHook func()
+
+// patch derives the slab index of m's arrangement from base, re-emitting
+// the slabs in the dirty spans from events; nil when the patch declines.
+func (m *Map) patch(base *pointloc.Index, spans [][2]float64, events *core.SlabEvents) *pointloc.Index {
+	if patchHook != nil {
+		patchHook()
+	}
+	ix, err := base.Patch(m.circles, spans, events, pointloc.Options{})
+	if err != nil {
+		return nil
+	}
+	return ix
+}
+
 // builtPointLoc returns the slab index only if it has already been built (or
-// its build already declined); it never forces a build. ApplyDelta uses it
-// so patching happens exactly when the source map had materialized an index.
+// its build already declined); it never forces a build, nor a deferred
+// patch.
 func (m *Map) builtPointLoc() (*pointloc.Index, bool) {
 	st := m.pl.Load()
 	if st == nil {

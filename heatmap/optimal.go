@@ -152,6 +152,12 @@ type PlacementStep struct {
 // ApplyDeltaBatch on the receiver with one AddFacilities delta per reported
 // step point.
 //
+// A step ranks labels, not faces, so the steps defer their slab index
+// patches: each map records the ancestor index and the dirty spans since
+// it, and patches once, on its first point query or render — the final
+// map's, or a MinArea step's for its geometry — exactly as that
+// ApplyDeltaBatch would have.
+//
 // The loop stops early — returning the steps so far — when the map runs out
 // of regions or the constraints filter every candidate out. It checks ctx
 // before each step and returns ctx.Err() once ctx is done, with no steps and
@@ -181,7 +187,7 @@ func (m *Map) GreedyPlace(ctx context.Context, k int, cons OptimalConstraints) (
 			break
 		}
 		best := regs[0]
-		next, st, err := cur.ApplyDelta(Delta{AddFacilities: []Point{best.Point}})
+		next, st, err := cur.applyDeltaBatch([]Delta{{AddFacilities: []Point{best.Point}}}, true)
 		if err != nil {
 			return nil, nil, err
 		}

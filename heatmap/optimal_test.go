@@ -3,9 +3,12 @@ package heatmap
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"rnnheatmap/internal/geom"
@@ -274,6 +277,111 @@ func TestGreedyPlaceMatchesManualChain(t *testing.T) {
 		if steps[i].Heat > steps[i-1].Heat {
 			t.Fatalf("gain increased: step %d heat %v after %v", i, steps[i].Heat, steps[i-1].Heat)
 		}
+	}
+}
+
+// TestGreedyPlaceDefersPatches: a dry-run GreedyPlace from a map whose slab
+// index is built, or opened from its file, patches no index; its final
+// map's first queries and renders, concurrent ones, patch once, and the map
+// then answers — regions,
+// points on circle boundaries, tiles — as ApplyDeltaBatch of the steps'
+// deltas and a fresh Build do, for every metric. A MinArea run resolves
+// each later step's index for its geometry, one patch per step, and places
+// exactly as a chain of eager ApplyDelta calls.
+func TestGreedyPlaceDefersPatches(t *testing.T) {
+	patches := 0
+	patchHook = func() { patches++ }
+	defer func() { patchHook = nil }()
+	clients, facilities := snapshotTestSets(t)
+	ctx := context.Background()
+	for _, metric := range []Metric{LInf, L1, L2} {
+		built, err := Build(Config{Clients: clients, Facilities: facilities, Metric: metric})
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "m.snap")
+		if err := built.SaveSnapshot(path, 1); err != nil {
+			t.Fatal(err)
+		}
+		opened, _, err := OpenSnapshot(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, src := range []struct {
+			name string
+			m    *Map
+		}{{"built", built}, {"opened", opened}} {
+			c := fmt.Sprintf("%v %s", metric, src.name)
+			patches = 0
+			steps, final, err := src.m.GreedyPlace(ctx, 3, OptimalConstraints{})
+			if err != nil || len(steps) != 3 {
+				t.Fatalf("%s: GreedyPlace placed %d (%v), want 3", c, len(steps), err)
+			}
+			if patches != 0 {
+				t.Fatalf("%s: a dry run patched %d slab indexes, want none", c, patches)
+			}
+			if final.pending == nil || final.pl.Load() != nil {
+				t.Fatalf("%s: the final map resolved its index before its first query", c)
+			}
+			// Concurrent first queries and renders resolve the patch once.
+			var wg sync.WaitGroup
+			for g := 0; g < 4; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if g%2 == 0 {
+						final.HeatAt(steps[g/2].Point)
+					} else if _, err := final.Renderer(); err != nil {
+						t.Error(err)
+					}
+				}()
+			}
+			wg.Wait()
+			if patches != 1 {
+				t.Fatalf("%s: the final map's first queries and renders patched %d times, want once", c, patches)
+			}
+			ds := make([]Delta, len(steps))
+			for i, step := range steps {
+				ds[i] = Delta{AddFacilities: []Point{step.Point}}
+			}
+			eager, _, err := src.m.ApplyDeltaBatch(ds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := Build(Config{Clients: eager.cfg.Clients, Facilities: eager.cfg.Facilities, Metric: metric})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameAnswers(t, c+" against ApplyDeltaBatch", final, eager)
+			assertSameAnswers(t, c+" against a fresh build", final, fresh)
+		}
+
+		cons := OptimalConstraints{MinArea: 1e-9}
+		patches = 0
+		steps, final, err := built.GreedyPlace(ctx, 3, cons)
+		if err != nil || len(steps) != 3 {
+			t.Fatalf("%v min_area: GreedyPlace placed %d (%v), want 3", metric, len(steps), err)
+		}
+		if patches != len(steps)-1 {
+			t.Fatalf("%v min_area: %d patches, want one per step after the first", metric, patches)
+		}
+		cur := built
+		for i, step := range steps {
+			best, err := cur.OptimalTopK(1, cons)
+			if err != nil || len(best) != 1 {
+				t.Fatalf("%v min_area step %d: OptimalTopK: %v", metric, i, err)
+			}
+			if best[0].Point != step.Point || best[0].Heat != step.Heat || !reflect.DeepEqual(best[0].RNN, step.RNN) {
+				t.Fatalf("%v min_area step %d: placed %+v, an eager chain places %+v", metric, i, step, best[0])
+			}
+			if cur, _, err = cur.ApplyDelta(Delta{AddFacilities: []Point{step.Point}}); err != nil {
+				t.Fatal(err)
+			}
+			if maxAfter, _ := cur.MaxHeat(); maxAfter != step.MaxHeatAfter {
+				t.Fatalf("%v min_area step %d: MaxHeatAfter %v, eager chain %v", metric, i, step.MaxHeatAfter, maxAfter)
+			}
+		}
+		assertSameAnswers(t, fmt.Sprintf("%v min_area against an eager chain", metric), final, cur)
 	}
 }
 

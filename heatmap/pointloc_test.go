@@ -298,7 +298,8 @@ func TestConcurrentCommitsShareOnePool(t *testing.T) {
 // operation on a map that has one — building, querying, rendering,
 // committing, ranking, saving and opening — builds the R-tree the
 // enclosure path stabs. A NoSlabIndex map builds it once, on its first
-// query, and every later query reuses it.
+// query, and every later query and save reuses it; a save before the first
+// query builds none.
 func TestRTreeOnlyAsFallback(t *testing.T) {
 	t.Parallel()
 	clients, facilities := snapshotTestSets(t)
@@ -366,6 +367,18 @@ func TestRTreeOnlyAsFallback(t *testing.T) {
 	if m.pl.Load() != nil {
 		t.Fatal("a NoSlabIndex map resolved its point queries before the first one")
 	}
+	// Saving asks for the slab index only, which a NoSlabIndex map has none
+	// of: the file has no slab sections, and nothing resolves.
+	path := filepath.Join(t.TempDir(), "noslab.snap")
+	if err := m.SaveSnapshot(path, 1); err != nil {
+		t.Fatal(err)
+	}
+	if m.pl.Load() != nil {
+		t.Fatal("SaveSnapshot of an unqueried NoSlabIndex map built an R-tree")
+	}
+	if opened, _, err := OpenSnapshot(path); err != nil || opened.view.HasSlabIndex() {
+		t.Fatalf("a NoSlabIndex map's file carries slab sections (%v)", err)
+	}
 	m.HeatAt(probes[0])
 	st := m.pl.Load()
 	if st == nil || st.enc == nil || st.ix != nil {
@@ -376,6 +389,9 @@ func TestRTreeOnlyAsFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := m.OptimalTopK(3, OptimalConstraints{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SaveSnapshot(path, 1); err != nil {
 		t.Fatal(err)
 	}
 	if m.pl.Load() != st {

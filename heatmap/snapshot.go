@@ -47,7 +47,9 @@ func (m *Map) Snapshot(mapVersion uint64) (*snapshot.Snapshot, error) {
 // point-location index is built if needed and stored in the file, so
 // OpenSnapshot can serve queries and tiles without a decode or rebuild step
 // (with NoSlabIndex, or when the build declines, the file has no slab
-// sections and a map opened from it builds its index on first query). A
+// sections and a map opened from it builds its index on first query). The
+// file is streamed from the map's own arrays and the index's own slabs,
+// heap or mapped file, with no copy of either (snapshot.Encode). A
 // map opened from a file that already carries its slab index, saved at the
 // file's own map version, has exactly the file's bytes to write: they are
 // copied from the mapping, so the map stays "mapped" and nothing is
@@ -61,9 +63,14 @@ func (m *Map) SaveSnapshot(path string, mapVersion uint64) error {
 	if err != nil {
 		return err
 	}
+	// Only the slab index is asked for: a NoSlabIndex map's file has no slab
+	// sections, and resolving its point queries would build an R-tree the
+	// save never reads.
 	var tables *snapshot.SlabTables
-	if ix := m.pointLoc().ix; ix != nil {
-		tables = ix.ExportTables()
+	if !m.cfg.NoSlabIndex {
+		if ix := m.pointLoc().ix; ix != nil {
+			tables = ix.ExportTables()
+		}
 	}
 	return s.WriteFile(path, tables)
 }

@@ -271,26 +271,7 @@ func assertCommitPatched(t *testing.T, ctx string, next *Map, st DeltaStats) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(next.Regions(), fresh.Regions()) {
-		t.Errorf("%s: regions diverge from a fresh build", ctx)
-	}
-	for _, nc := range fresh.circles {
-		c, r := nc.Circle.Center, nc.Circle.Radius
-		for _, p := range []Point{c, Pt(c.X+r, c.Y), Pt(c.X, c.Y-r), Pt(c.X-r/2, c.Y+r/2)} {
-			gh, gr := next.HeatAt(p)
-			wh, wr := fresh.HeatAt(p)
-			if math.Float64bits(gh) != math.Float64bits(wh) || !reflect.DeepEqual(gr, wr) {
-				t.Fatalf("%s: HeatAt(%v) = %v/%v, a fresh build answers %v/%v", ctx, p, gh, gr, wh, wr)
-			}
-		}
-	}
-	full := fresh.Bounds()
-	sub := Rect{MinX: full.MinX, MinY: full.MinY, MaxX: (full.MinX + full.MaxX) / 2, MaxY: (full.MinY + full.MaxY) / 2}
-	for _, b := range []Rect{full, sub} {
-		if !bytes.Equal(tilePNG(t, next, b), tilePNG(t, fresh, b)) {
-			t.Errorf("%s: rendered PNG for %v differs from a fresh build's", ctx, b)
-		}
-	}
+	assertSameAnswers(t, ctx+" against a fresh build", next, fresh)
 	want, err := fresh.OptimalTopK(10, OptimalConstraints{})
 	if err != nil {
 		t.Fatal(err)
@@ -304,6 +285,33 @@ func assertCommitPatched(t *testing.T, ctx string, next *Map, st DeltaStats) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("%s: OptimalTopK diverges from a fresh build:\n got %+v\nwant %+v", ctx, got, want)
+	}
+}
+
+// assertSameAnswers requires got to answer as want does: the same regions,
+// bit-identical HeatAt answers at every circle's center and on its
+// boundary, and the same tile bytes over the map and a quarter of it.
+func assertSameAnswers(t *testing.T, ctx string, got, want *Map) {
+	t.Helper()
+	if !reflect.DeepEqual(got.Regions(), want.Regions()) {
+		t.Errorf("%s: regions diverge", ctx)
+	}
+	for _, nc := range want.circles {
+		c, r := nc.Circle.Center, nc.Circle.Radius
+		for _, p := range []Point{c, Pt(c.X+r, c.Y), Pt(c.X, c.Y-r), Pt(c.X-r/2, c.Y+r/2)} {
+			gh, gr := got.HeatAt(p)
+			wh, wr := want.HeatAt(p)
+			if math.Float64bits(gh) != math.Float64bits(wh) || !reflect.DeepEqual(gr, wr) {
+				t.Fatalf("%s: HeatAt(%v) = %v/%v, want %v/%v", ctx, p, gh, gr, wh, wr)
+			}
+		}
+	}
+	full := want.Bounds()
+	sub := Rect{MinX: full.MinX, MinY: full.MinY, MaxX: (full.MinX + full.MaxX) / 2, MaxY: (full.MinY + full.MaxY) / 2}
+	for _, b := range []Rect{full, sub} {
+		if !bytes.Equal(tilePNG(t, got, b), tilePNG(t, want, b)) {
+			t.Errorf("%s: rendered PNG for %v differs", ctx, b)
+		}
 	}
 }
 

@@ -3,8 +3,10 @@ package heatmap
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"rnnheatmap/internal/dataset"
@@ -139,5 +141,42 @@ func TestSnapshotRejectsCustomMeasure(t *testing.T) {
 	}
 	if _, err := m.Snapshot(1); err == nil {
 		t.Error("Snapshot of a custom-measure map succeeded, want error")
+	}
+}
+
+// TestSaveSnapshotStreams pins the streamed save: saving heatmapd's default
+// map (NYC L2 2000/600) after one commit — an 89 MiB file, nearly all of it
+// slab sections — allocates less than a quarter of the bytes it writes.
+// A save that concatenated the slab lists into flat tables, or buffered the
+// file, would allocate several times the file.
+func TestSaveSnapshotStreams(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and saves heatmapd's default map")
+	}
+	clients, facilities := dataset.NewYorkLike(2*(2000+600), 1).SampleClientsFacilities(2000, 600, 2)
+	m, err := Build(Config{Clients: clients, Facilities: facilities, Metric: L2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.HeatAt(clients[0]) // builds the slab index, as heatmapd's first render does
+	next, _, err := m.ApplyDelta(Delta{AddClients: []Point{Pt((clients[1].X+clients[2].X)/2, (clients[1].Y+clients[2].Y)/2)}, RemoveClients: []int{3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "default.snap")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := next.SaveSnapshot(path, 2); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("saving %d bytes allocated %d bytes", st.Size(), alloc)
+	if 4*alloc >= uint64(st.Size()) {
+		t.Errorf("saving %d bytes allocated %d bytes, want less than a quarter", st.Size(), alloc)
 	}
 }

@@ -60,17 +60,19 @@ func Open(v *snapshot.View, measure influence.Measure) (*Index, error) {
 	return ix, nil
 }
 
-// ExportTables concatenates the index's slabs into the prefix-offset arrays
-// a format-v2 snapshot stores (and Open slices back out). Gap labels are
-// exported as set ids with the table that resolves them; the snapshot
-// encoder folds the sets into the file's pool. Xs and the zero-circle
-// arrays alias the index's own.
+// ExportTables hands the index to the snapshot encoder as it stores it:
+// each slab's lists as they are — heap slices, or slices of the file an
+// opened index's clean slabs still alias — which the encoder streams into a
+// format-v2 file's concatenated sections (and Open slices back out), so a
+// save copies no slab. Gap labels are exported as set ids with the table that
+// resolves them; the snapshot encoder folds the sets into the file's pool.
 func (ix *Index) ExportTables() *snapshot.SlabTables {
-	t := &snapshot.SlabTables{
-		Xs:      ix.xs,
-		ActOff:  make([]uint32, 1, len(ix.slabs)+1),
-		EdgeOff: make([]uint32, 1, len(ix.slabs)+1),
-		Arcs:    []uint32{},
+	return &snapshot.SlabTables{
+		Xs: ix.xs,
+		Slab: func(i int) snapshot.SlabLists {
+			sl := &ix.slabs[i]
+			return snapshot.SlabLists{Actives: sl.actives, Edges: sl.edges, Arcs: sl.arcs, Gaps: sl.gaps}
+		},
 		NumSets: len(ix.sets.heats),
 		Set: func(id uint32) ([]int, float64) {
 			return ix.sets.set(id), ix.sets.heats[id]
@@ -78,14 +80,4 @@ func (ix *Index) ExportTables() *snapshot.SlabTables {
 		ZeroXs:  ix.zeroXs,
 		ZeroIdx: ix.zeroIdx,
 	}
-	for i := range ix.slabs {
-		sl := &ix.slabs[i]
-		t.Actives = append(t.Actives, sl.actives...)
-		t.ActOff = append(t.ActOff, uint32(len(t.Actives)))
-		t.Edges = append(t.Edges, sl.edges...)
-		t.EdgeOff = append(t.EdgeOff, uint32(len(t.Edges)))
-		t.Arcs = append(t.Arcs, sl.arcs...)
-		t.Gaps = append(t.Gaps, sl.gaps...)
-	}
-	return t
 }

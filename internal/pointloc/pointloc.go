@@ -91,9 +91,9 @@ func (o Options) maxCells() int {
 }
 
 // slab is one x-interval between consecutive sweep events. Its lists are
-// stored as a format-v2 snapshot stores them (see snapshot.SlabTables), so
-// an index opened from a file slices them out of the file's sections and a
-// built index allocates them.
+// stored as a format-v2 snapshot stores them (see snapshot.SlabLists), so
+// an index opened from a file slices them out of the file's sections, a
+// built index allocates them, and a save writes them as they are.
 type slab struct {
 	// actives holds the positions (into the index's all/sweepAll slices,
 	// ascending) of the circles whose closed x-extent covers the slab. It

@@ -199,6 +199,11 @@ func TestOptimizeDryRunAndCommit(t *testing.T) {
 	if got := s.def().state().m.NumFacilities(); got != baseFacilities+3 {
 		t.Fatalf("commit placed %d facilities, want 3", got-baseFacilities)
 	}
+	// The greedy steps defer their slab index patches; the published map
+	// has its index, patched once when its state was built.
+	if built, _, _ := s.def().state().m.SlabIndexStats(); !built {
+		t.Fatal("the committed placement published a map without its slab index")
+	}
 	// The committed sequence equals the dry run's (deterministic greedy).
 	for i := range dry.Steps {
 		if dry.Steps[i].Point != committed.Steps[i].Point {

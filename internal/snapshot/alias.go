@@ -14,6 +14,9 @@ import (
 // the whole point of the format. The helpers below alias when the host byte order
 // and the actual pointer alignment allow it and fall back to a boring
 // decode-copy otherwise, so the format stays readable on exotic platforms.
+// Writing is the inverse: byteView hands the encoder a typed array as its
+// own bytes, and the encoder converts value by value where the host's byte
+// order is not the file's.
 
 // hostLittleEndian is computed once at startup.
 var hostLittleEndian = func() bool {
@@ -89,4 +92,13 @@ func asPoints(b []byte) []geom.Point {
 		out[i].Y = math.Float64frombits(binary.LittleEndian.Uint64(b[i*16+8:]))
 	}
 	return out
+}
+
+// byteView views vs as its bytes in host order, without copying: on a
+// little-endian host exactly the bytes the format stores for the array.
+func byteView[T float64 | uint32 | int32 | geom.Point](vs []T) []byte {
+	if len(vs) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vs))), len(vs)*int(unsafe.Sizeof(vs[0])))
 }

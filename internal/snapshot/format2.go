@@ -9,7 +9,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"unsafe"
 
+	"rnnheatmap/internal/core"
 	"rnnheatmap/internal/geom"
 	"rnnheatmap/internal/oset"
 	"rnnheatmap/internal/postprocess"
@@ -74,130 +76,227 @@ const (
 // u32 kind | u32 crc | u64 offset | u64 length.
 const tableEntrySize = 24
 
-// SlabTables is the flattened slab point-location index as stored in a
-// snapshot: the prefix-offset arrays index the concatenated per-slab lists,
-// exactly the shape pointloc.Index.ExportTables emits and pointloc.Open
-// slices back out of a mapped file. Gap labels are the index's set ids; the
-// encoder folds their sets into the snapshot's set pool and stores pool ids.
+// SlabTables is the slab point-location index as the encoder reads it: the
+// index's own arrays, slab by slab. Slab returns each slab's lists as the
+// index stores them — heap slices, or slices of the mapped file an index was
+// opened from — and the encoder streams the file's concatenated sections and
+// their prefix offsets straight from them, copying no list.
+// pointloc.Index.ExportTables builds one, and pointloc.Open slices the
+// sections back out into the same per-slab lists. Gap labels are the index's
+// set ids; the encoder folds their sets into the snapshot's set pool and
+// stores pool ids.
 type SlabTables struct {
-	Xs      []float64
-	ActOff  []uint32
-	Actives []int32
-	EdgeOff []uint32
-	Edges   []float64
-	Arcs    []uint32 // circle index <<1 | upper bit; L2 only, else empty
-	// Gaps holds one set id per gap, each below NumSets; Set resolves an id
-	// to the set's members (ascending) and heat.
-	Gaps    []uint32
+	// Xs holds the slab left edges, ascending: one per slab.
+	Xs []float64
+	// Slab returns the lists of slab i, for 0 <= i < len(Xs). The encoder
+	// calls it more than once per slab and reads the lists only.
+	Slab func(i int) SlabLists
+	// NumSets bounds the gap set ids; Set resolves an id to the set's
+	// members (ascending) and heat.
 	NumSets int
 	Set     func(id uint32) (rnn []int, heat float64)
 	ZeroXs  []float64
 	ZeroIdx []int32
 }
 
-// poolBuilder interns label sets by content (oset.ContentKey) into the flat
-// pool arrays. The same set written twice (a label and a slab gap, say) gets
-// one record; the first writer's heat wins, which is exact because every
-// producer computed the heat from the same measure over the same set.
+// SlabLists holds the lists of one slab.
+type SlabLists struct {
+	Actives []int32   // active circle indexes, ascending
+	Edges   []float64 // edge ordinates, ascending
+	Arcs    []uint32  // one per edge, L2 only (else empty): circle index <<1 | upper bit
+	Gaps    []uint32  // len(Edges)+1 set ids, the gap below the first edge first
+}
+
+// poolBuilder interns label sets by content (oset.ContentKey) into the
+// snapshot's set pool, in first-appearance order: labels first, then slab
+// gaps. The same set written twice (a label and a slab gap, say) gets one
+// record; the first writer's heat wins, which is exact because every
+// producer computed the heat from the same measure over the same set. A
+// record is kept as a reference to its first writer, whose own set and heat
+// the pool sections are streamed from.
 type poolBuilder struct {
-	ids     map[oset.ContentKey]uint32
-	heats   []float64
-	off     []uint32
-	members []int32
+	ids map[oset.ContentKey]uint32
+	// refs[id] is the first writer of record id: a label index, or
+	// len(labels) + a gap set id.
+	refs   []uint32
+	labels []core.Label
+	tables *SlabTables
 }
 
-func newPoolBuilder() *poolBuilder {
-	return &poolBuilder{
-		ids: make(map[oset.ContentKey]uint32),
-		off: []uint32{0},
-	}
-}
-
-func (p *poolBuilder) intern(rnn []int, heat float64) uint32 {
+func (p *poolBuilder) intern(rnn []int, ref uint32) uint32 {
 	k := oset.KeyOf(rnn)
 	if id, ok := p.ids[k]; ok {
 		return id
 	}
-	id := uint32(len(p.heats))
+	id := uint32(len(p.refs))
 	p.ids[k] = id
-	p.heats = append(p.heats, heat)
-	for _, v := range rnn {
-		p.members = append(p.members, int32(v))
-	}
-	p.off = append(p.off, uint32(len(p.members)))
+	p.refs = append(p.refs, ref)
 	return id
 }
 
-// gapIDs maps the tables' gap set ids to pool ids. Each distinct set id is
-// keyed once, through a dense table over the ids: the many gaps sharing one
-// set cost one array read each.
-func (p *poolBuilder) gapIDs(t *SlabTables) ([]uint32, error) {
-	pooled := make([]uint32, t.NumSets) // pool id + 1; 0 until first seen
-	out := make([]uint32, len(t.Gaps))
-	for i, g := range t.Gaps {
-		if int(g) >= len(pooled) {
-			return nil, fmt.Errorf("snapshot: slab tables: gap set id %d of %d", g, len(pooled))
+// record returns the members and heat of pool record id.
+func (p *poolBuilder) record(id int) ([]int, float64) {
+	r := int(p.refs[id])
+	if r < len(p.labels) {
+		return p.labels[r].RNN, p.labels[r].Heat
+	}
+	return p.tables.Set(uint32(r - len(p.labels)))
+}
+
+// gapIDs interns the sets the tables' gaps name, slab by slab, and returns
+// a dense table over the set ids: the pool id + 1 of each set a gap names,
+// 0 for the rest. Each distinct set id is keyed once; the many gaps sharing
+// one set cost one array read each.
+func (p *poolBuilder) gapIDs() ([]uint32, error) {
+	t := p.tables
+	pooled := make([]uint32, t.NumSets)
+	for i := range t.Xs {
+		sl := t.Slab(i)
+		if len(sl.Gaps) != len(sl.Edges)+1 {
+			return nil, fmt.Errorf("snapshot: slab tables: slab %d has %d gaps for %d edges", i, len(sl.Gaps), len(sl.Edges))
 		}
-		if pooled[g] == 0 {
-			pooled[g] = p.intern(t.Set(g)) + 1
+		for _, g := range sl.Gaps {
+			if int(g) >= len(pooled) {
+				return nil, fmt.Errorf("snapshot: slab tables: gap set id %d of %d", g, len(pooled))
+			}
+			if pooled[g] == 0 {
+				rnn, _ := t.Set(g)
+				pooled[g] = p.intern(rnn, uint32(len(p.labels))+g) + 1
+			}
 		}
-		out[i] = pooled[g] - 1
 	}
-	return out, nil
+	return pooled, nil
 }
 
-// sectionWriter accumulates aligned sections and their table entries.
-type sectionWriter struct {
-	buf   bytes.Buffer
-	kinds []uint32
-	offs  []uint64
-	lens  []uint64
-	crcs  []uint32
-	base  uint64 // file offset of buf's first byte
+// stageSize is the capacity of the one buffer an encoding stages its
+// derived values, converted arrays and short array views in.
+const stageSize = 256 << 10
+
+// sink receives the bytes of an encoding. An array arrives as a byte view
+// of itself when alias is set (a little-endian host, whose memory order is
+// the file's) and is converted value by value otherwise. Derived and
+// converted values, and views shorter than the stage, collect in buf, whose
+// capacity never grows, so w sees few large writes.
+type sink struct {
+	w     io.Writer
+	alias bool
+	buf   []byte
+	n     uint64 // bytes handed to w
+	err   error
 }
 
-func (s *sectionWriter) add(kind uint32, payload []byte) {
-	for s.buf.Len()%8 != 0 {
-		s.buf.WriteByte(0)
+// off returns the number of bytes received so far.
+func (k *sink) off() uint64 { return k.n + uint64(len(k.buf)) }
+
+func (k *sink) write(b []byte) {
+	k.n += uint64(len(b))
+	if k.err == nil {
+		_, k.err = k.w.Write(b)
 	}
-	s.kinds = append(s.kinds, kind)
-	s.offs = append(s.offs, s.base+uint64(s.buf.Len()))
-	s.lens = append(s.lens, uint64(len(payload)))
-	s.crcs = append(s.crcs, crc32.ChecksumIEEE(payload))
-	s.buf.Write(payload)
 }
 
-func f64Bytes(vs []float64) []byte {
-	b := make([]byte, 8*len(vs))
-	for i, v := range vs {
-		binary.LittleEndian.PutUint64(b[i*8:], math.Float64bits(v))
+func (k *sink) flush() {
+	if len(k.buf) > 0 {
+		k.write(k.buf)
+		k.buf = k.buf[:0]
 	}
-	return b
 }
 
-func u32Bytes(vs []uint32) []byte {
-	b := make([]byte, 4*len(vs))
-	for i, v := range vs {
-		binary.LittleEndian.PutUint32(b[i*4:], v)
+// bytes receives b, staging it unless it is at least a stage long.
+func (k *sink) bytes(b []byte) {
+	if len(b) > cap(k.buf)-len(k.buf) {
+		k.flush()
+		if len(b) >= cap(k.buf) {
+			k.write(b)
+			return
+		}
 	}
-	return b
+	k.buf = append(k.buf, b...)
 }
 
-func i32Bytes(vs []int32) []byte {
-	b := make([]byte, 4*len(vs))
-	for i, v := range vs {
-		binary.LittleEndian.PutUint32(b[i*4:], uint32(v))
+// room flushes the stage unless it has n bytes free.
+func (k *sink) room(n int) {
+	if cap(k.buf)-len(k.buf) < n {
+		k.flush()
 	}
-	return b
 }
 
-func pointBytes(ps []geom.Point) []byte {
-	b := make([]byte, 16*len(ps))
-	for i, p := range ps {
-		binary.LittleEndian.PutUint64(b[i*16:], math.Float64bits(p.X))
-		binary.LittleEndian.PutUint64(b[i*16+8:], math.Float64bits(p.Y))
+func (k *sink) u8(v uint8)    { k.room(1); k.buf = append(k.buf, v) }
+func (k *sink) u32(v uint32)  { k.room(4); k.buf = binary.LittleEndian.AppendUint32(k.buf, v) }
+func (k *sink) u64(v uint64)  { k.room(8); k.buf = binary.LittleEndian.AppendUint64(k.buf, v) }
+func (k *sink) i32(v int32)   { k.u32(uint32(v)) }
+func (k *sink) f64(v float64) { k.u64(math.Float64bits(v)) }
+
+func (k *sink) f64s(vs []float64) {
+	if k.alias {
+		k.bytes(byteView(vs))
+		return
 	}
-	return b
+	for _, v := range vs {
+		k.f64(v)
+	}
+}
+
+func (k *sink) u32s(vs []uint32) {
+	if k.alias {
+		k.bytes(byteView(vs))
+		return
+	}
+	for _, v := range vs {
+		k.u32(v)
+	}
+}
+
+func (k *sink) i32s(vs []int32) {
+	if k.alias {
+		k.bytes(byteView(vs))
+		return
+	}
+	for _, v := range vs {
+		k.i32(v)
+	}
+}
+
+func (k *sink) points(ps []geom.Point) {
+	if k.alias {
+		k.bytes(byteView(ps))
+		return
+	}
+	for _, p := range ps {
+		k.f64(p.X)
+		k.f64(p.Y)
+	}
+}
+
+// poolIDs receives pooled[g]-1 for each gap set id g: a slab's gaps as
+// pool ids (see poolBuilder.gapIDs).
+func (k *sink) poolIDs(gaps, pooled []uint32) {
+	for len(gaps) > 0 {
+		k.room(4)
+		n := min(len(gaps), (cap(k.buf)-len(k.buf))/4)
+		for _, g := range gaps[:n] {
+			k.buf = binary.LittleEndian.AppendUint32(k.buf, pooled[g]-1)
+		}
+		gaps = gaps[n:]
+	}
+}
+
+// crcWriter keeps the CRC-32 (IEEE) of what it is given.
+type crcWriter struct{ crc uint32 }
+
+func (c *crcWriter) Write(b []byte) (int, error) {
+	c.crc = crc32.Update(c.crc, crc32.IEEETable, b)
+	return len(b), nil
+}
+
+// section is one payload of the file: emit streams it into a sink, once to
+// size and checksum it and once to write it, and must send the same bytes
+// both times.
+type section struct {
+	kind uint32
+	emit func(k *sink)
+	len  uint64
+	crc  uint32
 }
 
 // encodeMeta writes the small non-array remainder of the snapshot with the
@@ -265,6 +364,159 @@ func (s *Snapshot) encodeMeta(tables *SlabTables, nPool int) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
+// sections lays the snapshot out for writing: it interns the set pool and
+// returns the payloads in file order, each streamed from the array that
+// holds it or derived from one as it is written.
+func (s *Snapshot) sections(tables *SlabTables) ([]section, error) {
+	pool := &poolBuilder{ids: make(map[oset.ContentKey]uint32, len(s.Labels)), labels: s.Labels, tables: tables}
+	// A label's pool id is the one value whose derivation (keying its set)
+	// costs more than holding it: 4 bytes per label, against the 60 the
+	// label sections store.
+	labelSets := make([]uint32, len(s.Labels))
+	for i := range s.Labels {
+		labelSets[i] = pool.intern(s.Labels[i].RNN, uint32(i))
+	}
+	var gapIDs []uint32
+	if tables != nil {
+		var err error
+		if gapIDs, err = pool.gapIDs(); err != nil {
+			return nil, err
+		}
+	}
+	meta, err := s.encodeMeta(tables, len(pool.refs))
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: encoding: %w", err)
+	}
+	secs := []section{
+		{kind: secMeta, emit: func(k *sink) { k.bytes(meta) }},
+		{kind: secClients, emit: func(k *sink) { k.points(s.Clients) }},
+		{kind: secFacilities, emit: func(k *sink) { k.points(s.Facilities) }},
+		{kind: secCircleIDs, emit: func(k *sink) {
+			for _, c := range s.Circles {
+				k.i32(int32(c.Client))
+				k.i32(int32(c.Facility))
+			}
+		}},
+		{kind: secCircleGeo, emit: func(k *sink) {
+			for _, c := range s.Circles {
+				k.f64(c.Circle.Center.X)
+				k.f64(c.Circle.Center.Y)
+				k.f64(c.Circle.Radius)
+			}
+		}},
+		{kind: secCircleMetrics, emit: func(k *sink) {
+			for _, c := range s.Circles {
+				k.u8(uint8(c.Circle.Metric))
+			}
+		}},
+		{kind: secLabelGeo, emit: func(k *sink) {
+			for i := range s.Labels {
+				l := &s.Labels[i]
+				k.f64(l.Region.MinX)
+				k.f64(l.Region.MinY)
+				k.f64(l.Region.MaxX)
+				k.f64(l.Region.MaxY)
+				k.f64(l.Point.X)
+				k.f64(l.Point.Y)
+				k.f64(l.Heat)
+			}
+		}},
+		{kind: secLabelSets, emit: func(k *sink) { k.u32s(labelSets) }},
+		{kind: secPoolHeats, emit: func(k *sink) {
+			for id := range pool.refs {
+				_, heat := pool.record(id)
+				k.f64(heat)
+			}
+		}},
+		{kind: secPoolOff, emit: func(k *sink) {
+			off := uint32(0)
+			k.u32(off)
+			for id := range pool.refs {
+				rnn, _ := pool.record(id)
+				off += uint32(len(rnn))
+				k.u32(off)
+			}
+		}},
+		{kind: secPoolMembers, emit: func(k *sink) {
+			for id := range pool.refs {
+				rnn, _ := pool.record(id)
+				for _, v := range rnn {
+					k.i32(int32(v))
+				}
+			}
+		}},
+	}
+	if tables != nil {
+		secs = append(secs, tables.sections(gapIDs)...)
+	}
+	return secs, nil
+}
+
+// sections returns the slab sections, streamed from the slabs' own lists:
+// the offset arrays are running sums of the list lengths, and gap set ids
+// map to pool ids through pooled (see poolBuilder.gapIDs).
+func (t *SlabTables) sections(pooled []uint32) []section {
+	n := len(t.Xs)
+	prefix := func(k *sink, count func(SlabLists) int) {
+		off := uint32(0)
+		k.u32(off)
+		for i := 0; i < n; i++ {
+			off += uint32(count(t.Slab(i)))
+			k.u32(off)
+		}
+	}
+	return []section{
+		{kind: secSlabXs, emit: func(k *sink) { k.f64s(t.Xs) }},
+		{kind: secSlabActOff, emit: func(k *sink) { prefix(k, func(sl SlabLists) int { return len(sl.Actives) }) }},
+		{kind: secSlabActives, emit: func(k *sink) {
+			for i := 0; i < n; i++ {
+				k.i32s(t.Slab(i).Actives)
+			}
+		}},
+		{kind: secSlabEdgeOff, emit: func(k *sink) { prefix(k, func(sl SlabLists) int { return len(sl.Edges) }) }},
+		{kind: secSlabEdges, emit: func(k *sink) {
+			for i := 0; i < n; i++ {
+				k.f64s(t.Slab(i).Edges)
+			}
+		}},
+		{kind: secSlabArcs, emit: func(k *sink) {
+			for i := 0; i < n; i++ {
+				k.u32s(t.Slab(i).Arcs)
+			}
+		}},
+		{kind: secSlabGaps, emit: func(k *sink) {
+			for i := 0; i < n; i++ {
+				k.poolIDs(t.Slab(i).Gaps, pooled)
+			}
+		}},
+		{kind: secSlabZeroXs, emit: func(k *sink) { k.f64s(t.ZeroXs) }},
+		{kind: secSlabZeroIdx, emit: func(k *sink) { k.i32s(t.ZeroIdx) }},
+	}
+}
+
+// header returns the file header for secs, whose lengths and CRCs are
+// known: magic, version, the section table with each payload's absolute
+// offset (8-byte aligned, in order, from the end of the padded header) and
+// the header CRC, padded to the first payload.
+func header(secs []section) []byte {
+	headerLen := 4 + 2 + 2 + len(secs)*tableEntrySize + 4
+	off := uint64((headerLen + 7) &^ 7)
+	h := make([]byte, off)
+	copy(h, magic[:])
+	binary.LittleEndian.PutUint16(h[4:], Version)
+	binary.LittleEndian.PutUint16(h[6:], uint16(len(secs)))
+	for i, sec := range secs {
+		ent := h[8+i*tableEntrySize:]
+		binary.LittleEndian.PutUint32(ent[0:], sec.kind)
+		binary.LittleEndian.PutUint32(ent[4:], sec.crc)
+		binary.LittleEndian.PutUint64(ent[8:], off)
+		binary.LittleEndian.PutUint64(ent[16:], sec.len)
+		off = (off + sec.len + 7) &^ 7
+	}
+	binary.LittleEndian.PutUint32(h[headerLen-4:], crc32.ChecksumIEEE(h[:headerLen-4]))
+	return h
+}
+
 // Encode writes the snapshot to w in the sectioned format. tables may be
 // nil: the snapshot is then written without slab sections, and a map opened
 // from it builds its slab index on the first query that needs one.
@@ -278,92 +530,50 @@ func (s *Snapshot) encodeMeta(tables *SlabTables, nPool int) ([]byte, error) {
 //
 // Offsets are absolute file offsets. Each payload carries its own CRC, so a
 // torn write is pinned to a section instead of condemning the whole file.
+//
+// Every section is streamed from the array that holds it — the snapshot's
+// slices, the slab index's own lists — twice: once into a checksum, for the
+// header that precedes it, and once into w. Nothing the size of a section
+// is copied: the encoding holds the set pool's key table, one pool id per
+// label and one per gap set id, and one fixed staging buffer.
 func (s *Snapshot) Encode(w io.Writer, tables *SlabTables) error {
-	if tables != nil && len(tables.Gaps) != len(tables.Edges)+len(tables.Xs) {
-		return fmt.Errorf("snapshot: slab tables: %d gaps for %d edges + %d slabs",
-			len(tables.Gaps), len(tables.Edges), len(tables.Xs))
+	return s.encode(w, tables, hostLittleEndian && unsafe.Sizeof(geom.Point{}) == 16)
+}
+
+// encode is Encode with the array views selectable: alias=false converts
+// every array value by value through the staging buffer, the path a
+// big-endian host takes; both write the same bytes.
+func (s *Snapshot) encode(w io.Writer, tables *SlabTables, alias bool) error {
+	secs, err := s.sections(tables)
+	if err != nil {
+		return err
+	}
+	sum := &crcWriter{}
+	k := &sink{w: sum, alias: alias, buf: make([]byte, 0, stageSize)}
+	for i := range secs {
+		sum.crc, k.n = 0, 0
+		secs[i].emit(k)
+		k.flush()
+		secs[i].len, secs[i].crc = k.n, sum.crc
 	}
 
-	pool := newPoolBuilder()
-	labelGeo := make([]float64, 0, 7*len(s.Labels))
-	labelSets := make([]uint32, 0, len(s.Labels))
-	for i := range s.Labels {
-		l := &s.Labels[i]
-		labelGeo = append(labelGeo,
-			l.Region.MinX, l.Region.MinY, l.Region.MaxX, l.Region.MaxY,
-			l.Point.X, l.Point.Y, l.Heat)
-		labelSets = append(labelSets, pool.intern(l.RNN, l.Heat))
-	}
-	var gapIDs []uint32
-	if tables != nil {
-		var err error
-		if gapIDs, err = pool.gapIDs(tables); err != nil {
-			return err
+	var zeros [8]byte
+	k.w, k.n = w, 0
+	k.bytes(header(secs))
+	for i := range secs {
+		k.bytes(zeros[:(8-k.off()%8)%8])
+		start := k.off()
+		secs[i].emit(k)
+		if k.off()-start != secs[i].len {
+			return fmt.Errorf("snapshot: section %d changed length while being written", secs[i].kind)
+		}
+		if k.err != nil {
+			break
 		}
 	}
-
-	meta, err := s.encodeMeta(tables, len(pool.heats))
-	if err != nil {
-		return fmt.Errorf("snapshot: encoding: %w", err)
-	}
-
-	circleIDs := make([]int32, 0, 2*len(s.Circles))
-	circleGeo := make([]float64, 0, 3*len(s.Circles))
-	circleMetrics := make([]byte, 0, len(s.Circles))
-	for _, c := range s.Circles {
-		circleIDs = append(circleIDs, int32(c.Client), int32(c.Facility))
-		circleGeo = append(circleGeo, c.Circle.Center.X, c.Circle.Center.Y, c.Circle.Radius)
-		circleMetrics = append(circleMetrics, byte(c.Circle.Metric))
-	}
-
-	sw := &sectionWriter{}
-	sw.add(secMeta, meta)
-	sw.add(secClients, pointBytes(s.Clients))
-	sw.add(secFacilities, pointBytes(s.Facilities))
-	sw.add(secCircleIDs, i32Bytes(circleIDs))
-	sw.add(secCircleGeo, f64Bytes(circleGeo))
-	sw.add(secCircleMetrics, circleMetrics)
-	sw.add(secLabelGeo, f64Bytes(labelGeo))
-	sw.add(secLabelSets, u32Bytes(labelSets))
-	sw.add(secPoolHeats, f64Bytes(pool.heats))
-	sw.add(secPoolOff, u32Bytes(pool.off))
-	sw.add(secPoolMembers, i32Bytes(pool.members))
-	if tables != nil {
-		sw.add(secSlabXs, f64Bytes(tables.Xs))
-		sw.add(secSlabActOff, u32Bytes(tables.ActOff))
-		sw.add(secSlabActives, i32Bytes(tables.Actives))
-		sw.add(secSlabEdgeOff, u32Bytes(tables.EdgeOff))
-		sw.add(secSlabEdges, f64Bytes(tables.Edges))
-		sw.add(secSlabArcs, u32Bytes(tables.Arcs))
-		sw.add(secSlabGaps, u32Bytes(gapIDs))
-		sw.add(secSlabZeroXs, f64Bytes(tables.ZeroXs))
-		sw.add(secSlabZeroIdx, i32Bytes(tables.ZeroIdx))
-	}
-
-	// The payload offsets recorded above assumed base 0; shift them past the
-	// header now that the section count is known.
-	nSec := len(sw.kinds)
-	headerLen := 4 + 2 + 2 + nSec*tableEntrySize + 4
-	base := uint64((headerLen + 7) &^ 7)
-	header := make([]byte, base)
-	copy(header, magic[:])
-	binary.LittleEndian.PutUint16(header[4:], Version)
-	binary.LittleEndian.PutUint16(header[6:], uint16(nSec))
-	for i := 0; i < nSec; i++ {
-		ent := header[8+i*tableEntrySize:]
-		binary.LittleEndian.PutUint32(ent[0:], sw.kinds[i])
-		binary.LittleEndian.PutUint32(ent[4:], sw.crcs[i])
-		binary.LittleEndian.PutUint64(ent[8:], base+sw.offs[i])
-		binary.LittleEndian.PutUint64(ent[16:], sw.lens[i])
-	}
-	headCRC := crc32.ChecksumIEEE(header[:headerLen-4])
-	binary.LittleEndian.PutUint32(header[headerLen-4:], headCRC)
-
-	if _, err := w.Write(header); err != nil {
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	if _, err := w.Write(sw.buf.Bytes()); err != nil {
-		return fmt.Errorf("snapshot: %w", err)
+	k.flush()
+	if k.err != nil {
+		return fmt.Errorf("snapshot: %w", k.err)
 	}
 	return nil
 }

@@ -3,9 +3,11 @@ package snapshot
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"rnnheatmap/internal/geom"
@@ -21,25 +23,26 @@ func sampleL2() *Snapshot {
 }
 
 // checkSlabIndex asserts that v carries exactly the slab index tables were
-// encoded from: every flat array verbatim, and each gap's pool id resolving
-// to the gap label's members and heat.
+// encoded from: every slab's lists concatenated verbatim behind their
+// prefix offsets, and each gap's pool id resolving to the gap label's
+// members and heat.
 func checkSlabIndex(t *testing.T, v *View, tables *SlabTables) {
 	t.Helper()
 	if !v.Meta().HasSlabIndex || !v.HasSlabIndex() {
 		t.Fatal("snapshot written with tables claims no slab index")
 	}
-	sv := v.Slab()
-	if !reflect.DeepEqual(sv.Xs, tables.Xs) || !reflect.DeepEqual(sv.ActOff, tables.ActOff) ||
-		!reflect.DeepEqual(sv.Actives, tables.Actives) || !reflect.DeepEqual(sv.EdgeOff, tables.EdgeOff) ||
-		!reflect.DeepEqual(sv.Edges, tables.Edges) || !reflect.DeepEqual(sv.Arcs, tables.Arcs) ||
-		!reflect.DeepEqual(sv.ZeroXs, tables.ZeroXs) || !reflect.DeepEqual(sv.ZeroIdx, tables.ZeroIdx) {
-		t.Errorf("slab arrays mismatch:\n got %+v\nwant %+v", sv, tables)
+	sv, flat := v.Slab(), flatten(tables)
+	if !reflect.DeepEqual(sv.Xs, flat.Xs) || !reflect.DeepEqual(sv.ActOff, flat.ActOff) ||
+		!reflect.DeepEqual(sv.Actives, flat.Actives) || !reflect.DeepEqual(sv.EdgeOff, flat.EdgeOff) ||
+		!reflect.DeepEqual(sv.Edges, flat.Edges) || !reflect.DeepEqual(sv.Arcs, flat.Arcs) ||
+		!reflect.DeepEqual(sv.ZeroXs, flat.ZeroXs) || !reflect.DeepEqual(sv.ZeroIdx, flat.ZeroIdx) {
+		t.Errorf("slab arrays mismatch:\n got %+v\nwant %+v", sv, flat)
 	}
-	if len(sv.Gaps) != len(tables.Gaps) {
-		t.Fatalf("%d gaps, want %d", len(sv.Gaps), len(tables.Gaps))
+	if len(sv.Gaps) != len(flat.Gaps) {
+		t.Fatalf("%d gaps, want %d", len(sv.Gaps), len(flat.Gaps))
 	}
 	for i, id := range sv.Gaps {
-		wantRNN, wantHeat := tables.Set(tables.Gaps[i])
+		wantRNN, wantHeat := tables.Set(flat.Gaps[i])
 		if got := v.PoolRNN(id); !reflect.DeepEqual(got, wantRNN) || v.PoolHeats()[id] != wantHeat {
 			t.Errorf("gap %d: pool %d holds %v heat %v, want %v heat %v",
 				i, id, got, v.PoolHeats()[id], wantRNN, wantHeat)
@@ -184,5 +187,39 @@ func TestV2RejectsCorruption(t *testing.T) {
 			v.Close()
 			t.Errorf("Open accepted a file truncated to %d bytes", n)
 		}
+	}
+}
+
+// failWriter refuses every write.
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
+
+// TestEncodeRefusesMalformedTables: tables whose slab has the wrong number
+// of gaps, or a gap naming a set id past NumSets, are refused before a byte
+// is written, and a writer's error is returned.
+func TestEncodeRefusesMalformedTables(t *testing.T) {
+	t.Parallel()
+	s := sampleL2()
+	for name, mutate := range map[string]func(*SlabLists){
+		"gap count":  func(sl *SlabLists) { sl.Gaps = sl.Gaps[:1] },
+		"gap set id": func(sl *SlabLists) { sl.Gaps = []uint32{0, 5} },
+	} {
+		tables := sampleTables()
+		slab := tables.Slab
+		tables.Slab = func(i int) SlabLists {
+			sl := slab(i)
+			if i == 1 {
+				mutate(&sl)
+			}
+			return sl
+		}
+		var buf bytes.Buffer
+		if err := s.Encode(&buf, tables); err == nil || buf.Len() != 0 {
+			t.Errorf("%s: Encode wrote %d bytes and returned %v, want a refusal before writing", name, buf.Len(), err)
+		}
+	}
+	if err := s.Encode(failWriter{}, sampleTables()); err == nil || !strings.Contains(err.Error(), "disk full") {
+		t.Errorf("Encode into a failing writer returned %v, want its error", err)
 	}
 }

@@ -59,14 +59,13 @@ func sample() *Snapshot {
 // its metric set to L2, so every section kind, arcs included, is present
 // and non-empty in the encoded file.
 func sampleTables() *SlabTables {
+	slabs := []SlabLists{
+		{Actives: []int32{0}, Edges: []float64{0.5}, Arcs: []uint32{0<<1 | 1}, Gaps: []uint32{0, 0}},
+		{Actives: []int32{1}, Edges: []float64{0.25}, Arcs: []uint32{1 << 1}, Gaps: []uint32{0, 0}},
+	}
 	return &SlabTables{
 		Xs:      []float64{0, 1},
-		ActOff:  []uint32{0, 1, 2},
-		Actives: []int32{0, 1},
-		EdgeOff: []uint32{0, 1, 2},
-		Edges:   []float64{0.5, 0.25},
-		Arcs:    []uint32{0<<1 | 1, 1 << 1},
-		Gaps:    []uint32{0, 0, 0, 0},
+		Slab:    func(i int) SlabLists { return slabs[i] },
 		NumSets: 1,
 		Set:     func(uint32) ([]int, float64) { return []int{0, 2}, 2 },
 		ZeroXs:  []float64{0.5},
