@@ -510,11 +510,12 @@ func (m *Map) MaxHeat() (float64, Region) {
 
 // materialize builds the heap structures of a mapped map — client and
 // facility slices, circles, labels — from the snapshot view; it is the one
-// place a map file becomes heap state. It is a no-op
-// for heap maps and runs at most once; operations that can be answered from
-// the view's metadata or the slab index opened over it never call it, so a
-// snapshot-serving process that only answers queries and tiles keeps its
-// heap resident set to the index's slab headers.
+// place a map file becomes heap state, and every one of them is a copy, so
+// neither the map's Config nor a Snapshot it hands out aliases the file. It
+// is a no-op for heap maps and runs at most once; operations that can be
+// answered from the view's metadata or the slab index opened over it never
+// call it, so a snapshot-serving process that only answers queries and
+// tiles keeps its heap resident set to the index's slab headers.
 func (m *Map) materialize() {
 	if m.view == nil {
 		return
@@ -540,7 +541,7 @@ func (m *Map) materialize() {
 // materialized heap structures alongside the mapping. A map a mutation
 // derived from a mapped one reports "heap", although the clean slabs its
 // slab index shares with its predecessor's may still alias the file it
-// descends from. Servers surface it in /stats.
+// descends from (MappedBytes says so). Servers surface it in /stats.
 func (m *Map) Residency() string {
 	if m.view == nil {
 		return "heap"
@@ -549,6 +550,21 @@ func (m *Map) Residency() string {
 		return "mapped+heap"
 	}
 	return "mapped"
+}
+
+// MappedBytes returns the size of the snapshot file the map keeps mapped:
+// the file it was opened from, or, for a map a mutation derived from one,
+// the file its slab index's lineage was opened from; 0 when it holds no
+// mapping. The file is unmapped once no map or index holding it is
+// reachable. Servers surface it in /stats.
+func (m *Map) MappedBytes() int64 {
+	if m.view != nil {
+		return m.view.MappedBytes()
+	}
+	if ix, _ := m.patchBase(); ix != nil {
+		return ix.MappedBytes()
+	}
+	return 0
 }
 
 // plState is the resolved point-query state: the slab index ix, or, when

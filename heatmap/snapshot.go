@@ -120,10 +120,12 @@ func OpenSnapshot(path string) (*Map, uint64, error) {
 }
 
 // fromView builds a mapped Map over an open snapshot view, validating the
-// header metadata a map needs. The view's lifetime is tied to the map: it
-// stays mapped for as long as the map is reachable (views are small kernel
-// objects backed by the page cache, so maps dropped without Close leak
-// nothing but address space).
+// header metadata a map needs. The view's lifetime is tied to the map's by
+// reachability alone: the map holds the view, the slab index opened over it
+// holds it through its lineage, and materialize copies what it takes out of
+// the file, so the view is unmapped (its finalizer) once neither the map
+// nor an index of its lineage is reachable — a map derived from it by
+// ApplyDelta shares the lineage and keeps the file mapped.
 func fromView(v *snapshot.View) (*Map, error) {
 	meta := v.Meta()
 	if !meta.Metric.Valid() {

@@ -153,7 +153,7 @@ func TestSaveSnapshotStreams(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and saves heatmapd's default map")
 	}
-	clients, facilities := dataset.NewYorkLike(2*(2000+600), 1).SampleClientsFacilities(2000, 600, 2)
+	clients, facilities := heatmapdDefaultSets()
 	m, err := Build(Config{Clients: clients, Facilities: facilities, Metric: L2})
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,10 @@
 package pointloc
 
-import "rnnheatmap/internal/core"
+import (
+	"runtime"
+
+	"rnnheatmap/internal/core"
+)
 
 // Per-set cell geometry: the slab decomposition already cuts every face of
 // the arrangement into cells, so walking the cells and grouping them by set
@@ -33,6 +37,7 @@ func (ix *Index) GroupCells(ids []uint32) []core.CellGroup {
 			}
 		}
 	}
+	runtime.KeepAlive(ix) // the slab lists may be file bytes
 	return g.Groups()
 }
 

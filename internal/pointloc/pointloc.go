@@ -48,6 +48,7 @@ package pointloc
 import (
 	"errors"
 	"math"
+	"runtime"
 	"sort"
 	"sync"
 
@@ -185,6 +186,7 @@ func (t *labelTable) appendSet(dst []int, id uint32) []int {
 	for _, c := range t.view.PoolMembers(id) {
 		dst = append(dst, int(c))
 	}
+	runtime.KeepAlive(t.view) // the members are file bytes
 	return dst
 }
 
@@ -218,6 +220,13 @@ func (t *labelTable) set(id uint32) []int {
 // an interner with the file's sets under their file ids, so a set keeps
 // one id from the file through every later patch, and concurrent patches
 // share that one interner.
+//
+// The lineage also keeps the file mapped: an opened index slices its xs,
+// zero-circle arrays, slab lists and heats out of view, and a patched one
+// shares the clean slabs, so every index that may hold a file slab holds
+// its lineage, and the view is unmapped only once no index of the lineage
+// is reachable (see snapshot.View). A mutable map's every later version
+// therefore keeps its origin file mapped.
 type lineage struct {
 	pool *core.LabelInterner
 	view *snapshot.View
@@ -241,6 +250,16 @@ func (l *lineage) interner(measure influence.Measure) *core.LabelInterner {
 
 // Metric returns the original metric of the indexed circles.
 func (ix *Index) Metric() geom.Metric { return ix.metric }
+
+// MappedBytes returns the size of the snapshot file the index's lineage
+// was opened from, which the index keeps mapped; 0 for a lineage built on
+// the heap.
+func (ix *Index) MappedBytes() int64 {
+	if ix.lin.view == nil {
+		return 0
+	}
+	return ix.lin.view.MappedBytes()
+}
 
 // NumSlabs returns the number of slabs and Cells the total number of stored
 // edge and gap cells; servers expose both in stats.

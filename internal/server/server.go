@@ -77,6 +77,7 @@ import (
 	"rnnheatmap/heatmap"
 	"rnnheatmap/internal/geom"
 	"rnnheatmap/internal/render"
+	"rnnheatmap/internal/snapshot"
 )
 
 // Config configures a Server.
@@ -586,10 +587,24 @@ type statsResponse struct {
 	Ingest        ingestStats `json:"ingest"`
 	QueryIndex    queryIndex  `json:"query_index"`
 	Optimal       optimStats  `json:"optimal"`
+	// Mapped reports the snapshot file bytes that stay mapped.
+	Mapped mappedStats `json:"mapped"`
 	// Cluster reports this node's role for the polled map and the node-wide
 	// replication counters (replica lag, ship latency, bootstrap bytes).
 	// Omitted on single-node servers.
 	Cluster *clusterStats `json:"cluster,omitempty"`
+}
+
+// mappedStats reports the snapshot files kept mapped. MapBytes is the size
+// of the file the map's current state keeps mapped — the one it was loaded
+// from, or, for a map committed from a loaded one, the file its slab
+// index's clean slabs still alias — and 0 for none. ProcessBytes counts
+// every mapping the process holds: a file is unmapped once no map state,
+// in-flight reader or slab index that holds it is reachable, so deleted and
+// replaced maps leave it after the garbage collector finds them.
+type mappedStats struct {
+	MapBytes     int64 `json:"map_bytes"`
+	ProcessBytes int64 `json:"process_bytes"`
 }
 
 // optimStats counts the optimal-location traffic: /optimal queries,
@@ -715,6 +730,10 @@ func (s *Server) handleStats(inst *mapInstance, w http.ResponseWriter, r *http.R
 			Queries:      inst.optimalQueries.Load(),
 			OptimizeRuns: inst.optimizeRuns.Load(),
 			Placements:   inst.placements.Load(),
+		},
+		Mapped: mappedStats{
+			MapBytes:     st.m.MappedBytes(),
+			ProcessBytes: snapshot.MappedBytes(),
 		},
 		Cluster: clusterSection,
 	})

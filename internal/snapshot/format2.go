@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"unsafe"
 
 	"rnnheatmap/internal/core"
@@ -572,6 +573,9 @@ func (s *Snapshot) encode(w io.Writer, tables *SlabTables, alias bool) error {
 		}
 	}
 	k.flush()
+	// The sections read slab lists that may alias a mapped file; the
+	// tables' closures hold the index, and so the view, that owns them.
+	runtime.KeepAlive(tables)
 	if k.err != nil {
 		return fmt.Errorf("snapshot: %w", k.err)
 	}
@@ -594,7 +598,9 @@ func (s *Snapshot) WriteFile(path string, tables *SlabTables) error {
 // view was opened from, with no decode and no re-encode.
 func (v *View) WriteFile(path string) error {
 	return writeFile(path, func(w io.Writer) error {
-		if _, err := w.Write(v.data); err != nil {
+		_, err := w.Write(v.data)
+		runtime.KeepAlive(v) // v.data is unmapped once v is unreachable
+		if err != nil {
 			return fmt.Errorf("snapshot: %w", err)
 		}
 		return nil

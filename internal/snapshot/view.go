@@ -8,7 +8,10 @@ import (
 	"hash/crc32"
 	"math"
 	"os"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"rnnheatmap/internal/core"
@@ -68,10 +71,17 @@ type SlabView struct {
 // ranges) are checked once at Open, so every accessor and Snapshot() are
 // infallible afterwards.
 //
-// A mapped View must outlive every slice derived from it; Close unmaps and
-// is only safe once nothing reads those slices anymore. Long-lived owners
-// (heatmap.Map) simply never close — a file-backed mapping is reclaimable
-// page cache, not a leak.
+// A mapped View is unmapped once the garbage collector finds it
+// unreachable (a finalizer Open arms), or earlier by Close. A slice into
+// the mapping is not a Go pointer and keeps nothing alive, so the lifetime
+// rule is: every slice an accessor returns (Bytes, Clients, Facilities,
+// Slab, PoolHeats, PoolMembers) may be read only while its View is
+// reachable. An object that stores such a slice must also hold the View —
+// heatmap.Map holds its view, a slab index its lineage's — and a function
+// whose last use of the owner comes before its last read of the slice keeps
+// the owner alive with runtime.KeepAlive. Snapshot, CircleAt, LabelAt and
+// PoolRNN return heap copies, which outlive the view freely. No View may be
+// reachable from itself, or its finalizer never runs.
 type View struct {
 	data   []byte
 	mapped bool
@@ -146,24 +156,53 @@ func open(path string, allowMmap bool) (*View, error) {
 		}
 		mapped = false
 	}
+	if mapped {
+		mappedBytes.Add(int64(len(data)))
+	}
 	v, err := newView(data, mapped)
 	if err != nil {
 		if mapped {
-			_ = munmapBytes(data)
+			_ = unmap(data)
 		}
 		return nil, fmt.Errorf("snapshot: %s: %w", path, err)
+	}
+	if mapped {
+		// Heap bytes are the collector's already; a mapping is released
+		// when the view becomes unreachable, if Close has not run first.
+		runtime.SetFinalizer(v, (*View).Close)
 	}
 	return v, nil
 }
 
-// Close releases a mapped View. It must only be called once no slice aliased
-// from the view (including any Snapshot it materialized, any slab index
-// opened over it, or any index patched from it) is in use.
+// mappedBytes is the size of every mapping Open holds: added at each map,
+// subtracted at each unmap.
+var mappedBytes atomic.Int64
+
+// MappedBytes returns the bytes of snapshot files this process holds
+// mapped: every View that Open mapped and that is neither closed nor yet
+// reclaimed by its finalizer.
+func MappedBytes() int64 { return mappedBytes.Load() }
+
+// unmap releases a mapping Open made and, once it is gone, counts it out.
+func unmap(data []byte) error {
+	if err := munmapBytes(data); err != nil {
+		return err
+	}
+	mappedBytes.Add(-int64(len(data)))
+	return nil
+}
+
+// Close unmaps a mapped View at once instead of when it becomes
+// unreachable, and disarms its finalizer. It must only be called once no
+// slice aliased from the view (its Bytes, a slab index opened over it or
+// patched from one) is read anymore. Calling it again is a no-op; it is a
+// no-op on a heap view too.
 func (v *View) Close() error {
+	runtime.SetFinalizer(v, nil)
 	data, mapped := v.data, v.mapped
 	v.data, v.mapped = nil, false
 	if mapped && data != nil {
-		return munmapBytes(data)
+		return unmap(data)
 	}
 	return nil
 }
@@ -172,12 +211,22 @@ func (v *View) Close() error {
 // to a heap buffer).
 func (v *View) Mapped() bool { return v.mapped }
 
+// MappedBytes returns the size of the view's mapping: the file's size for
+// a mapped view, 0 for a heap view or a closed one.
+func (v *View) MappedBytes() int64 {
+	if !v.mapped {
+		return 0
+	}
+	return int64(len(v.data))
+}
+
 // Bytes exposes the raw snapshot file contents backing the view. Cluster
 // bootstrap serves these directly — the replica installs the owner's literal
 // file, so the two nodes hold byte-identical snapshots — and because a
 // mapped view keeps its inode alive, serving stays consistent even while a
 // concurrent save renames a newer file into place. The slice aliases the
-// mapping: it must not be written to, and not used after Close.
+// mapping: it must not be written to, and is valid only while v is
+// reachable and not closed.
 func (v *View) Bytes() []byte { return v.data }
 
 // newView parses and validates the sectioned layout over data.
@@ -410,7 +459,8 @@ func (m *Meta) decode(raw []byte) error {
 // Meta returns the decoded header metadata.
 func (v *View) Meta() *Meta { return &v.meta }
 
-// Clients and Facilities alias the mapped point arrays.
+// Clients and Facilities alias the mapped point arrays, valid only while v
+// is reachable (see View); Snapshot copies them.
 func (v *View) Clients() []geom.Point    { return v.clients }
 func (v *View) Facilities() []geom.Point { return v.facilities }
 
@@ -419,6 +469,7 @@ func (v *View) Facilities() []geom.Point { return v.facilities }
 func (v *View) HasSlabIndex() bool { return v.slab != nil }
 
 // Slab returns the slab index sections, nil when the snapshot has none.
+// Its slices alias the file, valid only while v is reachable (see View).
 func (v *View) Slab() *SlabView { return v.slab }
 
 // NumCircles returns the circle count.
@@ -437,7 +488,8 @@ func (v *View) CircleAt(i int) nncircle.NNCircle {
 	}
 }
 
-// PoolHeats aliases the influence of every pool record, by pool id.
+// PoolHeats aliases the influence of every pool record, by pool id, valid
+// only while v is reachable (see View).
 func (v *View) PoolHeats() []float64 { return v.poolHeats }
 
 // PoolRNN returns the materialized member list of pool record id. Lists are
@@ -447,7 +499,8 @@ func (v *View) PoolHeats() []float64 { return v.poolHeats }
 func (v *View) PoolRNN(id uint32) []int { return v.poolInts()[id] }
 
 // PoolMembers aliases the raw i32 member list of pool record id — no
-// materialization, no allocation. The slice is file bytes: read-only.
+// materialization, no allocation. The slice is file bytes: read-only, and
+// valid only while v is reachable (see View).
 func (v *View) PoolMembers(id uint32) []int32 {
 	return v.poolMembers[v.poolOff[id]:v.poolOff[id+1]]
 }
@@ -471,18 +524,20 @@ func (v *View) poolInts() [][]int {
 // LabelAt materializes label i; its RNN slice is shared with the pool.
 func (v *View) LabelAt(i int) core.Label {
 	g := v.labelGeo[7*i : 7*i+7]
-	return core.Label{
+	l := core.Label{
 		Region: geom.Rect{MinX: g[0], MinY: g[1], MaxX: g[2], MaxY: g[3]},
 		Point:  geom.Point{X: g[4], Y: g[5]},
 		Heat:   g[6],
 		RNN:    v.PoolRNN(v.labelSets[i]),
 	}
+	runtime.KeepAlive(v) // g is file bytes, which may be read after the call
+	return l
 }
 
-// Snapshot materializes the full heap Snapshot from the view. Point slices
-// alias the underlying bytes (a private mapping, so even stray writes are
-// harmless); circles and labels are rebuilt as heap structs, with label RNN
-// slices shared through the pool. Infallible: everything was validated at
+// Snapshot materializes the full heap Snapshot from the view: the point
+// arrays are copied, circles and labels are rebuilt as heap structs, with
+// label RNN slices shared through the pool, so nothing in it aliases the
+// file and it outlives the view. Infallible: everything was validated at
 // Open.
 func (v *View) Snapshot() *Snapshot {
 	m := &v.meta
@@ -493,8 +548,8 @@ func (v *View) Snapshot() *Snapshot {
 		Algorithm:     m.Algorithm,
 		Workers:       m.Workers,
 		Measure:       m.Measure,
-		Clients:       v.clients,
-		Facilities:    v.facilities,
+		Clients:       slices.Clone(v.clients),
+		Facilities:    slices.Clone(v.facilities),
 		MaxHeat:       m.MaxHeat,
 		MaxLabel:      m.MaxLabel,
 		Stats:         m.Stats,
