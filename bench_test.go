@@ -690,6 +690,54 @@ func BenchmarkSnapshotSave(b *testing.B) {
 	}
 }
 
+// BenchmarkTileMiss measures the tile miss of the explore workload: 256 px
+// tiles of heatmapd's default map opened mapped from its snapshot, as
+// heatmapd serves it with -snapshot-dir. It walks the central tiles of
+// zooms 3-6 (the middle half of each zoom's columns and quarter of its
+// rows: 680 tiles over the dense middle of the map); each pass starts on a
+// fresh server, built untimed, so every request is a miss. png-B/tile is
+// the mean encoded tile size. It is deliberately outside GATE_BENCH.
+func BenchmarkTileMiss(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "default.snap")
+	if err := heatmapdDefaultMap(b).SaveSnapshot(path, 2); err != nil {
+		b.Fatal(err)
+	}
+	m, _, err := heatmap.OpenSnapshot(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var tiles []string
+	for z := 3; z <= 6; z++ {
+		n := 1 << z
+		for x := n / 4; x < 3*n/4; x++ {
+			for y := 3 * n / 8; y < 5*n/8; y++ {
+				tiles = append(tiles, fmt.Sprintf("/v1/tiles/%d/%d/%d.png", z, x, y))
+			}
+		}
+	}
+	var s *server.Server
+	total := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(tiles)
+		if k == 0 {
+			b.StopTimer()
+			if s, err = server.New(server.Config{Map: m, TileSize: 256, TileCacheSize: len(tiles)}); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, tiles[k], nil))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("GET %s = %d", tiles[k], rec.Code)
+		}
+		total += rec.Body.Len()
+	}
+	b.ReportMetric(float64(total)/float64(b.N), "png-B/tile")
+}
+
 // BenchmarkOptimal measures the optimal-location query behind GET /optimal:
 // a constrained top-10 over the distinct RNN sets of a 5k-client map. The
 // slab variant resolves face geometry from the point-location index (the

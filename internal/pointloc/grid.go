@@ -22,12 +22,19 @@ import (
 // decision), the same arc heights inside the slab, and the same exact-path
 // candidate circles. The kernel resolves the slab once per column, evaluates
 // each of its arcs once at the column's x (arcYAt, the function lookup
-// probes), and gathers the exact candidates at most once per column. Each
-// pixel then runs gapIn, lookup's binary search and gap-edge epsilon
-// decision, over those same floats, so it probes the same heights and
-// finds the same gap. A pixel on the exact path folds the same ascending
-// client set through influence.SortedMeasure, whose contract pins it
-// bit-identical to Influence(oset.FromSorted(set)).
+// probes), and gathers the exact candidates at most once per column.
+//
+// A column's pixels then find their gaps by one downward walk over those
+// heights (column.walk), since their ys descend: on a non-decreasing h the
+// smallest j with h[j] >= y, which the walk stops at, is exactly what
+// lookup's binary search returns, whatever heights it probes. Evaluated arc
+// heights can descend where two arcs of a slab nearly touch, and there only
+// the binary search's own probe order reproduces its gap, so such a column
+// — like one whose pixel ys do not descend — runs gapIn, lookup's binary
+// search, per pixel. Either way the pixel then takes lookup's gap-edge
+// epsilon decision on the same floats. A pixel on the exact path folds the
+// same ascending client set through influence.SortedMeasure, whose
+// contract pins it bit-identical to Influence(oset.FromSorted(set)).
 //
 // L1 pixel columns are diagonals in the rotated sweep space, so L1 rasters
 // walk each row through the slabs monotonically, one slab resolution and
@@ -69,12 +76,61 @@ func (ix *Index) HeatGrid(bounds geom.Rect, width, height int, out []float64) {
 		}
 		return
 	}
+	walkable := descends(c.ys)
 	for px, x := range c.xs {
 		c.at(x, sort.SearchFloat64s(ix.xs, x))
+		if walkable && c.direct && c.si >= 0 && nonDecreasing(c.h) {
+			c.walk(out[px:], width)
+			continue
+		}
 		for py, y := range c.ys {
 			out[py*width+px] = c.heat(geom.Pt(x, y), y)
 		}
 	}
+}
+
+// walk fills the column's pixels, out[0], out[stride], ..., with their
+// heats, finding each pixel's gap by one downward walk over c.h. It needs a
+// direct, in-slab column whose heights do not decrease and finite pixel ys
+// that do not increase: j then stays the smallest index with c.h[j] >= y,
+// the gap gapIn's binary search finds.
+func (c *column) walk(out []float64, stride int) {
+	ix, h := c.ix, c.h
+	heats, gaps := ix.sets.heats, ix.slabs[c.si].gaps
+	j := len(h)
+	for py, y := range c.ys {
+		for j > 0 && h[j-1] >= y {
+			j--
+		}
+		if clearOf(h, j, y, ix.eps(y)) {
+			out[py*stride] = heats[gaps[j]]
+		} else {
+			out[py*stride] = c.exactHeat(geom.Pt(c.x, y))
+		}
+	}
+}
+
+// nonDecreasing reports whether h[k] >= h[k-1] for every k; a NaN fails.
+func nonDecreasing(h []float64) bool {
+	for k := 1; k < len(h); k++ {
+		if !(h[k] >= h[k-1]) {
+			return false
+		}
+	}
+	return true
+}
+
+// descends reports whether every y is finite and ys[k] <= ys[k-1] for every
+// k; a NaN fails.
+func descends(ys []float64) bool {
+	prev := math.MaxFloat64
+	for _, y := range ys {
+		if !(y <= prev && y >= -math.MaxFloat64) {
+			return false
+		}
+		prev = y
+	}
+	return true
 }
 
 // columns pools the raster kernel's scratch across HeatGrid calls.

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"rnnheatmap/internal/dataset"
 	"rnnheatmap/internal/geom"
 	"rnnheatmap/internal/influence"
 	"rnnheatmap/internal/nncircle"
@@ -340,4 +342,199 @@ func TestMatchRejectIsExact(t *testing.T) {
 			t.Fatalf("%v: only %d matches over %d points; the cases miss the boundary", metric, matches, len(pts))
 		}
 	}
+}
+
+// TestHeatGridUnsortedColumn holds HeatGrid to Query where its column walk
+// must step aside: on columns whose evaluated arc heights descend somewhere,
+// and on rasters whose pixel ys are not finite. The columns come from
+// near-coincident circles, whose arcs cross one another in rounding inside
+// a slab; from a built index with one adjacent arc pair swapped in every
+// slab, where the heights descend by far more than the gap-edge epsilon, so
+// only the binary search's probe order decides a pixel's gap; and, outside
+// -short, from heatmapd's default map, whose descending columns all lie in
+// slabs narrower than the epsilon band.
+func TestHeatGridUnsortedColumn(t *testing.T) {
+	t.Parallel()
+	t.Run("near-coincident", func(t *testing.T) {
+		t.Parallel()
+		circles := nearCoincidentCircles(rand.New(rand.NewSource(41)), 4, 4)
+		ixs := gridIndexes(t, circles, influence.Size())
+		cols, sampled := unsortedColumns(ixs[0], 8)
+		direct := countDirect(cols)
+		t.Logf("%d of %d sampled columns descend, %d of them direct", len(cols), sampled, direct)
+		if direct == 0 {
+			t.Fatal("no direct column with descending arc heights: the walk's fallback goes untested")
+		}
+		assertStrips(t, ixs, cols, "near-coincident")
+	})
+	t.Run("swapped-arcs", func(t *testing.T) {
+		t.Parallel()
+		circles, _ := testInstance(t, 43, 50, 12, geom.L2, false)
+		ix, err := Build(circles, influence.Size(), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// In every slab of two or more arcs, swap one adjacent pair, at a
+		// position that varies from slab to slab: the binary search probes
+		// the pair's upper arc first at some positions and its lower one at
+		// others, and only the former finds another gap than a walk would.
+		swapped := 0
+		for i := 0; i+1 < len(ix.xs); i++ {
+			sl := &ix.slabs[i]
+			if n := len(sl.arcs); n >= 2 {
+				k := 1 + i%(n-1)
+				sl.arcs = slices.Clone(sl.arcs)
+				sl.arcs[k-1], sl.arcs[k] = sl.arcs[k], sl.arcs[k-1]
+				swapped++
+			}
+		}
+		cols, _ := unsortedColumns(ix, 4)
+		if countDirect(cols) == 0 {
+			t.Fatalf("swapping arcs in %d slabs left no direct descending column", swapped)
+		}
+		assertStrips(t, []*Index{ix}, cols, "swapped-arcs")
+	})
+	t.Run("default-map", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("builds heatmapd's default map")
+		}
+		t.Parallel()
+		pool, err := dataset.ByName("NYC", (2000+600)*2, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clients, facilities := pool.SampleClientsFacilities(2000, 600, 2)
+		circles, err := nncircle.Compute(clients, facilities, geom.L2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ixs := gridIndexes(t, circles, influence.Size())
+		cols, sampled := unsortedColumns(ixs[0], 8)
+		t.Logf("%d of %d sampled columns descend, %d of them direct", len(cols), sampled, countDirect(cols))
+		if len(cols) == 0 {
+			t.Fatal("no column of the default map has descending arc heights")
+		}
+		assertStrips(t, ixs, cols, "default map")
+	})
+	t.Run("non-finite-ys", func(t *testing.T) {
+		t.Parallel()
+		inf, nan := math.Inf(1), math.NaN()
+		for _, metric := range []geom.Metric{geom.LInf, geom.L2} {
+			circles, _ := testInstance(t, 47, 40, 10, metric, false)
+			for _, ix := range gridIndexes(t, circles, influence.Size()) {
+				for _, b := range []geom.Rect{
+					{MinX: 10, MaxX: 40, MinY: -inf, MaxY: 30},
+					{MinX: 10, MaxX: 40, MinY: 20, MaxY: inf},
+					{MinX: 10, MaxX: 40, MinY: 20, MaxY: nan},
+				} {
+					if _, ys := pixelCenters(b, 7, 41); descends(ys) {
+						t.Fatalf("%v: the walk accepts pixel ys %v", b, ys)
+					}
+					assertGridMatchesQuery(t, ix, b, 7, 41, fmt.Sprintf("%v non-finite ys", metric))
+				}
+			}
+		}
+	})
+}
+
+// assertStrips renders 1xH strips through each column on every index and
+// holds them to Query. Each strip is centered on the descending pair: at a
+// sixteenth of the pair's spread, so pixels land between the two heights;
+// at a third of the epsilon band, so they cross its edges; and at a pitch
+// spanning the column's whole height range.
+func assertStrips(t *testing.T, ixs []*Index, cols []unsortedColumn, ctx string) {
+	t.Helper()
+	const height = 64
+	aligned := 0
+	for _, col := range cols {
+		for _, pitch := range []float64{col.spread / 16, ixs[0].eps(col.y) / 3, col.span / height} {
+			if !(pitch > 0) {
+				continue
+			}
+			b, ok := alignedBounds(gridTarget{x: col.x, y: col.y, pitch: pitch}, 1, height, 0, height/2)
+			if !ok {
+				continue
+			}
+			aligned++
+			for li, ix := range ixs {
+				assertGridMatchesQuery(t, ix, b, 1, height, fmt.Sprintf("%s index %d column %+v", ctx, li, col))
+			}
+		}
+	}
+	if aligned < len(cols) {
+		t.Fatalf("%s: only %d strips aligned over %d columns", ctx, aligned, len(cols))
+	}
+}
+
+// countDirect counts the columns HeatGrid resolves on their slab, where the
+// walk would run but for the descending heights.
+func countDirect(cols []unsortedColumn) int {
+	n := 0
+	for _, col := range cols {
+		if col.direct {
+			n++
+		}
+	}
+	return n
+}
+
+// unsortedColumn is a pixel column whose evaluated arc heights descend from
+// one arc to the next: y is the midpoint of that pair, spread the drop, span
+// the column's whole height range, and direct whether HeatGrid resolves the
+// column on its slab rather than on the exact path.
+type unsortedColumn struct {
+	x, y, spread, span float64
+	direct             bool
+}
+
+// unsortedColumns evaluates perSlab evenly spaced columns inside every slab
+// of ix, with the function HeatGrid evaluates arcs by, and returns those
+// whose heights have a descending adjacent pair, and how many it sampled.
+func unsortedColumns(ix *Index, perSlab int) (found []unsortedColumn, sampled int) {
+	var h []float64
+	for i := 0; i+1 < len(ix.xs); i++ {
+		for s := 0; s < perSlab; s++ {
+			x := ix.xs[i] + (float64(s)+0.5)/float64(perSlab)*(ix.xs[i+1]-ix.xs[i])
+			sampled++
+			h = h[:0]
+			for _, a := range ix.slabs[i].arcs {
+				h = append(h, ix.arcYAt(a, x))
+			}
+			for k := 1; k < len(h); k++ {
+				if h[k] < h[k-1] {
+					si, direct := ix.locateSlab(x)
+					found = append(found, unsortedColumn{x: x, y: (h[k-1] + h[k]) / 2, spread: h[k-1] - h[k],
+						span: slices.Max(h) - slices.Min(h), direct: direct && si == i})
+					break
+				}
+			}
+		}
+	}
+	return found, sampled
+}
+
+// nearCoincidentCircles returns clusters of L2 circles that nearly touch
+// along their whole boundary: each cluster is copies of one circle with
+// center and radius nudged by up to four ulps, so inside a slab the
+// evaluated heights of their arcs cross one another in rounding.
+func nearCoincidentCircles(rng *rand.Rand, clusters, copies int) []nncircle.NNCircle {
+	nudge := func(v float64) float64 {
+		k, dir := rng.Intn(9)-4, math.Inf(1)
+		if k < 0 {
+			k, dir = -k, math.Inf(-1)
+		}
+		for ; k > 0; k-- {
+			v = math.Nextafter(v, dir)
+		}
+		return v
+	}
+	var out []nncircle.NNCircle
+	for c := 0; c < clusters; c++ {
+		cx, cy, r := rng.Float64()*64, rng.Float64()*64, 1+rng.Float64()*8
+		for k := 0; k < copies; k++ {
+			out = append(out, nncircle.NNCircle{Client: len(out), Facility: c,
+				Circle: geom.NewCircle(geom.Pt(nudge(cx), nudge(cy)), nudge(r), geom.L2)})
+		}
+	}
+	return out
 }

@@ -228,6 +228,12 @@ func (ix *Index) lookup(si int, q geom.Point) (uint32, bool) {
 // exact path can answer.
 func gapIn(h []float64, y, ey float64) (j int, ok bool) {
 	j = sort.SearchFloat64s(h, y)
+	return j, clearOf(h, j, y, ey)
+}
+
+// clearOf reports whether y, in gap j of the edge heights h, lies farther
+// than ey from both of the gap's edges.
+func clearOf(h []float64, j int, y, ey float64) bool {
 	below, above := math.NaN(), math.NaN()
 	if j > 0 {
 		below = h[j-1]
@@ -235,7 +241,7 @@ func gapIn(h []float64, y, ey float64) (j int, ok bool) {
 	if j < len(h) {
 		above = h[j]
 	}
-	return j, !nearEdge(below, above, y, ey)
+	return !nearEdge(below, above, y, ey)
 }
 
 // nearEdge is the gap-edge epsilon decision of every lookup: whether y lies

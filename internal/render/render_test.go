@@ -416,9 +416,10 @@ func TestPNGDecodesToImageScaled(t *testing.T) {
 }
 
 // TestPNGTruecolorFallback pins the rasters whose colors do not fit a
-// palette to the truecolor encoding, byte for byte png.Encode of
-// ImageScaled: more than 256 distinct colors, and a color map with alpha
-// below 255. Exactly 256 colors still take the palette.
+// palette to the truecolor encoding, byte for byte a plain png.Encoder at
+// pngEncoder's compression level encoding ImageScaled: more than 256
+// distinct colors, and a color map with alpha below 255. Exactly 256
+// colors still take the palette.
 func TestPNGTruecolorFallback(t *testing.T) {
 	t.Parallel()
 	ramp := func(n int) *Raster {
@@ -468,11 +469,13 @@ func TestPNGTruecolorFallback(t *testing.T) {
 			t.Fatalf("%s: only %d distinct colors; the case must overflow the palette", tc.name, len(colors))
 		}
 		var want bytes.Buffer
-		if err := png.Encode(&want, img); err != nil {
+		plain := png.Encoder{CompressionLevel: pngEncoder.CompressionLevel}
+		if err := plain.Encode(&want, img); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Errorf("%s: WritePNGScaled bytes differ from png.Encode(ImageScaled)", tc.name)
+			t.Errorf("%s: WritePNGScaled bytes differ from png.Encoder{CompressionLevel: %d}.Encode(ImageScaled)",
+				tc.name, plain.CompressionLevel)
 		}
 	}
 }

@@ -33,7 +33,11 @@ type mapInstance struct {
 	writeMu sync.Mutex // serializes writes: apply + publish, saves, teardown
 	cache   *tileCache
 	renders atomic.Int64 // tile renders across all of this map's versions
-	wal     *snapshot.WAL
+	// renderNS and encodeNS sum those renders' rasterize and PNG-encode
+	// times, in nanoseconds.
+	renderNS, encodeNS atomic.Int64
+
+	wal *snapshot.WAL
 	// ing is the map's coalescing ingestion writer (mutable servers only):
 	// POST /mutations batches queue here and are group-committed. nil on
 	// read-only servers.

@@ -659,6 +659,10 @@ type tileStats struct {
 	CacheMisses uint64 `json:"cache_misses"`
 	Coalesced   uint64 `json:"coalesced"`
 	Renders     int64  `json:"renders"`
+	// RenderMS and EncodeMS are the renders' cumulative rasterize and
+	// PNG-encode times: where a cache miss spends its time.
+	RenderMS float64 `json:"render_ms"`
+	EncodeMS float64 `json:"encode_ms"`
 }
 
 type rectJSON struct {
@@ -723,6 +727,8 @@ func (s *Server) handleStats(inst *mapInstance, w http.ResponseWriter, r *http.R
 			CacheMisses: misses,
 			Coalesced:   waited,
 			Renders:     inst.renders.Load(),
+			RenderMS:    float64(inst.renderNS.Load()) / float64(time.Millisecond),
+			EncodeMS:    float64(inst.encodeNS.Load()) / float64(time.Millisecond),
 		},
 		Ingest:     s.ingestStatsOf(inst),
 		QueryIndex: queryIndexOf(st.m),
@@ -966,14 +972,18 @@ var tileScratches = sync.Pool{New: func() any {
 func (s *Server) renderTile(inst *mapInstance, st *mapState, z, x, y int) (*tileData, error) {
 	sc := tileScratches.Get().(*tileScratch)
 	defer tileScratches.Put(sc)
+	start := time.Now()
 	if err := st.rd.RenderInto(&sc.raster, st.grid.tileBounds(z, x, y), s.tileSize, s.tileSize); err != nil {
 		return nil, err
 	}
+	rendered := time.Now()
 	inst.renders.Add(1)
+	inst.renderNS.Add(int64(rendered.Sub(start)))
 	sc.png.Reset()
 	if err := sc.raster.WritePNGScaled(&sc.png, s.cm, st.heatLo, st.heatHi); err != nil {
 		return nil, err
 	}
+	inst.encodeNS.Add(int64(time.Since(rendered)))
 	png := bytes.Clone(sc.png.Bytes())
 	h := fnv.New64a()
 	_, _ = h.Write(png)

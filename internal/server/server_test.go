@@ -377,6 +377,42 @@ func TestStatsCounters(t *testing.T) {
 	}
 }
 
+// TestStatsTileTimes asserts /stats sums where tile misses spend their
+// time: after N misses renders is N and the rasterize and encode sums are
+// positive, and cache hits add to none of the three.
+func TestStatsTileTimes(t *testing.T) {
+	t.Parallel()
+	s := newTestServer(t, 1)
+	tiles := func() tileStats {
+		t.Helper()
+		var stats statsResponse
+		if err := json.Unmarshal(get(t, s, "/v1/stats").Body.Bytes(), &stats); err != nil {
+			t.Fatalf("decoding stats: %v", err)
+		}
+		return stats.Tiles
+	}
+	const n = 3
+	for x := 0; x < n; x++ {
+		if rec := get(t, s, fmt.Sprintf("/v1/tiles/2/%d/1.png", x)); rec.Code != http.StatusOK {
+			t.Fatalf("tile %d = %d", x, rec.Code)
+		}
+	}
+	missed := tiles()
+	if missed.Renders != n || !(missed.RenderMS > 0) || !(missed.EncodeMS > 0) {
+		t.Fatalf("after %d misses tile stats = %+v, want %d renders and positive render_ms and encode_ms", n, missed, n)
+	}
+	for x := 0; x < n; x++ {
+		get(t, s, fmt.Sprintf("/v1/tiles/2/%d/1.png", x))
+	}
+	hit := tiles()
+	if hit.CacheHits != missed.CacheHits+n {
+		t.Fatalf("cache hits %d -> %d, want %d more", missed.CacheHits, hit.CacheHits, n)
+	}
+	if hit.Renders != missed.Renders || hit.RenderMS != missed.RenderMS || hit.EncodeMS != missed.EncodeMS {
+		t.Fatalf("cache hits moved the render stats: %+v -> %+v", missed, hit)
+	}
+}
+
 // TestTileCacheEviction asserts the LRU stays within capacity.
 func TestTileCacheEviction(t *testing.T) {
 	t.Parallel()
