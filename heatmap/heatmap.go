@@ -400,13 +400,13 @@ func (m *Map) applyDeltaBatch(ds []Delta, deferPatch bool) (*Map, DeltaStats, er
 	// this map had one materialized — built, patched, or opened from its
 	// snapshot file — only the dirty slabs are re-emitted from the event
 	// list the resweep swept — those with a left edge inside the dirty
-	// spans, plus under L2 the slab before each span, whose midpoint moves
-	// with its right edge — and the rest share storage with the old index
-	// (which keeps serving concurrent readers), heap or file. A map whose
-	// own patch was deferred passes on its ancestor's index with the spans
-	// recorded since, which Patch merges as ApplyBatch merges a batch's. When
-	// the patch declines, the next map builds its index lazily on first
-	// query.
+	// spans, plus under L2 the slab before each span, whose arc order the
+	// emission decides at its midpoint, which moves with its right edge —
+	// and the rest share storage with the old index (which keeps serving
+	// concurrent readers), heap or file. A map whose own patch was deferred
+	// passes on its ancestor's index with the spans recorded since, which
+	// Patch merges as ApplyBatch merges a batch's. When the patch declines,
+	// the next map builds its index lazily on first query.
 	if base != nil {
 		spans = append(spans[:len(spans):len(spans)], out.Stats.DirtySpans...)
 		if deferPatch {

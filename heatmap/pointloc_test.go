@@ -446,7 +446,7 @@ func TestSnapshotRebuildsSlabIndexSweepFree(t *testing.T) {
 	if built, _, _ := restored.SlabIndexStats(); !built {
 		t.Fatal("slab index did not materialize on first query after restore")
 	}
-	if got := restored.Stats(); got != savedStats {
+	if got := restored.Stats(); got != stored(savedStats) {
 		t.Fatalf("restore ran a sweep: stats changed from %+v to %+v", savedStats, got)
 	}
 }

@@ -92,7 +92,7 @@ func rssFile(t *testing.T) int64 {
 }
 
 // TestDroppedMappedMapsReleaseRSS opens heatmapd's default map from its
-// file (89 MiB), queries it — a point, a batch and a tile — and drops it,
+// file (51 MiB), queries it — a point, a batch and a tile — and drops it,
 // three times. Open's validation faults in every page of the file, so a
 // mapping that outlived its map would hold a file's worth of RssFile per
 // cycle; instead the collector unmaps each, and RssFile ends within one

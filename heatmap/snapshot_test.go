@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"testing"
 
+	"rnnheatmap/internal/core"
 	"rnnheatmap/internal/dataset"
 	"rnnheatmap/internal/geom"
 	"rnnheatmap/internal/render"
@@ -19,6 +20,13 @@ func snapshotTestSets(t *testing.T) (clients, facilities []Point) {
 	t.Helper()
 	ds := dataset.Uniform(400, geom.Rect{MaxX: 500, MaxY: 500}, 11)
 	return ds.SampleClientsFacilities(150, 50, 3)
+}
+
+// stored returns st as a snapshot file stores it: without the run's
+// wall-clock duration, which a map opened from the file reads as 0.
+func stored(st core.Stats) core.Stats {
+	st.Duration = 0
+	return st
 }
 
 // tilePNG renders a deterministic sub-rectangle PNG, normalized against a
@@ -145,7 +153,7 @@ func TestSnapshotRejectsCustomMeasure(t *testing.T) {
 }
 
 // TestSaveSnapshotStreams pins the streamed save: saving heatmapd's default
-// map (NYC L2 2000/600) after one commit — an 89 MiB file, nearly all of it
+// map (NYC L2 2000/600) after one commit — a 51 MiB file, nearly all of it
 // slab sections — allocates less than a quarter of the bytes it writes.
 // A save that concatenated the slab lists into flat tables, or buffered the
 // file, would allocate several times the file.
@@ -178,5 +186,37 @@ func TestSaveSnapshotStreams(t *testing.T) {
 	t.Logf("saving %d bytes allocated %d bytes", st.Size(), alloc)
 	if 4*alloc >= uint64(st.Size()) {
 		t.Errorf("saving %d bytes allocated %d bytes, want less than a quarter", st.Size(), alloc)
+	}
+}
+
+// TestSaveIsAFunctionOfTheMap: two independent builds of one input save
+// byte-identical files, for every metric, slab index included, so a byte
+// comparison of two files can confirm that they store one map. The file
+// keeps no wall-clock time of the build.
+func TestSaveIsAFunctionOfTheMap(t *testing.T) {
+	t.Parallel()
+	clients, facilities := snapshotTestSets(t)
+	for _, metric := range []Metric{LInf, L1, L2} {
+		dir := t.TempDir()
+		var files [2][]byte
+		for i := range files {
+			m, err := Build(Config{Clients: clients, Facilities: facilities, Metric: metric})
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, fmt.Sprintf("m%d.snap", i))
+			if err := m.SaveSnapshot(path, 1); err != nil {
+				t.Fatal(err)
+			}
+			if files[i], err = os.ReadFile(path); err != nil {
+				t.Fatal(err)
+			}
+			if built, _, _ := m.SlabIndexStats(); !built {
+				t.Fatalf("%v: the save wrote no slab index", metric)
+			}
+		}
+		if !bytes.Equal(files[0], files[1]) {
+			t.Errorf("%v: two builds of one input saved different files (%d and %d bytes)", metric, len(files[0]), len(files[1]))
+		}
 	}
 }

@@ -22,12 +22,11 @@ import (
 // horizontal line for the rectilinear sweeps, or one arc (the lower or upper
 // half of a circle's boundary) for L2.
 type CellEdge struct {
-	// Y is the edge height: the horizontal side coordinate for rectilinear
-	// sweeps, or the arc height at the slab midpoint (its build-time ordering
-	// key) for L2.
+	// Y is the horizontal side coordinate of a rectilinear edge; an arc edge
+	// leaves it zero, and nothing reads it.
 	Y float64
-	// Arc marks an L2 arc edge; Circle and Upper then identify it and Y is
-	// only the ordering key, not the geometry.
+	// Arc marks an L2 arc edge; Circle and Upper then identify it, and its
+	// geometry is evaluated from them.
 	Arc    bool
 	Circle geom.Circle
 	Upper  bool

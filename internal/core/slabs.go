@@ -49,8 +49,9 @@ type SlabSink interface {
 	// side (several coincident sides are coalesced into one call) and circle
 	// is -1. For L2 sweeps each arc is reported individually: circle is the
 	// arc's circle and upper distinguishes the two halves of its boundary; y
-	// is the arc's height at the slab midpoint (the build-time ordering key —
-	// the arc order cannot change inside a slab).
+	// is the arc's height at the slab midpoint, the emission's ordering key
+	// (the arc order cannot change inside a slab). internal/pointloc ignores
+	// an arc's y: it evaluates arcs at the query's own x.
 	// above is the interned label of the gap immediately above this edge —
 	// a pointer into the emission's LabelInterner pool, immutable and safe
 	// to retain as-is. The gap below a slab's first edge is always the

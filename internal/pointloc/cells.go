@@ -31,7 +31,7 @@ func (ix *Index) GroupCells(ids []uint32) []core.CellGroup {
 	for i := range ix.slabs {
 		sl := &ix.slabs[i]
 		x0, x1 := ix.xs[i], rightEdge(ix.xs, i)
-		for j := 1; j < len(sl.edges); j++ {
+		for j := 1; j < sl.numEdges(); j++ {
 			if id := sl.gaps[j]; g.Wants(id) {
 				g.Add(id, x0, x1, ix.cellEdge(sl, j-1), ix.cellEdge(sl, j))
 			}
@@ -41,16 +41,14 @@ func (ix *Index) GroupCells(ids []uint32) []core.CellGroup {
 	return g.Groups()
 }
 
-// cellEdge materializes edge k of a slab as a core.CellEdge.
+// cellEdge materializes edge k of a slab as a core.CellEdge: its height
+// for a rectilinear slab, its arc for L2.
 func (ix *Index) cellEdge(sl *slab, k int) core.CellEdge {
-	e := core.CellEdge{Y: sl.edges[k]}
-	if sl.arcs != nil {
-		a := sl.arcs[k]
-		e.Arc = true
-		e.Circle = ix.sweepAll[a>>1].Circle
-		e.Upper = a&1 != 0
+	if sl.arcs == nil {
+		return core.CellEdge{Y: sl.edges[k]}
 	}
-	return e
+	a := sl.arcs[k]
+	return core.CellEdge{Arc: true, Circle: ix.sweepAll[a>>1].Circle, Upper: a&1 != 0}
 }
 
 // SetID returns the id the index's gaps store for the set with members rnn

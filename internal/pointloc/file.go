@@ -3,6 +3,7 @@ package pointloc
 import (
 	"errors"
 
+	"rnnheatmap/internal/geom"
 	"rnnheatmap/internal/influence"
 	"rnnheatmap/internal/nncircle"
 	"rnnheatmap/internal/oset"
@@ -13,9 +14,12 @@ import (
 // carry (snapshot.Meta.HasSlabIndex). Each slab's lists are sliced out of
 // the view's sections and its gap ids are the file's pool ids, so opening
 // copies no cell data and a cold map serves its first query with no decode
-// step; only the circles and the slab headers are built on the heap. The
-// index answers exactly as the index the file was saved from, patches like
-// any other (see Patch and lineage), and must not outlive v.
+// step; only the circles and the slab headers are built on the heap. An L2
+// slab takes its arcs and no heights, as a built one holds, also from a
+// file an earlier build wrote with heights (the view validates those and
+// exposes none). The index answers exactly as the index the file was saved
+// from, patches like any other (see Patch and lineage), and must not
+// outlive v.
 //
 // measure must be the snapshot's own measure: it is invoked on the exact
 // fallback path, and a different measure would disagree with the heats
@@ -34,7 +38,7 @@ func Open(v *snapshot.View, measure influence.Measure) (*Index, error) {
 		emptyHeat: measure.Influence(oset.New()),
 		xs:        s.Xs,
 		slabs:     make([]slab, len(s.Xs)),
-		cells:     len(s.Xs) + 2*len(s.Edges),
+		cells:     len(s.Xs) + 2*int(s.EdgeOff[len(s.Xs)]),
 		zeroIdx:   s.ZeroIdx,
 		zeroXs:    s.ZeroXs,
 		sets:      labelTable{heats: v.PoolHeats(), view: v},
@@ -51,10 +55,11 @@ func Open(v *snapshot.View, measure influence.Measure) (*Index, error) {
 		g0, g1 := e0+uint32(i), e1+uint32(i)+1
 		sl := &ix.slabs[i]
 		sl.actives = s.Actives[a0:a1:a1]
-		sl.edges = s.Edges[e0:e1:e1]
 		sl.gaps = s.Gaps[g0:g1:g1]
-		if len(s.Arcs) > 0 {
+		if ix.metric == geom.L2 {
 			sl.arcs = s.Arcs[e0:e1:e1]
+		} else {
+			sl.edges = s.Edges[e0:e1:e1]
 		}
 	}
 	return ix, nil

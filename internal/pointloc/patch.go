@@ -34,8 +34,8 @@ var ErrPatchDeclined = errors.New("pointloc: patch declined; rebuild the index l
 // the dirty sweep-space x-spans (core.PerturbedSpans of the update's
 // perturbed circles). For L2 the slab just before each span's first dirty
 // slab is dirty too — or, when a span holds no left edge at all, the slab
-// containing it: an L2 slab stores its arc heights at its midpoint, and its
-// right edge, with that midpoint, can move.
+// containing it: the emission decides and repairs an L2 slab's arc order
+// at the slab's midpoint, and its right edge, with that midpoint, can move.
 //
 // The splice is sound for the same reason the incremental resweep is
 // (internal/core/resweep.go): every event a perturbed circle contributes —
@@ -107,7 +107,7 @@ func (ix *Index) Patch(newCircles []nncircle.NNCircle, spans [][2]float64, event
 			return nil, ErrPatchDeclined
 		}
 		next.slabs[k] = ix.slabs[oi]
-		cells += 2 * len(ix.slabs[oi].edges)
+		cells += 2 * ix.slabs[oi].numEdges()
 	}
 	// Rebuild the dirty slabs run by run; each emitted slab lands in its
 	// position of next.slabs.
@@ -174,7 +174,7 @@ func (b *patchSink) Edge(y float64, circle int, upper bool, above *core.Interned
 	if b.cells += 2; b.cells > b.maxCells {
 		return false
 	}
-	b.ix.slabs[b.pos].addEdge(y, circle, upper, b.pool.ID(above), b.origIdx)
+	b.ix.slabs[b.pos].addEdge(y, circle, upper, b.pool.ID(above), b.origIdx, b.isL2)
 	return true
 }
 

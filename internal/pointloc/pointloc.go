@@ -59,12 +59,17 @@ import (
 	"rnnheatmap/internal/snapshot"
 )
 
-// DefaultMaxCells caps the total number of stored slab cells (edges plus
-// gaps). The explicit slab decomposition trades memory for query speed —
-// worst case Θ(n²) cells — and past this cap the index declines to build
-// (Build returns ErrTooLarge) so callers fall back to the enclosure path
-// instead of exhausting memory. At roughly 40 bytes per cell the default
-// bounds the index near 1 GiB.
+// DefaultMaxCells caps the total number of stored slab cells (one per slab,
+// plus one per edge and one per gap above it). The explicit slab
+// decomposition trades memory for query speed — worst case Θ(n²) cells —
+// and past this cap the index declines to build (Build returns
+// ErrTooLarge) so callers fall back to the enclosure path instead of
+// exhausting memory. On heatmapd's default map (NYC L2 2000/600) a cell
+// costs 5.0 bytes of slab lists: the snapshot's slab sections are
+// 51,164,288 bytes for 10,156,938 cells — a 4-byte arc per edge, a 4-byte
+// set id per gap, and the actives. At that rate the cap bounds the lists
+// near 121 MiB; a rectilinear edge stores an 8-byte height instead of an
+// arc, so its cells cost more.
 const DefaultMaxCells = 24 << 20
 
 // ErrTooLarge reports that building (or patching) the index would exceed the
@@ -100,19 +105,23 @@ type slab struct {
 	// ascending) of the circles whose closed x-extent covers the slab. It
 	// serves the exact fallback path.
 	actives []int32
-	// edges holds the edge y-coordinates in ascending order: horizontal side
-	// coordinates for rectilinear sweeps, arc heights at the slab midpoint
-	// for L2 (the build-time ordering key).
+	// edges holds a rectilinear slab's edges, the horizontal side
+	// coordinates in ascending order; nil for L2.
 	edges []float64
-	// arcs parallels edges for L2 slabs (nil for rectilinear ones): circle
-	// position <<1 | 1 for the upper half of its boundary.
+	// arcs holds an L2 slab's edges in ascending order, each as its circle's
+	// position <<1 | 1 for the upper half of its boundary; nil for
+	// rectilinear slabs. An arc is evaluated at the query's own x (the arc
+	// order cannot change inside a slab), so no height is stored.
 	arcs []uint32
-	// gaps[k] is the set id of the face between edges[k-1] and edges[k]
-	// (gaps[0] the face below the first edge, gaps[len(edges)] the face
-	// above the last); len(gaps) == len(edges)+1, and gaps[0] is always the
-	// empty set.
+	// gaps[k] is the set id of the face between edges k-1 and k (gaps[0] the
+	// face below the first edge, the last gap the face above the last); a
+	// slab has len(gaps)-1 edges, and gaps[0] is always the empty set.
 	gaps []uint32
 }
+
+// numEdges returns the slab's edge count: its heights for a rectilinear
+// slab, its arcs for L2.
+func (sl *slab) numEdges() int { return len(sl.gaps) - 1 }
 
 // Index is a slab point-location structure, built in memory (Build),
 // opened from a snapshot (Open) or patched from another index (Patch). It
@@ -422,13 +431,13 @@ func (b *builder) Edge(y float64, circle int, upper bool, above *core.Interned) 
 	if b.cells > b.maxCells {
 		return false
 	}
-	b.ix.slabs[len(b.ix.slabs)-1].addEdge(y, circle, upper, b.pool.ID(above), b.origIdx)
+	b.ix.slabs[len(b.ix.slabs)-1].addEdge(y, circle, upper, b.pool.ID(above), b.origIdx, b.ix.metric == geom.L2)
 	return true
 }
 
 // newSlab opens a slab over the emitted actives (translated through
-// origIdx), with its edge storage sized for the at most two edges per active
-// circle the emission can report.
+// origIdx), with its edge storage — arcs for L2, heights otherwise — sized
+// for the at most two edges per active circle the emission can report.
 func newSlab(actives []int, origIdx []int32, isL2 bool, empty uint32) slab {
 	acts := make([]int32, len(actives))
 	for i, a := range actives {
@@ -438,23 +447,27 @@ func newSlab(actives []int, origIdx []int32, isL2 bool, empty uint32) slab {
 	sl := slab{actives: acts, gaps: make([]uint32, 1, n+1)}
 	sl.gaps[0] = empty
 	if n > 0 {
-		sl.edges = make([]float64, 0, n)
 		if isL2 {
 			sl.arcs = make([]uint32, 0, n)
+		} else {
+			sl.edges = make([]float64, 0, n)
 		}
 	}
 	return sl
 }
 
-// addEdge appends one emitted edge and the set id of the gap above it.
-func (sl *slab) addEdge(y float64, circle int, upper bool, above uint32, origIdx []int32) {
-	sl.edges = append(sl.edges, y)
-	if sl.arcs != nil {
+// addEdge appends one emitted edge and the set id of the gap above it: the
+// arc for L2, dropping the emission's y (its ordering key), and the height
+// y otherwise.
+func (sl *slab) addEdge(y float64, circle int, upper bool, above uint32, origIdx []int32, isL2 bool) {
+	if isL2 {
 		a := uint32(origIdx[circle]) << 1
 		if upper {
 			a |= 1
 		}
 		sl.arcs = append(sl.arcs, a)
+	} else {
+		sl.edges = append(sl.edges, y)
 	}
 	sl.gaps = append(sl.gaps, above)
 }

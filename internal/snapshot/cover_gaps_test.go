@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"rnnheatmap/internal/geom"
@@ -52,7 +53,6 @@ func TestSlabViewValidate(t *testing.T) {
 				ActOff:  []uint32{0, 1, 2},
 				Actives: []int32{0, 1},
 				EdgeOff: []uint32{0, 1, 2},
-				Edges:   []float64{0.5, 0.25},
 				Arcs:    []uint32{0<<1 | 1, 1 << 1},
 				Gaps:    []uint32{0, 0, 0, 0},
 				ZeroXs:  []float64{0.5},
@@ -64,37 +64,58 @@ func TestSlabViewValidate(t *testing.T) {
 				NumPool:    1,
 			}
 	}
-	s, m := valid()
-	if err := s.validate(m); err != nil {
-		t.Fatalf("valid slab view rejected: %v", err)
+	// rect turns the valid L2 view into an L∞ one: heights, no arcs.
+	rect := func(s *SlabView, m *Meta) {
+		m.Metric = geom.LInf
+		s.Edges, s.Arcs = []float64{0.5, 0.25}, nil
+	}
+	for name, mutate := range map[string]func(s *SlabView, m *Meta){
+		"L2":                     func(*SlabView, *Meta) {},
+		"L2 with earlier height": func(s *SlabView, m *Meta) { s.Edges = []float64{0.5, 0.25} },
+		"LInf":                   rect,
+	} {
+		s, m := valid()
+		mutate(s, m)
+		if err := s.validate(m); err != nil {
+			t.Fatalf("valid %s slab view rejected: %v", name, err)
+		}
 	}
 
 	cases := []struct {
 		name   string
 		mutate func(s *SlabView, m *Meta)
+		// section names the list the error must name.
+		section string
 	}{
-		{"xs count", func(s *SlabView, m *Meta) { s.Xs = s.Xs[:1] }},
-		{"offset arity", func(s *SlabView, m *Meta) { s.ActOff = s.ActOff[:2] }},
-		{"offsets not from 0", func(s *SlabView, m *Meta) { s.ActOff[0] = 1 }},
-		{"offsets decrease", func(s *SlabView, m *Meta) { s.ActOff[1] = 2; s.ActOff[2] = 1; s.Actives = s.Actives[:1] }},
-		{"offsets end short", func(s *SlabView, m *Meta) { s.ActOff[2] = 1 }},
-		{"active out of range", func(s *SlabView, m *Meta) { s.Actives[0] = 9 }},
-		{"arc count", func(s *SlabView, m *Meta) { s.Arcs = s.Arcs[:1] }},
-		{"arc circle out of range", func(s *SlabView, m *Meta) { s.Arcs[0] = 9 << 1 }},
-		{"gap count", func(s *SlabView, m *Meta) { s.Gaps = s.Gaps[:3] }},
-		{"gap pool out of range", func(s *SlabView, m *Meta) { s.Gaps[2] = 7 }},
-		{"zero arrays disagree", func(s *SlabView, m *Meta) { s.ZeroIdx = nil }},
+		{"xs count", func(s *SlabView, m *Meta) { s.Xs = s.Xs[:1] }, "slab xs"},
+		{"offset arity", func(s *SlabView, m *Meta) { s.ActOff = s.ActOff[:2] }, "slab offset arrays"},
+		{"offsets not from 0", func(s *SlabView, m *Meta) { s.ActOff[0] = 1 }, "slab actives offsets"},
+		{"offsets decrease", func(s *SlabView, m *Meta) { s.ActOff[1] = 2; s.ActOff[2] = 1; s.Actives = s.Actives[:1] }, "slab actives offsets"},
+		{"offsets end short", func(s *SlabView, m *Meta) { s.ActOff[2] = 1 }, "slab actives offsets"},
+		{"active out of range", func(s *SlabView, m *Meta) { s.Actives[0] = 9 }, "slab active circle"},
+		{"arc count", func(s *SlabView, m *Meta) { s.Arcs = s.Arcs[:1] }, "slab arcs"},
+		{"edge offsets decrease", func(s *SlabView, m *Meta) { s.EdgeOff[1] = 3 }, "slab edge offsets"},
+		{"L2 heights short", func(s *SlabView, m *Meta) { s.Edges = []float64{0.5} }, "slab edges"},
+		{"L2 heights long", func(s *SlabView, m *Meta) { s.Edges = []float64{0.5, 0.25, 1} }, "slab edges"},
+		{"rectilinear arcs", func(s *SlabView, m *Meta) { rect(s, m); s.Arcs = []uint32{1, 2} }, "slab arcs"},
+		{"rectilinear heights", func(s *SlabView, m *Meta) { rect(s, m); s.Edges = s.Edges[:1] }, "slab edges"},
+		{"arc circle out of range", func(s *SlabView, m *Meta) { s.Arcs[0] = 9 << 1 }, "slab arc circle"},
+		{"gap count", func(s *SlabView, m *Meta) { s.Gaps = s.Gaps[:3] }, "slab gaps"},
+		{"gap pool out of range", func(s *SlabView, m *Meta) { s.Gaps[2] = 7 }, "slab gap"},
+		{"zero arrays disagree", func(s *SlabView, m *Meta) { s.ZeroIdx = nil }, "zero-circle arrays"},
 		{"zero xs decrease", func(s *SlabView, m *Meta) {
 			s.ZeroXs = []float64{2, 1}
 			s.ZeroIdx = []int32{0, 0}
-		}},
-		{"slab xs not increasing", func(s *SlabView, m *Meta) { s.Xs[1] = s.Xs[0] }},
+		}, "zero-circle xs"},
+		{"slab xs not increasing", func(s *SlabView, m *Meta) { s.Xs[1] = s.Xs[0] }, "slab boundaries"},
 	}
 	for _, tc := range cases {
 		s, m := valid()
 		tc.mutate(s, m)
 		if err := s.validate(m); err == nil {
 			t.Errorf("%s: validate accepted the damaged view", tc.name)
+		} else if !strings.Contains(err.Error(), tc.section) {
+			t.Errorf("%s: validate returned %q, want an error naming %q", tc.name, err, tc.section)
 		}
 	}
 }

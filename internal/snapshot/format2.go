@@ -40,8 +40,10 @@ const Version uint16 = 2
 //	secSlabXs        f64 per slab: left sweep-space boundary
 //	secSlabActOff    u32 ×(nSlabs+1): prefix offsets into secSlabActives
 //	secSlabActives   i32: sorted active-circle indexes per slab
-//	secSlabEdgeOff   u32 ×(nSlabs+1): prefix offsets into secSlabEdges
-//	secSlabEdges     f64: ascending edge ordinates per slab
+//	secSlabEdgeOff   u32 ×(nSlabs+1): prefix offsets of the slabs' edges,
+//	                 into secSlabEdges (L∞, L1) or secSlabArcs (L2)
+//	secSlabEdges     f64: ascending edge ordinates per slab (L∞, L1 only;
+//	                 empty for L2, whose arcs are evaluated where queried)
 //	secSlabArcs      u32 per edge (L2 only): circle index <<1 | upper-arc bit
 //	secSlabGaps      u32 per gap: pool id; slab i owns edges[i]+1 gaps, so gap
 //	                 offsets derive as edgeOff[i]+i with no extra table
@@ -49,7 +51,10 @@ const Version uint16 = 2
 //	secSlabZeroIdx   i32 per zero-radius circle: index into the circle arrays
 //
 // The slab sections exist only when the snapshot carries a slab index
-// (Meta.HasSlabIndex); everything else is always present.
+// (Meta.HasSlabIndex); everything else is always present. A file an earlier
+// build wrote may carry one f64 per arc in an L2 file's secSlabEdges (the
+// arcs' heights at each slab's midpoint, the emission's ordering key); Open
+// checks their count and CRC and reads them no further.
 const (
 	secMeta          uint32 = 1
 	secClients       uint32 = 2
@@ -100,12 +105,32 @@ type SlabTables struct {
 	ZeroIdx []int32
 }
 
-// SlabLists holds the lists of one slab.
+// SlabLists holds the lists of one slab. Its edges are Edges for an L∞ or
+// L1 slab and Arcs for an L2 slab; the other list is empty.
 type SlabLists struct {
 	Actives []int32   // active circle indexes, ascending
-	Edges   []float64 // edge ordinates, ascending
-	Arcs    []uint32  // one per edge, L2 only (else empty): circle index <<1 | upper bit
-	Gaps    []uint32  // len(Edges)+1 set ids, the gap below the first edge first
+	Edges   []float64 // L∞/L1 only (else empty): edge ordinates, ascending
+	Arcs    []uint32  // L2 only (else empty): circle index <<1 | upper bit, ascending
+	Gaps    []uint32  // one set id per edge plus one, the gap below the first edge first
+}
+
+// checkSlab refuses the lists of slab i unless they agree: an L2 slab (l2)
+// carries arcs and no heights, an L∞ or L1 slab heights and no arcs, and
+// every slab has one gap more than edges.
+func checkSlab(i int, sl SlabLists, l2 bool) error {
+	edges := len(sl.Edges)
+	switch {
+	case l2 && len(sl.Edges) > 0:
+		return fmt.Errorf("snapshot: slab tables: L2 slab %d carries %d heights, want none", i, len(sl.Edges))
+	case !l2 && len(sl.Arcs) > 0:
+		return fmt.Errorf("snapshot: slab tables: rectilinear slab %d carries %d arcs, want none", i, len(sl.Arcs))
+	case l2:
+		edges = len(sl.Arcs)
+	}
+	if len(sl.Gaps) != edges+1 {
+		return fmt.Errorf("snapshot: slab tables: slab %d has %d gaps for %d edges", i, len(sl.Gaps), edges)
+	}
+	return nil
 }
 
 // poolBuilder interns label sets by content (oset.ContentKey) into the
@@ -144,17 +169,18 @@ func (p *poolBuilder) record(id int) ([]int, float64) {
 	return p.tables.Set(uint32(r - len(p.labels)))
 }
 
-// gapIDs interns the sets the tables' gaps name, slab by slab, and returns
-// a dense table over the set ids: the pool id + 1 of each set a gap names,
-// 0 for the rest. Each distinct set id is keyed once; the many gaps sharing
-// one set cost one array read each.
-func (p *poolBuilder) gapIDs() ([]uint32, error) {
+// gapIDs checks every slab's lists (checkSlab; l2 for an L2 map), interns
+// the sets the tables' gaps name, slab by slab, and returns a dense table
+// over the set ids: the pool id + 1 of each set a gap names, 0 for the
+// rest. Each distinct set id is keyed once; the many gaps sharing one set
+// cost one array read each.
+func (p *poolBuilder) gapIDs(l2 bool) ([]uint32, error) {
 	t := p.tables
 	pooled := make([]uint32, t.NumSets)
 	for i := range t.Xs {
 		sl := t.Slab(i)
-		if len(sl.Gaps) != len(sl.Edges)+1 {
-			return nil, fmt.Errorf("snapshot: slab tables: slab %d has %d gaps for %d edges", i, len(sl.Gaps), len(sl.Edges))
+		if err := checkSlab(i, sl, l2); err != nil {
+			return nil, err
 		}
 		for _, g := range sl.Gaps {
 			if int(g) >= len(pooled) {
@@ -301,9 +327,10 @@ type section struct {
 }
 
 // encodeMeta writes the small non-array remainder of the snapshot with the
-// field encoder: identification, config, measure spec, stats, extrema, the
-// array counts the loader validates every section length against, and the
-// derived summary/bounds a mapped map serves without materializing anything.
+// field encoder: identification, config, measure spec, stats (with a zero
+// Duration), extrema, the array counts the loader validates every section
+// length against, and the derived summary/bounds a mapped map serves
+// without materializing anything.
 func (s *Snapshot) encodeMeta(tables *SlabTables, nPool int) ([]byte, error) {
 	var buf bytes.Buffer
 	e := &encoder{w: &buf}
@@ -329,7 +356,9 @@ func (s *Snapshot) encodeMeta(tables *SlabTables, nPool int) ([]byte, error) {
 	e.i64(int64(s.Stats.EnclosureQueries))
 	e.i64(int64(s.Stats.GridCells))
 	e.i64(int64(s.Stats.MaxRNNSetSize))
-	e.i64(int64(s.Stats.Duration))
+	// The wall-clock duration of the run is not the map's: writing 0 keeps
+	// a file a function of the map it stores.
+	e.i64(0)
 	e.u32(uint32(len(s.Clients)))
 	e.u32(uint32(len(s.Facilities)))
 	e.u32(uint32(len(s.Circles)))
@@ -380,7 +409,7 @@ func (s *Snapshot) sections(tables *SlabTables) ([]section, error) {
 	var gapIDs []uint32
 	if tables != nil {
 		var err error
-		if gapIDs, err = pool.gapIDs(); err != nil {
+		if gapIDs, err = pool.gapIDs(s.Metric == geom.L2); err != nil {
 			return nil, err
 		}
 	}
@@ -454,8 +483,9 @@ func (s *Snapshot) sections(tables *SlabTables) ([]section, error) {
 }
 
 // sections returns the slab sections, streamed from the slabs' own lists:
-// the offset arrays are running sums of the list lengths, and gap set ids
-// map to pool ids through pooled (see poolBuilder.gapIDs).
+// the offset arrays are running sums of the list lengths (a slab's edges
+// counted from its gaps, so they count its heights or its arcs), and gap
+// set ids map to pool ids through pooled (see poolBuilder.gapIDs).
 func (t *SlabTables) sections(pooled []uint32) []section {
 	n := len(t.Xs)
 	prefix := func(k *sink, count func(SlabLists) int) {
@@ -474,7 +504,7 @@ func (t *SlabTables) sections(pooled []uint32) []section {
 				k.i32s(t.Slab(i).Actives)
 			}
 		}},
-		{kind: secSlabEdgeOff, emit: func(k *sink) { prefix(k, func(sl SlabLists) int { return len(sl.Edges) }) }},
+		{kind: secSlabEdgeOff, emit: func(k *sink) { prefix(k, func(sl SlabLists) int { return len(sl.Gaps) - 1 }) }},
 		{kind: secSlabEdges, emit: func(k *sink) {
 			for i := 0; i < n; i++ {
 				k.f64s(t.Slab(i).Edges)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -72,8 +73,8 @@ func TestV2RoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("newView: %v", err)
 	}
-	if got := v.Snapshot(); !reflect.DeepEqual(got, want) {
-		t.Errorf("round-trip mismatch:\n got %+v\nwant %+v", got, want)
+	if got := v.Snapshot(); !reflect.DeepEqual(got, stored(want)) {
+		t.Errorf("round-trip mismatch:\n got %+v\nwant %+v", got, stored(want))
 	}
 	checkSlabIndex(t, v, tables)
 }
@@ -117,8 +118,8 @@ func TestV2FileRoundTrip(t *testing.T) {
 		m.NumCircles != len(want.Circles) || m.NumLabels != len(want.Labels) {
 		t.Errorf("Meta mismatch: %+v", m)
 	}
-	if got := v.Snapshot(); !reflect.DeepEqual(got, want) {
-		t.Errorf("View.Snapshot mismatch:\n got %+v\nwant %+v", got, want)
+	if got := v.Snapshot(); !reflect.DeepEqual(got, stored(want)) {
+		t.Errorf("View.Snapshot mismatch:\n got %+v\nwant %+v", got, stored(want))
 	}
 	checkSlabIndex(t, v, tables)
 }
@@ -195,30 +196,61 @@ type failWriter struct{}
 
 func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
 
+// rectTables is sampleTables as an L∞ or L1 slab index stores it, for
+// sample(): each slab's edges are heights, and no slab carries arcs.
+func rectTables() *SlabTables {
+	tables := sampleTables()
+	slab := tables.Slab
+	tables.Slab = func(i int) SlabLists {
+		sl := slab(i)
+		sl.Edges, sl.Arcs = []float64{0.5 - 0.25*float64(i)}, nil
+		return sl
+	}
+	return tables
+}
+
 // TestEncodeRefusesMalformedTables: tables whose slab has the wrong number
-// of gaps, or a gap naming a set id past NumSets, are refused before a byte
-// is written, and a writer's error is returned.
+// of gaps, a gap naming a set id past NumSets, heights on an L2 slab or
+// arcs on a rectilinear one are refused before a byte is written, and a
+// writer's error is returned.
 func TestEncodeRefusesMalformedTables(t *testing.T) {
 	t.Parallel()
-	s := sampleL2()
-	for name, mutate := range map[string]func(*SlabLists){
-		"gap count":  func(sl *SlabLists) { sl.Gaps = sl.Gaps[:1] },
-		"gap set id": func(sl *SlabLists) { sl.Gaps = []uint32{0, 5} },
+	for _, s := range []*Snapshot{sample(), sampleL2()} {
+		tables := rectTables()
+		if s.Metric == geom.L2 {
+			tables = sampleTables()
+		}
+		if err := s.Encode(io.Discard, tables); err != nil {
+			t.Fatalf("%v: Encode refused the well-formed tables: %v", s.Metric, err)
+		}
+	}
+	for _, c := range []struct {
+		name   string
+		s      *Snapshot
+		tables func() *SlabTables
+		mutate func(*SlabLists)
+	}{
+		{"gap count", sampleL2(), sampleTables, func(sl *SlabLists) { sl.Gaps = sl.Gaps[:1] }},
+		{"gap set id", sampleL2(), sampleTables, func(sl *SlabLists) { sl.Gaps = []uint32{0, 5} }},
+		{"L2 heights", sampleL2(), sampleTables, func(sl *SlabLists) { sl.Edges = []float64{0.25} }},
+		{"rectilinear arcs", sample(), rectTables, func(sl *SlabLists) { sl.Arcs = []uint32{1 << 1} }},
+		{"rectilinear gap count", sample(), rectTables, func(sl *SlabLists) { sl.Gaps = append(sl.Gaps, 0) }},
 	} {
-		tables := sampleTables()
+		tables := c.tables()
 		slab := tables.Slab
 		tables.Slab = func(i int) SlabLists {
 			sl := slab(i)
 			if i == 1 {
-				mutate(&sl)
+				c.mutate(&sl)
 			}
 			return sl
 		}
 		var buf bytes.Buffer
-		if err := s.Encode(&buf, tables); err == nil || buf.Len() != 0 {
-			t.Errorf("%s: Encode wrote %d bytes and returned %v, want a refusal before writing", name, buf.Len(), err)
+		if err := c.s.Encode(&buf, tables); err == nil || buf.Len() != 0 {
+			t.Errorf("%s: Encode wrote %d bytes and returned %v, want a refusal before writing", c.name, buf.Len(), err)
 		}
 	}
+	s := sampleL2()
 	if err := s.Encode(failWriter{}, sampleTables()); err == nil || !strings.Contains(err.Error(), "disk full") {
 		t.Errorf("Encode into a failing writer returned %v, want its error", err)
 	}

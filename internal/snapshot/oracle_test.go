@@ -32,7 +32,10 @@ type flatTables struct {
 }
 
 // flatten concatenates the slabs of t, as pointloc's ExportTables did
-// before the encoder streamed them.
+// before the encoder streamed them. A slab's edge count is its gaps less
+// one, so EdgeOff counts an L2 slab's arcs whether or not its Edges carry
+// the heights earlier builds stored: tables whose L2 slabs carry one
+// height per arc flatten to a file in that earlier layout.
 func flatten(t *SlabTables) *flatTables {
 	f := &flatTables{
 		Xs:      t.Xs,
@@ -49,7 +52,7 @@ func flatten(t *SlabTables) *flatTables {
 		f.Actives = append(f.Actives, sl.Actives...)
 		f.ActOff = append(f.ActOff, uint32(len(f.Actives)))
 		f.Edges = append(f.Edges, sl.Edges...)
-		f.EdgeOff = append(f.EdgeOff, uint32(len(f.Edges)))
+		f.EdgeOff = append(f.EdgeOff, f.EdgeOff[len(f.EdgeOff)-1]+uint32(len(sl.Gaps)-1))
 		f.Arcs = append(f.Arcs, sl.Arcs...)
 		f.Gaps = append(f.Gaps, sl.Gaps...)
 	}
@@ -153,10 +156,6 @@ func encodeOracle(s *Snapshot, tables *SlabTables) ([]byte, error) {
 	var flat *flatTables
 	if tables != nil {
 		flat = flatten(tables)
-		if len(flat.Gaps) != len(flat.Edges)+len(flat.Xs) {
-			return nil, fmt.Errorf("snapshot: slab tables: %d gaps for %d edges + %d slabs",
-				len(flat.Gaps), len(flat.Edges), len(flat.Xs))
-		}
 	}
 
 	pool := &oraclePool{ids: make(map[oset.ContentKey]uint32), off: []uint32{0}}

@@ -76,7 +76,8 @@ type Snapshot struct {
 	// Circles are the NN-circles of the clients.
 	Circles []nncircle.NNCircle
 	// Labels, MaxHeat, MaxLabel and Stats reproduce the core.Result of the
-	// Region Coloring run.
+	// Region Coloring run, except Stats.Duration: the run's wall-clock time
+	// is not stored, and a file reads it back as 0.
 	Labels   []core.Label
 	MaxHeat  float64
 	MaxLabel core.Label

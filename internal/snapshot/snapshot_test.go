@@ -55,13 +55,22 @@ func sample() *Snapshot {
 	}
 }
 
+// stored returns s as a file stores it: with a zero Stats.Duration, the
+// one field the encoder does not keep.
+func stored(s *Snapshot) *Snapshot {
+	c := *s
+	c.Stats.Duration = 0
+	return &c
+}
+
 // sampleTables is a small structurally valid slab index for sample() with
-// its metric set to L2, so every section kind, arcs included, is present
-// and non-empty in the encoded file.
+// its metric set to L2, so every section kind, arcs included, is present in
+// the encoded file, and every one but the heights, which an L2 slab does
+// not store, is non-empty.
 func sampleTables() *SlabTables {
 	slabs := []SlabLists{
-		{Actives: []int32{0}, Edges: []float64{0.5}, Arcs: []uint32{0<<1 | 1}, Gaps: []uint32{0, 0}},
-		{Actives: []int32{1}, Edges: []float64{0.25}, Arcs: []uint32{1 << 1}, Gaps: []uint32{0, 0}},
+		{Actives: []int32{0}, Arcs: []uint32{0<<1 | 1}, Gaps: []uint32{0, 0}},
+		{Actives: []int32{1}, Arcs: []uint32{1 << 1}, Gaps: []uint32{0, 0}},
 	}
 	return &SlabTables{
 		Xs:      []float64{0, 1},
@@ -75,7 +84,8 @@ func sampleTables() *SlabTables {
 
 // TestSnapshotRoundTrip: encoding the sample and reading it back through a
 // heap-backed View (the path builds without mmap take) reproduces the exact
-// snapshot, capacity measure context included.
+// snapshot, capacity measure context included, as a file stores it (its
+// Stats.Duration reads 0).
 func TestSnapshotRoundTrip(t *testing.T) {
 	t.Parallel()
 	want := sample()
@@ -87,13 +97,14 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("newView: %v", err)
 	}
-	if got := v.Snapshot(); !reflect.DeepEqual(got, want) {
-		t.Errorf("round-trip mismatch:\n got %+v\nwant %+v", got, want)
+	if got := v.Snapshot(); !reflect.DeepEqual(got, stored(want)) {
+		t.Errorf("round-trip mismatch:\n got %+v\nwant %+v", got, stored(want))
 	}
 }
 
-// TestSnapshotFileRoundTrip: WriteFile + Open reproduces the original, and
-// the mapped view's meta matches the snapshot's derived quantities.
+// TestSnapshotFileRoundTrip: WriteFile + Open reproduces the original as a
+// file stores it, and the mapped view's meta matches the snapshot's derived
+// quantities.
 func TestSnapshotFileRoundTrip(t *testing.T) {
 	t.Parallel()
 	want := sample()
@@ -121,8 +132,8 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	if m.HasSlabIndex || v.HasSlabIndex() {
 		t.Error("sample written without tables claims a slab index")
 	}
-	if got := v.Snapshot(); !reflect.DeepEqual(got, want) {
-		t.Errorf("View.Snapshot mismatch:\n got %+v\nwant %+v", got, want)
+	if got := v.Snapshot(); !reflect.DeepEqual(got, stored(want)) {
+		t.Errorf("View.Snapshot mismatch:\n got %+v\nwant %+v", got, stored(want))
 	}
 	for i := range want.Circles {
 		if v.CircleAt(i) != want.Circles[i] {
@@ -198,29 +209,41 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 		})
 	}
 	t.Run("flipped body byte", func(t *testing.T) {
-		nSec := int(binary.LittleEndian.Uint16(good[6:8]))
-		if nSec != 20 {
-			t.Fatalf("sample encodes %d sections, want all 20 kinds", nSec)
+		// The L2 file stores no slab heights, so the same sample with L1
+		// slabs, which store heights and no arcs, covers that section.
+		var rect bytes.Buffer
+		if err := sample().Encode(&rect, rectTables()); err != nil {
+			t.Fatal(err)
 		}
-		// Two bytes of the section table and the header CRC, then one byte
-		// inside every section's payload. Inter-section padding is the only
-		// unprotected region.
-		offs := []int{9, 20, 8 + nSec*tableEntrySize}
-		for i := 0; i < nSec; i++ {
-			ent := good[8+i*tableEntrySize:]
-			off := binary.LittleEndian.Uint64(ent[8:])
-			length := binary.LittleEndian.Uint64(ent[16:])
-			if length == 0 {
-				t.Fatalf("section %d is empty", binary.LittleEndian.Uint32(ent))
+		covered := map[uint32]bool{}
+		for _, file := range [][]byte{good, rect.Bytes()} {
+			nSec := int(binary.LittleEndian.Uint16(file[6:8]))
+			if nSec != 20 {
+				t.Fatalf("sample encodes %d sections, want all 20 kinds", nSec)
 			}
-			offs = append(offs, int(off+length/2))
+			// Two bytes of the section table and the header CRC, then one
+			// byte inside every non-empty section's payload. Inter-section
+			// padding is the only unprotected region.
+			offs := []int{9, 20, 8 + nSec*tableEntrySize}
+			for i := 0; i < nSec; i++ {
+				ent := file[8+i*tableEntrySize:]
+				off := binary.LittleEndian.Uint64(ent[8:])
+				length := binary.LittleEndian.Uint64(ent[16:])
+				if length > 0 {
+					covered[binary.LittleEndian.Uint32(ent)] = true
+					offs = append(offs, int(off+length/2))
+				}
+			}
+			for _, off := range offs {
+				b := append([]byte(nil), file...)
+				b[off] ^= 0xff
+				if _, err := tryOpen(t, b); err == nil || !strings.Contains(err.Error(), "checksum") {
+					t.Errorf("Open with byte %d flipped: %v, want a checksum error", off, err)
+				}
+			}
 		}
-		for _, off := range offs {
-			b := append([]byte(nil), good...)
-			b[off] ^= 0xff
-			if _, err := tryOpen(t, b); err == nil || !strings.Contains(err.Error(), "checksum") {
-				t.Errorf("Open with byte %d flipped: %v, want a checksum error", off, err)
-			}
+		if len(covered) != 20 {
+			t.Errorf("%d section kinds carried a payload, want all 20", len(covered))
 		}
 	})
 	t.Run("truncated", func(t *testing.T) {

@@ -208,7 +208,7 @@ func TestEncodeMatchesRetainedEncoder(t *testing.T) {
 	for _, in := range inputs {
 		t.Run(in.name, func(t *testing.T) {
 			if in.clients > 1000 && testing.Short() {
-				t.Skip("the default map's 89 MiB file takes seconds to encode three ways")
+				t.Skip("the default map's 51 MiB file takes seconds to encode three ways")
 			}
 			t.Parallel()
 			clients, facilities := samplePoints(t, in.ds, in.clients, in.facility, 1, in.sampleSeed)

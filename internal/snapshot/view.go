@@ -50,9 +50,10 @@ type Meta struct {
 // SlabView exposes the slab point-location sections of a mapped snapshot as
 // typed slices aliasing the file bytes; pointloc.Open slices each slab's
 // lists out of them without copying. Offsets are prefix arrays: slab i owns
-// Actives[ActOff[i]:ActOff[i+1]], Edges[EdgeOff[i]:EdgeOff[i+1]] and (L2)
-// the Arcs at the same positions; its len(edges)+1 gap pool-ids start at
-// Gaps[EdgeOff[i]+uint32(i)].
+// Actives[ActOff[i]:ActOff[i+1]] and its edges at EdgeOff[i]:EdgeOff[i+1] —
+// heights in Edges for L∞ and L1, arcs in Arcs for L2 (Edges is then nil,
+// also for a file an earlier build wrote with L2 heights) — and its
+// edges+1 gap pool-ids start at Gaps[EdgeOff[i]+uint32(i)].
 type SlabView struct {
 	Xs      []float64
 	ActOff  []uint32
@@ -333,6 +334,9 @@ func newView(data []byte, mapped bool) (*View, error) {
 		if err := s.validate(m); err != nil {
 			return nil, err
 		}
+		if m.Metric == geom.L2 {
+			s.Edges = nil // an earlier build's heights: checked, never read
+		}
 		v.slab = s
 	}
 	return v, nil
@@ -363,8 +367,24 @@ func (s *SlabView) validate(m *Meta) error {
 	if err := validatePrefix("slab actives", s.ActOff, len(s.Actives)); err != nil {
 		return err
 	}
-	if err := validatePrefix("slab edges", s.EdgeOff, len(s.Edges)); err != nil {
+	// The edge offsets count each slab's heights (L∞, L1) or arcs (L2). An
+	// L2 file carries no heights, or, written by an earlier build, one per
+	// arc.
+	edges := int(s.EdgeOff[m.NumSlabs])
+	if err := validatePrefix("slab edge", s.EdgeOff, edges); err != nil {
 		return err
+	}
+	arcs := 0
+	if m.Metric == geom.L2 {
+		arcs = edges
+		if len(s.Edges) != 0 && len(s.Edges) != edges {
+			return fmt.Errorf("slab edges has %d elements, want 0 or %d", len(s.Edges), edges)
+		}
+	} else if len(s.Edges) != edges {
+		return fmt.Errorf("slab edges has %d elements, want %d", len(s.Edges), edges)
+	}
+	if len(s.Arcs) != arcs {
+		return fmt.Errorf("slab arcs has %d elements, want %d", len(s.Arcs), arcs)
 	}
 	for i := 1; i < len(s.Xs); i++ {
 		if !(s.Xs[i] > s.Xs[i-1]) {
@@ -376,21 +396,14 @@ func (s *SlabView) validate(m *Meta) error {
 			return fmt.Errorf("slab active circle %d out of range", a)
 		}
 	}
-	wantArcs := 0
-	if m.Metric == geom.L2 {
-		wantArcs = len(s.Edges)
-	}
-	if len(s.Arcs) != wantArcs {
-		return fmt.Errorf("slab arcs has %d elements, want %d", len(s.Arcs), wantArcs)
-	}
 	for _, a := range s.Arcs {
 		if int(a>>1) >= m.NumCircles {
 			return fmt.Errorf("slab arc circle %d out of range", a>>1)
 		}
 	}
-	if len(s.Gaps) != len(s.Edges)+m.NumSlabs {
+	if len(s.Gaps) != edges+m.NumSlabs {
 		return fmt.Errorf("slab gaps has %d elements, want %d edges + %d slabs",
-			len(s.Gaps), len(s.Edges), m.NumSlabs)
+			len(s.Gaps), edges, m.NumSlabs)
 	}
 	for _, g := range s.Gaps {
 		if int(g) >= m.NumPool {
