@@ -355,9 +355,11 @@ func benchMapCfg(b *testing.B, nO, nF int, metric geom.Metric, noSlab bool) *hea
 // from-scratch rebuild it replaces: one localized client insertion and one
 // facility closure per map size, plus the full Build for reference. ApplyDelta
 // is copy-on-write, so every iteration applies to the same pristine base map.
+// The maps are never queried, so they are built without a slab index: the
+// commits resweep labels only, and the rebuild writes no index.
 func BenchmarkApplyDelta(b *testing.B) {
 	for _, nO := range []int{5000, 20000} {
-		m := benchMap(b, nO, nO/20, geom.LInf)
+		m := benchMapCfg(b, nO, nO/20, geom.LInf, true)
 		bounds := m.Bounds()
 		rng := rand.New(rand.NewSource(5))
 		pt := func() heatmap.Point {
@@ -391,7 +393,7 @@ func BenchmarkApplyDelta(b *testing.B) {
 			clients, facilities := pool.SampleClientsFacilities(nO, nO/20, 17)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := heatmap.Build(heatmap.Config{Clients: clients, Facilities: facilities, Metric: geom.LInf}); err != nil {
+				if _, err := heatmap.Build(heatmap.Config{Clients: clients, Facilities: facilities, Metric: geom.LInf, NoSlabIndex: true}); err != nil {
 					b.Fatal(err)
 				}
 			}

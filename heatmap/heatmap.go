@@ -145,11 +145,13 @@ type Config struct {
 	Workers int
 	// NoSlabIndex disables the slab point-location index that normally
 	// serves HeatAt, HeatAtBatch and tile rasterization in O(log n) per
-	// query (internal/pointloc). With it set, queries fall back to
-	// point-enclosure stabbing over an R-tree index, built on the map's
-	// first query. Answers are identical either way — the flag exists for
-	// memory-constrained deployments, for benchmarking the two paths against
-	// each other, and as the oracle side of the differential test suite.
+	// query (internal/pointloc), and which Build with CREST writes in the
+	// sweep that writes the labels. With it set, Build writes the labels
+	// only and queries fall back to point-enclosure stabbing over an R-tree
+	// index, built on the map's first query. Answers are identical either
+	// way — the flag is the opt-out for labels-only use: memory-constrained
+	// deployments, maps that are never queried, benchmarking the two paths
+	// against each other, and the oracle side of the differential test suite.
 	NoSlabIndex bool
 }
 
@@ -170,13 +172,13 @@ type Map struct {
 	renderer     *render.Renderer
 	rendererErr  error
 
-	// The point-query structure is resolved lazily on the first query
-	// (pointLoc), or spliced from the previous map's slab index by
-	// ApplyDelta (by the first query, for a map whose patch was deferred).
-	// pl publishes the resolved state lock-free — readers on the hot query
-	// path never touch plMu after the one-time build: the slab index, or,
-	// when the index is disabled or declined to build (too large), the
-	// R-tree the enclosure path stabs.
+	// The point-query structure is installed by Build, an eager ApplyDelta
+	// (the slab index their sweep wrote) or OpenSnapshot (the file's), or
+	// else resolved lazily on the first query (pointLoc). pl publishes the
+	// resolved state lock-free — readers on the hot query path never touch
+	// plMu after the one-time build: the slab index, or, when the index is
+	// disabled or declined to build (too large), the R-tree the enclosure
+	// path stabs.
 	plMu sync.Mutex
 	pl   atomic.Pointer[plState]
 	// pending, set on a map whose slab index patch was deferred (the steps
@@ -212,7 +214,9 @@ type Region struct {
 	Point Point
 }
 
-// Build computes the RNN heat map for the given configuration.
+// Build computes the RNN heat map for the given configuration. With CREST
+// (the default) one sweep writes the labels and the slab index (unless
+// NoSlabIndex is set, or the index would pass its cell cap).
 func Build(cfg Config) (*Map, error) {
 	if len(cfg.Clients) == 0 {
 		return nil, errors.New("heatmap: no clients")
@@ -238,9 +242,15 @@ func Build(cfg Config) (*Map, error) {
 	}
 	opts := core.Options{Measure: measure, Workers: cfg.Workers}
 	var res *core.Result
+	var sink *pointloc.Sink
 	switch cfg.Algorithm {
 	case "", AlgCREST:
-		res, err = core.CREST(circles, opts)
+		if cfg.NoSlabIndex {
+			res, err = core.CREST(circles, opts)
+			break
+		}
+		sink = pointloc.NewSink(circles)
+		res, err = core.CRESTWithSlabs(circles, opts, sink)
 	case AlgCRESTA:
 		res, err = core.CRESTA(circles, opts)
 	case AlgBaseline:
@@ -255,13 +265,17 @@ func Build(cfg Config) (*Map, error) {
 	for _, nc := range circles {
 		bounds = bounds.Union(nc.Circle.BoundingRect())
 	}
-	return &Map{
+	m := &Map{
 		cfg:     cfg,
 		circles: circles,
 		bounds:  bounds,
 		result:  res,
 		measure: measure,
-	}, nil
+	}
+	if ix, err := sink.Index(); err == nil {
+		m.setPointLoc(ix)
+	}
+	return m, nil
 }
 
 // Delta is a batch of client/facility mutations for ApplyDelta, applied
@@ -324,8 +338,8 @@ func (m *Map) ApplyDelta(d Delta) (*Map, DeltaStats, error) {
 // runs delta by delta (removal indexes mean exactly what they would if the
 // deltas were applied one at a time), but the union of everything the batch
 // dirtied is reswept ONCE and the result published as a single new Map — K
-// deltas cost one splice and one point-location patch instead of K. The
-// returned map is identical, region for region and
+// deltas cost one resweep, which splices the labels and patches the slab
+// index, instead of K. The returned map is identical, region for region and
 // pixel for pixel, to chaining K ApplyDelta calls. The batch is atomic: an
 // invalid delta anywhere (ErrBadDelta) fails the whole call with the
 // receiver untouched. The group-committing server ingest path is built on
@@ -356,13 +370,31 @@ func (m *Map) applyDeltaBatch(ds []Delta, deferPatch bool) (*Map, DeltaStats, er
 			RemoveFacilities: d.RemoveFacilities,
 		}
 	}
+	// The commit patches the slab index it starts from: m's own, resolving
+	// a deferred patch first, or, deferred, the ancestor index of m's own
+	// deferred patch with the spans recorded since.
+	var base *pointloc.Index
+	var spans [][2]float64
+	if deferPatch {
+		base, spans = m.patchBase()
+	} else if m.pending != nil || m.pl.Load() != nil {
+		base = m.pointLoc().ix
+	}
 	// The resweep interns into the lineage's one label pool: the one the
 	// slab index draws its ids from (for an index opened from a snapshot,
 	// the interner seeded from the file), or else the labels' own.
-	base, spans := m.patchBase()
 	pool := m.result.LabelPool()
 	if base != nil {
 		pool = base.Pool()
+	}
+	// An eager commit's resweep re-emits the dirty slabs in its own pass,
+	// and every other slab is shared with the old index (which keeps
+	// serving concurrent readers), heap or file. When the patch declines,
+	// the next map builds its index lazily on first query.
+	var sink *pointloc.Sink
+	var slabs func([]nncircle.NNCircle) core.SlabSink
+	if base != nil && !deferPatch {
+		slabs = func(c []nncircle.NNCircle) core.SlabSink { sink = base.PatchSink(c); return sink }
 	}
 	out, err := delta.ApplyBatch(
 		delta.State{
@@ -378,6 +410,7 @@ func (m *Map) applyDeltaBatch(ds []Delta, deferPatch bool) (*Map, DeltaStats, er
 			Measure: m.measure,
 			Workers: m.cfg.Workers,
 		},
+		slabs,
 	)
 	if err != nil {
 		return nil, DeltaStats{}, fmt.Errorf("heatmap: %w", err)
@@ -396,24 +429,13 @@ func (m *Map) applyDeltaBatch(ds []Delta, deferPatch bool) (*Map, DeltaStats, er
 		result:  out.Result,
 		measure: m.measure,
 	}
-	// Splice the slab point-location index forward, for every metric: if
-	// this map had one materialized — built, patched, or opened from its
-	// snapshot file — only the dirty slabs are re-emitted from the event
-	// list the resweep swept — those with a left edge inside the dirty
-	// spans, plus under L2 the slab before each span, whose arc order the
-	// emission decides at its midpoint, which moves with its right edge —
-	// and the rest share storage with the old index (which keeps serving
-	// concurrent readers), heap or file. A map whose own patch was deferred
-	// passes on its ancestor's index with the spans recorded since, which
-	// Patch merges as ApplyBatch merges a batch's. When the patch declines,
-	// the next map builds its index lazily on first query.
-	if base != nil {
-		spans = append(spans[:len(spans):len(spans)], out.Stats.DirtySpans...)
-		if deferPatch {
-			next.pending = &pendingPatch{base: base, spans: spans, events: out.Events}
-		} else if nix := next.patch(base, spans, out.Events); nix != nil {
-			next.setPointLoc(nix)
+	if sink != nil {
+		if ix, err := sink.Index(); err == nil {
+			next.setPointLoc(ix)
 		}
+	} else if base != nil {
+		spans = append(spans[:len(spans):len(spans)], out.Stats.DirtySpans...)
+		next.pending = &pendingPatch{base: base, spans: spans, events: out.Events}
 	}
 	return next, DeltaStats{
 		ChangedClients: out.Stats.ChangedClients,
@@ -585,10 +607,11 @@ func newPLState(ix *pointloc.Index) *plState {
 // pointLoc returns the map's point-query structure, resolving it on first
 // use; it is the one place a map decides how it answers points. The slab
 // index comes first: patched from the ancestor index a deferred patch
-// records, or built. When it is disabled (Config.NoSlabIndex) or declines to
-// build (pointloc.ErrTooLarge), the R-tree the enclosure path stabs is
-// built instead, with identical answers; no other path builds one. After
-// the first call the lookup is one atomic load.
+// records, or built in the labels-off pass. When it is disabled
+// (Config.NoSlabIndex) or declines to build (pointloc.ErrTooLarge), the
+// R-tree the enclosure path stabs is built instead, with identical answers;
+// no other path builds one. After the first call the lookup is one atomic
+// load.
 func (m *Map) pointLoc() *plState {
 	if st := m.pl.Load(); st != nil {
 		return st
@@ -604,7 +627,10 @@ func (m *Map) pointLoc() *plState {
 	}
 	var ix *pointloc.Index
 	if p := m.pending; p != nil {
-		ix = m.patch(p.base, p.spans, p.events)
+		if patchHook != nil {
+			patchHook()
+		}
+		ix, _ = p.base.Patch(m.circles, p.spans, p.events, pointloc.Options{})
 	}
 	if ix == nil && !m.cfg.NoSlabIndex {
 		// Sharing the sweep's label pool lets the build reuse every RNN set
@@ -625,10 +651,10 @@ func (m *Map) pointLoc() *plState {
 
 // pendingPatch is the record a map whose slab index patch was deferred
 // keeps: the nearest ancestor index already built, the dirty spans of every
-// commit since it, and the map's own event list. The map's first point
-// query patches base over spans once, exactly as ApplyDeltaBatch of those
-// commits' deltas would. It holds no ancestor Map, so a chain of deferred
-// maps keeps no chain of maps alive.
+// commit since it, and the event list the map's own resweep swept. The
+// map's first point query patches base over spans once, in the labels-off
+// pass, exactly as ApplyDeltaBatch of those commits' deltas would. It holds
+// no ancestor Map, so a chain of deferred maps keeps no chain of maps alive.
 type pendingPatch struct {
 	base   *pointloc.Index
 	spans  [][2]float64
@@ -649,22 +675,9 @@ func (m *Map) patchBase() (*pointloc.Index, [][2]float64) {
 	return nil, nil
 }
 
-// patchHook, when set, is called before every slab index patch; tests
-// count patches with it.
+// patchHook, when set, is called before every deferred slab index patch;
+// tests count patches with it.
 var patchHook func()
-
-// patch derives the slab index of m's arrangement from base, re-emitting
-// the slabs in the dirty spans from events; nil when the patch declines.
-func (m *Map) patch(base *pointloc.Index, spans [][2]float64, events *core.SlabEvents) *pointloc.Index {
-	if patchHook != nil {
-		patchHook()
-	}
-	ix, err := base.Patch(m.circles, spans, events, pointloc.Options{})
-	if err != nil {
-		return nil
-	}
-	return ix
-}
 
 // builtPointLoc returns the slab index only if it has already been built (or
 // its build already declined); it never forces a build, nor a deferred
@@ -677,8 +690,8 @@ func (m *Map) builtPointLoc() (*pointloc.Index, bool) {
 	return st.ix, true
 }
 
-// setPointLoc seeds a map (before publication) with an index spliced from
-// its predecessor's.
+// setPointLoc seeds a map (before publication) with the index its sweep
+// wrote or its file stores.
 func (m *Map) setPointLoc(ix *pointloc.Index) {
 	m.pl.Store(newPLState(ix))
 }

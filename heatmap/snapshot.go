@@ -50,13 +50,13 @@ func (m *Map) Snapshot(mapVersion uint64) (*snapshot.Snapshot, error) {
 // sections and a map opened from it builds its index on first query). The
 // file is streamed from the map's own arrays and the index's own slabs,
 // heap or mapped file, with no copy of either (snapshot.Encode). A
-// map opened from a file that already carries its slab index, saved at the
-// file's own map version, has exactly the file's bytes to write: they are
-// copied from the mapping, so the map stays "mapped" and nothing is
-// materialized or rebuilt; at another version the index opened from the
-// file is written back as it is.
+// map opened from a file that already carries its slab index, in this
+// build's layout, saved at the file's own map version, has exactly the
+// file's bytes to write: they are copied from the mapping, so the map stays
+// "mapped" and nothing is materialized or rebuilt; otherwise the index
+// opened from the file is written back as it is, in the current layout.
 func (m *Map) SaveSnapshot(path string, mapVersion uint64) error {
-	if m.view != nil && m.view.HasSlabIndex() && m.view.Meta().MapVersion == mapVersion {
+	if m.view != nil && m.view.HasSlabIndex() && m.view.CurrentLayout() && m.view.Meta().MapVersion == mapVersion {
 		return m.view.WriteFile(path)
 	}
 	s, err := m.Snapshot(mapVersion)

@@ -28,19 +28,16 @@ var ErrUnsupportedL2Ablation = errors.New("core: CREST-A is not defined for the 
 // vertical strips executed concurrently (see partition.go); the result is
 // identical to the sequential sweep.
 func CREST(circles []nncircle.NNCircle, opts Options) (*Result, error) {
-	metric, usable, err := validateInput(circles)
-	if err != nil {
-		return nil, err
-	}
-	var res *Result
-	switch metric {
-	case geom.LInf, geom.L2:
-		res = runEngine(usable, opts, nil, true)
-	case geom.L1:
-		res = runEngine(nncircle.RotateL1ToLInf(usable), opts, geom.RotateLInfToL1, true)
-	}
-	res.Stats.Circles = len(usable)
-	return res, nil
+	return sweep(circles, opts, false, nil)
+}
+
+// CRESTWithSlabs is CREST that also writes the slab decomposition of the
+// arrangement into slabs from the same strips (see SlabSink): in sweep
+// space, L1 rotated by π/4, naming circles by position among the
+// positive-radius ones, with gap labels from the result's LabelPool. The
+// labels equal CREST's bit for bit, whether or not slabs declines.
+func CRESTWithSlabs(circles []nncircle.NNCircle, opts Options, slabs SlabSink) (*Result, error) {
+	return sweep(circles, opts, false, slabs)
 }
 
 // CRESTA is the CREST-A ablation of the paper's experiments: the sweep with
@@ -48,19 +45,30 @@ func CREST(circles []nncircle.NNCircle, opts Options) (*Result, error) {
 // the changed-interval optimization, so every valid pair of every line
 // status is labeled.
 func CRESTA(circles []nncircle.NNCircle, opts Options) (*Result, error) {
+	return sweep(circles, opts, true, nil)
+}
+
+// sweep validates the circles, moves L1 inputs into the rotated sweep
+// space, and runs one pass over their events: labels (all pairs with
+// labelAll) and, when slabs takes them, slabs.
+func sweep(circles []nncircle.NNCircle, opts Options, labelAll bool, slabs SlabSink) (*Result, error) {
 	metric, usable, err := validateInput(circles)
 	if err != nil {
 		return nil, err
 	}
-	var res *Result
-	switch metric {
-	case geom.LInf:
-		res = runEngine(usable, opts, nil, false)
-	case geom.L1:
-		res = runEngine(nncircle.RotateL1ToLInf(usable), opts, geom.RotateLInfToL1, false)
-	case geom.L2:
+	if labelAll && metric == geom.L2 {
 		return nil, ErrUnsupportedL2Ablation
 	}
+	col := newCollector(opts, nil)
+	if metric == geom.L1 {
+		usable = nncircle.RotateL1ToLInf(usable)
+		col.toOriginal = geom.RotateLInfToL1
+	}
+	p := &pass{circles: usable, events: eventsOf(usable), labels: true, labelAll: labelAll}
+	if slabs != nil && slabs.Begin(&SlabEvents{circles: usable, events: p.events}, []SlabRange{{Lo: 0, Hi: len(p.events) - 1}}, col.intern) {
+		p.slabs = slabs
+	}
+	res := p.sweepAll(col)
 	res.Stats.Circles = len(usable)
 	return res, nil
 }

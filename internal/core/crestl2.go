@@ -29,16 +29,14 @@ import (
 // vertical gap between the two arcs at the slab midpoint; its center is
 // always interior to the labeled region.
 func CRESTL2(circles []nncircle.NNCircle, opts Options) (*Result, error) {
-	metric, usable, err := validateInput(circles)
+	metric, _, err := validateInput(circles)
 	if err != nil {
 		return nil, err
 	}
 	if metric != geom.L2 {
 		return nil, ErrNotL2
 	}
-	res := runEngine(usable, opts, nil, true)
-	res.Stats.Circles = len(usable)
-	return res, nil
+	return CREST(circles, opts)
 }
 
 // ErrNotL2 is returned when CRESTL2 receives non-Euclidean circles.

@@ -240,7 +240,8 @@ func TestStraddlingXWarmup(t *testing.T) {
 	events := buildEvents(ncs)
 	l := sort.Search(len(events), func(i int) bool { return events[i].x >= 9 })
 	for _, stride := range []int32{cacheStride, 0} {
-		s := newSweeper(ncs, events, stride, &collector{}, NewLabelInterner(nil))
+		s := newSweeper(ncs, events, NewLabelInterner(nil))
+		s.stride = stride
 		s.warm(l)
 		s.recordAll()
 		var arcs []int32

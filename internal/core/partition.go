@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"rnnheatmap/internal/geom"
 	"rnnheatmap/internal/nncircle"
 )
 
@@ -20,10 +19,12 @@ import (
 // capacity-constrained predecessor work (Sun et al. [22]) relies on. An L2
 // strip builds its first slab's order by inserting those arcs at the slab's
 // midpoint, which is the order the sequential sweep reaches there by its
-// swaps. Each strip emits into its own Sink; the per-strip Results are
-// merged deterministically (labels concatenated in strip order, maxima and
-// statistics reduced left to right), so the output is identical to the
-// sequential sweep for every worker count.
+// swaps. Each strip emits its labels into its own Sink; the per-strip
+// Results are merged deterministically (labels concatenated in strip order,
+// maxima and statistics reduced left to right), so the output is identical
+// to the sequential sweep for every worker count. The same argument holds
+// for the slabs a pass writes: a strip writes the slabs opening at its own
+// events, each at its position, so the strips' runs join in strip order.
 //
 // Load balance: strip boundaries are chosen by cumulative event weight (an
 // event's circle and crossing count — the best O(1) proxy for its
@@ -107,44 +108,62 @@ func eventWeight(ev *event) int {
 	return 1 + len(ev.insert) + len(ev.remove) + 2*len(ev.crossings)
 }
 
-// runEngine executes the sweep — CREST when changedIntervals is set, CREST-A
-// otherwise — over L-infinity or L2 circles, sequentially or strip-parallel
-// according to opts.Workers. toOriginal maps representative points back to
-// the original coordinate system (nil = identity; the L1 callers pass the
-// inverse rotation).
-func runEngine(circles []nncircle.NNCircle, opts Options, toOriginal func(geom.Point) geom.Point, changedIntervals bool) *Result {
-	col := newCollector(opts, nil)
-	if toOriginal != nil {
-		col.toOriginal = toOriginal
-	}
-	return sweepEvents(col, circles, eventsOf(circles), changedIntervals)
+// pass is one sweep over an event list in sweep space, whose strips carry
+// up to two products: the labels, into each strip's collector (all pairs
+// with labelAll, the CREST-A ablation), and the slabs, into slabs.
+type pass struct {
+	circles  []nncircle.NNCircle
+	events   []event
+	labels   bool
+	labelAll bool
+	slabs    SlabSink
 }
 
-// sweepEvents sweeps all of events, the event list of circles, into col,
-// sequentially or strip-parallel by col's worker count.
-func sweepEvents(col *collector, circles []nncircle.NNCircle, events []event, changedIntervals bool) *Result {
-	last := events[len(events)-1].x
+// sweepAll sweeps every event of the pass into col, sequentially or
+// strip-parallel by col's worker count, and finishes col.
+func (p *pass) sweepAll(col *collector) *Result {
+	last := p.events[len(p.events)-1].x
 	workers := col.opts.workerCount()
 	if workers <= 1 {
-		sweepStrip(circles, events, span{hi: len(events), xAfter: last}, col, changedIntervals)
+		p.strip(span{hi: len(p.events), xAfter: last}, col)
 		return col.finish()
 	}
-	strips := splitSpans(events, 0, len(events), workers*stripsPerWorker, last)
-	parts := runStrips(strips, workers, col, func(st span, c *collector) {
-		sweepStrip(circles, events, st, c, changedIntervals)
-	})
-	return mergeParts(col, parts)
+	strips := splitSpans(p.events, 0, len(p.events), workers*stripsPerWorker, last)
+	return mergeParts(col, runStrips(strips, workers, col, p.strip))
 }
 
-// sweepStrip warm-starts and sweeps one strip into c with a pooled sweeper.
-func sweepStrip(circles []nncircle.NNCircle, events []event, st span, c *collector, changedIntervals bool) {
-	var stride int32
-	if changedIntervals {
-		stride = cacheStride
+// sweepRanges sweeps the events of each range, split into strips on col's
+// workers, and returns each range's strip collectors in strip order.
+func (p *pass) sweepRanges(col *collector, ranges []SlabRange) [][]*collector {
+	workers := col.opts.workerCount()
+	parts := make([][]*collector, len(ranges))
+	for i, r := range ranges {
+		xAfter := p.events[r.Hi].x
+		if r.Hi+1 < len(p.events) {
+			xAfter = p.events[r.Hi+1].x
+		}
+		strips := splitSpans(p.events, r.Lo, r.Hi+1, workers*stripsPerWorker, xAfter)
+		parts[i] = runStrips(strips, workers, col, p.strip)
 	}
-	s := newSweeper(circles, events, stride, c, c.intern)
-	s.labelAll = !changedIntervals
-	c.reserve(2 * st.weight)
+	return parts
+}
+
+// strip warm-starts and sweeps one strip into c with a pooled sweeper,
+// keeping a record on every arc when it writes slabs.
+func (p *pass) strip(st span, c *collector) {
+	s := newSweeper(p.circles, p.events, c.intern)
+	s.labelAll, s.slabs = p.labelAll, p.slabs
+	switch {
+	case p.labelAll: // CREST-A keeps no records
+	case p.slabs != nil:
+		s.stride = 1
+	default:
+		s.stride = cacheStride
+	}
+	if p.labels {
+		s.sink = c
+		c.reserve(2 * st.weight)
+	}
 	c.AddEvents(st.hi - st.lo)
 	s.run(st.lo, st.hi, st.xAfter)
 	c.res.Stats.StatusWork += s.st.work

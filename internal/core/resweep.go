@@ -31,8 +31,10 @@ import (
 // sweep plus a copy of the label list, so no share of dirty events makes a
 // clean run the cheaper answer. The reswept sets are interned into the pool
 // the caller passes — the one pool a map and every map derived from it by
-// updates share — and the event list the resweep swept is handed back, so
-// the slab index patches from it instead of building it again.
+// updates share. A slab outside the ranges keeps its boundaries, actives
+// and gaps too, so a resweep that carries a slab sink re-emits the slabs of
+// its ranges in the same pass; its event list is handed back for a patch
+// deferred to later.
 
 // ResweepOutcome is the result of an incremental Resweep, with counters
 // describing how much of the sweep actually ran.
@@ -42,8 +44,8 @@ type ResweepOutcome struct {
 	// work; see Resweep). Its LabelPool is the pool Resweep interned into.
 	Result *Result
 	// Events is the sweep-space event list of the new arrangement, the one
-	// the resweep swept: a slab index patches from it
-	// (pointloc.Index.Patch) instead of constructing it again.
+	// the resweep swept: a deferred slab index patch
+	// (pointloc.Index.Patch) sweeps it instead of constructing it again.
 	Events *SlabEvents
 	// Rebuilt reports that a full sweep ran instead of a splice: the prior
 	// labels were unavailable (none, or discarded).
@@ -69,7 +71,9 @@ type ResweepOutcome struct {
 // would (Labelings and InfluenceCalls equal the label count, Events the full
 // event count), except StatusWork, which counts the resweep's own status
 // work; the events actually swept are in the outcome's counters.
-func Resweep(circles []nncircle.NNCircle, opts Options, prior []Label, perturbed []geom.Circle, pool *LabelInterner) (*ResweepOutcome, error) {
+// With slabs set, the strips also write the slabs of the events they sweep
+// into it (see SlabSink): Dirty of the perturbed spans, or every slab.
+func Resweep(circles []nncircle.NNCircle, opts Options, prior []Label, perturbed []geom.Circle, pool *LabelInterner, slabs SlabSink) (*ResweepOutcome, error) {
 	metric, usable, err := validateInput(circles)
 	if err != nil {
 		return nil, err
@@ -80,15 +84,33 @@ func Resweep(circles []nncircle.NNCircle, opts Options, prior []Label, perturbed
 		col.toOriginal = geom.RotateLInfToL1
 	}
 	ev := &SlabEvents{circles: usable, events: eventsOf(usable)}
+	p := &pass{circles: usable, events: ev.events, labels: true}
+	n := len(ev.events)
 	if opts.DiscardLabels || len(prior) == 0 {
 		// Splicing needs the prior labels; without them only a full run can
 		// answer.
-		res := sweepEvents(col, usable, ev.events, true)
+		if slabs != nil && slabs.Begin(ev, []SlabRange{{Lo: 0, Hi: n - 1}}, col.intern) {
+			p.slabs = slabs
+		}
+		res := p.sweepAll(col)
 		res.Stats.Circles = len(usable)
-		n := len(ev.events)
 		return &ResweepOutcome{Result: res, Events: ev, Rebuilt: true, EventsTotal: n, EventsReswept: n}, nil
 	}
-	return resweep(col, ev, prior, perturbedSpans(perturbed, metric)), nil
+	ranges := eventRanges(n, ev.x, perturbedSpans(perturbed, metric))
+	swept := slabRanges(ranges)
+	if slabs != nil && slabs.Begin(ev, swept, col.intern) {
+		p.slabs = slabs
+	}
+	return spliceOutcome(col, ev, prior, ranges, p.sweepRanges(col, swept)), nil
+}
+
+// slabRanges returns the event runs of ranges.
+func slabRanges(ranges []eventRange) []SlabRange {
+	out := make([]SlabRange, len(ranges))
+	for i, r := range ranges {
+		out[i] = SlabRange{Lo: r.lo, Hi: r.hi}
+	}
+	return out
 }
 
 // perturbedSpans returns the merged x-intervals (in the sweep coordinate
@@ -131,7 +153,9 @@ type eventRange struct {
 // list. Each range is extended one event to the left of its span when
 // possible: that event's slab ends at the first in-span event, whose
 // x-coordinate may have changed, so its labels must be re-emitted with the
-// corrected right edge. Overlapping or touching ranges are merged.
+// corrected right edge, and so must its slab, whose L2 arc order is decided
+// at its midpoint. Overlapping or touching ranges are merged. It is the one
+// dirty-window rule of the labels and the slabs alike.
 func eventRanges(n int, xOf func(int) float64, spans []interval) []eventRange {
 	if len(spans) == 0 {
 		return nil
@@ -169,26 +193,6 @@ func eventRanges(n int, xOf func(int) float64, spans []interval) []eventRange {
 		merged = append(merged, r)
 	}
 	return merged
-}
-
-// resweep runs the incremental resweep over the event list ev, already in
-// sweep space, into col.
-func resweep(col *collector, ev *SlabEvents, prior []Label, spans []interval) *ResweepOutcome {
-	events := ev.events
-	ranges := eventRanges(len(events), func(i int) float64 { return events[i].x }, spans)
-	workers := col.opts.workerCount()
-	parts := make([][]*collector, len(ranges))
-	for i, r := range ranges {
-		xAfter := events[r.hi].x
-		if r.hi+1 < len(events) {
-			xAfter = events[r.hi+1].x
-		}
-		strips := splitSpans(events, r.lo, r.hi+1, workers*stripsPerWorker, xAfter)
-		parts[i] = runStrips(strips, workers, col, func(st span, c *collector) {
-			sweepStrip(ev.circles, events, st, c, true)
-		})
-	}
-	return spliceOutcome(col, ev, prior, ranges, parts)
 }
 
 // spliceOutcome assembles the final label slice: the prior labels outside

@@ -140,7 +140,7 @@ func TestResweepMatchesFullRun(t *testing.T) {
 						t.Fatal(err)
 					}
 					pool := priorRes.LabelPool()
-					out, err := Resweep(cur, opts, priorRes.Labels, perturbed, pool)
+					out, err := Resweep(cur, opts, priorRes.Labels, perturbed, pool, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -175,7 +175,7 @@ func TestResweepFallbacks(t *testing.T) {
 
 	// No prior labels: rebuilt, into the pool it was given.
 	pool := prior.LabelPool()
-	out, err := Resweep(cur, Options{}, nil, perturbed, pool)
+	out, err := Resweep(cur, Options{}, nil, perturbed, pool, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestResweepFallbacks(t *testing.T) {
 	assertPoolRecords(t, "nil-prior", pool, out.Result)
 
 	// DiscardLabels: rebuilt (nothing to splice into).
-	out, err = Resweep(cur, Options{DiscardLabels: true}, prior.Labels, perturbed, nil)
+	out, err = Resweep(cur, Options{DiscardLabels: true}, prior.Labels, perturbed, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestResweepFallbacks(t *testing.T) {
 	}
 
 	// An empty perturbation leaves the labels untouched.
-	out, err = Resweep(ncs, Options{}, prior.Labels, nil, pool)
+	out, err = Resweep(ncs, Options{}, prior.Labels, nil, pool, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestResweepFallbacks(t *testing.T) {
 	// A pool of another measure is left alone: the sets are interned into
 	// a fresh pool of the run's measure.
 	weighted := influence.Weighted(make([]float64, len(cur)))
-	out, err = Resweep(cur, Options{}, prior.Labels, perturbed, NewLabelInterner(weighted))
+	out, err = Resweep(cur, Options{}, prior.Labels, perturbed, NewLabelInterner(weighted), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestResweepFallbacks(t *testing.T) {
 	assertResweepEqual(t, "other-measure pool", full, out)
 
 	// Invalid input still errors.
-	if _, err := Resweep(nil, Options{}, prior.Labels, perturbed, nil); err != ErrNoCircles {
+	if _, err := Resweep(nil, Options{}, prior.Labels, perturbed, nil, nil); err != ErrNoCircles {
 		t.Fatalf("Resweep(nil) err = %v, want ErrNoCircles", err)
 	}
 }

@@ -1,13 +1,14 @@
 package core
 
 import (
+	"cmp"
 	"errors"
-	"math"
 	"slices"
-	"sort"
+	"sync/atomic"
 
 	"rnnheatmap/internal/geom"
 	"rnnheatmap/internal/nncircle"
+	"rnnheatmap/internal/oset"
 )
 
 // Slab emission: the optional second product of the sweep.
@@ -15,14 +16,14 @@ import (
 // The CREST Sink receives only the Θ(k) labels of regions that *change* at an
 // event; a point-location structure needs the complete picture instead — for
 // every slab between consecutive events, the full y-ordered list of edges
-// cutting it and the RNN set of every gap. A SlabEvents streams exactly that
-// with the one sweeper of sweep.go over the sweep's own event list, so the
-// slab decomposition consumed by internal/pointloc is derived from the same
-// arrangement CREST labels. The emission keeps a base-set record on every
-// arc: each event's changed ranges refresh the records they pass, and each
-// slab is written by one walk up the status that reads every gap's label
-// from the record of the arc below it. So its work beyond writing the slabs
-// down is proportional to the arcs the events change.
+// cutting it and the RNN set of every gap. A sweep that carries a SlabSink
+// writes exactly that, slab by slab, from the strips that write the labels:
+// a CREST build (CRESTWithSlabs) and a commit's resweep (Resweep) emit both
+// products in one pass, and the labels-off pass (SlabEvents.Emit) the slabs
+// alone. Such a sweep keeps a base-set record on every arc, and each slab is
+// written by one walk up the status that reads every gap's label from the
+// record of the arc below it. Writing a slab changes neither the status nor
+// a record, so the labels of a pass do not depend on its slabs.
 
 // ErrUnsupportedSlabMetric is returned when NewSlabEvents receives L1
 // circles: the rectilinear slab sweep operates in the rotated (L-infinity)
@@ -30,44 +31,50 @@ import (
 // nncircle.RotateL1ToLInf first and transform queries the same way.
 var ErrUnsupportedSlabMetric = errors.New("core: slab emission requires LInf or L2 circles (rotate L1 inputs first)")
 
-// SlabSink consumes the slab decomposition of an arrangement, slab by slab in
-// ascending x order. It is the point-location counterpart of Sink: where Sink
-// receives the sweep's labeling operations, SlabSink receives the complete
-// per-slab interval lists a query structure is built from.
-//
-// For each slab the engine calls StartSlab once, then Edge once per edge in
-// ascending y order. Both calls may return false to abort the emission (e.g.
-// when a size cap is hit); the emission then returns ErrSlabsAborted.
+// SlabSink consumes the slab decomposition of an arrangement: it is the
+// point-location counterpart of Sink. A sweep that carries one calls Begin
+// once, then Slab once for every slab of the ranges Begin named, from the
+// pass's concurrent strips (distinct slabs concurrently).
 type SlabSink interface {
-	// StartSlab opens the slab spanning [x0, x1] in sweep space. actives
-	// holds the indexes (ascending) of every circle whose closed x-extent
-	// covers the whole slab; the slice is reused across calls — copy it to
-	// retain it. A slab has at most two edges per active circle.
-	StartSlab(x0, x1 float64, actives []int) bool
-	// Edge reports the next edge of the open slab in ascending y order.
-	// For rectilinear sweeps y is the coordinate of a distinct horizontal
-	// side (several coincident sides are coalesced into one call) and circle
-	// is -1. For L2 sweeps each arc is reported individually: circle is the
-	// arc's circle and upper distinguishes the two halves of its boundary; y
-	// is the arc's height at the slab midpoint, the emission's ordering key
-	// (the arc order cannot change inside a slab). internal/pointloc ignores
-	// an arc's y: it evaluates arcs at the query's own x.
-	// above is the interned label of the gap immediately above this edge —
-	// a pointer into the emission's LabelInterner pool, immutable and safe
-	// to retain as-is. The gap below a slab's first edge is always the
-	// empty-set label.
-	Edge(y float64, circle int, upper bool, above *Interned) bool
+	// Begin opens the emission over the event list ev: the slabs to come
+	// open at the events of ranges (ascending and disjoint), and their gap
+	// labels are records of pool. Returning false declines the slabs: the
+	// sweep then runs without them.
+	Begin(ev *SlabEvents, ranges []SlabRange, pool *LabelInterner) bool
+	// Slab writes slab k, opening at event k and spanning [x0, x1] in sweep
+	// space (the final slab is zero-width): actives holds the indexes
+	// (ascending) of every circle whose closed x-extent covers the slab,
+	// edges its at most two edges per active circle, bottom-up, above a gap
+	// that is always the empty set. Both slices are reused after the call.
+	Slab(k int, x0, x1 float64, actives []int, edges []SlabEdge)
 }
 
-// ErrSlabsAborted is returned by an emission when the sink stopped it.
-var ErrSlabsAborted = errors.New("core: slab emission aborted by sink")
+// SlabEdge is one edge of a slab: a distinct height of the rectilinear sides
+// cutting it (coincident sides are coalesced into one edge), or one L2 arc.
+type SlabEdge struct {
+	// Y is the side's height, or the arc's at the slab's midpoint (the
+	// emission's ordering key; pointloc keeps no L2 height).
+	Y float64
+	// Arc is the slot of the edge's arc (for a coalesced rectilinear edge,
+	// of the last of its sides): 2·circle + 1 for an upper half.
+	Arc int32
+	// Above is the label of the gap above the edge, a record of the
+	// emission's pool, immutable and safe to retain.
+	Above *Interned
+}
+
+// SlabRange is the run of slabs opening at events Lo through Hi, both
+// included.
+type SlabRange struct{ Lo, Hi int }
+
+// ErrSlabsAborted is returned by Emit when the sink declines the slabs.
+var ErrSlabsAborted = errors.New("core: slab emission declined by sink")
 
 // SlabEvents is the sweep-space event list of one arrangement, constructed
-// once and shared by everything a slab index needs from it: the cell bound a
-// build is gated on, the slab abscissae a patch aligns with, and any number
-// of full or windowed emissions. Constructing it is the O(n log n) part
-// (plus every boundary intersection, for L2); each emission then only walks
-// it. A SlabEvents is immutable and safe for concurrent emissions.
+// once per change and shared by everything a slab index needs from it: the
+// cell bound a build is gated on, the slab abscissae a patch aligns with,
+// and the sweeps that write its slabs. It is immutable and safe for
+// concurrent sweeps.
 type SlabEvents struct {
 	circles []nncircle.NNCircle
 	events  []event
@@ -91,7 +98,7 @@ func NewSlabEvents(circles []nncircle.NNCircle) (*SlabEvents, error) {
 }
 
 // Xs returns the slab left edges — the event abscissae — in ascending order,
-// one per emitted slab.
+// one per slab.
 func (e *SlabEvents) Xs() []float64 {
 	xs := make([]float64, len(e.events))
 	for i, ev := range e.events {
@@ -114,129 +121,115 @@ func (e *SlabEvents) CellBound() int {
 	return cells
 }
 
-// Emit streams the full slab decomposition into sink, interning every gap
-// label into pool (nil means a fresh size-measure pool — pass the pool of
-// the measure the labels should carry, e.g. the CREST run's
-// Result.LabelPool, to share already-computed heats).
-func (e *SlabEvents) Emit(sink SlabSink, pool *LabelInterner) error {
-	return e.EmitRanges(sink, pool, [][2]float64{{math.Inf(-1), math.Inf(1)}})
+// Dirty returns the slabs a change covering the sweep-space x-spans
+// (PerturbedSpans of its perturbed circles) re-emits, by the resweep's one
+// dirty-window rule (see eventRanges).
+func (e *SlabEvents) Dirty(spans [][2]float64) []SlabRange {
+	ivs := make([]interval, len(spans))
+	for i, s := range spans {
+		ivs[i] = interval{lo: s[0], hi: s[1]}
+	}
+	return slabRanges(eventRanges(len(e.events), e.x, mergeIntervals(ivs)))
 }
 
-// EmitRanges is the partial-rebuild entry point: for each [lo, hi) window in
-// turn it emits exactly the slabs of the full emission whose left edge x
-// satisfies lo <= x < hi, warm-starting the sweeper at the window's first
-// event exactly like the partition layer warm-starts a strip. Every window
-// walks the one shared event list, so a patch over k dirty runs pays one
-// event construction plus one O(n) warm start per window. Which slabs a
-// perturbation can change — for L2 also the slab ending where a dirty run
-// begins, whose midpoint moves with its right edge — is the caller's rule
-// (pointloc.Index.Patch).
-func (e *SlabEvents) EmitRanges(sink SlabSink, pool *LabelInterner, windows [][2]float64) error {
+func (e *SlabEvents) x(i int) float64 { return e.events[i].x }
+
+// Emit is the labels-off pass: it sweeps the slabs of ranges (every slab
+// when ranges is nil) into sink, strip-parallel on one worker per CPU,
+// interning every gap label into pool (nil means a fresh size-measure pool;
+// a CREST run's Result.LabelPool shares the sets it already interned). It
+// returns ErrSlabsAborted when the sink declines the slabs.
+func (e *SlabEvents) Emit(sink SlabSink, pool *LabelInterner, ranges []SlabRange) error {
 	if pool == nil {
 		pool = NewLabelInterner(nil)
 	}
-	for _, w := range windows {
-		if err := e.emit(sink, pool, w[0], w[1]); err != nil {
-			return err
-		}
+	col := newCollector(Options{Measure: pool.Measure()}, pool)
+	if ranges == nil {
+		ranges = []SlabRange{{Lo: 0, Hi: len(e.events) - 1}}
 	}
+	if !sink.Begin(e, ranges, col.intern) {
+		return ErrSlabsAborted
+	}
+	p := &pass{circles: e.circles, events: e.events, slabs: sink}
+	p.sweepRanges(col, ranges)
 	return nil
 }
 
-// emit streams every slab whose left edge lies in [lo, hi).
-func (e *SlabEvents) emit(sink SlabSink, pool *LabelInterner, lo, hi float64) error {
-	events := e.events
-	first := sort.Search(len(events), func(i int) bool { return events[i].x >= lo })
-	last := sort.Search(len(events), func(i int) bool { return events[i].x >= hi })
-	if first >= last {
-		return nil
+// stepped counts the events the sweepers of this process have stepped.
+var stepped atomic.Int64
+
+// StepCount returns how many events the sweeps of this process have stepped
+// so far, a machine-independent count by which tests show that a change
+// steps each of its events once, whatever products its pass carries.
+func StepCount() int64 { return stepped.Load() }
+
+// emitSlab writes the slab opening at event l and ending at xr, its edges
+// read bottom-up off the status when it has width and actives.
+func (s *sweeper) emitSlab(l int, xr float64) {
+	ev := &s.events[l]
+	s.act.advance(ev.insert, ev.remove)
+	edges := s.edges[:0]
+	if xr > ev.x && len(s.act.list) > 0 {
+		edges = s.slabEdges(edges)
 	}
-	s := newSweeper(e.circles, events, 1, nil, pool)
-	defer s.release()
-	s.warm(first)
-	act := activeSet{on: make([]bool, len(e.circles)), list: nncircle.StraddlingX(e.circles, events[first].x)}
-	for _, ci := range act.list {
-		act.on[ci] = true
-	}
-	for l := first; l < last; l++ {
-		ev := &events[l]
-		xr := ev.x
-		if l+1 < len(events) {
-			xr = events[l+1].x
-		}
-		s.step(l, xr, l == first)
-		act.advance(ev.insert, ev.remove)
-		if !sink.StartSlab(ev.x, xr, act.list) {
-			return ErrSlabsAborted
-		}
-		if xr <= ev.x || len(act.list) == 0 {
-			continue
-		}
-		if !s.emitSlab(sink) {
-			return ErrSlabsAborted
-		}
-	}
-	return nil
+	s.slabs.Slab(l, ev.x, xr, s.act.list, edges)
+	s.edges = edges
 }
 
-// emitSlab writes the current slab's edges bottom-up, each with the record
-// of its arc, the label of the gap above it: one Edge per arc for L2, and
-// one per distinct side height for the rectilinear metrics, whose
-// coincident sides are coalesced. Since it reads every arc anyway, it first
-// checks every adjacent pair, so the L2 order it writes is a full sort's
-// even where rounding reorders arcs that no event names; a pair out of
-// order is swapped into place and the records it staled are rewritten.
-func (s *sweeper) emitSlab(sink SlabSink) bool {
+// slabEdges appends the current slab's edges — one per arc for L2, one per
+// distinct side height otherwise — each with the record of its arc, the
+// label of the gap above it. Since it reads every arc anyway, it checks
+// every adjacent pair, so the L2 order it writes is a full sort's even where
+// rounding left arcs out of order that no event names (resort). It repairs
+// nothing: the status and its records stay as the labels left them.
+func (s *sweeper) slabEdges(edges []SlabEdge) []SlabEdge {
 	st := &s.st
-	for {
-		buf := s.slab[:0]
-		s.checks, s.stale = s.checks[:0], s.stale[:0]
-		for n := st.head; n != 0; n = st.next[n] {
-			e := slabEdge{y: st.y(n), arc: st.arc[n], node: n}
-			if k := len(buf) - 1; k >= 0 && (e.y < buf[k].y || e.y == buf[k].y && e.arc < buf[k].arc) {
-				s.checks = append(s.checks, e.arc)
-			}
-			buf = append(buf, e)
+	ordered := true
+	for n := st.head; n != 0; n = st.next[n] {
+		e := SlabEdge{Y: st.y(n), Arc: st.arc[n], Above: st.rec[n]}
+		if k := len(edges) - 1; k >= 0 && compareEdges(e, edges[k]) < 0 {
+			ordered = false
 		}
-		s.slab = buf
-		if len(s.checks) == 0 {
-			break
-		}
-		s.checkOrder()
-		s.ranges = s.ranges[:0]
-		s.addStale()
-		for _, r := range s.ranges {
-			s.processInterval(r, 0, 0)
+		edges = append(edges, e)
+	}
+	if !ordered {
+		s.resort(edges)
+	}
+	if s.l2 {
+		return edges
+	}
+	out := edges[:0]
+	for k := range edges {
+		if k+1 == len(edges) || edges[k+1].Y != edges[k].Y {
+			out = append(out, edges[k])
 		}
 	}
-	buf := s.slab
-	for k := 0; k < len(buf); k++ {
-		e := buf[k]
-		if !s.l2 {
-			for k+1 < len(buf) && buf[k+1].y == e.y {
-				k++
-			}
-			if !sink.Edge(e.y, -1, false, st.rec[buf[k].node]) {
-				return false
-			}
-			continue
-		}
-		if !sink.Edge(e.y, int(e.arc>>1), e.arc&1 == 1, st.rec[e.node]) {
-			return false
-		}
-	}
-	return true
+	return out
 }
 
-// slabEdge is one arc of the slab emitSlab writes.
-type slabEdge struct {
-	y    float64
-	arc  int32
-	node int32
+// resort puts a slab's edges, read in status order with a pair or more out
+// of order, into the full sort's order and labels each gap from the running
+// set below it: the gaps outside a disordered run get the records the
+// status holds for them, and only those inside one change.
+func (s *sweeper) resort(edges []SlabEdge) {
+	slices.SortFunc(edges, compareEdges)
+	s.base.start(nil, oset.ContentKey{})
+	for k := range edges {
+		s.base.apply(edges[k].Arc)
+		edges[k].Above = s.base.label(s.intern)
+	}
+}
+
+// compareEdges orders edges by height, then by arc slot: the status order.
+func compareEdges(a, b SlabEdge) int {
+	if c := cmp.Compare(a.Y, b.Y); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Arc, b.Arc)
 }
 
 // activeSet is the ascending list of the circles active in the current slab,
-// which StartSlab reports.
+// which Slab reports.
 type activeSet struct {
 	on   []bool
 	list []int
@@ -268,8 +261,8 @@ func (a *activeSet) advance(insert, remove []int) {
 // given perturbed circles, as [lo, hi] pairs in ascending order — the same
 // spans Resweep dirties (L1 circles are rotated into the LInf sweep system,
 // L2 spans carry the event-clustering epsilon). Package delta forwards them
-// so a slab point-location index can be patched over exactly the slabs the
-// resweep touched.
+// so a deferred slab index patch (pointloc.Index.Patch) re-emits exactly
+// the slabs a resweep over them would.
 func PerturbedSpans(perturbed []geom.Circle, metric geom.Metric) [][2]float64 {
 	spans := perturbedSpans(perturbed, metric)
 	out := make([][2]float64, len(spans))

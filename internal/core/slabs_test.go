@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -19,35 +20,41 @@ type slabRecord struct {
 	x0, x1  float64
 	actives []int
 	edges   []float64
-	arcs    [][2]int // (circle, upperFlag) for L2
+	arcs    [][2]int // (circle, upperFlag) of each edge's arc
 	gaps    [][]int  // RNN set above each edge
 }
 
+// recordingSlabSink records every slab at its position; decline makes it
+// refuse the slabs at Begin.
 type recordingSlabSink struct {
-	slabs []slabRecord
-	limit int // abort after this many Edge calls when > 0
-	edges int
+	recs    []*slabRecord
+	decline bool
 }
 
-func (r *recordingSlabSink) StartSlab(x0, x1 float64, actives []int) bool {
-	r.slabs = append(r.slabs, slabRecord{x0: x0, x1: x1, actives: append([]int(nil), actives...)})
-	return true
+func (r *recordingSlabSink) Begin(ev *SlabEvents, _ []SlabRange, _ *LabelInterner) bool {
+	r.recs = make([]*slabRecord, len(ev.events))
+	return !r.decline
 }
 
-func (r *recordingSlabSink) Edge(y float64, circle int, upper bool, above *Interned) bool {
-	r.edges++
-	if r.limit > 0 && r.edges > r.limit {
-		return false
+func (r *recordingSlabSink) Slab(k int, x0, x1 float64, actives []int, edges []SlabEdge) {
+	rec := &slabRecord{x0: x0, x1: x1, actives: append([]int(nil), actives...)}
+	for _, e := range edges {
+		rec.edges = append(rec.edges, e.Y)
+		rec.arcs = append(rec.arcs, [2]int{int(e.Arc >> 1), int(e.Arc & 1)})
+		rec.gaps = append(rec.gaps, append([]int{}, e.Above.RNN...))
 	}
-	sl := &r.slabs[len(r.slabs)-1]
-	sl.edges = append(sl.edges, y)
-	flag := 0
-	if upper {
-		flag = 1
+	r.recs[k] = rec
+}
+
+// slabs returns the recorded slabs in slab order.
+func (r *recordingSlabSink) slabs() []slabRecord {
+	var out []slabRecord
+	for _, rec := range r.recs {
+		if rec != nil {
+			out = append(out, *rec)
+		}
 	}
-	sl.arcs = append(sl.arcs, [2]int{circle, flag})
-	sl.gaps = append(sl.gaps, append([]int{}, above.RNN...))
-	return true
+	return out
 }
 
 // emitAll emits the full slab decomposition of ncs into sink (pool nil
@@ -61,7 +68,7 @@ func emitAll(t *testing.T, ncs []nncircle.NNCircle, sink SlabSink, pool *LabelIn
 	if err != nil {
 		t.Fatalf("NewSlabEvents: %v", err)
 	}
-	if err := ev.Emit(sink, pool); err != nil {
+	if err := ev.Emit(sink, pool, nil); err != nil {
 		t.Fatalf("Emit: %v", err)
 	}
 	return ev, true
@@ -73,10 +80,14 @@ func emitAll(t *testing.T, ncs []nncircle.NNCircle, sink SlabSink, pool *LabelIn
 // to top with a running set, interning every gap.
 func oracleL2Slabs(circles []nncircle.NNCircle, sink SlabSink, pool *LabelInterner) error {
 	events := buildL2Events(circles)
+	if !sink.Begin(&SlabEvents{circles: circles, events: events}, []SlabRange{{Lo: 0, Hi: len(events) - 1}}, pool) {
+		return ErrSlabsAborted
+	}
 	active := make(map[int]bool)
 	var (
 		actives []int
 		arcs    []arcRef
+		edges   []SlabEdge
 		set     = oset.New()
 	)
 	for l, ev := range events {
@@ -96,10 +107,9 @@ func oracleL2Slabs(circles []nncircle.NNCircle, sink SlabSink, pool *LabelIntern
 			actives = append(actives, ci)
 		}
 		sort.Ints(actives)
-		if !sink.StartSlab(xLeft, xRight, actives) {
-			return ErrSlabsAborted
-		}
+		edges = edges[:0]
 		if xRight <= xLeft || len(actives) == 0 {
+			sink.Slab(l, xLeft, xRight, actives, edges)
 			continue
 		}
 		xm := (xLeft + xRight) / 2
@@ -133,53 +143,58 @@ func oracleL2Slabs(circles []nncircle.NNCircle, sink SlabSink, pool *LabelIntern
 		set.Clear()
 		for _, a := range arcs {
 			applyArc(circles, a, set)
-			if !sink.Edge(a.y, a.circle, a.upper, pool.Intern(set)) {
-				return ErrSlabsAborted
-			}
+			edges = append(edges, SlabEdge{Y: a.y, Arc: int32(arcSlot(a)), Above: pool.Intern(set)})
 		}
+		sink.Slab(l, xLeft, xRight, actives, edges)
 	}
 	return nil
 }
 
 // digestSink condenses every slab of a stream into one 64-bit digest of its
 // boundaries and edge heights (as bit patterns), actives, arc order and gap
-// label pointers, so two emissions of a large map can be compared slab by
-// slab without holding either stream in memory.
+// label pointers, kept at the slab's position, so two emissions of a large
+// map can be compared slab by slab without holding either stream in memory.
 type digestSink struct {
 	x0s     []float64
 	digests []uint64
+	written []bool
 }
 
-func (d *digestSink) mix(w uint64) {
-	h := &d.digests[len(d.digests)-1]
-	*h = (*h ^ w) * 0x9e3779b97f4a7c15
-	*h ^= *h >> 29
+func (d *digestSink) Begin(ev *SlabEvents, _ []SlabRange, _ *LabelInterner) bool {
+	n := len(ev.events)
+	d.x0s, d.digests, d.written = make([]float64, n), make([]uint64, n), make([]bool, n)
+	return true
 }
 
-func (d *digestSink) StartSlab(x0, x1 float64, actives []int) bool {
-	d.x0s = append(d.x0s, x0)
-	d.digests = append(d.digests, 0xcbf29ce484222325)
-	d.mix(math.Float64bits(x0))
-	d.mix(math.Float64bits(x1))
-	d.mix(uint64(len(actives)))
+func (d *digestSink) Slab(k int, x0, x1 float64, actives []int, edges []SlabEdge) {
+	h := uint64(0xcbf29ce484222325)
+	mix := func(w uint64) {
+		h = (h ^ w) * 0x9e3779b97f4a7c15
+		h ^= h >> 29
+	}
+	mix(math.Float64bits(x0))
+	mix(math.Float64bits(x1))
+	mix(uint64(len(actives)))
 	for _, a := range actives {
-		d.mix(uint64(a))
+		mix(uint64(a))
 	}
-	return true
+	for _, e := range edges {
+		mix(math.Float64bits(e.Y))
+		mix(uint64(e.Arc))
+		mix(uint64(reflect.ValueOf(e.Above).Pointer()))
+	}
+	d.x0s[k], d.digests[k], d.written[k] = x0, h, true
 }
 
-func (d *digestSink) Edge(y float64, circle int, upper bool, above *Interned) bool {
-	d.mix(math.Float64bits(y))
-	d.mix(uint64(2*circle) + uint64(b2u(upper)))
-	d.mix(uint64(reflect.ValueOf(above).Pointer()))
-	return true
-}
-
-func b2u(b bool) int {
-	if b {
-		return 1
+// slabDigests returns the digests of the written slabs in slab order.
+func (d *digestSink) slabDigests() []uint64 {
+	var out []uint64
+	for k, ok := range d.written {
+		if ok {
+			out = append(out, d.digests[k])
+		}
 	}
-	return 0
+	return out
 }
 
 // assertSameDigests requires two digested slab streams to be identical.
@@ -232,7 +247,7 @@ func identityInstance(rng *rand.Rand, snapped bool) []nncircle.NNCircle {
 }
 
 // checkL2EmissionIdentity emits ncs through the oracle, through Emit and
-// through EmitRanges over a few random windows, all interning into one
+// through Emit over a few random slab ranges, all interning into one
 // pool, and requires every stream to match the oracle's digest for digest.
 func checkL2EmissionIdentity(t *testing.T, ctx string, ncs []nncircle.NNCircle, rng *rand.Rand) {
 	t.Helper()
@@ -249,27 +264,29 @@ func checkL2EmissionIdentity(t *testing.T, ctx string, ncs []nncircle.NNCircle, 
 		t.Fatalf("%s: oracle: %v", ctx, err)
 	}
 	got := &digestSink{}
-	if err := ev.Emit(got, pool); err != nil {
+	if err := ev.Emit(got, pool, nil); err != nil {
 		t.Fatalf("%s: Emit: %v", ctx, err)
 	}
-	assertSameDigests(t, ctx+" full", got.digests, want.digests)
+	assertSameDigests(t, ctx+" full", got.slabDigests(), want.digests)
 
 	n := len(want.digests)
 	cuts := []int{rng.Intn(n + 1), rng.Intn(n + 1), rng.Intn(n + 1), rng.Intn(n + 1)}
 	sort.Ints(cuts)
-	xAt := func(i int) float64 {
-		if i == n {
-			return math.Inf(1)
+	var ranges []SlabRange
+	for _, w := range [][2]int{{cuts[0], cuts[1]}, {cuts[2], cuts[3]}} {
+		if w[1] > w[0] {
+			ranges = append(ranges, SlabRange{Lo: w[0], Hi: w[1] - 1})
 		}
-		return want.x0s[i]
 	}
-	windows := [][2]float64{{xAt(cuts[0]), xAt(cuts[1])}, {xAt(cuts[2]), xAt(cuts[3])}}
+	if len(ranges) == 0 {
+		return
+	}
 	part := &digestSink{}
-	if err := ev.EmitRanges(part, pool, windows); err != nil {
-		t.Fatalf("%s: EmitRanges: %v", ctx, err)
+	if err := ev.Emit(part, pool, ranges); err != nil {
+		t.Fatalf("%s: Emit over ranges: %v", ctx, err)
 	}
 	wantPart := append(slices.Clone(want.digests[cuts[0]:cuts[1]]), want.digests[cuts[2]:cuts[3]]...)
-	assertSameDigests(t, ctx+" windows", part.digests, wantPart)
+	assertSameDigests(t, ctx+" windows", part.slabDigests(), wantPart)
 }
 
 // TestL2SlabEmissionMatchesOracle is the identity suite of the
@@ -302,48 +319,47 @@ func TestL2SlabEmissionMatchesOracle(t *testing.T) {
 }
 
 // TestEmitSlabsRangeMatchesFullEmission checks the partial-rebuild contract
-// for both sweep families: for any [lo, hi) window, EmitRanges reproduces
-// exactly the slabs of the full emission whose left edge falls inside the
-// window — same boundaries, actives, edges and gap sets — despite its
-// warm-started active set. It also pins Xs to the emitted left edges and
-// CellBound as an upper bound of the emitted cells.
+// for both sweep families: for any run of slabs, Emit over that range
+// reproduces exactly the slabs of the full emission it names — same
+// boundaries, actives, edges and gap sets — despite its warm-started active
+// set. It also pins Xs to the emitted left edges and CellBound as an upper
+// bound of the emitted cells.
 func TestEmitSlabsRangeMatchesFullEmission(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(71))
 	for _, metric := range []geom.Metric{geom.LInf, geom.L2} {
 		for trial := 0; trial < 8; trial++ {
 			ncs := fuzzInstance(t, rng.Int63(), 6+rng.Intn(30), 1+rng.Intn(6), metric)
-			full := &recordingSlabSink{}
-			ev, ok := emitAll(t, ncs, full, nil)
-			if !ok || len(full.slabs) == 0 {
+			sink := &recordingSlabSink{}
+			ev, ok := emitAll(t, ncs, sink, nil)
+			full := sink.slabs()
+			if !ok || len(full) == 0 {
 				continue
 			}
-			cells := len(full.slabs) + 2*full.edges
+			cells := 0
+			for _, sl := range full {
+				cells += 1 + 2*len(sl.edges)
+			}
 			if ev.CellBound() < cells {
 				t.Fatalf("metric=%v trial=%d: CellBound %d below the %d emitted cells", metric, trial, ev.CellBound(), cells)
 			}
-			xs := make([]float64, len(full.slabs))
-			for i, sl := range full.slabs {
+			xs := make([]float64, len(full))
+			for i, sl := range full {
 				xs[i] = sl.x0
 			}
 			if !reflect.DeepEqual(ev.Xs(), xs) {
 				t.Fatalf("metric=%v trial=%d: Xs differs from the emitted slab left edges", metric, trial)
 			}
 			for w := 0; w < 4; w++ {
-				i := rng.Intn(len(full.slabs))
-				j := i + rng.Intn(len(full.slabs)-i)
-				lo := full.slabs[i].x0
-				hi := full.slabs[j].x0 // half-open: slab j itself is excluded
+				i := rng.Intn(len(full))
+				j := i + rng.Intn(len(full)-i) // slabs i through j
 				part := &recordingSlabSink{}
-				if err := ev.EmitRanges(part, nil, [][2]float64{{lo, hi}}); err != nil {
-					t.Fatalf("EmitRanges(%v, %v): %v", lo, hi, err)
+				if err := ev.Emit(part, nil, []SlabRange{{Lo: i, Hi: j}}); err != nil {
+					t.Fatalf("Emit(%d..%d): %v", i, j, err)
 				}
-				if len(part.slabs) == 0 && i == j {
-					continue
-				}
-				if !reflect.DeepEqual(part.slabs, full.slabs[i:j]) {
-					t.Fatalf("metric=%v trial=%d window=[%v,%v): range emission differs from full emission slice (%d vs %d slabs)",
-						metric, trial, lo, hi, len(part.slabs), j-i)
+				if !reflect.DeepEqual(part.slabs(), full[i:j+1]) {
+					t.Fatalf("metric=%v trial=%d slabs %d..%d: range emission differs from full emission slice (%d vs %d slabs)",
+						metric, trial, i, j, len(part.slabs()), j+1-i)
 				}
 			}
 		}
@@ -367,8 +383,9 @@ func TestEmitSlabsRejectsL1(t *testing.T) {
 	}
 }
 
-// TestEmitSlabsAbort pins that a sink returning false stops the emission
-// with ErrSlabsAborted for both sweep families.
+// TestEmitSlabsAbort pins that a sink declining the slabs at Begin stops
+// the emission with ErrSlabsAborted before any slab, for both sweep
+// families, and that a one-pass build it declines is CREST's.
 func TestEmitSlabsAbort(t *testing.T) {
 	t.Parallel()
 	for _, metric := range []geom.Metric{geom.LInf, geom.L2} {
@@ -377,8 +394,24 @@ func TestEmitSlabsAbort(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ev.Emit(&recordingSlabSink{limit: 3}, nil); err != ErrSlabsAborted {
+		sink := &recordingSlabSink{decline: true}
+		if err := ev.Emit(sink, nil, nil); err != ErrSlabsAborted {
 			t.Fatalf("metric=%v: err = %v, want ErrSlabsAborted", metric, err)
+		}
+		if n := len(sink.slabs()); n != 0 {
+			t.Fatalf("metric=%v: a declined emission wrote %d slabs", metric, n)
+		}
+		res, err := CRESTWithSlabs(ncs, Options{Workers: 2}, sink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := CREST(ncs, Options{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameBits(t, fmt.Sprintf("metric=%v declined build", metric), want, res)
+		if n := len(sink.slabs()); n != 0 {
+			t.Fatalf("metric=%v: a declined build wrote %d slabs", metric, n)
 		}
 	}
 }
@@ -396,7 +429,7 @@ func TestEmitSlabsCoversArrangement(t *testing.T) {
 		if _, ok := emitAll(t, ncs, sink, nil); !ok {
 			continue
 		}
-		for _, sl := range sink.slabs {
+		for _, sl := range sink.slabs() {
 			if sl.x1 <= sl.x0 {
 				continue
 			}
@@ -423,33 +456,30 @@ func TestEmitSlabsCoversArrangement(t *testing.T) {
 	}
 }
 
-// TestEmitSlabsRangesMultiWindow pins the multi-window emission for both
-// sweep families: two disjoint windows emitted in one call equal the
-// corresponding slices of the full emission, in window order, with the same
+// TestEmitSlabsRangesMultiWindow pins the multi-range emission for both
+// sweep families: two disjoint slab ranges emitted in one call equal the
+// corresponding slices of the full emission, in range order, with the same
 // gap sets.
 func TestEmitSlabsRangesMultiWindow(t *testing.T) {
 	t.Parallel()
 	for _, metric := range []geom.Metric{geom.LInf, geom.L2} {
 		ncs := fuzzInstance(t, 17, 24, 4, metric)
 		pool := NewLabelInterner(nil)
-		full := &recordingSlabSink{}
-		ev, _ := emitAll(t, ncs, full, pool)
-		n := len(full.slabs)
+		sink := &recordingSlabSink{}
+		ev, _ := emitAll(t, ncs, sink, pool)
+		full := sink.slabs()
+		n := len(full)
 		if n < 8 {
 			t.Fatalf("metric=%v: instance too small (%d slabs)", metric, n)
 		}
 		a0, a1, b0, b1 := 1, n/3, n/2, n-1
 		multi := &recordingSlabSink{}
-		windows := [][2]float64{
-			{full.slabs[a0].x0, full.slabs[a1].x0},
-			{full.slabs[b0].x0, full.slabs[b1].x0},
-		}
-		if err := ev.EmitRanges(multi, pool, windows); err != nil {
+		if err := ev.Emit(multi, pool, []SlabRange{{Lo: a0, Hi: a1 - 1}, {Lo: b0, Hi: b1 - 1}}); err != nil {
 			t.Fatal(err)
 		}
-		want := append(append([]slabRecord{}, full.slabs[a0:a1]...), full.slabs[b0:b1]...)
-		if !reflect.DeepEqual(multi.slabs, want) {
-			t.Fatalf("metric=%v: multi-window emission differs: got %d slabs, want %d", metric, len(multi.slabs), len(want))
+		want := append(append([]slabRecord{}, full[a0:a1]...), full[b0:b1]...)
+		if !reflect.DeepEqual(multi.slabs(), want) {
+			t.Fatalf("metric=%v: multi-range emission differs: got %d slabs, want %d", metric, len(multi.slabs()), len(want))
 		}
 	}
 }

@@ -20,8 +20,9 @@ import (
 // rebuilds the RNN set below a range from the nearest cached record
 // (rebuildBase), labels every valid pair inside it and refreshes the records
 // it passes (Section V-C2). CREST, CREST-A, CREST-L2, the strips of the
-// partition layer, the incremental resweep and the slab emission all run
-// this one sweeper.
+// partition layer and the incremental resweep all run this one sweeper, and
+// a sweeper that carries a slab sink writes each slab as it passes it
+// (slabs.go).
 
 // event is one sweep event: an x-coordinate together with the circles whose
 // left extreme (insert) or right extreme (remove) lies there and, for L2,
@@ -121,8 +122,8 @@ func mergeIntervals(ivs []interval) []interval {
 // and every record a change makes stale is dropped and rewritten before it
 // is read, so a base set is rebuilt by replaying about a stride's worth of
 // arcs above the nearest record. The stride trades that short replay for a
-// cache (and interned pool) holding several times fewer records. The slab
-// emission needs every gap's label and keeps a record on every arc.
+// cache (and interned pool) holding several times fewer records. A sweep
+// that writes slabs needs every gap's label and keeps a record on every arc.
 const cacheStride = 4
 
 // fragileGap is the relative height difference below which two adjacent L2
@@ -136,8 +137,8 @@ const fragileGap = 1e-9
 // computed heights can tie or reorder over a stretch of slabs.
 const crossWindow = 1e-7
 
-// sweeper is one sweep's working state; instances are pooled, and a strip,
-// a resweep range or an emission window borrows one for its whole run.
+// sweeper is one sweep's working state; instances are pooled, and a strip
+// borrows one for its whole run.
 type sweeper struct {
 	st     status
 	events []event
@@ -146,9 +147,14 @@ type sweeper struct {
 	// none (CREST-A).
 	stride int32
 	// sink receives the labels of the changed ranges, or of every pair when
-	// labelAll (CREST-A) is set; nil for the slab emission.
+	// labelAll (CREST-A) is set; nil for the labels-off pass.
 	sink     Sink
 	labelAll bool
+	// slabs receives every slab the run passes, its actives tracked by act
+	// and its edges buffered in edges; nil when the pass writes no slabs.
+	slabs SlabSink
+	act   activeSet
+	edges []SlabEdge
 
 	intern *LabelInterner
 	base   runningSet
@@ -162,8 +168,6 @@ type sweeper struct {
 	// arcs it re-checks at the next event.
 	stale, checks, fragile []int32
 	replay                 []int32
-	// slab buffers the edges emitSlab checks before it writes them.
-	slab []slabEdge
 	// seen[slot] is the last check epoch that queued the arc.
 	seen  []uint32
 	epoch uint32
@@ -179,28 +183,31 @@ type walkRange struct {
 
 var sweeperPool = sync.Pool{New: func() any { return &sweeper{base: runningSet{set: oset.New()}} }}
 
-// newSweeper borrows a sweeper for circles and their events. Return it with
-// release.
-func newSweeper(circles []nncircle.NNCircle, events []event, stride int32, sink Sink, intern *LabelInterner) *sweeper {
+// newSweeper borrows a sweeper for circles and their events, labeling and
+// writing nothing until the caller sets stride, sink and slabs. Return it
+// with release.
+func newSweeper(circles []nncircle.NNCircle, events []event, intern *LabelInterner) *sweeper {
 	s := sweeperPool.Get().(*sweeper)
 	s.l2 = isL2(circles)
 	s.st.reset(circles, s.l2)
 	s.base.circles = circles
-	s.events, s.stride, s.sink, s.intern = events, stride, sink, intern
-	s.labelAll = false
+	s.events, s.intern = events, intern
+	s.stride, s.sink, s.labelAll, s.slabs = 0, nil, false, nil
 	s.pending, s.fragile = s.pending[:0], s.fragile[:0]
 	s.seen = resize(s.seen, 2*len(circles))
 	return s
 }
 
 func (s *sweeper) release() {
-	s.events, s.sink, s.intern, s.base.circles, s.base.from = nil, nil, nil, nil, nil
+	s.events, s.sink, s.slabs, s.intern, s.base.circles, s.base.from = nil, nil, nil, nil, nil, nil
+	clear(s.edges[:cap(s.edges)])
 	sweeperPool.Put(s)
 }
 
 // run sweeps events[lo:hi] from a sweep line cutting the circles that
 // straddle events[lo].x; xAfter bounds the last slab on the right (the x of
-// events[hi], or the final event's own x when the run ends the sweep).
+// events[hi], or the final event's own x when the run ends the sweep),
+// writing each event's slab right after its step when it carries a sink.
 func (s *sweeper) run(lo, hi int, xAfter float64) {
 	s.warm(lo)
 	for l := lo; l < hi; l++ {
@@ -209,19 +216,30 @@ func (s *sweeper) run(lo, hi int, xAfter float64) {
 			xr = s.events[l+1].x
 		}
 		s.step(l, xr, l == lo)
+		if s.slabs != nil {
+			s.emitSlab(l, xr)
+		}
 	}
+	stepped.Add(int64(hi - lo))
 }
 
 // warm loads the circles straddling events[l].x, the sweep line just before
 // that event: rectilinear sides go into the status, L2 circles into pending
 // until step places them at the first slab's midpoint.
 func (s *sweeper) warm(l int) {
-	for _, ci := range nncircle.StraddlingX(s.st.circles, s.events[l].x) {
+	straddling := nncircle.StraddlingX(s.st.circles, s.events[l].x)
+	for _, ci := range straddling {
 		if s.l2 {
 			s.pending = append(s.pending, ci)
 		} else {
 			s.st.insertCircle(ci)
 		}
+	}
+	if s.slabs != nil {
+		s.act.on = resize(s.act.on, len(s.st.circles))
+		clear(s.act.on)
+		s.act.list = s.act.list[:0]
+		s.act.advance(straddling, nil)
 	}
 }
 

@@ -17,8 +17,9 @@
 // control flow emitting labels into a Sink (sink.go). The partition layer
 // (partition.go) runs it as independent vertical strips on Options.Workers
 // goroutines, merging the per-strip results into an output identical to the
-// sequential sweep; the incremental resweep (resweep.go) and the slab
-// emission (slabs.go) run the same sweeper.
+// sequential sweep, and its strips can write a second product, the slab
+// decomposition point location is built from (slabs.go), in the same pass;
+// the incremental resweep (resweep.go) runs the same strips.
 package core
 
 import (

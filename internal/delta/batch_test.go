@@ -143,7 +143,7 @@ func TestApplyBatchRejectsEmpty(t *testing.T) {
 		Clients:    []geom.Point{geom.Pt(0, 0), geom.Pt(1, 1)},
 		Facilities: []geom.Point{geom.Pt(2, 0)},
 	}
-	if _, err := delta.ApplyBatch(st, nil, delta.Options{Metric: geom.L2}); !errors.Is(err, delta.ErrBadDelta) {
+	if _, err := delta.ApplyBatch(st, nil, delta.Options{Metric: geom.L2}, nil); !errors.Is(err, delta.ErrBadDelta) {
 		t.Errorf("ApplyBatch(nil) = %v, want ErrBadDelta", err)
 	}
 }

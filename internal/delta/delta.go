@@ -15,9 +15,12 @@
 // their sets into the state's label pool and splices the relabeled faces
 // into the prior label list. The spliced result is identical, label for
 // label, to a from-scratch rebuild over the updated sets, whatever share of
-// the arrangement the update dirtied. The outcome carries the event list the
-// resweep swept and the dirty spans, which is all a slab point-location
-// index needs to patch itself (pointloc.Index.Patch).
+// the arrangement the update dirtied. A caller that maintains a slab
+// point-location index hands ApplyBatch the sink its patch is written
+// through (pointloc.Index.PatchSink), and the resweep writes the dirty slabs
+// in its own pass; the outcome carries the event list the resweep swept and
+// the dirty spans, which is all a patch deferred to later needs
+// (pointloc.Index.Patch).
 //
 // Deletions use swap-remove semantics: the last element moves into the freed
 // slot. That keeps every unrelated index stable and bounds the renumbering
@@ -106,8 +109,8 @@ type Stats struct {
 	DirtyRect geom.Rect
 	// DirtySpans holds the merged sweep-space x-intervals the perturbed
 	// circles cover (core.PerturbedSpans) — exactly the intervals the resweep
-	// dirtied. The slab point-location index patches only the slabs starting
-	// inside them. Nil when the arrangement is unchanged.
+	// dirtied. A deferred slab index patch re-emits the slabs they dirty.
+	// Nil when the arrangement is unchanged.
 	DirtySpans [][2]float64
 	// Duration is the wall-clock time of the whole Apply.
 	Duration time.Duration
@@ -116,7 +119,8 @@ type Stats struct {
 // Outcome is the result of one Apply: the new snapshot and the spliced
 // Region Coloring result (State.Labels aliases Result.Labels, and
 // State.Pool is Result.LabelPool()), with the event list the resweep swept
-// (nil when the update left no usable circle).
+// (nil when the update left no usable circle), which a deferred slab index
+// patch sweeps.
 type Outcome struct {
 	State  State
 	Result *core.Result
@@ -124,32 +128,29 @@ type Outcome struct {
 	Stats  Stats
 }
 
-// Apply executes d against st and returns the updated snapshot, with labels
-// identical to what a from-scratch core.CREST over the updated sets would
-// produce. st is not modified.
-//
-// One caveat on exactness: when a client is equidistant from two facilities,
-// which one an NN query returns depends on k-d tree construction order, so
-// the NNCircle.Facility field of an unaffected client may differ from a
-// fresh nncircle.Compute after the facility set changed. The circle geometry
-// — and therefore every label, heat value and rendered pixel — is unaffected.
-func Apply(st State, d Delta, opts Options) (*Outcome, error) {
-	return ApplyBatch(st, []Delta{d}, opts)
-}
-
-// ApplyBatch executes ds in order against st with ONE merged resweep at the
-// end: the set maintenance (steps 1-5) runs per delta — so every removal
-// index is interpreted against the sets as the preceding deltas left them,
-// exactly as applying the deltas one at a time would — but the perturbed
-// circles accumulate across the whole batch and the arrangement is reswept
-// once over their union. K deltas therefore cost K cheap set updates plus a
-// single splice instead of K splices. The result is identical, label for
-// label, to both the one-at-a-time sequence and a from-scratch rebuild.
+// ApplyBatch executes ds in order against st (which it does not modify)
+// with ONE merged resweep at the end: the set maintenance (steps 1-5) runs
+// per delta — so every removal index is interpreted against the sets as the
+// preceding deltas left them, exactly as applying the deltas one at a time
+// would — but the perturbed circles accumulate across the whole batch and
+// the arrangement is reswept once over their union. K deltas therefore cost
+// K cheap set updates plus a single splice instead of K splices. The labels
+// are identical to both the one-at-a-time sequence and a from-scratch
+// core.CREST over the updated sets. (When a client is equidistant from two
+// facilities, which one an NN query returns depends on k-d tree
+// construction order, so an unaffected client's NNCircle.Facility may
+// differ from a fresh nncircle.Compute's; the circle geometry — every
+// label, heat value and pixel — is unaffected.)
 //
 // ApplyBatch is atomic: a validation failure in any delta (see ErrBadDelta)
 // fails the whole call and st is untouched — partial application is
 // impossible. An empty ds is rejected the same way.
-func ApplyBatch(st State, ds []Delta, opts Options) (*Outcome, error) {
+//
+// slabs, when set, is called once with the updated circles, after the set
+// maintenance and before the resweep, and returns the sink the resweep
+// writes the slabs it re-emits into (see core.Resweep); nil patches no slab
+// index.
+func ApplyBatch(st State, ds []Delta, opts Options, slabs func([]nncircle.NNCircle) core.SlabSink) (*Outcome, error) {
 	started := time.Now()
 	if !opts.Metric.Valid() {
 		return nil, fmt.Errorf("delta: invalid metric %v", opts.Metric)
@@ -184,7 +185,11 @@ func ApplyBatch(st State, ds []Delta, opts Options) (*Outcome, error) {
 	}
 
 	coreOpts := core.Options{Measure: opts.Measure, Workers: opts.Workers}
-	out, err := core.Resweep(ws.circles, coreOpts, st.Labels, ws.perturbed, st.Pool)
+	var sink core.SlabSink
+	if slabs != nil {
+		sink = slabs(ws.circles)
+	}
+	out, err := core.Resweep(ws.circles, coreOpts, st.Labels, ws.perturbed, st.Pool, sink)
 	if errors.Is(err, core.ErrNoCircles) && len(ws.circles) > 0 {
 		// Every remaining NN-circle is zero-radius — each client sits
 		// exactly on a facility, so no location can steal any of them. That

@@ -333,7 +333,7 @@ func TestDeltaEmpty(t *testing.T) {
 	}
 }
 
-// TestApplyRejectsBadInput exercises the package-level validation Apply
+// TestApplyRejectsBadInput exercises the package-level validation ApplyBatch
 // performs before touching any state.
 func TestApplyRejectsBadInput(t *testing.T) {
 	t.Parallel()
@@ -341,14 +341,14 @@ func TestApplyRejectsBadInput(t *testing.T) {
 		Clients:    []geom.Point{geom.Pt(0, 0), geom.Pt(1, 1)},
 		Facilities: []geom.Point{geom.Pt(2, 0)},
 	}
-	if _, err := delta.Apply(st, delta.Delta{}, delta.Options{Metric: geom.Metric(99)}); err == nil {
+	if _, err := delta.ApplyBatch(st, []delta.Delta{{}}, delta.Options{Metric: geom.Metric(99)}, nil); err == nil {
 		t.Error("invalid metric must be rejected")
 	}
 	opts := delta.Options{Metric: geom.L2}
-	if _, err := delta.Apply(st, delta.Delta{AddClients: []geom.Point{geom.Pt(math.NaN(), 0)}}, opts); !errors.Is(err, delta.ErrBadDelta) {
+	if _, err := delta.ApplyBatch(st, []delta.Delta{{AddClients: []geom.Point{geom.Pt(math.NaN(), 0)}}}, opts, nil); !errors.Is(err, delta.ErrBadDelta) {
 		t.Error("non-finite client point must be rejected")
 	}
-	if _, err := delta.Apply(st, delta.Delta{RemoveFacilities: []int{0}}, opts); !errors.Is(err, delta.ErrBadDelta) {
+	if _, err := delta.ApplyBatch(st, []delta.Delta{{RemoveFacilities: []int{0}}}, opts, nil); !errors.Is(err, delta.ErrBadDelta) {
 		t.Error("removing the last facility must be rejected")
 	}
 }

@@ -134,7 +134,7 @@ func TestPatchOpenedConcurrently(t *testing.T) {
 		st := delta.State{Clients: clients, Facilities: facilities, Circles: circles, Labels: res.Labels}
 		var updates []*delta.Outcome
 		for _, d := range []delta.Delta{{RemoveClients: []int{3}}, {AddFacilities: []geom.Point{geom.Pt(50.75, 8.5)}}} {
-			out, err := delta.Apply(st, d, delta.Options{Metric: metric})
+			out, err := delta.ApplyBatch(st, []delta.Delta{d}, delta.Options{Metric: metric}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -53,11 +53,11 @@ func TestL2IndexStoresNoHeights(t *testing.T) {
 
 			mid := func(a, b geom.Point) geom.Point { return geom.Pt((a.X+b.X)/2, (a.Y+b.Y)/2) }
 			st := delta.State{Clients: clients, Facilities: facilities, Circles: circles, Labels: res.Labels}
-			out, err := delta.Apply(st, delta.Delta{
+			out, err := delta.ApplyBatch(st, []delta.Delta{{
 				AddClients:    []geom.Point{mid(clients[1], clients[2])},
 				RemoveClients: []int{3},
 				AddFacilities: []geom.Point{mid(facilities[0], clients[5])},
-			}, delta.Options{Metric: geom.L2})
+			}}, delta.Options{Metric: geom.L2}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -120,7 +120,7 @@ func TestPatchAddsClients(t *testing.T) {
 		}
 		st := delta.State{Clients: clients, Facilities: facilities, Circles: circles, Labels: res.Labels}
 		for step := 0; step < 20; step++ {
-			out, err := delta.Apply(st, delta.Delta{AddClients: []geom.Point{pt()}}, delta.Options{Metric: metric})
+			out, err := delta.ApplyBatch(st, []delta.Delta{{AddClients: []geom.Point{pt()}}}, delta.Options{Metric: metric}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -194,7 +194,7 @@ func patchChain(t *testing.T, rng *rand.Rand, metric geom.Metric) ([]nncircle.NN
 		case 3:
 			d.RemoveFacilities = []int{rng.Intn(len(st.Facilities))}
 		}
-		out, err := delta.Apply(st, d, delta.Options{Metric: metric})
+		out, err := delta.ApplyBatch(st, []delta.Delta{d}, delta.Options{Metric: metric}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

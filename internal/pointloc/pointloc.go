@@ -3,10 +3,11 @@
 // of the arrangement face containing it — without constructing the set.
 //
 // The structure is the classic slab decomposition (Sarnak & Tarjan's
-// persistent-slab idea in its explicit form) built directly from the CREST
-// sweep's event intervals (core.SlabEvents): one slab per x-interval between
-// consecutive sweep events, each holding its y-ordered edge list with every
-// gap's precomputed label (heat plus sorted RNN set). A query binary-searches
+// persistent-slab idea in its explicit form), written by the CREST sweep
+// through a Sink (core.SlabSink), in the pass that writes the labels or a
+// labels-off one: one slab per x-interval between consecutive sweep events,
+// each holding its y-ordered edge list with every gap's precomputed label
+// (heat plus sorted RNN set). A query binary-searches
 // the slab by x, then the gap by y, and returns the stored label. L-infinity
 // circles are swept natively, L1 circles via the π/4 rotation into the
 // L-infinity system (queries are rotated the same way), and L2 circles with
@@ -62,8 +63,8 @@ import (
 // DefaultMaxCells caps the total number of stored slab cells (one per slab,
 // plus one per edge and one per gap above it). The explicit slab
 // decomposition trades memory for query speed — worst case Θ(n²) cells —
-// and past this cap the index declines to build (Build returns
-// ErrTooLarge) so callers fall back to the enclosure path instead of
+// and an arrangement whose cell bound passes this cap gets no index
+// (ErrTooLarge), so callers fall back to the enclosure path instead of
 // exhausting memory. On heatmapd's default map (NYC L2 2000/600) a cell
 // costs 5.0 bytes of slab lists: the snapshot's slab sections are
 // 51,164,288 bytes for 10,156,938 cells — a 4-byte arc per edge, a 4-byte
@@ -77,7 +78,7 @@ const DefaultMaxCells = 24 << 20
 // point-enclosure index instead.
 var ErrTooLarge = errors.New("pointloc: slab decomposition exceeds the cell cap")
 
-// Options configures Build.
+// Options configures Build and Patch.
 type Options struct {
 	// MaxCells overrides DefaultMaxCells; non-positive means the default.
 	MaxCells int
@@ -316,8 +317,9 @@ func (ix *Index) toSweep(p geom.Point) geom.Point {
 }
 
 // Build constructs the slab index over the circles (all sharing one metric)
-// for the given influence measure (nil means influence.Size()). Gap heats
-// are computed from RNN sets assembled in ascending client order — the same
+// for the given influence measure (nil means influence.Size()) in the
+// labels-off pass, for a map whose own sweep wrote no index. Gap heats are
+// computed from RNN sets assembled in ascending client order — the same
 // canonical order the enclosure query path uses — so stored heats are
 // bit-identical to a direct evaluation. An input with no positive-radius
 // circles yields an index with no slabs (every query then takes the trivial
@@ -330,34 +332,20 @@ func Build(circles []nncircle.NNCircle, measure influence.Measure, opts Options)
 	if pool == nil || pool.Measure() != measure {
 		pool = core.NewLabelInterner(measure)
 	}
-	ix := &Index{measure: measure, emptyHeat: pool.Empty().Heat, lin: &lineage{pool: pool}}
-	usable, origIdx, err := ix.initCircles(circles)
+	s := newSink(nil, circles, opts)
+	if s.err != nil {
+		return nil, s.err
+	}
+	if len(s.usable) == 0 {
+		s.adopt(pool)
+		return s.Index()
+	}
+	events, err := core.NewSlabEvents(s.usable)
 	if err != nil {
 		return nil, err
 	}
-	if len(usable) > 0 {
-		events, err := core.NewSlabEvents(usable)
-		if err != nil {
-			return nil, err
-		}
-		// Decline oversized arrangements before doing any emission work;
-		// the in-emission cap check remains as the exact backstop (the
-		// estimate is an upper bound — coincident edges make the real count
-		// smaller).
-		if events.CellBound() > opts.maxCells() {
-			return nil, ErrTooLarge
-		}
-		b := &builder{ix: ix, origIdx: origIdx, maxCells: opts.maxCells(), pool: pool}
-		if err := events.Emit(b, pool); err != nil {
-			if errors.Is(err, core.ErrSlabsAborted) {
-				return nil, ErrTooLarge
-			}
-			return nil, err
-		}
-		ix.cells = b.cells
-	}
-	ix.sets = tableOf(pool)
-	return ix, nil
+	events.Emit(s, pool, nil) // a decline leaves its reason in s
+	return s.Index()
 }
 
 // initCircles populates the index's circle slices from the input and returns
@@ -403,71 +391,126 @@ func (ix *Index) setCircles(circles []nncircle.NNCircle) {
 // zeroX returns the sweep-space center x of the circle at position ci.
 func (ix *Index) zeroX(ci int32) float64 { return ix.toSweep(ix.all[ci].Circle.Center).X }
 
-// builder is the core.SlabSink that materializes the slabs of a Build. The
-// emission references circles by position in its filtered input slice;
-// origIdx translates those to stable positions in the index's full circle
-// slices. Gap labels arrive already interned (the emission pools them), so
-// the builder stores their ids in the pool.
-type builder struct {
+// Sink is the core.SlabSink an index is written through, by the sweep that
+// carries its slabs: a CREST build's (NewSink), a commit's resweep
+// (PatchSink) or the labels-off pass (Build, Patch). Begin lays the index
+// out, a patch's clean slabs shared with its base, and each Slab call writes
+// one slab at its position, so the strips of a pass write disjoint slabs
+// and their runs join in order without a copy. origIdx translates the
+// sweep's circle positions, among the positive-radius circles, to stable
+// positions in the index's circle slices.
+type Sink struct {
 	ix       *Index
+	base     *Index // the index a patch derives from; nil for a build
+	usable   []nncircle.NNCircle
 	origIdx  []int32
 	maxCells int
-	cells    int
 	pool     *core.LabelInterner
+	empty    uint32
+	err      error // why the sink has no index
 }
 
-func (b *builder) StartSlab(x0, x1 float64, actives []int) bool {
-	b.cells++
-	if b.cells > b.maxCells {
-		return false
-	}
-	b.ix.xs = append(b.ix.xs, x0)
-	b.ix.slabs = append(b.ix.slabs, newSlab(actives, b.origIdx, b.ix.metric == geom.L2, b.pool.ID(b.pool.Empty())))
-	return true
+// NewSink returns the sink of a one-pass build over circles, for
+// core.CRESTWithSlabs over the same circles.
+func NewSink(circles []nncircle.NNCircle) *Sink { return newSink(nil, circles, Options{}) }
+
+// PatchSink returns the sink of a commit deriving the index of newCircles
+// from ix, for core.Resweep over the same circles into ix's Pool.
+func (ix *Index) PatchSink(newCircles []nncircle.NNCircle) *Sink {
+	return newSink(ix, newCircles, Options{})
 }
 
-func (b *builder) Edge(y float64, circle int, upper bool, above *core.Interned) bool {
-	b.cells += 2 // one edge, one gap
-	if b.cells > b.maxCells {
-		return false
+func newSink(base *Index, circles []nncircle.NNCircle, opts Options) *Sink {
+	s := &Sink{base: base, maxCells: opts.maxCells(), ix: &Index{}}
+	s.usable, s.origIdx, s.err = s.ix.initCircles(circles)
+	if s.err == nil && base != nil && len(circles) > 0 && s.ix.metric != base.metric {
+		s.err = errors.New("pointloc: Patch with mixed or changed metrics")
 	}
-	b.ix.slabs[len(b.ix.slabs)-1].addEdge(y, circle, upper, b.pool.ID(above), b.origIdx, b.ix.metric == geom.L2)
-	return true
+	return s
 }
 
-// newSlab opens a slab over the emitted actives (translated through
-// origIdx), with its edge storage — arcs for L2, heights otherwise — sized
-// for the at most two edges per active circle the emission can report.
-func newSlab(actives []int, origIdx []int32, isL2 bool, empty uint32) slab {
-	acts := make([]int32, len(actives))
-	for i, a := range actives {
-		acts[i] = origIdx[a]
-	}
-	n := 2 * len(actives)
-	sl := slab{actives: acts, gaps: make([]uint32, 1, n+1)}
-	sl.gaps[0] = empty
-	if n > 0 {
-		if isL2 {
-			sl.arcs = make([]uint32, 0, n)
-		} else {
-			sl.edges = make([]float64, 0, n)
-		}
-	}
-	return sl
-}
-
-// addEdge appends one emitted edge and the set id of the gap above it: the
-// arc for L2, dropping the emission's y (its ordering key), and the height
-// y otherwise.
-func (sl *slab) addEdge(y float64, circle int, upper bool, above uint32, origIdx []int32, isL2 bool) {
-	if isL2 {
-		a := uint32(origIdx[circle]) << 1
-		if upper {
-			a |= 1
-		}
-		sl.arcs = append(sl.arcs, a)
+// adopt takes pool for the sink's gap ids: a build's lineage starts with
+// it, and a patch must be handed its base's.
+func (s *Sink) adopt(pool *core.LabelInterner) error {
+	if s.base == nil {
+		s.ix.measure, s.ix.emptyHeat, s.ix.lin = pool.Measure(), pool.Empty().Heat, &lineage{pool: pool}
+	} else if pool != s.base.Pool() {
+		return ErrPatchDeclined
 	} else {
-		sl.edges = append(sl.edges, y)
+		s.ix.measure, s.ix.emptyHeat, s.ix.lin = s.base.measure, s.base.emptyHeat, s.base.lin
 	}
-	sl.gaps = append(sl.gaps, above)
+	s.pool, s.empty = pool, pool.ID(pool.Empty())
+	return nil
+}
+
+// Begin lays the index out over the new event list, declining an
+// arrangement whose cell bound passes the cap (ErrTooLarge) and, for a
+// patch, a pool other than its lineage's or a clean slab it cannot share
+// (ErrPatchDeclined).
+func (s *Sink) Begin(ev *core.SlabEvents, ranges []core.SlabRange, pool *core.LabelInterner) bool {
+	if s.err == nil {
+		s.err = s.begin(ev, ranges, pool)
+	}
+	return s.err == nil
+}
+
+func (s *Sink) begin(ev *core.SlabEvents, ranges []core.SlabRange, pool *core.LabelInterner) error {
+	if err := s.adopt(pool); err != nil {
+		return err
+	}
+	if ev.CellBound() > s.maxCells {
+		return ErrTooLarge
+	}
+	s.ix.xs = ev.Xs()
+	s.ix.slabs = make([]slab, len(s.ix.xs))
+	if s.base != nil {
+		return s.shareClean(ranges)
+	}
+	return nil
+}
+
+// Slab writes slab k at its position: the actives translated through
+// origIdx, and each edge as its arc for L2, or its height otherwise.
+func (s *Sink) Slab(k int, x0, x1 float64, actives []int, edges []core.SlabEdge) {
+	sl := slab{actives: make([]int32, len(actives)), gaps: make([]uint32, len(edges)+1)}
+	for i, a := range actives {
+		sl.actives[i] = s.origIdx[a]
+	}
+	sl.gaps[0] = s.empty
+	if len(edges) > 0 {
+		if s.ix.metric == geom.L2 {
+			sl.arcs = make([]uint32, len(edges))
+		} else {
+			sl.edges = make([]float64, len(edges))
+		}
+	}
+	for i, e := range edges {
+		if sl.arcs != nil {
+			sl.arcs[i] = uint32(s.origIdx[e.Arc>>1])<<1 | uint32(e.Arc&1)
+		} else {
+			sl.edges[i] = e.Y
+		}
+		sl.gaps[i+1] = s.pool.ID(e.Above)
+	}
+	s.ix.slabs[k] = sl
+}
+
+// Index returns the index the sweep wrote, or why there is none:
+// ErrTooLarge past the cell cap, ErrPatchDeclined for a patch the change
+// cannot splice, the error of circles the sink could not index, or, when
+// no sweep wrote it (a nil sink included), an error saying so.
+func (s *Sink) Index() (*Index, error) {
+	if s == nil || s.pool == nil && s.err == nil {
+		return nil, errors.New("pointloc: no sweep wrote the index")
+	}
+	if s.err != nil {
+		return nil, s.err
+	}
+	ix := s.ix
+	ix.cells = 0
+	for i := range ix.slabs {
+		ix.cells += 1 + 2*ix.slabs[i].numEdges()
+	}
+	ix.sets = tableOf(s.pool)
+	return ix, nil
 }

@@ -38,7 +38,7 @@ func newOracle(circles []nncircle.NNCircle, measure influence.Measure) *oracle {
 // Patch takes.
 func sweptEvents(t testing.TB, circles []nncircle.NNCircle) *core.SlabEvents {
 	t.Helper()
-	out, err := core.Resweep(circles, core.Options{DiscardLabels: true}, nil, nil, nil)
+	out, err := core.Resweep(circles, core.Options{DiscardLabels: true}, nil, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -198,6 +198,17 @@ func TestOpenEarlierL2Layout(t *testing.T) {
 		t.Errorf("saved at version 2, the earlier layout's map wrote %d bytes, not the %d the new file's map wrote (new file: %d)",
 			len(saved[0]), len(saved[1]), len(newFile))
 	}
+	// Saved at its own version, the earlier layout's map is rewritten in
+	// the current layout, not copied: it writes the new file byte for byte.
+	samePath := filepath.Join(dir, "old-v1.snap")
+	if err := om.SaveSnapshot(samePath, 1); err != nil {
+		t.Fatal(err)
+	}
+	if same, err := os.ReadFile(samePath); err != nil {
+		t.Fatal(err)
+	} else if !bytes.Equal(same, newFile) {
+		t.Errorf("saved at its own version 1, the earlier layout's map wrote %d bytes, not the new file's %d", len(same), len(newFile))
+	}
 
 	for _, extra := range []int{-1, 1} {
 		path, _ := earlier("damaged.snap", extra)

@@ -15,14 +15,17 @@
 // and CRC-checked at Open, so a corrupt or truncated file fails fast
 // instead of being misread.
 //
-// Compatibility policy: readers accept exactly the version this package
-// writes. Any layout change bumps the version, and a file of any other
-// version — the retired streaming format 1 included — is refused with an
-// error naming the file and its version, never misparsed. To migrate a
-// version-1 file, open the map with a build that still reads version 1 and
-// save it again (heatmapd's POST /maps/{name}/snapshot forces a save).
-// heatmapd has written version 2 by default since that format was
-// introduced.
+// Compatibility policy: readers accept the version this package writes,
+// version 2, in two slab-edge layouts. This build writes no L2 heights (an
+// L2 file stores each slab's arcs). It also reads a version-2 L2 file an
+// earlier build wrote with one height per arc: Open checks the heights and
+// drops them, and a save rewrites such a file in the current layout
+// (View.CurrentLayout). Any other layout change bumps the version, and a
+// file of any other version — the retired streaming format 1 included — is
+// refused with an error naming the file and its version, never misparsed.
+// To migrate a version-1 file, open the map with a build that still reads
+// version 1 and save it again (heatmapd's POST /maps/{name}/snapshot forces
+// a save).
 package snapshot
 
 import (

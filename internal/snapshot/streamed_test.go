@@ -52,7 +52,7 @@ func mapLineage(t *testing.T, clients, facilities []geom.Point, metric geom.Metr
 	}
 	commit := func(version uint64, st delta.State, from *pointloc.Index) (*snapshot.Snapshot, *pointloc.Index) {
 		st.Pool = from.Pool()
-		out, err := delta.ApplyBatch(st, []delta.Delta{d}, delta.Options{Metric: metric, Measure: measure, Workers: 2})
+		out, err := delta.ApplyBatch(st, []delta.Delta{d}, delta.Options{Metric: metric, Measure: measure, Workers: 2}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

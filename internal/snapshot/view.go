@@ -99,6 +99,7 @@ type View struct {
 	poolOff       []uint32
 	poolMembers   []int32
 	slab          *SlabView
+	earlier       bool // an L2 slab index with heights (see CurrentLayout)
 
 	rnnOnce sync.Once
 	rnn     [][]int
@@ -334,8 +335,9 @@ func newView(data []byte, mapped bool) (*View, error) {
 		if err := s.validate(m); err != nil {
 			return nil, err
 		}
-		if m.Metric == geom.L2 {
-			s.Edges = nil // an earlier build's heights: checked, never read
+		if m.Metric == geom.L2 && len(s.Edges) > 0 {
+			// An earlier build's heights: checked, never read.
+			s.Edges, v.earlier = nil, true
 		}
 		v.slab = s
 	}
@@ -480,6 +482,11 @@ func (v *View) Facilities() []geom.Point { return v.facilities }
 // HasSlabIndex reports whether the snapshot carries slab point-location
 // sections (Slab is non-nil).
 func (v *View) HasSlabIndex() bool { return v.slab != nil }
+
+// CurrentLayout reports whether the file is in the layout this build
+// writes, so a copy of its bytes is what a save of its map would write; an
+// L2 file an earlier build wrote with heights is not.
+func (v *View) CurrentLayout() bool { return !v.earlier }
 
 // Slab returns the slab index sections, nil when the snapshot has none.
 // Its slices alias the file, valid only while v is reachable (see View).
