@@ -164,7 +164,8 @@ type Map struct {
 	bounds  Rect
 	// result holds the labels; its LabelPool is the label pool of the map's
 	// lineage (the map and every map derived from it by ApplyDelta), shared
-	// with the slab index, or nil for a map opened from a snapshot.
+	// with the slab index, or nil for a map opened from a snapshot, whose
+	// labels carry the file's pool ids (see labelPool).
 	result  *core.Result
 	measure Measure
 
@@ -191,6 +192,12 @@ type Map struct {
 	// snapshot save share one Summarize.
 	summaryOnce sync.Once
 	summary     Summary
+
+	// filePool is the label pool of a mapped map's lineage when its file
+	// stores no slab index, made on first use by a commit or an index
+	// build (see labelPool).
+	filePoolOnce sync.Once
+	filePool     *core.LabelInterner
 
 	// A mapped map (restored by OpenSnapshot) serves queries, tiles
 	// and metadata straight off the snapshot view — view holds the mmap'd
@@ -380,12 +387,15 @@ func (m *Map) applyDeltaBatch(ds []Delta, deferPatch bool) (*Map, DeltaStats, er
 	} else if m.pending != nil || m.pl.Load() != nil {
 		base = m.pointLoc().ix
 	}
-	// The resweep interns into the lineage's one label pool: the one the
-	// slab index draws its ids from (for an index opened from a snapshot,
-	// the interner seeded from the file), or else the labels' own.
-	pool := m.result.LabelPool()
+	// The resweep interns into the lineage's one label pool, whose ids the
+	// labels carry: the one the slab index draws its ids from (for an index
+	// opened from a snapshot, the interner seeded from the file), or else
+	// the labels' own.
+	var pool *core.LabelInterner
 	if base != nil {
 		pool = base.Pool()
+	} else {
+		pool = m.labelPool()
 	}
 	// An eager commit's resweep re-emits the dirty slabs in its own pass,
 	// and every other slab is shared with the old index (which keeps
@@ -633,11 +643,10 @@ func (m *Map) pointLoc() *plState {
 		ix, _ = p.base.Patch(m.circles, p.spans, p.events, pointloc.Options{})
 	}
 	if ix == nil && !m.cfg.NoSlabIndex {
-		// Sharing the sweep's label pool lets the build reuse every RNN set
-		// and heat the sweep already interned instead of recomputing them
-		// (the pool is nil for maps restored from snapshots — Build then
-		// interns from scratch).
-		if built, err := pointloc.Build(m.circles, m.measure, pointloc.Options{Pool: m.result.LabelPool()}); err == nil {
+		// Sharing the labels' pool lets the build reuse every RNN set and
+		// heat the sweep already interned instead of recomputing them, and
+		// keeps the labels' ids the ids of the index's gaps.
+		if built, err := pointloc.Build(m.circles, m.measure, pointloc.Options{Pool: m.labelPool()}); err == nil {
 			ix = built
 		}
 	}
@@ -647,6 +656,21 @@ func (m *Map) pointLoc() *plState {
 	}
 	m.pl.Store(st)
 	return st
+}
+
+// labelPool returns the label pool whose ids the map's labels carry, for a
+// commit or an index build to intern into: the sweep's, or, for a map
+// opened from a snapshot, a pool seeded with the file's sets under their
+// pool ids (snapshot.View.Interner), which the slab index a file stores
+// seeds for itself instead (pointloc.Index.Pool). A fresh pool in its place
+// would give the sets new ids, and the labels' ids would name nothing in
+// it.
+func (m *Map) labelPool() *core.LabelInterner {
+	if m.view == nil {
+		return m.result.LabelPool()
+	}
+	m.filePoolOnce.Do(func() { m.filePool = m.view.Interner(m.measure) })
+	return m.filePool
 }
 
 // pendingPatch is the record a map whose slab index patch was deferred
@@ -855,10 +879,14 @@ func (m *Map) Summary() Summary {
 
 // HeatHistogram buckets the labeled regions' heat values into the given
 // number of equal-width bins between the minimum and maximum heat. It
-// returns the bin edges (length bins+1) and counts (length bins).
+// returns the bin edges (length bins+1) and counts (length bins). The range
+// is the Summary's, and a mapped map buckets the heats its file stores, so
+// it stays "mapped".
 func (m *Map) HeatHistogram(bins int) (edges []float64, counts []int) {
-	m.materialize()
-	return postprocess.Histogram(m.result.Labels, bins)
+	if m.view != nil {
+		return postprocess.Histogram(m.Summary(), m.view.LabelHeats(), bins)
+	}
+	return postprocess.Histogram(m.Summary(), postprocess.Heats(m.result.Labels), bins)
 }
 
 // Rasterize renders the full heat map into a width-pixel-wide raster using

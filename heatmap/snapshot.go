@@ -49,7 +49,9 @@ func (m *Map) Snapshot(mapVersion uint64) (*snapshot.Snapshot, error) {
 // (with NoSlabIndex, or when the build declines, the file has no slab
 // sections and a map opened from it builds its index on first query). The
 // file is streamed from the map's own arrays and the index's own slabs,
-// heap or mapped file, with no copy of either (snapshot.Encode). A
+// heap or mapped file, with no copy of either (snapshot.Encode), and its
+// set pool is planned by the ids the map's labels and its index's gaps
+// share (their lineage's table, see labelPool). A
 // map opened from a file that already carries its slab index, in this
 // build's layout, saved at the file's own map version, has exactly the
 // file's bytes to write: they are copied from the mapping, so the map stays

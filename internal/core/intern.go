@@ -31,12 +31,15 @@ import (
 // concurrent strips contend only on writes to the same shard, and reads — the
 // overwhelming majority — take an RLock.
 //
-// The content key is the one identity of an RNN set across the program. The
-// pool pointer identifies a set only within one pool, and a map restored
-// from a snapshot, or a label list assembled by a caller, carries sets from
-// different pools; so summaries, the optimal ranking and its geometry join,
-// and the snapshot's set pool key by oset.KeyOf over the member slice — the
-// same key the interner decides every emitted label with.
+// A set's id in its pool's table (ID) is its identity from the sweep to the
+// disk: every emitted label carries it (Label.Set), slab gaps store it, and
+// a snapshot's pool ids are the ids of the lineage its file continues
+// (NewLabelInternerFrom). So summaries, the optimal ranking and its geometry
+// join, and the snapshot's set pool count and join sets by id, in dense
+// tables. The content key (oset.KeyOf over the member slice, the key the
+// interner decides every set with) stays the identity across pools: label
+// lists that carry no ids, such as lists a caller assembles, are keyed by
+// it, and a set's record is found from its members by it (LookupID).
 
 // Interned is one pooled region label: an RNN set in ascending client order
 // together with its influence value under the interner's measure. Instances
@@ -255,16 +258,34 @@ func (in *LabelInterner) Intern(set *oset.Set) *Interned {
 	if l := in.lookup(key); l != nil {
 		return l
 	}
-	sh := &in.shards[key.Hash[0]&(internShards-1)]
-	// Build the label outside the lock: the sort and the influence evaluation
-	// are the expensive part, and a concurrent duplicate computes the exact
-	// same (deterministic) value — only one wins the map slot below.
 	bufp, _ := in.bufs.Get().(*[]int)
 	if bufp == nil {
 		bufp = new([]int)
 	}
 	rnn := set.AppendMembers((*bufp)[:0])
 	sort.Ints(rnn)
+	got := in.add(key, rnn)
+	*bufp = rnn
+	in.bufs.Put(bufp)
+	return got
+}
+
+// internSorted is Intern for a set given by its members in ascending order,
+// which are only read.
+func (in *LabelInterner) internSorted(rnn []int) *Interned {
+	key := oset.KeyOf(rnn)
+	if l := in.lookup(key); l != nil {
+		return l
+	}
+	return in.add(key, rnn)
+}
+
+// add evaluates the heat of the set with members rnn (ascending) and
+// publishes a copy under key, unless a concurrent add of the same set won
+// the slot first. The evaluation runs outside the lock: it is the expensive
+// part, and a concurrent duplicate computes the exact same (deterministic)
+// value.
+func (in *LabelInterner) add(key oset.ContentKey, rnn []int) *Interned {
 	var heat float64
 	if in.sorted != nil {
 		heat = in.sorted.InfluenceSorted(rnn)
@@ -280,13 +301,12 @@ func (in *LabelInterner) Intern(set *oset.Set) *Interned {
 		heat = in.measure.Influence(sc)
 		in.scratch.Put(sc)
 	}
+	sh := &in.shards[key.Hash[0]&(internShards-1)]
 	sh.mu.Lock()
 	got, ok := sh.byKey[key]
 	if !ok {
 		got = sh.insert(key, rnn, heat)
 	}
 	sh.mu.Unlock()
-	*bufp = rnn
-	in.bufs.Put(bufp)
 	return got
 }

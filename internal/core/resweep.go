@@ -63,7 +63,11 @@ type ResweepOutcome struct {
 // version of an added or modified one. pool is the label pool to intern the
 // reswept sets into — the one every map of a lineage shares — and is reused
 // only when it evaluates opts' measure; otherwise (nil included) a fresh pool
-// is made. The returned Result carries the pool either way.
+// is made. The returned Result carries the pool either way, and its labels
+// carry their sets' ids there: a prior label kept by the splice keeps its
+// own id when pool was reused (prior's ids must index pool's table, as the
+// labels of a Result over pool do), and is given its set's id in the fresh
+// pool otherwise.
 //
 // The returned labels are identical — order, regions, representative points,
 // RNN sets and heat values — to what CREST(circles, opts) would produce. The
@@ -101,7 +105,7 @@ func Resweep(circles []nncircle.NNCircle, opts Options, prior []Label, perturbed
 	if slabs != nil && slabs.Begin(ev, swept, col.intern) {
 		p.slabs = slabs
 	}
-	return spliceOutcome(col, ev, prior, ranges, p.sweepRanges(col, swept)), nil
+	return spliceOutcome(col, ev, prior, ranges, p.sweepRanges(col, swept), col.intern == pool), nil
 }
 
 // slabRanges returns the event runs of ranges.
@@ -202,8 +206,10 @@ func eventRanges(n int, xOf func(int) float64, spans []interval) []eventRange {
 // Region.MinX), so a single merge pass suffices and the spliced slice is in
 // full-sweep emission order. With no ranges (the perturbation had no usable
 // events, e.g. only zero-radius circles changed) the arrangement is
-// unchanged and the prior labels are copied as they are.
-func spliceOutcome(col *collector, ev *SlabEvents, prior []Label, ranges []eventRange, parts [][]*collector) *ResweepOutcome {
+// unchanged and the prior labels are copied as they are. kept reports that
+// the prior labels' ids index col's pool; otherwise every label is given
+// its set's id there.
+func spliceOutcome(col *collector, ev *SlabEvents, prior []Label, ranges []eventRange, parts [][]*collector, kept bool) *ResweepOutcome {
 	labels := make([]Label, 0, len(prior))
 	reswept, work := 0, 0
 	pi := 0
@@ -222,6 +228,11 @@ func spliceOutcome(col *collector, ev *SlabEvents, prior []Label, ranges []event
 		}
 	}
 	labels = append(labels, prior[pi:]...)
+	if !kept {
+		for i := range labels {
+			labels[i].Set = col.intern.ID(col.intern.internSorted(labels[i].RNN)) + 1
+		}
+	}
 	res := finalizeSpliced(col, labels, len(ev.circles), len(ev.events))
 	res.Stats.StatusWork = work
 	return &ResweepOutcome{

@@ -50,6 +50,55 @@ type Label struct {
 	RNN []int
 	// Heat is the influence value of the RNN set under the run's measure.
 	Heat float64
+	// Set is 1 + the id of the RNN set in the id table of the pool the label
+	// was emitted into (LabelInterner.ID), or 0 when the label carries no
+	// id. Every label of a Result carries its id in Result.LabelPool, and a
+	// label a snapshot restores carries its file's pool id, which is the id
+	// the file's lineage keeps (NewLabelInternerFrom). An id means nothing
+	// outside its own table: a list whose labels all carry ids must take
+	// them from one table, and a list assembled from several pools must
+	// clear them (readers then key the sets by content).
+	Set uint32
+}
+
+// Distinct tells apart the RNN sets of one label list: by set id, in a
+// dense bitset, when every label of the list carries one (ids of one table,
+// see Label.Set), and by content key otherwise. It is not safe for
+// concurrent use.
+type Distinct struct {
+	bits []uint64
+	keys map[oset.ContentKey]struct{}
+}
+
+// NewDistinct returns a Distinct for labels that has met no set yet.
+func NewDistinct(labels []Label) *Distinct {
+	bound := uint32(0)
+	for i := range labels {
+		if labels[i].Set == 0 {
+			return &Distinct{keys: make(map[oset.ContentKey]struct{})}
+		}
+		bound = max(bound, labels[i].Set)
+	}
+	return &Distinct{bits: make([]uint64, bound/64+1)}
+}
+
+// First records the set of l, a label of the list d was made for, and
+// reports whether d met it for the first time.
+func (d *Distinct) First(l *Label) bool {
+	if d.keys != nil {
+		k := oset.KeyOf(l.RNN)
+		if _, dup := d.keys[k]; dup {
+			return false
+		}
+		d.keys[k] = struct{}{}
+		return true
+	}
+	w, b := l.Set/64, uint64(1)<<(l.Set%64)
+	if d.bits[w]&b != 0 {
+		return false
+	}
+	d.bits[w] |= b
+	return true
 }
 
 // Stats records the work an algorithm performed; the experiment harness
@@ -97,7 +146,8 @@ type Result struct {
 }
 
 // LabelPool returns the interned-label pool the run emitted into, holding
-// every distinct RNN set encountered with its precomputed heat. Consumers
+// every distinct RNN set encountered with its precomputed heat; every label
+// of the run carries its set's id in the pool's table (Label.Set). Consumers
 // that re-derive per-face labels from the same arrangement — the slab
 // point-location builder above all — reuse it instead of re-sorting and
 // re-evaluating sets the sweep already interned. Nil when the result was not
@@ -205,7 +255,9 @@ func (c *collector) reserve(n int) {
 }
 
 // Label records one region-labeling operation. lbl is an interned label
-// shared with the pool; its fields are referenced, never copied or modified.
+// shared with the pool; its fields are referenced, never copied or modified,
+// and the emitted label carries its id in the pool's table, numbered here
+// on the set's first labeling if no slab gap numbered it first.
 // InfluenceCalls counts labeling operations (one heat consultation per
 // label), matching the paper's accounting even though interning evaluates
 // each distinct set only once.
@@ -224,6 +276,7 @@ func (c *collector) Label(region geom.Rect, lbl *Interned) {
 			Point:  c.toOriginal(region.Center()),
 			RNN:    lbl.RNN,
 			Heat:   heat,
+			Set:    c.intern.ID(lbl) + 1,
 		}
 	}
 	if !c.opts.DiscardLabels {

@@ -76,8 +76,10 @@ type State struct {
 	Circles    []nncircle.NNCircle
 	Labels     []core.Label
 	// Pool is the label pool the resweep interns into: the one pool of the
-	// map's lineage (see core.Resweep). Nil, or a pool of another measure,
-	// means a fresh pool, which the outcome's State then carries.
+	// map's lineage (see core.Resweep), whose table Labels' set ids index.
+	// Nil, or a pool of another measure, means a fresh pool, which the
+	// outcome's State then carries and in which every label of the outcome
+	// is given its set's id.
 	Pool *core.LabelInterner
 }
 

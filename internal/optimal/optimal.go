@@ -27,11 +27,13 @@
 // The constrained variants filter the ranked sets: minimum region area,
 // minimum distance from existing facilities, and a bounding-box filter.
 //
-// A distinct RNN set is identified by its oset.ContentKey, the key the
-// sweep's label interner decides every label with. Ranking computes it from
-// the member slice, and the geometry resolves a set to its slab-gap id
-// through the index's own interner, so both work for labels and slab gaps
-// from any pools.
+// A distinct RNN set is identified by its id in its lineage's table, which
+// every label of a map carries (core.Label.Set) and every slab gap of its
+// index stores: ranking tells sets apart by id (core.Distinct), and the
+// geometry takes a label's id as its gap id (pointloc.Index.LabelID). Labels
+// that carry no ids in the index's table are identified by content
+// (oset.ContentKey, the key the sweep's interner decides every set with),
+// so both work for labels and slab gaps from any pools.
 package optimal
 
 import (
@@ -41,7 +43,6 @@ import (
 
 	"rnnheatmap/internal/core"
 	"rnnheatmap/internal/geom"
-	"rnnheatmap/internal/oset"
 	"rnnheatmap/internal/pointloc"
 )
 
@@ -99,9 +100,10 @@ type Group struct {
 }
 
 // Geometry is the per-RNN-set face geometry of one slab index, resolved on
-// demand and memoized. Sets are joined by content: a set resolves to its gap
-// id through the index's interner (pointloc.Index.SetID), so labels from any
-// pool join a built, patched or snapshot-opened index alike. A Geometry is
+// demand and memoized. A label's set resolves to its gap id by the label's
+// own id, or by content where the index's table does not hold the set
+// under it (pointloc.Index.LabelID), so labels from any pool join a built,
+// patched or snapshot-opened index alike. A Geometry is
 // safe for concurrent use; an index is immutable, so one Geometry per index
 // serves every query on it.
 type Geometry struct {
@@ -133,39 +135,36 @@ func FromIndex(ix *pointloc.Index) *Geometry {
 	return &Geometry{ix: ix, groups: make(map[uint32]Group)}
 }
 
-// Lookup returns the geometry of the given RNN set; false when the set has
+// lookup returns the geometry of the set of label l; false when the set has
 // no bounded cell in the index.
-func (g *Geometry) Lookup(rnn []int) (Group, bool) {
+func (g *Geometry) lookup(l *core.Label) (Group, bool) {
 	if g == nil {
 		return Group{}, false
 	}
-	grp := g.groupsOf([][]int{rnn})[0]
+	grp := g.groupsOf([]*core.Label{l})[0]
 	return grp, grp.Cells > 0
 }
 
-// attach joins each region to its set's geometry, resolving the sets the
-// memo lacks in one walk.
-func (g *Geometry) attach(regs []Region) {
-	sets := make([][]int, len(regs))
-	for i := range regs {
-		sets[i] = regs[i].RNN
-	}
-	for i, grp := range g.groupsOf(sets) {
+// attach joins each region to the geometry of the set of the label it
+// came from (from[i] for regs[i]), resolving the sets the memo lacks in one
+// walk.
+func (g *Geometry) attach(regs []Region, from []*core.Label) {
+	for i, grp := range g.groupsOf(from) {
 		regs[i].setGeometry(grp)
 	}
 }
 
-// groupsOf returns the geometry of each set, the zero Group for a set
-// without a bounded cell. The sets the memo lacks are resolved in one walk
-// over the index's cells.
-func (g *Geometry) groupsOf(sets [][]int) []Group {
+// groupsOf returns the geometry of each label's set, the zero Group for a
+// set without a bounded cell. The sets the memo lacks are resolved in one
+// walk over the index's cells.
+func (g *Geometry) groupsOf(labels []*core.Label) []Group {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	const none = ^uint32(0)
-	ids := make([]uint32, len(sets))
+	ids := make([]uint32, len(labels))
 	var want []uint32
-	for i, rnn := range sets {
-		id, ok := g.ix.SetID(rnn)
+	for i, l := range labels {
+		id, ok := g.ix.LabelID(l)
 		if !ok {
 			ids[i] = none
 			continue
@@ -178,7 +177,7 @@ func (g *Geometry) groupsOf(sets [][]int) []Group {
 	if len(want) > 0 {
 		g.walk(want)
 	}
-	out := make([]Group, len(sets))
+	out := make([]Group, len(labels))
 	for i, id := range ids {
 		if id != none {
 			out[i] = g.groups[id]
@@ -235,7 +234,8 @@ func (r *Region) setGeometry(grp Group) {
 // error.
 //
 // TopK pops labels from a heap ordered by heat descending, then emission
-// order, and keys only the labels it pops. The first label of a set it pops
+// order, and tells apart only the sets of the labels it pops, by id when
+// every label carries one (core.Distinct). The first label of a set it pops
 // is the set's first emitted label under one precondition: all labels of one
 // set carry one heat. Every label list the program builds meets it — the
 // sweep's interner evaluates each set once, and heats are bit-identical
@@ -254,31 +254,31 @@ func TopK(labels []core.Label, geo *Geometry, k int, cons Constraints) ([]Region
 		geo.resolveAll()
 	}
 	h := newRankHeap(labels)
-	seen := make(map[oset.ContentKey]struct{})
+	seen := core.NewDistinct(labels)
 	out := make([]Region, 0, min(k, len(labels)))
+	from := make([]*core.Label, 0, cap(out))
 	for len(out) < k {
 		i, ok := h.pop()
 		if !ok {
 			break
 		}
 		l := &labels[i]
-		key := oset.KeyOf(l.RNN)
-		if _, dup := seen[key]; dup {
+		if !seen.First(l) {
 			continue
 		}
-		seen[key] = struct{}{}
 		r := Region{Heat: l.Heat, RNN: l.RNN, Point: l.Point}
 		if cons.MinArea > 0 {
-			grp, _ := geo.Lookup(l.RNN)
+			grp, _ := geo.lookup(l)
 			r.setGeometry(grp)
 		}
 		if !cons.admit(r) {
 			continue
 		}
 		out = append(out, r)
+		from = append(from, l)
 	}
 	if geo != nil && cons.MinArea <= 0 {
-		geo.attach(out)
+		geo.attach(out, from)
 	}
 	return out, nil
 }

@@ -40,7 +40,7 @@ func TestSingleCircleArea(t *testing.T) {
 	t.Run("linf square", func(t *testing.T) {
 		ix := buildIndex(t, clients, facilities, geom.LInf)
 		geo := FromIndex(ix)
-		grp, ok := geo.Lookup([]int{0})
+		grp, ok := geo.lookup(&core.Label{RNN: []int{0}})
 		if !ok {
 			t.Fatal("no geometry for RNN set {0}")
 		}
@@ -62,7 +62,7 @@ func TestSingleCircleArea(t *testing.T) {
 
 	t.Run("l2 disc", func(t *testing.T) {
 		geo := FromIndex(buildIndex(t, clients, facilities, geom.L2))
-		grp, ok := geo.Lookup([]int{0})
+		grp, ok := geo.lookup(&core.Label{RNN: []int{0}})
 		if !ok {
 			t.Fatal("no geometry for RNN set {0}")
 		}
@@ -81,7 +81,7 @@ func TestSingleCircleArea(t *testing.T) {
 		// sweep runs in rotated coordinates; the rotation is orthonormal, so
 		// the area needs no correction factor.
 		geo := FromIndex(buildIndex(t, clients, facilities, geom.L1))
-		grp, ok := geo.Lookup([]int{0})
+		grp, ok := geo.lookup(&core.Label{RNN: []int{0}})
 		if !ok {
 			t.Fatal("no geometry for RNN set {0}")
 		}
@@ -124,7 +124,7 @@ func TestOverlapAreasInclusionExclusion(t *testing.T) {
 		{[]int{0, 1}, 8}, // A∩B: 2×4
 	}
 	for _, tc := range cases {
-		grp, ok := geo.Lookup(tc.rnn)
+		grp, ok := geo.lookup(&core.Label{RNN: tc.rnn})
 		if !ok {
 			t.Fatalf("no geometry for RNN set %v", tc.rnn)
 		}
@@ -175,7 +175,7 @@ func TestAreasMatchMonteCarlo(t *testing.T) {
 				}
 			}
 			for key, approx := range sampled {
-				grp, ok := geo.Lookup(sets[key])
+				grp, ok := geo.lookup(&core.Label{RNN: sets[key]})
 				if !ok {
 					// A set sampled on the grid but absent from the
 					// geometry would be a real hole in the grouping.

@@ -375,6 +375,63 @@ func TestGreedyPlaceMatchesEagerOracle(t *testing.T) {
 	}
 }
 
+// TestTopKJoinsLabelIDsOfAnotherTable: labels that carry the ids of their
+// map's heap pool, ranked over the index the map's file stores (whose table
+// numbers the sets in file order), join the index by content wherever an
+// id names another set there, and every answer equals the oracle's.
+func TestTopKJoinsLabelIDsOfAnotherTable(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(41))
+	for _, metric := range []geom.Metric{geom.LInf, geom.L1, geom.L2} {
+		clients, facilities := randomInstance(rng, 120, 12)
+		m, err := heatmap.Build(heatmap.Config{Clients: clients, Facilities: facilities, Metric: metric})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := m.Snapshot(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		labels := s.Labels
+		ix, v := openIndex(t, m)
+		tables := ix.ExportTables()
+		foreign := 0
+		for _, l := range labels {
+			if l.Set == 0 {
+				t.Fatalf("%v: a built map's label carries no set id", metric)
+			}
+			if int(l.Set) > tables.NumSets {
+				foreign++
+			} else if rnn, _ := tables.Set(l.Set - 1); !slices.Equal(rnn, l.RNN) {
+				foreign++
+			}
+		}
+		if foreign == 0 {
+			t.Fatalf("%v: every label's id names its set in the file's table; the test would prove nothing", metric)
+		}
+		geo := oracleFromIndex(ix)
+		opened := optimal.FromIndex(ix)
+		mt := mapUnderTest{metric.String(), m, metric, facilities}
+		cases := constraintCases(mt, geo)
+		for _, name := range queryOrder {
+			for _, k := range []int{1, 3, 10, len(labels) + 1} {
+				want, err := oracleTopK(labels, geo, k, cases[name])
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := optimal.TopK(labels, opened, k, cases[name])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%v %s k=%d: TopK diverges from the oracle:\n got %+v\nwant %+v", metric, name, k, got, want)
+				}
+			}
+		}
+		v.Close()
+	}
+}
+
 // defaultMapPoints returns heatmapd's default map inputs: NYC L2 2000/600.
 func defaultMapPoints(t *testing.T) (clients, facilities []geom.Point) {
 	t.Helper()

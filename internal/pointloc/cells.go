@@ -62,6 +62,17 @@ func (ix *Index) SetID(rnn []int) (id uint32, ok bool) {
 	return id, ok && int(id) < len(ix.sets.heats)
 }
 
+// LabelID returns the id the index's gaps store for the set of label l: the
+// label's own set id when the index's table holds l's set under it, as it
+// does for every label of the map the index serves (one lineage, one
+// table), and otherwise the id SetID finds by content.
+func (ix *Index) LabelID(l *core.Label) (id uint32, ok bool) {
+	if id = l.Set - 1; l.Set != 0 && int(id) < len(ix.sets.heats) && ix.sets.holds(id, l.RNN) {
+		return id, true
+	}
+	return ix.SetID(l.RNN)
+}
+
 // AppendSet appends the members of the set with the given id (a gap id
 // GroupCells reported), ascending, to dst.
 func (ix *Index) AppendSet(dst []int, id uint32) []int { return ix.sets.appendSet(dst, id) }

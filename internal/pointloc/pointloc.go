@@ -50,6 +50,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -200,6 +201,26 @@ func (t *labelTable) appendSet(dst []int, id uint32) []int {
 	return dst
 }
 
+// holds reports whether set id has the members rnn (ascending), at once
+// when rnn is the interned record's own slice.
+func (t *labelTable) holds(id uint32, rnn []int) bool {
+	if t.sets != nil {
+		s := t.sets[id].RNN
+		return len(s) == len(rnn) && (len(s) == 0 || &s[0] == &rnn[0] || slices.Equal(s, rnn))
+	}
+	defer runtime.KeepAlive(t.view) // the members are file bytes
+	members := t.view.PoolMembers(id)
+	if len(members) != len(rnn) {
+		return false
+	}
+	for i, c := range members {
+		if int(c) != rnn[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // answer returns the heat and members of set id for one query: the
 // interned record's, or the file's heat with a copy of just this record of
 // its pool — a cold map answering one query never decodes the rest. The
@@ -247,13 +268,7 @@ type lineage struct {
 // on first use.
 func (l *lineage) interner(measure influence.Measure) *core.LabelInterner {
 	if l.view != nil {
-		l.seed.Do(func() {
-			sets := make([][]int, l.view.Meta().NumPool)
-			for id := range sets {
-				sets[id] = l.view.PoolRNN(uint32(id))
-			}
-			l.pool = core.NewLabelInternerFrom(measure, sets, l.view.PoolHeats())
-		})
+		l.seed.Do(func() { l.pool = l.view.Interner(measure) })
 	}
 	return l.pool
 }

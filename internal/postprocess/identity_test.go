@@ -14,9 +14,10 @@ import (
 	"rnnheatmap/internal/nncircle"
 )
 
-// The identity differential suite: Summarize and TopK(distinct) key RNN sets
-// by oset.ContentKey, a hash; these oracles key them by the exact string of
-// the sorted members, and every answer must agree.
+// The identity differential suite: Summarize and TopK(distinct) tell RNN
+// sets apart by set id, or by oset.ContentKey (a hash) for labels without
+// ids; these oracles key them by the exact string of the sorted members,
+// and every answer must agree.
 
 // oracleKey is the exact string identity of an RNN set.
 func oracleKey(rnn []int) string {
@@ -105,16 +106,16 @@ func randomLabels(rng *rand.Rand, n int) []core.Label {
 	return labels
 }
 
-// defaultMapLabels returns the labels of the map heatmapd serves by default:
-// NYC, 2000 clients and 600 facilities as with -seed 1, under L2.
-func defaultMapLabels(t *testing.T) []core.Label {
+// crestLabels returns the labels of a CREST run over NYC-like points,
+// sampled as heatmapd samples its maps; every one carries its set's id.
+func crestLabels(t *testing.T, nClients, nFacilities int, metric geom.Metric, seed int64) []core.Label {
 	t.Helper()
-	pool, err := dataset.ByName("NYC", (2000+600)*2, 1)
+	pool, err := dataset.ByName("NYC", (nClients+nFacilities)*2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clients, facilities := pool.SampleClientsFacilities(2000, 600, 2)
-	circles, err := nncircle.Compute(clients, facilities, geom.L2)
+	clients, facilities := pool.SampleClientsFacilities(nClients, nFacilities, seed)
+	circles, err := nncircle.Compute(clients, facilities, metric)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,18 @@ func defaultMapLabels(t *testing.T) []core.Label {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for i, l := range res.Labels {
+		if l.Set == 0 {
+			t.Fatalf("CREST label %d carries no set id", i)
+		}
+	}
 	return res.Labels
+}
+
+// defaultMapLabels returns the labels of the map heatmapd serves by default:
+// NYC, 2000 clients and 600 facilities as with -seed 1, under L2.
+func defaultMapLabels(t *testing.T) []core.Label {
+	return crestLabels(t, 2000, 600, geom.L2, 2)
 }
 
 func checkIdentity(t *testing.T, name string, labels []core.Label) {
@@ -142,6 +154,9 @@ func TestIdentityMatchesStringOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for trial := 0; trial < 200; trial++ {
 		checkIdentity(t, fmt.Sprintf("trial %d", trial), randomLabels(rng, rng.Intn(60)))
+	}
+	for _, metric := range []geom.Metric{geom.LInf, geom.L1, geom.L2} {
+		checkIdentity(t, fmt.Sprintf("%v CREST labels carrying set ids", metric), crestLabels(t, 300, 60, metric, 3))
 	}
 	if testing.Short() {
 		t.Skip("default map skipped in short mode")

@@ -7,17 +7,18 @@
 package postprocess
 
 import (
+	"iter"
 	"math"
 	"sort"
 
 	"rnnheatmap/internal/core"
-	"rnnheatmap/internal/oset"
 )
 
 // TopK returns the k labels with the highest heat, in descending heat order.
 // Ties are broken by smaller RNN set and then by emission order to keep the
 // result deterministic. When distinct is true, at most one label per
-// distinct RNN set (by oset.ContentKey) is returned.
+// distinct RNN set (core.Distinct: by set id, or by content for labels
+// without ids) is returned.
 func TopK(labels []core.Label, k int, distinct bool) []core.Label {
 	if k <= 0 {
 		return nil
@@ -33,16 +34,15 @@ func TopK(labels []core.Label, k int, distinct bool) []core.Label {
 		}
 		return len(la.RNN) < len(lb.RNN)
 	})
-	seen := map[oset.ContentKey]bool{}
+	var seen *core.Distinct
+	if distinct {
+		seen = core.NewDistinct(labels)
+	}
 	var out []core.Label
 	for _, i := range idx {
 		l := labels[i]
-		if distinct {
-			key := oset.KeyOf(l.RNN)
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
+		if distinct && !seen.First(&l) {
+			continue
 		}
 		out = append(out, l)
 		if len(out) == k {
@@ -75,15 +75,19 @@ type Summary struct {
 }
 
 // Summarize computes distributional statistics over labels. Distinct sets
-// are counted by oset.ContentKey, so labels from any pools compare by
-// content.
+// are counted by set id when every label carries one, and by content
+// otherwise (core.Distinct), so labels from any pools that carry no ids
+// compare by content.
 func Summarize(labels []core.Label) Summary {
 	s := Summary{MinHeat: math.Inf(1), MaxHeat: math.Inf(-1)}
-	seen := map[oset.ContentKey]struct{}{}
+	seen := core.NewDistinct(labels)
 	total := 0.0
-	for _, l := range labels {
+	for i := range labels {
+		l := &labels[i]
 		s.Count++
-		seen[oset.KeyOf(l.RNN)] = struct{}{}
+		if seen.First(l) {
+			s.DistinctSets++
+		}
 		total += l.Heat
 		if l.Heat < s.MinHeat {
 			s.MinHeat = l.Heat
@@ -95,7 +99,6 @@ func Summarize(labels []core.Label) Summary {
 			s.MaxRNNSize = len(l.RNN)
 		}
 	}
-	s.DistinctSets = len(seen)
 	if s.Count > 0 {
 		s.MeanHeat = total / float64(s.Count)
 	} else {
@@ -104,14 +107,25 @@ func Summarize(labels []core.Label) Summary {
 	return s
 }
 
-// Histogram buckets the labels' heat values into the given number of equal
-// width bins between the minimum and maximum heat. It returns the bin edges
-// (length bins+1) and counts (length bins).
-func Histogram(labels []core.Label, bins int) (edges []float64, counts []int) {
-	if bins <= 0 || len(labels) == 0 {
+// Heats yields the heat of every label, in order.
+func Heats(labels []core.Label) iter.Seq[float64] {
+	return func(yield func(float64) bool) {
+		for i := range labels {
+			if !yield(labels[i].Heat) {
+				return
+			}
+		}
+	}
+}
+
+// Histogram buckets heats — the heats of the labels s summarizes — into
+// the given number of equal-width bins between s.MinHeat and s.MaxHeat. It
+// returns the bin edges (length bins+1) and counts (length bins), or nil
+// for no bins or no labels.
+func Histogram(s Summary, heats iter.Seq[float64], bins int) (edges []float64, counts []int) {
+	if bins <= 0 || s.Count == 0 {
 		return nil, nil
 	}
-	s := Summarize(labels)
 	lo, hi := s.MinHeat, s.MaxHeat
 	if hi == lo {
 		hi = lo + 1
@@ -121,8 +135,8 @@ func Histogram(labels []core.Label, bins int) (edges []float64, counts []int) {
 		edges[i] = lo + float64(i)*(hi-lo)/float64(bins)
 	}
 	counts = make([]int, bins)
-	for _, l := range labels {
-		b := int((l.Heat - lo) / (hi - lo) * float64(bins))
+	for heat := range heats {
+		b := int((heat - lo) / (hi - lo) * float64(bins))
 		if b >= bins {
 			b = bins - 1
 		}

@@ -69,9 +69,15 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
+// histogram buckets the labels' heats over their summary's range, as
+// heatmap.Map.HeatHistogram does for a heap map.
+func histogram(labels []core.Label, bins int) ([]float64, []int) {
+	return Histogram(Summarize(labels), Heats(labels), bins)
+}
+
 func TestHistogram(t *testing.T) {
 	labels := []core.Label{lbl(0, 1), lbl(1, 1), lbl(2, 1), lbl(10, 1)}
-	edges, counts := Histogram(labels, 5)
+	edges, counts := histogram(labels, 5)
 	if len(edges) != 6 || len(counts) != 5 {
 		t.Fatalf("edges=%d counts=%d", len(edges), len(counts))
 	}
@@ -85,14 +91,14 @@ func TestHistogram(t *testing.T) {
 	if counts[0] != 2 || counts[1] != 1 || counts[4] != 1 {
 		t.Errorf("counts = %v", counts)
 	}
-	if e, c := Histogram(nil, 5); e != nil || c != nil {
+	if e, c := histogram(nil, 5); e != nil || c != nil {
 		t.Errorf("empty histogram should be nil")
 	}
-	if e, c := Histogram(labels, 0); e != nil || c != nil {
+	if e, c := histogram(labels, 0); e != nil || c != nil {
 		t.Errorf("zero bins should be nil")
 	}
 	// Constant heat does not divide by zero.
-	if _, c := Histogram([]core.Label{lbl(2, 1), lbl(2, 2)}, 3); c[0] != 2 {
+	if _, c := histogram([]core.Label{lbl(2, 1), lbl(2, 2)}, 3); c[0] != 2 {
 		t.Errorf("constant-heat histogram wrong: %v", c)
 	}
 }
@@ -105,7 +111,7 @@ func TestHistogram(t *testing.T) {
 func TestHistogramMinEqualsMax(t *testing.T) {
 	labels := []core.Label{lbl(7, 1), lbl(7, 2), lbl(7, 3)}
 	for _, bins := range []int{1, 4} {
-		edges, counts := Histogram(labels, bins)
+		edges, counts := histogram(labels, bins)
 		if len(edges) != bins+1 || len(counts) != bins {
 			t.Fatalf("bins=%d: edges=%d counts=%d", bins, len(edges), len(counts))
 		}

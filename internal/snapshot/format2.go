@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"unsafe"
 
 	"rnnheatmap/internal/core"
@@ -133,15 +134,22 @@ func checkSlab(i int, sl SlabLists, l2 bool) error {
 	return nil
 }
 
-// poolBuilder interns label sets by content (oset.ContentKey) into the
-// snapshot's set pool, in first-appearance order: labels first, then slab
-// gaps. The same set written twice (a label and a slab gap, say) gets one
-// record; the first writer's heat wins, which is exact because every
-// producer computed the heat from the same measure over the same set. A
-// record is kept as a reference to its first writer, whose own set and heat
-// the pool sections are streamed from.
+// poolBuilder plans the snapshot's set pool in first-appearance order:
+// labels first, then slab gaps. The same set written twice (a label and a
+// slab gap, say) gets one record; the first writer's heat wins, which is
+// exact because every producer computed the heat from the same measure over
+// the same set. A record is kept as a reference to its first writer, whose
+// own set and heat the pool sections are streamed from. Sets are joined by
+// their id in the slab tables' id table, through one dense table; labels
+// are joined by content (oset.ContentKey) instead when some label carries
+// no id, or when there are no slab tables.
 type poolBuilder struct {
-	ids map[oset.ContentKey]uint32
+	// pooled[id] is the pool id + 1 of the set the slab tables hold under
+	// id, 0 until a label or a gap writes it.
+	pooled []uint32
+	// keys maps the content key of each set written to its pool id, when
+	// the labels are keyed by content (nil otherwise).
+	keys map[oset.ContentKey]uint32
 	// refs[id] is the first writer of record id: a label index, or
 	// len(labels) + a gap set id.
 	refs   []uint32
@@ -149,15 +157,52 @@ type poolBuilder struct {
 	tables *SlabTables
 }
 
-func (p *poolBuilder) intern(rnn []int, ref uint32) uint32 {
+// add appends a record written first by ref and returns its pool id.
+func (p *poolBuilder) add(ref uint32) uint32 {
+	p.refs = append(p.refs, ref)
+	return uint32(len(p.refs) - 1)
+}
+
+// key returns the pool id of the set with members rnn, keyed by content,
+// adding a record written first by ref when the set is new.
+func (p *poolBuilder) key(rnn []int, ref uint32) uint32 {
 	k := oset.KeyOf(rnn)
-	if id, ok := p.ids[k]; ok {
+	if id, ok := p.keys[k]; ok {
 		return id
 	}
-	id := uint32(len(p.refs))
-	p.ids[k] = id
-	p.refs = append(p.refs, ref)
+	id := p.add(ref)
+	p.keys[k] = id
 	return id
+}
+
+// label returns the pool id of label i's set: keyed by content, or found
+// through the label's set id, which must name, in the slab tables, the
+// label's members (and, where the pool first meets the id, its heat).
+func (p *poolBuilder) label(i int) (uint32, error) {
+	l := &p.labels[i]
+	if p.keys != nil {
+		return p.key(l.RNN, uint32(i)), nil
+	}
+	id := l.Set - 1
+	if int(id) >= len(p.pooled) {
+		return 0, fmt.Errorf("snapshot: label %d carries set id %d, outside the slab tables' %d sets", i, id, len(p.pooled))
+	}
+	if p.pooled[id] == 0 {
+		rnn, heat := p.tables.Set(id)
+		if !sameSet(l.RNN, rnn) || math.Float64bits(heat) != math.Float64bits(l.Heat) {
+			return 0, fmt.Errorf("snapshot: label %d's set id %d names another set in the slab tables", i, id)
+		}
+		p.pooled[id] = p.add(uint32(i)) + 1
+	} else if first := &p.labels[p.refs[p.pooled[id]-1]]; !sameSet(l.RNN, first.RNN) {
+		return 0, fmt.Errorf("snapshot: labels %d and %d carry set id %d for different sets", p.refs[p.pooled[id]-1], i, id)
+	}
+	return p.pooled[id] - 1, nil
+}
+
+// sameSet reports whether a and b hold the same members, at once when they
+// are one slice, as the labels of one pool record are.
+func sameSet(a, b []int) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0] || slices.Equal(a, b))
 }
 
 // record returns the members and heat of pool record id.
@@ -169,30 +214,35 @@ func (p *poolBuilder) record(id int) ([]int, float64) {
 	return p.tables.Set(uint32(r - len(p.labels)))
 }
 
-// gapIDs checks every slab's lists (checkSlab; l2 for an L2 map), interns
-// the sets the tables' gaps name, slab by slab, and returns a dense table
-// over the set ids: the pool id + 1 of each set a gap names, 0 for the
-// rest. Each distinct set id is keyed once; the many gaps sharing one set
-// cost one array read each.
-func (p *poolBuilder) gapIDs(l2 bool) ([]uint32, error) {
+// gaps checks every slab's lists (checkSlab; l2 for an L2 map) and pools
+// the sets the gaps name, slab by slab, in the dense table: each distinct
+// set id is pooled once, and the many gaps sharing one set cost one array
+// read each. A set a label wrote is found under its id, or, when the labels
+// were keyed by content, by its key.
+func (p *poolBuilder) gaps(l2 bool) error {
 	t := p.tables
-	pooled := make([]uint32, t.NumSets)
 	for i := range t.Xs {
 		sl := t.Slab(i)
 		if err := checkSlab(i, sl, l2); err != nil {
-			return nil, err
+			return err
 		}
 		for _, g := range sl.Gaps {
-			if int(g) >= len(pooled) {
-				return nil, fmt.Errorf("snapshot: slab tables: gap set id %d of %d", g, len(pooled))
+			if int(g) >= len(p.pooled) {
+				return fmt.Errorf("snapshot: slab tables: gap set id %d of %d", g, len(p.pooled))
 			}
-			if pooled[g] == 0 {
+			if p.pooled[g] != 0 {
+				continue
+			}
+			ref := uint32(len(p.labels)) + g
+			if p.keys != nil {
 				rnn, _ := t.Set(g)
-				pooled[g] = p.intern(rnn, uint32(len(p.labels))+g) + 1
+				p.pooled[g] = p.key(rnn, ref) + 1
+			} else {
+				p.pooled[g] = p.add(ref) + 1
 			}
 		}
 	}
-	return pooled, nil
+	return nil
 }
 
 // stageSize is the capacity of the one buffer an encoding stages its
@@ -296,16 +346,35 @@ func (k *sink) points(ps []geom.Point) {
 }
 
 // poolIDs receives pooled[g]-1 for each gap set id g: a slab's gaps as
-// pool ids (see poolBuilder.gapIDs).
+// pool ids (see poolBuilder.gaps).
 func (k *sink) poolIDs(gaps, pooled []uint32) {
 	for len(gaps) > 0 {
-		k.room(4)
-		n := min(len(gaps), (cap(k.buf)-len(k.buf))/4)
-		for _, g := range gaps[:n] {
-			k.buf = binary.LittleEndian.AppendUint32(k.buf, pooled[g]-1)
+		b := k.run(4, len(gaps))
+		for i, g := range gaps[:len(b)/4] {
+			binary.LittleEndian.PutUint32(b[4*i:], pooled[g]-1)
 		}
-		gaps = gaps[n:]
+		gaps = gaps[len(b)/4:]
 	}
+}
+
+// ints receives each of vs as an i32.
+func (k *sink) ints(vs []int) {
+	for len(vs) > 0 {
+		b := k.run(4, len(vs))
+		for i, v := range vs[:len(b)/4] {
+			binary.LittleEndian.PutUint32(b[4*i:], uint32(int32(v)))
+		}
+		vs = vs[len(b)/4:]
+	}
+}
+
+// run stages room for up to n values of size bytes each, at least one, and
+// returns it for the caller to fill.
+func (k *sink) run(size, n int) []byte {
+	k.room(size)
+	n = min(n, (cap(k.buf)-len(k.buf))/size)
+	k.buf = k.buf[:len(k.buf)+n*size]
+	return k.buf[len(k.buf)-n*size:]
 }
 
 // crcWriter keeps the CRC-32 (IEEE) of what it is given.
@@ -394,22 +463,34 @@ func (s *Snapshot) encodeMeta(tables *SlabTables, nPool int) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// sections lays the snapshot out for writing: it interns the set pool and
+// sections lays the snapshot out for writing: it plans the set pool and
 // returns the payloads in file order, each streamed from the array that
 // holds it or derived from one as it is written.
 func (s *Snapshot) sections(tables *SlabTables) ([]section, error) {
-	pool := &poolBuilder{ids: make(map[oset.ContentKey]uint32, len(s.Labels)), labels: s.Labels, tables: tables}
-	// A label's pool id is the one value whose derivation (keying its set)
-	// costs more than holding it: 4 bytes per label, against the 60 the
-	// label sections store.
+	pool := &poolBuilder{labels: s.Labels, tables: tables}
+	byID := tables != nil
+	if byID {
+		pool.pooled = make([]uint32, tables.NumSets)
+	}
+	for i := 0; byID && i < len(s.Labels); i++ {
+		byID = s.Labels[i].Set != 0
+	}
+	if !byID {
+		pool.keys = make(map[oset.ContentKey]uint32, len(s.Labels))
+	}
+	// A label's pool id is the one value whose derivation costs more than
+	// holding it: 4 bytes per label, against the 60 the label sections
+	// store.
 	labelSets := make([]uint32, len(s.Labels))
 	for i := range s.Labels {
-		labelSets[i] = pool.intern(s.Labels[i].RNN, uint32(i))
+		id, err := pool.label(i)
+		if err != nil {
+			return nil, err
+		}
+		labelSets[i] = id
 	}
-	var gapIDs []uint32
 	if tables != nil {
-		var err error
-		if gapIDs, err = pool.gapIDs(s.Metric == geom.L2); err != nil {
+		if err := pool.gaps(s.Metric == geom.L2); err != nil {
 			return nil, err
 		}
 	}
@@ -470,14 +551,12 @@ func (s *Snapshot) sections(tables *SlabTables) ([]section, error) {
 		{kind: secPoolMembers, emit: func(k *sink) {
 			for id := range pool.refs {
 				rnn, _ := pool.record(id)
-				for _, v := range rnn {
-					k.i32(int32(v))
-				}
+				k.ints(rnn)
 			}
 		}},
 	}
 	if tables != nil {
-		secs = append(secs, tables.sections(gapIDs)...)
+		secs = append(secs, tables.sections(pool.pooled)...)
 	}
 	return secs, nil
 }
@@ -485,7 +564,7 @@ func (s *Snapshot) sections(tables *SlabTables) ([]section, error) {
 // sections returns the slab sections, streamed from the slabs' own lists:
 // the offset arrays are running sums of the list lengths (a slab's edges
 // counted from its gaps, so they count its heights or its arcs), and gap
-// set ids map to pool ids through pooled (see poolBuilder.gapIDs).
+// set ids map to pool ids through pooled (see poolBuilder.gaps).
 func (t *SlabTables) sections(pooled []uint32) []section {
 	n := len(t.Xs)
 	prefix := func(k *sink, count func(SlabLists) int) {
@@ -562,11 +641,18 @@ func header(secs []section) []byte {
 // Offsets are absolute file offsets. Each payload carries its own CRC, so a
 // torn write is pinned to a section instead of condemning the whole file.
 //
+// The set pool is planned by the labels' set ids when every label carries
+// one and tables are given: an id outside the table the tables' gaps
+// index, or one naming another set or heat there, is refused before a byte
+// is written, since it would store the label under another set. Otherwise
+// the labels' sets are keyed by content; both plans write the same bytes.
+//
 // Every section is streamed from the array that holds it — the snapshot's
 // slices, the slab index's own lists — twice: once into a checksum, for the
 // header that precedes it, and once into w. Nothing the size of a section
-// is copied: the encoding holds the set pool's key table, one pool id per
-// label and one per gap set id, and one fixed staging buffer.
+// is copied: the encoding holds one pool id per label and one per set id of
+// the slab tables (and, for labels keyed by content, the set pool's key
+// table), and one fixed staging buffer.
 func (s *Snapshot) Encode(w io.Writer, tables *SlabTables) error {
 	return s.encode(w, tables, hostLittleEndian && unsafe.Sizeof(geom.Point{}) == 16)
 }

@@ -73,7 +73,7 @@ func TestV2RoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("newView: %v", err)
 	}
-	if got := v.Snapshot(); !reflect.DeepEqual(got, stored(want)) {
+	if got := fromFile(t, v, v.Snapshot()); !reflect.DeepEqual(got, stored(want)) {
 		t.Errorf("round-trip mismatch:\n got %+v\nwant %+v", got, stored(want))
 	}
 	checkSlabIndex(t, v, tables)
@@ -118,7 +118,7 @@ func TestV2FileRoundTrip(t *testing.T) {
 		m.NumCircles != len(want.Circles) || m.NumLabels != len(want.Labels) {
 		t.Errorf("Meta mismatch: %+v", m)
 	}
-	if got := v.Snapshot(); !reflect.DeepEqual(got, stored(want)) {
+	if got := fromFile(t, v, v.Snapshot()); !reflect.DeepEqual(got, stored(want)) {
 		t.Errorf("View.Snapshot mismatch:\n got %+v\nwant %+v", got, stored(want))
 	}
 	checkSlabIndex(t, v, tables)
@@ -142,7 +142,7 @@ func TestV2PoolDedup(t *testing.T) {
 		t.Errorf("pool has %d records, want 2 (dedup)", v.meta.NumPool)
 	}
 	got := v.Snapshot()
-	if !reflect.DeepEqual(got.Labels, s.Labels) {
+	if !reflect.DeepEqual(fromFile(t, v, got).Labels, stored(s).Labels) {
 		t.Errorf("labels mismatch after dedup")
 	}
 	// Shared pool record means shared backing array.

@@ -81,7 +81,7 @@ func TestOpenFallbackParity(t *testing.T) {
 	if !reflect.DeepEqual(got, gotFb) {
 		t.Error("materialized Snapshot diverges between the mmap and fallback paths")
 	}
-	if !reflect.DeepEqual(gotFb, stored(want)) {
+	if !reflect.DeepEqual(fromFile(t, fb, gotFb), stored(want)) {
 		t.Error("fallback Snapshot diverges from the written snapshot")
 	}
 }

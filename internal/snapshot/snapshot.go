@@ -80,7 +80,12 @@ type Snapshot struct {
 	Circles []nncircle.NNCircle
 	// Labels, MaxHeat, MaxLabel and Stats reproduce the core.Result of the
 	// Region Coloring run, except Stats.Duration: the run's wall-clock time
-	// is not stored, and a file reads it back as 0.
+	// is not stored, and a file reads it back as 0. When every label
+	// carries a set id (core.Label.Set) and the snapshot is written with
+	// slab tables, the ids must name the labels' sets in the table the
+	// tables' gaps index, as the labels and the slab index of one map's
+	// lineage do (see Encode). The file stores no label's id of its own
+	// pool, and a restored label carries its file's pool id instead.
 	Labels   []core.Label
 	MaxHeat  float64
 	MaxLabel core.Label

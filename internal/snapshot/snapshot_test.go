@@ -56,11 +56,35 @@ func sample() *Snapshot {
 }
 
 // stored returns s as a file stores it: with a zero Stats.Duration, the
-// one field the encoder does not keep.
+// one field the encoder does not keep, and with its labels' set ids
+// cleared, because a file gives each label the id of its own pool (which
+// fromFile checks).
 func stored(s *Snapshot) *Snapshot {
 	c := *s
 	c.Stats.Duration = 0
+	c.Labels = make([]core.Label, len(s.Labels))
+	for i, l := range s.Labels {
+		l.Set = 0
+		c.Labels[i] = l
+	}
 	return &c
+}
+
+// fromFile returns got, a snapshot v restored, as stored leaves it, after
+// checking that each label's set id names the label's set and heat in v's
+// pool: the ids of one set differ between pools, the set they name does
+// not.
+func fromFile(t *testing.T, v *View, got *Snapshot) *Snapshot {
+	t.Helper()
+	for i, l := range got.Labels {
+		if l.Set == 0 || int(l.Set) > v.Meta().NumPool {
+			t.Fatalf("label %d carries set id %d of a %d-set pool", i, int64(l.Set)-1, v.Meta().NumPool)
+		}
+		if id := l.Set - 1; !reflect.DeepEqual(v.PoolRNN(id), l.RNN) || v.PoolHeats()[id] != l.Heat {
+			t.Errorf("label %d (%v, heat %v) carries id %d of %v, heat %v", i, l.RNN, l.Heat, id, v.PoolRNN(id), v.PoolHeats()[id])
+		}
+	}
+	return stored(got)
 }
 
 // sampleTables is a small structurally valid slab index for sample() with
@@ -97,7 +121,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("newView: %v", err)
 	}
-	if got := v.Snapshot(); !reflect.DeepEqual(got, stored(want)) {
+	if got := fromFile(t, v, v.Snapshot()); !reflect.DeepEqual(got, stored(want)) {
 		t.Errorf("round-trip mismatch:\n got %+v\nwant %+v", got, stored(want))
 	}
 }
@@ -132,7 +156,7 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	if m.HasSlabIndex || v.HasSlabIndex() {
 		t.Error("sample written without tables claims a slab index")
 	}
-	if got := v.Snapshot(); !reflect.DeepEqual(got, stored(want)) {
+	if got := fromFile(t, v, v.Snapshot()); !reflect.DeepEqual(got, stored(want)) {
 		t.Errorf("View.Snapshot mismatch:\n got %+v\nwant %+v", got, stored(want))
 	}
 	for i := range want.Circles {

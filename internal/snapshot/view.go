@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"iter"
 	"math"
 	"os"
 	"runtime"
@@ -541,17 +542,45 @@ func (v *View) poolInts() [][]int {
 	return v.rnn
 }
 
-// LabelAt materializes label i; its RNN slice is shared with the pool.
+// LabelAt materializes label i; its RNN slice is shared with the pool, and
+// it carries its pool id as its set id (core.Label.Set), the id Interner's
+// pool and a slab index opened from the file (pointloc.Open) give the set.
 func (v *View) LabelAt(i int) core.Label {
 	g := v.labelGeo[7*i : 7*i+7]
+	id := v.labelSets[i]
 	l := core.Label{
 		Region: geom.Rect{MinX: g[0], MinY: g[1], MaxX: g[2], MaxY: g[3]},
 		Point:  geom.Point{X: g[4], Y: g[5]},
 		Heat:   g[6],
-		RNN:    v.PoolRNN(v.labelSets[i]),
+		RNN:    v.PoolRNN(id),
+		Set:    id + 1,
 	}
 	runtime.KeepAlive(v) // g is file bytes, which may be read after the call
 	return l
+}
+
+// LabelHeats yields the heat of every label, in label order, straight off
+// the file's label section: nothing is materialized.
+func (v *View) LabelHeats() iter.Seq[float64] {
+	return func(yield func(float64) bool) {
+		defer runtime.KeepAlive(v) // the heats are file bytes
+		for i := 6; i < len(v.labelGeo); i += 7 {
+			if !yield(v.labelGeo[i]) {
+				return
+			}
+		}
+	}
+}
+
+// Interner returns a new label pool over measure (the file's own) holding
+// every set of the file's pool under its pool id, the id the file's labels
+// and slab gaps store; the sets it meets later get the ids after them (see
+// core.NewLabelInternerFrom). It continues the lineage the file was saved
+// from, and nothing in it aliases the file.
+func (v *View) Interner(measure influence.Measure) *core.LabelInterner {
+	pool := core.NewLabelInternerFrom(measure, v.poolInts(), v.poolHeats)
+	runtime.KeepAlive(v) // the heats are file bytes, copied by the call
+	return pool
 }
 
 // Snapshot materializes the full heap Snapshot from the view: the point
