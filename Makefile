@@ -112,15 +112,17 @@ SEED ?= 1
 bench-e2e:
 	bash e2ebench/run.sh --workload $(WORKLOAD) --seed $(SEED)
 
-# fuzz-smoke replays the committed corpora and fuzzes the three differential
+# fuzz-smoke replays the committed corpora and fuzzes the four differential
 # harnesses — Region Coloring vs the grid baseline, slab point-location vs
-# the enclosure oracle, and batched delta application vs the sequential and
-# rebuild oracles — for 30s each (the CI budget); counterexamples land under
-# the packages' testdata/fuzz/ directories as regression seeds.
+# the enclosure oracle, batched delta application vs the sequential and
+# rebuild oracles, and POST /heat/batch vs its encoding/json handler — for
+# 30s each (the CI budget); counterexamples land under the packages'
+# testdata/fuzz/ directories as regression seeds.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRegionColoring -fuzztime 30s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzPointLocation -fuzztime 30s ./internal/pointloc
 	$(GO) test -run '^$$' -fuzz FuzzApplyDeltaBatch -fuzztime 30s ./internal/delta
+	$(GO) test -run '^$$' -fuzz FuzzHeatBatchBody -fuzztime 30s ./internal/server
 
 # serve starts heatmapd on a small seeded NYC workload with durable maps
 # (-load makes repeated `make serve` resume the previous session instead of

@@ -740,6 +740,57 @@ func BenchmarkTileMiss(b *testing.B) {
 	b.ReportMetric(float64(total)/float64(b.N), "png-B/tile")
 }
 
+// BenchmarkHeatBatchServe measures the batch read of the explore workload:
+// POST /v1/heat/batch of 256 points drawn from the clients of heatmapd's
+// default map, opened mapped from its snapshot, through ServeHTTP — the
+// body read, the batched query and the answer's encoding. It is
+// deliberately outside GATE_BENCH.
+func BenchmarkHeatBatchServe(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "default.snap")
+	if err := heatmapdDefaultMap(b).SaveSnapshot(path, 2); err != nil {
+		b.Fatal(err)
+	}
+	m, _, err := heatmap.OpenSnapshot(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := server.New(server.Config{Map: m})
+	if err != nil {
+		b.Fatal(err)
+	}
+	clients, _ := heatmapdDefaultPoints(b)
+	rng := rand.New(rand.NewSource(5))
+	bodies := make([][]byte, 64)
+	for i := range bodies {
+		var body strings.Builder
+		body.WriteString(`{"points":[`)
+		for k := 0; k < 256; k++ {
+			if k > 0 {
+				body.WriteByte(',')
+			}
+			c := clients[rng.Intn(len(clients))]
+			fmt.Fprintf(&body, `{"x":%v,"y":%v}`, c.X, c.Y)
+		}
+		body.WriteString(`]}`)
+		bodies[i] = []byte(body.String())
+	}
+	serve := func(body []byte) {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/heat/batch", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("POST /v1/heat/batch = %d: %s", rec.Code, rec.Body)
+		}
+	}
+	for _, body := range bodies {
+		serve(body) // warm the index pages and the pools
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve(bodies[i%len(bodies)])
+	}
+}
+
 // BenchmarkOptimal measures the optimal-location query behind GET /optimal:
 // a constrained top-10 over the distinct RNN sets of a 5k-client map. The
 // slab variant resolves face geometry from the point-location index (the

@@ -732,6 +732,22 @@ func (m *Map) SlabIndexStats() (built bool, slabs, cells int) {
 	return true, ix.NumSlabs(), ix.Cells()
 }
 
+// ExactPathCounts reports the point queries (HeatAt, and each point of
+// HeatAtBatch) and the raster columns (each pixel column of a render with a
+// pixel on it) that the slab index resolved on its exact path, the
+// closed-containment evaluation it runs within an epsilon of a face
+// boundary. The counts cover every map whose index patches the same built
+// or loaded index (a map and the maps its commits derive); both read 0
+// without a materialized index. It never forces a build; servers surface
+// it in /stats.
+func (m *Map) ExactPathCounts() (points, columns int64) {
+	ix, _ := m.builtPointLoc()
+	if ix == nil {
+		return 0, 0
+	}
+	return ix.ExactCounts()
+}
+
 // HeatAt returns the heat and RNN set of an arbitrary location, including
 // locations outside every labeled region (whose RNN set is empty).
 //

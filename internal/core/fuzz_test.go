@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"rnnheatmap/internal/dataset"
 	"rnnheatmap/internal/geom"
 	"rnnheatmap/internal/nncircle"
 )
@@ -49,64 +50,11 @@ func fuzzInstance(t testing.TB, seed int64, nClients, nFacilities int, metric ge
 	return ncs
 }
 
-// nearDegenerateInstance derives an instance from a seed whose clients sit
-// where exact arithmetic would call the arrangement degenerate. Each client
-// after the first takes one of these placements relative to an earlier client
-// c and c's nearest facility f:
-//   - on the segment from f to c, so both circles pass through f and are
-//     tangent there;
-//   - the same, nudged by about 1e-12, so they are near-tangent;
-//   - at c's distance from f in a random direction, giving equal radii;
-//   - mirrored across f's vertical line, so both intersections share f's x;
-//   - uniformly at random.
-//
-// Every point is then offset by 0, 1e3 or 1e6, which scales the rounding of
-// every coordinate the sweep computes.
+// nearDegenerateInstance returns the NN-circles of dataset.NearDegenerate's
+// instance for seed.
 func nearDegenerateInstance(t testing.TB, seed int64, nClients, nFacilities int, metric geom.Metric) []nncircle.NNCircle {
 	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	facilities := make([]geom.Point, nFacilities)
-	for i := range facilities {
-		facilities[i] = geom.Pt(rng.Float64()*64, rng.Float64()*64)
-	}
-	nearest := func(p geom.Point) geom.Point {
-		best := facilities[0]
-		for _, f := range facilities[1:] {
-			if metric.Distance(p, f) < metric.Distance(p, best) {
-				best = f
-			}
-		}
-		return best
-	}
-	clients := make([]geom.Point, nClients)
-	clients[0] = geom.Pt(rng.Float64()*64, rng.Float64()*64)
-	for i := 1; i < nClients; i++ {
-		c := clients[rng.Intn(i)]
-		f := nearest(c)
-		switch rng.Intn(5) {
-		case 0, 1:
-			s := 0.1 + 0.8*rng.Float64()
-			p := geom.Pt(f.X+s*(c.X-f.X), f.Y+s*(c.Y-f.Y))
-			if rng.Intn(2) == 1 {
-				p = geom.Pt(p.X+(rng.Float64()-0.5)*2e-12, p.Y+(rng.Float64()-0.5)*2e-12)
-			}
-			clients[i] = p
-		case 2:
-			u := geom.Pt(math.Cos(rng.Float64()*2*math.Pi), math.Sin(rng.Float64()*2*math.Pi))
-			s := metric.Distance(c, f) / metric.Distance(geom.Pt(0, 0), u)
-			clients[i] = geom.Pt(f.X+s*u.X, f.Y+s*u.Y)
-		case 3:
-			clients[i] = geom.Pt(2*f.X-c.X, c.Y)
-		default:
-			clients[i] = geom.Pt(rng.Float64()*64, rng.Float64()*64)
-		}
-	}
-	offset := []float64{0, 1e3, 1e6}[rng.Intn(3)]
-	for _, pts := range [][]geom.Point{facilities, clients} {
-		for i := range pts {
-			pts[i] = geom.Pt(pts[i].X+offset, pts[i].Y+offset)
-		}
-	}
+	clients, facilities := dataset.NearDegenerate(seed, nClients, nFacilities, metric)
 	ncs, err := nncircle.Compute(clients, facilities, metric)
 	if err != nil {
 		t.Fatalf("nncircle.Compute: %v", err)

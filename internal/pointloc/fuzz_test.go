@@ -5,18 +5,23 @@ import (
 	"math/rand"
 	"testing"
 
+	"rnnheatmap/internal/dataset"
 	"rnnheatmap/internal/geom"
 	"rnnheatmap/internal/influence"
+	"rnnheatmap/internal/nncircle"
 )
 
 // fuzzParams folds raw fuzz inputs into a valid instance description, in the
-// style of core.FuzzRegionColoring.
-func fuzzParams(nc, nf, metricSel, snapSel int64) (nClients, nFacilities int, metric geom.Metric, snapped bool) {
+// style of core.FuzzRegionColoring. Bit 0 of snapSel snaps testInstance's
+// points and bit 1 picks dataset.NearDegenerate instead; every committed
+// corpus entry has bit 1 clear, so it keeps the instance it was recorded
+// with.
+func fuzzParams(nc, nf, metricSel, snapSel int64) (nClients, nFacilities int, metric geom.Metric, snapped, degenerate bool) {
 	nClients = 2 + int(abs64(nc)%30)
 	nFacilities = 1 + int(abs64(nf)%8)
 	metric = []geom.Metric{geom.LInf, geom.L1, geom.L2}[abs64(metricSel)%3]
 	snapped = abs64(snapSel)%2 == 1
-	return nClients, nFacilities, metric, snapped
+	return nClients, nFacilities, metric, snapped, abs64(snapSel)&2 != 0
 }
 
 func abs64(v int64) int64 {
@@ -30,22 +35,38 @@ func abs64(v int64) int64 {
 }
 
 // FuzzPointLocation is the point-location differential fuzz harness: random
-// (and snapped-integer degenerate) instances across all three metrics, the
+// (and snapped-integer degenerate) instances across all three metrics, and
+// dataset.NearDegenerate's tangent, equal-radius and offset instances; the
 // slab index — built, and opened from the instance's own snapshot — held
 // byte-identical to the enclosure oracle on the adversarial probe set —
 // boundary points included — plus one fully fuzzer-chosen query point, and
 // one fuzzer-chosen raster (top-left corner at the query point, rw x rh
 // pixels of the given pitch) held to per-pixel Query by HeatGrid (seed
-// corpus in testdata/fuzz/FuzzPointLocation).
+// corpus in testdata/fuzz/FuzzPointLocation). On a near-degenerate instance
+// HeatGrid also renders a 16x16 window centered on each probe, at pitches
+// down to 1e-9, where the L2 epsilon band (2e-3 wide at an offset of 1e6)
+// puts whole windows on the exact path.
 func FuzzPointLocation(f *testing.F) {
 	f.Add(int64(1), int64(8), int64(3), int64(0), int64(0), 10.0, 10.0, int64(7), int64(5), 0.5)
 	f.Add(int64(2), int64(20), int64(5), int64(1), int64(1), 32.0, 0.0, int64(1), int64(40), 1.0)
 	f.Add(int64(3), int64(14), int64(2), int64(2), int64(0), 63.5, 63.5, int64(48), int64(48), 1.5)
 	f.Add(int64(909), int64(27), int64(7), int64(0), int64(1), -1.0, 12.0, int64(30), int64(1), 0.25)
 	f.Add(int64(-77), int64(30), int64(4), int64(2), int64(1), 7.25, 41.0, int64(16), int64(9), 1e-9)
+	f.Add(int64(5), int64(16), int64(3), int64(0), int64(2), 20.0, 20.0, int64(8), int64(8), 1e-6)
+	f.Add(int64(6), int64(16), int64(4), int64(1), int64(2), 20.0, 20.0, int64(8), int64(8), 1e-6)
+	f.Add(int64(7), int64(16), int64(5), int64(2), int64(2), 20.0, 20.0, int64(8), int64(8), 1e-6)
 	f.Fuzz(func(t *testing.T, seed, nc, nf, metricSel, snapSel int64, qx, qy float64, rw, rh int64, pitch float64) {
-		nClients, nFacilities, metric, snapped := fuzzParams(nc, nf, metricSel, snapSel)
-		circles, _ := testInstance(t, seed, nClients, nFacilities, metric, snapped)
+		nClients, nFacilities, metric, snapped, degenerate := fuzzParams(nc, nf, metricSel, snapSel)
+		var circles []nncircle.NNCircle
+		if degenerate {
+			clients, facilities := dataset.NearDegenerate(seed, nClients, nFacilities, metric)
+			var err error
+			if circles, err = nncircle.Compute(clients, facilities, metric); err != nil {
+				t.Fatalf("nncircle.Compute: %v", err)
+			}
+		} else {
+			circles, _ = testInstance(t, seed, nClients, nFacilities, metric, snapped)
+		}
 		ix, err := Build(circles, nil, Options{})
 		if err != nil {
 			t.Fatalf("Build: %v", err)
@@ -64,6 +85,17 @@ func FuzzPointLocation(f *testing.F) {
 		if b, w, h, ok := fuzzRaster(qx, qy, rw, rh, pitch); ok {
 			assertGridMatchesQuery(t, ix, b, w, h, "fuzz raster")
 			assertGridMatchesQuery(t, opened, b, w, h, "fuzz opened raster")
+		}
+		if !degenerate {
+			return
+		}
+		pitches := []float64{1e-2, 1e-4, 1e-6, 1e-9}
+		for _, p := range probes {
+			tgt := gridTarget{x: p.X, y: p.Y, pitch: pitches[rng.Intn(len(pitches))]}
+			if b, ok := alignedBounds(tgt, 16, 16, 8, 8); ok {
+				assertGridMatchesQuery(t, ix, b, 16, 16, "near-degenerate window")
+				assertGridMatchesQuery(t, opened, b, 16, 16, "near-degenerate opened window")
+			}
 		}
 	})
 }

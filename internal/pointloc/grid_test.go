@@ -280,12 +280,15 @@ func TestHeatGridAdversarial(t *testing.T) {
 	}
 }
 
-// TestMatchRejectIsExact pins column.match's y-gap reject to the plain
-// containment loop it short-cuts: on candidates and points built at the
-// reject's edges — |Δy| exactly the radius and one ulp either side,
-// centers offset by 1e6 to 1e9, zero radii, NaN and infinite coordinates
-// and radii — match returns exactly the clients whose circle Contains the
-// point, for every metric.
+// TestMatchRejectIsExact pins the exact path's y-gap reject to the plain
+// containment loop it short-cuts, in both routines that apply it: the point
+// routine (matchPoint) and the exact column's buckets (bucket, passing and
+// matchPixel). On candidates and points built at the reject's edges —
+// |Δy| exactly the radius and one ulp either side, centers offset by 1e6 to
+// 1e9, zero radii, NaN and infinite coordinates and radii — each returns
+// exactly the clients whose circle Contains the point, for every metric: the
+// point routine at every point, and the column routine at every pixel of a
+// column through each finite x, over every finite y in descending order.
 func TestMatchRejectIsExact(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(19))
@@ -323,23 +326,53 @@ func TestMatchRejectIsExact(t *testing.T) {
 		pts = append(pts, geom.Pt(nan, 0), geom.Pt(0, nan), geom.Pt(nan, nan), geom.Pt(0, 0),
 			geom.Pt(0, 1), geom.Pt(inf, 0), geom.Pt(0, -inf), geom.Pt(nan, 1e9))
 
-		c := column{cands: cands, gathered: true}
-		matches := 0
-		for _, p := range pts {
-			var want []int
+		// One slab, opening left of the band around x = 0, holds every
+		// candidate.
+		actives := make([]int32, len(cands))
+		for i := range actives {
+			actives[i] = int32(i)
+		}
+		ix := &Index{metric: metric, all: cands, sweepAll: cands, xs: []float64{-inf}, slabs: []slab{{actives: actives}}}
+		want := func(p geom.Point) string {
+			var in []int
 			for _, nc := range cands {
 				if nc.Circle.Contains(p) {
-					want = append(want, nc.Client)
+					in = append(in, nc.Client)
 				}
 			}
-			got := c.match(nil, p)
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("%v: match(%v) = %v, a plain Contains loop gives %v", metric, p, got, want)
+			return fmt.Sprint(in)
+		}
+		matches := 0
+		var xs, ys []float64
+		for _, p := range pts {
+			got := ix.matchPoint(nil, p, 0)
+			if w := want(p); fmt.Sprint(got) != w {
+				t.Fatalf("%v: matchPoint(%v) = %v, a plain Contains loop gives %v", metric, p, got, w)
 			}
-			matches += len(want)
+			matches += len(got)
+			if !math.IsNaN(p.X) && !math.IsInf(p.X, 0) {
+				xs = append(xs, p.X)
+			}
+			if !math.IsNaN(p.Y) && !math.IsInf(p.Y, 0) {
+				ys = append(ys, p.Y)
+			}
 		}
 		if matches < len(pts)/4 {
 			t.Fatalf("%v: only %d matches over %d points; the cases miss the boundary", metric, matches, len(pts))
+		}
+		slices.Sort(xs)
+		slices.Sort(ys)
+		slices.Reverse(ys)
+		c := column{ix: ix, ys: ys}
+		for _, x := range slices.Compact(xs) {
+			c.x = x
+			c.bucket()
+			for py, y := range ys {
+				got := c.matchPixel(nil, py)
+				if w := want(geom.Pt(x, y)); fmt.Sprint(got) != w {
+					t.Fatalf("%v: the exact column at x=%v matches %v at y=%v, a plain Contains loop gives %v", metric, x, got, y, w)
+				}
+			}
 		}
 	}
 }
@@ -537,4 +570,56 @@ func nearCoincidentCircles(rng *rand.Rand, clusters, copies int) []nncircle.NNCi
 		}
 	}
 	return out
+}
+
+// TestExactCounts checks ExactCounts against per-point Query calls: a
+// QueryBatch adds the number of its points a lone Query resolves on the
+// exact path, and a HeatGrid the number of pixel columns holding such a
+// pixel, on snapped instances whose integer grid puts many pixel centers on
+// slab boundaries and circle sides.
+func TestExactCounts(t *testing.T) {
+	t.Parallel()
+	for _, metric := range []geom.Metric{geom.LInf, geom.L1, geom.L2} {
+		circles, _ := testInstance(t, 23, 40, 8, metric, true)
+		ix, err := Build(circles, nil, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// exact reports whether a lone Query at p takes the exact path.
+		exact := func(p geom.Point) bool {
+			before, _ := ix.ExactCounts()
+			ix.Query(p)
+			after, _ := ix.ExactCounts()
+			return after > before
+		}
+		probes := probePoints(rand.New(rand.NewSource(29)), circles, 40)
+		want := int64(0)
+		for _, p := range probes {
+			if exact(p) {
+				want++
+			}
+		}
+		before, _ := ix.ExactCounts()
+		ix.QueryBatch(probes)
+		if got, _ := ix.ExactCounts(); got-before != want || want == 0 {
+			t.Fatalf("%v: QueryBatch of %d probes counted %d exact points, lone Queries %d", metric, len(probes), got-before, want)
+		}
+		const width, height = 64, 48
+		b := geom.Rect{MinX: -0.25, MinY: 20 - 0.25, MaxX: 32 - 0.25, MaxY: 44 - 0.25}
+		xs, ys := pixelCenters(b, width, height)
+		wantCols := int64(0)
+		for _, x := range xs {
+			for _, y := range ys {
+				if exact(geom.Pt(x, y)) {
+					wantCols++
+					break
+				}
+			}
+		}
+		_, before = ix.ExactCounts()
+		ix.HeatGrid(b, width, height, make([]float64, width*height))
+		if _, got := ix.ExactCounts(); got-before != wantCols || wantCols == 0 {
+			t.Fatalf("%v: HeatGrid counted %d exact columns of %d, lone Queries find %d", metric, got-before, width, wantCols)
+		}
+	}
 }

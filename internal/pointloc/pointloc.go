@@ -53,6 +53,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"rnnheatmap/internal/core"
 	"rnnheatmap/internal/geom"
@@ -262,6 +263,9 @@ type lineage struct {
 	pool *core.LabelInterner
 	view *snapshot.View
 	seed sync.Once
+	// exactPoints and exactColumns count the point queries and raster
+	// columns the lineage's indexes resolved on the exact path.
+	exactPoints, exactColumns atomic.Int64
 }
 
 // interner returns the lineage's label interner, seeding it from the file
@@ -284,6 +288,14 @@ func (ix *Index) MappedBytes() int64 {
 		return 0
 	}
 	return ix.lin.view.MappedBytes()
+}
+
+// ExactCounts returns the point queries (Query, and each point of
+// QueryBatch) and the raster columns (HeatGrid's pixel columns with a pixel
+// on it) that the exact path resolved, over every index of the lineage: the
+// index a Build or Open returned and every index patched from it.
+func (ix *Index) ExactCounts() (points, columns int64) {
+	return ix.lin.exactPoints.Load(), ix.lin.exactColumns.Load()
 }
 
 // NumSlabs returns the number of slabs and Cells the total number of stored

@@ -6,6 +6,8 @@ import (
 	"sort"
 
 	"rnnheatmap/internal/geom"
+	"rnnheatmap/internal/influence"
+	"rnnheatmap/internal/oset"
 )
 
 // noClients is the RNN set of every face outside the slabs.
@@ -22,17 +24,17 @@ var noClients = []int{}
 func (ix *Index) Query(p geom.Point) (float64, []int) {
 	q := ix.toSweep(p)
 	i, direct := ix.locateSlab(q.X)
-	if !direct {
-		return ix.exact(p, q.X)
-	}
-	if i < 0 {
+	if direct && i < 0 {
 		return ix.emptyHeat, noClients
 	}
-	id, ok := ix.lookup(i, q)
-	if !ok {
-		return ix.exact(p, q.X)
+	if direct {
+		if id, ok := ix.lookup(i, q); ok {
+			return ix.sets.answer(id)
+		}
 	}
-	return ix.sets.answer(id)
+	ix.lin.exactPoints.Add(1)
+	rnn := ix.matchPoint([]int{}, p, q.X)
+	return ix.heatOf(rnn), rnn
 }
 
 // QueryBatch answers one Query per point, in input order. Points are sorted
@@ -65,6 +67,14 @@ func (ix *Index) QueryBatch(ps []geom.Point) ([]float64, [][]int) {
 		}
 		heats[k] = heat
 		rnns[k] = arena[start:len(arena):len(arena)]
+	}
+	// exact answers point k on the exact path; matched is its scratch.
+	var matched []int
+	exacts := 0
+	exact := func(k int, p geom.Point, sx float64) {
+		matched = ix.matchPoint(matched[:0], p, sx)
+		answer(k, ix.heatOf(matched), matched, 0, false)
+		exacts++
 	}
 	keys := make([]batchKey, 0, len(ps))
 	for k, p := range ps {
@@ -102,8 +112,7 @@ func (ix *Index) QueryBatch(ps []geom.Point) ([]float64, [][]int) {
 		i = gallopGE(ix.xs, i, q.X)
 		si, direct := ix.slabAt(q.X, i)
 		if !direct {
-			h, rnn := ix.exact(ps[k], q.X)
-			answer(k, h, rnn, 0, false)
+			exact(k, ps[k], q.X)
 			continue
 		}
 		if si < 0 {
@@ -113,9 +122,11 @@ func (ix *Index) QueryBatch(ps []geom.Point) ([]float64, [][]int) {
 		if id, ok := ix.lookup(si, q); ok {
 			answer(k, ix.sets.heats[id], nil, id, true)
 		} else {
-			h, rnn := ix.exact(ps[k], q.X)
-			answer(k, h, rnn, 0, false)
+			exact(k, ps[k], q.X)
 		}
+	}
+	if exacts > 0 {
+		ix.lin.exactPoints.Add(int64(exacts))
 	}
 	return heats, rnns
 }
@@ -264,4 +275,64 @@ func (ix *Index) arcYAt(a uint32, x float64) float64 {
 		return c.Center.Y + h
 	}
 	return c.Center.Y - h
+}
+
+// matchPoint appends to dst, in ascending order, the clients of the circles
+// that contain the original-space point p, whose sweep-space x is sx: the
+// exact path of a point query. Its candidates are the circles active in a
+// slab within eps of sx and the zero-radius circles within eps; each passes
+// the y-gap reject (contains) or is dropped at the cost of one comparison,
+// and only the matches are sorted. A circle active in several of the slabs
+// matches in each, so the matches are de-duplicated too (a client has one
+// circle).
+func (ix *Index) matchPoint(dst []int, p geom.Point, sx float64) []int {
+	start := len(dst)
+	lo, hi := ix.band(sx)
+	for i := ix.firstSlab(lo); i < len(ix.xs) && ix.xs[i] <= hi; i++ {
+		for _, ci := range ix.slabs[i].actives {
+			if nc := &ix.all[ci]; contains(nc.Circle, p) {
+				dst = append(dst, nc.Client)
+			}
+		}
+	}
+	for j := sort.SearchFloat64s(ix.zeroXs, lo); j < len(ix.zeroXs) && ix.zeroXs[j] <= hi; j++ {
+		if nc := &ix.all[ix.zeroIdx[j]]; contains(nc.Circle, p) {
+			dst = append(dst, nc.Client)
+		}
+	}
+	m := dst[start:]
+	slices.Sort(m)
+	return dst[:start+len(slices.Compact(m))]
+}
+
+// band returns the sweep-space x-window [lo, hi] whose slabs and
+// zero-radius circles hold the exact path's candidates at x.
+func (ix *Index) band(x float64) (lo, hi float64) {
+	ex := ix.eps(x)
+	return x - ex, x + ex
+}
+
+// firstSlab returns the first slab that may reach into a band starting at
+// lo: the slab opening before lo spans into it.
+func (ix *Index) firstSlab(lo float64) int {
+	return max(0, sort.SearchFloat64s(ix.xs, lo)-1)
+}
+
+// contains reports whether c contains p, skipping the distance test when
+// the center is farther than the radius from p in y. The skip is exact:
+// every metric's distance is at least the y-gap (L∞ takes the max, L1 adds
+// |Δx|, and L2's math.Hypot scales the larger gap by sqrt(1+q²) ≥ 1, so it
+// holds in floating point too), and a NaN fails the comparison and falls
+// through to Contains.
+func contains(c geom.Circle, p geom.Point) bool {
+	return !(math.Abs(c.Center.Y-p.Y) > c.Radius) && c.Contains(p)
+}
+
+// heatOf evaluates the measure over an ascending client set, through the
+// measure's slice fast path when it has one.
+func (ix *Index) heatOf(rnn []int) float64 {
+	if sm, ok := ix.measure.(influence.SortedMeasure); ok {
+		return sm.InfluenceSorted(rnn)
+	}
+	return ix.measure.Influence(oset.FromSorted(rnn))
 }

@@ -623,13 +623,21 @@ type queryIndex struct {
 	Path  string `json:"path"` // "slab" or "enclosure"
 	Slabs int    `json:"slabs,omitempty"`
 	Cells int    `json:"cells,omitempty"`
+	// ExactPoints and ExactColumns count the point queries and raster
+	// columns the slab index resolved on its exact path (within an epsilon
+	// of a face boundary): each /heat point and each point of a batch, and
+	// each tile pixel column with a pixel there.
+	ExactPoints  int64 `json:"exact_points"`
+	ExactColumns int64 `json:"exact_columns"`
 }
 
 func queryIndexOf(m *heatmap.Map) queryIndex {
-	if built, slabs, cells := m.SlabIndexStats(); built {
-		return queryIndex{Path: "slab", Slabs: slabs, Cells: cells}
+	built, slabs, cells := m.SlabIndexStats()
+	if !built {
+		return queryIndex{Path: "enclosure"}
 	}
-	return queryIndex{Path: "enclosure"}
+	points, columns := m.ExactPathCounts()
+	return queryIndex{Path: "slab", Slabs: slabs, Cells: cells, ExactPoints: points, ExactColumns: columns}
 }
 
 // heatSummary is the heat distribution over the labeled regions.
@@ -772,7 +780,14 @@ func (s *Server) handleHeat(inst *mapInstance, w http.ResponseWriter, r *http.Re
 		return
 	}
 	heat, rnn := inst.state().m.HeatAt(heatmap.Pt(x, y))
-	writeJSON(w, http.StatusOK, heatResponse{X: x, Y: y, Heat: heat, RNN: nonNil(rnn)})
+	if !finite(heat) {
+		writeJSON(w, http.StatusOK, heatResponse{X: x, Y: y, Heat: heat, RNN: nonNil(rnn)})
+		return
+	}
+	pio := pointIOs.Get().(*pointIO)
+	defer pio.release()
+	pio.out = appendHeat(pio.out, x, y, heat, rnn)
+	pio.writeAnswer(w)
 }
 
 // batchRequest is the POST /heat/batch payload.
@@ -784,35 +799,45 @@ type batchRequest struct {
 }
 
 func (s *Server) handleHeatBatch(inst *mapInstance, w http.ResponseWriter, r *http.Request) {
-	var req batchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	pio := pointIOs.Get().(*pointIO)
+	defer pio.release()
+	ps, err := pio.readBatch(w, r)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "decoding request body: %v", err)
 		return
 	}
-	if len(req.Points) == 0 {
+	if len(ps) == 0 {
 		writeError(w, http.StatusBadRequest, "request has no points")
 		return
 	}
-	if len(req.Points) > s.maxBatch {
-		writeError(w, http.StatusBadRequest, "batch of %d points exceeds the limit of %d", len(req.Points), s.maxBatch)
+	if len(ps) > s.maxBatch {
+		writeError(w, http.StatusBadRequest, "batch of %d points exceeds the limit of %d", len(ps), s.maxBatch)
 		return
 	}
-	ps := make([]heatmap.Point, len(req.Points))
-	for i, p := range req.Points {
-		if math.IsNaN(p.X) || math.IsInf(p.X, 0) || math.IsNaN(p.Y) || math.IsInf(p.Y, 0) {
+	for i, p := range ps {
+		if !finite(p.X, p.Y) {
 			writeError(w, http.StatusBadRequest, "point %d is not finite", i)
 			return
 		}
-		ps[i] = heatmap.Pt(p.X, p.Y)
 	}
 	heats, rnns := inst.state().m.HeatAtBatch(ps)
-	results := make([]heatResponse, len(ps))
-	for i := range ps {
-		results[i] = heatResponse{X: ps[i].X, Y: ps[i].Y, Heat: heats[i], RNN: nonNil(rnns[i])}
+	if !finite(heats...) {
+		results := make([]heatResponse, len(ps))
+		for i := range ps {
+			results[i] = heatResponse{X: ps[i].X, Y: ps[i].Y, Heat: heats[i], RNN: nonNil(rnns[i])}
+		}
+		writeJSON(w, http.StatusOK, map[string]any{"results": results})
+		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"results": results})
+	pio.out = append(pio.out, `{"results":[`...)
+	for i, p := range ps {
+		if i > 0 {
+			pio.out = append(pio.out, ',')
+		}
+		pio.out = appendHeat(pio.out, p.X, p.Y, heats[i], rnns[i])
+	}
+	pio.out = append(pio.out, "]}"...)
+	pio.writeAnswer(w)
 }
 
 // regionJSON is one labeled region in an API response.

@@ -15,7 +15,7 @@ import (
 )
 
 // buildMap computes a small deterministic heat map.
-func buildMap(t *testing.T, workers int) *heatmap.Map {
+func buildMap(t testing.TB, workers int) *heatmap.Map {
 	t.Helper()
 	ds := dataset.Uniform(600, datasetBounds(), 42)
 	clients, facilities := ds.SampleClientsFacilities(400, 120, 7)
