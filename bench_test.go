@@ -8,6 +8,7 @@ package rnnheatmap
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -698,7 +699,10 @@ func BenchmarkSnapshotSave(b *testing.B) {
 // zooms 3-6 (the middle half of each zoom's columns and quarter of its
 // rows: 680 tiles over the dense middle of the map); each pass starts on a
 // fresh server, built untimed, so every request is a miss. png-B/tile is
-// the mean encoded tile size. It is deliberately outside GATE_BENCH.
+// the mean encoded tile size, and render-ms/tile and encode-ms/tile split a
+// miss between its layers: the sums of each pass's /v1/stats
+// tiles.render_ms and encode_ms over its renders, read untimed. It is
+// deliberately outside GATE_BENCH.
 func BenchmarkTileMiss(b *testing.B) {
 	path := filepath.Join(b.TempDir(), "default.snap")
 	if err := heatmapdDefaultMap(b).SaveSnapshot(path, 2); err != nil {
@@ -719,12 +723,35 @@ func BenchmarkTileMiss(b *testing.B) {
 	}
 	var s *server.Server
 	total := 0
+	var renders int64
+	var renderMS, encodeMS float64
+	// pass adds the finished pass's tile timers.
+	pass := func() {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+		var st struct {
+			Tiles struct {
+				Renders  int64   `json:"renders"`
+				RenderMS float64 `json:"render_ms"`
+				EncodeMS float64 `json:"encode_ms"`
+			} `json:"tiles"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &st); rec.Code != http.StatusOK || err != nil {
+			b.Fatalf("GET /v1/stats = %d: %v", rec.Code, err)
+		}
+		renders += st.Tiles.Renders
+		renderMS += st.Tiles.RenderMS
+		encodeMS += st.Tiles.EncodeMS
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := i % len(tiles)
 		if k == 0 {
 			b.StopTimer()
+			if s != nil {
+				pass()
+			}
 			if s, err = server.New(server.Config{Map: m, TileSize: 256, TileCacheSize: len(tiles)}); err != nil {
 				b.Fatal(err)
 			}
@@ -737,7 +764,11 @@ func BenchmarkTileMiss(b *testing.B) {
 		}
 		total += rec.Body.Len()
 	}
+	b.StopTimer()
+	pass()
 	b.ReportMetric(float64(total)/float64(b.N), "png-B/tile")
+	b.ReportMetric(renderMS/float64(renders), "render-ms/tile")
+	b.ReportMetric(encodeMS/float64(renders), "encode-ms/tile")
 }
 
 // BenchmarkHeatBatchServe measures the batch read of the explore workload:

@@ -43,9 +43,10 @@ func abs64(v int64) int64 {
 // one fuzzer-chosen raster (top-left corner at the query point, rw x rh
 // pixels of the given pitch) held to per-pixel Query by HeatGrid (seed
 // corpus in testdata/fuzz/FuzzPointLocation). On a near-degenerate instance
-// HeatGrid also renders a 16x16 window centered on each probe, at pitches
-// down to 1e-9, where the L2 epsilon band (2e-3 wide at an offset of 1e6)
-// puts whole windows on the exact path.
+// HeatGrid also renders a 16x16 window centered on each probe, at one of
+// the pitches 1e-2 to 1e-9, and a 1x256 column through it at each of them,
+// where the L2 epsilon band (2e-3 wide at an offset of 1e6) puts whole
+// windows on the exact path.
 func FuzzPointLocation(f *testing.F) {
 	f.Add(int64(1), int64(8), int64(3), int64(0), int64(0), 10.0, 10.0, int64(7), int64(5), 0.5)
 	f.Add(int64(2), int64(20), int64(5), int64(1), int64(1), 32.0, 0.0, int64(1), int64(40), 1.0)
@@ -95,6 +96,14 @@ func FuzzPointLocation(f *testing.F) {
 			if b, ok := alignedBounds(tgt, 16, 16, 8, 8); ok {
 				assertGridMatchesQuery(t, ix, b, 16, 16, "near-degenerate window")
 				assertGridMatchesQuery(t, opened, b, 16, 16, "near-degenerate opened window")
+			}
+			// A tile's height through the probe: the column descent's
+			// whole search tree at every pitch.
+			for _, pitch := range pitches {
+				if b, ok := alignedBounds(gridTarget{x: p.X, y: p.Y, pitch: pitch}, 1, 256, 0, 128); ok {
+					assertGridMatchesQuery(t, ix, b, 1, 256, "near-degenerate column")
+					assertGridMatchesQuery(t, opened, b, 1, 256, "near-degenerate opened column")
+				}
 			}
 		}
 	})

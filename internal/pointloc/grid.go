@@ -16,21 +16,25 @@ import (
 // Under L∞ and L2 the sweep space is the original space, so every pixel of a
 // column has the same sweep x and therefore, in Query, the same slab
 // resolution (including the slab-edge and zero-radius-center epsilon
-// decision), the same arc heights inside the slab, and the same exact-path
-// candidate circles. The kernel resolves the slab once per column and
-// evaluates each of its arcs once at the column's x (arcYAt, the function
-// lookup probes).
+// decision), the same edge heights inside the slab, and the same exact-path
+// candidate circles. The kernel resolves the slab once per column.
 //
-// A column's pixels then find their gaps by one downward walk over those
-// heights (column.walk), since their ys descend: on a non-decreasing h the
-// smallest j with h[j] >= y, which the walk stops at, is exactly what
-// lookup's binary search returns, whatever heights it probes. Evaluated arc
-// heights can descend where two arcs of a slab nearly touch, and there only
-// the binary search's own probe order reproduces its gap, so such a column
-// — like one whose pixel ys do not descend — runs gapIn, lookup's binary
-// search, per pixel. Either way the pixel then takes lookup's gap-edge
-// epsilon decision on the same floats, and a pixel within the band of a gap
-// edge runs Query's exact path (matchPoint).
+// A direct column whose pixel ys are finite and descending then runs
+// lookup's binary search once for all of its pixels (column.descend). The
+// search is sort.Search's: an implicit tree whose node [i, j) probes edge
+// int(uint(i+j)>>1) with the predicate h >= y. The descent walks that tree
+// with the column's pixel range, evaluates each probed edge once at the
+// column's x (edgeY, the function lookup probes) and splits the range by
+// the same predicate: since the ys descend, the pixels at or below the edge
+// are a suffix, found by binary search over the pixels. So every pixel
+// lands on the gap its own Query finds, for any heights, monotone or not,
+// and a column evaluates only the edges on the search paths of the gaps it
+// shows, not every arc of its slab. The probes on a pixel's path include
+// both edges of its gap, which the descent carries down, so the pixel then
+// takes lookup's gap-edge epsilon decision on the same floats, and a pixel
+// within the band of a gap edge runs Query's exact path (matchPoint).
+// A raster whose pixel ys are not finite and descending (non-finite or
+// inverted bounds, never a tile) runs lookup per pixel.
 //
 // A column within the band of a slab boundary or zero-radius center answers
 // every pixel on the exact path, and there the kernel gathers the
@@ -54,10 +58,16 @@ import (
 func (ix *Index) HeatGrid(bounds geom.Rect, width, height int, out []float64) {
 	c := columns.Get().(*column)
 	defer func() {
-		c.ix, c.h = nil, nil // hold no index alive from the pool
+		c.ix = nil // hold no index alive from the pool
 		columns.Put(c)
 	}()
-	c.ix = ix
+	ix.heatGrid(c, bounds, width, height, out)
+}
+
+// heatGrid is HeatGrid on the column scratch c; c.probes counts the edge
+// heights its searches evaluated.
+func (ix *Index) heatGrid(c *column, bounds geom.Rect, width, height int, out []float64) {
+	c.ix, c.probes = ix, 0
 	c.xs = slices.Grow(c.xs[:0], width)[:width]
 	c.ys = slices.Grow(c.ys[:0], height)[:height]
 	bounds.PixelCenters(c.xs, c.ys)
@@ -92,15 +102,24 @@ func (ix *Index) HeatGrid(bounds geom.Rect, width, height int, out []float64) {
 		}
 		c.marked = marked
 	} else {
-		walkable := descends(c.ys)
+		descending := descends(c.ys)
+		if descending {
+			// eys[py] is the gap-edge epsilon at row py, the same for
+			// every column.
+			c.eys = slices.Grow(c.eys[:0], height)[:height]
+			for py, y := range c.ys {
+				c.eys[py] = ix.eps(y)
+			}
+		}
 		for px, x := range c.xs {
 			c.at(x, sort.SearchFloat64s(ix.xs, x))
 			exacts := c.exacts
 			switch {
-			case walkable && !c.direct:
+			case descending && !c.direct:
 				c.exactColumn(out[px:], width)
-			case walkable && c.si >= 0 && nonDecreasing(c.h):
-				c.walk(out[px:], width)
+			case descending && c.si >= 0:
+				sl := &ix.slabs[c.si]
+				c.descend(out[px:], width, sl, 0, height, 0, sl.numEdges(), math.NaN(), math.NaN())
 			default:
 				for py, y := range c.ys {
 					out[py*width+px] = c.heat(geom.Pt(x, y), y)
@@ -116,35 +135,47 @@ func (ix *Index) HeatGrid(bounds geom.Rect, width, height int, out []float64) {
 	}
 }
 
-// walk fills the column's pixels, out[0], out[stride], ..., with their
-// heats, finding each pixel's gap by one downward walk over c.h. It needs a
-// direct, in-slab column whose heights do not decrease and finite pixel ys
-// that do not increase: j then stays the smallest index with c.h[j] >= y,
-// the gap gapIn's binary search finds.
-func (c *column) walk(out []float64, stride int) {
-	ix, h := c.ix, c.h
-	heats, gaps := ix.sets.heats, ix.slabs[c.si].gaps
-	j := len(h)
-	for py, y := range c.ys {
-		for j > 0 && h[j-1] >= y {
-			j--
+// descend fills pixels [a, b) of a direct, in-slab column, out[a*stride],
+// ..., out[(b-1)*stride], whose ys are finite and do not increase and whose
+// binary searches over slab sl's edges all stand at the node [i, j) of
+// sort.Search's tree, with below and above the heights of edges i-1 and j
+// (NaN past either end). Each node probes edge m = int(uint(i+j)>>1) once:
+// the pixels with h[m] >= y, a suffix, go to [i, m) and the rest to
+// [m+1, j), as each pixel's own search would. At a leaf every pixel's gap
+// is i, and below and above are its edges.
+func (c *column) descend(out []float64, stride int, sl *slab, a, b, i, j int, below, above float64) {
+	ys := c.ys
+	for a < b && i < j {
+		m := int(uint(i+j) >> 1)
+		c.probes++
+		h := c.ix.edgeY(sl, m, c.x)
+		// p is the first pixel at or below edge m.
+		p, end := a, b
+		for p < end {
+			k := int(uint(p+end) >> 1)
+			if h >= ys[k] {
+				end = k
+			} else {
+				p = k + 1
+			}
 		}
-		if clearOf(h, j, y, ix.eps(y)) {
-			out[py*stride] = heats[gaps[j]]
-		} else {
+		if p == a {
+			j, above = m, h
+			continue
+		}
+		if p < b {
+			c.descend(out, stride, sl, p, b, i, m, below, h)
+		}
+		b, i, below = p, m+1, h
+	}
+	heat := c.ix.sets.heats[sl.gaps[i]]
+	for py := a; py < b; py++ {
+		if y := ys[py]; nearEdge(below, above, y, c.eys[py]) {
 			out[py*stride] = c.exactHeat(geom.Pt(c.x, y))
+		} else {
+			out[py*stride] = heat
 		}
 	}
-}
-
-// nonDecreasing reports whether h[k] >= h[k-1] for every k; a NaN fails.
-func nonDecreasing(h []float64) bool {
-	for k := 1; k < len(h); k++ {
-		if !(h[k] >= h[k-1]) {
-			return false
-		}
-	}
-	return true
 }
 
 // descends reports whether every y is finite and ys[k] <= ys[k-1] for every
@@ -164,21 +195,20 @@ func descends(ys []float64) bool {
 var columns = sync.Pool{New: func() any { return new(column) }}
 
 // column holds everything a pixel's resolution reads that depends only on
-// its sweep-space x: the slab decision, the slab's edge heights at x and,
-// on an exact column, the candidates bucketed per pixel. HeatGrid reuses
-// one column, buffers included, for the whole raster (xs and ys are its
-// pixel centers).
+// its sweep-space x: the slab decision and, on an exact column, the
+// candidates bucketed per pixel. HeatGrid reuses one column, buffers
+// included, for the whole raster (xs and ys are its pixel centers).
 type column struct {
 	ix     *Index
 	xs, ys []float64
+	eys    []float64 // ix.eps of each y, on a descending raster
 
 	x      float64
 	si     int // the slab; -1 with direct for the empty face
 	direct bool
-	// h holds the slab's edge heights at x: its edges for the rectilinear
-	// sweeps, its arc heights (in buf) for L2.
-	h   []float64
-	buf []float64
+	// probes counts the edge heights the raster's descents evaluated: for
+	// L2, the arcs evaluated at a column's x.
+	probes int
 
 	// matched holds a pixel's matches; exacts counts the pixels resolved
 	// by the point routine, and marked the L1 columns holding one.
@@ -208,28 +238,17 @@ type candidate struct {
 func (c *column) at(x float64, pos int) {
 	c.x = x
 	c.si, c.direct = c.ix.slabAt(x, pos)
-	if !c.direct || c.si < 0 {
-		return
-	}
-	sl := &c.ix.slabs[c.si]
-	c.h = sl.edges
-	if c.ix.metric == geom.L2 {
-		c.buf = slices.Grow(c.buf[:0], len(sl.arcs))[:len(sl.arcs)]
-		for k, a := range sl.arcs {
-			c.buf[k] = c.ix.arcYAt(a, x)
-		}
-		c.h = c.buf
-	}
 }
 
-// heat resolves the pixel at original-space p whose sweep-space y is y.
+// heat resolves the pixel at original-space p whose sweep-space y is y, as
+// Query does.
 func (c *column) heat(p geom.Point, y float64) float64 {
 	if c.direct {
 		if c.si < 0 {
 			return c.ix.emptyHeat
 		}
-		if j, ok := gapIn(c.h, y, c.ix.eps(y)); ok {
-			return c.ix.sets.heats[c.ix.slabs[c.si].gaps[j]]
+		if id, ok := c.ix.lookup(c.si, geom.Pt(c.x, y)); ok {
+			return c.ix.sets.heats[id]
 		}
 	}
 	return c.exactHeat(p)

@@ -3,8 +3,10 @@ package pointloc
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 
 	"rnnheatmap/internal/dataset"
@@ -377,15 +379,15 @@ func TestMatchRejectIsExact(t *testing.T) {
 	}
 }
 
-// TestHeatGridUnsortedColumn holds HeatGrid to Query where its column walk
-// must step aside: on columns whose evaluated arc heights descend somewhere,
-// and on rasters whose pixel ys are not finite. The columns come from
-// near-coincident circles, whose arcs cross one another in rounding inside
-// a slab; from a built index with one adjacent arc pair swapped in every
-// slab, where the heights descend by far more than the gap-edge epsilon, so
-// only the binary search's probe order decides a pixel's gap; and, outside
-// -short, from heatmapd's default map, whose descending columns all lie in
-// slabs narrower than the epsilon band.
+// TestHeatGridUnsortedColumn holds HeatGrid to Query on columns whose
+// evaluated arc heights descend somewhere, where a pixel's gap is whatever
+// the binary search's own probe order finds, and on rasters whose pixel ys
+// are not finite, which the descent leaves to per-pixel lookups. The
+// columns come from near-coincident circles, whose arcs cross one another
+// in rounding inside a slab; from a built index with one adjacent arc pair
+// swapped in every slab, where the heights descend by far more than the
+// gap-edge epsilon; and, outside -short, from heatmapd's default map, whose
+// descending columns all lie in slabs narrower than the epsilon band.
 func TestHeatGridUnsortedColumn(t *testing.T) {
 	t.Parallel()
 	t.Run("near-coincident", func(t *testing.T) {
@@ -396,31 +398,13 @@ func TestHeatGridUnsortedColumn(t *testing.T) {
 		direct := countDirect(cols)
 		t.Logf("%d of %d sampled columns descend, %d of them direct", len(cols), sampled, direct)
 		if direct == 0 {
-			t.Fatal("no direct column with descending arc heights: the walk's fallback goes untested")
+			t.Fatal("no direct column with descending arc heights: the descent over unsorted heights goes untested")
 		}
 		assertStrips(t, ixs, cols, "near-coincident")
 	})
 	t.Run("swapped-arcs", func(t *testing.T) {
 		t.Parallel()
-		circles, _ := testInstance(t, 43, 50, 12, geom.L2, false)
-		ix, err := Build(circles, influence.Size(), Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// In every slab of two or more arcs, swap one adjacent pair, at a
-		// position that varies from slab to slab: the binary search probes
-		// the pair's upper arc first at some positions and its lower one at
-		// others, and only the former finds another gap than a walk would.
-		swapped := 0
-		for i := 0; i+1 < len(ix.xs); i++ {
-			sl := &ix.slabs[i]
-			if n := len(sl.arcs); n >= 2 {
-				k := 1 + i%(n-1)
-				sl.arcs = slices.Clone(sl.arcs)
-				sl.arcs[k-1], sl.arcs[k] = sl.arcs[k], sl.arcs[k-1]
-				swapped++
-			}
-		}
+		ix, swapped := swappedArcsIndex(t)
 		cols, _ := unsortedColumns(ix, 4)
 		if countDirect(cols) == 0 {
 			t.Fatalf("swapping arcs in %d slabs left no direct descending column", swapped)
@@ -432,16 +416,7 @@ func TestHeatGridUnsortedColumn(t *testing.T) {
 			t.Skip("builds heatmapd's default map")
 		}
 		t.Parallel()
-		pool, err := dataset.ByName("NYC", (2000+600)*2, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		clients, facilities := pool.SampleClientsFacilities(2000, 600, 2)
-		circles, err := nncircle.Compute(clients, facilities, geom.L2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ixs := gridIndexes(t, circles, influence.Size())
+		ixs := gridIndexes(t, defaultMapCircles(t), influence.Size())
 		cols, sampled := unsortedColumns(ixs[0], 8)
 		t.Logf("%d of %d sampled columns descend, %d of them direct", len(cols), sampled, countDirect(cols))
 		if len(cols) == 0 {
@@ -466,6 +441,180 @@ func TestHeatGridUnsortedColumn(t *testing.T) {
 					assertGridMatchesQuery(t, ix, b, 7, 41, fmt.Sprintf("%v non-finite ys", metric))
 				}
 			}
+		}
+	})
+}
+
+// swappedArcsIndex builds an L2 index and, in every slab of two or more
+// arcs, swaps one adjacent pair, at a position that varies from slab to
+// slab: the binary search probes the pair's upper arc first at some
+// positions and its lower one at others, and only the former finds another
+// gap than a search over sorted heights would. It returns the index and
+// the number of slabs swapped.
+func swappedArcsIndex(t *testing.T) (*Index, int) {
+	t.Helper()
+	circles, _ := testInstance(t, 43, 50, 12, geom.L2, false)
+	ix, err := Build(circles, influence.Size(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	swapped := 0
+	for i := 0; i+1 < len(ix.xs); i++ {
+		sl := &ix.slabs[i]
+		if n := len(sl.arcs); n >= 2 {
+			k := 1 + i%(n-1)
+			sl.arcs = slices.Clone(sl.arcs)
+			sl.arcs[k-1], sl.arcs[k] = sl.arcs[k], sl.arcs[k-1]
+			swapped++
+		}
+	}
+	return ix, swapped
+}
+
+// defaultMapCircles returns the NN-circles of heatmapd's default map: NYC,
+// 2000 clients and 600 facilities, under L2.
+func defaultMapCircles(t *testing.T) []nncircle.NNCircle {
+	t.Helper()
+	pool, err := dataset.ByName("NYC", (2000+600)*2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clients, facilities := pool.SampleClientsFacilities(2000, 600, 2)
+	circles, err := nncircle.Compute(clients, facilities, geom.L2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return circles
+}
+
+// TestColumnSearchCost bounds the edge heights HeatGrid's column descent
+// evaluates (column.probes), a machine-independent count of its work. A
+// direct column whose pixels land in g distinct gaps of a slab with n edges
+// probes at most g*ceil(log2(n+1)) heights — the nodes on the g search
+// paths; the edges of each pixel's gap are among them — on the grid suite's
+// instances, near-coincident circles and the swapped-arcs index, in 1xH
+// strips through every slab; and it resolves on the exact path exactly the
+// pixels a lone Query does, across an edge at a third of the band's pitch
+// too. Outside -short, over BenchmarkTileMiss's 680
+// central 256 px tiles of zooms 3-6 of heatmapd's default map, the probes
+// are at most a quarter of the edges of the direct columns' slabs, all of
+// which a column evaluated before the descent.
+func TestColumnSearchCost(t *testing.T) {
+	t.Parallel()
+	t.Run("instances", func(t *testing.T) {
+		t.Parallel()
+		var ixs []*Index
+		for _, metric := range []geom.Metric{geom.LInf, geom.L2} {
+			for _, snapped := range []bool{false, true} {
+				rng := rand.New(rand.NewSource(int64(13 + 2*int(metric))))
+				circles, _ := testInstance(t, rng.Int63(), 50, 12, metric, snapped)
+				ixs = append(ixs, gridIndexes(t, circles, influence.Size())...)
+			}
+		}
+		ixs = append(ixs, gridIndexes(t, nearCoincidentCircles(rand.New(rand.NewSource(41)), 4, 4), influence.Size())...)
+		swapped, _ := swappedArcsIndex(t)
+		ixs = append(ixs, swapped)
+		rng := rand.New(rand.NewSource(37))
+		var c column
+		columns, saved, exact := 0, 0, 0
+		// strip renders a 1xh strip over b through the direct column of
+		// slab si and checks its probes and its exact pixels.
+		strip := func(ix *Index, si int, b geom.Rect, h int) {
+			xs, ys := pixelCenters(b, 1, h)
+			exacts := c.exacts
+			ix.heatGrid(&c, b, 1, h, make([]float64, h))
+			sl := &ix.slabs[si]
+			n := sl.numEdges()
+			gaps := map[int]bool{}
+			lone := 0
+			for _, y := range ys {
+				gaps[sort.Search(n, func(k int) bool { return ix.edgeY(sl, k, xs[0]) >= y })] = true
+				before, _ := ix.ExactCounts()
+				ix.Query(geom.Pt(xs[0], y))
+				after, _ := ix.ExactCounts()
+				lone += int(after - before)
+			}
+			if bound := len(gaps) * bits.Len(uint(n)); c.probes > bound { // g*ceil(log2(n+1))
+				t.Fatalf("slab %d: a %d px column over %d edges hit %d gaps and probed %d heights, over the bound %d",
+					si, h, n, len(gaps), c.probes, bound)
+			}
+			if got := c.exacts - exacts; got != lone {
+				t.Fatalf("slab %d: the column over %v resolved %d pixels on the exact path, lone Queries %d", si, b, got, lone)
+			}
+			columns++
+			saved += n - c.probes
+			exact += lone
+		}
+		for _, ix := range ixs {
+			for i := 0; i+1 < len(ix.xs); i++ {
+				x := ix.xs[i] + rng.Float64()*(ix.xs[i+1]-ix.xs[i])
+				if si, direct := ix.locateSlab(x); !direct || si != i {
+					continue
+				}
+				h := 1 + rng.Intn(300)
+				y0 := rng.Float64()*70 - 6
+				b := geom.Rect{MinX: x - 1e-3, MaxX: x + 1e-3, MinY: y0, MaxY: y0 + 0.5 + rng.Float64()*70}
+				if xs, _ := pixelCenters(b, 1, h); xs[0] == x {
+					strip(ix, i, b, h)
+				}
+				// Across one of its edges at a third of the band's pitch.
+				if n := ix.slabs[i].numEdges(); n > 0 {
+					y := ix.edgeY(&ix.slabs[i], rng.Intn(n), x)
+					if b, ok := alignedBounds(gridTarget{x: x, y: y, pitch: ix.eps(y) / 3}, 1, 64, 0, 32); ok {
+						strip(ix, i, b, 64)
+					}
+				}
+			}
+		}
+		t.Logf("%d direct columns probed %d fewer heights than their slabs hold; %d pixels took the exact path", columns, saved, exact)
+		if columns < 1000 || saved <= 0 || exact < columns/4 {
+			t.Fatalf("%d direct columns, %d heights saved, %d exact pixels: the strips miss the slabs or their edges", columns, saved, exact)
+		}
+	})
+	t.Run("default-map-tiles", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("builds heatmapd's default map")
+		}
+		t.Parallel()
+		circles := defaultMapCircles(t)
+		ix, err := Build(circles, influence.Size(), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The tile pyramid of heatmapd's server: the circles' bounds
+		// centered in a square.
+		bounds := geom.EmptyRect()
+		for _, nc := range circles {
+			bounds = bounds.Union(nc.Circle.BoundingRect())
+		}
+		world := geom.RectFromCenter(bounds.Center(), math.Max(bounds.Width(), bounds.Height())/2)
+		const size = 256
+		var c column
+		out := make([]float64, size*size)
+		probes, edges, tiles := 0, 0, 0
+		for z := 3; z <= 6; z++ {
+			n := 1 << z
+			side := world.Width() / float64(n)
+			for x := n / 4; x < 3*n/4; x++ {
+				for y := 3 * n / 8; y < 5*n/8; y++ {
+					minX, maxY := world.MinX+float64(x)*side, world.MaxY-float64(y)*side
+					tile := geom.Rect{MinX: minX, MinY: maxY - side, MaxX: minX + side, MaxY: maxY}
+					ix.heatGrid(&c, tile, size, size, out)
+					probes += c.probes
+					tiles++
+					xs, _ := pixelCenters(tile, size, size)
+					for _, px := range xs {
+						if si, direct := ix.locateSlab(px); direct && si >= 0 {
+							edges += ix.slabs[si].numEdges()
+						}
+					}
+				}
+			}
+		}
+		t.Logf("%d tiles: the descents probed %d heights, %.1f%% of the %d edges of the direct columns' slabs",
+			tiles, probes, 100*float64(probes)/float64(edges), edges)
+		if tiles != 680 || probes > edges/4 {
+			t.Fatalf("%d tiles probed %d heights, over a quarter of their direct columns' %d edges", tiles, probes, edges)
 		}
 	})
 }
@@ -499,8 +648,8 @@ func assertStrips(t *testing.T, ixs []*Index, cols []unsortedColumn, ctx string)
 	}
 }
 
-// countDirect counts the columns HeatGrid resolves on their slab, where the
-// walk would run but for the descending heights.
+// countDirect counts the columns HeatGrid resolves on their slab, by the
+// descent over their unsorted heights.
 func countDirect(cols []unsortedColumn) int {
 	n := 0
 	for _, col := range cols {

@@ -204,55 +204,34 @@ func (ix *Index) nearZeroX(x float64, ex float64) bool {
 
 // lookup resolves the gap of slab si containing the sweep-space point q,
 // returning its set id, and ok=false when q lies within eps of a gap edge
-// (exact path required). For rectilinear slabs the edges are constants; for
-// L2 slabs the arc heights are evaluated at q.X — the arc order is
-// invariant across the slab, so the binary search remains valid at any
-// interior x.
+// (exact path required). Its binary search is sort.Search over the slab's
+// edge heights at q.X (edgeY): the smallest j with h[j] >= q.Y. For L2 the
+// arc order is invariant across the slab, so the search remains valid at
+// any interior x; HeatGrid's column descent reproduces it probe for probe.
 func (ix *Index) lookup(si int, q geom.Point) (uint32, bool) {
 	sl := &ix.slabs[si]
-	ey := ix.eps(q.Y)
-	if ix.metric != geom.L2 {
-		if j, ok := gapIn(sl.edges, q.Y, ey); ok {
-			return sl.gaps[j], true
-		}
-		return 0, false
-	}
-	j := sort.Search(len(sl.arcs), func(k int) bool {
-		return ix.arcYAt(sl.arcs[k], q.X) >= q.Y
-	})
+	n := sl.numEdges()
+	j := sort.Search(n, func(k int) bool { return ix.edgeY(sl, k, q.X) >= q.Y })
 	below, above := math.NaN(), math.NaN()
 	if j > 0 {
-		below = ix.arcYAt(sl.arcs[j-1], q.X)
+		below = ix.edgeY(sl, j-1, q.X)
 	}
-	if j < len(sl.arcs) {
-		above = ix.arcYAt(sl.arcs[j], q.X)
+	if j < n {
+		above = ix.edgeY(sl, j, q.X)
 	}
-	if nearEdge(below, above, q.Y, ey) {
+	if nearEdge(below, above, q.Y, ix.eps(q.Y)) {
 		return 0, false
 	}
 	return sl.gaps[j], true
 }
 
-// gapIn is lookup over a slab's edge heights h at the query's x, ascending:
-// it returns the gap holding y — the smallest j with h[j] >= y — and
-// ok=false when y lies within ey of either edge of that gap, where only the
-// exact path can answer.
-func gapIn(h []float64, y, ey float64) (j int, ok bool) {
-	j = sort.SearchFloat64s(h, y)
-	return j, clearOf(h, j, y, ey)
-}
-
-// clearOf reports whether y, in gap j of the edge heights h, lies farther
-// than ey from both of the gap's edges.
-func clearOf(h []float64, j int, y, ey float64) bool {
-	below, above := math.NaN(), math.NaN()
-	if j > 0 {
-		below = h[j-1]
+// edgeY returns the height of slab sl's edge k at sweep-space x: a
+// rectilinear slab's stored edge, or an L2 arc evaluated at x.
+func (ix *Index) edgeY(sl *slab, k int, x float64) float64 {
+	if ix.metric == geom.L2 {
+		return ix.arcYAt(sl.arcs[k], x)
 	}
-	if j < len(h) {
-		above = h[j]
-	}
-	return !nearEdge(below, above, y, ey)
+	return sl.edges[k]
 }
 
 // nearEdge is the gap-edge epsilon decision of every lookup: whether y lies

@@ -13,6 +13,11 @@
 // server in internal/server. Rasters normalize against their own min/max by
 // default; ImageScaled/WritePNGScaled accept a fixed range so independently
 // rendered tiles of one map shade consistently.
+//
+// A raster whose colors fit a palette encodes as an indexed-color PNG
+// through indexedPNG, which packs the rows straight from the palette
+// indices and writes image/png's bytes; any other raster encodes truecolor
+// through image/png.
 package render
 
 import (
@@ -195,12 +200,12 @@ func scaled(h, lo, span float64) float64 {
 	return 0
 }
 
-// pngEncoder encodes every raster, tiles and files alike. It deflates at
-// png.BestSpeed: a tile of a few heats compresses well without the default
-// level's hash-chain match search, which was a fifth of a tile miss's CPU,
-// at about a third more bytes. Its buffer pool hands the zlib writer and
-// row buffers of one encode to the next, so a tile server stops allocating
-// them per tile.
+// pngEncoder encodes the truecolor rasters, those whose colors do not fit a
+// palette. It deflates at png.BestSpeed, as indexedPNG does: a tile of a
+// few heats compresses well without the default level's hash-chain match
+// search, which was a fifth of a tile miss's CPU, at about a third more
+// bytes. Its buffer pool hands the zlib writer and row buffers of one
+// encode to the next.
 var pngEncoder = png.Encoder{CompressionLevel: png.BestSpeed, BufferPool: &pngBuffers{}}
 
 // pngBuffers is a png.EncoderBufferPool over a sync.Pool.
@@ -214,13 +219,15 @@ func (p *pngBuffers) Get() *png.EncoderBuffer {
 func (p *pngBuffers) Put(b *png.EncoderBuffer) { p.pool.Put(b) }
 
 // paletter maps a raster onto a palette image: one color-map evaluation per
-// distinct heat and one palette entry per distinct color. Given a palette
-// image, png picks 1, 2, 4 or 8 bits per pixel and skips the per-row filter
+// distinct heat and one palette entry per distinct color. A palette image
+// is written at 1, 2, 4 or 8 bits per pixel without png's per-row filter
 // search, which is most of the cost of encoding a truecolor tile that holds
-// a handful of heats. paletters pools it, Pix buffer included, so a tile
-// server stops allocating it per tile.
+// a handful of heats, and its writer (png) packs the rows straight from
+// Pix. paletters pools it, Pix buffer and writer included, so a tile server
+// stops allocating either per tile.
 type paletter struct {
 	img    image.Paletted
+	png    indexedPNG
 	byHeat map[uint64]uint8 // heat bits → palette index, this encode
 	// swatches holds each color's palette entry, boxed into a color.Color
 	// once and kept across encodes (up to maxSwatches colors), so building
@@ -312,13 +319,13 @@ func (r *Raster) WritePNGScaled(w io.Writer, cm ColorMap, lo, hi float64) error 
 	}
 	p := paletters.Get().(*paletter)
 	defer paletters.Put(p)
-	var img image.Image
-	if pi, ok := p.index(r, cm, lo, hi); ok {
-		img = pi
+	var err error
+	if img, ok := p.index(r, cm, lo, hi); ok {
+		err = p.png.encode(w, img)
 	} else {
-		img = r.ImageScaled(cm, lo, hi)
+		err = pngEncoder.Encode(w, r.ImageScaled(cm, lo, hi))
 	}
-	if err := pngEncoder.Encode(w, img); err != nil {
+	if err != nil {
 		return fmt.Errorf("render: encoding png: %w", err)
 	}
 	return nil

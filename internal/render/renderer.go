@@ -30,9 +30,9 @@ type Renderer struct {
 
 // NewIndexRenderer builds a Renderer that rasterizes through a slab
 // point-location index (pointloc.Index.HeatGrid): each pixel column
-// resolves its slab and evaluates each arc of it once, and each pixel reads
-// a precomputed face heat with no RNN-set construction — no circles, no
-// enclosure index. The output is byte-identical to the enclosure path:
+// resolves its slab and runs one gap search for all of its pixels, and each
+// pixel reads a precomputed face heat with no RNN-set construction — no
+// circles, no enclosure index. The output is byte-identical to the enclosure path:
 // HeatGrid returns exactly the heats of per-pixel point queries, and the
 // index implements the enclosure path's closed boundary convention. bounds
 // is the map's full extent (Bounds); an index opened from a snapshot

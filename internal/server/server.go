@@ -68,6 +68,7 @@ import (
 	"hash/fnv"
 	"math"
 	"net/http"
+	"net/url"
 	"os"
 	"strconv"
 	"strings"
@@ -535,9 +536,9 @@ func writeErrorCode(w http.ResponseWriter, status int, code, format string, args
 	writeJSON(w, status, map[string]errorEnvelope{"error": {Code: code, Message: fmt.Sprintf(format, args...)}})
 }
 
-// parseFloat parses a finite float query parameter.
-func parseFloat(r *http.Request, name string) (float64, error) {
-	raw := r.URL.Query().Get(name)
+// parseFloat parses a finite float parameter of the query q.
+func parseFloat(q url.Values, name string) (float64, error) {
+	raw := q.Get(name)
 	if raw == "" {
 		return 0, fmt.Errorf("missing query parameter %q", name)
 	}
@@ -769,12 +770,13 @@ func nonNil(rnn []int) []int {
 }
 
 func (s *Server) handleHeat(inst *mapInstance, w http.ResponseWriter, r *http.Request) {
-	x, err := parseFloat(r, "x")
+	q := r.URL.Query()
+	x, err := parseFloat(q, "x")
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	y, err := parseFloat(r, "y")
+	y, err := parseFloat(q, "y")
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -888,7 +890,7 @@ func (s *Server) handleTopK(inst *mapInstance, w http.ResponseWriter, r *http.Re
 }
 
 func (s *Server) handleRegions(inst *mapInstance, w http.ResponseWriter, r *http.Request) {
-	minHeat, err := parseFloat(r, "min")
+	minHeat, err := parseFloat(r.URL.Query(), "min")
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
